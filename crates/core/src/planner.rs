@@ -21,7 +21,9 @@
 //! slack-ROI profile behind the overlap percentage) are filled at build
 //! time, once per distinct table cell, under a chunk-scoped memo-cache
 //! session ([`Profiler::begin_slack_roi_chunk`]) that touches each
-//! shared cache shard at most once per lease.
+//! shared cache shard at most once per lease. The per-ratio groups of
+//! cells are independent, so a build prices them on the calling
+//! thread's [`parallelism`] budget.
 //!
 //! **Bit-identity is the contract**: the plan assembles each point from
 //! the *same* shared sub-expressions (`ProjectionModel::projected_compute`,
@@ -45,9 +47,10 @@ use crate::inference::InferenceIteration;
 use crate::overlapped::{overlap_pct_with, roi_query};
 use crate::serialized::{projection_baseline, sweep_hyper, Method};
 use crate::sweep::{
-    axis_costs, eval_grid_point, extended_fraction_from_parts, AxisCosts, GridPoint, GridSweep,
-    PointResults, Workload,
+    axis_costs, eval_grid_point, extended_fraction_from_parts, parallelism, run_tasks_labeled,
+    AxisCosts, GridPoint, GridSweep, PointResults, Workload,
 };
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_opmodel::{Profiler, ProjectedIteration, ProjectionModel};
 use twocs_transformer::Hyperparams;
@@ -81,10 +84,23 @@ impl PlannerMode {
         method: Method,
         workload: Workload,
     ) -> Option<FactoredPlan> {
+        self.plan_on(device, points, batch, method, workload, parallelism())
+    }
+
+    /// [`Self::plan`] pricing on `jobs` threads.
+    fn plan_on(
+        self,
+        device: &DeviceSpec,
+        points: &[GridPoint],
+        batch: u64,
+        method: Method,
+        workload: Workload,
+        jobs: usize,
+    ) -> Option<FactoredPlan> {
         match self {
             PlannerMode::Naive => None,
             PlannerMode::Auto | PlannerMode::Factored => catch_unwind(AssertUnwindSafe(|| {
-                FactoredPlan::build(device, points, batch, method, workload)
+                FactoredPlan::build_on(device, points, batch, method, workload, jobs)
             }))
             .ok()
             .flatten(),
@@ -137,7 +153,12 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// indexed `(si * ratios + ri) * tps + ti`, filled only for the cells
 /// that actually occur (the grid prunes unrealistic `(H, TP)` pairs, so
 /// the cross product has holes); `serialized_ar` is TP-independent and
-/// indexed `si * ratios + ri`.
+/// indexed `si * ratios + ri`. The axis tables (`axis_comm`,
+/// `axis_p2p`, `axis_filled`) are keyed by the evolved device's
+/// *network*, not its ratio — [`axis_costs`] reads nothing else of the
+/// device, and flop-vs-bw evolution never changes the network — so they
+/// are indexed `(si * networks + ni) * axes + ai`, with `ratio_net`
+/// mapping each ratio to its network index.
 #[derive(Debug, Clone)]
 pub struct FactoredPlan {
     batch: u64,
@@ -158,9 +179,10 @@ pub struct FactoredPlan {
     /// Distinct `(experts, top_k, stages, micro_batches, sp)` axis
     /// tuples, first-seen order.
     axis_idx: HashMap<(u64, u64, u64, u64, u64), usize>,
-    /// Evolved device per ratio — `HwEvolution` applied exactly as
-    /// [`eval_grid_point`] does.
-    devices: Vec<DeviceSpec>,
+    /// Dense network index per ratio index.
+    ratio_net: Vec<usize>,
+    /// Number of distinct evolved networks across the ratios.
+    networks: usize,
     /// Sweep hyperparameters per shape.
     hypers: Vec<Hyperparams>,
     /// TP degree per dense TP index.
@@ -185,9 +207,10 @@ pub struct FactoredPlan {
     /// plan's workload is prefill or decode.
     inf_comm: Vec<f64>,
     /// Extra serialized comm per layer for the MoE/SP axes, per filled
-    /// `(shape, ratio, axis)` cell — indexed `(si * ratios + ri) * axes + ai`.
+    /// `(shape, network, axis)` cell — indexed
+    /// `(si * networks + ni) * axes + ai`.
     axis_comm: Vec<f64>,
-    /// Pipeline boundary transfer per filled `(shape, ratio, axis)` cell.
+    /// Pipeline boundary transfer per filled `(shape, network, axis)` cell.
     axis_p2p: Vec<f64>,
     /// Whether an axis cell occurs in the build point set.
     axis_filled: Vec<bool>,
@@ -204,7 +227,8 @@ impl FactoredPlan {
     /// its slack-ROI cells under one chunk-scoped cache session
     /// ([`Profiler::begin_slack_roi_chunk`]): every distinct key is
     /// resolved against the shared memo-cache shards at most once per
-    /// build, and the warm path never takes a shard lock per cell.
+    /// build, and the warm path never takes a shard lock per cell. The
+    /// groups are priced on the calling thread's [`parallelism`] budget.
     #[must_use]
     pub fn build(
         device: &DeviceSpec,
@@ -212,6 +236,18 @@ impl FactoredPlan {
         batch: u64,
         method: Method,
         workload: Workload,
+    ) -> Option<Self> {
+        Self::build_on(device, points, batch, method, workload, parallelism())
+    }
+
+    /// [`Self::build`] pricing on `jobs` threads.
+    fn build_on(
+        device: &DeviceSpec,
+        points: &[GridPoint],
+        batch: u64,
+        method: Method,
+        workload: Workload,
+        jobs: usize,
     ) -> Option<Self> {
         if method != Method::Projection || points.is_empty() {
             return None;
@@ -234,105 +270,27 @@ impl FactoredPlan {
         }
 
         let _span = twocs_obs::span("factored plan", "sweep");
-        let mut ratio_idx = HashMap::new();
-        let mut devices = Vec::new();
-        let mut models = Vec::new();
-        let mut shape_idx = HashMap::new();
-        let mut shapes: Vec<(u64, u64)> = Vec::new();
-        let mut hypers: Vec<Hyperparams> = Vec::new();
-        let mut tp_idx = HashMap::new();
-        let mut tps: Vec<u64> = Vec::new();
-        let mut axis_idx = HashMap::new();
-        let mut axes: Vec<GridPoint> = Vec::new();
-        for p in points {
-            ratio_idx.entry(p.ratio.to_bits()).or_insert_with(|| {
-                // Mirror eval_grid_point: evolve only for ratios above 1.
-                let dev = if p.ratio > 1.0 {
-                    HwEvolution::flop_vs_bw(p.ratio).apply(device)
-                } else {
-                    device.clone()
-                };
-                models.push(ProjectionModel::from_baseline(&projection_baseline(), &dev));
-                devices.push(dev);
-                devices.len() - 1
-            });
-            shape_idx.entry((p.h, p.sl)).or_insert_with(|| {
-                shapes.push((p.h, p.sl));
-                hypers.push(sweep_hyper(p.h, p.sl, batch));
-                hypers.len() - 1
-            });
-            tp_idx.entry(p.tp).or_insert_with(|| {
-                tps.push(p.tp);
-                tps.len() - 1
-            });
-            axis_idx.entry(p.axis_key()).or_insert_with(|| {
-                // Keep a representative point per axis tuple: axis_costs
-                // reads only the axis fields, not (h, sl, tp, ratio).
-                axes.push(*p);
-                axes.len() - 1
-            });
-        }
-        let (nr, nt, na) = (devices.len(), tps.len(), axes.len());
-        // Collect the triple cells that occur, grouped by ratio so each
-        // evolved device runs one profiler + one chunk-scoped cache
-        // session over all of its cells.
-        let mut filled = vec![false; hypers.len() * nr * nt];
-        let mut todo: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nr];
-        for p in points {
-            let ri = ratio_idx[&p.ratio.to_bits()];
-            let si = shape_idx[&(p.h, p.sl)];
-            let ti = tp_idx[&p.tp];
-            let flat = (si * nr + ri) * nt + ti;
-            if !filled[flat] {
-                filled[flat] = true;
-                todo[ri].push((si, ti));
-            }
-        }
-        let mut axis_filled = vec![false; hypers.len() * nr * na];
-        for p in points {
-            let ri = ratio_idx[&p.ratio.to_bits()];
-            let si = shape_idx[&(p.h, p.sl)];
-            let ai = axis_idx[&p.axis_key()];
-            axis_filled[(si * nr + ri) * na + ai] = true;
-        }
-        let priced = price_tables(
-            &devices,
-            &models,
-            &shapes,
-            &hypers,
-            &tps,
-            &axes,
+        let mut axes = PlanAxes {
             batch,
             workload,
-            &todo,
-            &axis_filled,
-        );
-        twocs_obs::metrics::global()
-            .counter("sweep.factored_plans")
-            .inc();
-
-        Some(Self {
-            batch,
-            workload,
-            base_device: device.clone(),
-            ratio_idx,
-            shape_idx,
-            tp_idx,
-            axis_idx,
-            devices,
-            hypers,
-            tps,
-            serialized_ar: priced.serialized_ar,
-            compute: priced.compute,
-            backward: priced.backward,
-            overlap: priced.overlap,
-            filled,
-            inf_compute: priced.inf_compute,
-            inf_comm: priced.inf_comm,
-            axis_comm: priced.axis_comm,
-            axis_p2p: priced.axis_p2p,
-            axis_filled,
-        })
+            ..PlanAxes::default()
+        };
+        for p in points {
+            axes.add_ratio(device, p.ratio);
+            axes.add_triple(p.h, p.sl, p.tp);
+            // A representative point per axis tuple: axis_costs reads
+            // only the axis fields, not (h, sl, tp, ratio).
+            axes.add_axis(*p);
+        }
+        let mut cells = axes.cells(false);
+        for p in points {
+            let ri = axes.ratio_idx[&p.ratio.to_bits()];
+            let si = axes.shape_idx[&(p.h, p.sl)];
+            axes.fill_triple(&mut cells, si, ri, axes.tp_idx[&p.tp]);
+            let ai = axes.axis_idx[&p.axis_key()];
+            cells.axis_filled[axes.axis_flat(si, ri, ai)] = true;
+        }
+        Self::price(device, axes, cells, jobs)
     }
 
     /// Build the plan for an **entire sweep** from its [`GridIndex`] —
@@ -343,7 +301,10 @@ impl FactoredPlan {
     /// bit-identical; what changes is the cost of *getting* the plan,
     /// which no longer scales with the point count. This is the seam a
     /// dist worker uses to build one plan per grid fingerprint and reuse
-    /// it across every chunk lease of that grid.
+    /// it across every chunk lease of that grid. Cells are priced on the
+    /// calling thread's [`parallelism`] budget.
+    ///
+    /// [`GridIndex`]: crate::grid::GridIndex
     #[must_use]
     pub fn build_from_sweep(device: &DeviceSpec, sweep: &GridSweep) -> Option<Self> {
         if sweep.method != Method::Projection {
@@ -354,111 +315,69 @@ impl FactoredPlan {
             return None;
         }
         let _span = twocs_obs::span("factored plan", "sweep");
-        let (batch, workload) = (sweep.batch, sweep.workload);
-        let mut ratio_idx = HashMap::new();
-        let mut devices = Vec::new();
-        let mut models = Vec::new();
+        let mut axes = PlanAxes {
+            batch: sweep.batch,
+            workload: sweep.workload,
+            ..PlanAxes::default()
+        };
         for &ratio in index.ratios() {
-            ratio_idx.entry(ratio.to_bits()).or_insert_with(|| {
-                let dev = if ratio > 1.0 {
-                    HwEvolution::flop_vs_bw(ratio).apply(device)
-                } else {
-                    device.clone()
-                };
-                models.push(ProjectionModel::from_baseline(&projection_baseline(), &dev));
-                devices.push(dev);
-                devices.len() - 1
-            });
+            axes.add_ratio(device, ratio);
         }
-        let mut shape_idx = HashMap::new();
-        let mut shapes: Vec<(u64, u64)> = Vec::new();
-        let mut hypers: Vec<Hyperparams> = Vec::new();
-        let mut tp_idx = HashMap::new();
-        let mut tps: Vec<u64> = Vec::new();
         for &(h, sl, tp) in index.triples() {
-            shape_idx.entry((h, sl)).or_insert_with(|| {
-                shapes.push((h, sl));
-                hypers.push(sweep_hyper(h, sl, batch));
-                hypers.len() - 1
-            });
-            tp_idx.entry(tp).or_insert_with(|| {
-                tps.push(tp);
-                tps.len() - 1
-            });
+            axes.add_triple(h, sl, tp);
         }
-        let mut axis_idx = HashMap::new();
-        let mut axes: Vec<GridPoint> = Vec::new();
         for (experts, top_k, stages, micro_batches, sp) in index.axis_tuples() {
-            axis_idx
-                .entry((experts, top_k, stages, micro_batches, sp))
-                .or_insert_with(|| {
-                    // Representative point per tuple: axis_costs reads
-                    // only the axis fields, not (h, sl, tp, ratio).
-                    axes.push(GridPoint {
-                        experts,
-                        top_k,
-                        stages,
-                        micro_batches,
-                        sp,
-                        ..GridPoint::new(256, 1, 1, 1.0)
-                    });
-                    axes.len() - 1
-                });
+            axes.add_axis(GridPoint {
+                experts,
+                top_k,
+                stages,
+                micro_batches,
+                sp,
+                ..GridPoint::new(256, 1, 1, 1.0)
+            });
         }
-        let (nr, nt, na) = (devices.len(), tps.len(), axes.len());
         // A sweep is a cross product: every surviving triple occurs with
-        // every ratio, and every (shape, ratio) with every axis tuple.
-        let mut filled = vec![false; hypers.len() * nr * nt];
-        let mut todo: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nr];
+        // every ratio, and every (shape, network) with every axis tuple.
+        let mut cells = axes.cells(true);
         for &(h, sl, tp) in index.triples() {
-            let si = shape_idx[&(h, sl)];
-            let ti = tp_idx[&tp];
-            for (ri, ratio_todo) in todo.iter_mut().enumerate() {
-                let flat = (si * nr + ri) * nt + ti;
-                if !filled[flat] {
-                    filled[flat] = true;
-                    ratio_todo.push((si, ti));
-                }
+            let (si, ti) = (axes.shape_idx[&(h, sl)], axes.tp_idx[&tp]);
+            for ri in 0..axes.devices.len() {
+                axes.fill_triple(&mut cells, si, ri, ti);
             }
         }
-        let axis_filled = vec![true; hypers.len() * nr * na];
-        let priced = price_tables(
-            &devices,
-            &models,
-            &shapes,
-            &hypers,
-            &tps,
-            &axes,
-            batch,
-            workload,
-            &todo,
-            &axis_filled,
-        );
+        Self::price(device, axes, cells, parallelism())
+    }
+
+    /// Price the collected cells on `jobs` threads and assemble the
+    /// plan; `None` if a pricing task panicked (the caller then
+    /// evaluates naively).
+    fn price(device: &DeviceSpec, axes: PlanAxes, cells: PlanCells, jobs: usize) -> Option<Self> {
+        let priced = axes.price_tables(&cells, jobs)?;
         twocs_obs::metrics::global()
             .counter("sweep.factored_plans")
             .inc();
-
         Some(Self {
-            batch,
-            workload,
+            batch: axes.batch,
+            workload: axes.workload,
             base_device: device.clone(),
-            ratio_idx,
-            shape_idx,
-            tp_idx,
-            axis_idx,
-            devices,
-            hypers,
-            tps,
+            ratio_idx: axes.ratio_idx,
+            shape_idx: axes.shape_idx,
+            tp_idx: axes.tp_idx,
+            axis_idx: axes.axis_idx,
+            ratio_net: axes.ratio_net,
+            networks: axes.networks.len(),
+            hypers: axes.hypers,
+            tps: axes.tps,
             serialized_ar: priced.serialized_ar,
             compute: priced.compute,
             backward: priced.backward,
             overlap: priced.overlap,
-            filled,
+            filled: cells.filled,
             inf_compute: priced.inf_compute,
             inf_comm: priced.inf_comm,
             axis_comm: priced.axis_comm,
             axis_p2p: priced.axis_p2p,
-            axis_filled,
+            axis_filled: cells.axis_filled,
         })
     }
 
@@ -471,7 +390,14 @@ impl FactoredPlan {
     /// Number of distinct flop-vs-bw ratios the plan tabulated.
     #[must_use]
     pub fn ratios(&self) -> usize {
-        self.devices.len()
+        self.ratio_net.len()
+    }
+
+    /// Number of distinct evolved networks the axis tables are keyed by
+    /// — 1 for any flop-vs-bw grid, which scales compute, not network.
+    #[must_use]
+    pub fn networks(&self) -> usize {
+        self.networks
     }
 
     /// Number of distinct TP degrees the plan tabulated.
@@ -487,7 +413,7 @@ impl FactoredPlan {
     }
 
     /// Dense flat indices of `p`'s filled table cells — the `(shape,
-    /// ratio, tp)` triple and the `(shape, ratio, axis)` cell — or
+    /// ratio, tp)` triple and the `(shape, network, axis)` cell — or
     /// `None` for a point outside the plan's axes (or on an unfilled
     /// cell of the pruned cross product).
     fn resolve(&self, p: GridPoint) -> Option<(usize, usize)> {
@@ -495,9 +421,8 @@ impl FactoredPlan {
         let &si = self.shape_idx.get(&(p.h, p.sl))?;
         let &ti = self.tp_idx.get(&p.tp)?;
         let &ai = self.axis_idx.get(&p.axis_key())?;
-        let pair = si * self.devices.len() + ri;
-        let flat = pair * self.tps.len() + ti;
-        let aflat = pair * self.axis_idx.len() + ai;
+        let flat = (si * self.ratio_net.len() + ri) * self.tps.len() + ti;
+        let aflat = (si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai;
         (self.filled[flat] && self.axis_filled[aflat]).then_some((flat, aflat))
     }
 
@@ -514,7 +439,7 @@ impl FactoredPlan {
     fn combine(&self, flat: usize, aflat: usize, p: GridPoint) -> (f64, f64) {
         let nt = self.tps.len();
         let (pair, ti) = (flat / nt, flat % nt);
-        let si = pair / self.devices.len();
+        let si = pair / self.ratio_net.len();
         let projected = ProjectedIteration {
             layers: self.hypers[si].layers(),
             compute_per_layer: self.compute[flat],
@@ -597,8 +522,55 @@ impl FactoredPlan {
     }
 }
 
+/// The distinct axis values a plan is built over, each in first-seen
+/// order, with the per-value inputs the pricing needs. Shared by both
+/// plan constructors so they index and price identically.
+#[derive(Default)]
+struct PlanAxes {
+    batch: u64,
+    workload: Workload,
+    ratio_idx: HashMap<u64, usize>,
+    /// Evolved device per ratio — `HwEvolution` applied exactly as
+    /// [`eval_grid_point`] does.
+    devices: Vec<DeviceSpec>,
+    /// Projection model per ratio.
+    models: Vec<ProjectionModel>,
+    /// Network index per ratio.
+    ratio_net: Vec<usize>,
+    /// Distinct evolved networks, first-seen order.
+    networks: Vec<NetworkSpec>,
+    shape_idx: HashMap<(u64, u64), usize>,
+    shapes: Vec<(u64, u64)>,
+    hypers: Vec<Hyperparams>,
+    tp_idx: HashMap<u64, usize>,
+    tps: Vec<u64>,
+    axis_idx: HashMap<(u64, u64, u64, u64, u64), usize>,
+    /// A representative point per axis tuple.
+    axes: Vec<GridPoint>,
+}
+
+/// The table cells a point set occupies: triple cells grouped by ratio
+/// (`todo[ri]`, first-seen order) so each evolved device runs one
+/// profiler + one chunk-scoped cache session over all of its cells, and
+/// axis cells by network.
+struct PlanCells {
+    filled: Vec<bool>,
+    todo: Vec<Vec<(usize, usize)>>,
+    axis_filled: Vec<bool>,
+}
+
+/// One priced triple cell.
+#[derive(Clone, Copy)]
+struct TripleCell {
+    compute: f64,
+    backward: f64,
+    overlap: f64,
+    inf_compute: f64,
+    inf_comm: f64,
+}
+
 /// The expensive table columns of a [`FactoredPlan`], priced once per
-/// filled cell by [`price_tables`].
+/// filled cell by [`PlanAxes::price_tables`].
 struct PricedTables {
     serialized_ar: Vec<f64>,
     compute: Vec<f64>,
@@ -610,91 +582,209 @@ struct PricedTables {
     axis_p2p: Vec<f64>,
 }
 
-/// Fill every expensive table column for the given distinct-value lists
-/// and fill sets. Shared by both plan constructors so a plan built from
-/// a point slice and one built from a [`GridIndex`] price their cells
-/// through exactly the same calls — the bit-identity argument for
-/// worker-side plan reuse.
-///
-/// Triple cells are grouped by ratio (`todo[ri]`) so each evolved device
-/// runs one profiler + one chunk-scoped cache session over all of its
-/// cells; axis cells are priced wherever `axis_filled` is set.
-#[allow(clippy::too_many_arguments)]
-fn price_tables(
-    devices: &[DeviceSpec],
-    models: &[ProjectionModel],
-    shapes: &[(u64, u64)],
-    hypers: &[Hyperparams],
-    tps: &[u64],
-    axes: &[GridPoint],
-    batch: u64,
-    workload: Workload,
-    todo: &[Vec<(usize, usize)>],
-    axis_filled: &[bool],
-) -> PricedTables {
-    let (nr, nt, na) = (devices.len(), tps.len(), axes.len());
-    let mut serialized_ar = vec![0.0; hypers.len() * nr];
-    for (si, hyper) in hypers.iter().enumerate() {
-        for (ri, m) in models.iter().enumerate() {
-            serialized_ar[si * nr + ri] = m.serialized_ar_time(hyper);
+impl PlanAxes {
+    fn add_ratio(&mut self, device: &DeviceSpec, ratio: f64) {
+        if self.ratio_idx.contains_key(&ratio.to_bits()) {
+            return;
+        }
+        self.ratio_idx.insert(ratio.to_bits(), self.devices.len());
+        // Mirror eval_grid_point: evolve only for ratios above 1.
+        let dev = if ratio > 1.0 {
+            HwEvolution::flop_vs_bw(ratio).apply(device)
+        } else {
+            device.clone()
+        };
+        let ni = match self.networks.iter().position(|n| n == dev.network()) {
+            Some(ni) => ni,
+            None => {
+                self.networks.push(*dev.network());
+                self.networks.len() - 1
+            }
+        };
+        self.ratio_net.push(ni);
+        self.models
+            .push(ProjectionModel::from_baseline(&projection_baseline(), &dev));
+        self.devices.push(dev);
+    }
+
+    fn add_triple(&mut self, h: u64, sl: u64, tp: u64) {
+        self.shape_idx.entry((h, sl)).or_insert_with(|| {
+            self.shapes.push((h, sl));
+            self.hypers.push(sweep_hyper(h, sl, self.batch));
+            self.hypers.len() - 1
+        });
+        self.tp_idx.entry(tp).or_insert_with(|| {
+            self.tps.push(tp);
+            self.tps.len() - 1
+        });
+    }
+
+    fn add_axis(&mut self, p: GridPoint) {
+        self.axis_idx.entry(p.axis_key()).or_insert_with(|| {
+            self.axes.push(p);
+            self.axes.len() - 1
+        });
+    }
+
+    /// `(ratios, networks, tps, axis tuples)`.
+    fn dims(&self) -> (usize, usize, usize, usize) {
+        (
+            self.devices.len(),
+            self.networks.len(),
+            self.tps.len(),
+            self.axes.len(),
+        )
+    }
+
+    /// Empty fill sets over these axes, every axis cell preset to
+    /// `all_axis_cells`.
+    fn cells(&self, all_axis_cells: bool) -> PlanCells {
+        let (nr, nn, nt, na) = self.dims();
+        PlanCells {
+            filled: vec![false; self.hypers.len() * nr * nt],
+            todo: vec![Vec::new(); nr],
+            axis_filled: vec![all_axis_cells; self.hypers.len() * nn * na],
         }
     }
 
-    let cells = hypers.len() * nr * nt;
-    let mut compute = vec![0.0; cells];
-    let mut backward = vec![0.0; cells];
-    let mut overlap = vec![0.0; cells];
-    let inference = workload != Workload::Training;
-    let mut inf_compute = vec![0.0; if inference { cells } else { 0 }];
-    let mut inf_comm = vec![0.0; if inference { cells } else { 0 }];
-    for (ri, cells) in todo.iter().enumerate() {
-        let profiler = Profiler::new(devices[ri].clone());
-        let _chunk = profiler.begin_slack_roi_chunk(cells.iter().map(|&(si, ti)| {
-            let (h, sl) = shapes[si];
-            roi_query(h, sl * batch, tps[ti], 4)
-        }));
-        for &(si, ti) in cells {
-            let flat = (si * nr + ri) * nt + ti;
-            let (c, b) = models[ri].projected_compute(&hypers[si], tps[ti]);
-            compute[flat] = c;
-            backward[flat] = b;
-            let (h, sl) = shapes[si];
-            overlap[flat] = overlap_pct_with(&profiler, h, sl * batch, tps[ti], 4);
-            if inference {
-                let it = InferenceIteration::model(&devices[ri], &hypers[si], tps[ti], workload);
-                inf_compute[flat] = it.compute_per_layer;
-                inf_comm[flat] = it.serialized_comm_per_layer;
+    fn triple_flat(&self, si: usize, ri: usize, ti: usize) -> usize {
+        (si * self.devices.len() + ri) * self.tps.len() + ti
+    }
+
+    fn axis_flat(&self, si: usize, ri: usize, ai: usize) -> usize {
+        (si * self.networks.len() + self.ratio_net[ri]) * self.axes.len() + ai
+    }
+
+    /// Mark triple cell `(si, ri, ti)` as occurring, queuing it for its
+    /// ratio group on first sight.
+    fn fill_triple(&self, cells: &mut PlanCells, si: usize, ri: usize, ti: usize) {
+        let flat = self.triple_flat(si, ri, ti);
+        if !cells.filled[flat] {
+            cells.filled[flat] = true;
+            cells.todo[ri].push((si, ti));
+        }
+    }
+
+    /// Fill every expensive table column for the filled cells — the one
+    /// pricing routine behind both plan constructors, which is the
+    /// bit-identity argument for worker-side plan reuse.
+    ///
+    /// Triple cells are grouped by ratio (`todo[ri]`); the groups are
+    /// independent, so they are priced on up to `jobs` pool threads
+    /// ([`run_tasks_labeled`]) and scattered back into the flat columns.
+    /// A budget of 1 or a single group prices inline under the same task
+    /// scopes, so logical traces do not depend on the budget. Returns
+    /// `None` if any group panicked. Axis cells are priced wherever
+    /// `axis_filled` is set.
+    fn price_tables(&self, cells: &PlanCells, jobs: usize) -> Option<PricedTables> {
+        let (nr, nn, _, na) = self.dims();
+        let (batch, workload, todo) = (self.batch, self.workload, &cells.todo);
+        let mut serialized_ar = vec![0.0; self.hypers.len() * nr];
+        for (si, hyper) in self.hypers.iter().enumerate() {
+            for (ri, m) in self.models.iter().enumerate() {
+                serialized_ar[si * nr + ri] = m.serialized_ar_time(hyper);
             }
         }
-    }
 
-    // Axis tables: one cell per occurring (shape, ratio, axis tuple),
-    // priced by the same shared `axis_costs` the naive kernel calls —
-    // that sharing is the bit-identity argument for the new axes.
-    let axis_cells = hypers.len() * nr * na;
-    let mut axis_comm = vec![0.0; axis_cells];
-    let mut axis_p2p = vec![0.0; axis_cells];
-    for (si, hyper) in hypers.iter().enumerate() {
-        for (ri, device) in devices.iter().enumerate() {
-            for (ai, &axis) in axes.iter().enumerate() {
-                let aflat = (si * nr + ri) * na + ai;
-                if axis_filled[aflat] {
-                    let costs = axis_costs(device, hyper, axis, workload);
-                    axis_comm[aflat] = costs.comm_per_layer;
-                    axis_p2p[aflat] = costs.pp_p2p;
+        let inference = workload != Workload::Training;
+        let price_group = |ri: usize| -> Vec<TripleCell> {
+            let group = &todo[ri];
+            let profiler = Profiler::new(self.devices[ri].clone());
+            let _chunk = profiler.begin_slack_roi_chunk(group.iter().map(|&(si, ti)| {
+                let (h, sl) = self.shapes[si];
+                roi_query(h, sl * batch, self.tps[ti], 4)
+            }));
+            group
+                .iter()
+                .map(|&(si, ti)| {
+                    let (h, sl) = self.shapes[si];
+                    let (compute, backward) =
+                        self.models[ri].projected_compute(&self.hypers[si], self.tps[ti]);
+                    let overlap = overlap_pct_with(&profiler, h, sl * batch, self.tps[ti], 4);
+                    let (inf_compute, inf_comm) = if inference {
+                        let it = InferenceIteration::model(
+                            &self.devices[ri],
+                            &self.hypers[si],
+                            self.tps[ti],
+                            workload,
+                        );
+                        (it.compute_per_layer, it.serialized_comm_per_layer)
+                    } else {
+                        (0.0, 0.0)
+                    };
+                    TripleCell {
+                        compute,
+                        backward,
+                        overlap,
+                        inf_compute,
+                        inf_comm,
+                    }
+                })
+                .collect()
+        };
+        let label = |ri: usize| format!("price ratio {ri}");
+        let jobs = jobs.min(todo.len());
+        let groups: Vec<Option<Vec<TripleCell>>> = if jobs <= 1 {
+            (0..todo.len())
+                .map(|ri| {
+                    let _scope = twocs_obs::task_scope(ri, &label(ri));
+                    catch_unwind(AssertUnwindSafe(|| price_group(ri))).ok()
+                })
+                .collect()
+        } else {
+            run_tasks_labeled(jobs, todo.len(), label, price_group)
+                .into_iter()
+                .map(|t| t.result.ok())
+                .collect()
+        };
+
+        let n_cells = cells.filled.len();
+        let mut compute = vec![0.0; n_cells];
+        let mut backward = vec![0.0; n_cells];
+        let mut overlap = vec![0.0; n_cells];
+        let mut inf_compute = vec![0.0; if inference { n_cells } else { 0 }];
+        let mut inf_comm = vec![0.0; if inference { n_cells } else { 0 }];
+        for (ri, group) in groups.into_iter().enumerate() {
+            for (&(si, ti), cell) in todo[ri].iter().zip(group?) {
+                let flat = self.triple_flat(si, ri, ti);
+                compute[flat] = cell.compute;
+                backward[flat] = cell.backward;
+                overlap[flat] = cell.overlap;
+                if inference {
+                    inf_compute[flat] = cell.inf_compute;
+                    inf_comm[flat] = cell.inf_comm;
                 }
             }
         }
-    }
-    PricedTables {
-        serialized_ar,
-        compute,
-        backward,
-        overlap,
-        inf_compute,
-        inf_comm,
-        axis_comm,
-        axis_p2p,
+
+        // Axis tables: one cell per occurring (shape, network, axis
+        // tuple), priced by the same shared `axis_costs` the naive kernel
+        // calls — that sharing is the bit-identity argument for the new
+        // axes.
+        let mut axis_comm = vec![0.0; cells.axis_filled.len()];
+        let mut axis_p2p = vec![0.0; cells.axis_filled.len()];
+        for (si, hyper) in self.hypers.iter().enumerate() {
+            for (ni, net) in self.networks.iter().enumerate() {
+                for (ai, &axis) in self.axes.iter().enumerate() {
+                    let aflat = (si * nn + ni) * na + ai;
+                    if cells.axis_filled[aflat] {
+                        let costs = axis_costs(net, hyper, axis, workload);
+                        axis_comm[aflat] = costs.comm_per_layer;
+                        axis_p2p[aflat] = costs.pp_p2p;
+                    }
+                }
+            }
+        }
+        Some(PricedTables {
+            serialized_ar,
+            compute,
+            backward,
+            overlap,
+            inf_compute,
+            inf_comm,
+            axis_comm,
+            axis_p2p,
+        })
     }
 }
 
@@ -702,7 +792,8 @@ fn price_tables(
 /// any other chunk-at-a-time caller) needs: batch-factored when the
 /// chunk supports it ([`FactoredPlan::eval_batch`]), naive otherwise,
 /// with each point's panic caught and reported as that point's error —
-/// never aborting the chunk.
+/// never aborting the chunk. The per-chunk plan prices on the calling
+/// thread alone: chunk callers already run one chunk per pool thread.
 #[must_use]
 pub fn eval_chunk(
     device: &DeviceSpec,
@@ -712,7 +803,7 @@ pub fn eval_chunk(
     workload: Workload,
 ) -> PointResults {
     let mut out = PointResults::with_capacity(points.len());
-    match PlannerMode::Auto.plan(device, points, batch, method, workload) {
+    match PlannerMode::Auto.plan_on(device, points, batch, method, workload, 1) {
         Some(plan) => plan.eval_batch(points, &mut out),
         None => out.extend(points.iter().map(|&p| {
             catch_unwind(AssertUnwindSafe(|| {
@@ -789,7 +880,39 @@ mod tests {
             FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload).unwrap();
         assert_eq!(plan.shapes(), 4); // 2 H × 2 SL
         assert_eq!(plan.ratios(), 2);
+        assert_eq!(plan.networks(), 1); // flop-vs-bw keeps the network
         assert_eq!(plan.tps(), 3);
+    }
+
+    /// Pricing runs under one task scope per ratio group whether it is
+    /// inline or on pool threads, so a logical-clock trace of a plan
+    /// build is byte-identical at any budget.
+    #[test]
+    fn pricing_traces_do_not_depend_on_the_budget() {
+        use std::sync::Arc;
+        let device = DeviceSpec::mi210();
+        let grid = GridSweep {
+            flop_vs_bw: vec![1.0, 2.0, 3.0, 4.0],
+            ..projection_grid()
+        };
+        // Each build on a fresh thread, as in a fresh process: logical
+        // ticks continue across spans of one thread.
+        let trace_for = |jobs: usize| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let tracer = Arc::new(twocs_obs::Tracer::new(twocs_obs::TraceMode::Logical));
+                    twocs_obs::set_thread_tracer(Some(tracer.clone()));
+                    crate::sweep::set_parallelism(jobs);
+                    assert!(FactoredPlan::build_from_sweep(&device, &grid).is_some());
+                    twocs_obs::chrome::render(&tracer.snapshot())
+                })
+                .join()
+                .unwrap()
+            })
+        };
+        let serial = trace_for(1);
+        assert_eq!(serial, trace_for(4));
+        assert_eq!(serial.matches("price ratio").count(), 4, "{serial}");
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::overlapped::overlap_pct;
 use crate::report::Table;
 use crate::serialized::{comm_fraction, projection_baseline, realistic_tp, sweep_hyper, Method};
 use twocs_collectives::{Collective, CollectiveCostModel};
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::{CacheStats, DeviceSpec, HwEvolution};
 use twocs_opmodel::{ProjectedIteration, ProjectionModel};
 use twocs_transformer::moe::MoeConfig;
@@ -664,7 +665,9 @@ pub(crate) struct AxisCosts {
     pub pp_p2p: f64,
 }
 
-/// Price the extended axes of `p` on `dev` for one layer of `hyper`.
+/// Price the extended axes of `p` on network `net` for one layer of
+/// `hyper`. Only the network matters: the factored planner keys its axis
+/// tables by it.
 ///
 /// - **SP** (`sp > 1`): per-block AllGather + ReduceScatter pairs over
 ///   the four comm sites (QKV, attention output, FC1, FC2) at their
@@ -677,12 +680,11 @@ pub(crate) struct AxisCosts {
 ///   micro-batch, priced analytically as step latency plus bytes over
 ///   the ring-all-reduce link bandwidth.
 pub(crate) fn axis_costs(
-    dev: &DeviceSpec,
+    net: &NetworkSpec,
     hyper: &Hyperparams,
     p: GridPoint,
     workload: Workload,
 ) -> AxisCosts {
-    let net = dev.network();
     let elem = hyper.precision().bytes();
     let cost = CollectiveCostModel::default();
     let (h, ff) = (hyper.hidden(), hyper.ff_dim());
@@ -769,7 +771,7 @@ pub(crate) fn extended_fraction(
             Some((it.compute_per_layer, it.serialized_comm_per_layer))
         }
     };
-    let axis = axis_costs(dev, hyper, p, workload);
+    let axis = axis_costs(dev.network(), hyper, p, workload);
     extended_fraction_from_parts(projected, inference, axis, p)
 }
 
@@ -1143,33 +1145,47 @@ impl GridSweep {
         header
     }
 
-    /// One sweep table row: the point's coordinates plus its metric
-    /// cells, with an `Err` result rendering as `error` in both metric
-    /// columns. Shared by [`Self::tabulate`] and the streaming sink in
-    /// `twocs-store` — single formatting site, which is the
-    /// byte-identity contract between buffered and streamed output.
+    /// Append one sweep CSV row, newline included, to `out`: the point's
+    /// coordinates plus its metric cells, with an `Err` result rendering
+    /// as `error` in both metric columns. This is the **single
+    /// formatting site** of sweep rows — [`Self::row_cells`] (and so
+    /// [`Self::tabulate`]) is defined by it and the streaming sink in
+    /// `twocs-store` calls it directly, which is the byte-identity
+    /// contract between buffered and streamed output.
+    pub fn write_row(
+        out: &mut Vec<u8>,
+        p: &GridPoint,
+        r: &Result<(f64, f64), String>,
+        extended: bool,
+    ) {
+        use std::io::Write as _;
+        // Writing into a Vec<u8> cannot fail.
+        let _ = write!(out, "{},{},{},{}", p.h, p.sl, p.tp, p.ratio);
+        if extended {
+            let _ = write!(
+                out,
+                ",{},{},{},{},{}",
+                p.experts, p.top_k, p.stages, p.micro_batches, p.sp
+            );
+        }
+        let _ = match r {
+            Ok((s, o)) => writeln!(out, ",{s:.2},{o:.2}"),
+            Err(_) => writeln!(out, ",error,error"),
+        };
+    }
+
+    /// One sweep table row as cells: [`Self::write_row`]'s bytes split
+    /// at the commas (no cell contains one).
     #[must_use]
     pub fn row_cells(p: &GridPoint, r: &Result<(f64, f64), String>, extended: bool) -> Vec<String> {
-        let (serialized, overlap) = match r {
-            Ok((s, o)) => (format!("{s:.2}"), format!("{o:.2}")),
-            Err(_) => ("error".to_owned(), "error".to_owned()),
-        };
-        let mut row = vec![
-            p.h.to_string(),
-            p.sl.to_string(),
-            p.tp.to_string(),
-            format!("{}", p.ratio),
-        ];
-        if extended {
-            row.push(p.experts.to_string());
-            row.push(p.top_k.to_string());
-            row.push(p.stages.to_string());
-            row.push(p.micro_batches.to_string());
-            row.push(p.sp.to_string());
-        }
-        row.push(serialized);
-        row.push(overlap);
-        row
+        let mut line = Vec::with_capacity(64);
+        Self::write_row(&mut line, p, r, extended);
+        line.pop(); // the newline
+        String::from_utf8(line)
+            .expect("sweep rows are ASCII")
+            .split(',')
+            .map(str::to_owned)
+            .collect()
     }
 
     /// Render per-point results into the sweep table. `results` must be
@@ -1251,9 +1267,10 @@ impl GridSweep {
         let plan = planner.plan(device, &points, self.batch, self.method, self.workload);
         let (results, timings) = match &plan {
             // Factored grids run batch-shaped: the plan's SoA tables are
-            // filled once (on this thread, under a chunk-scoped cache
-            // session) and the pool walks lease-sized chunks through
-            // `eval_batch` — one task per chunk, not per point.
+            // filled once (per-ratio groups on this sweep's `jobs`
+            // budget, each under a chunk-scoped cache session) and the
+            // pool walks lease-sized chunks through `eval_batch` — one
+            // task per chunk, not per point.
             Some(plan) => run_batch_tasks(plan, &points, jobs),
             None => {
                 let raw = run_tasks_labeled(
@@ -1485,8 +1502,8 @@ mod tests {
     /// Uses a distinctive (H, SL) so concurrently running tests cannot
     /// pre-warm its cache keys, and the naive planner so the cache
     /// activity is charged to the point's task — factored plans
-    /// front-load all memo-cache work into plan construction on the
-    /// calling thread, leaving every pool task warm by design.
+    /// front-load all memo-cache work into plan construction, leaving
+    /// every evaluation task warm by design.
     #[test]
     fn cold_first_run_then_warm_rerun_are_classified_separately() {
         let sweep = GridSweep {
@@ -1663,6 +1680,93 @@ mod tests {
         let csv = GridSweep::tabulate(&points, &results).to_csv();
         assert!(csv.contains("12.50"), "{csv}");
         assert!(csv.contains("error,error"), "{csv}");
+    }
+
+    /// `write_row` is the single row formatter: its bytes equal the
+    /// joined `row_cells` plus a newline, and both equal std's `{}` /
+    /// `{:.2}` rendering cell by cell — including ratios that print with
+    /// and without decimals, `.xx5` ties, huge, negative and non-finite
+    /// metrics, and `Err` rows.
+    #[test]
+    fn write_row_matches_row_cells_and_std_formatting_byte_for_byte() {
+        fn reference(p: &GridPoint, r: &Result<(f64, f64), String>, extended: bool) -> String {
+            let mut cells = vec![
+                p.h.to_string(),
+                p.sl.to_string(),
+                p.tp.to_string(),
+                format!("{}", p.ratio),
+            ];
+            if extended {
+                for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
+                    cells.push(v.to_string());
+                }
+            }
+            match r {
+                Ok((s, o)) => cells.extend([format!("{s:.2}"), format!("{o:.2}")]),
+                Err(_) => cells.extend(["error".to_owned(), "error".to_owned()]),
+            }
+            cells.join(",") + "\n"
+        }
+        let metrics = [
+            0.0,
+            -0.0,
+            12.5,
+            -3.25,
+            0.125,
+            0.375,
+            1.005,
+            2.675,
+            99.995,
+            1e300,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut line = Vec::new();
+        for extended in [false, true] {
+            for ratio in [1.0, 1.05, 10.99, 3.0, 0.5] {
+                let p = if extended {
+                    GridPoint {
+                        experts: 8,
+                        top_k: 2,
+                        stages: 4,
+                        micro_batches: 8,
+                        sp: 2,
+                        ..GridPoint::new(16_384, 2048, 64, ratio)
+                    }
+                } else {
+                    GridPoint::new(4096, 1024, 16, ratio)
+                };
+                let mut results = vec![Err("boom, with a comma".to_owned())];
+                for (i, &s) in metrics.iter().enumerate() {
+                    results.push(Ok((s, metrics[metrics.len() - 1 - i])));
+                }
+                for r in &results {
+                    line.clear();
+                    GridSweep::write_row(&mut line, &p, r, extended);
+                    let joined = GridSweep::row_cells(&p, r, extended).join(",") + "\n";
+                    assert_eq!(String::from_utf8_lossy(&line), joined, "{p:?} {r:?}");
+                    assert_eq!(joined, reference(&p, r, extended), "{p:?} {r:?}");
+                }
+            }
+        }
+        line.clear();
+        GridSweep::write_row(
+            &mut line,
+            &GridPoint::new(4096, 2048, 16, 1.05),
+            &Ok((2.675, f64::NAN)),
+            false,
+        );
+        assert_eq!(line, b"4096,2048,16,1.05,2.67,NaN\n");
+        line.clear();
+        GridSweep::write_row(
+            &mut line,
+            &GridPoint::new(4096, 2048, 16, 3.0),
+            &Err("x".to_owned()),
+            false,
+        );
+        assert_eq!(line, b"4096,2048,16,3,error,error\n");
     }
 
     #[test]

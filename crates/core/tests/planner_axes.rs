@@ -11,7 +11,8 @@
 
 use twocs_core::serialized::Method;
 use twocs_core::sweep::{
-    eval_chunk, eval_grid_point, FactoredPlan, GridPoint, GridSweep, PointResults, Workload,
+    eval_chunk, eval_grid_point, set_parallelism, FactoredPlan, GridPoint, GridSweep, PointResults,
+    Workload,
 };
 use twocs_hw::DeviceSpec;
 use twocs_testkit::{cases, Rng};
@@ -84,6 +85,72 @@ fn extended_axis_batches_are_bit_identical_to_the_naive_reference() {
             offset += take;
         }
     });
+}
+
+/// Property: plan builds price their per-ratio groups on the calling
+/// thread's budget, and the budget is invisible in the results. For
+/// random multi-ratio extended grids under every workload, plans built
+/// serially and on four threads — from the sweep and from its point
+/// list — evaluate bit-identically to each other and to the naive
+/// reference, and a flop-vs-bw grid keys its axis tables by exactly one
+/// network.
+#[test]
+fn parallel_plan_builds_are_bit_identical_to_serial_and_naive() {
+    let device = DeviceSpec::mi210();
+    for workload in [Workload::Training, Workload::Prefill, Workload::Decode] {
+        cases(4, |rng| {
+            let mut grid = GridSweep {
+                workload,
+                ..random_axis_grid(rng)
+            };
+            let mut ratios = vec![1.0];
+            for _ in 0..rng.usize_in(2..6) {
+                let r = *rng.choose(&[1.05, 2.0, 3.0, 4.0, 7.5, 10.99]);
+                if !ratios.contains(&r) {
+                    ratios.push(r);
+                }
+            }
+            grid.flop_vs_bw = ratios;
+            let points = grid.points();
+            let plans: Vec<FactoredPlan> = [1, 4]
+                .into_iter()
+                .flat_map(|jobs| {
+                    set_parallelism(jobs);
+                    let from_sweep = FactoredPlan::build_from_sweep(&device, &grid);
+                    let from_points = FactoredPlan::build(
+                        &device,
+                        &points,
+                        grid.batch,
+                        grid.method,
+                        grid.workload,
+                    );
+                    set_parallelism(1);
+                    [from_sweep, from_points]
+                })
+                .map(|plan| plan.expect("extended projection grids are factorable"))
+                .collect();
+            let mut reference = PointResults::new();
+            plans[0].eval_batch(&points, &mut reference);
+            for plan in &plans {
+                assert_eq!(plan.ratios(), grid.flop_vs_bw.len());
+                assert_eq!(plan.networks(), 1, "one network row of axis cells");
+                let mut out = PointResults::new();
+                plan.eval_batch(&points, &mut out);
+                for (p, (a, b)) in points.iter().zip(reference.iter().zip(&out)) {
+                    let (a, b) = (*a.as_ref().unwrap(), *b.as_ref().unwrap());
+                    assert_eq!(bits(a), bits(b), "serial vs parallel {p:?}");
+                }
+            }
+            // The naive kernel is slow in debug builds: check a sample.
+            for _ in 0..24 {
+                let i = rng.usize_in(0..points.len());
+                let naive =
+                    eval_grid_point(&device, points[i], grid.batch, grid.method, grid.workload);
+                let planned = *reference[i].as_ref().unwrap();
+                assert_eq!(bits(naive), bits(planned), "naive vs plan {:?}", points[i]);
+            }
+        });
+    }
 }
 
 /// Legacy points inside an extended plan still produce the exact pre-axis

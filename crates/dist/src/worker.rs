@@ -32,8 +32,8 @@
 //! overlapped.
 
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -376,19 +376,16 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             .spawn(move || writer_loop(write_stream, &out_rx, &bytes_tx, &write_fail))
             .map_err(|e| format!("spawn writer thread: {e}"))?
     };
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // Dropping `hb_stop` wakes the heartbeat thread at once, so teardown
+    // never waits out a heartbeat period.
+    let (hb_stop, hb_stopped) = std::sync::mpsc::channel::<()>();
     let heartbeat_thread = {
-        let stop = Arc::clone(&hb_stop);
         let out_tx = out_tx.clone();
         std::thread::Builder::new()
             .name("dist-heartbeat".to_owned())
             .spawn(move || {
                 let period = heartbeat.max(Duration::from_millis(1));
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while let Err(RecvTimeoutError::Timeout) = hb_stopped.recv_timeout(period) {
                     let beat = Outgoing {
                         msg: Message::Heartbeat,
                         due: half_rtt.map(|d| Instant::now() + d),
@@ -557,7 +554,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
     // Teardown: stop the heartbeat first (it holds an outgoing sender),
     // then drop ours so the writer drains the queue and exits, and only
     // then shut the socket down to unblock the reader.
-    hb_stop.store(true, Ordering::SeqCst);
+    drop(hb_stop);
     drop(out_tx);
     let _ = heartbeat_thread.join();
     let _ = writer_thread.join();

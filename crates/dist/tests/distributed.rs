@@ -347,6 +347,39 @@ fn slow_chunk_outlives_lease_ttl_via_heartbeats() {
     worker.join().unwrap().expect("worker exits on Done");
 }
 
+/// Teardown does not wait out a heartbeat: the heartbeat thread waits on
+/// a stop signal, so once the coordinator says `Done`, `run_worker`
+/// returns well under one heartbeat period (it used to sleep the period
+/// out, moving every worker and coordinator exit in heartbeat steps).
+#[test]
+fn worker_exits_well_under_one_heartbeat_period() {
+    let sweep = small_sweep();
+    let device = DeviceSpec::mi210();
+    let heartbeat = Duration::from_secs(5);
+    let coordinator = Coordinator::bind(CoordinatorConfig {
+        heartbeat,
+        lease_ttl: Duration::from_secs(30),
+        ..CoordinatorConfig::default()
+    })
+    .expect("bind ephemeral coordinator port");
+    let addr = coordinator.local_addr().to_string();
+    let worker = std::thread::spawn(move || {
+        run_worker(&WorkerConfig::new(addr, 1)).map(|report| (report, Instant::now()))
+    });
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+    coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+
+    let done = Instant::now();
+    coordinator.shutdown();
+    let (report, exited) = worker.join().unwrap().expect("worker exits on Done");
+    assert!(report.chunks > 0, "the worker actually evaluated");
+    let teardown = exited.duration_since(done);
+    assert!(
+        teardown < heartbeat / 5,
+        "worker took {teardown:?} to exit after Done (heartbeat {heartbeat:?})"
+    );
+}
+
 /// Wire-byte accounting closes: after a clean shutdown, the worker's
 /// reported `bytes_tx`/`bytes_rx` — which must include the heartbeat
 /// thread's frames — mirror the coordinator's rx/tx totals exactly.

@@ -305,6 +305,11 @@ impl Server {
                                     shed_connection(stream, &mut stats);
                                     continue;
                                 }
+                                // Responses are small, separate writes:
+                                // without this, a pipelined client's
+                                // second answer waits for the delayed
+                                // ACK of the first (Nagle).
+                                let _ = stream.set_nodelay(true);
                                 conns.insert(
                                     next_token,
                                     Conn {

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 
 use twocs_core::planner::{eval_chunk, FactoredPlan};
+use twocs_core::sweep::set_parallelism;
 use twocs_core::PointResults;
 use twocs_hw::DeviceSpec;
 
@@ -52,8 +53,10 @@ pub fn run_streaming(
     let batch = sweep.batch;
     let method = sweep.method;
     let workload = sweep.workload;
-    // One whole-grid factored plan shared read-only by every worker;
-    // None (simulation grids) falls back to per-chunk planning.
+    // One whole-grid factored plan shared read-only by every worker,
+    // priced on the same `jobs` budget; None (simulation grids) falls
+    // back to per-chunk planning.
+    set_parallelism(jobs);
     let plan: Option<FactoredPlan> = FactoredPlan::build_from_sweep(device, &sweep);
     let jobs = jobs.max(1).min(pending.len());
     let cursor = AtomicUsize::new(0);

@@ -15,8 +15,10 @@
 //! through a coordinator whose RSS stays flat.
 //!
 //! Byte identity with [`GridSweep::tabulate`] is by construction: both
-//! paths render cells through [`GridSweep::header_cells`] and
-//! [`GridSweep::row_cells`] and join them with `,` + `\n`.
+//! paths render through [`GridSweep::header_cells`] and
+//! [`GridSweep::write_row`], the single row formatter. The sink renders
+//! each chunk into one reused byte buffer and hands it to the writer in
+//! a single `write_all`.
 //!
 //! Metrics: `store.sink.spilled_bytes` (bytes appended to the spill
 //! file) and `store.sink.merge_passes` (drain sessions that had to read
@@ -62,6 +64,8 @@ pub struct StreamSink {
     extended: bool,
     /// Next chunk to render; everything below is already on `out`.
     next_chunk: u32,
+    /// Reused render buffer: one chunk's rows.
+    rendered: Vec<u8>,
     /// Out-of-order chunks parked in memory.
     buffered: BTreeMap<u32, PointResults>,
     buffered_points: usize,
@@ -107,6 +111,7 @@ impl StreamSink {
             chunk_size,
             extended,
             next_chunk: 0,
+            rendered: Vec::new(),
             buffered: BTreeMap::new(),
             buffered_points: 0,
             max_buffered_points: max_buffered_points.max(1),
@@ -198,23 +203,20 @@ impl StreamSink {
         self.index.len().saturating_sub(start).min(self.chunk_size)
     }
 
-    /// Render one chunk's rows to the output writer.
+    /// Render one chunk's rows into the reused byte buffer and hand them
+    /// to the output writer in one `write_all`.
     fn render(&mut self, chunk: u32, values: &PointResults) -> Result<(), String> {
         let start = chunk as usize * self.chunk_size;
-        let mut line = String::new();
+        self.rendered.clear();
         for (i, v) in values.iter().enumerate() {
             let p = self.index.point(start + i);
-            line.clear();
-            line.push_str(&GridSweep::row_cells(&p, v, self.extended).join(","));
-            line.push('\n');
-            self.out
-                .write_all(line.as_bytes())
-                .map_err(|e| format!("sink: cannot write row: {e}"))?;
-            self.rows += 1;
-            if v.is_err() {
-                self.failures += 1;
-            }
+            GridSweep::write_row(&mut self.rendered, &p, v, self.extended);
         }
+        self.out
+            .write_all(&self.rendered)
+            .map_err(|e| format!("sink: cannot write rows: {e}"))?;
+        self.rows += values.len();
+        self.failures += values.iter().filter(|v| v.is_err()).count();
         Ok(())
     }
 

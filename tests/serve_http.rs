@@ -168,6 +168,38 @@ fn pipelined_requests_are_answered_in_order() {
     assert_eq!(stats.served, 2);
 }
 
+/// Accepted connections run with TCP_NODELAY: a pipelined keep-alive
+/// pair is answered as two small writes, and without it the second one
+/// waits for the client's delayed ACK of the first (~40 ms on Linux).
+#[test]
+fn pipelined_pairs_are_not_held_back_by_delayed_acks() {
+    let (addr, shutdown, join) = start(test_config());
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let pair = "GET /v1/healthz HTTP/1.1\r\nHost: twocs\r\n\r\n".repeat(2);
+    let mut rounds = Vec::new();
+    for _ in 0..20 {
+        let t = Instant::now();
+        conn.write_all(pair.as_bytes()).unwrap();
+        for _ in 0..2 {
+            let raw = read_response(&mut conn);
+            assert_eq!(status_of(&raw), 200, "{raw}");
+        }
+        rounds.push(t.elapsed());
+    }
+    rounds.sort();
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "pipelined pair median {median:?} (all rounds: {rounds:?})"
+    );
+    shutdown.trigger();
+    let stats = join.join().expect("server thread");
+    assert_eq!(stats.served, 40);
+}
+
 #[test]
 fn request_heads_split_across_writes_still_parse() {
     let (addr, shutdown, join) = start(test_config());
