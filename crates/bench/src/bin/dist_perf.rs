@@ -79,7 +79,7 @@ impl Fabric {
     fn spawn(pipeline: usize, rtt: Duration) -> Self {
         let coordinator = Coordinator::bind(CoordinatorConfig {
             chunk_size: CHUNK,
-            pipeline,
+            pipeline: Some(pipeline),
             ..CoordinatorConfig::default()
         })
         .expect("bind ephemeral coordinator port");

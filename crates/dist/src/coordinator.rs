@@ -10,10 +10,12 @@
 //!   keep-alive connections on). It accepts registrations, runs a small
 //!   per-worker state machine over each connection's read/write halves,
 //!   and — the v4 push model — keeps every worker topped up with a
-//!   **credit window** of [`CoordinatorConfig::pipeline`] outstanding
-//!   chunk leases, granting refills the moment results or expiries free
-//!   credits. 64 workers are 64 pollfds, not 64 threads, and an idle
-//!   worker costs nothing (no `Ready`/`Wait` chatter).
+//!   **credit window** of outstanding chunk leases, granting refills the
+//!   moment results or expiries free credits. Each connection sizes its
+//!   own window from the round trip and completion rate it measures
+//!   ([`crate::window`]) unless [`CoordinatorConfig::pipeline`] pins it.
+//!   64 workers are 64 pollfds, not 64 threads, and an idle worker costs
+//!   nothing (no `Ready`/`Wait` chatter).
 //! * **Submitter** — the thread inside [`Coordinator::run_sweep`]: posts
 //!   the job, expires overdue leases, and **drains chunks locally
 //!   whenever no worker is connected**, which is both the
@@ -36,7 +38,7 @@
 //! produces identical bytes, and the merged output stays byte-identical
 //! to a local run under any kill/retry interleaving.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -48,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use crate::lease::{ChunkId, Completion, LeaseTracker, WorkerId};
 use crate::proto::{ChunkLease, FrameReader, Message, SweepAxes, PROTOCOL_VERSION};
+use crate::window::{CreditWindow, MAX_WINDOW_POINTS};
 use twocs_core::sweep::{eval_chunk, set_parallelism, GridExecutor, GridSweep, PointResults};
 use twocs_core::{GridIndex, Table};
 use twocs_hw::DeviceSpec;
@@ -72,11 +75,12 @@ pub struct CoordinatorConfig {
     pub lease_ttl: Duration,
     /// Thread budget for the local drain / degrade path.
     pub local_jobs: usize,
-    /// Credit window: chunk leases kept outstanding per worker. `1`
-    /// degenerates to lockstep (one chunk per round-trip); the default
-    /// of 4 hides a full network round-trip behind roughly three chunks
-    /// of computation.
-    pub pipeline: usize,
+    /// Credit window: chunk leases kept outstanding per worker. `None`
+    /// (the default) sizes each worker's window from its measured round
+    /// trip and completion rate, starting at
+    /// [`crate::window::INITIAL_WINDOW`]; `Some(n)` pins it at `n`, and
+    /// `Some(1)` degenerates to lockstep (one chunk per round trip).
+    pub pipeline: Option<usize>,
 }
 
 impl Default for CoordinatorConfig {
@@ -87,7 +91,7 @@ impl Default for CoordinatorConfig {
             heartbeat: Duration::from_millis(500),
             lease_ttl: Duration::from_secs(2),
             local_jobs: 1,
-            pipeline: 4,
+            pipeline: None,
         }
     }
 }
@@ -106,6 +110,9 @@ pub struct DistSummary {
     /// Per-evaluator chunk counts and busy time (grant-to-result time
     /// for remote workers, evaluation time for [`LOCAL_WORKER`]).
     pub per_worker: Vec<(WorkerId, u64, Duration)>,
+    /// Per remote worker: its credit window when its last result landed
+    /// and the smallest grant-to-result time it showed.
+    pub windows: Vec<(WorkerId, usize, Duration)>,
     /// Protocol bytes sent by the coordinator during this sweep.
     pub bytes_tx: u64,
     /// Protocol bytes received by the coordinator during this sweep.
@@ -138,6 +145,9 @@ impl fmt::Display for DistSummary {
                 "\n  {who:<12} {chunks} chunk{} in {busy:.1?}",
                 if *chunks == 1 { "" } else { "s" }
             )?;
+            if let Some((_, window, min_rtt)) = self.windows.iter().find(|w| w.0 == *id) {
+                write!(f, ", window {window}, min rtt {min_rtt:.1?}")?;
+            }
         }
         Ok(())
     }
@@ -148,6 +158,8 @@ impl fmt::Display for DistSummary {
 struct EvalStats {
     chunks: u64,
     busy: Duration,
+    /// Remote workers only: credit window and minimum round trip.
+    window: Option<(usize, Duration)>,
 }
 
 /// Where a job's accepted chunk results go.
@@ -837,6 +849,11 @@ fn finish_job(
             .iter()
             .map(|(&id, s)| (id, s.chunks, s.busy))
             .collect(),
+        windows: job
+            .stats
+            .iter()
+            .filter_map(|(&id, s)| s.window.map(|(w, rtt)| (id, w, rtt)))
+            .collect(),
         bytes_tx: shared.bytes_tx.load(Ordering::Relaxed) - tx_before,
         bytes_rx: shared.bytes_rx.load(Ordering::Relaxed) - rx_before,
         wall: start.elapsed(),
@@ -871,13 +888,16 @@ struct Conn {
     /// Close the connection at this instant regardless (handshake and
     /// drain timeouts).
     deadline: Option<Instant>,
-    /// When each outstanding chunk was granted, for grant-to-result
-    /// timing in the per-worker stats.
-    grant_times: BTreeMap<(u64, ChunkId), Instant>,
+    /// When each outstanding chunk of job `grant_job` was granted, for
+    /// grant-to-result timing: per-worker stats and the credit window.
+    grant_times: HashMap<ChunkId, Instant>,
+    grant_job: u64,
+    /// Leases to keep outstanding on this connection.
+    window: CreditWindow,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream, pipeline: Option<usize>) -> Self {
         Self {
             stream,
             reader: FrameReader::new(),
@@ -888,7 +908,9 @@ impl Conn {
             half_closed: false,
             dead: false,
             deadline: Some(Instant::now() + HANDSHAKE_TIMEOUT),
-            grant_times: BTreeMap::new(),
+            grant_times: HashMap::new(),
+            grant_job: 0,
+            window: CreditWindow::new(pipeline),
         }
     }
 
@@ -983,7 +1005,7 @@ fn driver_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         };
 
         if wait.listener_ready {
-            accept_all(listener, &mut conns);
+            accept_all(listener, &mut conns, shared.cfg.pipeline);
         }
         for ev in &wait.events {
             let Some(conn) = conns.get_mut(ev.token as usize) else {
@@ -1030,13 +1052,13 @@ fn driver_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 }
 
 /// Accept every pending registration (the listener is nonblocking).
-fn accept_all(listener: &TcpListener, conns: &mut Vec<Conn>) {
+fn accept_all(listener: &TcpListener, conns: &mut Vec<Conn>, pipeline: Option<usize>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nonblocking(true);
                 let _ = stream.set_nodelay(true);
-                conns.push(Conn::new(stream));
+                conns.push(Conn::new(stream, pipeline));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1127,7 +1149,9 @@ fn handle_frame(
                 .heartbeat
                 .as_millis()
                 .clamp(1, u128::from(u32::MAX)) as u32;
-            let pipeline = shared.cfg.pipeline.clamp(1, u32::MAX as usize) as u32;
+            // Welcome advertises the initial window; an adaptive window
+            // grows from there as results measure the round trip.
+            let pipeline = conn.window.size().min(u32::MAX as usize) as u32;
             conn.queue(
                 shared,
                 &Message::Welcome {
@@ -1173,11 +1197,12 @@ fn handle_frame(
                 values,
             },
         ) => {
-            let busy = conn
-                .grant_times
-                .remove(&(jid, chunk))
-                .map_or(Duration::ZERO, |t0| t0.elapsed());
-            let recorded = {
+            let arrived = Instant::now();
+            let granted = (jid == conn.grant_job)
+                .then(|| conn.grant_times.remove(&chunk))
+                .flatten();
+            let busy = granted.map_or(Duration::ZERO, |t0| arrived.duration_since(t0));
+            let (recorded, job_done) = {
                 let mut st = shared.lock();
                 // A result is proof of life for the rest of the window.
                 let now = shared.now();
@@ -1185,9 +1210,23 @@ fn handle_frame(
                 if let Some(job) = st.job.as_mut() {
                     job.tracker.renew(worker, now, ttl_ms);
                 }
-                record_result(&mut st, jid, worker, chunk, values, busy)
+                let recorded = record_result(&mut st, jid, worker, chunk, values, busy);
+                let job = st.job.as_mut().filter(|j| j.id == jid);
+                if let (Some(job), Some(_)) = (job, granted) {
+                    conn.window.on_result(busy, arrived, job.chunk_size);
+                    if let Some(stats) = job.stats.get_mut(&worker) {
+                        let min_rtt = conn.window.min_rtt().unwrap_or(busy);
+                        stats.window = Some((conn.window.size(), min_rtt));
+                    }
+                }
+                let job_done = st.job.as_ref().is_some_and(|j| j.tracker.is_complete());
+                (recorded, job_done)
             };
-            shared.progress.notify_all();
+            // Only completion changes what the supervise loop waits for;
+            // waking it per result would just contend for the lock.
+            if job_done {
+                shared.progress.notify_all();
+            }
             if let Recorded::Deliver(tx, c, v) = recorded {
                 // Never block the driver on the streaming channel: park
                 // the chunk; `flush_backlog` try_sends after the lock.
@@ -1227,7 +1266,7 @@ fn handle_frame(
 
 /// The driver's periodic/maintenance pass: expire overdue leases, top
 /// every live worker back up to its credit window, and publish the
-/// outstanding-lease gauge.
+/// outstanding-lease and credit-window gauges (summed over workers).
 fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
     let metrics = twocs_obs::metrics::global();
     let mut st = shared.lock();
@@ -1244,10 +1283,10 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
     // Credit refill — paused while the streaming backlog is over the
     // high-water mark, which is the grant-side half of backpressure.
     if backlog_len < BACKLOG_HIGH_WATER && !st.shutdown {
-        let window = shared.cfg.pipeline.max(1);
         for conn in conns.iter_mut().filter(|c| !c.dead && !c.closing) {
             let Some(worker) = conn.worker else { continue };
             let Some(job) = st.job.as_mut() else { break };
+            let window = conn.window.size();
             let deficit = window.saturating_sub(job.tracker.outstanding(worker));
             let mut chunks = Vec::with_capacity(deficit);
             for _ in 0..deficit {
@@ -1259,31 +1298,43 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
             if chunks.is_empty() {
                 continue;
             }
-            let leases: Vec<ChunkLease> = chunks
-                .iter()
-                .map(|&c| ChunkLease {
-                    chunk: c,
-                    points: job.index.chunk_points(c as usize, job.chunk_size),
-                })
-                .collect();
             let issued = Instant::now();
-            let job_id = job.id;
-            // Stale timing entries from earlier jobs die with the grant.
-            conn.grant_times.retain(|(j, _), _| *j == job_id);
+            if conn.grant_job != job.id {
+                // Timing entries from an earlier job die with its first grant.
+                conn.grant_times.clear();
+                conn.grant_job = job.id;
+            }
             for &c in &chunks {
-                conn.grant_times.insert((job_id, c), issued);
+                conn.grant_times.insert(c, issued);
             }
             metrics
                 .counter("dist.chunks_leased")
                 .add(chunks.len() as u64);
-            let grant = job.grant_message(leases);
-            conn.queue(shared, &grant);
+            // A pinned window can exceed the adaptive point budget; split
+            // it so no grant frame carries more than that many points.
+            let per_frame = (MAX_WINDOW_POINTS / job.chunk_size).max(1);
+            for frame in chunks.chunks(per_frame) {
+                let leases: Vec<ChunkLease> = frame
+                    .iter()
+                    .map(|&c| ChunkLease {
+                        chunk: c,
+                        points: job.index.chunk_points(c as usize, job.chunk_size),
+                    })
+                    .collect();
+                conn.queue(shared, &job.grant_message(leases));
+            }
         }
     }
     let outstanding = st.job.as_ref().map_or(0, |j| j.tracker.leased_count());
     metrics
         .gauge("dist.coordinator.outstanding_leases")
         .set(outstanding as f64);
+    let windows: usize = conns
+        .iter()
+        .filter(|c| c.worker.is_some() && !c.dead && !c.closing)
+        .map(|c| c.window.size())
+        .sum();
+    metrics.gauge("dist.pipeline.window").set(windows as f64);
 }
 
 /// Hand parked streaming chunks to the submitter without blocking; stop

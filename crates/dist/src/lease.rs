@@ -19,6 +19,13 @@
 //! [`Completion::Duplicate`] — a reassigned chunk whose original worker
 //! turns out to be alive after all merges cleanly, because every
 //! evaluator computes the same pure function of the grid point.
+//!
+//! Cost: with credit windows hundreds of leases deep, the coordinator
+//! completes, renews and refills many times per round trip, so no
+//! per-result or per-tick call scans the job. The
+//! `indexed_tracker_matches_the_scan_based_reference` test keeps the
+//! indexed tracker equal to the original scan-based one on random
+//! interleavings; a 200,000-chunk test keeps it fast.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -44,17 +51,63 @@ pub enum Completion {
 #[derive(Debug, Clone, Copy)]
 struct Lease {
     worker: WorkerId,
+    /// Deadline set when the lease was granted.
     expires_at: u64,
+    /// Grant order, compared against [`Holder::renewal`].
+    seq: u64,
+}
+
+impl Lease {
+    /// The lease's effective deadline under its holder's latest renewal.
+    fn deadline(&self, renewal: Option<(u64, u64)>) -> u64 {
+        match renewal {
+            Some((seq, deadline)) if self.seq < seq => deadline,
+            _ => self.expires_at,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum State {
+    Pending,
+    Leased(Lease),
+    Completed,
+}
+
+/// One worker's leases. Indexing leases by holder is what keeps
+/// `outstanding`, `renew` and `fail_worker` off the whole lease table.
+#[derive(Debug, Clone)]
+struct Holder {
+    chunks: BTreeSet<ChunkId>,
+    /// The latest renewal as `(seq, deadline)`: every lease granted
+    /// before sequence number `seq` expires at `deadline`, which makes a
+    /// renewal O(1) however deep the window is.
+    renewal: Option<(u64, u64)>,
+    /// Lower bound on the earliest deadline among `chunks`; `expire`
+    /// skips the holder while it lies in the future.
+    floor: u64,
 }
 
 /// Tracks every chunk of one sweep job through the pending → leased →
 /// completed lifecycle, with lease timeouts and reassignment.
+///
+/// Every per-result and per-tick operation costs O(log window) or
+/// O(workers), never a scan of the whole job: a chunk's state lives in a
+/// flat table, leases are indexed by worker, and a chunk completed while
+/// pending leaves a stale queue entry that [`LeaseTracker::lease`] skips
+/// instead of being searched out of the queue.
 #[derive(Debug, Clone)]
 pub struct LeaseTracker {
-    pending: VecDeque<ChunkId>,
-    leased: BTreeMap<ChunkId, Lease>,
-    completed: BTreeSet<ChunkId>,
-    total: u32,
+    state: Vec<State>,
+    /// Lease order. May also hold stale ids of chunks that completed
+    /// while pending (a late result for a requeued chunk, a journal
+    /// resume); `lease` drops them as it reaches them.
+    queue: VecDeque<ChunkId>,
+    holders: BTreeMap<WorkerId, Holder>,
+    pending: usize,
+    leased: usize,
+    completed: usize,
+    next_seq: u64,
     reassigned: u64,
 }
 
@@ -63,10 +116,13 @@ impl LeaseTracker {
     #[must_use]
     pub fn new(chunks: u32) -> Self {
         Self {
-            pending: (0..chunks).collect(),
-            leased: BTreeMap::new(),
-            completed: BTreeSet::new(),
-            total: chunks,
+            state: vec![State::Pending; chunks as usize],
+            queue: (0..chunks).collect(),
+            holders: BTreeMap::new(),
+            pending: chunks as usize,
+            leased: 0,
+            completed: 0,
+            next_seq: 0,
             reassigned: 0,
         }
     }
@@ -75,75 +131,121 @@ impl LeaseTracker {
     /// Returns `None` when nothing is pending (all chunks are leased out
     /// or completed).
     pub fn lease(&mut self, worker: WorkerId, now: u64, ttl_ms: u64) -> Option<ChunkId> {
-        let chunk = self.pending.pop_front()?;
-        self.leased.insert(
-            chunk,
-            Lease {
+        while let Some(chunk) = self.queue.pop_front() {
+            if !matches!(self.state[chunk as usize], State::Pending) {
+                continue; // completed while it waited in the queue
+            }
+            let lease = Lease {
                 worker,
                 expires_at: now.saturating_add(ttl_ms),
-            },
-        );
-        Some(chunk)
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            self.state[chunk as usize] = State::Leased(lease);
+            let holder = self.holders.entry(worker).or_insert_with(|| Holder {
+                chunks: BTreeSet::new(),
+                renewal: None,
+                floor: u64::MAX,
+            });
+            holder.chunks.insert(chunk);
+            holder.floor = holder.floor.min(lease.expires_at);
+            self.pending -= 1;
+            self.leased += 1;
+            return Some(chunk);
+        }
+        None
     }
 
     /// Extend every lease held by `worker` to `now + ttl_ms` — the
-    /// effect of receiving its heartbeat.
+    /// effect of receiving its heartbeat. O(log workers).
     pub fn renew(&mut self, worker: WorkerId, now: u64, ttl_ms: u64) {
-        let expires_at = now.saturating_add(ttl_ms);
-        for lease in self.leased.values_mut().filter(|l| l.worker == worker) {
-            lease.expires_at = expires_at;
+        if let Some(holder) = self.holders.get_mut(&worker) {
+            let deadline = now.saturating_add(ttl_ms);
+            holder.renewal = Some((self.next_seq, deadline));
+            holder.floor = deadline;
         }
     }
 
     /// Record a result for `chunk`. See [`Completion`] for the
     /// exactly-once semantics.
     pub fn complete(&mut self, chunk: ChunkId) -> Completion {
-        if chunk >= self.total {
+        let Some(&state) = self.state.get(chunk as usize) else {
             return Completion::Unknown;
+        };
+        match state {
+            State::Completed => return Completion::Duplicate,
+            State::Leased(lease) => {
+                self.leased -= 1;
+                if let Some(holder) = self.holders.get_mut(&lease.worker) {
+                    holder.chunks.remove(&chunk);
+                    if holder.chunks.is_empty() {
+                        self.holders.remove(&lease.worker);
+                    }
+                }
+            }
+            // A completion can also race a requeue: the chunk timed out,
+            // went back to pending, and then the original result arrived.
+            // Accept it; its queue entry goes stale.
+            State::Pending => self.pending -= 1,
         }
-        if self.completed.contains(&chunk) {
-            return Completion::Duplicate;
-        }
-        self.leased.remove(&chunk);
-        // A completion can also race a requeue: the chunk timed out,
-        // went back to pending, and then the original result arrived.
-        // Accept it and drop the pending copy.
-        self.pending.retain(|&c| c != chunk);
-        self.completed.insert(chunk);
+        self.state[chunk as usize] = State::Completed;
+        self.completed += 1;
         Completion::Accepted
     }
 
     /// Return every chunk leased to `worker` to the pending queue — the
-    /// effect of its connection dropping. Returns the requeued chunks.
+    /// effect of its connection dropping. Returns the requeued chunks in
+    /// ascending order.
     pub fn fail_worker(&mut self, worker: WorkerId) -> Vec<ChunkId> {
         let lost: Vec<ChunkId> = self
-            .leased
-            .iter()
-            .filter(|(_, l)| l.worker == worker)
-            .map(|(&c, _)| c)
-            .collect();
+            .holders
+            .remove(&worker)
+            .map(|h| h.chunks.into_iter().collect())
+            .unwrap_or_default();
         self.requeue(&lost);
         lost
     }
 
     /// Return every lease that expired at or before `now` to the pending
     /// queue — the effect of missed heartbeats. Returns the requeued
-    /// chunks.
+    /// chunks in ascending order. Only workers whose earliest deadline
+    /// has passed are examined.
     pub fn expire(&mut self, now: u64) -> Vec<ChunkId> {
-        let lost: Vec<ChunkId> = self
-            .leased
-            .iter()
-            .filter(|(_, l)| l.expires_at <= now)
-            .map(|(&c, _)| c)
-            .collect();
-        self.requeue(&lost);
+        let mut lost = Vec::new();
+        let state = &self.state;
+        for holder in self.holders.values_mut().filter(|h| h.floor <= now) {
+            let renewal = holder.renewal;
+            let mut floor = u64::MAX;
+            holder.chunks.retain(|&c| {
+                let State::Leased(lease) = state[c as usize] else {
+                    unreachable!("holder index out of sync for chunk {c}")
+                };
+                let deadline = lease.deadline(renewal);
+                if deadline <= now {
+                    lost.push(c);
+                    false
+                } else {
+                    floor = floor.min(deadline);
+                    true
+                }
+            });
+            holder.floor = floor;
+        }
+        if !lost.is_empty() {
+            self.holders.retain(|_, h| !h.chunks.is_empty());
+            lost.sort_unstable();
+            self.requeue(&lost);
+        }
         lost
     }
 
+    /// Move chunks already dropped from their holder back to pending.
     fn requeue(&mut self, chunks: &[ChunkId]) {
         for &c in chunks {
-            self.leased.remove(&c);
-            self.pending.push_back(c);
+            self.state[c as usize] = State::Pending;
+            self.queue.push_back(c);
+            self.leased -= 1;
+            self.pending += 1;
             self.reassigned += 1;
         }
     }
@@ -151,39 +253,39 @@ impl LeaseTracker {
     /// Whether every chunk has completed.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.completed.len() as u32 == self.total
+        self.completed == self.state.len()
     }
 
     /// Chunks waiting for a lease.
     #[must_use]
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Chunks currently leased out.
     #[must_use]
     pub fn leased_count(&self) -> usize {
-        self.leased.len()
+        self.leased
     }
 
     /// Chunks currently leased to `worker` — its outstanding credit
-    /// window. The coordinator grants `pipeline - outstanding(w)` fresh
+    /// window. The coordinator grants `window - outstanding(w)` fresh
     /// chunks whenever this dips below the window size.
     #[must_use]
     pub fn outstanding(&self, worker: WorkerId) -> usize {
-        self.leased.values().filter(|l| l.worker == worker).count()
+        self.holders.get(&worker).map_or(0, |h| h.chunks.len())
     }
 
     /// Chunks completed so far.
     #[must_use]
     pub fn completed_count(&self) -> usize {
-        self.completed.len()
+        self.completed
     }
 
     /// Total chunks in the job.
     #[must_use]
     pub fn total(&self) -> u32 {
-        self.total
+        self.state.len() as u32
     }
 
     /// How many times a chunk went back to pending after a failure or
@@ -193,33 +295,54 @@ impl LeaseTracker {
         self.reassigned
     }
 
-    /// Internal consistency: the three states partition `0..total`.
-    /// Debug builds assert this after every transition in the tests.
+    /// Internal consistency: the pending queue, the per-worker index and
+    /// the counters all agree with the per-chunk states, so the three
+    /// states partition `0..total`. A full scan, for tests only.
     #[must_use]
     pub fn is_partition(&self) -> bool {
-        let mut seen = BTreeSet::new();
-        for &c in &self.pending {
-            if !seen.insert(c) {
-                return false;
+        let mut queued = vec![false; self.state.len()];
+        for &c in &self.queue {
+            match self.state.get(c as usize) {
+                Some(State::Pending) if !queued[c as usize] => queued[c as usize] = true,
+                Some(State::Completed) => {}
+                _ => return false,
             }
         }
-        for &c in self.leased.keys() {
-            if !seen.insert(c) {
+        let mut held = 0;
+        for (&worker, holder) in &self.holders {
+            if holder.chunks.is_empty() {
                 return false;
             }
-        }
-        for &c in &self.completed {
-            if !seen.insert(c) {
-                return false;
+            for &c in &holder.chunks {
+                match self.state.get(c as usize) {
+                    Some(State::Leased(l)) if l.worker == worker => held += 1,
+                    _ => return false,
+                }
             }
         }
-        seen.len() as u32 == self.total && seen.iter().all(|&c| c < self.total)
+        let count = |f: fn(&State) -> bool| self.state.iter().filter(|s| f(s)).count();
+        self.pending == count(|s| matches!(s, State::Pending))
+            && self.pending == queued.iter().filter(|&&q| q).count()
+            && self.leased == held
+            && self.leased == count(|s| matches!(s, State::Leased(_)))
+            && self.completed == count(|s| matches!(s, State::Completed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every leased chunk id, ascending.
+    fn leased_ids(t: &LeaseTracker) -> Vec<ChunkId> {
+        let mut ids: Vec<ChunkId> = t
+            .holders
+            .values()
+            .flat_map(|h| h.chunks.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
 
     #[test]
     fn happy_path_completes_every_chunk_once() {
@@ -322,8 +445,7 @@ mod tests {
                     }
                     // Complete a currently leased chunk...
                     5 | 6 => {
-                        let leased: Vec<ChunkId> = t.leased.keys().copied().collect();
-                        if let Some(&c) = leased.first() {
+                        if let Some(c) = leased_ids(&t).first().copied() {
                             if t.complete(c) == Completion::Accepted {
                                 *accepted.entry(c).or_insert(0) += 1;
                             }
@@ -349,7 +471,9 @@ mod tests {
                         {
                             let dead = workers.swap_remove(i);
                             let lost = t.fail_worker(dead);
-                            assert!(lost.iter().all(|&c| !t.completed.contains(&c)));
+                            assert!(lost
+                                .iter()
+                                .all(|&c| !matches!(t.state[c as usize], State::Completed)));
                             workers.push(next_worker);
                             next_worker += 1;
                         }
@@ -432,7 +556,7 @@ mod tests {
                     next_worker += 1;
                 } else if let Some(&w) = live.first() {
                     // The worker finishes the oldest chunk of its window.
-                    if let Some((&c, _)) = t.leased.iter().find(|(_, l)| l.worker == w) {
+                    if let Some(&c) = t.holders.get(&w).and_then(|h| h.chunks.first()) {
                         assert_eq!(t.complete(c), Completion::Accepted);
                     }
                 }
@@ -455,5 +579,176 @@ mod tests {
         assert_eq!(t.pending_count(), 0, "pending copy must be dropped");
         assert!(t.is_complete());
         assert!(t.is_partition());
+    }
+
+    /// The scan-based tracker this module used to be: every operation
+    /// walks the whole lease table or pending queue. Kept as the
+    /// reference model for the indexed tracker.
+    struct Reference {
+        pending: VecDeque<ChunkId>,
+        leased: BTreeMap<ChunkId, (WorkerId, u64)>,
+        completed: BTreeSet<ChunkId>,
+        total: u32,
+    }
+
+    impl Reference {
+        fn new(total: u32) -> Self {
+            Self {
+                pending: (0..total).collect(),
+                leased: BTreeMap::new(),
+                completed: BTreeSet::new(),
+                total,
+            }
+        }
+
+        fn lease(&mut self, worker: WorkerId, now: u64, ttl: u64) -> Option<ChunkId> {
+            let chunk = self.pending.pop_front()?;
+            self.leased.insert(chunk, (worker, now.saturating_add(ttl)));
+            Some(chunk)
+        }
+
+        fn renew(&mut self, worker: WorkerId, now: u64, ttl: u64) {
+            for lease in self.leased.values_mut().filter(|l| l.0 == worker) {
+                lease.1 = now.saturating_add(ttl);
+            }
+        }
+
+        fn complete(&mut self, chunk: ChunkId) -> Completion {
+            if chunk >= self.total {
+                return Completion::Unknown;
+            }
+            if !self.completed.insert(chunk) {
+                return Completion::Duplicate;
+            }
+            self.leased.remove(&chunk);
+            self.pending.retain(|&c| c != chunk);
+            Completion::Accepted
+        }
+
+        fn take(&mut self, lost: impl Fn(&(WorkerId, u64)) -> bool) -> Vec<ChunkId> {
+            let chunks: Vec<ChunkId> = self
+                .leased
+                .iter()
+                .filter(|(_, l)| lost(l))
+                .map(|(&c, _)| c)
+                .collect();
+            for c in &chunks {
+                self.leased.remove(c);
+                self.pending.push_back(*c);
+            }
+            chunks
+        }
+
+        fn outstanding(&self, worker: WorkerId) -> usize {
+            self.leased.values().filter(|l| l.0 == worker).count()
+        }
+    }
+
+    /// Random interleavings of every tracker operation, across up to 8
+    /// workers holding windows of up to 1,024 leases, must agree with the
+    /// scan-based reference on every return value and count, with the
+    /// partition invariant intact after each step. The lease clock is
+    /// monotonic and each case uses one TTL, the coordinator's contract.
+    #[test]
+    fn indexed_tracker_matches_the_scan_based_reference() {
+        twocs_testkit::cases(32, |rng| {
+            let total = rng.u32_in(1..2048);
+            let window = rng.usize_in(1..1025);
+            let workers = rng.u64_in(1..9);
+            let ttl = rng.u64_in(1..60);
+            let mut t = LeaseTracker::new(total);
+            let mut r = Reference::new(total);
+            let mut now = 0u64;
+            for _ in 0..600 {
+                now += rng.u64_in(0..8);
+                let w = rng.u64_in(1..workers + 1);
+                match rng.u32_in(0..12) {
+                    0..=2 => {
+                        let want = rng.usize_in(1..window + 1);
+                        for _ in r.outstanding(w)..want {
+                            let got = t.lease(w, now, ttl);
+                            assert_eq!(got, r.lease(w, now, ttl));
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                    3..=5 => {
+                        let held = r.leased.len();
+                        if held > 0 {
+                            let c = *r.leased.keys().nth(rng.usize_in(0..held)).unwrap();
+                            assert_eq!(t.complete(c), r.complete(c));
+                        }
+                    }
+                    6 => {
+                        let c = rng.u32_in(0..total + 3);
+                        assert_eq!(t.complete(c), r.complete(c));
+                    }
+                    7 | 8 => {
+                        t.renew(w, now, ttl);
+                        r.renew(w, now, ttl);
+                    }
+                    9 | 10 => assert_eq!(t.expire(now), r.take(|l| l.1 <= now)),
+                    _ => assert_eq!(t.fail_worker(w), r.take(|l| l.0 == w)),
+                }
+                assert!(t.is_partition(), "partition broken at now={now}");
+                assert_eq!(t.pending_count(), r.pending.len());
+                assert_eq!(t.leased_count(), r.leased.len());
+                assert_eq!(t.completed_count(), r.completed.len());
+                assert_eq!(t.is_complete(), r.completed.len() as u32 == total);
+                assert_eq!(t.outstanding(w), r.outstanding(w));
+            }
+            for w in 1..=workers {
+                assert_eq!(t.outstanding(w), r.outstanding(w));
+            }
+        });
+    }
+
+    /// Lease and complete 200,000 chunks in windows of 512, renewing on
+    /// every result and expiring after every window the way the
+    /// coordinator does. A per-result scan of the pending queue or lease
+    /// table makes this quadratic (minutes); the indexed tracker takes a
+    /// fraction of a second even unoptimized.
+    #[test]
+    fn two_hundred_thousand_chunks_in_deep_windows_stay_fast() {
+        let start = std::time::Instant::now();
+        let total = 200_000;
+        let mut t = LeaseTracker::new(total);
+        let mut window = Vec::with_capacity(512);
+        let mut now = 0u64;
+        let mut round = 0u64;
+        while !t.is_complete() {
+            now += 1;
+            round += 1;
+            let worker = 1 + round % 2;
+            window.clear();
+            while window.len() < 512 {
+                match t.lease(worker, now, 1_000) {
+                    Some(c) => window.push(c),
+                    None => break,
+                }
+            }
+            if round % 50 == 0 {
+                // A worker dies holding its whole window.
+                assert_eq!(t.fail_worker(worker), window);
+                continue;
+            }
+            // Results arrive out of grant order.
+            window.reverse();
+            for &c in &window {
+                t.renew(worker, now, 1_000);
+                assert_eq!(t.complete(c), Completion::Accepted);
+                assert!(t.outstanding(worker) < 512);
+            }
+            assert!(t.expire(now).is_empty());
+        }
+        assert_eq!(t.completed_count(), total as usize);
+        assert!(t.reassigned() > 0);
+        assert!(t.is_partition());
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "200,000 chunks took {elapsed:?}"
+        );
     }
 }

@@ -12,19 +12,24 @@
 //! `std::net` + threads.
 //!
 //! Protocol v4 is a **push** protocol with credit-based pipelining: the
-//! coordinator keeps every worker topped up with a window of
-//! [`CoordinatorConfig::pipeline`] outstanding chunk leases, so a worker
-//! always has the next chunk in hand while evaluating the current one
-//! and a network round-trip costs throughput only when it exceeds a
-//! whole window of compute. There is no `Ready`/`Wait` polling chatter
-//! and no idle backoff sleep — workers block on their own socket and
-//! the coordinator drives every connection from one `poll(2)` loop.
+//! coordinator keeps every worker topped up with a window of outstanding
+//! chunk leases, so a worker always has the next chunk in hand while
+//! evaluating the current one and a network round-trip costs throughput
+//! only when it exceeds a whole window of compute. By default each
+//! connection sizes its own window to about two bandwidth-delay products
+//! from the round trip and completion rate it measures ([`window`]);
+//! [`CoordinatorConfig::pipeline`] pins it instead. There is no
+//! `Ready`/`Wait` polling chatter and no idle backoff sleep — workers
+//! block on their own socket and the coordinator drives every connection
+//! from one `poll(2)` loop.
 //!
 //! * [`proto`] — length-prefixed wire messages, the version handshake,
 //!   and the incremental [`proto::FrameReader`] / vectored
 //!   [`proto::write_batch`] used by the nonblocking endpoints.
-//! * [`lease`] — the pure, clock-abstracted chunk lease state machine;
-//!   a dead worker's **entire outstanding window** requeues at once.
+//! * [`lease`] — the pure, clock-abstracted chunk lease state machine,
+//!   indexed per worker so no per-result path scans the job; a dead
+//!   worker's **entire outstanding window** requeues at once.
+//! * [`window`] — the per-connection adaptive credit window.
 //! * [`coordinator`] — [`Coordinator`]: accepts workers on a single
 //!   poll-driven driver thread (64 workers are 64 pollfds, not 64
 //!   threads), grants credit windows, reassigns on failure, degrades to
@@ -34,7 +39,9 @@
 //! * [`worker`] — [`run_worker`]: double-buffered evaluator the `twocs
 //!   worker` subcommand runs — a reader thread keeps the lease queue
 //!   full, the eval loop works through it, and a writer thread flushes
-//!   results with vectored, allocation-reusing batch writes.
+//!   results with vectored, allocation-reusing batch writes. The base
+//!   device and the factored plan are resolved once per job, not per
+//!   chunk.
 //!
 //! ## Example (in-process pair)
 //!
@@ -70,6 +77,7 @@
 pub mod coordinator;
 pub mod lease;
 pub mod proto;
+pub mod window;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, DistSummary, LOCAL_WORKER};

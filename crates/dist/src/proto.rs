@@ -10,8 +10,9 @@
 //! [`Message::Hello`] (worker → coordinator) answered by
 //! [`Message::Welcome`] or [`Message::Reject`]. Everything after is
 //! **coordinator-pushed**: the coordinator keeps each worker topped up
-//! with a credit window of outstanding chunk leases ([`Message::Grant`],
-//! the window size arrives in `Welcome`), the worker streams
+//! with a credit window of outstanding chunk leases ([`Message::Grant`];
+//! `Welcome` advertises the *initial* window, which an adaptive
+//! coordinator then resizes without telling the worker), the worker streams
 //! [`Message::ChunkResult`] frames back as chunks finish, and
 //! `Heartbeat` frames interleave from a side thread so the coordinator
 //! can tell a slow worker from a dead one. There is no idle poll: a
@@ -21,8 +22,10 @@
 //!
 //! Every encode/decode is exercised by a round-trip property test, and
 //! decoding is strict: trailing bytes, truncated fields, unknown tags,
-//! and over-limit frames are all `InvalidData` errors rather than
-//! best-effort guesses.
+//! element counts the payload cannot hold, and over-limit frames are all
+//! `InvalidData` errors rather than best-effort guesses. A mutation fuzz
+//! loop checks that arbitrary bytes yield either such an error or a
+//! message that re-encodes to exactly those bytes.
 
 use std::io::{self, IoSlice, Read, Write};
 
@@ -43,9 +46,9 @@ use twocs_core::sweep::{GridPoint, GridSweep, Workload};
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one frame's payload, defending both sides against a
-/// corrupt or hostile peer declaring a multi-gigabyte length. Generous:
-/// the largest legitimate frame (a grant window over a serve-capped
-/// 4096-point grid) is under 256 KiB.
+/// corrupt or hostile peer declaring a multi-gigabyte length. The
+/// largest legitimate frame, a grant carrying a full adaptive window
+/// ([`crate::window::MAX_WINDOW_POINTS`] grid points), is about 4.8 MB.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// The nine axis lists that define a sweep's grid, shipped with every
@@ -144,10 +147,11 @@ pub enum Message {
         /// How often the worker should send [`Message::Heartbeat`], in
         /// milliseconds. The coordinator treats ~3 missed beats as death.
         heartbeat_ms: u32,
-        /// Credit window: how many chunk leases the coordinator keeps
-        /// outstanding on this connection. The worker sizes its local
-        /// work queue accordingly; `1` degenerates to the lockstep v3
-        /// behavior (one chunk per network round-trip).
+        /// Initial credit window: how many chunk leases the coordinator
+        /// keeps outstanding on this connection before it has measured
+        /// anything. An adaptive coordinator grows it from there; a
+        /// pinned one never moves it, and `1` degenerates to the lockstep
+        /// v3 behavior (one chunk per network round-trip).
         pipeline: u32,
     },
     /// Coordinator → worker: handshake refused (version mismatch, shutdown).
@@ -223,6 +227,14 @@ const TAG_CHUNK_RESULT: u8 = 8;
 const TAG_HEARTBEAT: u8 = 9;
 const TAG_REFUSE: u8 = 10;
 const TAG_GRANT: u8 = 11;
+
+/// Encoded size of one [`GridPoint`]: nine 8-byte fields.
+const POINT_LEN: usize = 9 * 8;
+/// Smallest encoded [`ChunkLease`]: chunk id plus an empty point list.
+const LEASE_MIN_LEN: usize = 4 + 4;
+/// Smallest encoded chunk result value: the `Err` tag plus an empty
+/// message.
+const RESULT_MIN_LEN: usize = 1 + 4;
 
 fn method_to_wire(m: Method) -> u8 {
     match m {
@@ -461,7 +473,7 @@ impl Message {
                 };
                 let axes = Box::new(axes);
                 let grid_fingerprint = r.u64()?;
-                let n = r.len_prefix()?;
+                let n = r.count(LEASE_MIN_LEN)?;
                 let mut leases = Vec::with_capacity(n);
                 for _ in 0..n {
                     let chunk = r.u32()?;
@@ -484,7 +496,7 @@ impl Message {
             TAG_CHUNK_RESULT => {
                 let job = r.u64()?;
                 let chunk = r.u32()?;
-                let n = r.len_prefix()?;
+                let n = r.count(RESULT_MIN_LEN)?;
                 let mut values = Vec::with_capacity(n);
                 for _ in 0..n {
                     values.push(match r.u8()? {
@@ -542,33 +554,36 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// A `u32` element count, sanity-bounded by the remaining payload so
-    /// a corrupt count cannot trigger a huge allocation.
-    fn len_prefix(&mut self) -> io::Result<usize> {
+    /// A `u32` element count for elements of at least `min_len` encoded
+    /// bytes each, rejected unless that many could fit in the rest of
+    /// the payload. Decoded elements are far larger in memory than on
+    /// the wire, so this is what bounds `Vec::with_capacity(n)`: a
+    /// hostile 16 MiB frame cannot reserve gigabytes up front.
+    fn count(&mut self, min_len: usize) -> io::Result<usize> {
         let n = self.u32()? as usize;
-        if n > self.buf.len() - self.at {
+        if n.saturating_mul(min_len) > self.buf.len() - self.at {
             return Err(bad(format!("element count {n} exceeds payload")));
         }
         Ok(n)
     }
 
     fn string(&mut self) -> io::Result<String> {
-        let n = self.len_prefix()?;
+        let n = self.count(1)?;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("invalid UTF-8 in string"))
     }
 
     fn u64_list(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.len_prefix()?;
+        let n = self.count(8)?;
         (0..n).map(|_| self.u64()).collect()
     }
 
     fn f64_list(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.len_prefix()?;
+        let n = self.count(8)?;
         (0..n).map(|_| self.u64().map(f64::from_bits)).collect()
     }
 
     fn points(&mut self) -> io::Result<Vec<GridPoint>> {
-        let n = self.len_prefix()?;
+        let n = self.count(POINT_LEN)?;
         let mut points = Vec::with_capacity(n);
         for _ in 0..n {
             points.push(GridPoint {
@@ -1066,5 +1081,147 @@ mod tests {
             }
             assert_eq!(decoded, msgs);
         });
+    }
+
+    /// A 512-lease grant: the deep-window frame an adaptive coordinator
+    /// sends once the round trip is measured.
+    fn deep_grant() -> Message {
+        Message::Grant {
+            job: 9,
+            device: "MI210".to_owned(),
+            device_fingerprint: 0xFEED,
+            batch: 1,
+            method: Method::Projection,
+            workload: Workload::Prefill,
+            axes: Box::new(sample_axes()),
+            grid_fingerprint: 0xC0FFEE,
+            leases: (0..512)
+                .map(|c| ChunkLease {
+                    chunk: c,
+                    points: vec![GridPoint::new(4096, 2048, 16, 1.0 + f64::from(c)); 2],
+                })
+                .collect(),
+        }
+    }
+
+    /// Every decoder must turn `frame` into a typed error or into a
+    /// message that re-encodes to exactly the bytes it came from.
+    fn assert_decoders_are_total(frame: &[u8]) {
+        if let Some(payload) = frame.get(4..) {
+            if let Ok(msg) = Message::decode(payload) {
+                assert_eq!(msg.encode(), payload, "{msg:?} re-encodes differently");
+            }
+        }
+        let reencode = |msg: &Message| {
+            let mut bytes = Vec::new();
+            msg.append_frame(&mut bytes);
+            bytes
+        };
+        if let Ok((msg, n)) = read_frame(&mut std::io::Cursor::new(frame)) {
+            assert_eq!(reencode(&msg), &frame[..n]);
+        }
+        let mut reader = FrameReader::new();
+        let mut cursor = std::io::Cursor::new(frame);
+        while reader.fill(&mut cursor).unwrap() > 0 {}
+        let mut at = 0;
+        while let Ok(Some((msg, n))) = reader.next_frame() {
+            assert_eq!(reencode(&msg), &frame[at..at + n]);
+            at += n;
+        }
+    }
+
+    /// Std-only mutation fuzzing of `Message::decode`, `read_frame` and
+    /// `FrameReader`: seed frames from the round-trip vectors plus a
+    /// 512-lease grant, then bit flips, truncation, extension and forged
+    /// length prefixes (the frame's own and the counts inside it). The
+    /// decoders must never panic or over-allocate.
+    #[test]
+    fn decoders_survive_mutated_frames() {
+        let seeds: Vec<Vec<u8>> = samples()
+            .iter()
+            .chain([deep_grant()].iter())
+            .map(|msg| {
+                let mut frame = Vec::new();
+                msg.append_frame(&mut frame);
+                frame
+            })
+            .collect();
+        for frame in &seeds {
+            assert_decoders_are_total(frame);
+        }
+        twocs_testkit::cases(1500, |rng| {
+            let mut frame = rng.choose(&seeds).clone();
+            for _ in 0..rng.usize_in(1..4) {
+                let len = frame.len();
+                match rng.u32_in(0..5) {
+                    0 if len > 0 => {
+                        let i = rng.usize_in(0..len);
+                        frame[i] ^= 1 << rng.u32_in(0..8);
+                    }
+                    1 => frame.truncate(rng.usize_in(0..len + 1)),
+                    2 => {
+                        let extra = rng.usize_in(1..32);
+                        frame.extend((0..extra).map(|_| rng.u32_in(0..256) as u8));
+                    }
+                    // Forge a length prefix: the frame's own, or any
+                    // 4-byte window that might be an element count.
+                    3 | 4 if len >= 4 => {
+                        let at = if rng.bool() {
+                            0
+                        } else {
+                            rng.usize_in(0..len - 3)
+                        };
+                        let forged = match rng.u32_in(0..4) {
+                            0 => u32::MAX,
+                            1 => MAX_FRAME_LEN,
+                            2 => rng.u32_in(0..len as u32 + 8),
+                            _ => rng.next_u64() as u32,
+                        };
+                        frame[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                    }
+                    _ => frame.push(0),
+                }
+            }
+            assert_decoders_are_total(&frame);
+        });
+    }
+
+    /// An element count that fits the remaining payload as bytes but not
+    /// as encoded elements is rejected before anything is reserved.
+    #[test]
+    fn element_counts_are_bounded_by_their_encoded_size() {
+        let Message::Grant { leases, .. } = deep_grant() else {
+            unreachable!()
+        };
+        let grant = Message::Grant {
+            job: 1,
+            device: String::new(),
+            device_fingerprint: 0,
+            batch: 1,
+            method: Method::Projection,
+            workload: Workload::Training,
+            axes: Box::new(sample_axes()),
+            grid_fingerprint: 0,
+            leases: leases[..1].to_vec(),
+        };
+        let payload = grant.encode();
+        // The lone lease's point count sits 8 + 2×72 bytes from the end;
+        // claim one point more than the remaining 144 bytes can encode.
+        let at = payload.len() - 2 * POINT_LEN - 4;
+        assert_eq!(payload[at..at + 4], 2u32.to_le_bytes());
+        let mut forged = payload.clone();
+        forged[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let err = Message::decode(&forged).unwrap_err();
+        assert!(err.to_string().contains("exceeds payload"), "{err}");
+        // A result count of remaining/5 + 1 cannot fit either.
+        let mut payload = vec![TAG_CHUNK_RESULT];
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&5u32.to_le_bytes());
+        payload.extend_from_slice(&[1, 0, 0, 0, 0].repeat(4));
+        assert!(Message::decode(&payload)
+            .unwrap_err()
+            .to_string()
+            .contains("exceeds payload"));
     }
 }

@@ -416,6 +416,10 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
     // `None` in the value slot means the sweep has no factored form
     // (simulation method) and chunks take the naive path.
     let mut plan_cache: Option<(u64, u64, Option<FactoredPlan>)> = None;
+    // The grant's base device, resolved once per (name, fingerprint):
+    // rebuilding the catalog costs several times a small chunk's
+    // evaluation. `None` in the value slot means "not in this catalog".
+    let mut device_cache: Option<(String, u64, Option<DeviceSpec>)> = None;
     // A job we refused once stays refused: later chunks of the same
     // grant are dropped silently while the coordinator winds us down.
     let mut refused_job: Option<u64> = None;
@@ -471,7 +475,14 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         if refused_job == Some(grant.job) {
             continue;
         }
-        let Some(dev) = resolve_device(&grant.device, grant.device_fingerprint) else {
+        let cached = device_cache
+            .as_ref()
+            .is_some_and(|(name, fp, _)| *name == grant.device && *fp == grant.device_fingerprint);
+        if !cached {
+            let dev = resolve_device(&grant.device, grant.device_fingerprint);
+            device_cache = Some((grant.device.clone(), grant.device_fingerprint, dev));
+        }
+        let Some(dev) = device_cache.as_ref().and_then(|(_, _, dev)| dev.as_ref()) else {
             report.refused += 1;
             refused_job = Some(grant.job);
             metrics.counter("dist.leases_refused").inc();
@@ -509,7 +520,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
                     .axes
                     .to_sweep(grant.batch, grant.method, grant.workload);
                 let plan = if sweep.fingerprint() == grant.grid_fingerprint {
-                    FactoredPlan::build_from_sweep(&dev, &sweep)
+                    FactoredPlan::build_from_sweep(dev, &sweep)
                 } else {
                     None
                 };
@@ -528,7 +539,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
                 plan.eval_batch(&points, &mut out);
                 out
             }
-            None => eval_chunk(&dev, &points, grant.batch, grant.method, grant.workload),
+            None => eval_chunk(dev, &points, grant.batch, grant.method, grant.workload),
         };
         let busy = t0.elapsed();
         report.busy += busy;

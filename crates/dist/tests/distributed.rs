@@ -2,14 +2,15 @@
 //! coordinator with in-process workers, exercising the byte-identity
 //! contract, full-window requeue on mid-sweep worker death, late joins,
 //! the no-worker degrade path, heartbeat-vs-slow-chunk liveness, wire
-//! byte accounting, and the version handshake.
+//! byte accounting, the version handshake, and the adaptive credit
+//! window (growth, pinning, and a death while holding a grown window).
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use twocs_core::GridSweep;
 use twocs_dist::coordinator::{Coordinator, CoordinatorConfig};
-use twocs_dist::proto::{read_frame, write_frame, Message, PROTOCOL_VERSION};
+use twocs_dist::proto::{read_frame, write_frame, ChunkLease, Message, PROTOCOL_VERSION};
 use twocs_dist::worker::{run_worker, WorkerConfig};
 use twocs_hw::DeviceSpec;
 
@@ -483,4 +484,243 @@ fn streaming_sweep_with_resume_set_matches_local() {
 
     coordinator.shutdown();
     worker.join().unwrap().expect("worker exits on Done");
+}
+
+/// A grid of ~600 two-point chunks under the projection method: enough
+/// round trips for an adaptive window to grow, cheap to evaluate.
+fn wide_sweep() -> GridSweep {
+    use twocs_core::serialized::Method;
+    GridSweep {
+        hs: vec![4096, 8192, 16_384],
+        sls: vec![2048, 4096],
+        tps: vec![16, 64],
+        flop_vs_bw: (0..100).map(|i| 1.0 + f64::from(i) * 0.1).collect(),
+        method: Method::Projection,
+        ..GridSweep::default()
+    }
+}
+
+/// Handshake as a raw protocol client; returns the advertised window.
+fn raw_handshake(conn: &mut TcpStream) -> u32 {
+    write_frame(
+        conn,
+        &Message::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    match read_frame(conn).unwrap().0 {
+        Message::Welcome { pipeline, .. } => pipeline,
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+}
+
+/// With the default config, each worker's window grows past its initial
+/// 4 leases once results measure a 2 ms round trip, and the CSV stays
+/// byte-identical to a local run.
+#[test]
+fn adaptive_window_grows_past_its_initial_size() {
+    let sweep = wide_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+
+    let coordinator = bind(2);
+    let addr = coordinator.local_addr().to_string();
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let cfg = WorkerConfig {
+                injected_latency: Some(Duration::from_millis(2)),
+                ..WorkerConfig::new(addr.clone(), 1)
+            };
+            std::thread::spawn(move || run_worker(&cfg))
+        })
+        .collect();
+    assert_eq!(coordinator.wait_for_workers(2, Duration::from_secs(10)), 2);
+
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    assert_eq!(table.to_csv(), local);
+    let widest = summary.windows.iter().map(|&(_, w, _)| w).max();
+    assert!(
+        widest.is_some_and(|w| w > 4),
+        "no window grew past 4: {summary}"
+    );
+    assert!(
+        summary
+            .windows
+            .iter()
+            .all(|&(_, _, rtt)| rtt >= Duration::from_millis(2)),
+        "min rtt includes the injected round trip: {summary}"
+    );
+    let first = summary.to_string();
+    assert!(first.lines().next().unwrap().starts_with("dist: "));
+    assert!(first.contains(", window "), "{first}");
+
+    coordinator.shutdown();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly on Done");
+    }
+}
+
+/// `pipeline: Some(1)` pins lockstep: a raw client that answers slowly
+/// never finds a second lease waiting while it holds one, however many
+/// results measure the round trip.
+#[test]
+fn pinned_window_of_one_never_grants_a_second_lease() {
+    use std::io::ErrorKind;
+    use twocs_core::eval_chunk;
+
+    let sweep = small_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+    let coordinator = Coordinator::bind(CoordinatorConfig {
+        chunk_size: 1,
+        pipeline: Some(1),
+        ..CoordinatorConfig::default()
+    })
+    .expect("bind ephemeral coordinator port");
+    let addr = coordinator.local_addr();
+
+    let client = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("client connects");
+        assert_eq!(raw_handshake(&mut conn), 1, "Welcome advertises the pin");
+        let mut answered = 0;
+        loop {
+            let (msg, _) = read_frame(&mut conn).unwrap();
+            let Message::Grant {
+                job,
+                batch,
+                method,
+                workload,
+                leases,
+                ..
+            } = msg
+            else {
+                assert_eq!(msg, Message::Done);
+                return answered;
+            };
+            assert_eq!(leases.len(), 1, "one lease per grant");
+            // Nothing else may arrive while this lease is outstanding.
+            std::thread::sleep(Duration::from_millis(20));
+            conn.set_nonblocking(true).unwrap();
+            let peeked = conn.peek(&mut [0u8; 1]);
+            assert!(
+                matches!(&peeked, Err(e) if e.kind() == ErrorKind::WouldBlock),
+                "a second frame arrived with one lease outstanding: {peeked:?}"
+            );
+            conn.set_nonblocking(false).unwrap();
+            let lease = &leases[0];
+            let values = eval_chunk(&DeviceSpec::mi210(), &lease.points, batch, method, workload);
+            let result = Message::ChunkResult {
+                job,
+                chunk: lease.chunk,
+                values,
+            };
+            write_frame(&mut conn, &result).unwrap();
+            answered += 1;
+        }
+    });
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    assert_eq!(table.to_csv(), local);
+    assert!(
+        summary.windows.iter().all(|&(_, w, _)| w == 1),
+        "pinned window moved: {summary}"
+    );
+    coordinator.shutdown();
+    assert_eq!(
+        client.join().unwrap(),
+        summary.chunks,
+        "every chunk answered"
+    );
+}
+
+/// A raw client answers promptly (after a 2 ms think time, so there is
+/// a round trip to hide) until its window has grown past 4 leases, then
+/// dies holding that window. Each of its leases is requeued exactly
+/// once, and the healthy worker's output still matches a local run.
+#[test]
+fn death_while_holding_a_grown_window_requeues_each_lease_once() {
+    use twocs_core::FactoredPlan;
+
+    let sweep = wide_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+    let coordinator = bind(2);
+    let addr = coordinator.local_addr();
+
+    let victim = {
+        let plan = FactoredPlan::build_from_sweep(&device, &sweep).expect("projection plan");
+        std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).expect("victim connects");
+            raw_handshake(&mut conn);
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut held: Vec<ChunkLease> = Vec::new();
+            let mut job = 0;
+            while held.len() <= 4 {
+                if !held.is_empty() {
+                    std::thread::sleep(Duration::from_millis(2));
+                    for lease in held.drain(..) {
+                        let mut values = Vec::new();
+                        plan.eval_batch(&lease.points, &mut values);
+                        let result = Message::ChunkResult {
+                            job,
+                            chunk: lease.chunk,
+                            values,
+                        };
+                        write_frame(&mut conn, &result).unwrap();
+                    }
+                }
+                // Take one grant, then every grant already buffered: the
+                // leases in hand are the coordinator's window for us.
+                loop {
+                    let (msg, _) = read_frame(&mut conn).expect("grant before the job ends");
+                    let Message::Grant { job: j, leases, .. } = msg else {
+                        panic!("expected Grant, got {msg:?}");
+                    };
+                    job = j;
+                    held.extend(leases);
+                    conn.set_nonblocking(true).unwrap();
+                    let more = conn.peek(&mut [0u8; 4]).is_ok_and(|n| n > 0);
+                    conn.set_nonblocking(false).unwrap();
+                    if !more {
+                        break;
+                    }
+                }
+            }
+            // Collect any grant already on its way, then die silently.
+            conn.set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            while let Ok((Message::Grant { leases, .. }, _)) = read_frame(&mut conn) {
+                held.extend(leases);
+            }
+            held.len() as u64
+        })
+    };
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+    let healthy = std::thread::spawn({
+        let addr = addr.to_string();
+        move || {
+            let cfg = WorkerConfig {
+                injected_latency: Some(Duration::from_millis(2)),
+                ..WorkerConfig::new(addr, 1)
+            };
+            run_worker(&cfg)
+        }
+    });
+    assert_eq!(coordinator.wait_for_workers(2, Duration::from_secs(10)), 2);
+
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    let held = victim.join().unwrap();
+    assert!(held > 4, "the victim died holding a grown window ({held})");
+    assert_eq!(table.to_csv(), local, "nothing lost, nothing doubled");
+    assert_eq!(
+        summary.reassigned, held,
+        "each held lease requeued exactly once: {summary}"
+    );
+    coordinator.shutdown();
+    healthy
+        .join()
+        .unwrap()
+        .expect("healthy worker exits on Done");
 }

@@ -106,7 +106,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             let csv = args.iter().any(|a| a == "--csv");
-            let jobs = match jobs_flag(&args) {
+            let jobs = match positive_flag(&args, "--jobs") {
                 Ok(jobs) => jobs.unwrap_or(1),
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -182,28 +182,92 @@ fn main() -> ExitCode {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// Strict `--jobs` parsing: absent → `None`; present it must be a
-/// positive integer (`--jobs 0` and garbage are usage errors instead of
-/// being silently defaulted).
-fn jobs_flag(args: &[String]) -> Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--jobs") else {
+/// The raw value after `name`: absent → `None`; present without a
+/// value → an error naming the flag.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(None);
     };
-    let raw = args
-        .get(i + 1)
-        .ok_or("--jobs requires a value (a positive thread count)")?;
-    raw.parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .map(Some)
-        .ok_or_else(|| format!("--jobs {raw}: expected a positive thread count"))
+    args.get(i + 1)
+        .map(|v| Some(v.as_str()))
+        .ok_or_else(|| format!("{name} requires a value"))
+}
+
+/// Strict numeric flag: the value must parse as `T`. An unparsable
+/// value is an error naming the flag, never a silent fallback to the
+/// default.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("invalid value `{raw}` for {name}"))
+        })
+        .transpose()
+}
+
+/// [`flag`] for counts that must be positive (`--jobs`, `--chunk`,
+/// `--pipeline`): zero is a usage error, not clamped to one.
+fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    flag_value(args, name)?
+        .map(|raw| {
+            raw.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{name} {raw}: expected a positive integer"))
+        })
+        .transpose()
+}
+
+/// The distributed-sweep flags, parsed up front so a bad value fails
+/// every sweep mode alike, with or without `--listen`.
+struct FabricFlags {
+    chunk: Option<usize>,
+    pipeline: Option<usize>,
+    min_workers: usize,
+    min_workers_timeout: std::time::Duration,
+}
+
+impl FabricFlags {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        Ok(Self {
+            chunk: positive_flag(args, "--chunk")?,
+            pipeline: positive_flag(args, "--pipeline")?,
+            min_workers: flag(args, "--min-workers")?.unwrap_or(0),
+            min_workers_timeout: std::time::Duration::from_millis(
+                flag(args, "--min-workers-timeout-ms")?.unwrap_or(10_000),
+            ),
+        })
+    }
+
+    /// Bind a sweep coordinator on `listen` and wait up to the timeout
+    /// for `--min-workers` workers; fewer means the sweep degrades to
+    /// local evaluation.
+    fn start(&self, listen: &str, jobs: usize) -> Result<twocs::dist::Coordinator, String> {
+        let mut dist_cfg = twocs::dist::CoordinatorConfig {
+            listen: listen.to_owned(),
+            local_jobs: jobs,
+            pipeline: self.pipeline,
+            ..twocs::dist::CoordinatorConfig::default()
+        };
+        if let Some(chunk) = self.chunk {
+            dist_cfg.chunk_size = chunk;
+        }
+        let coordinator = twocs::dist::Coordinator::bind(dist_cfg)
+            .map_err(|e| format!("cannot bind coordinator address `{listen}`: {e}"))?;
+        eprintln!(
+            "twocs sweep: coordinating on {} (workers: `twocs worker --connect {}`)",
+            coordinator.local_addr(),
+            coordinator.local_addr()
+        );
+        let present = coordinator.wait_for_workers(self.min_workers, self.min_workers_timeout);
+        if present < self.min_workers {
+            eprintln!(
+                "twocs sweep: {present}/{} worker(s) after {:?}; degrading to local evaluation",
+                self.min_workers, self.min_workers_timeout
+            );
+        }
+        Ok(coordinator)
+    }
 }
 
 /// Default thread count when `--jobs` is omitted: one per available
@@ -268,7 +332,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     if let Some(raw) = str_flag(args, "--workload") {
         grid.workload = raw.parse::<twocs::analysis::sweep::Workload>()?;
     }
-    if let Some(b) = flag(args, "--b") {
+    if let Some(b) = flag(args, "--b")? {
         grid.batch = b;
     }
     grid.method = match str_flag(args, "--method") {
@@ -295,9 +359,10 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     };
     // Omitted `--jobs` means "use the machine": sweeps are embarrassingly
     // parallel, so default to every available core. Explicit values are
-    // still strictly validated by `jobs_flag`.
-    let jobs = jobs_flag(args)?.unwrap_or_else(default_jobs);
+    // still strictly validated by `positive_flag`.
+    let jobs = positive_flag(args, "--jobs")?.unwrap_or_else(default_jobs);
     let csv = args.iter().any(|a| a == "--csv");
+    let fabric = FabricFlags::parse(args)?;
 
     if let Some(h) = grid.hs.iter().find(|&&h| h == 0 || h % 256 != 0) {
         return Err(format!(
@@ -401,7 +466,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     // rendered to stdout as chunks complete (bounded memory), every
     // completed chunk is journaled durably first, and a killed run
     // picks up from the last durable chunk with `--resume <journal>`.
-    if let Some(code) = sweep_streaming(args, &grid, &device, jobs, csv)? {
+    if let Some(code) = sweep_streaming(args, &grid, &device, jobs, csv, &fabric)? {
         obs.finish()?;
         return Ok(code);
     }
@@ -412,34 +477,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     // address line and distribution summary stay on stderr for exactly
     // that reason.
     let (table, failures) = if let Some(listen) = str_flag(args, "--listen") {
-        let min_workers = flag(args, "--min-workers").unwrap_or(0) as usize;
-        let min_workers_timeout = std::time::Duration::from_millis(
-            flag(args, "--min-workers-timeout-ms").unwrap_or(10_000),
-        );
-        let mut dist_cfg = twocs::dist::CoordinatorConfig {
-            listen: listen.to_owned(),
-            local_jobs: jobs,
-            ..twocs::dist::CoordinatorConfig::default()
-        };
-        if let Some(chunk) = flag(args, "--chunk") {
-            dist_cfg.chunk_size = chunk.max(1) as usize;
-        }
-        if let Some(pipeline) = flag(args, "--pipeline") {
-            dist_cfg.pipeline = pipeline.max(1) as usize;
-        }
-        let coordinator = twocs::dist::Coordinator::bind(dist_cfg)
-            .map_err(|e| format!("cannot bind coordinator address `{listen}`: {e}"))?;
-        eprintln!(
-            "twocs sweep: coordinating on {} (workers: `twocs worker --connect {}`)",
-            coordinator.local_addr(),
-            coordinator.local_addr()
-        );
-        let present = coordinator.wait_for_workers(min_workers, min_workers_timeout);
-        if present < min_workers {
-            eprintln!(
-                "twocs sweep: {present}/{min_workers} worker(s) after {min_workers_timeout:?}; degrading to local evaluation"
-            );
-        }
+        let coordinator = fabric.start(listen, jobs)?;
         let (table, dist_summary) = coordinator.run_sweep(&grid, &device)?;
         eprintln!("{dist_summary}");
         let failures = table
@@ -477,6 +515,7 @@ fn sweep_streaming(
     device: &DeviceSpec,
     jobs: usize,
     csv: bool,
+    fabric: &FabricFlags,
 ) -> Result<Option<ExitCode>, Box<dyn std::error::Error>> {
     use twocs::store::{run_streaming, SweepSpec, SweepStore};
 
@@ -528,7 +567,7 @@ fn sweep_streaming(
         None => {
             // Default chunk size balances fsync frequency against lost
             // recompute on crash; 512 points ≈ tens of KiB per append.
-            let chunk_size = flag(args, "--chunk").unwrap_or(512).max(1) as u32;
+            let chunk_size = fabric.chunk.unwrap_or(512) as u32;
             let spec = SweepSpec {
                 sweep: grid.clone(),
                 chunk_size,
@@ -548,31 +587,7 @@ fn sweep_streaming(
             )
             .into());
         }
-        let min_workers = flag(args, "--min-workers").unwrap_or(0) as usize;
-        let min_workers_timeout = std::time::Duration::from_millis(
-            flag(args, "--min-workers-timeout-ms").unwrap_or(10_000),
-        );
-        let mut dist_cfg = twocs::dist::CoordinatorConfig {
-            listen: listen.to_owned(),
-            local_jobs: jobs,
-            ..twocs::dist::CoordinatorConfig::default()
-        };
-        if let Some(pipeline) = flag(args, "--pipeline") {
-            dist_cfg.pipeline = pipeline.max(1) as usize;
-        }
-        let coordinator = twocs::dist::Coordinator::bind(dist_cfg)
-            .map_err(|e| format!("cannot bind coordinator address `{listen}`: {e}"))?;
-        eprintln!(
-            "twocs sweep: coordinating on {} (workers: `twocs worker --connect {}`)",
-            coordinator.local_addr(),
-            coordinator.local_addr()
-        );
-        let present = coordinator.wait_for_workers(min_workers, min_workers_timeout);
-        if present < min_workers {
-            eprintln!(
-                "twocs sweep: {present}/{min_workers} worker(s) after {min_workers_timeout:?}; degrading to local evaluation"
-            );
-        }
+        let coordinator = fabric.start(listen, jobs)?;
         let sweep = store.spec().sweep.clone();
         let chunk_size = store.spec().chunk_size.max(1) as usize;
         let completed = store.completed().clone();
@@ -617,7 +632,7 @@ fn sweep_streaming(
 /// writes the sweep table.
 fn worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let connect = str_flag(args, "--connect").ok_or("--connect <host:port> is required")?;
-    let jobs = jobs_flag(args)?.unwrap_or(1);
+    let jobs = positive_flag(args, "--jobs")?.unwrap_or(1);
     let obs = ObsSession::from_args(args);
     eprintln!("twocs worker: connecting to {connect}");
     let report = twocs::dist::run_worker(&twocs::dist::WorkerConfig::new(connect, jobs))?;
@@ -635,24 +650,25 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(addr) = str_flag(args, "--addr") {
         config.addr = addr.to_owned();
     }
-    if let Some(jobs) = jobs_flag(args)? {
+    if let Some(jobs) = positive_flag(args, "--jobs")? {
         config.jobs = jobs;
     }
-    if let Some(queue) = flag(args, "--queue") {
-        config.queue = queue.max(1) as usize;
+    if let Some(queue) = flag::<usize>(args, "--queue")? {
+        config.queue = queue.max(1);
     }
-    if let Some(ms) = flag(args, "--request-timeout-ms") {
+    if let Some(ms) = flag::<u64>(args, "--request-timeout-ms")? {
         config.request_timeout = std::time::Duration::from_millis(ms.max(1));
     }
-    if let Some(ms) = flag(args, "--idle-timeout-ms") {
+    if let Some(ms) = flag::<u64>(args, "--idle-timeout-ms")? {
         config.idle_timeout = std::time::Duration::from_millis(ms.max(1));
     }
-    if let Some(conns) = flag(args, "--max-conns") {
-        config.max_connections = conns.max(1) as usize;
+    if let Some(conns) = flag::<usize>(args, "--max-conns")? {
+        config.max_connections = conns.max(1);
     }
-    if let Some(reqs) = flag(args, "--max-requests-per-conn") {
+    if let Some(reqs) = flag::<u64>(args, "--max-requests-per-conn")? {
         config.max_requests_per_conn = reqs.max(1);
     }
+    let pipeline = positive_flag(args, "--pipeline")?;
     if args.iter().any(|a| a == "--no-response-cache") {
         config.cache_responses = false;
     }
@@ -671,14 +687,12 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // no-worker fallback. Response bodies are byte-identical either way.
     let coordinator = match str_flag(args, "--listen") {
         Some(listen) => {
-            let mut dist_cfg = twocs::dist::CoordinatorConfig {
+            let dist_cfg = twocs::dist::CoordinatorConfig {
                 listen: listen.to_owned(),
                 local_jobs: config.jobs,
+                pipeline,
                 ..twocs::dist::CoordinatorConfig::default()
             };
-            if let Some(pipeline) = flag(args, "--pipeline") {
-                dist_cfg.pipeline = pipeline.max(1) as usize;
-            }
             let coordinator = Arc::new(
                 twocs::dist::Coordinator::bind(dist_cfg)
                     .map_err(|e| format!("cannot bind coordinator address `{listen}`: {e}"))?,
@@ -720,12 +734,12 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let h = flag(args, "--h").ok_or("--h <hidden size> is required")?;
-    let sl = flag(args, "--sl").unwrap_or(2048);
-    let b = flag(args, "--b").unwrap_or(1);
-    let tp = flag(args, "--tp").unwrap_or(1);
-    let dp = flag(args, "--dp").unwrap_or(1);
-    let ratio = flag(args, "--flop-vs-bw").unwrap_or(1) as f64;
+    let h: u64 = flag(args, "--h")?.ok_or("--h <hidden size> is required")?;
+    let sl = flag(args, "--sl")?.unwrap_or(2048);
+    let b = flag(args, "--b")?.unwrap_or(1);
+    let tp = flag(args, "--tp")?.unwrap_or(1);
+    let dp = flag(args, "--dp")?.unwrap_or(1);
+    let ratio = flag(args, "--flop-vs-bw")?.unwrap_or(1.0);
 
     let heads = (h / 64).clamp(16, 256);
     let hyper = Hyperparams::builder(h)

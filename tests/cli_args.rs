@@ -102,3 +102,84 @@ fn worker_requires_connect() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--connect"), "{stderr}");
 }
+
+/// Every numeric flag is strict: an unparsable value, a missing value,
+/// or a zero `--chunk`/`--pipeline` is a usage error naming the flag,
+/// never a silent fallback to the default or a clamp to 1. Each command
+/// must fail before it binds a socket or evaluates anything.
+#[test]
+fn numeric_flags_reject_garbage_and_zero_counts() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "sweep",
+                "--listen",
+                "127.0.0.1:0",
+                "--pipeline",
+                "abc",
+                "--chunk",
+                "4",
+            ],
+            "--pipeline abc",
+        ),
+        (
+            &["sweep", "--listen", "127.0.0.1:0", "--chunk", "0"],
+            "--chunk 0",
+        ),
+        (&["sweep", "--pipeline", "0"], "--pipeline 0"),
+        (&["sweep", "--chunk", "-4"], "--chunk -4"),
+        (&["sweep", "--b", "two"], "--b"),
+        (
+            &["sweep", "--listen", "127.0.0.1:0", "--min-workers", "x"],
+            "--min-workers",
+        ),
+        (
+            &["sweep", "--csv", "--journal", "j.journal", "--chunk", "1.5"],
+            "--chunk 1.5",
+        ),
+        (
+            &["sweep", "--min-workers-timeout-ms"],
+            "--min-workers-timeout-ms requires a value",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--pipeline", "0"],
+            "--pipeline 0",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--queue", "deep"],
+            "--queue",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--max-conns", "-1"],
+            "--max-conns",
+        ),
+        (
+            &["worker", "--connect", "127.0.0.1:1", "--jobs", "1.5"],
+            "--jobs 1.5",
+        ),
+        (
+            &["worker", "--connect", "127.0.0.1:1", "--jobs"],
+            "--jobs requires a value",
+        ),
+        (&["analyze", "--h", "16k"], "--h"),
+    ];
+    for (cmd, names) in cases {
+        let out = twocs(cmd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`twocs {}` must fail", cmd.join(" "));
+        assert!(
+            stderr.contains(names),
+            "`twocs {}` stderr names the bad flag: {stderr}",
+            cmd.join(" ")
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`twocs {}` printed output",
+            cmd.join(" ")
+        );
+    }
+    assert!(
+        !std::path::Path::new("j.journal").exists(),
+        "no journal created"
+    );
+}
