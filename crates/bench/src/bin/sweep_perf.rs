@@ -3,18 +3,19 @@
 //! Times the fig10-class projection grid (26 points after realism
 //! pruning) through every execution surface:
 //!
-//! * **cold / warm local sweeps** — `GridSweep::run_mode` under the
-//!   naive per-point planner and the factored per-axis planner, with
+//! * **cold / warm local sweeps** — `naive` is an in-bin oracle
+//!   (`run_tasks` over `eval_grid_point`, then `GridSweep::tabulate`);
+//!   `factored` is `GridSweep::run`, the factored per-axis plan — with
 //!   the global memo caches (`gemm_time`, collective `node_time`,
 //!   slack-ROI profiles) dropped before each cold sample;
 //! * **the serve path** — an in-process `GET /v1/sweep` through
-//!   `twocs_serve::handlers::handle`, once per planner;
-//! * **distributed-chunk evaluation** — `twocs_core::eval_chunk` over
-//!   the same grid split into lease-sized chunks, i.e. exactly what a
-//!   `twocs worker` computes per lease.
+//!   `twocs_serve::handlers::handle`;
+//! * **distributed-chunk evaluation** — a worker's whole job for the
+//!   grid: `FactoredPlan::build_from_sweep` once, then every lease-sized
+//!   chunk through `twocs_core::eval_chunk`.
 //!
 //! Before timing anything it asserts the planner contract: the naive
-//! and factored CSV bodies must be byte-identical. The emitted JSON
+//! oracle and the factored CSV bodies must be byte-identical. The emitted JSON
 //! records per-benchmark mean/min/max nanoseconds plus the derived
 //! `warm_speedup_factored_vs_naive`, the number the CI smoke gate and
 //! README performance section quote.
@@ -31,8 +32,8 @@ use std::time::Duration;
 
 use twocs_bench::harness::Criterion;
 use twocs_core::serialized::Method;
-use twocs_core::sweep::{eval_chunk, GridSweep};
-use twocs_core::PlannerMode;
+use twocs_core::sweep::{eval_chunk, eval_grid_point, run_tasks, FactoredPlan, GridSweep};
+use twocs_core::{PointResults, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::handlers::{handle, HandlerConfig};
 use twocs_serve::http::Request;
@@ -62,16 +63,32 @@ fn clear_caches() {
     twocs_opmodel::clear_slack_roi_cache();
 }
 
-fn sweep_query(grid: &GridSweep, jobs: usize, planner: PlannerMode) -> String {
-    let join = |xs: &[u64]| {
-        xs.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    };
+/// The naive oracle: every point through the full per-point model on
+/// the pool, then the shared table renderer.
+fn naive_sweep(grid: &GridSweep, device: &DeviceSpec, jobs: usize) -> Table {
+    let points = grid.points();
+    let results: PointResults = run_tasks(jobs, points.len(), |i| {
+        eval_grid_point(device, points[i], grid.batch, grid.method, grid.workload)
+    })
+    .into_iter()
+    .map(|t| t.result)
+    .collect();
+    GridSweep::tabulate(&points, &results)
+}
+
+/// `xs` rendered and joined by `sep`.
+fn join(xs: &[u64], sep: &str) -> String {
+    xs.iter()
+        .map(ToString::to_string)
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+fn sweep_query(grid: &GridSweep, jobs: usize) -> String {
+    let join = |xs: &[u64]| join(xs, ",");
     format!(
         "h={}&sl={}&tp={}&flop_vs_bw=1&experts={}&top_k={}&stages={}&micro_batches={}&sp={}\
-         &method=proj&planner={planner}&jobs={jobs}&format=csv",
+         &method=proj&jobs={jobs}&format=csv",
         join(&grid.hs),
         join(&grid.sls),
         join(&grid.tps),
@@ -236,25 +253,18 @@ fn main() {
     );
 
     // The planner contract, checked before any timing: identical CSV
-    // bytes from the naive and factored paths, locally and over serve.
-    let naive_csv = grid.run_mode(&device, jobs, PlannerMode::Naive).0.to_csv();
-    let factored_csv = grid
-        .run_mode(&device, jobs, PlannerMode::Factored)
-        .0
-        .to_csv();
+    // bytes from the naive oracle and the factored paths, locally and
+    // over serve.
+    let naive_csv = naive_sweep(&grid, &device, jobs).to_csv();
+    let factored_csv = grid.run(&device, jobs).0.to_csv();
     assert_eq!(
         naive_csv, factored_csv,
         "factored planner must be byte-identical to naive"
     );
     let cfg = HandlerConfig::default();
-    let serve_naive = serve_once(&cfg, &sweep_query(&grid, jobs, PlannerMode::Naive));
-    let serve_factored = serve_once(&cfg, &sweep_query(&grid, jobs, PlannerMode::Factored));
+    let query = sweep_query(&grid, jobs);
     assert_eq!(
-        serve_naive, serve_factored,
-        "serve planner choice must not change the body"
-    );
-    assert_eq!(
-        serve_naive.trim_end(),
+        serve_once(&cfg, &query).trim_end(),
         naive_csv.trim_end(),
         "serve body must match the local CSV"
     );
@@ -274,56 +284,57 @@ fn main() {
     {
         let mut group = c.benchmark_group("sweep_cold");
         group.sample_size(samples).measurement_time(budget);
-        for mode in [PlannerMode::Naive, PlannerMode::Factored] {
-            group.bench_function(mode.to_string(), |b| {
-                b.iter(|| {
-                    clear_caches();
-                    std::hint::black_box(grid.run_mode(&device, jobs, mode))
-                });
+        group.bench_function("naive", |b| {
+            b.iter(|| {
+                clear_caches();
+                std::hint::black_box(naive_sweep(&grid, &device, jobs))
             });
-        }
+        });
+        group.bench_function("factored", |b| {
+            b.iter(|| {
+                clear_caches();
+                std::hint::black_box(grid.run(&device, jobs))
+            });
+        });
         group.finish();
     }
     {
         // Prewarm once; every sample below hits warm caches.
         clear_caches();
-        let _ = grid.run_mode(&device, jobs, PlannerMode::Naive);
+        let _ = naive_sweep(&grid, &device, jobs);
         let mut group = c.benchmark_group("sweep_warm");
         group.sample_size(samples).measurement_time(budget);
-        for mode in [PlannerMode::Naive, PlannerMode::Factored] {
-            group.bench_function(mode.to_string(), |b| {
-                b.iter(|| std::hint::black_box(grid.run_mode(&device, jobs, mode)));
-            });
-        }
+        group.bench_function("naive", |b| {
+            b.iter(|| std::hint::black_box(naive_sweep(&grid, &device, jobs)));
+        });
+        group.bench_function("factored", |b| {
+            b.iter(|| std::hint::black_box(grid.run(&device, jobs)));
+        });
         group.finish();
     }
     {
         let mut group = c.benchmark_group("serve_sweep");
         group.sample_size(samples).measurement_time(budget);
-        for mode in [PlannerMode::Naive, PlannerMode::Factored] {
-            let query = sweep_query(&grid, jobs, mode);
-            group.bench_function(mode.to_string(), |b| {
-                b.iter(|| std::hint::black_box(serve_once(&cfg, &query)));
-            });
-        }
+        group.bench_function("factored", |b| {
+            b.iter(|| std::hint::black_box(serve_once(&cfg, &query)));
+        });
         group.finish();
     }
     {
-        // Lease-sized chunks, evaluated back to back the way one
-        // distributed worker drains them.
-        let chunks = grid.chunks(8);
+        // One worker's whole job for the grid: the plan built once, then
+        // every lease-sized chunk drained back to back.
+        const CHUNK: usize = 8;
+        let index = grid.index();
         let mut group = c.benchmark_group("dist_chunks");
         group.sample_size(samples).measurement_time(budget);
         group.bench_function("eval_chunk", |b| {
             b.iter(|| {
-                for chunk in &chunks {
-                    std::hint::black_box(eval_chunk(
-                        &device,
-                        &chunk.points,
-                        grid.batch,
-                        grid.method,
-                        grid.workload,
-                    ));
+                let plan = FactoredPlan::build_from_sweep(&device, &grid);
+                let mut out = PointResults::new();
+                for chunk in 0..index.chunk_count(CHUNK) {
+                    let points = index.chunk_points(chunk, CHUNK);
+                    eval_chunk(plan.as_ref(), &device, &grid, &points, &mut out);
+                    std::hint::black_box(&out);
                 }
             });
         });
@@ -345,31 +356,11 @@ fn main() {
          \"byte_identical_naive_factored\": true,\n  \"results\": [\n{}\n  ],\n  \
          \"warm_speedup_factored_vs_naive\": {:.4}\n}}\n",
         points.len(),
-        grid.hs
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        grid.sls
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        grid.tps
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        grid.experts
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        grid.stages
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
+        join(&grid.hs, ", "),
+        join(&grid.sls, ", "),
+        join(&grid.tps, ", "),
+        join(&grid.experts, ", "),
+        join(&grid.stages, ", "),
         grid.batch,
         jobs,
         opts.smoke,

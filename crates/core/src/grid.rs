@@ -3,20 +3,17 @@
 //! fabric without ever materializing `Vec<GridPoint>` for the whole
 //! grid.
 //!
-//! [`GridSweep::points`] builds the full point list eagerly, which is
-//! fine for figure-sized grids but is exactly the RAM ceiling ROADMAP
-//! item 3 calls out: the coordinator held the entire grid *and* the
-//! entire result vector in memory. [`GridIndex`] factors the pruned
-//! cross product instead: the surviving `(H, SL, TP)` triples (pruning
-//! only ever inspects those three axes plus the batch) and the filtered
-//! inner axis lists. Every point is then addressable in O(1) by its
-//! grid-order rank via mixed-radix decoding, so a chunk's points can be
-//! regenerated on demand from `(chunk index, chunk size)` — the unit the
-//! journal and the distributed fabric identify work by.
-//!
-//! The index is order-faithful by construction: `index.point(i)` equals
-//! `sweep.points()[i]` for every `i` (property-tested below), so chunked
-//! streaming output stays byte-identical to the in-memory path.
+//! [`GridIndex`] is the sweep's only enumerator: it owns the pruning
+//! rules and factors the pruned cross product into the surviving
+//! `(H, SL, TP)` triples (pruning only ever inspects those three axes
+//! plus the batch) and the filtered inner axis lists. Every point is
+//! then addressable in O(1) by its grid-order rank via mixed-radix
+//! decoding, so a chunk's points can be regenerated on demand from
+//! `(chunk index, chunk size)` — the unit the journal and the
+//! distributed fabric identify work by. [`GridSweep::points`] is just
+//! this index materialized, so chunked streaming output stays
+//! byte-identical to the in-memory path; the tests below check the
+//! index against an independent nested-loop enumerator.
 
 use crate::serialized::{realistic_tp, sweep_hyper, Method};
 use crate::sweep::{GridPoint, GridSweep, Workload};
@@ -42,8 +39,11 @@ pub struct GridIndex {
 }
 
 impl GridIndex {
-    /// Build the index for `sweep`, applying exactly the pruning rules
-    /// of [`GridSweep::points`].
+    /// Build the index for `sweep`: the one place the grid's pruning
+    /// rules live. Hidden sizes that are zero or not multiples of the
+    /// fixed 256-way head sharding, a zero batch, zero SL/TP, unrealistic
+    /// `(H, TP)` pairs ([`realistic_tp`]) and TP above the head count are
+    /// pruned, as are zero extended-axis values and `top_k > experts`.
     #[must_use]
     pub fn new(sweep: &GridSweep) -> Self {
         let mut triples = Vec::new();
@@ -221,9 +221,9 @@ impl GridIndex {
         self.len().div_ceil(chunk_size)
     }
 
-    /// The points of chunk `chunk` under a `chunk_size` split — equal to
-    /// `sweep.chunks(chunk_size)[chunk].points` without materializing
-    /// the grid.
+    /// The points of chunk `chunk` under a `chunk_size` split — the
+    /// `chunk`-th `chunk_size` slice of `sweep.points()` without
+    /// materializing the grid.
     #[must_use]
     pub fn chunk_points(&self, chunk: usize, chunk_size: usize) -> Vec<GridPoint> {
         assert!(chunk_size > 0, "chunk_size must be non-zero");
@@ -317,6 +317,79 @@ impl GridSweep {
         self.index().len()
     }
 
+    /// Reject axes that describe no model, with the one message every
+    /// front end (`twocs sweep`, `GET /v1/sweep`) reports. Without this
+    /// check a bad axis value would be silently pruned to a smaller grid,
+    /// and a ratio below 1 would run as today's hardware while its rows
+    /// carry the input value.
+    ///
+    /// # Errors
+    /// The first problem found, phrased with the query-parameter names.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(h) = self.hs.iter().find(|&&h| h == 0 || h % 256 != 0) {
+            return Err(format!(
+                "h={h}: hidden sizes must be non-zero multiples of 256 (the sweep fixes 256-way head sharding)"
+            ));
+        }
+        if self.sls.contains(&0) || self.tps.contains(&0) || self.batch == 0 {
+            return Err("sl, tp, and b values must be non-zero".to_owned());
+        }
+        if self
+            .flop_vs_bw
+            .iter()
+            .any(|&r| !(r.is_finite() && r >= 1.0))
+        {
+            return Err(
+                "flop_vs_bw ratios must be finite and >= 1 (1 = today's hardware)".to_owned(),
+            );
+        }
+        let axes = [
+            &self.experts,
+            &self.top_ks,
+            &self.stages,
+            &self.micro_batches,
+            &self.sps,
+        ];
+        if axes.iter().any(|axis| axis.contains(&0)) {
+            return Err(
+                "experts, top_k, stages, micro_batches, and sp values must be non-zero".to_owned(),
+            );
+        }
+        // The index prunes top_k > experts pairs; if *no* pair survives
+        // the request is contradictory rather than merely smaller.
+        if !self
+            .experts
+            .iter()
+            .any(|&e| self.top_ks.iter().any(|&k| k <= e))
+        {
+            return Err("top_k exceeds experts for every requested combination".to_owned());
+        }
+        // The discrete-event simulation models the dense TP training
+        // iteration only.
+        if self.method == Method::Simulation {
+            if self.workload != Workload::Training {
+                return Err(format!(
+                    "workload={} requires method=proj (the simulation engine models training only)",
+                    self.workload
+                ));
+            }
+            if [&self.experts, &self.stages, &self.sps]
+                .iter()
+                .any(|axis| axis.iter().any(|&v| v > 1))
+            {
+                return Err(
+                    "experts/stages/sp above 1 require method=proj (the simulation engine models \
+                     the dense TP iteration only)"
+                        .to_owned(),
+                );
+            }
+        }
+        if self.point_count() == 0 {
+            return Err("grid has no realistic points; widen h/tp".to_owned());
+        }
+        Ok(())
+    }
+
     /// A stable 64-bit fingerprint of the sweep *specification* — every
     /// axis list verbatim (order and duplicates included), the batch,
     /// the method, and the workload. Two sweeps share a fingerprint iff
@@ -357,6 +430,60 @@ mod tests {
     use super::*;
     use twocs_testkit::cases;
 
+    /// An independent reference enumerator: the plain nested loops over
+    /// every axis, pruning each value where it appears. The index must
+    /// reproduce its points, in its order.
+    fn reference_points(sweep: &GridSweep) -> Vec<GridPoint> {
+        let mut points = Vec::new();
+        for &h in &sweep.hs {
+            if h == 0 || h % 256 != 0 || sweep.batch == 0 {
+                continue;
+            }
+            for &sl in &sweep.sls {
+                if sl == 0 {
+                    continue;
+                }
+                for &tp in &sweep.tps {
+                    if tp == 0
+                        || !realistic_tp(h, tp)
+                        || tp > sweep_hyper(h, sl, sweep.batch).heads()
+                    {
+                        continue;
+                    }
+                    for &ratio in &sweep.flop_vs_bw {
+                        for &experts in &sweep.experts {
+                            for &top_k in &sweep.top_ks {
+                                if experts == 0 || top_k == 0 || top_k > experts {
+                                    continue;
+                                }
+                                for &stages in sweep.stages.iter().filter(|&&s| s != 0) {
+                                    for &micro_batches in
+                                        sweep.micro_batches.iter().filter(|&&m| m != 0)
+                                    {
+                                        for &sp in sweep.sps.iter().filter(|&&s| s != 0) {
+                                            points.push(GridPoint {
+                                                h,
+                                                sl,
+                                                tp,
+                                                ratio,
+                                                experts,
+                                                top_k,
+                                                stages,
+                                                micro_batches,
+                                                sp,
+                                            });
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        points
+    }
+
     fn arbitrary_sweep(rng: &mut twocs_testkit::Rng) -> GridSweep {
         let pick = |rng: &mut twocs_testkit::Rng, candidates: &[u64], max: usize| -> Vec<u64> {
             let n = rng.usize_in(1..max + 1);
@@ -382,8 +509,9 @@ mod tests {
     fn index_matches_materialized_points_everywhere() {
         cases(60, |rng| {
             let sweep = arbitrary_sweep(rng);
-            let points = sweep.points();
+            let points = reference_points(&sweep);
             let index = sweep.index();
+            assert_eq!(sweep.points(), points, "{sweep:?}");
             assert_eq!(index.len(), points.len(), "{sweep:?}");
             assert_eq!(sweep.point_count(), points.len());
             for (i, p) in points.iter().enumerate() {
@@ -408,12 +536,13 @@ mod tests {
                 return;
             }
             let chunk_size = rng.usize_in(1..index.len() + 3);
-            let chunks = sweep.chunks(chunk_size);
+            let points = reference_points(&sweep);
+            let chunks: Vec<&[GridPoint]> = points.chunks(chunk_size).collect();
             assert_eq!(index.chunk_count(chunk_size), chunks.len());
             for (c, chunk) in chunks.iter().enumerate() {
                 assert_eq!(
                     index.chunk_points(c, chunk_size),
-                    chunk.points,
+                    *chunk,
                     "chunk {c} of {sweep:?}"
                 );
             }
@@ -423,7 +552,7 @@ mod tests {
     #[test]
     fn default_grid_indexes_exactly() {
         let sweep = GridSweep::default();
-        assert_eq!(sweep.point_count(), sweep.points().len());
+        assert_eq!(sweep.points(), reference_points(&sweep));
         assert!(!sweep.index().extended());
     }
 

@@ -65,9 +65,9 @@ pub use algorithmic::AlgorithmicProfile;
 pub use experiments::{ExperimentDef, ExperimentOutput};
 pub use grid::{GridIndex, GridPointsIter};
 pub use inference::{InferenceIteration, Workload};
-pub use planner::{eval_chunk, FactoredPlan, PlannerMode};
+pub use planner::{eval_chunk, FactoredPlan};
 pub use report::{Figure, Series, Table};
 pub use sweep::{
-    eval_grid_point, run_experiments, GridChunk, GridExecutor, GridPoint, GridSweep, LocalExecutor,
-    PointResults, SweepRun, SweepSummary,
+    eval_grid_point, run_experiments, GridExecutor, GridPoint, GridSweep, PointResults, SweepRun,
+    SweepSummary,
 };

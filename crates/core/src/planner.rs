@@ -13,7 +13,7 @@
 //! combine is the cheap scaling-law arithmetic.
 //!
 //! The tables are laid out **struct-of-arrays**: flat `Vec<f64>` columns
-//! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build`]), so
+//! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build_from_sweep`]), so
 //! [`FactoredPlan::eval_batch`] walks a lease-sized chunk of points as
 //! two tight loops — resolve indices, then combine f64 columns — with
 //! zero per-point allocation and no per-point `catch_unwind`. The
@@ -30,16 +30,14 @@
 //! `serialized_ar_time`, `ProjectedIteration::serialized_comm_fraction`,
 //! `overlap_pct`) the naive [`eval_grid_point`] path evaluates, so the
 //! two paths produce bit-equal `f64`s and byte-identical CSV on any
-//! grid. That is what lets local, serve, and distributed executors pick
-//! a planner freely without a protocol or output change.
+//! grid. That is what lets local, serve, and distributed executors use
+//! the plan without a protocol or output change.
 //!
 //! [`Method::Simulation`] runs the discrete-event engine per point —
-//! there is nothing axis-separable to hoist — so simulation grids (and
-//! malformed points that the naive path reports as per-point errors)
-//! fall back to naive evaluation; [`PlannerMode::Auto`] makes that
-//! decision per grid.
+//! there is nothing axis-separable to hoist — so simulation grids have
+//! no plan, and [`eval_chunk`], the one place that decides between the
+//! two paths, evaluates them naively.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -47,114 +45,27 @@ use crate::inference::InferenceIteration;
 use crate::overlapped::{overlap_pct_with, roi_query};
 use crate::serialized::{projection_baseline, sweep_hyper, Method};
 use crate::sweep::{
-    axis_costs, eval_grid_point, extended_fraction_from_parts, parallelism, run_tasks_labeled,
-    AxisCosts, GridPoint, GridSweep, PointResults, Workload,
+    axis_costs, eval_grid_point, extended_fraction_from_parts, panic_message, parallelism,
+    run_tasks_labeled, AxisCosts, GridPoint, GridSweep, PointResults, Workload,
 };
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_opmodel::{Profiler, ProjectedIteration, ProjectionModel};
 use twocs_transformer::Hyperparams;
 
-/// Which evaluation path a sweep should take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Factored evaluation where the grid supports it, naive otherwise —
-    /// the default: output is bit-identical either way, so this is
-    /// purely a performance decision.
-    #[default]
-    Auto,
-    /// Always evaluate each point with the full model ([`eval_grid_point`]).
-    Naive,
-    /// Factored evaluation; still falls back to naive on grids the
-    /// planner cannot factor (simulation method, malformed points).
-    Factored,
-}
-
-impl PlannerMode {
-    /// Build the factored plan this mode allows for `points`, or `None`
-    /// when the grid should be evaluated naively. A panic during plan
-    /// construction also falls back to naive, so planning can never make
-    /// a sweep fail that would have succeeded point-by-point.
-    #[must_use]
-    pub fn plan(
-        self,
-        device: &DeviceSpec,
-        points: &[GridPoint],
-        batch: u64,
-        method: Method,
-        workload: Workload,
-    ) -> Option<FactoredPlan> {
-        self.plan_on(device, points, batch, method, workload, parallelism())
-    }
-
-    /// [`Self::plan`] pricing on `jobs` threads.
-    fn plan_on(
-        self,
-        device: &DeviceSpec,
-        points: &[GridPoint],
-        batch: u64,
-        method: Method,
-        workload: Workload,
-        jobs: usize,
-    ) -> Option<FactoredPlan> {
-        match self {
-            PlannerMode::Naive => None,
-            PlannerMode::Auto | PlannerMode::Factored => catch_unwind(AssertUnwindSafe(|| {
-                FactoredPlan::build_on(device, points, batch, method, workload, jobs)
-            }))
-            .ok()
-            .flatten(),
-        }
-    }
-}
-
-impl std::fmt::Display for PlannerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PlannerMode::Auto => "auto",
-            PlannerMode::Naive => "naive",
-            PlannerMode::Factored => "factored",
-        })
-    }
-}
-
-impl std::str::FromStr for PlannerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(PlannerMode::Auto),
-            "naive" => Ok(PlannerMode::Naive),
-            "factored" => Ok(PlannerMode::Factored),
-            other => Err(format!(
-                "unknown planner `{other}` (expected auto, naive, or factored)"
-            )),
-        }
-    }
-}
-
-/// Render a caught panic payload the way the sweep pool does.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "grid point panicked".to_owned())
-}
-
-/// Struct-of-arrays tables for one point set: every expensive
+/// Struct-of-arrays tables for one sweep: every expensive
 /// sub-expression is computed once per distinct table cell at build
 /// time, and [`FactoredPlan::eval_batch`] assembles each point from flat
 /// `f64` column reads plus the cheap shared combine.
 ///
 /// Layout: the axis maps assign dense indices to the distinct ratios,
-/// `(H, SL)` shapes, and TP degrees seen in the point set; the triple
+/// `(H, SL)` shapes, and TP degrees of the sweep's axes; the triple
 /// tables (`compute`, `backward`, `overlap`, `filled`) are flat vectors
 /// indexed `(si * ratios + ri) * tps + ti`, filled only for the cells
 /// that actually occur (the grid prunes unrealistic `(H, TP)` pairs, so
 /// the cross product has holes); `serialized_ar` is TP-independent and
 /// indexed `si * ratios + ri`. The axis tables (`axis_comm`,
-/// `axis_p2p`, `axis_filled`) are keyed by the evolved device's
+/// `axis_p2p`) are keyed by the evolved device's
 /// *network*, not its ratio — [`axis_costs`] reads nothing else of the
 /// device, and flop-vs-bw evolution never changes the network — so they
 /// are indexed `(si * networks + ni) * axes + ai`, with `ratio_net`
@@ -197,7 +108,7 @@ pub struct FactoredPlan {
     backward: Vec<f64>,
     /// Overlapped-communication percentage per filled triple.
     overlap: Vec<f64>,
-    /// Whether a triple cell occurs in the build point set; unfilled
+    /// Whether a triple cell survives the grid's pruning; unfilled
     /// cells hold zeros and resolve to the naive fallback.
     filled: Vec<bool>,
     /// Inference per-layer compute time per filled triple; empty unless
@@ -206,103 +117,31 @@ pub struct FactoredPlan {
     /// Inference serialized TP comm per filled triple; empty unless the
     /// plan's workload is prefill or decode.
     inf_comm: Vec<f64>,
-    /// Extra serialized comm per layer for the MoE/SP axes, per filled
+    /// Extra serialized comm per layer for the MoE/SP axes, per
     /// `(shape, network, axis)` cell — indexed
-    /// `(si * networks + ni) * axes + ai`.
+    /// `(si * networks + ni) * axes + ai`. A sweep crosses every shape
+    /// with every axis tuple, so every cell is priced.
     axis_comm: Vec<f64>,
-    /// Pipeline boundary transfer per filled `(shape, network, axis)` cell.
+    /// Pipeline boundary transfer per `(shape, network, axis)` cell.
     axis_p2p: Vec<f64>,
-    /// Whether an axis cell occurs in the build point set.
-    axis_filled: Vec<bool>,
 }
 
 impl FactoredPlan {
-    /// Build the SoA tables for `points`, or `None` if the point set
-    /// cannot be factored: the simulation method (the discrete-event
-    /// engine is evaluated whole, per point) or any point the naive path
-    /// would reject with a panic (the per-point `error` contract must be
-    /// preserved, so such grids run naively).
-    ///
-    /// Table filling is grouped by ratio so each evolved device profiles
-    /// its slack-ROI cells under one chunk-scoped cache session
-    /// ([`Profiler::begin_slack_roi_chunk`]): every distinct key is
-    /// resolved against the shared memo-cache shards at most once per
-    /// build, and the warm path never takes a shard lock per cell. The
-    /// groups are priced on the calling thread's [`parallelism`] budget.
-    #[must_use]
-    pub fn build(
-        device: &DeviceSpec,
-        points: &[GridPoint],
-        batch: u64,
-        method: Method,
-        workload: Workload,
-    ) -> Option<Self> {
-        Self::build_on(device, points, batch, method, workload, parallelism())
-    }
-
-    /// [`Self::build`] pricing on `jobs` threads.
-    fn build_on(
-        device: &DeviceSpec,
-        points: &[GridPoint],
-        batch: u64,
-        method: Method,
-        workload: Workload,
-        jobs: usize,
-    ) -> Option<Self> {
-        if method != Method::Projection || points.is_empty() {
-            return None;
-        }
-        let valid = points.iter().all(|p| {
-            batch > 0
-                && p.h > 0
-                && p.h % 256 == 0
-                && p.sl > 0
-                && p.tp > 0
-                && p.experts > 0
-                && p.top_k > 0
-                && p.top_k <= p.experts
-                && p.stages > 0
-                && p.micro_batches > 0
-                && p.sp > 0
-        });
-        if !valid {
-            return None;
-        }
-
-        let _span = twocs_obs::span("factored plan", "sweep");
-        let mut axes = PlanAxes {
-            batch,
-            workload,
-            ..PlanAxes::default()
-        };
-        for p in points {
-            axes.add_ratio(device, p.ratio);
-            axes.add_triple(p.h, p.sl, p.tp);
-            // A representative point per axis tuple: axis_costs reads
-            // only the axis fields, not (h, sl, tp, ratio).
-            axes.add_axis(*p);
-        }
-        let mut cells = axes.cells(false);
-        for p in points {
-            let ri = axes.ratio_idx[&p.ratio.to_bits()];
-            let si = axes.shape_idx[&(p.h, p.sl)];
-            axes.fill_triple(&mut cells, si, ri, axes.tp_idx[&p.tp]);
-            let ai = axes.axis_idx[&p.axis_key()];
-            cells.axis_filled[axes.axis_flat(si, ri, ai)] = true;
-        }
-        Self::price(device, axes, cells, jobs)
-    }
-
     /// Build the plan for an **entire sweep** from its [`GridIndex`] —
     /// O(axis values + table cells) work and memory, never materializing
-    /// the point list. The tables are identical to what [`Self::build`]
-    /// produces over `sweep.points()` (same distinct-value orders, same
-    /// filled cells, same pricing functions), so evaluation stays
-    /// bit-identical; what changes is the cost of *getting* the plan,
-    /// which no longer scales with the point count. This is the seam a
-    /// dist worker uses to build one plan per grid fingerprint and reuse
-    /// it across every chunk lease of that grid. Cells are priced on the
-    /// calling thread's [`parallelism`] budget.
+    /// the point list, so the cost of *getting* the plan does not scale
+    /// with the point count. This is the only constructor: the local
+    /// pool, the streaming store, serve, and a dist worker (one plan per
+    /// grid fingerprint, reused across every chunk lease of that grid)
+    /// all build through it. Cells are priced on the calling thread's
+    /// [`parallelism`] budget.
+    ///
+    /// `None` when the sweep cannot be factored — the simulation method
+    /// (the discrete-event engine is evaluated whole, per point), an
+    /// empty grid, or a build that panicked. [`eval_chunk`] then runs the
+    /// naive kernel, which reports any such panic per point, so planning
+    /// can never make a sweep fail that would have succeeded point by
+    /// point.
     ///
     /// [`GridIndex`]: crate::grid::GridIndex
     #[must_use]
@@ -315,70 +154,67 @@ impl FactoredPlan {
             return None;
         }
         let _span = twocs_obs::span("factored plan", "sweep");
-        let mut axes = PlanAxes {
-            batch: sweep.batch,
-            workload: sweep.workload,
-            ..PlanAxes::default()
-        };
-        for &ratio in index.ratios() {
-            axes.add_ratio(device, ratio);
-        }
-        for &(h, sl, tp) in index.triples() {
-            axes.add_triple(h, sl, tp);
-        }
-        for (experts, top_k, stages, micro_batches, sp) in index.axis_tuples() {
-            axes.add_axis(GridPoint {
-                experts,
-                top_k,
-                stages,
-                micro_batches,
-                sp,
-                ..GridPoint::new(256, 1, 1, 1.0)
-            });
-        }
-        // A sweep is a cross product: every surviving triple occurs with
-        // every ratio, and every (shape, network) with every axis tuple.
-        let mut cells = axes.cells(true);
-        for &(h, sl, tp) in index.triples() {
-            let (si, ti) = (axes.shape_idx[&(h, sl)], axes.tp_idx[&tp]);
-            for ri in 0..axes.devices.len() {
-                axes.fill_triple(&mut cells, si, ri, ti);
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut axes = PlanAxes {
+                batch: sweep.batch,
+                workload: sweep.workload,
+                ..PlanAxes::default()
+            };
+            for &ratio in index.ratios() {
+                axes.add_ratio(device, ratio);
             }
-        }
-        Self::price(device, axes, cells, parallelism())
-    }
-
-    /// Price the collected cells on `jobs` threads and assemble the
-    /// plan; `None` if a pricing task panicked (the caller then
-    /// evaluates naively).
-    fn price(device: &DeviceSpec, axes: PlanAxes, cells: PlanCells, jobs: usize) -> Option<Self> {
-        let priced = axes.price_tables(&cells, jobs)?;
-        twocs_obs::metrics::global()
-            .counter("sweep.factored_plans")
-            .inc();
-        Some(Self {
-            batch: axes.batch,
-            workload: axes.workload,
-            base_device: device.clone(),
-            ratio_idx: axes.ratio_idx,
-            shape_idx: axes.shape_idx,
-            tp_idx: axes.tp_idx,
-            axis_idx: axes.axis_idx,
-            ratio_net: axes.ratio_net,
-            networks: axes.networks.len(),
-            hypers: axes.hypers,
-            tps: axes.tps,
-            serialized_ar: priced.serialized_ar,
-            compute: priced.compute,
-            backward: priced.backward,
-            overlap: priced.overlap,
-            filled: cells.filled,
-            inf_compute: priced.inf_compute,
-            inf_comm: priced.inf_comm,
-            axis_comm: priced.axis_comm,
-            axis_p2p: priced.axis_p2p,
-            axis_filled: cells.axis_filled,
-        })
+            for &(h, sl, tp) in index.triples() {
+                axes.add_triple(h, sl, tp);
+            }
+            for (experts, top_k, stages, micro_batches, sp) in index.axis_tuples() {
+                axes.add_axis(GridPoint {
+                    experts,
+                    top_k,
+                    stages,
+                    micro_batches,
+                    sp,
+                    ..GridPoint::new(256, 1, 1, 1.0)
+                });
+            }
+            // A sweep is a cross product: every surviving triple occurs
+            // with every ratio (the pruned `(H, TP)` pairs are the holes),
+            // and every (shape, network) with every axis tuple.
+            let mut cells = axes.cells();
+            for &(h, sl, tp) in index.triples() {
+                let (si, ti) = (axes.shape_idx[&(h, sl)], axes.tp_idx[&tp]);
+                for ri in 0..axes.devices.len() {
+                    axes.fill_triple(&mut cells, si, ri, ti);
+                }
+            }
+            let priced = axes.price_tables(&cells, parallelism())?;
+            twocs_obs::metrics::global()
+                .counter("sweep.factored_plans")
+                .inc();
+            Some(Self {
+                batch: axes.batch,
+                workload: axes.workload,
+                base_device: device.clone(),
+                ratio_idx: axes.ratio_idx,
+                shape_idx: axes.shape_idx,
+                tp_idx: axes.tp_idx,
+                axis_idx: axes.axis_idx,
+                ratio_net: axes.ratio_net,
+                networks: axes.networks.len(),
+                hypers: axes.hypers,
+                tps: axes.tps,
+                serialized_ar: priced.serialized_ar,
+                compute: priced.compute,
+                backward: priced.backward,
+                overlap: priced.overlap,
+                filled: cells.filled,
+                inf_compute: priced.inf_compute,
+                inf_comm: priced.inf_comm,
+                axis_comm: priced.axis_comm,
+                axis_p2p: priced.axis_p2p,
+            })
+        }))
+        .ok()
+        .flatten()
     }
 
     /// Number of distinct `(H, SL)` shapes the plan tabulated.
@@ -423,7 +259,7 @@ impl FactoredPlan {
         let &ai = self.axis_idx.get(&p.axis_key())?;
         let flat = (si * self.ratio_net.len() + ri) * self.tps.len() + ti;
         let aflat = (si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai;
-        (self.filled[flat] && self.axis_filled[aflat]).then_some((flat, aflat))
+        self.filled[flat].then_some((flat, aflat))
     }
 
     /// The shared combine over one filled table cell: identical
@@ -523,8 +359,7 @@ impl FactoredPlan {
 }
 
 /// The distinct axis values a plan is built over, each in first-seen
-/// order, with the per-value inputs the pricing needs. Shared by both
-/// plan constructors so they index and price identically.
+/// order, with the per-value inputs the pricing needs.
 #[derive(Default)]
 struct PlanAxes {
     batch: u64,
@@ -549,14 +384,12 @@ struct PlanAxes {
     axes: Vec<GridPoint>,
 }
 
-/// The table cells a point set occupies: triple cells grouped by ratio
-/// (`todo[ri]`, first-seen order) so each evolved device runs one
-/// profiler + one chunk-scoped cache session over all of its cells, and
-/// axis cells by network.
+/// The triple cells a sweep occupies, grouped by ratio (`todo[ri]`,
+/// first-seen order) so each evolved device runs one profiler + one
+/// chunk-scoped cache session over all of its cells.
 struct PlanCells {
     filled: Vec<bool>,
     todo: Vec<Vec<(usize, usize)>>,
-    axis_filled: Vec<bool>,
 }
 
 /// One priced triple cell.
@@ -626,33 +459,16 @@ impl PlanAxes {
         });
     }
 
-    /// `(ratios, networks, tps, axis tuples)`.
-    fn dims(&self) -> (usize, usize, usize, usize) {
-        (
-            self.devices.len(),
-            self.networks.len(),
-            self.tps.len(),
-            self.axes.len(),
-        )
-    }
-
-    /// Empty fill sets over these axes, every axis cell preset to
-    /// `all_axis_cells`.
-    fn cells(&self, all_axis_cells: bool) -> PlanCells {
-        let (nr, nn, nt, na) = self.dims();
+    /// Empty fill sets over these axes.
+    fn cells(&self) -> PlanCells {
         PlanCells {
-            filled: vec![false; self.hypers.len() * nr * nt],
-            todo: vec![Vec::new(); nr],
-            axis_filled: vec![all_axis_cells; self.hypers.len() * nn * na],
+            filled: vec![false; self.hypers.len() * self.devices.len() * self.tps.len()],
+            todo: vec![Vec::new(); self.devices.len()],
         }
     }
 
     fn triple_flat(&self, si: usize, ri: usize, ti: usize) -> usize {
         (si * self.devices.len() + ri) * self.tps.len() + ti
-    }
-
-    fn axis_flat(&self, si: usize, ri: usize, ai: usize) -> usize {
-        (si * self.networks.len() + self.ratio_net[ri]) * self.axes.len() + ai
     }
 
     /// Mark triple cell `(si, ri, ti)` as occurring, queuing it for its
@@ -665,19 +481,17 @@ impl PlanAxes {
         }
     }
 
-    /// Fill every expensive table column for the filled cells — the one
-    /// pricing routine behind both plan constructors, which is the
-    /// bit-identity argument for worker-side plan reuse.
+    /// Fill every expensive table column for the filled cells.
     ///
     /// Triple cells are grouped by ratio (`todo[ri]`); the groups are
     /// independent, so they are priced on up to `jobs` pool threads
     /// ([`run_tasks_labeled`]) and scattered back into the flat columns.
     /// A budget of 1 or a single group prices inline under the same task
     /// scopes, so logical traces do not depend on the budget. Returns
-    /// `None` if any group panicked. Axis cells are priced wherever
-    /// `axis_filled` is set.
+    /// `None` if a pool group panicked; an inline panic unwinds to
+    /// [`FactoredPlan::build_from_sweep`], which also answers `None`.
     fn price_tables(&self, cells: &PlanCells, jobs: usize) -> Option<PricedTables> {
-        let (nr, nn, _, na) = self.dims();
+        let (nr, nn, na) = (self.devices.len(), self.networks.len(), self.axes.len());
         let (batch, workload, todo) = (self.batch, self.workload, &cells.todo);
         let mut serialized_ar = vec![0.0; self.hypers.len() * nr];
         for (si, hyper) in self.hypers.iter().enumerate() {
@@ -724,18 +538,18 @@ impl PlanAxes {
         };
         let label = |ri: usize| format!("price ratio {ri}");
         let jobs = jobs.min(todo.len());
-        let groups: Vec<Option<Vec<TripleCell>>> = if jobs <= 1 {
+        let groups: Vec<Vec<TripleCell>> = if jobs <= 1 {
             (0..todo.len())
                 .map(|ri| {
                     let _scope = twocs_obs::task_scope(ri, &label(ri));
-                    catch_unwind(AssertUnwindSafe(|| price_group(ri))).ok()
+                    price_group(ri)
                 })
                 .collect()
         } else {
             run_tasks_labeled(jobs, todo.len(), label, price_group)
                 .into_iter()
                 .map(|t| t.result.ok())
-                .collect()
+                .collect::<Option<_>>()?
         };
 
         let n_cells = cells.filled.len();
@@ -745,7 +559,7 @@ impl PlanAxes {
         let mut inf_compute = vec![0.0; if inference { n_cells } else { 0 }];
         let mut inf_comm = vec![0.0; if inference { n_cells } else { 0 }];
         for (ri, group) in groups.into_iter().enumerate() {
-            for (&(si, ti), cell) in todo[ri].iter().zip(group?) {
+            for (&(si, ti), cell) in todo[ri].iter().zip(group) {
                 let flat = self.triple_flat(si, ri, ti);
                 compute[flat] = cell.compute;
                 backward[flat] = cell.backward;
@@ -757,21 +571,18 @@ impl PlanAxes {
             }
         }
 
-        // Axis tables: one cell per occurring (shape, network, axis
-        // tuple), priced by the same shared `axis_costs` the naive kernel
-        // calls — that sharing is the bit-identity argument for the new
-        // axes.
-        let mut axis_comm = vec![0.0; cells.axis_filled.len()];
-        let mut axis_p2p = vec![0.0; cells.axis_filled.len()];
+        // Axis tables: one cell per (shape, network, axis tuple), priced
+        // by the same shared `axis_costs` the naive kernel calls — that
+        // sharing is the bit-identity argument for the new axes.
+        let mut axis_comm = vec![0.0; self.hypers.len() * nn * na];
+        let mut axis_p2p = vec![0.0; self.hypers.len() * nn * na];
         for (si, hyper) in self.hypers.iter().enumerate() {
             for (ni, net) in self.networks.iter().enumerate() {
                 for (ai, &axis) in self.axes.iter().enumerate() {
                     let aflat = (si * nn + ni) * na + ai;
-                    if cells.axis_filled[aflat] {
-                        let costs = axis_costs(net, hyper, axis, workload);
-                        axis_comm[aflat] = costs.comm_per_layer;
-                        axis_p2p[aflat] = costs.pp_p2p;
-                    }
+                    let costs = axis_costs(net, hyper, axis, workload);
+                    axis_comm[aflat] = costs.comm_per_layer;
+                    axis_p2p[aflat] = costs.pp_p2p;
                 }
             }
         }
@@ -788,31 +599,35 @@ impl PlanAxes {
     }
 }
 
-/// Evaluate one chunk of grid points the way a distributed worker (or
-/// any other chunk-at-a-time caller) needs: batch-factored when the
-/// chunk supports it ([`FactoredPlan::eval_batch`]), naive otherwise,
-/// with each point's panic caught and reported as that point's error —
-/// never aborting the chunk. The per-chunk plan prices on the calling
-/// thread alone: chunk callers already run one chunk per pool thread.
-#[must_use]
+/// Evaluate one chunk of `sweep`'s points into `out` (cleared first), in
+/// point order — the one place that decides between factored and naive
+/// evaluation. With a plan (built once per sweep by
+/// [`FactoredPlan::build_from_sweep`]) the chunk goes through
+/// [`FactoredPlan::eval_batch`]; without one (simulation grids, or a
+/// plan build that failed) each point runs the naive [`eval_grid_point`]
+/// kernel. Either way a point's panic is caught and reported as that
+/// point's error, never aborting the chunk, and the values are
+/// bit-identical — the contract every executor (local pool, streaming
+/// store, dist worker, coordinator drain) relies on.
 pub fn eval_chunk(
+    plan: Option<&FactoredPlan>,
     device: &DeviceSpec,
+    sweep: &GridSweep,
     points: &[GridPoint],
-    batch: u64,
-    method: Method,
-    workload: Workload,
-) -> PointResults {
-    let mut out = PointResults::with_capacity(points.len());
-    match PlannerMode::Auto.plan_on(device, points, batch, method, workload, 1) {
-        Some(plan) => plan.eval_batch(points, &mut out),
-        None => out.extend(points.iter().map(|&p| {
-            catch_unwind(AssertUnwindSafe(|| {
-                eval_grid_point(device, p, batch, method, workload)
-            }))
-            .map_err(panic_message)
-        })),
+    out: &mut PointResults,
+) {
+    match plan {
+        Some(plan) => plan.eval_batch(points, out),
+        None => {
+            out.clear();
+            out.extend(points.iter().map(|&p| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    eval_grid_point(device, p, sweep.batch, sweep.method, sweep.workload)
+                }))
+                .map_err(panic_message)
+            }));
+        }
     }
-    out
 }
 
 #[cfg(test)]
@@ -832,21 +647,31 @@ mod tests {
         }
     }
 
+    fn extended_grid() -> GridSweep {
+        GridSweep {
+            experts: vec![1, 4],
+            top_ks: vec![2],
+            stages: vec![1, 2],
+            sps: vec![1, 2],
+            ..projection_grid()
+        }
+    }
+
     #[test]
     fn factored_eval_is_bit_identical_to_naive() {
         let device = DeviceSpec::mi210();
-        let grid = projection_grid();
-        let points = grid.points();
-        let plan = FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload)
-            .expect("projection grids are factorable");
-        for p in points {
-            let naive = eval_grid_point(&device, p, grid.batch, grid.method, grid.workload);
-            let factored = plan.eval(p);
-            assert_eq!(
-                (naive.0.to_bits(), naive.1.to_bits()),
-                (factored.0.to_bits(), factored.1.to_bits()),
-                "point {p:?}: naive {naive:?} vs factored {factored:?}"
-            );
+        for grid in [projection_grid(), extended_grid()] {
+            let plan = FactoredPlan::build_from_sweep(&device, &grid)
+                .expect("projection grids are factorable");
+            for p in grid.points() {
+                let naive = eval_grid_point(&device, p, grid.batch, grid.method, grid.workload);
+                let factored = plan.eval(p);
+                assert_eq!(
+                    (naive.0.to_bits(), naive.1.to_bits()),
+                    (factored.0.to_bits(), factored.1.to_bits()),
+                    "point {p:?}: naive {naive:?} vs factored {factored:?}"
+                );
+            }
         }
     }
 
@@ -855,8 +680,7 @@ mod tests {
         let device = DeviceSpec::mi210();
         let grid = projection_grid();
         let points = grid.points();
-        let plan =
-            FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload).unwrap();
+        let plan = FactoredPlan::build_from_sweep(&device, &grid).unwrap();
         let mut out = PointResults::new();
         plan.eval_batch(&points, &mut out);
         assert_eq!(out.len(), points.len());
@@ -874,14 +698,13 @@ mod tests {
     #[test]
     fn plan_tabulates_each_axis_value_once() {
         let device = DeviceSpec::mi210();
-        let grid = projection_grid();
-        let points = grid.points();
-        let plan =
-            FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload).unwrap();
+        let plan = FactoredPlan::build_from_sweep(&device, &projection_grid()).unwrap();
         assert_eq!(plan.shapes(), 4); // 2 H × 2 SL
         assert_eq!(plan.ratios(), 2);
         assert_eq!(plan.networks(), 1); // flop-vs-bw keeps the network
         assert_eq!(plan.tps(), 3);
+        let extended = FactoredPlan::build_from_sweep(&device, &extended_grid()).unwrap();
+        assert_eq!(extended.axes(), 4); // (4, 2) × 2 stages × 2 sp; (1, 2) is pruned
     }
 
     /// Pricing runs under one task scope per ratio group whether it is
@@ -916,57 +739,10 @@ mod tests {
     }
 
     #[test]
-    fn simulation_grids_are_not_factored() {
-        let device = DeviceSpec::mi210();
-        let grid = GridSweep {
-            method: Method::Simulation,
-            ..projection_grid()
-        };
-        let points = grid.points();
-        assert!(
-            FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload).is_none()
-        );
-        assert!(PlannerMode::Auto
-            .plan(&device, &points, grid.batch, grid.method, grid.workload)
-            .is_none());
-    }
-
-    #[test]
-    fn malformed_points_fall_back_to_naive() {
-        let device = DeviceSpec::mi210();
-        // h not a multiple of 256: the naive path panics per point (and
-        // executors report `error`), so the planner must refuse it.
-        let points = vec![GridPoint::new(100, 2048, 4, 1.0)];
-        assert!(
-            FactoredPlan::build(&device, &points, 1, Method::Projection, Workload::Training)
-                .is_none()
-        );
-        assert!(
-            FactoredPlan::build(&device, &[], 1, Method::Projection, Workload::Training).is_none()
-        );
-        // Malformed extended axes are refused the same way.
-        let bad_axes = vec![GridPoint {
-            top_k: 4,
-            experts: 2,
-            ..GridPoint::new(4096, 2048, 4, 1.0)
-        }];
-        assert!(FactoredPlan::build(
-            &device,
-            &bad_axes,
-            1,
-            Method::Projection,
-            Workload::Training
-        )
-        .is_none());
-    }
-
-    #[test]
     fn points_off_the_plan_axes_resolve_to_scalar_fallback() {
         let device = DeviceSpec::mi210();
         let grid = projection_grid();
-        let points = grid.points();
-        let plan =
-            FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload).unwrap();
+        let plan = FactoredPlan::build_from_sweep(&device, &grid).unwrap();
         // A well-formed point the plan never saw (H off the axis) must
         // evaluate through the fallback, bit-identical to naive.
         let off = GridPoint::new(8192, 2048, 4, 1.0);
@@ -976,44 +752,6 @@ mod tests {
         let mut out = PointResults::new();
         plan.eval_batch(&[off], &mut out);
         assert_eq!(out[0].as_ref().unwrap(), &naive);
-    }
-
-    #[test]
-    fn sweep_built_plan_is_bit_identical_to_point_built_plan() {
-        let device = DeviceSpec::mi210();
-        for grid in [
-            projection_grid(),
-            GridSweep {
-                experts: vec![1, 4],
-                top_ks: vec![2],
-                stages: vec![1, 2],
-                sps: vec![1, 2],
-                ..projection_grid()
-            },
-        ] {
-            let points = grid.points();
-            let from_points =
-                FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload)
-                    .unwrap();
-            let from_sweep = FactoredPlan::build_from_sweep(&device, &grid).unwrap();
-            assert_eq!(from_sweep.shapes(), from_points.shapes());
-            assert_eq!(from_sweep.ratios(), from_points.ratios());
-            assert_eq!(from_sweep.tps(), from_points.tps());
-            assert_eq!(from_sweep.axes(), from_points.axes());
-            let mut a = PointResults::new();
-            let mut b = PointResults::new();
-            from_points.eval_batch(&points, &mut a);
-            from_sweep.eval_batch(&points, &mut b);
-            for (p, (ra, rb)) in points.iter().zip(a.iter().zip(&b)) {
-                let (xa, ya) = ra.as_ref().unwrap();
-                let (xb, yb) = rb.as_ref().unwrap();
-                assert_eq!(
-                    (xa.to_bits(), ya.to_bits()),
-                    (xb.to_bits(), yb.to_bits()),
-                    "point {p:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1032,48 +770,29 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_never_plans() {
-        let device = DeviceSpec::mi210();
-        let grid = projection_grid();
-        assert!(PlannerMode::Naive
-            .plan(
-                &device,
-                &grid.points(),
-                grid.batch,
-                grid.method,
-                grid.workload
-            )
-            .is_none());
-    }
-
-    #[test]
-    fn planner_mode_parses() {
-        assert_eq!("auto".parse::<PlannerMode>().unwrap(), PlannerMode::Auto);
-        assert_eq!("naive".parse::<PlannerMode>().unwrap(), PlannerMode::Naive);
-        assert_eq!(
-            "factored".parse::<PlannerMode>().unwrap(),
-            PlannerMode::Factored
-        );
-        assert!("fast".parse::<PlannerMode>().is_err());
-    }
-
-    #[test]
     fn eval_chunk_matches_naive_per_point_and_reports_errors() {
         let device = DeviceSpec::mi210();
         let grid = projection_grid();
         let points = grid.points();
-        let chunk = eval_chunk(&device, &points, grid.batch, grid.method, grid.workload);
-        for (p, r) in points.iter().zip(&chunk) {
-            let naive = eval_grid_point(&device, *p, grid.batch, grid.method, grid.workload);
-            assert_eq!(r.as_ref().unwrap(), &naive);
+        let plan = FactoredPlan::build_from_sweep(&device, &grid);
+        let mut out = vec![Err("stale".to_owned())];
+        for plan in [plan.as_ref(), None] {
+            eval_chunk(plan, &device, &grid, &points, &mut out);
+            assert_eq!(out.len(), points.len());
+            for (p, r) in points.iter().zip(&out) {
+                let naive = eval_grid_point(&device, *p, grid.batch, grid.method, grid.workload);
+                assert_eq!(r.as_ref().unwrap(), &naive);
+            }
         }
         // A malformed point degrades that point, not the chunk.
-        let bad = vec![
+        let bad = [
             GridPoint::new(4096, 2048, 4, 1.0),
             GridPoint::new(100, 2048, 4, 1.0),
         ];
-        let mixed = eval_chunk(&device, &bad, 1, Method::Projection, Workload::Training);
-        assert!(mixed[0].is_ok());
-        assert!(mixed[1].is_err());
+        for plan in [plan.as_ref(), None] {
+            eval_chunk(plan, &device, &grid, &bad, &mut out);
+            assert!(out[0].is_ok());
+            assert!(out[1].is_err());
+        }
     }
 }

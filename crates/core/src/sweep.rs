@@ -41,7 +41,7 @@ use crate::experiments::{ExperimentDef, ExperimentOutput};
 use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct;
 use crate::report::Table;
-use crate::serialized::{comm_fraction, projection_baseline, realistic_tp, sweep_hyper, Method};
+use crate::serialized::{comm_fraction, projection_baseline, sweep_hyper, Method};
 use twocs_collectives::{Collective, CollectiveCostModel};
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::{CacheStats, DeviceSpec, HwEvolution};
@@ -50,7 +50,7 @@ use twocs_transformer::moe::MoeConfig;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
 pub use crate::inference::Workload;
-pub use crate::planner::{eval_chunk, FactoredPlan, PlannerMode};
+pub use crate::planner::{eval_chunk, FactoredPlan};
 
 thread_local! {
     /// The worker-thread budget nested generators should use (see
@@ -185,13 +185,7 @@ where
                     queue_depth.observe((count - i) as u64);
                     let scope_guard = twocs_obs::task_scope(i, &label(i));
                     let start = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(|payload| {
-                        payload
-                            .downcast_ref::<&str>()
-                            .map(ToString::to_string)
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "task panicked".to_owned())
-                    });
+                    let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message);
                     let elapsed = start.elapsed();
                     let observation = scope_guard.finish();
                     tasks_total.inc();
@@ -217,6 +211,15 @@ where
                 .expect("every task index below `count` is claimed exactly once")
         })
         .collect()
+}
+
+/// Render a caught panic payload as the task's error message.
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(ToString::to_string)
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "task panicked".to_owned())
 }
 
 /// Wall time and outcome of one task, for the summary report.
@@ -637,21 +640,6 @@ impl GridPoint {
     }
 }
 
-/// A contiguous slice of a [`GridSweep`]'s point list, the unit of work
-/// the distributed fabric leases to one worker at a time.
-///
-/// `start` is the chunk's offset into [`GridSweep::points`] order, so a
-/// coordinator can merge chunk results back into deterministic point
-/// order no matter which worker computed them, or in what order they
-/// arrived.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridChunk {
-    /// Index of `points[0]` within the full [`GridSweep::points`] list.
-    pub start: usize,
-    /// The points of this chunk, in grid order.
-    pub points: Vec<GridPoint>,
-}
-
 /// Per-layer cost contributions of the extended axes, computed by one
 /// shared function ([`axis_costs`]) so the naive kernel and the factored
 /// planner's per-axis tables hold bit-identical values.
@@ -911,11 +899,11 @@ pub type PointResults = Vec<Result<(f64, f64), String>>;
 /// Something that can evaluate every point of a [`GridSweep`] and return
 /// per-point results **in [`GridSweep::points`] order**.
 ///
-/// The seam between grid definition and execution substrate: the default
-/// [`LocalExecutor`] fans points over the in-process thread pool, while
-/// `twocs-dist` provides a coordinator that shards them across TCP
-/// workers. `twocs serve` accepts any executor for `/v1/sweep`, so the
-/// query service can ride the same fabric.
+/// The seam between grid definition and execution substrate:
+/// `twocs-dist` provides a coordinator that shards a sweep across TCP
+/// workers, and `twocs serve` accepts any executor for `/v1/sweep`, so
+/// the query service can ride the same fabric. In-process sweeps run
+/// through [`GridSweep::run`].
 pub trait GridExecutor: Send + Sync {
     /// Evaluate `sweep` on `device`, returning one result per point of
     /// [`GridSweep::points`], in that order. `Err` entries mark points
@@ -926,51 +914,6 @@ pub trait GridExecutor: Send + Sync {
     /// Human-oriented name for logs and summaries.
     fn describe(&self) -> String {
         "local".to_owned()
-    }
-}
-
-/// The in-process executor: [`run_tasks_labeled`] over `jobs` threads,
-/// exactly what `twocs sweep --jobs N` has always done.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalExecutor {
-    /// Worker threads to fan points across.
-    pub jobs: usize,
-}
-
-impl GridExecutor for LocalExecutor {
-    fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String> {
-        set_parallelism(self.jobs);
-        let points = sweep.points();
-        let plan =
-            PlannerMode::Auto.plan(device, &points, sweep.batch, sweep.method, sweep.workload);
-        match &plan {
-            Some(plan) => Ok(run_batch_tasks(plan, &points, self.jobs).0),
-            None => {
-                let raw = run_tasks_labeled(
-                    self.jobs,
-                    points.len(),
-                    |i| grid_point_label(&points[i]),
-                    |i| {
-                        eval_grid_point(
-                            device,
-                            points[i],
-                            sweep.batch,
-                            sweep.method,
-                            sweep.workload,
-                        )
-                    },
-                );
-                Ok(raw.into_iter().map(|t| t.result).collect())
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "local ({} thread{})",
-            self.jobs,
-            if self.jobs == 1 { "" } else { "s" }
-        )
     }
 }
 
@@ -986,140 +929,19 @@ fn batch_chunk_size(points: usize, jobs: usize) -> usize {
     points.div_ceil(jobs.max(1) * 2).clamp(1, 64)
 }
 
-/// Span label for one batch chunk task: the point label when the chunk
-/// is a single point, the grid-order range otherwise.
-fn chunk_label(start: usize, points: &[GridPoint]) -> String {
-    match points {
-        [p] => grid_point_label(p),
-        _ => format!("points {}..{}", start, start + points.len()),
-    }
-}
-
-/// Fan a factored plan's [`FactoredPlan::eval_batch`] over the pool in
-/// lease-sized chunks — one task per chunk instead of one per point —
-/// and flatten back to per-point results in grid order. A chunk task
-/// that panics (the batch path catches per-point fallback panics itself,
-/// so this means a planner bug, not a malformed point) degrades to one
-/// `Err` per covered point, preserving the executor contract.
-fn run_batch_tasks(
-    plan: &FactoredPlan,
-    points: &[GridPoint],
-    jobs: usize,
-) -> (PointResults, Vec<TaskTiming>) {
-    let chunk = batch_chunk_size(points.len(), jobs);
-    let chunked: Vec<&[GridPoint]> = points.chunks(chunk).collect();
-    let raw = run_tasks_labeled(
-        jobs,
-        chunked.len(),
-        |i| chunk_label(i * chunk, chunked[i]),
-        |i| {
-            let mut out = PointResults::with_capacity(chunked[i].len());
-            plan.eval_batch(chunked[i], &mut out);
-            out
-        },
-    );
-    let mut results = PointResults::with_capacity(points.len());
-    let mut timings = Vec::with_capacity(raw.len());
-    for (i, (c, t)) in chunked.iter().zip(raw).enumerate() {
-        timings.push(TaskTiming {
-            label: chunk_label(i * chunk, c),
-            elapsed: t.elapsed,
-            ok: t.result.is_ok(),
-            worker: t.worker,
-            cold: t.cache_misses > 0,
-        });
-        match t.result {
-            Ok(rs) => results.extend(rs),
-            Err(msg) => results.extend(c.iter().map(|_| Err(msg.clone()))),
-        }
-    }
-    (results, timings)
-}
-
 impl GridSweep {
     /// The realistic grid points, in deterministic row-major order
-    /// (H, then SL, then TP, then ratio). Unrealistic `(H, TP)`
-    /// combinations are pruned exactly as the figures do
-    /// ([`realistic_tp`]), as are invalid axis values (zero dimensions,
-    /// hidden sizes that are not multiples of the fixed 256-way head
-    /// sharding) — an entirely invalid grid is simply empty.
+    /// (H, then SL, then TP, then ratio, then the extended axes) —
+    /// [`GridIndex`](crate::grid::GridIndex) materialized. The index owns
+    /// the pruning rules: unrealistic `(H, TP)` combinations are pruned
+    /// exactly as the figures do
+    /// ([`realistic_tp`](crate::serialized::realistic_tp)), as are invalid axis
+    /// values (zero dimensions, hidden sizes that are not multiples of
+    /// the fixed 256-way head sharding) — an entirely invalid grid is
+    /// simply empty.
     #[must_use]
     pub fn points(&self) -> Vec<GridPoint> {
-        let mut points = Vec::new();
-        for &h in &self.hs {
-            if h == 0 || h % 256 != 0 || self.batch == 0 {
-                continue;
-            }
-            for &sl in &self.sls {
-                if sl == 0 {
-                    continue;
-                }
-                for &tp in &self.tps {
-                    if tp == 0
-                        || !realistic_tp(h, tp)
-                        || tp > sweep_hyper(h, sl, self.batch).heads()
-                    {
-                        continue;
-                    }
-                    for &ratio in &self.flop_vs_bw {
-                        for &experts in &self.experts {
-                            for &top_k in &self.top_ks {
-                                if experts == 0 || top_k == 0 || top_k > experts {
-                                    continue;
-                                }
-                                for &stages in &self.stages {
-                                    if stages == 0 {
-                                        continue;
-                                    }
-                                    for &micro_batches in &self.micro_batches {
-                                        if micro_batches == 0 {
-                                            continue;
-                                        }
-                                        for &sp in &self.sps {
-                                            if sp == 0 {
-                                                continue;
-                                            }
-                                            points.push(GridPoint {
-                                                h,
-                                                sl,
-                                                tp,
-                                                ratio,
-                                                experts,
-                                                top_k,
-                                                stages,
-                                                micro_batches,
-                                                sp,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        points
-    }
-
-    /// Split [`Self::points`] into contiguous chunks of at most
-    /// `chunk_size` points, the work unit the distributed fabric leases
-    /// out. Chunks keep their grid offset so results merge back into
-    /// deterministic point order.
-    ///
-    /// # Panics
-    /// Panics if `chunk_size` is zero.
-    #[must_use]
-    pub fn chunks(&self, chunk_size: usize) -> Vec<GridChunk> {
-        assert!(chunk_size > 0, "chunk_size must be non-zero");
-        self.points()
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(i, points)| GridChunk {
-                start: i * chunk_size,
-                points: points.to_vec(),
-            })
-            .collect()
+        self.index().iter().collect()
     }
 
     /// The sweep table's header cells. Legacy grids (every axis
@@ -1241,63 +1063,61 @@ impl GridSweep {
     /// panicking point renders as `error` in both metric columns rather
     /// than aborting the sweep.
     ///
-    /// Uses [`PlannerMode::Auto`]: projection grids evaluate through the
-    /// factored per-axis planner (bit-identical output, see
-    /// [`FactoredPlan`]), everything else runs the naive per-point path.
+    /// The plan is built once ([`FactoredPlan::build_from_sweep`], its
+    /// cells priced on this sweep's `jobs` budget) and the pool runs one
+    /// [`eval_chunk`] task per chunk of grid points. Factored chunks are
+    /// lease-sized; without a plan (simulation grids) every point is
+    /// expensive, so each is its own chunk and the pool balances them
+    /// point by point.
     #[must_use]
     pub fn run(&self, device: &DeviceSpec, jobs: usize) -> (Table, SweepSummary) {
-        self.run_mode(device, jobs, PlannerMode::Auto)
-    }
-
-    /// [`Self::run`] with an explicit [`PlannerMode`] — `Naive` forces
-    /// the per-point path (the benchmark baseline), `Factored` demands
-    /// the planner (still falling back to naive on grids it cannot
-    /// factor, e.g. simulation sweeps).
-    #[must_use]
-    pub fn run_mode(
-        &self,
-        device: &DeviceSpec,
-        jobs: usize,
-        planner: PlannerMode,
-    ) -> (Table, SweepSummary) {
         set_parallelism(jobs);
-        let points = self.points();
+        let index = self.index();
         let before = cache_snapshot();
         let start = Instant::now();
-        let plan = planner.plan(device, &points, self.batch, self.method, self.workload);
-        let (results, timings) = match &plan {
-            // Factored grids run batch-shaped: the plan's SoA tables are
-            // filled once (per-ratio groups on this sweep's `jobs`
-            // budget, each under a chunk-scoped cache session) and the
-            // pool walks lease-sized chunks through `eval_batch` — one
-            // task per chunk, not per point.
-            Some(plan) => run_batch_tasks(plan, &points, jobs),
-            None => {
-                let raw = run_tasks_labeled(
-                    jobs,
-                    points.len(),
-                    |i| grid_point_label(&points[i]),
-                    |i| eval_grid_point(device, points[i], self.batch, self.method, self.workload),
-                );
-                let timings = points
-                    .iter()
-                    .zip(&raw)
-                    .map(|(p, t)| TaskTiming {
-                        label: grid_point_label(p),
-                        elapsed: t.elapsed,
-                        ok: t.result.is_ok(),
-                        worker: t.worker,
-                        cold: t.is_cold(),
-                    })
-                    .collect();
-                let results = raw.into_iter().map(|t| t.result).collect();
-                (results, timings)
-            }
+        let plan = FactoredPlan::build_from_sweep(device, self);
+        let chunk = match plan {
+            Some(_) => batch_chunk_size(index.len(), jobs),
+            None => 1,
         };
+        let bounds = |i: usize| (i * chunk, ((i + 1) * chunk).min(index.len()));
+        let label = |i: usize| match bounds(i) {
+            (start, end) if end - start == 1 => grid_point_label(&index.point(start)),
+            (start, end) => format!("points {start}..{end}"),
+        };
+        let raw = run_tasks_labeled(jobs, index.chunk_count(chunk), label, |i| {
+            let mut out = PointResults::new();
+            let points = index.chunk_points(i, chunk);
+            eval_chunk(plan.as_ref(), device, self, &points, &mut out);
+            out
+        });
         let wall = start.elapsed();
         let after = cache_snapshot();
 
-        let table = Self::tabulate(&points, &results);
+        let mut results = PointResults::with_capacity(index.len());
+        let mut timings = Vec::with_capacity(raw.len());
+        for (i, t) in raw.into_iter().enumerate() {
+            timings.push(TaskTiming {
+                label: label(i),
+                elapsed: t.elapsed,
+                ok: t
+                    .result
+                    .as_ref()
+                    .is_ok_and(|rs| rs.iter().all(Result::is_ok)),
+                worker: t.worker,
+                cold: t.is_cold(),
+            });
+            // `eval_chunk` catches per-point panics, so a failed task
+            // means a planner bug: it degrades to one `Err` per point.
+            match t.result {
+                Ok(rs) => results.extend(rs),
+                Err(msg) => {
+                    let (start, end) = bounds(i);
+                    results.extend((start..end).map(|_| Err(msg.clone())));
+                }
+            }
+        }
+        let table = Self::tabulate(&index.iter().collect::<Vec<_>>(), &results);
         let summary = SweepSummary {
             jobs: jobs.max(1),
             tasks: timings.len(),
@@ -1318,6 +1138,7 @@ impl GridSweep {
 mod tests {
     use super::*;
     use crate::experiments;
+    use crate::serialized::realistic_tp;
 
     #[test]
     fn run_tasks_preserves_index_order() {
@@ -1500,10 +1321,11 @@ mod tests {
     /// them into one per-experiment average.
     ///
     /// Uses a distinctive (H, SL) so concurrently running tests cannot
-    /// pre-warm its cache keys, and the naive planner so the cache
+    /// pre-warm its cache keys, and a simulation grid so the cache
     /// activity is charged to the point's task — factored plans
     /// front-load all memo-cache work into plan construction, leaving
-    /// every evaluation task warm by design.
+    /// every evaluation task warm by design, while simulation grids
+    /// still evaluate each point inside its own task.
     #[test]
     fn cold_first_run_then_warm_rerun_are_classified_separately() {
         let sweep = GridSweep {
@@ -1512,12 +1334,12 @@ mod tests {
             tps: vec![16],
             flop_vs_bw: vec![1.0],
             batch: 1,
-            method: Method::Projection,
+            method: Method::Simulation,
             ..GridSweep::default()
         };
         let device = DeviceSpec::mi210();
-        let (_, first) = sweep.run_mode(&device, 1, PlannerMode::Naive);
-        let (_, second) = sweep.run_mode(&device, 1, PlannerMode::Naive);
+        let (_, first) = sweep.run(&device, 1);
+        let (_, second) = sweep.run(&device, 1);
         assert_eq!(first.tasks, 1);
         assert!(first.timings[0].cold, "first touch must be cache-cold");
         assert!(!second.timings[0].cold, "identical rerun must be warm");
@@ -1635,20 +1457,41 @@ mod tests {
     fn chunks_cover_every_point_in_order() {
         let sweep = GridSweep::default();
         let points = sweep.points();
+        let index = sweep.index();
         for chunk_size in [1, 3, 7, points.len(), points.len() + 5] {
-            let chunks = sweep.chunks(chunk_size);
             let mut reassembled = Vec::new();
-            for (i, c) in chunks.iter().enumerate() {
-                assert_eq!(c.start, reassembled.len(), "chunk {i} offset");
-                assert!(!c.points.is_empty() && c.points.len() <= chunk_size);
-                reassembled.extend(c.points.iter().copied());
+            for c in 0..index.chunk_count(chunk_size) {
+                let chunk = index.chunk_points(c, chunk_size);
+                assert!(!chunk.is_empty() && chunk.len() <= chunk_size);
+                reassembled.extend(chunk);
             }
             assert_eq!(reassembled, points, "chunk_size={chunk_size}");
         }
     }
 
+    /// Evaluates every point with the naive kernel, in point order.
+    struct NaiveExecutor;
+
+    impl GridExecutor for NaiveExecutor {
+        fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String> {
+            Ok(sweep
+                .points()
+                .into_iter()
+                .map(|p| {
+                    Ok(eval_grid_point(
+                        device,
+                        p,
+                        sweep.batch,
+                        sweep.method,
+                        sweep.workload,
+                    ))
+                })
+                .collect())
+        }
+    }
+
     #[test]
-    fn run_with_local_executor_matches_run() {
+    fn run_with_an_executor_matches_run() {
         let sweep = GridSweep {
             hs: vec![4096],
             sls: vec![2048],
@@ -1660,7 +1503,7 @@ mod tests {
         };
         let device = DeviceSpec::mi210();
         let (table, _) = sweep.run(&device, 2);
-        let via_executor = sweep.run_with(&device, &LocalExecutor { jobs: 2 }).unwrap();
+        let via_executor = sweep.run_with(&device, &NaiveExecutor).unwrap();
         assert_eq!(table.to_csv(), via_executor.to_csv());
     }
 

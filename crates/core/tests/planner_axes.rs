@@ -66,7 +66,7 @@ fn extended_axis_batches_are_bit_identical_to_the_naive_reference() {
             points.iter().any(|p| !p.axes_default()),
             "random grid must contain extended points"
         );
-        let plan = FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload)
+        let plan = FactoredPlan::build_from_sweep(&device, &grid)
             .expect("extended projection grids are factorable");
         rng.shuffle(&mut points);
         let mut out = PointResults::new();
@@ -90,10 +90,9 @@ fn extended_axis_batches_are_bit_identical_to_the_naive_reference() {
 /// Property: plan builds price their per-ratio groups on the calling
 /// thread's budget, and the budget is invisible in the results. For
 /// random multi-ratio extended grids under every workload, plans built
-/// serially and on four threads — from the sweep and from its point
-/// list — evaluate bit-identically to each other and to the naive
-/// reference, and a flop-vs-bw grid keys its axis tables by exactly one
-/// network.
+/// serially and on four threads evaluate bit-identically to each other
+/// and to the naive reference, and a flop-vs-bw grid keys its axis
+/// tables by exactly one network.
 #[test]
 fn parallel_plan_builds_are_bit_identical_to_serial_and_naive() {
     let device = DeviceSpec::mi210();
@@ -114,18 +113,11 @@ fn parallel_plan_builds_are_bit_identical_to_serial_and_naive() {
             let points = grid.points();
             let plans: Vec<FactoredPlan> = [1, 4]
                 .into_iter()
-                .flat_map(|jobs| {
+                .map(|jobs| {
                     set_parallelism(jobs);
-                    let from_sweep = FactoredPlan::build_from_sweep(&device, &grid);
-                    let from_points = FactoredPlan::build(
-                        &device,
-                        &points,
-                        grid.batch,
-                        grid.method,
-                        grid.workload,
-                    );
+                    let plan = FactoredPlan::build_from_sweep(&device, &grid);
                     set_parallelism(1);
-                    [from_sweep, from_points]
+                    plan
                 })
                 .map(|plan| plan.expect("extended projection grids are factorable"))
                 .collect();
@@ -174,14 +166,7 @@ fn legacy_points_in_an_extended_plan_keep_legacy_bytes() {
         ..legacy.clone()
     };
     let legacy_points = legacy.points();
-    let plan = FactoredPlan::build(
-        &device,
-        &extended.points(),
-        extended.batch,
-        extended.method,
-        extended.workload,
-    )
-    .expect("factorable");
+    let plan = FactoredPlan::build_from_sweep(&device, &extended).expect("factorable");
     for p in &legacy_points {
         assert!(p.axes_default());
         let reference = eval_grid_point(&device, *p, legacy.batch, legacy.method, legacy.workload);
@@ -207,8 +192,7 @@ fn malformed_axis_points_fall_back_to_per_point_errors() {
         ..GridSweep::default()
     };
     let points = grid.points();
-    let plan = FactoredPlan::build(&device, &points, grid.batch, grid.method, grid.workload)
-        .expect("factorable");
+    let plan = FactoredPlan::build_from_sweep(&device, &grid).expect("factorable");
     let good = points[0];
     for bad in [
         GridPoint {
@@ -238,7 +222,8 @@ fn malformed_axis_points_fall_back_to_per_point_errors() {
         let reference = eval_grid_point(&device, good, grid.batch, grid.method, grid.workload);
         assert_eq!(bits(reference), bits(*out[0].as_ref().unwrap()));
         assert_eq!(bits(reference), bits(*out[2].as_ref().unwrap()));
-        let via_chunk = eval_chunk(&device, &chunk, grid.batch, grid.method, grid.workload);
+        let mut via_chunk = PointResults::new();
+        eval_chunk(None, &device, &grid, &chunk, &mut via_chunk);
         assert!(via_chunk[0].is_ok() && via_chunk[2].is_ok());
         assert!(via_chunk[1].is_err(), "naive chunk path must agree");
     }
@@ -256,15 +241,16 @@ fn simulation_method_rejects_extended_points_per_point() {
         ..GridPoint::new(4096, 2048, 4, 1.0)
     };
     let legacy = GridPoint::new(4096, 2048, 4, 1.0);
-    let out = eval_chunk(
-        &device,
-        &[legacy, extended],
-        1,
-        Method::Simulation,
-        Workload::Training,
-    );
+    let mut sweep = GridSweep {
+        method: Method::Simulation,
+        ..GridSweep::default()
+    };
+    assert!(FactoredPlan::build_from_sweep(&device, &sweep).is_none());
+    let mut out = PointResults::new();
+    eval_chunk(None, &device, &sweep, &[legacy, extended], &mut out);
     assert!(out[0].is_ok(), "legacy point simulates fine");
     assert!(out[1].is_err(), "extended point must error under sim");
-    let decode = eval_chunk(&device, &[legacy], 1, Method::Simulation, Workload::Decode);
-    assert!(decode[0].is_err(), "decode workload must error under sim");
+    sweep.workload = Workload::Decode;
+    eval_chunk(None, &device, &sweep, &[legacy], &mut out);
+    assert!(out[0].is_err(), "decode workload must error under sim");
 }

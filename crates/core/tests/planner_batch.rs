@@ -24,10 +24,9 @@ fn projection_grid() -> GridSweep {
 }
 
 fn build_plan(device: &DeviceSpec, grid: &GridSweep) -> (Vec<GridPoint>, FactoredPlan) {
-    let points = grid.points();
-    let plan = FactoredPlan::build(device, &points, grid.batch, grid.method, grid.workload)
-        .expect("projection grids are factorable");
-    (points, plan)
+    let plan =
+        FactoredPlan::build_from_sweep(device, grid).expect("projection grids are factorable");
+    (grid.points(), plan)
 }
 
 fn bits(v: (f64, f64)) -> (u64, u64) {
@@ -87,7 +86,11 @@ fn empty_chunk_yields_empty_results_and_clears_stale_output() {
     out.push(Err("stale entry from a previous lease".to_owned()));
     plan.eval_batch(&[], &mut out);
     assert!(out.is_empty(), "eval_batch must clear its output buffer");
-    assert!(eval_chunk(&device, &[], grid.batch, grid.method, grid.workload).is_empty());
+    for plan in [Some(&plan), None] {
+        out.push(Err("stale entry from a previous lease".to_owned()));
+        eval_chunk(plan, &device, &grid, &[], &mut out);
+        assert!(out.is_empty(), "eval_chunk must clear its output buffer");
+    }
 }
 
 #[test]
@@ -141,10 +144,11 @@ fn malformed_points_in_a_chunk_fall_back_to_scalar_per_point() {
         bits(*out[2].as_ref().unwrap())
     );
     // The chunk-at-a-time entry point (what a dist worker lease runs)
-    // shows the same degradation. Note: a chunk containing a malformed
-    // point is refused by the planner, so this exercises the naive
-    // chunk path end to end.
-    let via_chunk = eval_chunk(&device, &chunk, grid.batch, grid.method, grid.workload);
-    assert!(via_chunk[0].is_ok() && via_chunk[2].is_ok());
-    assert!(via_chunk[1].is_err());
+    // shows the same degradation with the plan and on the naive path.
+    for plan in [Some(&plan), None] {
+        let mut via_chunk = PointResults::new();
+        eval_chunk(plan, &device, &grid, &chunk, &mut via_chunk);
+        assert!(via_chunk[0].is_ok() && via_chunk[2].is_ok());
+        assert!(via_chunk[1].is_err());
+    }
 }

@@ -44,14 +44,16 @@ use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::lease::{ChunkId, Completion, LeaseTracker, WorkerId};
 use crate::proto::{ChunkLease, FrameReader, Message, SweepAxes, PROTOCOL_VERSION};
 use crate::window::{CreditWindow, MAX_WINDOW_POINTS};
-use twocs_core::sweep::{eval_chunk, set_parallelism, GridExecutor, GridSweep, PointResults};
+use twocs_core::sweep::{
+    eval_chunk, set_parallelism, FactoredPlan, GridExecutor, GridSweep, PointResults,
+};
 use twocs_core::{GridIndex, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::poll::{Interest, Poller, Source, Waker};
@@ -181,7 +183,11 @@ struct ActiveJob {
     id: u64,
     device_name: String,
     device_fingerprint: u64,
-    sweep: GridSweep,
+    sweep: Arc<GridSweep>,
+    /// The sweep's factored plan for the coordinator's own local drain,
+    /// built on the first drained chunk and shared by the rest — a
+    /// fabric whose workers do all the work never builds it.
+    local_plan: Arc<OnceLock<Option<FactoredPlan>>>,
     grid_fingerprint: u64,
     index: GridIndex,
     chunk_size: usize,
@@ -679,7 +685,8 @@ fn post_job(
         device_name: device.name().to_owned(),
         device_fingerprint: device.fingerprint(),
         grid_fingerprint: sweep.fingerprint(),
-        sweep: sweep.clone(),
+        sweep: Arc::new(sweep.clone()),
+        local_plan: Arc::default(),
         index,
         chunk_size,
         n_chunks,
@@ -740,22 +747,24 @@ fn drain_one_chunk(
     chunk: ChunkId,
     device: &DeviceSpec,
 ) -> Option<(ChunkId, PointResults)> {
-    let (points, batch, method, workload) = {
+    let (points, sweep, plan) = {
         let st = shared.lock();
         let job = st.job.as_ref().filter(|j| j.id == job_id)?;
         (
             job.index.chunk_points(chunk as usize, job.chunk_size),
-            job.sweep.batch,
-            job.sweep.method,
-            job.sweep.workload,
+            job.sweep.clone(),
+            job.local_plan.clone(),
         )
     };
     let _span = twocs_obs::span(&format!("local drain chunk {chunk}"), "dist");
     let t0 = Instant::now();
     set_parallelism(shared.cfg.local_jobs);
     // Same chunk kernel the workers use: factored when possible, naive
-    // otherwise, per-point panics degraded to per-point errors.
-    let values: PointResults = eval_chunk(device, &points, batch, method, workload);
+    // otherwise, per-point panics degraded to per-point errors. The plan
+    // is built outside the fabric lock, once per job.
+    let plan = plan.get_or_init(|| FactoredPlan::build_from_sweep(device, &sweep));
+    let mut values = PointResults::with_capacity(points.len());
+    eval_chunk(plan.as_ref(), device, &sweep, &points, &mut values);
     let busy = t0.elapsed();
     twocs_obs::metrics::global()
         .counter("dist.local_drain_chunks")

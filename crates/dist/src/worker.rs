@@ -1,8 +1,9 @@
 //! The sweep worker: connects to a coordinator, receives pushed chunk
 //! leases, and evaluates them with the same chunk kernel
-//! ([`eval_chunk`]) a local run uses — factored per-axis tables when the
-//! chunk supports them, the naive per-point path otherwise, bit-identical
-//! either way — which is why distributed results merge byte-exactly.
+//! ([`eval_chunk`]) a local run uses — the grid's factored per-axis
+//! tables when it has them, the naive per-point path otherwise,
+//! bit-identical either way — which is why distributed results merge
+//! byte-exactly.
 //!
 //! The v4 protocol is coordinator-driven and pipelined: after the
 //! handshake the coordinator keeps a credit window of chunk leases
@@ -40,7 +41,9 @@ use std::time::{Duration, Instant};
 use crate::proto::{read_frame, write_batch, write_frame, Message, SweepAxes, PROTOCOL_VERSION};
 use twocs_core::planner::FactoredPlan;
 use twocs_core::serialized::Method;
-use twocs_core::sweep::{eval_chunk, set_parallelism, GridPoint, PointResults, Workload};
+use twocs_core::sweep::{
+    eval_chunk, set_parallelism, GridPoint, GridSweep, PointResults, Workload,
+};
 use twocs_hw::DeviceSpec;
 
 /// Test hook: per-chunk artificial delay in milliseconds, read from the
@@ -410,12 +413,14 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
     };
     set_parallelism(cfg.jobs);
 
-    // One whole-grid factored plan per (grid, device) pair, reused
-    // across every chunk the coordinator grants from the same sweep —
-    // the per-axis tables are built once instead of once per chunk.
-    // `None` in the value slot means the sweep has no factored form
-    // (simulation method) and chunks take the naive path.
-    let mut plan_cache: Option<(u64, u64, Option<FactoredPlan>)> = None;
+    // The grant's sweep and its whole-grid factored plan, per (grid,
+    // device) fingerprint pair, reused across every chunk the
+    // coordinator grants from the same sweep — the per-axis tables are
+    // built once instead of once per chunk. A `None` plan means the
+    // chunks take the naive path: the sweep has no factored form
+    // (simulation method) or its reconstruction failed the fingerprint
+    // check.
+    let mut plan_cache: Option<((u64, u64), GridSweep, Option<FactoredPlan>)> = None;
     // The grant's base device, resolved once per (name, fingerprint):
     // rebuilding the catalog costs several times a small chunk's
     // evaluation. `None` in the value slot means "not in this catalog".
@@ -505,42 +510,28 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             std::thread::sleep(delay);
         }
         let key = (grant.grid_fingerprint, grant.device_fingerprint);
-        let plan = match &plan_cache {
-            Some((g, d, plan)) if (*g, *d) == key => {
-                metrics.counter("dist.plan_cache_hits").inc();
-                plan.as_ref()
-            }
-            _ => {
-                // Rebuild the sweep from the grant's axes and
-                // cross-check its fingerprint; a mismatch means the
-                // coordinator and worker disagree about the grid, so
-                // fall back to the per-chunk path rather than trust the
-                // reconstruction.
-                let sweep = grant
-                    .axes
-                    .to_sweep(grant.batch, grant.method, grant.workload);
-                let plan = if sweep.fingerprint() == grant.grid_fingerprint {
-                    FactoredPlan::build_from_sweep(dev, &sweep)
-                } else {
-                    None
-                };
-                plan_cache = Some((key.0, key.1, plan));
-                metrics.counter("dist.plan_cache_builds").inc();
-                plan_cache.as_ref().and_then(|(_, _, p)| p.as_ref())
-            }
-        };
-        // Factored when the sweep supports it, naive otherwise; either
-        // way per-point panics degrade to per-point errors and the
-        // values are bit-identical to a local run's — the merge
-        // contract.
-        let values = match plan {
-            Some(plan) => {
-                let mut out = PointResults::with_capacity(points.len());
-                plan.eval_batch(&points, &mut out);
-                out
-            }
-            None => eval_chunk(dev, &points, grant.batch, grant.method, grant.workload),
-        };
+        if plan_cache.as_ref().is_some_and(|(k, _, _)| *k == key) {
+            metrics.counter("dist.plan_cache_hits").inc();
+        } else {
+            // Rebuild the sweep from the grant's axes and cross-check
+            // its fingerprint; a mismatch means the coordinator and
+            // worker disagree about the grid, so evaluate naively rather
+            // than trust a plan built from the reconstruction.
+            let sweep = grant
+                .axes
+                .to_sweep(grant.batch, grant.method, grant.workload);
+            let plan = (sweep.fingerprint() == grant.grid_fingerprint)
+                .then(|| FactoredPlan::build_from_sweep(dev, &sweep))
+                .flatten();
+            plan_cache = Some((key, sweep, plan));
+            metrics.counter("dist.plan_cache_builds").inc();
+        }
+        let (_, sweep, plan) = plan_cache.as_ref().expect("plan cache filled above");
+        // Factored or naive, per-point panics degrade to per-point
+        // errors and the values are bit-identical to a local run's —
+        // the merge contract.
+        let mut values = PointResults::with_capacity(points.len());
+        eval_chunk(plan.as_ref(), dev, sweep, &points, &mut values);
         let busy = t0.elapsed();
         report.busy += busy;
         metrics

@@ -438,12 +438,13 @@ fn streaming_sweep_with_resume_set_matches_local() {
 
     // "Journal-recovered" chunk: evaluated up front, passed as completed.
     let resumed: u32 = 1;
-    let resumed_values = eval_chunk(
+    let mut resumed_values = Vec::new();
+    eval_chunk(
+        None,
         &device,
+        &sweep,
         &index.chunk_points(resumed as usize, chunk_size),
-        sweep.batch,
-        sweep.method,
-        sweep.workload,
+        &mut resumed_values,
     );
     let completed = BTreeSet::from([resumed]);
 
@@ -580,21 +581,14 @@ fn pinned_window_of_one_never_grants_a_second_lease() {
     .expect("bind ephemeral coordinator port");
     let addr = coordinator.local_addr();
 
+    let grid = sweep.clone();
     let client = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(addr).expect("client connects");
         assert_eq!(raw_handshake(&mut conn), 1, "Welcome advertises the pin");
         let mut answered = 0;
         loop {
             let (msg, _) = read_frame(&mut conn).unwrap();
-            let Message::Grant {
-                job,
-                batch,
-                method,
-                workload,
-                leases,
-                ..
-            } = msg
-            else {
+            let Message::Grant { job, leases, .. } = msg else {
                 assert_eq!(msg, Message::Done);
                 return answered;
             };
@@ -609,7 +603,14 @@ fn pinned_window_of_one_never_grants_a_second_lease() {
             );
             conn.set_nonblocking(false).unwrap();
             let lease = &leases[0];
-            let values = eval_chunk(&DeviceSpec::mi210(), &lease.points, batch, method, workload);
+            let mut values = Vec::new();
+            eval_chunk(
+                None,
+                &DeviceSpec::mi210(),
+                &grid,
+                &lease.points,
+                &mut values,
+            );
             let result = Message::ChunkResult {
                 job,
                 chunk: lease.chunk,

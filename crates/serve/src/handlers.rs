@@ -15,8 +15,8 @@
 //! an optional [`ResponseCache`] memoizes entire rendered bodies keyed
 //! by canonicalized queries, so a repeated *request* skips the model
 //! entirely. Canonical keys are built **after** validation from the
-//! fully-resolved parameters (defaults folded in, body-neutral params
-//! like `jobs`/`planner` excluded), which also guarantees only
+//! fully-resolved parameters (defaults folded in, the body-neutral
+//! `jobs` param excluded), which also guarantees only
 //! infallible `200` paths are ever cached; the executor-backed sweep
 //! path (`twocs serve --listen`) bypasses the cache because its `500`s
 //! must never be replayed.
@@ -180,7 +180,6 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         "workload",
         "b",
         "method",
-        "planner",
         "jobs",
         "format",
         "stream",
@@ -225,72 +224,10 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         grid.batch = b;
     }
     grid.method = parse_method(q)?;
-    // Planner choice never changes the body (factored output is
-    // bit-identical to naive), only how fast the in-process path
-    // evaluates; a custom executor picks its own planner.
-    let planner = match q.get("planner") {
-        None => twocs_core::PlannerMode::Auto,
-        Some(raw) => raw.parse::<twocs_core::PlannerMode>()?,
-    };
-    // Mirror the CLI's axis validation so bad axes 400 instead of being
-    // silently pruned to a smaller grid.
-    if let Some(h) = grid.hs.iter().find(|&&h| h == 0 || h % 256 != 0) {
-        return Err(format!(
-            "h={h}: hidden sizes must be non-zero multiples of 256 (the sweep fixes 256-way head sharding)"
-        ));
-    }
-    if grid.sls.contains(&0) || grid.tps.contains(&0) || grid.batch == 0 {
-        return Err("sl, tp, and b values must be non-zero".to_owned());
-    }
-    if grid.flop_vs_bw.iter().any(|&r| r < 1.0) {
-        return Err("flop_vs_bw ratios must be >= 1 (1 = today's hardware)".to_owned());
-    }
-    if [
-        &grid.experts,
-        &grid.top_ks,
-        &grid.stages,
-        &grid.micro_batches,
-        &grid.sps,
-    ]
-    .iter()
-    .any(|axis| axis.contains(&0))
-    {
-        return Err(
-            "experts, top_k, stages, micro_batches, and sp values must be non-zero".to_owned(),
-        );
-    }
-    // `points()` prunes top_k > experts pairs; if *no* pair survives the
-    // request is contradictory, so answer 400 instead of an empty grid.
-    if !grid
-        .experts
-        .iter()
-        .any(|&e| grid.top_ks.iter().any(|&k| k <= e))
-    {
-        return Err("top_k exceeds experts for every requested combination".to_owned());
-    }
-    // The discrete-event simulation models the dense TP training
-    // iteration only; extended axes and inference workloads need the
-    // projection method. The CLI enforces the same rule.
-    let extended_axes = grid.experts.iter().any(|&e| e > 1)
-        || grid.stages.iter().any(|&s| s > 1)
-        || grid.sps.iter().any(|&s| s > 1);
-    if grid.method == Method::Simulation && grid.workload != Workload::Training {
-        return Err(format!(
-            "workload={} requires method=proj (the simulation engine models training only)",
-            grid.workload
-        ));
-    }
-    if grid.method == Method::Simulation && extended_axes {
-        return Err(
-            "experts/stages/sp above 1 require method=proj (the simulation engine models the \
-             dense TP iteration only)"
-                .to_owned(),
-        );
-    }
-    let points = grid.points().len();
-    if points == 0 {
-        return Err("grid has no realistic points; widen h/tp".to_owned());
-    }
+    // Bad axes answer 400 instead of being silently pruned to a smaller
+    // grid; the CLI runs the same check.
+    grid.validate()?;
+    let points = grid.point_count();
     if points > cfg.max_grid_points {
         return Err(format!(
             "grid has {points} points, above this server's per-request cap of {} — split the query",
@@ -373,12 +310,7 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
     }
     // Past this point the request is fully validated and the in-process
     // path is infallible, so the whole rendered body is cacheable.
-    let render = || {
-        render_sweep(
-            &grid.run_mode(&DeviceSpec::mi210(), jobs, planner).0,
-            format,
-        )
-    };
+    let render = || render_sweep(&grid.run(&DeviceSpec::mi210(), jobs).0, format);
     Ok(match &cfg.cache {
         Some(cache) => cache.get_or_compute(sweep_key(&grid, format), render),
         None => render(),
@@ -448,8 +380,8 @@ fn stream_sweep(
 
 /// Canonical cache key for a fully-resolved sweep request. Built from
 /// the [`GridSweep`] itself (not the query string), so omitted params
-/// and alternate float spellings collapse to one entry; `jobs` and
-/// `planner` are excluded because they cannot change the body.
+/// and alternate float spellings collapse to one entry; `jobs` is
+/// excluded because it cannot change the body.
 fn sweep_key(grid: &GridSweep, format: Format) -> String {
     KeyBuilder::new("sweep")
         .field("fmt", format_token(format))
@@ -788,7 +720,7 @@ mod tests {
         let b = handle(
             &get(
                 "/v1/sweep",
-                "h=4096&tp=16,32&flop_vs_bw=1.0,2.000&method=proj&experts=1&top_k=1&stages=1&micro_batches=1&sp=1&workload=training&b=1&jobs=4&planner=factored",
+                "h=4096&tp=16,32&flop_vs_bw=1.0,2.000&method=proj&experts=1&top_k=1&stages=1&micro_batches=1&sp=1&workload=training&b=1&jobs=4",
             ),
             &cfg,
         );
@@ -878,20 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_planner_param_does_not_change_the_body() {
-        let base = "h=4096&tp=16,32&flop_vs_bw=1,2&method=proj";
-        let naive = handle(&get("/v1/sweep", &format!("{base}&planner=naive")), &cfg());
-        let factored = handle(
-            &get("/v1/sweep", &format!("{base}&planner=factored")),
-            &cfg(),
-        );
-        let auto = handle(&get("/v1/sweep", base), &cfg());
-        assert_eq!(naive.status, 200, "{}", naive.body);
-        assert_eq!(naive.body, factored.body);
-        assert_eq!(naive.body, auto.body);
-    }
-
-    #[test]
     fn sweep_rejects_bad_axes_with_400() {
         for q in [
             "h=1000",                   // not a multiple of 256
@@ -899,7 +817,7 @@ mod tests {
             "tp=0",                     // zero axis value
             "flop_vs_bw=0.5",           // sub-1 ratio
             "method=magic",             // unknown method
-            "planner=warp",             // unknown planner
+            "planner=naive",            // unknown parameter (no planner knob)
             "hs=4096",                  // unknown parameter (typo)
             "h=4096&h=8192",            // duplicate key
             "h=65536&tp=4&method=proj", // unrealistic grid -> empty

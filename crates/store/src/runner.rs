@@ -3,8 +3,9 @@
 //! the full grid.
 //!
 //! Workers claim chunk ids from an atomic cursor, decode their points
-//! lazily through the grid index, evaluate them — through one shared
-//! whole-grid [`FactoredPlan`] when the method supports it — and send
+//! lazily through the grid index, evaluate them with [`eval_chunk`] —
+//! through one shared whole-grid [`FactoredPlan`] when the method
+//! supports it — and send
 //! `(chunk, values)` over a bounded channel. The calling thread is the
 //! sole recorder: it journals and streams each chunk as it lands, so
 //! peak memory is the plan tables plus the channel and reorder windows,
@@ -50,12 +51,9 @@ pub fn run_streaming(
         return Ok(0);
     }
     let sweep = spec.sweep.clone();
-    let batch = sweep.batch;
-    let method = sweep.method;
-    let workload = sweep.workload;
     // One whole-grid factored plan shared read-only by every worker,
-    // priced on the same `jobs` budget; None (simulation grids) falls
-    // back to per-chunk planning.
+    // priced on the same `jobs` budget; None (simulation grids) means
+    // every chunk evaluates naively.
     set_parallelism(jobs);
     let plan: Option<FactoredPlan> = FactoredPlan::build_from_sweep(device, &sweep);
     let jobs = jobs.max(1).min(pending.len());
@@ -65,19 +63,13 @@ pub fn run_streaming(
     let evaluated = std::thread::scope(|scope| -> Result<u64, String> {
         for _ in 0..jobs {
             let tx = tx.clone();
-            let (pending, cursor, index, plan) = (&pending, &cursor, &index, &plan);
+            let (pending, cursor, index, plan, sweep) = (&pending, &cursor, &index, &plan, &sweep);
             scope.spawn(move || loop {
                 let at = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&chunk) = pending.get(at) else { break };
                 let points = index.chunk_points(chunk as usize, chunk_size);
-                let values = match plan {
-                    Some(plan) => {
-                        let mut out = PointResults::with_capacity(points.len());
-                        plan.eval_batch(&points, &mut out);
-                        out
-                    }
-                    None => eval_chunk(device, &points, batch, method, workload),
-                };
+                let mut values = PointResults::with_capacity(points.len());
+                eval_chunk(plan.as_ref(), device, sweep, &points, &mut values);
                 if tx.send((chunk, values)).is_err() {
                     break; // recorder gone (record error): stop early
                 }
@@ -178,14 +170,12 @@ mod tests {
             let mut store =
                 SweepStore::create(s.clone(), Box::new(Shared(buf)), Some(&path)).unwrap();
             let index = s.index();
+            let plan = FactoredPlan::build_from_sweep(&device, &s.sweep);
             for chunk in [0u32, 2, 5] {
                 let points = index.chunk_points(chunk as usize, 4);
-                store
-                    .record(
-                        chunk,
-                        eval_chunk(&device, &points, 1, s.sweep.method, s.sweep.workload),
-                    )
-                    .unwrap();
+                let mut values = PointResults::new();
+                eval_chunk(plan.as_ref(), &device, &s.sweep, &points, &mut values);
+                store.record(chunk, values).unwrap();
             }
         }
 

@@ -35,7 +35,7 @@ use twocs::transformer::{Hyperparams, ParallelConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  twocs list\n  twocs run <experiment-id|all> [--csv] [--jobs <N>] [--trace <path>] [--metrics]\n  twocs sweep [--h <H,..>] [--sl <SL,..>] [--tp <TP,..>] [--flop-vs-bw <R,..>] [--experts <E,..>] [--top-k <K,..>] [--stages <S,..>] [--micro-batches <M,..>] [--sp <SP,..>] [--workload training|prefill|decode] [--b <B>] [--method sim|proj] [--planner auto|naive|factored] [--csv] [--jobs <N>] [--listen <host:port>] [--min-workers <N>] [--min-workers-timeout-ms <MS>] [--chunk <N>] [--pipeline <N>] [--journal <path>] [--resume <path>] [--refine comm-frac=<F>] [--refine-tol <T>] [--trace <path>] [--metrics]\n  twocs worker --connect <host:port> [--jobs <N>] [--trace <path>] [--metrics]\n  twocs analyze --h <H> [--sl <SL>] [--b <B>] [--tp <TP>] [--dp <DP>] [--flop-vs-bw <R>] [--trace <path>] [--metrics]\n  twocs serve [--addr <host:port>] [--listen <host:port>] [--pipeline <N>] [--jobs <N>] [--queue <N>] [--request-timeout-ms <MS>] [--idle-timeout-ms <MS>] [--max-conns <N>] [--max-requests-per-conn <N>] [--no-response-cache] [--journal-dir <dir>] [--trace <path>] [--metrics]"
+        "usage:\n  twocs list\n  twocs run <experiment-id|all> [--csv] [--jobs <N>] [--trace <path>] [--metrics]\n  twocs sweep [--h <H,..>] [--sl <SL,..>] [--tp <TP,..>] [--flop-vs-bw <R,..>] [--experts <E,..>] [--top-k <K,..>] [--stages <S,..>] [--micro-batches <M,..>] [--sp <SP,..>] [--workload training|prefill|decode] [--b <B>] [--method sim|proj] [--csv] [--jobs <N>] [--listen <host:port>] [--min-workers <N>] [--min-workers-timeout-ms <MS>] [--chunk <N>] [--pipeline <N>] [--journal <path>] [--resume <path>] [--refine comm-frac=<F>] [--refine-tol <T>] [--trace <path>] [--metrics]\n  twocs worker --connect <host:port> [--jobs <N>] [--trace <path>] [--metrics]\n  twocs analyze --h <H> [--sl <SL>] [--b <B>] [--tp <TP>] [--dp <DP>] [--flop-vs-bw <R>] [--trace <path>] [--metrics]\n  twocs serve [--addr <host:port>] [--listen <host:port>] [--pipeline <N>] [--jobs <N>] [--queue <N>] [--request-timeout-ms <MS>] [--idle-timeout-ms <MS>] [--max-conns <N>] [--max-requests-per-conn <N>] [--no-response-cache] [--journal-dir <dir>] [--trace <path>] [--metrics]"
     );
     ExitCode::FAILURE
 }
@@ -92,6 +92,62 @@ impl ObsSession {
     }
 }
 
+/// One subcommand's accepted flags, space-separated: those that take a
+/// value, and switches.
+struct Flags {
+    values: &'static str,
+    switches: &'static str,
+}
+
+const RUN_FLAGS: Flags = Flags {
+    values: "--jobs --trace",
+    switches: "--csv --metrics",
+};
+
+const SWEEP_FLAGS: Flags = Flags {
+    values: "--h --sl --tp --flop-vs-bw --experts --top-k --stages --micro-batches --sp \
+             --workload --b --method --jobs --listen --min-workers --min-workers-timeout-ms \
+             --chunk --pipeline --journal --resume --refine --refine-tol --trace",
+    switches: "--csv --metrics",
+};
+
+const WORKER_FLAGS: Flags = Flags {
+    values: "--connect --jobs --trace",
+    switches: "--metrics",
+};
+
+const ANALYZE_FLAGS: Flags = Flags {
+    values: "--h --sl --b --tp --dp --flop-vs-bw --trace",
+    switches: "--metrics",
+};
+
+const SERVE_FLAGS: Flags = Flags {
+    values: "--addr --listen --pipeline --jobs --queue --request-timeout-ms --idle-timeout-ms \
+             --max-conns --max-requests-per-conn --journal-dir --trace",
+    switches: "--no-response-cache --metrics",
+};
+
+impl Flags {
+    /// Reject any argument of `twocs <cmd>` that is not one of its flags,
+    /// and a value flag without its value (the next argument missing or
+    /// itself a flag): a mistyped or retired flag is a usage error naming
+    /// it, never silently ignored. Past this check [`str_flag`] finds
+    /// every value flag's value.
+    fn check(&self, cmd: &str, args: &[String]) -> Result<(), String> {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if self.values.split_whitespace().any(|f| f == arg) {
+                rest.next()
+                    .filter(|value| !value.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} requires a value"))?;
+            } else if !self.switches.split_whitespace().any(|f| f == arg) {
+                return Err(format!("unknown argument `{arg}` for `twocs {cmd}`"));
+            }
+        }
+        Ok(())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -105,6 +161,10 @@ fn main() -> ExitCode {
             let Some(id) = args.get(1) else {
                 return usage();
             };
+            if let Err(e) = RUN_FLAGS.check("run", &args[2..]) {
+                eprintln!("error: {e}");
+                return usage();
+            }
             let csv = args.iter().any(|a| a == "--csv");
             let jobs = match positive_flag(&args, "--jobs") {
                 Ok(jobs) => jobs.unwrap_or(1),
@@ -182,22 +242,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// The raw value after `name`: absent → `None`; present without a
-/// value → an error naming the flag.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    args.get(i + 1)
-        .map(|v| Some(v.as_str()))
-        .ok_or_else(|| format!("{name} requires a value"))
-}
-
 /// Strict numeric flag: the value must parse as `T`. An unparsable
 /// value is an error naming the flag, never a silent fallback to the
 /// default.
 fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    flag_value(args, name)?
+    str_flag(args, name)
         .map(|raw| {
             raw.parse()
                 .map_err(|_| format!("invalid value `{raw}` for {name}"))
@@ -208,7 +257,7 @@ fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, 
 /// [`flag`] for counts that must be positive (`--jobs`, `--chunk`,
 /// `--pipeline`): zero is a usage error, not clamped to one.
 fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
-    flag_value(args, name)?
+    str_flag(args, name)
         .map(|raw| {
             raw.parse::<usize>()
                 .ok()
@@ -301,6 +350,7 @@ fn list_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option
 }
 
 fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+    SWEEP_FLAGS.check("sweep", args)?;
     let mut grid = GridSweep::default();
     if let Some(hs) = list_flag(args, "--h")? {
         grid.hs = hs;
@@ -353,10 +403,6 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         // --method means proj here, not the dense sweep's sim default.
         grid.method = serialized::Method::Projection;
     }
-    let planner = match str_flag(args, "--planner") {
-        None => twocs::analysis::PlannerMode::Auto,
-        Some(raw) => raw.parse::<twocs::analysis::PlannerMode>()?,
-    };
     // Omitted `--jobs` means "use the machine": sweeps are embarrassingly
     // parallel, so default to every available core. Explicit values are
     // still strictly validated by `positive_flag`.
@@ -364,61 +410,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let csv = args.iter().any(|a| a == "--csv");
     let fabric = FabricFlags::parse(args)?;
 
-    if let Some(h) = grid.hs.iter().find(|&&h| h == 0 || h % 256 != 0) {
-        return Err(format!(
-            "--h {h}: hidden sizes must be non-zero multiples of 256 (the sweep fixes 256-way head sharding)"
-        )
-        .into());
-    }
-    if grid.sls.contains(&0) || grid.tps.contains(&0) || grid.batch == 0 {
-        return Err("--sl, --tp, and --b values must be non-zero".into());
-    }
-    if [
-        &grid.experts,
-        &grid.top_ks,
-        &grid.stages,
-        &grid.micro_batches,
-        &grid.sps,
-    ]
-    .iter()
-    .any(|axis| axis.contains(&0))
-    {
-        return Err(
-            "--experts, --top-k, --stages, --micro-batches, and --sp values must be non-zero"
-                .into(),
-        );
-    }
-    if !grid
-        .experts
-        .iter()
-        .any(|&e| grid.top_ks.iter().any(|&k| k <= e))
-    {
-        return Err("--top-k exceeds --experts for every requested combination".into());
-    }
-    let extended_axes = grid.experts.iter().any(|&e| e > 1)
-        || grid.stages.iter().any(|&s| s > 1)
-        || grid.sps.iter().any(|&s| s > 1);
-    use twocs::analysis::sweep::Workload;
-    if grid.method == serialized::Method::Simulation && grid.workload != Workload::Training {
-        return Err(format!(
-            "--workload {} requires --method proj (the simulation engine models training only)",
-            grid.workload
-        )
-        .into());
-    }
-    if grid.method == serialized::Method::Simulation && extended_axes {
-        return Err(
-            "--experts/--stages/--sp above 1 require --method proj (the simulation engine \
-             models the dense TP iteration only)"
-                .into(),
-        );
-    }
-    // `point_count()` walks the pruned index without materializing the
-    // grid — on million-point sweeps, `points()` here would cost more
-    // peak memory than the entire streaming evaluation.
-    if grid.point_count() == 0 {
-        return Err("grid has no realistic points; widen --h/--tp".into());
-    }
+    grid.validate()?;
     let device = DeviceSpec::mi210();
     let obs = ObsSession::from_args(args);
 
@@ -487,7 +479,7 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             .count();
         (table, failures)
     } else {
-        let (table, summary) = grid.run_mode(&device, jobs, planner);
+        let (table, summary) = grid.run(&device, jobs);
         let failures = summary.failures;
         eprintln!("{summary}");
         (table, failures)
@@ -631,6 +623,7 @@ fn sweep_streaming(
 /// leases until it says `Done`. All chatter is on stderr; a worker never
 /// writes the sweep table.
 fn worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    WORKER_FLAGS.check("worker", args)?;
     let connect = str_flag(args, "--connect").ok_or("--connect <host:port> is required")?;
     let jobs = positive_flag(args, "--jobs")?.unwrap_or(1);
     let obs = ObsSession::from_args(args);
@@ -646,6 +639,7 @@ fn worker(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// scripts binding `:0` can discover the port); everything else goes to
 /// stderr, matching the other subcommands' stdout discipline.
 fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    SERVE_FLAGS.check("serve", args)?;
     let mut config = twocs::serve::ServerConfig::default();
     if let Some(addr) = str_flag(args, "--addr") {
         config.addr = addr.to_owned();
@@ -734,6 +728,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    ANALYZE_FLAGS.check("analyze", args)?;
     let h: u64 = flag(args, "--h")?.ok_or("--h <hidden size> is required")?;
     let sl = flag(args, "--sl")?.unwrap_or(2048);
     let b = flag(args, "--b")?.unwrap_or(1);

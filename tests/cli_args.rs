@@ -1,9 +1,14 @@
 //! CLI argument validation: `--jobs` must be a positive integer
-//! everywhere it is accepted. Historically `--jobs 0` and garbage values
-//! were silently swallowed (a zero-thread pool, or a fallback to the
+//! everywhere it is accepted, every subcommand rejects flags it does not
+//! know, and a bad grid is rejected with the same message `/v1/sweep`
+//! gives. Historically `--jobs 0`, garbage values and unknown flags were
+//! silently swallowed (a zero-thread pool, or a fallback to the
 //! default); they are usage errors now.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+use twocs::serve::handlers::{handle, HandlerConfig};
+use twocs::serve::http::Request;
 
 fn twocs(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_twocs"))
@@ -87,12 +92,150 @@ fn sweep_jobs_defaults_to_available_parallelism() {
     );
 }
 
+/// Every subcommand checks its arguments against its own flag list: a
+/// mistyped or retired flag (such as the old `--planner`) is a usage
+/// error naming it, never silently ignored while the default grid runs.
 #[test]
-fn sweep_rejects_unknown_planner() {
-    let out = twocs(&["sweep", "--planner", "warp"]);
-    assert!(!out.status.success());
+fn unknown_flags_are_usage_errors() {
+    for (cmd, flag) in [
+        (&["sweep", "--planner", "naive"][..], "--planner"),
+        (&["sweep", "--bogus", "1"], "--bogus"),
+        (&["worker", "--bogus"], "--bogus"),
+        (&["analyze", "--bogus", "1"], "--bogus"),
+        (&["run", "table2", "--bogus"], "--bogus"),
+    ] {
+        let out = twocs(cmd);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "`twocs {}` must fail", cmd.join(" "));
+        assert!(
+            stderr.contains(flag),
+            "`twocs {}` stderr names the flag: {stderr}",
+            cmd.join(" ")
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`twocs {}` printed output",
+            cmd.join(" ")
+        );
+    }
+    // `serve` must refuse before it binds; a regression would serve
+    // forever, so kill it after a deadline instead of hanging the test.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_twocs"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--bogus"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("twocs binary runs");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll serve").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill serve");
+            child.wait().expect("reap serve");
+            panic!("`twocs serve --bogus` did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("serve output");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown planner"), "{stderr}");
+    assert!(!out.status.success());
+    assert!(stderr.contains("--bogus"), "{stderr}");
+    assert!(out.stdout.is_empty(), "serve announced an address");
+}
+
+/// A bad grid gets the same message from `twocs sweep` and from
+/// `GET /v1/sweep`: both front ends run `GridSweep::validate`.
+#[test]
+fn bad_grids_get_the_same_message_from_cli_and_serve() {
+    let cases: &[(&[&str], &str, &str)] = &[
+        (
+            &["--h", "1000"],
+            "h=1000",
+            "h=1000: hidden sizes must be non-zero multiples of 256",
+        ),
+        (
+            &["--h", "0"],
+            "h=0",
+            "h=0: hidden sizes must be non-zero multiples of 256",
+        ),
+        (
+            &["--tp", "0"],
+            "tp=0",
+            "sl, tp, and b values must be non-zero",
+        ),
+        (
+            &["--b", "0"],
+            "b=0",
+            "sl, tp, and b values must be non-zero",
+        ),
+        (
+            &["--flop-vs-bw", "0.5", "--method", "proj"],
+            "flop_vs_bw=0.5&method=proj",
+            "flop_vs_bw ratios must be finite and >= 1",
+        ),
+        (
+            &["--stages", "0", "--method", "proj"],
+            "stages=0&method=proj",
+            "experts, top_k, stages, micro_batches, and sp values must be non-zero",
+        ),
+        (
+            &["--experts", "2", "--top-k", "4", "--method", "proj"],
+            "experts=2&top_k=4&method=proj",
+            "top_k exceeds experts for every requested combination",
+        ),
+        (
+            &["--workload", "decode"],
+            "workload=decode",
+            "workload=decode requires method=proj",
+        ),
+        (
+            &["--sp", "2"],
+            "sp=2",
+            "experts/stages/sp above 1 require method=proj",
+        ),
+        (
+            &["--h", "65536", "--tp", "4", "--method", "proj"],
+            "h=65536&tp=4&method=proj",
+            "grid has no realistic points",
+        ),
+    ];
+    let cfg = HandlerConfig::default();
+    for (cli, query, message) in cases {
+        let mut args = vec!["sweep", "--csv"];
+        args.extend_from_slice(cli);
+        let out = twocs(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "`twocs {}` must fail",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(message),
+            "`twocs {}`: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "`twocs {}` printed rows",
+            args.join(" ")
+        );
+        let r = handle(&Request::get("/v1/sweep", query), &cfg);
+        assert_eq!(r.status, 400, "`{query}`: {}", r.body);
+        assert!(r.body.contains(message), "`{query}`: {}", r.body);
+    }
+    // Non-finite ratios never reach serve's validator (its query parser
+    // accepts finite numbers only); the CLI rejects them the same way
+    // as ratios below 1 instead of mislabelling rows.
+    for ratio in ["nan", "inf", "0.5,1"] {
+        let out = twocs(&["sweep", "--csv", "--method", "proj", "--flop-vs-bw", ratio]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--flop-vs-bw {ratio} must fail");
+        assert!(
+            stderr.contains("flop_vs_bw ratios must be finite and >= 1"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
 }
 
 #[test]

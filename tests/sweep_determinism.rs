@@ -5,7 +5,8 @@
 
 use std::process::{Command, Output};
 use twocs::analysis::experiments;
-use twocs::analysis::sweep::{run_experiments, run_tasks};
+use twocs::analysis::serialized::Method;
+use twocs::analysis::sweep::{eval_grid_point, run_experiments, run_tasks, GridSweep};
 use twocs::hw::DeviceSpec;
 
 fn twocs(args: &[&str]) -> Output {
@@ -61,6 +62,59 @@ fn sweep_csv_is_byte_identical_across_jobs() {
     assert!(serial.status.success() && parallel.status.success());
     assert_eq!(serial.stdout, parallel.stdout);
     assert!(!serial.stdout.is_empty());
+}
+
+/// The factored planner is a pure performance optimisation: the
+/// fig10-class projection grid that `twocs sweep` renders through it is
+/// byte-identical to the naive per-point kernel (`eval_grid_point`)
+/// rendered by the same table formatter.
+#[test]
+fn factored_sweep_csv_is_byte_identical_to_the_naive_kernel() {
+    let out = twocs(&[
+        "sweep",
+        "--h",
+        "4096,16384,65536",
+        "--sl",
+        "2048,4096",
+        "--tp",
+        "4,8,16,32,64,128,256",
+        "--flop-vs-bw",
+        "1",
+        "--method",
+        "proj",
+        "--jobs",
+        "4",
+        "--csv",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let grid = GridSweep {
+        hs: vec![4096, 16_384, 65_536],
+        sls: vec![2048, 4096],
+        tps: vec![4, 8, 16, 32, 64, 128, 256],
+        flop_vs_bw: vec![1.0],
+        method: Method::Projection,
+        ..GridSweep::default()
+    };
+    let device = DeviceSpec::mi210();
+    let points = grid.points();
+    let results: Vec<_> = points
+        .iter()
+        .map(|&p| {
+            Ok(eval_grid_point(
+                &device,
+                p,
+                grid.batch,
+                grid.method,
+                grid.workload,
+            ))
+        })
+        .collect();
+    let naive = GridSweep::tabulate(&points, &results).to_csv() + "\n";
+    assert_eq!(String::from_utf8_lossy(&out.stdout), naive);
 }
 
 /// The new MoE/PP/SP axis flags and the workload selector keep the
