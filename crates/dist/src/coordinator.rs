@@ -16,15 +16,23 @@
 //!   ([`crate::window`]) unless [`CoordinatorConfig::pipeline`] pins it.
 //!   64 workers are 64 pollfds, not 64 threads, and an idle worker costs
 //!   nothing (no `Ready`/`Wait` chatter).
-//! * **Submitter** — the thread inside [`Coordinator::run_sweep`]: posts
-//!   the job, expires overdue leases, and **drains chunks locally
-//!   whenever no worker is connected**, which is both the
+//! * **Submitter** — the thread inside [`Coordinator::run_sweep_streaming`]
+//!   (which [`Coordinator::run_sweep`] wraps): posts the job, hands every
+//!   accepted chunk to its caller, and **drains chunks locally whenever
+//!   no worker is connected**, which is both the
 //!   `--min-workers` degrade path and the guarantee that a sweep
 //!   terminates even if every worker dies.
 //!
-//! Cross-thread wakes go through the poller's self-pipe [`Waker`]: a
-//! submitter posting a job kicks the driver out of its sleep so the
-//! first grants leave immediately, not on the next tick.
+//! Accepted chunks travel from driver to submitter through one delivery
+//! queue on the job. The driver wakes the submitter once per loop
+//! iteration that accepted a chunk and stops granting while the queue
+//! holds `BACKLOG_HIGH_WATER` (256) chunks or more — that backpressure
+//! keeps coordinator RSS flat on million-point grids. A submitter that
+//! drains a queue that full kicks the driver, so granting resumes at
+//! once instead of on the next poll timeout. Cross-thread
+//! kicks go through the poller's self-pipe [`Waker`]: posting a job wakes
+//! the driver too, so the first grants leave immediately, not on the
+//! next tick.
 //!
 //! ## Failure model
 //!
@@ -43,7 +51,6 @@ use std::fmt;
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -164,18 +171,6 @@ struct EvalStats {
     window: Option<(usize, Duration)>,
 }
 
-/// Where a job's accepted chunk results go.
-enum JobOutput {
-    /// Classic mode: per-point slots in grid order, materialized up
-    /// front and unwrapped by `finish_job` — RAM scales with the grid.
-    Memory(Vec<Option<Result<(f64, f64), String>>>),
-    /// Streaming mode: accepted chunks are handed (outside the fabric
-    /// lock) to the submitter thread, which owns the receiving end and
-    /// records them into its sink/journal — coordinator RAM stays
-    /// bounded by the channel, not the grid.
-    Stream(SyncSender<(ChunkId, PointResults)>),
-}
-
 /// One sweep job being distributed. The grid is held as a lazy
 /// [`GridIndex`] — chunk points are decoded on demand at grant time, so
 /// posting a million-point job does not materialize a million points.
@@ -193,7 +188,12 @@ struct ActiveJob {
     chunk_size: usize,
     n_chunks: u32,
     tracker: LeaseTracker,
-    output: JobOutput,
+    /// The catalog cannot name the device, so workers could not rebuild
+    /// it: nothing is granted and the local drain evaluates every chunk.
+    local_only: bool,
+    /// Accepted chunks awaiting hand-off to the submitter, in arrival
+    /// order.
+    delivered: VecDeque<(ChunkId, PointResults)>,
     stats: BTreeMap<WorkerId, EvalStats>,
 }
 
@@ -309,8 +309,9 @@ const POLL: Duration = Duration::from_millis(25);
 /// How long a fresh connection gets to complete the `Hello` handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Streaming backpressure: the driver stops granting fresh leases while
-/// this many accepted chunks await hand-off to the submitter.
+/// Backpressure on the delivery queue: the driver stops granting fresh
+/// leases while this many accepted chunks await hand-off to the
+/// submitter.
 const BACKLOG_HIGH_WATER: usize = 256;
 
 impl Coordinator {
@@ -396,20 +397,37 @@ impl Coordinator {
     }
 
     /// Distribute `sweep` across the connected workers and tabulate the
-    /// outcome, byte-identical to a local [`GridSweep::run`].
+    /// outcome, byte-identical to a local [`GridSweep::run`]. Chunks are
+    /// the fabric's [`CoordinatorConfig::chunk_size`]; each one lands in
+    /// its own slot through [`Self::run_sweep_streaming`].
     ///
-    /// Returns an error only when the fabric is shutting down or the
-    /// grid is empty of realistic points — worker failures never fail
-    /// the sweep, they just shift work back to the queue (ultimately to
-    /// the coordinator's own local drain).
+    /// Returns an error only when the fabric is shutting down — worker
+    /// failures never fail the sweep, they just shift work back to the
+    /// queue (ultimately to the coordinator's own local drain).
     pub fn run_sweep(
         &self,
         sweep: &GridSweep,
         device: &DeviceSpec,
     ) -> Result<(Table, DistSummary), String> {
-        let points = sweep.points();
-        let (results, summary) = self.execute_tracked(sweep, device)?;
-        Ok((GridSweep::tabulate(&points, &results), summary))
+        let (results, summary) = self.collect(sweep, device)?;
+        Ok((GridSweep::tabulate(&sweep.points(), &results), summary))
+    }
+
+    /// [`Self::run_sweep`] without the table: per-point results in grid
+    /// order, plus the summary.
+    fn collect(
+        &self,
+        sweep: &GridSweep,
+        device: &DeviceSpec,
+    ) -> Result<(PointResults, DistSummary), String> {
+        let chunk_size = self.shared.cfg.chunk_size.max(1);
+        let mut slots = vec![PointResults::new(); sweep.index().chunk_count(chunk_size)];
+        let summary =
+            self.run_sweep_streaming(sweep, device, chunk_size, &BTreeSet::new(), &mut |c, v| {
+                slots[c as usize] = v;
+                Ok(())
+            })?;
+        Ok((slots.into_iter().flatten().collect(), summary))
     }
 
     /// Stop accepting workers, tell connected ones `Done`, and unblock
@@ -423,104 +441,14 @@ impl Coordinator {
         self.shared.kick();
     }
 
-    /// Run one sweep through the fabric, returning per-point results in
-    /// grid order plus the summary.
-    fn execute_tracked(
-        &self,
-        sweep: &GridSweep,
-        device: &DeviceSpec,
-    ) -> Result<(PointResults, DistSummary), String> {
-        let start = Instant::now();
-        let shared = &self.shared;
-        let metrics = twocs_obs::metrics::global();
-        let _span = twocs_obs::span("distributed sweep", "dist");
-
-        // Workers reconstruct the base device from the catalog; a device
-        // the catalog cannot name (e.g. an already-evolved or custom
-        // spec) cannot be shipped, so the whole job runs on the local
-        // drain — still byte-identical, just not distributed.
-        let resolvable = DeviceSpec::catalog()
-            .iter()
-            .any(|d| d.name() == device.name() && d.fingerprint() == device.fingerprint());
-
-        let index = sweep.index();
-        let chunk_size = shared.cfg.chunk_size.max(1);
-        let n_chunks = index.chunk_count(chunk_size) as u32;
-        let tx_before = shared.bytes_tx.load(Ordering::Relaxed);
-        let rx_before = shared.bytes_rx.load(Ordering::Relaxed);
-
-        let output = JobOutput::Memory(vec![None; index.len()]);
-        let job_id = post_job(
-            shared,
-            sweep,
-            device,
-            index,
-            chunk_size,
-            output,
-            resolvable,
-            &BTreeSet::new(),
-        )?;
-        if !resolvable {
-            // Drain everything locally: the tracker pre-leased every
-            // chunk to LOCAL_WORKER at post time.
-            for chunk in 0..n_chunks {
-                drain_one_chunk(shared, job_id, chunk, device);
-            }
-            let mut st = shared.lock();
-            let (results, summary) =
-                finish_job(shared, &mut st, job_id, start, tx_before, rx_before);
-            return Ok((results.expect("memory-mode job yields results"), summary));
-        }
-
-        // Supervise: expire overdue leases, drain locally when no worker
-        // is connected, finish when the tracker says so. (The driver
-        // also expires on its own tick; this is the belt to its
-        // suspenders, and the only expiry path once every worker left.)
-        let mut st = shared.lock();
-        loop {
-            let Some(job) = st.job.as_mut().filter(|j| j.id == job_id) else {
-                return Err("sweep job vanished from the fabric".to_owned());
-            };
-            if job.tracker.is_complete() {
-                let (results, summary) =
-                    finish_job(shared, &mut st, job_id, start, tx_before, rx_before);
-                return Ok((results.expect("memory-mode job yields results"), summary));
-            }
-            let now = shared.now();
-            let expired = job.tracker.expire(now);
-            if !expired.is_empty() {
-                metrics
-                    .counter("dist.chunks_reassigned")
-                    .add(expired.len() as u64);
-                shared.kick();
-            }
-            if st.connected.is_empty() && st.job.as_ref().unwrap().tracker.pending_count() > 0 {
-                // Degrade path: nobody to grant to, so evaluate one
-                // chunk here (outside the lock) and loop.
-                let job = st.job.as_mut().unwrap();
-                if let Some(chunk) = job.tracker.lease(LOCAL_WORKER, now, u64::MAX) {
-                    drop(st);
-                    drain_one_chunk(shared, job_id, chunk, device);
-                    st = shared.lock();
-                    continue;
-                }
-            }
-            st = shared
-                .progress
-                .wait_timeout(st, POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-
-    /// Distribute `sweep` with **streaming** result delivery: every
-    /// accepted chunk is handed to `on_chunk` on this thread, in arrival
-    /// order, instead of being materialized in coordinator memory — the
-    /// contract million-point grids need. `chunk_size` fixes chunk-id
-    /// meaning (a resumed journal must pass the journaled size, not the
-    /// fabric default); chunks listed in `completed` are marked done up
-    /// front and never evaluated (journal resume). Worker failures never
-    /// fail the sweep; an `on_chunk` error aborts it.
+    /// Distribute `sweep`, handing every accepted chunk to `on_chunk` on
+    /// this thread, outside the fabric lock, exactly once and in arrival
+    /// order — coordinator memory stays bounded by the delivery queue,
+    /// not the grid. `chunk_size` fixes chunk-id meaning (a resumed
+    /// journal must pass the journaled size, not the fabric default);
+    /// chunks listed in `completed` are marked done up front and never
+    /// evaluated (journal resume). Worker failures never fail the sweep;
+    /// an `on_chunk` error aborts it and frees the job slot.
     pub fn run_sweep_streaming(
         &self,
         sweep: &GridSweep,
@@ -531,34 +459,10 @@ impl Coordinator {
     ) -> Result<DistSummary, String> {
         let start = Instant::now();
         let shared = &self.shared;
-        let metrics = twocs_obs::metrics::global();
-        let _span = twocs_obs::span("distributed sweep (streaming)", "dist");
-
-        let resolvable = DeviceSpec::catalog()
-            .iter()
-            .any(|d| d.name() == device.name() && d.fingerprint() == device.fingerprint());
-        let index = sweep.index();
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = index.chunk_count(chunk_size) as u32;
-        let to_receive = (0..n_chunks).filter(|c| !completed.contains(c)).count();
+        let _span = twocs_obs::span("distributed sweep", "dist");
         let tx_before = shared.bytes_tx.load(Ordering::Relaxed);
         let rx_before = shared.bytes_rx.load(Ordering::Relaxed);
-
-        // Bounded hand-off. The driver never blocks on it — accepted
-        // chunks it cannot `try_send` sit in its backlog, and granting
-        // pauses past the high-water mark; that backpressure is what
-        // keeps coordinator RSS flat on million-point grids.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(ChunkId, PointResults)>(64);
-        let job_id = post_job(
-            shared,
-            sweep,
-            device,
-            index,
-            chunk_size,
-            JobOutput::Stream(tx),
-            resolvable,
-            completed,
-        )?;
+        let job_id = post_job(shared, sweep, device, chunk_size.max(1), completed)?;
 
         let fail = |e: String| {
             // Abort: clear the job slot so workers stop leasing from it.
@@ -572,86 +476,67 @@ impl Coordinator {
             e
         };
 
-        let mut received = 0usize;
-        let mut last_tick = Instant::now();
-        if !resolvable {
-            // Degrade path for unshippable devices: this thread is both
-            // evaluator and recorder, bypassing the channel entirely.
-            for chunk in (0..n_chunks).filter(|c| !completed.contains(c)) {
-                if let Some((c, values)) = drain_one_chunk(shared, job_id, chunk, device) {
-                    on_chunk(c, values).map_err(fail)?;
-                    received += 1;
-                }
-            }
-        }
-        while received < to_receive {
-            // 1. Drain results without holding the fabric lock; the
-            // driver hands them over without holding it either.
-            match rx.recv_timeout(POLL) {
-                Ok((chunk, values)) => {
-                    on_chunk(chunk, values).map_err(fail)?;
-                    received += 1;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(fail("sweep job vanished from the fabric".to_owned()));
-                }
-            }
-            // 2. Periodic tick: expire overdue leases; drain locally
-            // when no worker is connected.
-            if last_tick.elapsed() < POLL && received < to_receive {
-                continue;
-            }
-            last_tick = Instant::now();
-            let mut local: Option<ChunkId> = None;
-            {
-                let mut st = shared.lock();
-                let Some(job) = st.job.as_mut().filter(|j| j.id == job_id) else {
-                    return Err("sweep job vanished from the fabric".to_owned());
-                };
-                let now = shared.now();
-                let expired = job.tracker.expire(now);
-                if !expired.is_empty() {
-                    metrics
-                        .counter("dist.chunks_reassigned")
-                        .add(expired.len() as u64);
+        // Supervise: deliver accepted chunks, drain locally when no
+        // worker can take a chunk, finish when the tracker says so. Lease
+        // expiry is the driver's: its tick runs at least once per `POLL`.
+        let mut batch = VecDeque::new();
+        let mut st = shared.lock();
+        loop {
+            let fabric = &mut *st;
+            let Some(job) = fabric.job.as_mut().filter(|j| j.id == job_id) else {
+                return Err("sweep job vanished from the fabric".to_owned());
+            };
+            if !job.delivered.is_empty() {
+                std::mem::swap(&mut job.delivered, &mut batch);
+                drop(st);
+                if batch.len() >= BACKLOG_HIGH_WATER {
+                    // The driver paused granting on this queue.
                     shared.kick();
                 }
-                if st.connected.is_empty() {
-                    let job = st.job.as_mut().unwrap();
-                    if job.tracker.pending_count() > 0 {
-                        local = job.tracker.lease(LOCAL_WORKER, now, u64::MAX);
-                    }
+                for (chunk, values) in batch.drain(..) {
+                    on_chunk(chunk, values).map_err(fail)?;
+                }
+                st = shared.lock();
+                continue;
+            }
+            if job.tracker.is_complete() {
+                return Ok(finish_job(
+                    shared, &mut st, job_id, start, tx_before, rx_before,
+                ));
+            }
+            if job.local_only || fabric.connected.is_empty() {
+                if let Some(chunk) = job.tracker.lease(LOCAL_WORKER, shared.now(), u64::MAX) {
+                    drop(st);
+                    drain_one_chunk(shared, job_id, chunk, device);
+                    st = shared.lock();
+                    continue;
                 }
             }
-            if let Some(chunk) = local {
-                if let Some((c, values)) = drain_one_chunk(shared, job_id, chunk, device) {
-                    on_chunk(c, values).map_err(fail)?;
-                    received += 1;
-                }
-            }
+            st = shared
+                .progress
+                .wait_timeout(st, POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
-        let mut st = shared.lock();
-        let (_none, summary) = finish_job(shared, &mut st, job_id, start, tx_before, rx_before);
-        Ok(summary)
     }
 }
 
 /// Post a job into the fabric's single job slot (serializing
-/// back-to-back sweeps), pre-completing resumed chunks and — for
-/// devices the catalog cannot ship — pre-leasing everything to the
-/// local drain. Returns the job id.
-#[allow(clippy::too_many_arguments)]
+/// back-to-back sweeps), pre-completing resumed chunks. Workers rebuild
+/// the device from the catalog, so a device it cannot name (an evolved
+/// or custom spec) marks the job local-only — still byte-identical, just
+/// not distributed. Returns the job id.
 fn post_job(
     shared: &Arc<Shared>,
     sweep: &GridSweep,
     device: &DeviceSpec,
-    index: GridIndex,
     chunk_size: usize,
-    output: JobOutput,
-    resolvable: bool,
     completed: &BTreeSet<ChunkId>,
 ) -> Result<u64, String> {
+    let local_only = !DeviceSpec::catalog()
+        .iter()
+        .any(|d| d.name() == device.name() && d.fingerprint() == device.fingerprint());
+    let index = sweep.index();
     let n_chunks = index.chunk_count(chunk_size) as u32;
     let mut st = shared.lock();
     loop {
@@ -675,11 +560,6 @@ fn post_job(
         // tracker's resume mechanism.
         tracker.complete(chunk);
     }
-    if !resolvable {
-        // Pre-empt granting to remote workers: the local drain is the
-        // only evaluator that has this device.
-        while tracker.lease(LOCAL_WORKER, 0, u64::MAX).is_some() {}
-    }
     st.job = Some(ActiveJob {
         id,
         device_name: device.name().to_owned(),
@@ -691,7 +571,8 @@ fn post_job(
         chunk_size,
         n_chunks,
         tracker,
-        output,
+        local_only,
+        delivered: VecDeque::new(),
         stats: BTreeMap::new(),
     });
     drop(st);
@@ -711,7 +592,7 @@ impl Drop for Coordinator {
 
 impl GridExecutor for Coordinator {
     fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String> {
-        self.execute_tracked(sweep, device).map(|(r, _)| r)
+        self.collect(sweep, device).map(|(r, _)| r)
     }
 
     fn describe(&self) -> String {
@@ -719,43 +600,19 @@ impl GridExecutor for Coordinator {
     }
 }
 
-/// What [`record_result`] did with an arriving chunk, and what the
-/// caller must do next **after releasing the fabric lock**.
-enum Recorded {
-    /// Duplicate, stale, or malformed: dropped.
-    Rejected,
-    /// Accepted and stored in the in-memory result slots.
-    Stored,
-    /// Accepted in streaming mode: the caller must hand `(chunk,
-    /// values)` to the submitter over `sender` outside the lock — the
-    /// driver parks it in its backlog and `try_send`s, never blocking.
-    Deliver(SyncSender<(ChunkId, PointResults)>, ChunkId, PointResults),
-}
-
 /// Evaluate one locally-leased chunk on `device` and record its
-/// results. The chunk must already be leased to [`LOCAL_WORKER`];
-/// evaluation happens with no fabric lock held. `device` is the
-/// submitter's own spec, so this path works for devices the catalog
-/// cannot name.
-///
-/// In streaming mode the accepted values are **returned** instead of
-/// sent: the caller is the submitter thread itself — the channel's only
-/// drainer — so sending here could deadlock against a full channel.
-fn drain_one_chunk(
-    shared: &Arc<Shared>,
-    job_id: u64,
-    chunk: ChunkId,
-    device: &DeviceSpec,
-) -> Option<(ChunkId, PointResults)> {
-    let (points, sweep, plan) = {
-        let st = shared.lock();
-        let job = st.job.as_ref().filter(|j| j.id == job_id)?;
-        (
-            job.index.chunk_points(chunk as usize, job.chunk_size),
-            job.sweep.clone(),
-            job.local_plan.clone(),
-        )
+/// results into the delivery queue. The chunk must already be leased to
+/// [`LOCAL_WORKER`]; evaluation happens with no fabric lock held.
+/// `device` is the submitter's own spec, so this path works for devices
+/// the catalog cannot name.
+fn drain_one_chunk(shared: &Arc<Shared>, job_id: u64, chunk: ChunkId, device: &DeviceSpec) {
+    let st = shared.lock();
+    let Some(job) = st.job.as_ref().filter(|j| j.id == job_id) else {
+        return;
     };
+    let points = job.index.chunk_points(chunk as usize, job.chunk_size);
+    let (sweep, plan) = (job.sweep.clone(), job.local_plan.clone());
+    drop(st);
     let _span = twocs_obs::span(&format!("local drain chunk {chunk}"), "dist");
     let t0 = Instant::now();
     set_parallelism(shared.cfg.local_jobs);
@@ -769,18 +626,19 @@ fn drain_one_chunk(
     twocs_obs::metrics::global()
         .counter("dist.local_drain_chunks")
         .inc();
-    let mut st = shared.lock();
-    let recorded = record_result(&mut st, job_id, LOCAL_WORKER, chunk, values, busy);
-    drop(st);
-    shared.progress.notify_all();
-    match recorded {
-        Recorded::Deliver(_tx, chunk, values) => Some((chunk, values)),
-        Recorded::Stored | Recorded::Rejected => None,
-    }
+    record_result(
+        &mut shared.lock(),
+        job_id,
+        LOCAL_WORKER,
+        chunk,
+        values,
+        busy,
+    );
 }
 
-/// Accept a chunk result into the job, update per-evaluator stats, and
-/// tell the caller how to deliver it (see [`Recorded`]).
+/// Accept a chunk result into the job's delivery queue and update
+/// per-evaluator stats. Returns whether it was accepted; duplicate,
+/// stale and malformed results are dropped.
 fn record_result(
     st: &mut FabricState,
     job_id: u64,
@@ -788,43 +646,31 @@ fn record_result(
     chunk: ChunkId,
     values: PointResults,
     busy: Duration,
-) -> Recorded {
+) -> bool {
     let Some(job) = st.job.as_mut().filter(|j| j.id == job_id) else {
-        return Recorded::Rejected;
+        return false;
     };
     if chunk >= job.n_chunks || values.len() != job.chunk_len(chunk) {
         // A short or long result cannot be merged; treat it as a failed
         // evaluation and requeue via the normal failure path.
-        return Recorded::Rejected;
+        return false;
     }
-    match job.tracker.complete(chunk) {
-        Completion::Accepted => {
-            let stats = job.stats.entry(worker).or_default();
-            stats.chunks += 1;
-            stats.busy += busy;
-            let metrics = twocs_obs::metrics::global();
-            metrics.counter("dist.chunks_completed").inc();
-            metrics
-                .histogram("dist.chunk_rtt_us")
-                .observe_duration(busy);
-            match &mut job.output {
-                JobOutput::Memory(results) => {
-                    let start = chunk as usize * job.chunk_size;
-                    for (i, v) in values.into_iter().enumerate() {
-                        results[start + i] = Some(v);
-                    }
-                    Recorded::Stored
-                }
-                JobOutput::Stream(tx) => Recorded::Deliver(tx.clone(), chunk, values),
-            }
-        }
-        Completion::Duplicate | Completion::Unknown => Recorded::Rejected,
+    if job.tracker.complete(chunk) != Completion::Accepted {
+        return false;
     }
+    let stats = job.stats.entry(worker).or_default();
+    stats.chunks += 1;
+    stats.busy += busy;
+    let metrics = twocs_obs::metrics::global();
+    metrics.counter("dist.chunks_completed").inc();
+    metrics
+        .histogram("dist.chunk_rtt_us")
+        .observe_duration(busy);
+    job.delivered.push_back((chunk, values));
+    true
 }
 
-/// Collect the finished job into results + summary and clear the slot.
-/// Memory-mode jobs yield `Some(results)`; streaming jobs have already
-/// delivered everything and yield `None`.
+/// Summarize the finished job and clear the slot.
 fn finish_job(
     shared: &Shared,
     st: &mut FabricState,
@@ -832,25 +678,15 @@ fn finish_job(
     start: Instant,
     tx_before: u64,
     rx_before: u64,
-) -> (Option<PointResults>, DistSummary) {
+) -> DistSummary {
     let job = st
         .job
         .take()
         .filter(|j| j.id == job_id)
         .expect("finish_job called with the job in place");
-    let points = job.index.len();
-    let results: Option<PointResults> = match job.output {
-        JobOutput::Memory(results) => Some(
-            results
-                .into_iter()
-                .map(|r| r.expect("completed job has every point filled"))
-                .collect(),
-        ),
-        JobOutput::Stream(_) => None,
-    };
     let summary = DistSummary {
         chunks: job.n_chunks as usize,
-        points,
+        points: job.index.len(),
         reassigned: job.tracker.reassigned(),
         workers_seen: st.total_joined,
         per_worker: job
@@ -869,13 +705,10 @@ fn finish_job(
     };
     // Wake any submitter waiting for the job slot.
     shared.progress.notify_all();
-    (results, summary)
+    summary
 }
 
 // ---- the poll-driven connection driver ---------------------------------
-
-/// An accepted chunk awaiting `try_send` to the streaming submitter.
-type Delivery = (SyncSender<(ChunkId, PointResults)>, ChunkId, PointResults);
 
 /// One worker connection's state machine, driven by readiness events.
 struct Conn {
@@ -965,7 +798,6 @@ impl Conn {
 /// is requested and every connection has drained.
 fn driver_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut backlog: VecDeque<Delivery> = VecDeque::new();
     let mut done_sent = false;
     loop {
         let shutting_down = shared.lock().shutdown;
@@ -1016,20 +848,25 @@ fn driver_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         if wait.listener_ready {
             accept_all(listener, &mut conns, shared.cfg.pipeline);
         }
+        let mut accepted = false;
         for ev in &wait.events {
             let Some(conn) = conns.get_mut(ev.token as usize) else {
                 continue;
             };
             if (ev.readable || ev.hangup) && !conn.dead {
-                read_conn(shared, conn, &mut backlog);
+                read_conn(shared, conn, &mut accepted);
             }
             if ev.writable && !conn.dead {
                 conn.flush();
             }
         }
+        if accepted {
+            // One wake per iteration, not per result: the submitter takes
+            // the whole delivery queue at once.
+            shared.progress.notify_all();
+        }
 
-        tick(shared, &mut conns, backlog.len());
-        flush_backlog(&mut backlog);
+        tick(shared, &mut conns);
         // Opportunistic flush: push frames queued by reads/tick now
         // instead of waiting for the next writable event.
         for conn in &mut conns {
@@ -1077,8 +914,8 @@ fn accept_all(listener: &TcpListener, conns: &mut Vec<Conn>, pipeline: Option<us
 }
 
 /// Pull bytes until the socket would block, handling every complete
-/// frame along the way.
-fn read_conn(shared: &Arc<Shared>, conn: &mut Conn, backlog: &mut VecDeque<Delivery>) {
+/// frame along the way; sets `accepted` when a chunk result is accepted.
+fn read_conn(shared: &Arc<Shared>, conn: &mut Conn, accepted: &mut bool) {
     loop {
         match conn.reader.fill(&mut conn.stream) {
             Ok(0) => {
@@ -1091,7 +928,7 @@ fn read_conn(shared: &Arc<Shared>, conn: &mut Conn, backlog: &mut VecDeque<Deliv
                 match conn.reader.next_frame() {
                     Ok(Some((msg, n))) => {
                         shared.count_rx(n);
-                        if !handle_frame(shared, conn, msg, backlog) {
+                        if !handle_frame(shared, conn, msg, accepted) {
                             conn.dead = true;
                             return;
                         }
@@ -1115,12 +952,7 @@ fn read_conn(shared: &Arc<Shared>, conn: &mut Conn, backlog: &mut VecDeque<Deliv
 
 /// One frame's worth of the per-worker state machine. Returns `false`
 /// when the connection must be treated as dead (protocol violation).
-fn handle_frame(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    msg: Message,
-    backlog: &mut VecDeque<Delivery>,
-) -> bool {
+fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, msg: Message, accepted: &mut bool) -> bool {
     let metrics = twocs_obs::metrics::global();
     match (conn.worker, msg) {
         (
@@ -1211,35 +1043,21 @@ fn handle_frame(
                 .then(|| conn.grant_times.remove(&chunk))
                 .flatten();
             let busy = granted.map_or(Duration::ZERO, |t0| arrived.duration_since(t0));
-            let (recorded, job_done) = {
-                let mut st = shared.lock();
-                // A result is proof of life for the rest of the window.
-                let now = shared.now();
-                let ttl_ms = shared.ttl_ms();
-                if let Some(job) = st.job.as_mut() {
-                    job.tracker.renew(worker, now, ttl_ms);
-                }
-                let recorded = record_result(&mut st, jid, worker, chunk, values, busy);
-                let job = st.job.as_mut().filter(|j| j.id == jid);
-                if let (Some(job), Some(_)) = (job, granted) {
-                    conn.window.on_result(busy, arrived, job.chunk_size);
-                    if let Some(stats) = job.stats.get_mut(&worker) {
-                        let min_rtt = conn.window.min_rtt().unwrap_or(busy);
-                        stats.window = Some((conn.window.size(), min_rtt));
-                    }
-                }
-                let job_done = st.job.as_ref().is_some_and(|j| j.tracker.is_complete());
-                (recorded, job_done)
-            };
-            // Only completion changes what the supervise loop waits for;
-            // waking it per result would just contend for the lock.
-            if job_done {
-                shared.progress.notify_all();
+            let mut st = shared.lock();
+            // A result is proof of life for the rest of the window.
+            let now = shared.now();
+            let ttl_ms = shared.ttl_ms();
+            if let Some(job) = st.job.as_mut() {
+                job.tracker.renew(worker, now, ttl_ms);
             }
-            if let Recorded::Deliver(tx, c, v) = recorded {
-                // Never block the driver on the streaming channel: park
-                // the chunk; `flush_backlog` try_sends after the lock.
-                backlog.push_back((tx, c, v));
+            *accepted |= record_result(&mut st, jid, worker, chunk, values, busy);
+            let job = st.job.as_mut().filter(|j| j.id == jid);
+            if let (Some(job), Some(_)) = (job, granted) {
+                conn.window.on_result(busy, arrived, job.chunk_size);
+                if let Some(stats) = job.stats.get_mut(&worker) {
+                    let min_rtt = conn.window.min_rtt().unwrap_or(busy);
+                    stats.window = Some((conn.window.size(), min_rtt));
+                }
             }
             true
         }
@@ -1276,7 +1094,7 @@ fn handle_frame(
 /// The driver's periodic/maintenance pass: expire overdue leases, top
 /// every live worker back up to its credit window, and publish the
 /// outstanding-lease and credit-window gauges (summed over workers).
-fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
+fn tick(shared: &Arc<Shared>, conns: &mut [Conn]) {
     let metrics = twocs_obs::metrics::global();
     let mut st = shared.lock();
     let now = shared.now();
@@ -1289,9 +1107,13 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
                 .add(expired.len() as u64);
         }
     }
-    // Credit refill — paused while the streaming backlog is over the
+    // Credit refill — paused while the delivery queue is over the
     // high-water mark, which is the grant-side half of backpressure.
-    if backlog_len < BACKLOG_HIGH_WATER && !st.shutdown {
+    let granting = st
+        .job
+        .as_ref()
+        .is_some_and(|j| !j.local_only && j.delivered.len() < BACKLOG_HIGH_WATER);
+    if granting && !st.shutdown {
         for conn in conns.iter_mut().filter(|c| !c.dead && !c.closing) {
             let Some(worker) = conn.worker else { continue };
             let Some(job) = st.job.as_mut() else { break };
@@ -1344,22 +1166,6 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn], backlog_len: usize) {
         .map(|c| c.window.size())
         .sum();
     metrics.gauge("dist.pipeline.window").set(windows as f64);
-}
-
-/// Hand parked streaming chunks to the submitter without blocking; stop
-/// at the first full channel (order within the backlog is preserved).
-fn flush_backlog(backlog: &mut VecDeque<Delivery>) {
-    while let Some((tx, chunk, values)) = backlog.pop_front() {
-        match tx.try_send((chunk, values)) {
-            Ok(()) => {}
-            Err(TrySendError::Full((c, v))) => {
-                backlog.push_front((tx, c, v));
-                break;
-            }
-            // The submitter aborted the job; the values are moot.
-            Err(TrySendError::Disconnected(_)) => {}
-        }
-    }
 }
 
 /// Deregister a finished/dead connection and requeue its outstanding

@@ -33,7 +33,10 @@
 //! * [`coordinator`] — [`Coordinator`]: accepts workers on a single
 //!   poll-driven driver thread (64 workers are 64 pollfds, not 64
 //!   threads), grants credit windows, reassigns on failure, degrades to
-//!   local evaluation when no workers are connected. Implements
+//!   local evaluation when no workers are connected. Every sweep hands
+//!   its accepted chunks to the caller's thread through one delivery
+//!   queue: `run_sweep_streaming` passes each chunk to a callback, and
+//!   `run_sweep` files them into per-chunk slots and tabulates. Implements
 //!   [`twocs_core::sweep::GridExecutor`], so `twocs serve` can plug it
 //!   into `/v1/sweep` unchanged.
 //! * [`worker`] — [`run_worker`]: double-buffered evaluator the `twocs

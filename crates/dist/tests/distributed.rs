@@ -725,3 +725,107 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
         .unwrap()
         .expect("healthy worker exits on Done");
 }
+
+/// An `on_chunk` error aborts the streaming sweep with that error, mid-job
+/// and with leases outstanding, and frees the job slot: the next sweep on
+/// the same coordinator and workers runs to completion, byte-identical
+/// to a local run.
+#[test]
+fn on_chunk_error_aborts_and_frees_the_job_slot() {
+    use std::collections::BTreeSet;
+
+    let sweep = wide_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+
+    let coordinator = bind(2);
+    let addr = coordinator.local_addr().to_string();
+    let workers: Vec<_> = (0..2).map(|_| spawn_worker(addr.clone())).collect();
+    assert_eq!(coordinator.wait_for_workers(2, Duration::from_secs(10)), 2);
+
+    let mut delivered = 0;
+    let err = coordinator
+        .run_sweep_streaming(&sweep, &device, 2, &BTreeSet::new(), &mut |_, _| {
+            delivered += 1;
+            if delivered == 3 {
+                Err("sink is full".to_owned())
+            } else {
+                Ok(())
+            }
+        })
+        .expect_err("the callback's error aborts the sweep");
+    assert_eq!(err, "sink is full");
+    assert_eq!(delivered, 3, "no chunk is delivered after the failing one");
+
+    let (table, summary) = coordinator
+        .run_sweep(&sweep, &device)
+        .expect("the fabric runs the next sweep");
+    assert_eq!(table.to_csv(), local);
+    assert_eq!(summary.points, sweep.points().len());
+    coordinator.shutdown();
+    for w in workers {
+        w.join().unwrap().expect("worker exits on Done");
+    }
+}
+
+/// Workers rebuild the device from the catalog, so a device it cannot
+/// name (here an evolved MI210) runs entirely on the coordinator's local
+/// drain through both entry points — even with a worker connected — and
+/// still matches the local run byte for byte.
+#[test]
+fn uncatalogued_device_runs_on_the_local_drain_through_both_entry_points() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use twocs_dist::{DistSummary, LOCAL_WORKER};
+    use twocs_hw::HwEvolution;
+
+    let sweep = small_sweep();
+    let device = HwEvolution::flop_vs_bw(2.0).apply(&DeviceSpec::mi210());
+    assert!(
+        !DeviceSpec::catalog()
+            .iter()
+            .any(|d| d.fingerprint() == device.fingerprint()),
+        "the evolved device is not in the catalog"
+    );
+    let local = sweep.run(&device, 1).0.to_csv();
+    let all_local = |summary: &DistSummary| {
+        assert!(
+            matches!(summary.per_worker[..], [(LOCAL_WORKER, chunks, _)] if chunks as usize == summary.chunks),
+            "every chunk is credited to the local drain: {summary}"
+        );
+    };
+
+    let coordinator = bind(2);
+    let worker = spawn_worker(coordinator.local_addr().to_string());
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    assert_eq!(table.to_csv(), local);
+    all_local(&summary);
+
+    let mut streamed = BTreeMap::new();
+    let summary = coordinator
+        .run_sweep_streaming(
+            &sweep,
+            &device,
+            2,
+            &BTreeSet::new(),
+            &mut |chunk, values| {
+                assert!(
+                    streamed.insert(chunk, values).is_none(),
+                    "chunk {chunk} twice"
+                );
+                Ok(())
+            },
+        )
+        .expect("streaming sweep runs");
+    let results: Vec<_> = streamed.into_values().flatten().collect();
+    assert_eq!(
+        GridSweep::tabulate(&sweep.points(), &results).to_csv(),
+        local
+    );
+    all_local(&summary);
+
+    assert_eq!(coordinator.worker_count(), 1, "the worker stayed connected");
+    coordinator.shutdown();
+    worker.join().unwrap().expect("worker exits on Done");
+}
