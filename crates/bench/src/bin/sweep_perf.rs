@@ -12,7 +12,12 @@
 //!   `twocs_serve::handlers::handle`;
 //! * **distributed-chunk evaluation** — a worker's whole job for the
 //!   grid: `FactoredPlan::build_from_sweep` once, then every lease-sized
-//!   chunk through `twocs_core::eval_chunk`.
+//!   chunk through `twocs_core::eval_chunk`;
+//! * **cold plan build** — `FactoredPlan::build_from_sweep` on the
+//!   1,024,000-point EXPERIMENTS.md scale grid (200 flop-vs-bw ratios)
+//!   with every memo cache dropped first, so the ~45,000 cache misses of
+//!   one build are timed end to end: per-miss work that grows with the
+//!   cache's size shows up here as a superlinear build time.
 //!
 //! Before timing anything it asserts the planner contract: the naive
 //! oracle and the factored CSV bodies must be byte-identical. The emitted JSON
@@ -23,16 +28,19 @@
 //! Usage: `sweep_perf [--out PATH] [--jobs N] [--smoke]
 //! [--baseline PATH [--max-regress PCT]]`
 //! (`--smoke` collects fewer samples for CI; the JSON shape is
-//! unchanged. `--baseline` compares this run's `sweep_warm` and
-//! `dist_chunks` means against a committed `BENCH_sweep.json` and exits
-//! nonzero when any is more than `--max-regress` percent — default
-//! 20 — slower: the CI perf-regression gate.)
+//! unchanged. `--baseline` compares this run's `sweep_warm`,
+//! `dist_chunks` and `plan_cold` means against a committed
+//! `BENCH_sweep.json` and exits nonzero when any is more than
+//! `--max-regress` percent — default 20 — slower: the CI
+//! perf-regression gate.)
 
 use std::time::Duration;
 
 use twocs_bench::harness::Criterion;
 use twocs_core::serialized::Method;
-use twocs_core::sweep::{eval_chunk, eval_grid_point, run_tasks, FactoredPlan, GridSweep};
+use twocs_core::sweep::{
+    eval_chunk, eval_grid_point, run_tasks, set_parallelism, FactoredPlan, GridSweep,
+};
 use twocs_core::{PointResults, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::handlers::{handle, HandlerConfig};
@@ -51,6 +59,25 @@ fn bench_grid() -> GridSweep {
         experts: vec![1, 8],
         stages: vec![1, 2],
         batch: 1,
+        method: Method::Projection,
+        ..GridSweep::default()
+    }
+}
+
+/// The EXPERIMENTS.md scale recipe's 1,024,000-point grid: every
+/// pruned (H, SL, TP) shape crossed with the 200 flop-vs-bw ratios
+/// `seq 1.05 0.05 11.00` prints and the MoE/PP/SP axes.
+fn scale_grid() -> GridSweep {
+    GridSweep {
+        hs: vec![1024, 2048, 4096, 8192, 16_384, 32_768],
+        sls: vec![1024, 2048, 4096, 8192],
+        tps: vec![4, 8, 16, 32, 64],
+        flop_vs_bw: (0..200).map(|i| f64::from(105 + 5 * i) / 100.0).collect(),
+        experts: vec![8, 16, 32, 64],
+        top_ks: vec![1, 2],
+        stages: vec![1, 4],
+        micro_batches: vec![1, 8],
+        sps: vec![1, 2],
         method: Method::Projection,
         ..GridSweep::default()
     }
@@ -168,10 +195,12 @@ fn parse_args() -> Result<Options, String> {
 }
 
 /// Benchmark groups the CI regression gate compares against the
-/// committed baseline: the warm factored/naive sweeps and the
-/// distributed-chunk path. Cold and serve numbers are too
-/// machine-sensitive to gate on.
-const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks"];
+/// committed baseline: the warm factored/naive sweeps, the
+/// distributed-chunk path, and the cold scale-grid plan build (the
+/// guard against per-miss cache work that grows with the cache). The
+/// small-grid cold sweeps and serve numbers are too machine-sensitive
+/// to gate on.
+const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold"];
 
 /// Compare this run's means against the committed baseline and exit
 /// nonzero on any regression beyond the budget.
@@ -336,6 +365,20 @@ fn main() {
                     eval_chunk(plan.as_ref(), &device, &grid, &points, &mut out);
                     std::hint::black_box(&out);
                 }
+            });
+        });
+        group.finish();
+    }
+    {
+        let scale = scale_grid();
+        assert_eq!(scale.index().len(), 1_024_000, "the scale recipe grid");
+        set_parallelism(jobs);
+        let mut group = c.benchmark_group("plan_cold");
+        group.sample_size(samples).measurement_time(budget);
+        group.bench_function("1m", |b| {
+            b.iter(|| {
+                clear_caches();
+                std::hint::black_box(FactoredPlan::build_from_sweep(&device, &scale))
             });
         });
         group.finish();

@@ -47,12 +47,8 @@ pub fn roi_hyper(h: u64, slb: u64) -> Hyperparams {
 }
 
 /// The exact `(hyper, parallel)` slack-ROI query [`overlap_pct`] issues
-/// for one configuration — TP silently clamped to the head count, like
-/// the scalar path. Batch evaluators use this to pre-resolve a chunk's
-/// queries against the profile cache (see
-/// [`Profiler::begin_slack_roi_chunk`]) before walking the chunk.
-#[must_use]
-pub fn roi_query(h: u64, slb: u64, tp: u64, dp: u64) -> (Hyperparams, ParallelConfig) {
+/// for one configuration — TP silently clamped to the head count.
+fn roi_query(h: u64, slb: u64, tp: u64, dp: u64) -> (Hyperparams, ParallelConfig) {
     let hyper = roi_hyper(h, slb);
     let parallel = ParallelConfig::new().tensor(tp.min(hyper.heads())).data(dp);
     (hyper, parallel)

@@ -19,11 +19,9 @@
 //! zero per-point allocation and no per-point `catch_unwind`. The
 //! expensive sub-expressions (the projected compute times and the
 //! slack-ROI profile behind the overlap percentage) are filled at build
-//! time, once per distinct table cell, under a chunk-scoped memo-cache
-//! session ([`Profiler::begin_slack_roi_chunk`]) that touches each
-//! shared cache shard at most once per lease. The per-ratio groups of
-//! cells are independent, so a build prices them on the calling
-//! thread's [`parallelism`] budget.
+//! time, once per distinct table cell, with one [`Profiler`] per
+//! evolved device. The per-ratio groups of cells are independent, so a
+//! build prices them on the calling thread's [`parallelism`] budget.
 //!
 //! **Bit-identity is the contract**: the plan assembles each point from
 //! the *same* shared sub-expressions (`ProjectionModel::projected_compute`,
@@ -42,7 +40,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::inference::InferenceIteration;
-use crate::overlapped::{overlap_pct_with, roi_query};
+use crate::overlapped::overlap_pct_with;
 use crate::serialized::{projection_baseline, sweep_hyper, Method};
 use crate::sweep::{
     axis_costs, eval_grid_point, extended_fraction_from_parts, panic_message, parallelism,
@@ -504,10 +502,6 @@ impl PlanAxes {
         let price_group = |ri: usize| -> Vec<TripleCell> {
             let group = &todo[ri];
             let profiler = Profiler::new(self.devices[ri].clone());
-            let _chunk = profiler.begin_slack_roi_chunk(group.iter().map(|&(si, ti)| {
-                let (h, sl) = self.shapes[si];
-                roi_query(h, sl * batch, self.tps[ti], 4)
-            }));
             group
                 .iter()
                 .map(|&(si, ti)| {

@@ -13,17 +13,15 @@
 //!
 //! # Concurrency design
 //!
-//! A lookup goes through three tiers, cheapest first:
+//! A lookup goes through two tiers:
 //!
-//! 1. **Thread-local L1** — each worker thread keeps a private copy of
-//!    the entries it has already seen, so a warm hit takes *no lock at
-//!    all* (one atomic generation load plus a thread-local `HashMap`
-//!    probe). L1 tables are invalidated lazily by a generation counter
-//!    that [`MemoCache::clear`] bumps.
-//! 2. **Lock-striped shards** — the shared table is split across
+//! 1. **Lock-striped shards** — the shared table is split across
 //!    [`SHARDS`] independent `RwLock<HashMap>` stripes keyed by the
 //!    key's hash, so writers on different keys almost never contend.
-//! 3. **In-flight dedupe** — a miss installs a `Pending` slot before
+//!    Each stripe counts its own finished entries under its own lock,
+//!    so a miss touches exactly one stripe and the resident count stays
+//!    exact: [`MemoCache::stats`] sums [`SHARDS`] counters.
+//! 2. **In-flight dedupe** — a miss installs a `Pending` slot before
 //!    computing, and later lookups of the same key *wait* on that slot
 //!    instead of re-running the compute function: two workers never
 //!    compute the same key concurrently. If the computing thread
@@ -42,12 +40,9 @@
 //!
 //! [`DeviceSpec::gemm_time`]: crate::DeviceSpec::gemm_time
 
-use std::any::Any;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use twocs_obs::{Counter, Gauge};
 
@@ -66,9 +61,7 @@ pub struct CacheStats {
     /// are deduplicated, this equals compute-function invocations.
     pub misses: u64,
     /// Entries currently resident. Exact: summed across all shards at
-    /// snapshot time. Thread-local L1 tables only ever hold copies of
-    /// shard-resident entries, so the distinct-key count is the shard
-    /// sum.
+    /// snapshot time.
     pub entries: usize,
 }
 
@@ -156,111 +149,29 @@ impl<V: Clone> InFlight<V> {
     }
 }
 
-/// Per-thread L1 table for one cache: a private copy of entries this
-/// thread has already looked up, stamped with the cache generation it
-/// was filled under so `clear()` invalidates it lazily.
-struct L1Table<K, V> {
-    generation: u64,
-    map: HashMap<K, V>,
+/// One lock stripe of the shared table. `ready` counts the `Ready`
+/// slots and only changes under the stripe's write lock, so the
+/// resident count is exact without ever walking `slots`.
+struct ShardMap<K, V> {
+    slots: HashMap<K, Slot<V>>,
+    ready: usize,
 }
-
-thread_local! {
-    /// This thread's L1 tables, keyed by cache id. `Box<dyn Any>` hides
-    /// the per-cache `(K, V)` types behind one registry.
-    static L1: RefCell<HashMap<u64, Box<dyn Any>>> = RefCell::new(HashMap::new());
-}
-
-/// Unique id per cache instance, so thread-local L1 tables never alias
-/// across caches (ids are never reused, unlike addresses).
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A thread-safe memo table with hit/miss accounting, lock-striped
-/// shards, a per-thread L1, and in-flight miss deduplication (see the
-/// module docs for the tiered design). Designed for pure functions:
-/// same key, same value. Lock poisoning is ignored (the guarded map
-/// operations cannot leave a shard inconsistent), and a panicking
-/// compute function abandons its in-flight slot so one waiter retries —
-/// a panicking sweep worker never wedges later lookups.
+/// shards and in-flight miss deduplication (see the module docs).
+/// Designed for pure functions: same key, same value. Lock poisoning is
+/// ignored (the guarded map operations cannot leave a shard
+/// inconsistent), and a panicking compute function abandons its
+/// in-flight slot so one waiter retries — a panicking sweep worker never
+/// wedges later lookups.
 pub struct MemoCache<K, V> {
-    shards: Box<[Shard<K, V>]>,
+    shards: Box<[RwLock<ShardMap<K, V>>]>,
     hits: Counter,
     misses: Counter,
-    /// Chunk scopes opened on this cache (see [`MemoCache::begin_chunk`]).
-    chunks: Counter,
-    /// Resident-entry gauge mirror (detached unless the cache is named).
+    /// Resident-entry gauge mirror (detached unless the cache is named),
+    /// adjusted by the same deltas as the shards' `ready` counts.
     entries_gauge: Gauge,
-    /// Bumped by `clear()`; thread-local L1 tables flush on mismatch.
-    generation: AtomicU64,
-    id: u64,
 }
-
-/// RAII scope for one lease-sized chunk of work against a [`MemoCache`]
-/// (see [`MemoCache::begin_chunk`]). Construction pre-resolves the
-/// chunk's distinct keys against the shared shards — each shard's lock
-/// is taken at most once — copying every shard-resident value into the
-/// calling thread's L1 table, so the chunk's per-point lookups that
-/// follow are lock-free L1 hits. Dropping the scope "ends" the chunk:
-/// it bumps the cache's chunk counter and leaves the L1 warm for the
-/// next lease on the same thread.
-#[must_use = "the chunk ends when the scope is dropped"]
-pub struct ChunkScope<'a, K, V>
-where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
-{
-    cache: &'a MemoCache<K, V>,
-    /// Keys the prefetch copied from shared shards into the L1.
-    prefetched: usize,
-    /// Shard read-locks the prefetch acquired (≤ [`SHARDS`]).
-    shard_probes: usize,
-}
-
-impl<K, V> ChunkScope<'_, K, V>
-where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
-{
-    /// Keys the prefetch copied from shared shards into this thread's L1
-    /// (keys already in the L1, or absent from the shared table, are not
-    /// counted).
-    #[must_use]
-    pub fn prefetched(&self) -> usize {
-        self.prefetched
-    }
-
-    /// Shard locks the prefetch took — at most one per shard per chunk,
-    /// however many keys the chunk touches.
-    #[must_use]
-    pub fn shard_probes(&self) -> usize {
-        self.shard_probes
-    }
-}
-
-impl<K, V> fmt::Debug for ChunkScope<'_, K, V>
-where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChunkScope")
-            .field("prefetched", &self.prefetched)
-            .field("shard_probes", &self.shard_probes)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K, V> Drop for ChunkScope<'_, K, V>
-where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
-{
-    fn drop(&mut self) {
-        self.cache.chunks.inc();
-    }
-}
-
-/// One lock-striped shard of the shared table.
-type Shard<K, V> = RwLock<HashMap<K, Slot<V>>>;
 
 /// Outcome of a shared-table probe.
 enum Probe<V> {
@@ -271,42 +182,35 @@ enum Probe<V> {
 
 impl<K, V> MemoCache<K, V>
 where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
+    K: Eq + Hash + Clone,
+    V: Clone,
 {
-    fn with_counters(
-        hits: Counter,
-        misses: Counter,
-        chunks: Counter,
-        entries_gauge: Gauge,
-    ) -> Self {
+    fn with_counters(hits: Counter, misses: Counter, entries_gauge: Gauge) -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    RwLock::new(ShardMap {
+                        slots: HashMap::new(),
+                        ready: 0,
+                    })
+                })
+                .collect(),
             hits,
             misses,
-            chunks,
             entries_gauge,
-            generation: AtomicU64::new(0),
-            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
     /// Create an empty cache with detached (unpublished) counters.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_counters(
-            Counter::detached(),
-            Counter::detached(),
-            Counter::detached(),
-            Gauge::detached(),
-        )
+        Self::with_counters(Counter::detached(), Counter::detached(), Gauge::detached())
     }
 
     /// Create an empty cache whose counters are registered in the global
     /// `twocs-obs` metrics registry as `cache.<name>.hits` /
-    /// `cache.<name>.misses` / `cache.<name>.chunks` plus a
-    /// `cache.<name>.entries` gauge, so `--metrics` reports its hit rate
-    /// and size.
+    /// `cache.<name>.misses` plus a `cache.<name>.entries` gauge, so
+    /// `--metrics` reports its hit rate and size.
     #[must_use]
     pub fn named(name: &str) -> Self {
         Self::with_metric_prefix(&format!("cache.{name}"))
@@ -314,68 +218,24 @@ where
 
     /// Like [`MemoCache::named`], but with full control of the metric
     /// namespace: counters register as `<prefix>.hits` /
-    /// `<prefix>.misses` / `<prefix>.chunks` plus a `<prefix>.entries`
-    /// gauge. Lets consumers outside the hardware layer (e.g. the serve
-    /// response cache, which publishes `serve.cache.*`) reuse this
-    /// machinery without squatting in the `cache.*` namespace.
+    /// `<prefix>.misses` plus a `<prefix>.entries` gauge. Lets consumers
+    /// outside the hardware layer (e.g. the serve response cache, which
+    /// publishes `serve.cache.*`) reuse this machinery without squatting
+    /// in the `cache.*` namespace.
     #[must_use]
     pub fn with_metric_prefix(prefix: &str) -> Self {
         let registry = twocs_obs::metrics::global();
         Self::with_counters(
             registry.counter(&format!("{prefix}.hits")),
             registry.counter(&format!("{prefix}.misses")),
-            registry.counter(&format!("{prefix}.chunks")),
             registry.gauge(&format!("{prefix}.entries")),
         )
     }
 
-    fn shard_index(&self, key: &K) -> usize {
+    fn shard(&self, key: &K) -> &RwLock<ShardMap<K, V>> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        (hasher.finish() as usize) & (SHARDS - 1)
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Slot<V>>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// Probe this thread's L1 table; no lock taken.
-    fn l1_get(&self, generation: u64, key: &K) -> Option<V> {
-        L1.with(|tables| {
-            let mut tables = tables.borrow_mut();
-            let table = tables.get_mut(&self.id)?.downcast_mut::<L1Table<K, V>>()?;
-            if table.generation != generation {
-                table.map.clear();
-                table.generation = generation;
-                return None;
-            }
-            table.map.get(key).cloned()
-        })
-    }
-
-    fn l1_put(&self, generation: u64, key: K, value: V) {
-        // Re-check the live generation so a clear() that raced this
-        // lookup cannot resurrect a dropped entry into the L1.
-        if self.generation.load(Ordering::Acquire) != generation {
-            return;
-        }
-        L1.with(|tables| {
-            let mut tables = tables.borrow_mut();
-            let table = tables.entry(self.id).or_insert_with(|| {
-                Box::new(L1Table::<K, V> {
-                    generation,
-                    map: HashMap::new(),
-                })
-            });
-            let Some(table) = table.downcast_mut::<L1Table<K, V>>() else {
-                return;
-            };
-            if table.generation != generation {
-                table.map.clear();
-                table.generation = generation;
-            }
-            table.map.insert(key, value);
-        });
+        &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
     }
 
     /// One shared-table round: hit, join an in-flight computation, or
@@ -384,44 +244,45 @@ where
         let shard = self.shard(key);
         {
             let map = shard.read().unwrap_or_else(PoisonError::into_inner);
-            match map.get(key) {
+            match map.slots.get(key) {
                 Some(Slot::Ready(v)) => return Probe::Hit(v.clone()),
                 Some(Slot::Pending(flight)) => return Probe::Wait(Arc::clone(flight)),
                 None => {}
             }
         }
         let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
-        match map.get(key) {
+        match map.slots.get(key) {
             Some(Slot::Ready(v)) => Probe::Hit(v.clone()),
             Some(Slot::Pending(flight)) => Probe::Wait(Arc::clone(flight)),
             None => {
                 let flight = Arc::new(InFlight::new());
-                map.insert(key.clone(), Slot::Pending(Arc::clone(&flight)));
+                map.slots
+                    .insert(key.clone(), Slot::Pending(Arc::clone(&flight)));
                 Probe::Compute(flight)
             }
         }
     }
 
     /// Record a hit on this cache and the caller's task scope.
-    fn count_hit(&self, generation: u64, key: &K, value: &V) {
+    fn hit(&self, value: V) -> V {
         self.hits.inc();
         twocs_obs::note_cache_hit();
-        self.l1_put(generation, key.clone(), value.clone());
+        value
     }
 
-    /// Replace our `Pending` slot with the finished value and wake
-    /// waiters.
-    fn publish(&self, key: &K, flight: &Arc<InFlight<V>>, value: V) {
-        let newly_resident = {
+    /// Replace our `Pending` slot with the finished value, count it
+    /// resident if it is new, and wake waiters.
+    fn publish(&self, key: K, flight: &InFlight<V>, value: V) {
+        {
             let mut map = self
-                .shard(key)
+                .shard(&key)
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
-            let prev = map.insert(key.clone(), Slot::Ready(value.clone()));
-            !matches!(prev, Some(Slot::Ready(_)))
-        };
-        if newly_resident {
-            self.entries_gauge.set(self.len() as f64);
+            let prev = map.slots.insert(key, Slot::Ready(value.clone()));
+            if !matches!(prev, Some(Slot::Ready(_))) {
+                map.ready += 1;
+                self.entries_gauge.add(1.0);
+            }
         }
         flight.finish(FlightState::Done(value));
     }
@@ -433,121 +294,43 @@ where
     /// on this cache and charged to the calling thread's current
     /// `twocs-obs` task scope.
     pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let generation = self.generation.load(Ordering::Acquire);
-        if let Some(v) = self.l1_get(generation, &key) {
-            self.hits.inc();
-            twocs_obs::note_cache_hit();
-            return v;
-        }
         // FnOnce in a retry loop: consumed at most once, because after
         // this thread computes it either returns or unwinds.
         let mut compute = Some(compute);
         loop {
-            match self.probe(&key) {
-                Probe::Hit(v) => {
-                    self.count_hit(generation, &key, &v);
-                    return v;
-                }
+            let flight = match self.probe(&key) {
+                Probe::Hit(v) => return self.hit(v),
                 Probe::Wait(flight) => match flight.wait() {
-                    Some(v) => {
-                        self.count_hit(generation, &key, &v);
-                        return v;
-                    }
+                    Some(v) => return self.hit(v),
                     // The computing thread panicked; retry — we may
                     // become the new computer.
                     None => continue,
                 },
-                Probe::Compute(flight) => {
-                    self.misses.inc();
-                    twocs_obs::note_cache_miss();
-                    let guard = AbandonOnUnwind {
-                        cache: self,
-                        key: &key,
-                        flight: &flight,
-                    };
-                    let value = (compute.take().expect("compute claimed twice"))();
-                    std::mem::forget(guard);
-                    self.publish(&key, &flight, value.clone());
-                    self.l1_put(generation, key, value.clone());
-                    return value;
-                }
-            }
+                Probe::Compute(flight) => flight,
+            };
+            self.misses.inc();
+            twocs_obs::note_cache_miss();
+            let guard = AbandonOnUnwind {
+                cache: self,
+                key: &key,
+                flight: &flight,
+            };
+            let value = (compute.take().expect("compute claimed twice"))();
+            std::mem::forget(guard);
+            self.publish(key, &flight, value.clone());
+            return value;
         }
     }
 
-    /// Begin a chunk-scoped lookup session: pre-resolve `keys` against
-    /// the shared shards, touching each shard **at most once** for the
-    /// whole chunk instead of once per key.
-    ///
-    /// Keys already in this thread's L1 cost no lock at all. The
-    /// remaining keys are grouped by shard and probed under a single
-    /// read-lock per shard; every `Ready` value found is copied into the
-    /// L1, so the chunk's per-point `get_or_insert_with` calls that
-    /// follow are lock-free L1 hits. Keys absent from the shared table
-    /// (or still being computed by another thread) are left to the
-    /// normal lookup path — computed once, in-flight deduplicated, and
-    /// counted as misses exactly as if no prefetch had happened.
-    ///
-    /// The prefetch itself records no hits or misses: the counters keep
-    /// describing what the chunk's real lookups did. The returned
-    /// [`ChunkScope`] ends the chunk on drop (bumping
-    /// `cache.<name>.chunks` for named caches).
-    pub fn begin_chunk(&self, keys: impl IntoIterator<Item = K>) -> ChunkScope<'_, K, V> {
-        let generation = self.generation.load(Ordering::Acquire);
-        // Distinct keys this thread has not seen yet, grouped by shard so
-        // each shard's lock is taken at most once below.
-        let mut by_shard: Vec<Vec<K>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for key in keys {
-            if self.l1_get(generation, &key).is_none() {
-                by_shard[self.shard_index(&key)].push(key);
-            }
-        }
-        let mut prefetched = 0;
-        let mut shard_probes = 0;
-        for (s, keys) in by_shard.into_iter().enumerate() {
-            if keys.is_empty() {
-                continue;
-            }
-            shard_probes += 1;
-            let map = self.shards[s]
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            for key in keys {
-                if let Some(Slot::Ready(v)) = map.get(&key) {
-                    let value = v.clone();
-                    self.l1_put(generation, key, value);
-                    prefetched += 1;
-                }
-            }
-        }
-        ChunkScope {
-            cache: self,
-            prefetched,
-            shard_probes,
-        }
-    }
-
-    /// Exact resident-entry count: sum of finished entries across all
-    /// shards (in-flight `Pending` slots are not yet resident).
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Current counters. `entries` is exact at snapshot time (summed
-    /// across shards; L1 tables hold only copies of shard entries).
+    /// Current counters. `entries` is exact at snapshot time: the sum of
+    /// the shards' resident counts (in-flight `Pending` slots are not yet
+    /// resident), one read-lock per shard.
     pub fn stats(&self) -> CacheStats {
-        let entries = self.len();
-        self.entries_gauge.set(entries as f64);
+        let entries = self
+            .shards
+            .iter()
+            .map(|shard| shard.read().unwrap_or_else(PoisonError::into_inner).ready)
+            .sum();
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
@@ -556,19 +339,16 @@ where
     }
 
     /// Drop all entries and zero the counters (for tests and benchmarks
-    /// that need cold-cache numbers). Thread-local L1 copies are
-    /// invalidated lazily via the generation counter.
+    /// that need cold-cache numbers).
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            shard
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
+            let mut map = shard.write().unwrap_or_else(PoisonError::into_inner);
+            map.slots.clear();
+            self.entries_gauge.add(-(map.ready as f64));
+            map.ready = 0;
         }
-        self.generation.fetch_add(1, Ordering::AcqRel);
         self.hits.reset();
         self.misses.reset();
-        self.entries_gauge.set(0.0);
     }
 }
 
@@ -578,8 +358,8 @@ where
 /// forever. Disarmed with `mem::forget` on success.
 struct AbandonOnUnwind<'a, K, V>
 where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
+    K: Eq + Hash + Clone,
+    V: Clone,
 {
     cache: &'a MemoCache<K, V>,
     key: &'a K,
@@ -588,8 +368,8 @@ where
 
 impl<K, V> Drop for AbandonOnUnwind<'_, K, V>
 where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
+    K: Eq + Hash + Clone,
+    V: Clone,
 {
     fn drop(&mut self) {
         {
@@ -598,9 +378,9 @@ where
                 .shard(self.key)
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
-            if let Some(Slot::Pending(p)) = map.get(self.key) {
+            if let Some(Slot::Pending(p)) = map.slots.get(self.key) {
                 if Arc::ptr_eq(p, self.flight) {
-                    map.remove(self.key);
+                    map.slots.remove(self.key);
                 }
             }
         }
@@ -610,8 +390,8 @@ where
 
 impl<K, V> Default for MemoCache<K, V>
 where
-    K: Eq + Hash + Clone + 'static,
-    V: Clone + 'static,
+    K: Eq + Hash + Clone,
+    V: Clone,
 {
     fn default() -> Self {
         Self::new()
@@ -665,7 +445,7 @@ pub fn clear_gemm_time_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]
@@ -838,73 +618,6 @@ mod tests {
         // Same key, different cache: must compute its own value.
         assert_eq!(b.get_or_insert_with(1, || 20), 20);
         assert_eq!(b.stats().misses, 1);
-    }
-
-    #[test]
-    fn chunk_prefetch_copies_shard_entries_into_l1() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        // Fill the shared shards from another thread, so this thread's L1
-        // is guaranteed cold for every key.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for k in 0..32u64 {
-                    let _ = cache.get_or_insert_with(k, move || k * 2);
-                }
-            });
-        });
-        let scope = cache.begin_chunk(0..32u64);
-        assert_eq!(scope.prefetched(), 32);
-        // 32 keys resolved with at most one lock acquisition per shard.
-        assert!(scope.shard_probes() <= SHARDS, "{}", scope.shard_probes());
-        // Every prefetched key is now answerable without computing.
-        for k in 0..32u64 {
-            assert_eq!(
-                cache.get_or_insert_with(k, || unreachable!("prefetched key recomputed")),
-                k * 2
-            );
-        }
-        drop(scope);
-    }
-
-    #[test]
-    fn chunk_prefetch_leaves_counters_untouched() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        let _ = cache.get_or_insert_with(1, || 10);
-        let before = cache.stats();
-        let scope = cache.begin_chunk([1, 2, 3]);
-        let after = cache.stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-        drop(scope);
-    }
-
-    #[test]
-    fn chunk_prefetch_of_absent_keys_is_harmless() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        let scope = cache.begin_chunk(0..8u64);
-        assert_eq!(scope.prefetched(), 0);
-        drop(scope);
-        // Absent keys still compute normally (and count as misses).
-        assert_eq!(cache.get_or_insert_with(3, || 33), 33);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn chunk_prefetch_skips_keys_already_in_l1() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        // Computed on this thread, so it is already in this thread's L1.
-        let _ = cache.get_or_insert_with(5, || 50);
-        let scope = cache.begin_chunk([5]);
-        assert_eq!((scope.prefetched(), scope.shard_probes()), (0, 0));
-        drop(scope);
-    }
-
-    #[test]
-    fn named_cache_counts_chunks() {
-        let cache: MemoCache<u64, u64> = MemoCache::named("test_chunks");
-        drop(cache.begin_chunk([1, 2]));
-        drop(cache.begin_chunk(std::iter::empty()));
-        let reg = twocs_obs::metrics::global();
-        assert_eq!(reg.counter("cache.test_chunks.chunks").get(), 2);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value.
+/// An instantaneous value, set outright or adjusted by deltas.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -65,6 +65,16 @@ impl Gauge {
     /// Set the current value.
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Add `delta` to the current value. Atomic, so concurrent
+    /// adjusters never lose an update.
+    pub fn add(&self, delta: f64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
     }
 
     /// Read the current value.
@@ -391,6 +401,22 @@ mod tests {
         let g = reg.gauge("util");
         g.set(0.75);
         assert!((reg.gauge("util").get() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gauge_adds_never_lose_an_update() {
+        let g = Gauge::detached();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        g.add(1.0);
+                    }
+                });
+            }
+        });
+        g.add(-1500.0);
+        assert_eq!(g.get(), 2500.0);
     }
 
     #[test]

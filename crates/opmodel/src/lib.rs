@@ -50,7 +50,5 @@ pub mod stats;
 pub mod validation;
 
 pub use model::{ArSizeModel, FittedOpModel, ScalingExponents};
-pub use profile::{
-    clear_slack_roi_cache, slack_roi_cache_stats, OperatorRecord, Profiler, SlackRoiChunk,
-};
+pub use profile::{clear_slack_roi_cache, slack_roi_cache_stats, OperatorRecord, Profiler};
 pub use projection::{ProjectedIteration, ProjectionModel};

@@ -8,7 +8,7 @@
 
 use std::sync::LazyLock;
 use twocs_collectives::CollectiveCostModel;
-use twocs_hw::cache::{CacheStats, ChunkScope, MemoCache};
+use twocs_hw::cache::{CacheStats, MemoCache};
 use twocs_hw::DeviceSpec;
 use twocs_sim::{Engine, OpClass, SimError};
 use twocs_transformer::backward::{encoder_layer_backward, fc_backward_roi};
@@ -41,23 +41,6 @@ pub fn slack_roi_cache_stats() -> CacheStats {
 /// Empty the global slack-ROI profile cache and zero its counters.
 pub fn clear_slack_roi_cache() {
     SLACK_ROI.clear();
-}
-
-/// RAII guard for one chunk-scoped slack-ROI session (see
-/// [`Profiler::begin_slack_roi_chunk`]). While alive, the chunk's
-/// prefetched queries answer from the calling thread's lock-free L1;
-/// dropping it ends the chunk.
-#[must_use = "the chunk ends when the guard is dropped"]
-#[derive(Debug)]
-pub struct SlackRoiChunk(ChunkScope<'static, SlackRoiKey, (f64, f64)>);
-
-impl SlackRoiChunk {
-    /// Queries the prefetch copied from the shared cache shards into the
-    /// calling thread's L1 table.
-    #[must_use]
-    pub fn prefetched(&self) -> usize {
-        self.0.prefetched()
-    }
 }
 
 /// One profiled operator execution.
@@ -194,27 +177,6 @@ impl Profiler {
                 self.comm_model.chunk_ramp_bytes().to_bits(),
             ),
         )
-    }
-
-    /// Begin a chunk-scoped slack-ROI session: pre-resolve every query's
-    /// cache key against the shared cache shards at most once for the
-    /// whole chunk (one read-lock per shard, see
-    /// [`MemoCache::begin_chunk`](twocs_hw::cache::MemoCache::begin_chunk)),
-    /// so the [`Self::profile_slack_roi`] calls that follow are
-    /// lock-free thread-local hits. Queries whose ROI has never been
-    /// profiled are left to the normal path — computed once, in-flight
-    /// deduplicated.
-    ///
-    /// Batch evaluators (the factored sweep planner) call this once per
-    /// lease-sized chunk before walking the chunk's points.
-    pub fn begin_slack_roi_chunk(
-        &self,
-        queries: impl IntoIterator<Item = (Hyperparams, ParallelConfig)>,
-    ) -> SlackRoiChunk {
-        let keys = queries
-            .into_iter()
-            .map(|(hyper, parallel)| self.slack_roi_key(&hyper, &parallel));
-        SlackRoiChunk(LazyLock::force(&SLACK_ROI).begin_chunk(keys))
     }
 
     /// Profile the paper's DP slack ROI (§4.2.2 step 2a): the FC backward

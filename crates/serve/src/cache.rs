@@ -10,15 +10,14 @@
 //! default-folding: two spellings of the same query — `flop_vs_bw=1`
 //! vs. `flop_vs_bw=1.0`, parameters omitted vs. spelled out as their
 //! defaults, list orderings preserved — resolve to one key and one
-//! cached entry. Parameters that cannot change the body (`jobs`,
-//! `planner` — the factored planner is bit-identical to naive by
-//! contract) are excluded from keys entirely.
+//! cached entry. The one parameter that cannot change the body, `jobs`,
+//! is excluded from keys entirely.
 //!
 //! Because the store is a [`MemoCache`], the serve cache inherits its
-//! concurrency story wholesale: per-thread L1 tables make warm hits
-//! lock-free, and in-flight miss deduplication means a stampede of
-//! identical cold queries computes the body **once** while the other
-//! request workers wait for it. Counters publish to `/v1/metrics` as
+//! concurrency story wholesale: lock-striped shards keep request
+//! workers on different keys apart, and in-flight miss deduplication
+//! means a stampede of identical cold queries computes the body
+//! **once** while the other request workers wait for it. Counters publish to `/v1/metrics` as
 //! `serve.cache.{hits,misses,entries}`.
 //!
 //! Only infallible compute paths go through the cache: handlers
