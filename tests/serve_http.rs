@@ -425,6 +425,28 @@ fn extended_axis_params_validate_and_stay_byte_identical() {
     join.join().expect("server thread");
 }
 
+/// The json and ascii views of `/v1/sweep` are pinned byte for byte to
+/// goldens in `tests/golden_sweep/`, rendered by the table-driven sweep
+/// before both views were built over the streamed CSV body.
+#[test]
+fn sweep_json_and_ascii_bodies_match_their_goldens() {
+    let (addr, shutdown, join) = start(test_config());
+    let query = "h=4096&tp=16&flop_vs_bw=1,4&experts=1,8&top_k=1&stages=1,2\
+                 &workload=prefill&method=proj";
+    for (format, golden) in [
+        ("json", "serve_extended.json"),
+        ("ascii", "serve_extended.txt"),
+    ] {
+        let raw = get(&addr, &format!("/v1/sweep?{query}&format={format}"));
+        assert_eq!(status_of(&raw), 200, "{format}: {raw}");
+        let path = format!("{}/tests/golden_sweep/{golden}", env!("CARGO_MANIFEST_DIR"));
+        let want = std::fs::read_to_string(&path).expect("golden exists");
+        assert_eq!(body_of(&raw), want, "format={format} drifted from {golden}");
+    }
+    shutdown.trigger();
+    join.join().expect("server thread");
+}
+
 #[test]
 fn eight_concurrent_clients_get_identical_answers() {
     let mut config = test_config();
