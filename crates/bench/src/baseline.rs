@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use crate::harness::BenchResult;
+
 /// One benchmark mean from a `BENCH_sweep.json` results array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselineEntry {
@@ -231,6 +233,53 @@ pub fn gate(
         ));
     }
     Ok(checks)
+}
+
+/// The CI perf gate of a bench bin named `bin`: compare `results` —
+/// minus any with an id in `ungated` — against the committed baseline at
+/// `path` over `groups`, print every check, and exit with status 2 when
+/// the gate is unusable or 1 when a benchmark is more than
+/// `max_regress_pct` percent slower.
+///
+/// # Panics
+/// When the baseline file cannot be read or parsed.
+pub fn run_gate(
+    bin: &str,
+    results: &[BenchResult],
+    path: &str,
+    groups: &[&str],
+    ungated: &[&str],
+    max_regress_pct: f64,
+) {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+    let baseline = parse_results(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"));
+    let current: Vec<BaselineEntry> = results
+        .iter()
+        .filter(|r| !ungated.contains(&r.id()))
+        .map(|r| BaselineEntry {
+            group: r.group().to_owned(),
+            id: r.id().to_owned(),
+            mean_ns: r.mean().as_nanos(),
+        })
+        .collect();
+    let checks = gate(&baseline, &current, groups, max_regress_pct).unwrap_or_else(|e| {
+        eprintln!("{bin}: perf gate is unusable: {e}");
+        std::process::exit(2);
+    });
+    eprintln!("{bin}: perf gate vs {path} (max regress {max_regress_pct}%):");
+    for check in &checks {
+        eprintln!("  {check}");
+    }
+    let regressed = checks.iter().filter(|c| c.regressed).count();
+    if regressed > 0 {
+        eprintln!(
+            "{bin}: PERF REGRESSION — {regressed} benchmark(s) slower than the committed \
+             baseline by more than {max_regress_pct}%"
+        );
+        std::process::exit(1);
+    }
+    eprintln!("{bin}: perf gate passed");
 }
 
 #[cfg(test)]

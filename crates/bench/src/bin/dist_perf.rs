@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use twocs_bench::harness::Criterion;
+use twocs_bench::harness::{BenchResult, Criterion};
 use twocs_core::serialized::Method;
 use twocs_core::sweep::GridSweep;
 use twocs_dist::coordinator::{Coordinator, CoordinatorConfig};
@@ -167,68 +167,6 @@ fn parse_args() -> Result<Options, String> {
 const GATED_GROUPS: &[&str] = &["dist_pipelined"];
 const UNGATED_IDS: &[&str] = &["rtt0ms", "rtt1ms"];
 
-/// Compare this run's means against the committed baseline and exit
-/// nonzero on any regression beyond the budget.
-fn run_gate(c: &Criterion, baseline_path: &str, max_regress: f64) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = twocs_bench::baseline::parse_results(&text)
-        .unwrap_or_else(|e| panic!("parse baseline {baseline_path}: {e}"));
-    let current: Vec<twocs_bench::baseline::BaselineEntry> = c
-        .results()
-        .iter()
-        .filter(|r| !UNGATED_IDS.contains(&r.id()))
-        .map(|r| twocs_bench::baseline::BaselineEntry {
-            group: r.group().to_owned(),
-            id: r.id().to_owned(),
-            mean_ns: r.mean().as_nanos(),
-        })
-        .collect();
-    let checks = match twocs_bench::baseline::gate(&baseline, &current, GATED_GROUPS, max_regress) {
-        Ok(checks) => checks,
-        Err(e) => {
-            eprintln!("dist_perf: perf gate is unusable: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("dist_perf: perf gate vs {baseline_path} (max regress {max_regress}%):");
-    for check in &checks {
-        eprintln!("  {check}");
-    }
-    let regressed = checks.iter().filter(|c| c.regressed).count();
-    if regressed > 0 {
-        eprintln!(
-            "dist_perf: PERF REGRESSION — {regressed} benchmark(s) slower than the committed \
-             baseline by more than {max_regress}%"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("dist_perf: perf gate passed");
-}
-
-/// Escape and serialize one benchmark result as a JSON object.
-fn result_json(r: &twocs_bench::harness::BenchResult) -> String {
-    format!(
-        "    {{\"group\": \"{}\", \"id\": \"{}\", \"samples\": {}, \"iters_per_sample\": {}, \
-         \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-        twocs_obs::chrome::escape_json(r.group()),
-        twocs_obs::chrome::escape_json(r.id()),
-        r.samples(),
-        r.iters_per_sample(),
-        r.mean().as_nanos(),
-        r.min().as_nanos(),
-        r.max().as_nanos(),
-    )
-}
-
-fn mean_ns(c: &Criterion, group: &str, id: &str) -> u128 {
-    c.results()
-        .iter()
-        .find(|r| r.group() == group && r.id() == id)
-        .map(|r| r.mean().as_nanos())
-        .unwrap_or_else(|| panic!("benchmark {group}/{id} did not run"))
-}
-
 fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -298,8 +236,10 @@ fn main() {
     // Headline ratios: wall-time speedup == points/s speedup (same grid).
     #[allow(clippy::cast_precision_loss)]
     let speedup = |rtt_ms: u64| {
-        let lockstep = mean_ns(&c, "dist_lockstep", &format!("rtt{rtt_ms}ms"));
-        let pipelined = mean_ns(&c, "dist_pipelined", &format!("rtt{rtt_ms}ms")).max(1);
+        let lockstep = c.mean_ns("dist_lockstep", &format!("rtt{rtt_ms}ms"));
+        let pipelined = c
+            .mean_ns("dist_pipelined", &format!("rtt{rtt_ms}ms"))
+            .max(1);
         lockstep as f64 / pipelined as f64
     };
     let speedups: Vec<(u64, f64)> = RTTS_MS.iter().map(|&ms| (ms, speedup(ms))).collect();
@@ -319,7 +259,7 @@ fn main() {
         eprintln!("dist_perf: WARNING (smoke): {msg}");
     }
 
-    let results: Vec<String> = c.results().iter().map(result_json).collect();
+    let results: Vec<String> = c.results().iter().map(BenchResult::to_json).collect();
     let speedup_fields: Vec<String> = speedups
         .iter()
         .map(|(ms, s)| format!("  \"pipelined_speedup_rtt{ms}ms\": {s:.4}"))
@@ -344,6 +284,13 @@ fn main() {
     eprintln!("dist_perf: wrote {}", opts.out);
 
     if let Some(baseline_path) = &opts.baseline {
-        run_gate(&c, baseline_path, opts.max_regress);
+        twocs_bench::baseline::run_gate(
+            "dist_perf",
+            c.results(),
+            baseline_path,
+            GATED_GROUPS,
+            UNGATED_IDS,
+            opts.max_regress,
+        );
     }
 }

@@ -36,7 +36,7 @@
 
 use std::time::Duration;
 
-use twocs_bench::harness::Criterion;
+use twocs_bench::harness::{BenchResult, Criterion};
 use twocs_core::serialized::Method;
 use twocs_core::sweep::{
     eval_chunk, eval_grid_point, run_tasks, set_parallelism, FactoredPlan, GridSweep,
@@ -202,67 +202,6 @@ fn parse_args() -> Result<Options, String> {
 /// to gate on.
 const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold"];
 
-/// Compare this run's means against the committed baseline and exit
-/// nonzero on any regression beyond the budget.
-fn run_gate(c: &Criterion, baseline_path: &str, max_regress: f64) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = twocs_bench::baseline::parse_results(&text)
-        .unwrap_or_else(|e| panic!("parse baseline {baseline_path}: {e}"));
-    let current: Vec<twocs_bench::baseline::BaselineEntry> = c
-        .results()
-        .iter()
-        .map(|r| twocs_bench::baseline::BaselineEntry {
-            group: r.group().to_owned(),
-            id: r.id().to_owned(),
-            mean_ns: r.mean().as_nanos(),
-        })
-        .collect();
-    let checks = match twocs_bench::baseline::gate(&baseline, &current, GATED_GROUPS, max_regress) {
-        Ok(checks) => checks,
-        Err(e) => {
-            eprintln!("sweep_perf: perf gate is unusable: {e}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!("sweep_perf: perf gate vs {baseline_path} (max regress {max_regress}%):");
-    for check in &checks {
-        eprintln!("  {check}");
-    }
-    let regressed = checks.iter().filter(|c| c.regressed).count();
-    if regressed > 0 {
-        eprintln!(
-            "sweep_perf: PERF REGRESSION — {regressed} benchmark(s) slower than the committed \
-             baseline by more than {max_regress}%"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("sweep_perf: perf gate passed");
-}
-
-/// Escape and serialize one benchmark result as a JSON object.
-fn result_json(r: &twocs_bench::harness::BenchResult) -> String {
-    format!(
-        "    {{\"group\": \"{}\", \"id\": \"{}\", \"samples\": {}, \"iters_per_sample\": {}, \
-         \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-        twocs_obs::chrome::escape_json(r.group()),
-        twocs_obs::chrome::escape_json(r.id()),
-        r.samples(),
-        r.iters_per_sample(),
-        r.mean().as_nanos(),
-        r.min().as_nanos(),
-        r.max().as_nanos(),
-    )
-}
-
-fn mean_ns(c: &Criterion, group: &str, id: &str) -> u128 {
-    c.results()
-        .iter()
-        .find(|r| r.group() == group && r.id() == id)
-        .map(|r| r.mean().as_nanos())
-        .unwrap_or_else(|| panic!("benchmark {group}/{id} did not run"))
-}
-
 fn main() {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -385,13 +324,13 @@ fn main() {
     }
     c.print_summary();
 
-    let warm_naive = mean_ns(&c, "sweep_warm", "naive");
-    let warm_factored = mean_ns(&c, "sweep_warm", "factored").max(1);
+    let warm_naive = c.mean_ns("sweep_warm", "naive");
+    let warm_factored = c.mean_ns("sweep_warm", "factored").max(1);
     #[allow(clippy::cast_precision_loss)]
     let speedup = warm_naive as f64 / warm_factored as f64;
     eprintln!("sweep_perf: warm factored vs naive speedup = {speedup:.2}x");
 
-    let results: Vec<String> = c.results().iter().map(result_json).collect();
+    let results: Vec<String> = c.results().iter().map(BenchResult::to_json).collect();
     let json = format!(
         "{{\n  \"benchmark\": \"sweep_perf\",\n  \"grid\": {{\"points\": {}, \"h\": [{}], \
          \"sl\": [{}], \"tp\": [{}], \"flop_vs_bw\": [1.0], \"experts\": [{}], \
@@ -415,6 +354,13 @@ fn main() {
     eprintln!("sweep_perf: wrote {}", opts.out);
 
     if let Some(baseline_path) = &opts.baseline {
-        run_gate(&c, baseline_path, opts.max_regress);
+        twocs_bench::baseline::run_gate(
+            "sweep_perf",
+            c.results(),
+            baseline_path,
+            GATED_GROUPS,
+            &[],
+            opts.max_regress,
+        );
     }
 }

@@ -43,6 +43,19 @@ impl Criterion {
         &self.results
     }
 
+    /// Mean per-iteration time of `group`/`id`, in nanoseconds.
+    ///
+    /// # Panics
+    /// When no such benchmark ran.
+    #[must_use]
+    pub fn mean_ns(&self, group: &str, id: &str) -> u128 {
+        self.results
+            .iter()
+            .find(|r| r.group == group && r.id == id)
+            .map(|r| r.mean.as_nanos())
+            .unwrap_or_else(|| panic!("benchmark {group}/{id} did not run"))
+    }
+
     /// Print a one-line-per-benchmark summary of everything run so far.
     pub fn print_summary(&self) {
         if self.results.is_empty() {
@@ -132,6 +145,22 @@ impl BenchResult {
     #[must_use]
     pub fn max(&self) -> Duration {
         self.max
+    }
+
+    /// This result as one JSON object of a `BENCH_*.json` `results` array.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        format!(
+            "    {{\"group\": \"{}\", \"id\": \"{}\", \"samples\": {}, \"iters_per_sample\": {}, \
+             \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
+            twocs_obs::chrome::escape_json(&self.group),
+            twocs_obs::chrome::escape_json(&self.id),
+            self.samples,
+            self.iters_per_sample,
+            self.mean.as_nanos(),
+            self.min.as_nanos(),
+            self.max.as_nanos(),
+        )
     }
 }
 

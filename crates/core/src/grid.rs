@@ -125,12 +125,6 @@ impl GridIndex {
         &self.ratios
     }
 
-    /// The valid `(experts, top_k)` pairs in grid order.
-    #[must_use]
-    pub fn expert_pairs(&self) -> &[(u64, u64)] {
-        &self.pairs
-    }
-
     /// Distinct extended-axis tuples in grid order — the inner cross
     /// product of `(experts, top_k) × stages × micro_batches × sp`.
     pub fn axis_tuples(&self) -> impl Iterator<Item = (u64, u64, u64, u64, u64)> + '_ {

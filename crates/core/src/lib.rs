@@ -68,6 +68,6 @@ pub use inference::{InferenceIteration, Workload};
 pub use planner::{eval_chunk, FactoredPlan};
 pub use report::{Figure, Series, Table};
 pub use sweep::{
-    eval_grid_point, run_experiments, GridExecutor, GridPoint, GridSweep, PointResults, SweepRun,
-    SweepSummary,
+    eval_grid_point, run_experiments, GridExecutor, GridPoint, GridSweep, LocalPool, OnChunk,
+    PointResults, SweepRun, SweepSummary,
 };

@@ -8,19 +8,25 @@
 //! that a panicking configuration surfaces as a failed task instead of
 //! wedging the harness.
 //!
-//! [`run_tasks`] is the building block: a scoped-thread worker pool
+//! [`stream_tasks`] is the building block: a scoped-thread worker pool
 //! (`std::thread::scope`, no external dependencies) pulling task indices
-//! from an atomic counter and writing results into per-index slots, so
-//! collection order is the submission order no matter which worker ran
-//! what. Panics are caught per task ([`std::panic::catch_unwind`]) and
-//! converted into `Err(message)` results.
+//! from an atomic counter and handing each finished task to the calling
+//! thread while the rest still run. Panics are caught per task
+//! ([`std::panic::catch_unwind`]) and converted into `Err(message)`
+//! results. [`run_tasks`] is its collect-into-slots case, so collection
+//! order is the submission order no matter which worker ran what.
 //!
 //! On top of it sit [`run_experiments`] — the paper's full registry with
-//! per-experiment wall times — and [`GridSweep`] — a
-//! `(H, SL, TP, flop-vs-bw)` cross-product evaluating both communication
-//! metrics per point. Both report a [`SweepSummary`] with task timings and
-//! the memo-cache activity ([`twocs_hw::CacheStats`]) observed during the
-//! sweep.
+//! per-experiment wall times — and the sweep executors. A [`GridSweep`]
+//! is a `(H, SL, TP, flop-vs-bw)` cross-product evaluating both
+//! communication metrics per point; a [`GridExecutor`] streams its
+//! chunks' results to a consumer, in any order. [`LocalPool`] is the
+//! in-process executor (one [`eval_chunk`] pool task per chunk) and
+//! `twocs-dist`'s coordinator the distributed one; `twocs_store::run`
+//! records either into one store, and [`GridSweep::run`] files the
+//! pool's chunks into an in-memory table. Both the registry and the
+//! pool report a [`SweepSummary`] with task timings and the memo-cache
+//! activity ([`twocs_hw::CacheStats`]) observed during the run.
 //!
 //! The pool is instrumented through `twocs-obs`: every task runs inside a
 //! task scope (so an installed tracer records its lifecycle and the memo
@@ -31,10 +37,11 @@
 //! first-touch tasks no longer skew the per-experiment timings.
 
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use crate::experiments::{ExperimentDef, ExperimentOutput};
@@ -127,20 +134,7 @@ where
 
 /// [`run_tasks`] with a per-task span label, so tracer output and the
 /// sweep summary name tasks by experiment id or grid point instead of
-/// index.
-///
-/// Each worker also inherits the calling thread's [`parallelism`] budget,
-/// so nested pools fan out with the budget of the sweep that spawned
-/// them — concurrent sweeps at different `--jobs` stay isolated.
-///
-/// Each task executes inside a `twocs-obs` task scope on a worker seeded
-/// from the calling thread's tracing context: an installed tracer records
-/// one lifecycle span per task (in its deterministic logical window under
-/// [`twocs_obs::TraceMode::Logical`]), and memo-cache hits/misses are
-/// charged to exactly the task that incurred them. The pool also feeds
-/// the global metrics registry: `sweep.tasks_total`, the
-/// `sweep.queue_depth` histogram (sampled at claim time), and per-worker
-/// `sweep.worker<N>.busy_us` counters.
+/// index: [`stream_tasks`] collected into per-index slots.
 pub fn run_tasks_labeled<T, F, L>(
     jobs: usize,
     count: usize,
@@ -152,7 +146,54 @@ where
     F: Fn(usize) -> T + Sync,
     L: Fn(usize) -> String + Sync,
 {
-    let slots: Vec<Mutex<Option<TaskResult<T>>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Option<TaskResult<T>>> = (0..count).map(|_| None).collect();
+    let Ok(()) = stream_tasks(jobs, count, label, task, |i, done| {
+        slots[i] = Some(done);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every task index below `count` is claimed exactly once"))
+        .collect()
+}
+
+/// The worker pool: execute `count` tasks on `jobs` scoped worker
+/// threads, handing each finished task to `on_done` **on the calling
+/// thread** while the rest still run, in completion order.
+///
+/// Workers claim indices from a shared atomic counter, so the pool
+/// load-balances uneven task costs, and finished tasks reach the caller
+/// through a channel bounded at four per worker, so a slow consumer
+/// throttles evaluation instead of queueing results. Each task runs
+/// under [`catch_unwind`]: a panic becomes `Err(message)` for that
+/// index and the worker moves on. An `Err` from `on_done` stops the
+/// pool — no further task is claimed — and is returned once the workers
+/// have exited.
+///
+/// Each worker inherits the calling thread's [`parallelism`] budget, so
+/// nested pools fan out with the budget of the sweep that spawned them
+/// — concurrent sweeps at different `--jobs` stay isolated.
+///
+/// Each task executes inside a `twocs-obs` task scope on a worker seeded
+/// from the calling thread's tracing context: an installed tracer records
+/// one lifecycle span per task (in its deterministic logical window under
+/// [`twocs_obs::TraceMode::Logical`]), and memo-cache hits/misses are
+/// charged to exactly the task that incurred them. The pool also feeds
+/// the global metrics registry: `sweep.tasks_total`, the
+/// `sweep.queue_depth` histogram (sampled at claim time), and per-worker
+/// `sweep.worker<N>.busy_us` counters.
+pub fn stream_tasks<T, F, L, E>(
+    jobs: usize,
+    count: usize,
+    label: L,
+    task: F,
+    mut on_done: impl FnMut(usize, TaskResult<T>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    L: Fn(usize) -> String + Sync,
+{
     let next = AtomicUsize::new(0);
     let workers = jobs.max(1).min(count.max(1));
     // Workers inherit the spawning thread's budget (like the tracing
@@ -163,16 +204,12 @@ where
     let registry = twocs_obs::metrics::global();
     let tasks_total = registry.counter("sweep.tasks_total");
     let queue_depth = registry.histogram("sweep.queue_depth");
+    let (tx, rx) = sync_channel::<(usize, TaskResult<T>)>(workers * 4);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let seed = &seed;
-            let tasks_total = &tasks_total;
-            let queue_depth = &queue_depth;
-            let label = &label;
-            let task = &task;
-            let slots = &slots;
-            let next = &next;
+            let (seed, tasks_total, queue_depth) = (&seed, &tasks_total, &queue_depth);
+            let (label, task, next, tx) = (&label, &task, &next, tx.clone());
             scope.spawn(move || {
                 twocs_obs::enter_worker(seed, w);
                 set_parallelism(budget);
@@ -197,20 +234,24 @@ where
                         cache_hits: observation.cache_hits,
                         cache_misses: observation.cache_misses,
                     };
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(done);
+                    if tx.send((i, done)).is_err() {
+                        break; // the caller stopped the pool
+                    }
                 }
             });
         }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every task index below `count` is claimed exactly once")
-        })
-        .collect()
+        drop(tx);
+        let mut outcome = Ok(());
+        for (i, done) in &rx {
+            if let Err(e) = on_done(i, done) {
+                next.store(count, Ordering::Relaxed);
+                outcome = Err(e);
+                break;
+            }
+        }
+        drop(rx);
+        outcome
+    })
 }
 
 /// Render a caught panic payload as the task's error message.
@@ -352,6 +393,32 @@ impl SweepSummary {
         agg
     }
 
+    /// The summary of a run on `jobs` threads that started at `start`,
+    /// with the memo caches at `before`: wall time and cache activity
+    /// are measured up to now.
+    fn since(
+        jobs: usize,
+        timings: Vec<TaskTiming>,
+        failures: usize,
+        start: Instant,
+        before: &[CacheStats; 3],
+    ) -> Self {
+        let wall = start.elapsed();
+        let [gemm, collective, slack_roi] = cache_snapshot();
+        Self {
+            jobs: jobs.max(1),
+            tasks: timings.len(),
+            failures,
+            wall,
+            task_time: timings.iter().map(|t| t.elapsed).sum(),
+            workers: Self::workers_from_timings(jobs, &timings),
+            timings,
+            gemm_cache: gemm.since(&before[0]),
+            collective_cache: collective.since(&before[1]),
+            slack_roi_cache: slack_roi.since(&before[2]),
+        }
+    }
+
     /// Build the per-worker breakdown from per-task timings. `jobs` is
     /// the requested worker count; the breakdown covers
     /// `min(jobs, tasks)` workers, matching what the pool spawned.
@@ -426,12 +493,12 @@ impl fmt::Display for SweepSummary {
 }
 
 /// Snapshot all three global memo caches.
-fn cache_snapshot() -> (CacheStats, CacheStats, CacheStats) {
-    (
+fn cache_snapshot() -> [CacheStats; 3] {
+    [
         twocs_hw::cache::gemm_time_cache_stats(),
         twocs_collectives::node_time_cache_stats(),
         twocs_opmodel::slack_roi_cache_stats(),
-    )
+    ]
 }
 
 /// One experiment's outcome inside a sweep.
@@ -473,9 +540,6 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
         |i| defs[i].id.to_owned(),
         |i| (defs[i].run)(device),
     );
-    let wall = start.elapsed();
-    let after = cache_snapshot();
-
     let timings: Vec<TaskTiming> = defs
         .iter()
         .zip(&raw)
@@ -497,19 +561,8 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
             elapsed: t.elapsed,
         })
         .collect();
-
-    let summary = SweepSummary {
-        jobs: jobs.max(1),
-        tasks: results.len(),
-        failures: results.iter().filter(|r| r.output.is_err()).count(),
-        wall,
-        task_time: results.iter().map(|r| r.elapsed).sum(),
-        workers: SweepSummary::workers_from_timings(jobs, &timings),
-        timings,
-        gemm_cache: after.0.since(&before.0),
-        collective_cache: after.1.since(&before.1),
-        slack_roi_cache: after.2.since(&before.2),
-    };
+    let failures = results.iter().filter(|r| r.output.is_err()).count();
+    let summary = SweepSummary::since(jobs, timings, failures, start, &before);
     SweepRun { results, summary }
 }
 
@@ -896,20 +949,38 @@ pub fn eval_grid_point(
 /// or the panic message if that point's evaluation panicked.
 pub type PointResults = Vec<Result<(f64, f64), String>>;
 
-/// Something that can evaluate every point of a [`GridSweep`] and return
-/// per-point results **in [`GridSweep::points`] order**.
-///
-/// The seam between grid definition and execution substrate:
-/// `twocs-dist` provides a coordinator that shards a sweep across TCP
-/// workers, and `twocs serve` accepts any executor for `/v1/sweep`, so
-/// the query service can ride the same fabric. In-process sweeps run
-/// through [`GridSweep::run`].
-pub trait GridExecutor: Send + Sync {
-    /// Evaluate `sweep` on `device`, returning one result per point of
-    /// [`GridSweep::points`], in that order. `Err` entries mark points
-    /// whose evaluation panicked; an outer `Err` aborts the whole sweep
-    /// (e.g. the fabric lost its last worker *and* cannot run locally).
-    fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String>;
+/// The per-chunk consumer an executor streams into: chunk id (in
+/// [`GridIndex::chunk_points`](crate::grid::GridIndex::chunk_points)
+/// numbering) and that chunk's results. An `Err` aborts the sweep.
+pub type OnChunk<'a> = dyn FnMut(u32, PointResults) -> Result<(), String> + 'a;
+
+/// Something that evaluates the chunks of a [`GridSweep`] and streams
+/// each chunk's results to a consumer — the seam between the grid and
+/// its execution substrate. [`LocalPool`] runs chunks on in-process
+/// worker threads; `twocs-dist`'s coordinator shards them across TCP
+/// workers. Every front end (`twocs sweep`, `/v1/sweep`, the journaled
+/// and resumed runs) drives an executor through `twocs_store::run`,
+/// which records the chunks into one store; [`GridSweep::run`] files
+/// them into an in-memory table instead.
+pub trait GridExecutor: Send + Sync + fmt::Debug {
+    /// Evaluate every `chunk_size`-point chunk of `sweep` on `device`
+    /// except those in `completed`, handing each chunk's results to
+    /// `on_chunk` exactly once, in any order. `Err` entries inside a
+    /// chunk mark points whose evaluation panicked; an outer `Err` aborts
+    /// the sweep (an `on_chunk` failure, or a fabric shutting down).
+    /// Returns the run's summary, for stderr.
+    fn execute(
+        &self,
+        sweep: &GridSweep,
+        device: &DeviceSpec,
+        chunk_size: usize,
+        completed: &BTreeSet<u32>,
+        on_chunk: &mut OnChunk<'_>,
+    ) -> Result<Box<dyn fmt::Display + Send>, String>;
+
+    /// The chunk size this executor picks for `sweep` when the caller
+    /// has no preference.
+    fn chunk_size(&self, sweep: &GridSweep) -> usize;
 
     /// Human-oriented name for logs and summaries.
     fn describe(&self) -> String {
@@ -921,12 +992,105 @@ fn grid_point_label(p: &GridPoint) -> String {
     format!("H={} SL={} TP={} r={}", p.h, p.sl, p.tp, p.ratio)
 }
 
-/// Lease size for batch-factored pool tasks: enough chunks to keep every
-/// worker busy twice over (so uneven chunk costs still load-balance),
-/// capped at 64 points so per-chunk results stay cache-friendly and a
-/// panicking chunk degrades a bounded slice of the grid.
-fn batch_chunk_size(points: usize, jobs: usize) -> usize {
-    points.div_ceil(jobs.max(1) * 2).clamp(1, 64)
+/// The in-process executor: one [`FactoredPlan`] per sweep, priced on
+/// `jobs` threads, and one [`eval_chunk`] pool task per chunk on
+/// [`stream_tasks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalPool {
+    /// Worker threads (and the plan's pricing budget).
+    pub jobs: usize,
+}
+
+impl LocalPool {
+    /// [`GridExecutor::execute`] with the typed summary: task timings,
+    /// per-worker split and the memo-cache activity of the run. Task `i`
+    /// is the `i`-th pending chunk, labelled by its grid point when the
+    /// chunk holds one point and by its point range otherwise.
+    pub fn run(
+        &self,
+        sweep: &GridSweep,
+        device: &DeviceSpec,
+        chunk_size: usize,
+        completed: &BTreeSet<u32>,
+        on_chunk: &mut OnChunk<'_>,
+    ) -> Result<SweepSummary, String> {
+        let jobs = self.jobs;
+        set_parallelism(jobs);
+        let index = sweep.index();
+        let chunk_size = chunk_size.max(1);
+        let before = cache_snapshot();
+        let start = Instant::now();
+        let pending: Vec<u32> = (0..index.chunk_count(chunk_size) as u32)
+            .filter(|c| !completed.contains(c))
+            .collect();
+        // A fully replayed journal has nothing left to price.
+        let plan = (!pending.is_empty())
+            .then(|| FactoredPlan::build_from_sweep(device, sweep))
+            .flatten();
+        let bounds = |i: usize| {
+            let start = pending[i] as usize * chunk_size;
+            (start, (start + chunk_size).min(index.len()))
+        };
+        let label = |i: usize| match bounds(i) {
+            (start, end) if end - start == 1 => grid_point_label(&index.point(start)),
+            (start, end) => format!("points {start}..{end}"),
+        };
+        let mut timings = vec![None; pending.len()];
+        let mut failures = 0;
+        let eval = |i: usize| {
+            let points = index.chunk_points(pending[i] as usize, chunk_size);
+            let mut out = PointResults::with_capacity(points.len());
+            eval_chunk(plan.as_ref(), device, sweep, &points, &mut out);
+            out
+        };
+        stream_tasks(jobs, pending.len(), label, eval, |i, t| {
+            // `eval_chunk` catches per-point panics, so a failed task
+            // means a planner bug: it degrades to one `Err` per point.
+            let (start, end) = bounds(i);
+            let values = t.result.unwrap_or_else(|msg| vec![Err(msg); end - start]);
+            let failed = values.iter().filter(|r| r.is_err()).count();
+            failures += failed;
+            timings[i] = Some(TaskTiming {
+                label: label(i),
+                elapsed: t.elapsed,
+                ok: failed == 0,
+                worker: t.worker,
+                cold: t.cache_misses > 0,
+            });
+            on_chunk(pending[i], values)
+        })?;
+        let timings = timings.into_iter().flatten().collect();
+        Ok(SweepSummary::since(jobs, timings, failures, start, &before))
+    }
+}
+
+impl GridExecutor for LocalPool {
+    fn execute(
+        &self,
+        sweep: &GridSweep,
+        device: &DeviceSpec,
+        chunk_size: usize,
+        completed: &BTreeSet<u32>,
+        on_chunk: &mut OnChunk<'_>,
+    ) -> Result<Box<dyn fmt::Display + Send>, String> {
+        Ok(Box::new(
+            self.run(sweep, device, chunk_size, completed, on_chunk)?,
+        ))
+    }
+
+    /// Factored chunks are lease-sized: enough to keep every worker busy
+    /// twice over (so uneven chunk costs still load-balance), capped at
+    /// 64 points so per-chunk results stay cache-friendly and a panicking
+    /// chunk degrades a bounded slice of the grid. Simulation grids have
+    /// no plan and every point is expensive, so each point is its own
+    /// chunk and the pool balances them point by point.
+    fn chunk_size(&self, sweep: &GridSweep) -> usize {
+        if sweep.method == Method::Simulation {
+            return 1;
+        }
+        let per_worker = sweep.point_count().div_ceil(self.jobs.max(1) * 2);
+        per_worker.clamp(1, 64)
+    }
 }
 
 impl GridSweep {
@@ -1023,122 +1187,69 @@ impl GridSweep {
             "one result per grid point is required"
         );
         let extended = points.iter().any(|p| !p.axes_default());
-        let mut table = Table::new(
-            "sweep",
-            "Serialized and overlapped communication across the grid",
-            Self::header_cells(extended),
-        );
+        let mut table = Table::new("sweep", TABLE_TITLE, Self::header_cells(extended));
         for (p, r) in points.iter().zip(results) {
             table.push_row(Self::row_cells(p, r, extended));
         }
         table
     }
 
-    /// Evaluate the sweep through an arbitrary [`GridExecutor`] and
-    /// tabulate the outcome. The table is byte-identical to
-    /// [`Self::run`]'s for any correct executor, because formatting lives
-    /// entirely in [`Self::tabulate`].
-    pub fn run_with(
-        &self,
-        device: &DeviceSpec,
-        executor: &dyn GridExecutor,
-    ) -> Result<Table, String> {
-        let points = self.points();
-        let results = executor.execute(self, device)?;
-        if results.len() != points.len() {
-            return Err(format!(
-                "executor `{}` returned {} results for {} grid points",
-                executor.describe(),
-                results.len(),
-                points.len()
-            ));
+    /// The sweep table over rendered sweep CSV (the header line, then
+    /// [`Self::write_row`] rows): the view the ascii and JSON renderings
+    /// of a streamed sweep are drawn from. No cell contains a comma.
+    #[must_use]
+    pub fn csv_table(csv: &str) -> Table {
+        let mut lines = csv
+            .lines()
+            .map(|l| l.split(',').map(str::to_owned).collect());
+        let mut table = Table::new("sweep", TABLE_TITLE, lines.next().unwrap_or_default());
+        for row in lines {
+            table.push_row(row);
         }
-        Ok(Self::tabulate(&points, &results))
+        table
     }
 
-    /// Run the sweep on `jobs` worker threads and tabulate it.
-    ///
-    /// The table rows follow [`Self::points`] order whatever the thread
-    /// count, so CSV output is byte-identical across `jobs` settings. A
-    /// panicking point renders as `error` in both metric columns rather
-    /// than aborting the sweep.
-    ///
-    /// The plan is built once ([`FactoredPlan::build_from_sweep`], its
-    /// cells priced on this sweep's `jobs` budget) and the pool runs one
-    /// [`eval_chunk`] task per chunk of grid points. Factored chunks are
-    /// lease-sized; without a plan (simulation grids) every point is
-    /// expensive, so each is its own chunk and the pool balances them
-    /// point by point.
+    /// Run `execute` with an `on_chunk` that files each `chunk_size`-point
+    /// chunk into its slot, then tabulate the whole grid — the in-memory
+    /// table that tests, benches and [`Self::run`] use.
+    pub fn tabulate_with<S>(
+        &self,
+        chunk_size: usize,
+        execute: impl FnOnce(&mut OnChunk<'_>) -> Result<S, String>,
+    ) -> Result<(Table, S), String> {
+        let mut slots = vec![PointResults::new(); self.index().chunk_count(chunk_size.max(1))];
+        let summary = execute(&mut |chunk, values| {
+            slots[chunk as usize] = values;
+            Ok(())
+        })?;
+        Ok((Self::tabulate(&self.points(), &slots.concat()), summary))
+    }
+
+    /// Run the sweep on a [`LocalPool`] of `jobs` threads, at the pool's
+    /// own chunk size, and tabulate it. The rows follow [`Self::points`]
+    /// order whatever the thread count, so CSV output is byte-identical
+    /// across `jobs` settings; a panicking point renders as `error` in
+    /// both metric columns rather than aborting the sweep.
     #[must_use]
     pub fn run(&self, device: &DeviceSpec, jobs: usize) -> (Table, SweepSummary) {
-        set_parallelism(jobs);
-        let index = self.index();
-        let before = cache_snapshot();
-        let start = Instant::now();
-        let plan = FactoredPlan::build_from_sweep(device, self);
-        let chunk = match plan {
-            Some(_) => batch_chunk_size(index.len(), jobs),
-            None => 1,
-        };
-        let bounds = |i: usize| (i * chunk, ((i + 1) * chunk).min(index.len()));
-        let label = |i: usize| match bounds(i) {
-            (start, end) if end - start == 1 => grid_point_label(&index.point(start)),
-            (start, end) => format!("points {start}..{end}"),
-        };
-        let raw = run_tasks_labeled(jobs, index.chunk_count(chunk), label, |i| {
-            let mut out = PointResults::new();
-            let points = index.chunk_points(i, chunk);
-            eval_chunk(plan.as_ref(), device, self, &points, &mut out);
-            out
-        });
-        let wall = start.elapsed();
-        let after = cache_snapshot();
-
-        let mut results = PointResults::with_capacity(index.len());
-        let mut timings = Vec::with_capacity(raw.len());
-        for (i, t) in raw.into_iter().enumerate() {
-            timings.push(TaskTiming {
-                label: label(i),
-                elapsed: t.elapsed,
-                ok: t
-                    .result
-                    .as_ref()
-                    .is_ok_and(|rs| rs.iter().all(Result::is_ok)),
-                worker: t.worker,
-                cold: t.is_cold(),
-            });
-            // `eval_chunk` catches per-point panics, so a failed task
-            // means a planner bug: it degrades to one `Err` per point.
-            match t.result {
-                Ok(rs) => results.extend(rs),
-                Err(msg) => {
-                    let (start, end) = bounds(i);
-                    results.extend((start..end).map(|_| Err(msg.clone())));
-                }
-            }
-        }
-        let table = Self::tabulate(&index.iter().collect::<Vec<_>>(), &results);
-        let summary = SweepSummary {
-            jobs: jobs.max(1),
-            tasks: timings.len(),
-            failures: results.iter().filter(|r| r.is_err()).count(),
-            wall,
-            task_time: timings.iter().map(|t| t.elapsed).sum(),
-            workers: SweepSummary::workers_from_timings(jobs, &timings),
-            timings,
-            gemm_cache: after.0.since(&before.0),
-            collective_cache: after.1.since(&before.1),
-            slack_roi_cache: after.2.since(&before.2),
-        };
-        (table, summary)
+        let pool = LocalPool { jobs };
+        let chunk_size = pool.chunk_size(self);
+        self.tabulate_with(chunk_size, |on_chunk| {
+            pool.run(self, device, chunk_size, &BTreeSet::new(), on_chunk)
+        })
+        .expect("filing a chunk into its slot cannot fail")
     }
 }
+
+/// Title of the sweep table.
+const TABLE_TITLE: &str = "Serialized and overlapped communication across the grid";
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments;
     use crate::serialized::realistic_tp;
+    use std::sync::Mutex;
 
     #[test]
     fn run_tasks_preserves_index_order() {
@@ -1469,24 +1580,44 @@ mod tests {
         }
     }
 
-    /// Evaluates every point with the naive kernel, in point order.
+    /// Evaluates every chunk with the naive kernel, last chunk first.
+    #[derive(Debug)]
     struct NaiveExecutor;
 
     impl GridExecutor for NaiveExecutor {
-        fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String> {
-            Ok(sweep
-                .points()
-                .into_iter()
-                .map(|p| {
-                    Ok(eval_grid_point(
-                        device,
-                        p,
-                        sweep.batch,
-                        sweep.method,
-                        sweep.workload,
-                    ))
-                })
-                .collect())
+        fn execute(
+            &self,
+            sweep: &GridSweep,
+            device: &DeviceSpec,
+            chunk_size: usize,
+            completed: &BTreeSet<u32>,
+            on_chunk: &mut OnChunk<'_>,
+        ) -> Result<Box<dyn fmt::Display + Send>, String> {
+            let index = sweep.index();
+            for chunk in (0..index.chunk_count(chunk_size) as u32).rev() {
+                if completed.contains(&chunk) {
+                    continue;
+                }
+                let values = index
+                    .chunk_points(chunk as usize, chunk_size)
+                    .into_iter()
+                    .map(|p| {
+                        Ok(eval_grid_point(
+                            device,
+                            p,
+                            sweep.batch,
+                            sweep.method,
+                            sweep.workload,
+                        ))
+                    })
+                    .collect();
+                on_chunk(chunk, values)?;
+            }
+            Ok(Box::new("naive"))
+        }
+
+        fn chunk_size(&self, _: &GridSweep) -> usize {
+            3
         }
     }
 
@@ -1503,7 +1634,13 @@ mod tests {
         };
         let device = DeviceSpec::mi210();
         let (table, _) = sweep.run(&device, 2);
-        let via_executor = sweep.run_with(&device, &NaiveExecutor).unwrap();
+        let executor = NaiveExecutor;
+        let chunk_size = executor.chunk_size(&sweep);
+        let (via_executor, _) = sweep
+            .tabulate_with(chunk_size, |on_chunk| {
+                executor.execute(&sweep, &device, chunk_size, &BTreeSet::new(), on_chunk)
+            })
+            .unwrap();
         assert_eq!(table.to_csv(), via_executor.to_csv());
     }
 

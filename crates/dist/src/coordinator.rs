@@ -17,7 +17,9 @@
 //!   64 workers are 64 pollfds, not 64 threads, and an idle worker costs
 //!   nothing (no `Ready`/`Wait` chatter).
 //! * **Submitter** — the thread inside [`Coordinator::run_sweep_streaming`]
-//!   (which [`Coordinator::run_sweep`] wraps): posts the job, hands every
+//!   (the [`GridExecutor`] impl, which `twocs_store::run` drives for every
+//!   `--listen` sweep; [`Coordinator::run_sweep`] files its chunks into a
+//!   table for tests and benches): posts the job, hands every
 //!   accepted chunk to its caller, and **drains chunks locally whenever
 //!   no worker is connected**, which is both the
 //!   `--min-workers` degrade path and the guarantee that a sweep
@@ -59,7 +61,7 @@ use crate::lease::{ChunkId, Completion, LeaseTracker, WorkerId};
 use crate::proto::{ChunkLease, FrameReader, Message, SweepAxes, PROTOCOL_VERSION};
 use crate::window::{CreditWindow, MAX_WINDOW_POINTS};
 use twocs_core::sweep::{
-    eval_chunk, set_parallelism, FactoredPlan, GridExecutor, GridSweep, PointResults,
+    eval_chunk, set_parallelism, FactoredPlan, GridExecutor, GridSweep, OnChunk, PointResults,
 };
 use twocs_core::{GridIndex, Table};
 use twocs_hw::DeviceSpec;
@@ -397,9 +399,9 @@ impl Coordinator {
     }
 
     /// Distribute `sweep` across the connected workers and tabulate the
-    /// outcome, byte-identical to a local [`GridSweep::run`]. Chunks are
-    /// the fabric's [`CoordinatorConfig::chunk_size`]; each one lands in
-    /// its own slot through [`Self::run_sweep_streaming`].
+    /// outcome, byte-identical to a local [`GridSweep::run`]: the fabric's
+    /// [`CoordinatorConfig::chunk_size`] chunks from
+    /// [`Self::run_sweep_streaming`], each filed into its slot.
     ///
     /// Returns an error only when the fabric is shutting down — worker
     /// failures never fail the sweep, they just shift work back to the
@@ -409,25 +411,10 @@ impl Coordinator {
         sweep: &GridSweep,
         device: &DeviceSpec,
     ) -> Result<(Table, DistSummary), String> {
-        let (results, summary) = self.collect(sweep, device)?;
-        Ok((GridSweep::tabulate(&sweep.points(), &results), summary))
-    }
-
-    /// [`Self::run_sweep`] without the table: per-point results in grid
-    /// order, plus the summary.
-    fn collect(
-        &self,
-        sweep: &GridSweep,
-        device: &DeviceSpec,
-    ) -> Result<(PointResults, DistSummary), String> {
-        let chunk_size = self.shared.cfg.chunk_size.max(1);
-        let mut slots = vec![PointResults::new(); sweep.index().chunk_count(chunk_size)];
-        let summary =
-            self.run_sweep_streaming(sweep, device, chunk_size, &BTreeSet::new(), &mut |c, v| {
-                slots[c as usize] = v;
-                Ok(())
-            })?;
-        Ok((slots.into_iter().flatten().collect(), summary))
+        let chunk_size = self.chunk_size(sweep);
+        sweep.tabulate_with(chunk_size, |on_chunk| {
+            self.run_sweep_streaming(sweep, device, chunk_size, &BTreeSet::new(), on_chunk)
+        })
     }
 
     /// Stop accepting workers, tell connected ones `Done`, and unblock
@@ -455,7 +442,7 @@ impl Coordinator {
         device: &DeviceSpec,
         chunk_size: usize,
         completed: &BTreeSet<ChunkId>,
-        on_chunk: &mut dyn FnMut(ChunkId, PointResults) -> Result<(), String>,
+        on_chunk: &mut OnChunk<'_>,
     ) -> Result<DistSummary, String> {
         let start = Instant::now();
         let shared = &self.shared;
@@ -590,9 +577,23 @@ impl Drop for Coordinator {
     }
 }
 
+/// The distributed executor — the one `twocs sweep --listen` and
+/// `twocs serve --listen` hand to `twocs_store::run`.
 impl GridExecutor for Coordinator {
-    fn execute(&self, sweep: &GridSweep, device: &DeviceSpec) -> Result<PointResults, String> {
-        self.collect(sweep, device).map(|(r, _)| r)
+    fn execute(
+        &self,
+        sweep: &GridSweep,
+        device: &DeviceSpec,
+        chunk_size: usize,
+        completed: &BTreeSet<ChunkId>,
+        on_chunk: &mut OnChunk<'_>,
+    ) -> Result<Box<dyn fmt::Display + Send>, String> {
+        let summary = self.run_sweep_streaming(sweep, device, chunk_size, completed, on_chunk)?;
+        Ok(Box::new(summary))
+    }
+
+    fn chunk_size(&self, _: &GridSweep) -> usize {
+        self.shared.cfg.chunk_size.max(1)
     }
 
     fn describe(&self) -> String {

@@ -35,10 +35,12 @@
 //!   threads), grants credit windows, reassigns on failure, degrades to
 //!   local evaluation when no workers are connected. Every sweep hands
 //!   its accepted chunks to the caller's thread through one delivery
-//!   queue: `run_sweep_streaming` passes each chunk to a callback, and
-//!   `run_sweep` files them into per-chunk slots and tabulates. Implements
-//!   [`twocs_core::sweep::GridExecutor`], so `twocs serve` can plug it
-//!   into `/v1/sweep` unchanged.
+//!   queue: `run_sweep_streaming` passes each chunk to a callback. It is
+//!   the coordinator's [`twocs_core::sweep::GridExecutor`] impl, so
+//!   `twocs sweep --listen` and `twocs serve --listen` record its chunks
+//!   through the same `twocs_store::run` driver as a local sweep;
+//!   `run_sweep` files them into per-chunk slots and tabulates, for tests
+//!   and benches.
 //! * [`worker`] — [`run_worker`]: double-buffered evaluator the `twocs
 //!   worker` subcommand runs — a reader thread keeps the lease queue
 //!   full, the eval loop works through it, and a writer thread flushes

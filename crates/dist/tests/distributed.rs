@@ -829,3 +829,52 @@ fn uncatalogued_device_runs_on_the_local_drain_through_both_entry_points() {
     coordinator.shutdown();
     worker.join().unwrap().expect("worker exits on Done");
 }
+
+/// `twocs serve --listen`: a `/v1/sweep` server whose executor is a
+/// coordinator with one in-process worker answers the csv and json
+/// bodies, and a journaled request, byte-identically to a local server.
+#[test]
+fn coordinator_backed_server_answers_like_a_local_one() {
+    use std::sync::Arc;
+    use twocs_serve::handlers::{handle, HandlerConfig};
+    use twocs_serve::http::Request;
+
+    let coordinator = Arc::new(bind(3));
+    let worker = spawn_worker(coordinator.local_addr().to_string());
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+    let dir = std::env::temp_dir().join(format!("twocs-dist-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let local = HandlerConfig {
+        journal_dir: Some(dir.join("local")),
+        ..HandlerConfig::default()
+    };
+    let fabric = HandlerConfig {
+        executor: Some(coordinator.clone() as Arc<dyn twocs_core::GridExecutor>),
+        journal_dir: Some(dir.join("fabric")),
+        ..HandlerConfig::default()
+    };
+    std::fs::create_dir_all(dir.join("local")).unwrap();
+    std::fs::create_dir_all(dir.join("fabric")).unwrap();
+
+    let query = "h=4096,16384&tp=16,64&flop_vs_bw=1,4&experts=1,8&top_k=2&method=proj";
+    let (tx_before, _) = coordinator.wire_totals();
+    for extra in ["", "&format=json", "&journal=grid"] {
+        let target = format!("{query}{extra}");
+        let want = handle(&Request::get("/v1/sweep", &target), &local);
+        let got = handle(&Request::get("/v1/sweep", &target), &fabric);
+        assert_eq!(want.status, 200, "{extra}: {}", want.body);
+        assert_eq!(got.status, 200, "{extra}: {}", got.body);
+        assert_eq!(got.body, want.body, "{extra}");
+    }
+    assert!(dir.join("fabric/grid.journal").exists());
+    assert!(
+        coordinator.wire_totals().0 > tx_before,
+        "the fabric granted leases to its worker"
+    );
+
+    drop(fabric);
+    drop(Arc::into_inner(coordinator).expect("the test holds the last handle"));
+    worker.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -17,24 +17,34 @@
 //! entirely. Canonical keys are built **after** validation from the
 //! fully-resolved parameters (defaults folded in, the body-neutral
 //! `jobs` param excluded), which also guarantees only
-//! infallible `200` paths are ever cached; the executor-backed sweep
-//! path (`twocs serve --listen`) bypasses the cache because its `500`s
-//! must never be replayed.
+//! infallible `200` paths are ever cached; executor-backed sweeps
+//! (`twocs serve --listen`) bypass the cache because their `500`s must
+//! never be replayed, and journaled ones (`journal=<name>`) because the
+//! journal is their durable artifact.
+//!
+//! `/v1/sweep` has one path whatever its parameters: the request's
+//! executor (the server's configured one, or a local pool of `jobs`
+//! threads) streams chunks through `twocs_store::run` into a store over
+//! an in-memory body — journaled and resumed under `--journal-dir` when
+//! `journal=` names one — and `format=json|ascii` are views over the
+//! CSV bytes the store wrote.
 
 use crate::cache::{KeyBuilder, ResponseCache};
 use crate::http::{Request, Response};
 use crate::query::Query;
 use crate::router::{Route, ENDPOINTS};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use twocs_core::overlapped::{overlap_pct, roi_hyper};
 use twocs_core::serialized::{comm_fraction, sweep_hyper, Method};
-use twocs_core::sweep::{GridSweep, Workload};
+use twocs_core::sweep::{GridExecutor, GridSweep, LocalPool, Workload};
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_obs::chrome::escape_json;
+use twocs_store::{Buffer, SweepSpec, SweepStore};
 use twocs_transformer::ParallelConfig;
 
 /// Handler-level limits and switches, set by the server configuration.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct HandlerConfig {
     /// Maximum grid points one sweep request may evaluate (`400` beyond).
     pub max_grid_points: usize,
@@ -56,25 +66,6 @@ pub struct HandlerConfig {
     /// Directory for `/v1/sweep?journal=<name>` journals (`twocs serve
     /// --journal-dir`). `None` rejects journaled requests with a `400`.
     pub journal_dir: Option<std::path::PathBuf>,
-}
-
-impl std::fmt::Debug for HandlerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HandlerConfig")
-            .field("max_grid_points", &self.max_grid_points)
-            .field("max_request_jobs", &self.max_request_jobs)
-            .field("enable_debug", &self.enable_debug)
-            .field(
-                "executor",
-                &self
-                    .executor
-                    .as_deref()
-                    .map(twocs_core::sweep::GridExecutor::describe),
-            )
-            .field("cache", &self.cache.is_some())
-            .field("journal_dir", &self.journal_dir)
-            .finish()
-    }
 }
 
 impl Default for HandlerConfig {
@@ -161,11 +152,14 @@ fn parse_method(q: &Query) -> Result<Method, String> {
 }
 
 /// `/v1/serialized` and `/v1/sweep`: the `(H, SL, TP, flop-vs-bw)` grid
-/// sweep, evaluated through [`GridSweep`] exactly like `twocs sweep`.
+/// sweep, evaluated through the same executor-into-store driver as
+/// `twocs sweep`.
 ///
 /// The default CSV body is **byte-identical to the stdout of the
 /// equivalent CLI invocation** (`twocs sweep ... --csv`), which is what
-/// the CI smoke test diffs.
+/// the CI smoke test diffs, whatever the executor and with or without
+/// `journal=<name>` (which journals chunks under the server's
+/// `--journal-dir`, resuming the named journal if it exists).
 fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
     q.reject_unknown(&[
         "h",
@@ -182,7 +176,6 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         "method",
         "jobs",
         "format",
-        "stream",
         "journal",
     ])?;
     let format = parse_format(q, Format::Csv)?;
@@ -190,32 +183,22 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
     // default `GridSweep::default()` (and the CLI) uses, so pre-axis query
     // strings and cached keys keep producing byte-identical bodies.
     let mut grid = GridSweep::default();
-    if let Some(hs) = q.u64_list("h")? {
-        grid.hs = hs;
-    }
-    if let Some(sls) = q.u64_list("sl")? {
-        grid.sls = sls;
-    }
-    if let Some(tps) = q.u64_list("tp")? {
-        grid.tps = tps;
+    for (name, axis) in [
+        ("h", &mut grid.hs),
+        ("sl", &mut grid.sls),
+        ("tp", &mut grid.tps),
+        ("experts", &mut grid.experts),
+        ("top_k", &mut grid.top_ks),
+        ("stages", &mut grid.stages),
+        ("micro_batches", &mut grid.micro_batches),
+        ("sp", &mut grid.sps),
+    ] {
+        if let Some(values) = q.u64_list(name)? {
+            *axis = values;
+        }
     }
     if let Some(ratios) = q.f64_list("flop_vs_bw")? {
         grid.flop_vs_bw = ratios;
-    }
-    if let Some(experts) = q.u64_list("experts")? {
-        grid.experts = experts;
-    }
-    if let Some(top_ks) = q.u64_list("top_k")? {
-        grid.top_ks = top_ks;
-    }
-    if let Some(stages) = q.u64_list("stages")? {
-        grid.stages = stages;
-    }
-    if let Some(micro_batches) = q.u64_list("micro_batches")? {
-        grid.micro_batches = micro_batches;
-    }
-    if let Some(sps) = q.u64_list("sp")? {
-        grid.sps = sps;
     }
     if let Some(raw) = q.get("workload") {
         grid.workload = raw.parse::<Workload>()?;
@@ -239,66 +222,18 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         .unwrap_or(1)
         .max(1)
         .min(cfg.max_request_jobs as u64) as usize;
-    // `stream=1` evaluates through the bounded-memory store path and
-    // `journal=<name>` additionally journals chunks durably under the
-    // server's `--journal-dir`, resuming if the named journal already
-    // exists. The CSV body stays byte-identical to the in-memory path.
-    let stream = match q.get("stream") {
-        None => false,
-        Some("1" | "true") => true,
-        Some(other) => return Err(format!("stream={other}: expected stream=1")),
-    };
-    let journal = q.get("journal");
-    if stream || journal.is_some() {
-        if format != Format::Csv {
-            return Err(
-                "stream/journal sweeps render csv only (rows leave memory as they \
-                        complete); drop format= or use format=csv"
-                    .to_owned(),
-            );
-        }
-        if cfg.executor.is_some() {
-            return Err(
-                "stream/journal sweeps are not available on an executor-backed \
-                        server; use `twocs sweep --listen --journal` for distributed \
-                        journaled runs"
-                    .to_owned(),
-            );
-        }
-        let journal_path = match journal {
-            None => None,
-            Some(name) => {
-                let dir = cfg
-                    .journal_dir
-                    .as_ref()
-                    .ok_or("journal= requires the server to run with --journal-dir")?;
-                if name.is_empty()
-                    || name.contains(['/', '\\'])
-                    || name.starts_with('.')
-                    || !name
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-                {
-                    return Err(format!(
-                        "journal name `{name}` must be a plain [A-Za-z0-9_-] token \
-                         (it names a file under the server's journal dir)"
-                    ));
-                }
-                Some(dir.join(format!("{name}.journal")))
-            }
-        };
-        // Streamed bodies bypass the response cache: the journal file
-        // on disk is the durable artifact, and a resumed run must
-        // re-render, not replay a stale body.
-        return stream_sweep(&grid, journal_path.as_deref(), jobs);
-    }
-    if let Some(executor) = &cfg.executor {
-        // Executor-backed sweeps bypass the response cache: a
-        // coordinator failure answers 500 and must never be memoized
-        // or replayed as if it were the grid's answer.
-        return Ok(
-            match grid.run_with(&DeviceSpec::mi210(), executor.as_ref()) {
-                Ok(table) => render_sweep(&table, format),
+    let journal = q
+        .get("journal")
+        .map(|name| journal_path(cfg, name))
+        .transpose()?;
+    let local = LocalPool { jobs };
+    let executor = cfg.executor.as_deref().unwrap_or(&local);
+    let respond = || -> Result<Response, String> {
+        let body = Buffer::default();
+        let store = open_store(&grid, executor, journal.as_deref(), Box::new(body.clone()))?;
+        Ok(
+            match twocs_store::run(executor, &DeviceSpec::mi210(), store) {
+                Ok(_) => render_sweep(body.take(), format),
                 // An executor failure is the server's problem, not the
                 // client's: answer 500, unlike the validation 400s above.
                 Err(e) => Response::error(
@@ -306,76 +241,75 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
                     &format!("sweep executor `{}` failed: {e}", executor.describe()),
                 ),
             },
-        );
+        )
+    };
+    match &cfg.cache {
+        // Past validation a local, unjournaled sweep cannot fail, so its
+        // whole rendered body is cacheable. Executor-backed bodies are
+        // not (a coordinator's 500 must never be replayed), nor are
+        // journaled ones (the journal on disk is the durable artifact).
+        Some(cache) if cfg.executor.is_none() && journal.is_none() => {
+            let key = sweep_key(&grid, format);
+            Ok(cache.get_or_compute(key, || {
+                respond().unwrap_or_else(|e| Response::error(500, &e))
+            }))
+        }
+        _ => respond(),
     }
-    // Past this point the request is fully validated and the in-process
-    // path is infallible, so the whole rendered body is cacheable.
-    let render = || render_sweep(&grid.run(&DeviceSpec::mi210(), jobs).0, format);
-    Ok(match &cfg.cache {
-        Some(cache) => cache.get_or_compute(sweep_key(&grid, format), render),
-        None => render(),
-    })
 }
 
-/// Evaluate a sweep through the `twocs-store` streaming path: chunks
-/// are journaled (when `journal_path` is given) and rendered in grid
-/// order into the response body, with coordinator memory bounded by the
-/// store's reorder window instead of the grid. An existing journal at
-/// `journal_path` is resumed — only its pending chunks are evaluated —
-/// after validating it describes the same grid as the request.
-fn stream_sweep(
-    grid: &GridSweep,
-    journal_path: Option<&std::path::Path>,
-    jobs: usize,
-) -> Result<Response, String> {
-    use std::sync::Mutex;
-    use twocs_store::{run_streaming, SweepSpec, SweepStore};
-
-    #[derive(Clone)]
-    struct Body(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for Body {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+/// The journal file `journal=<name>` names under the server's
+/// `--journal-dir`.
+fn journal_path(cfg: &HandlerConfig, name: &str) -> Result<PathBuf, String> {
+    let dir = cfg
+        .journal_dir
+        .as_ref()
+        .ok_or("journal= requires the server to run with --journal-dir")?;
+    if name.is_empty()
+        || !name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+    {
+        return Err(format!(
+            "journal name `{name}` must be a plain [A-Za-z0-9_-] token \
+             (it names a file under the server's journal dir)"
+        ));
     }
+    Ok(dir.join(format!("{name}.journal")))
+}
 
+/// The store a sweep request records into: a resume of an existing
+/// journal at `journal` — after checking it describes the same grid —
+/// or a fresh store, journaled in 256-point chunks when `journal` is
+/// given and at the executor's own chunk size otherwise.
+fn open_store(
+    grid: &GridSweep,
+    executor: &dyn GridExecutor,
+    journal: Option<&Path>,
+    out: Box<dyn std::io::Write + Send>,
+) -> Result<SweepStore, String> {
+    if let Some(path) = journal.filter(|p| p.exists()) {
+        let store = SweepStore::resume(path, out)?;
+        if store.spec().sweep.fingerprint() != grid.fingerprint() {
+            return Err(format!(
+                "journal `{}` was created for a different grid; delete it or use \
+                 another journal name",
+                path.display()
+            ));
+        }
+        return Ok(store);
+    }
     let device = DeviceSpec::mi210();
-    let body = Arc::new(Mutex::new(Vec::new()));
-    let out: Box<dyn std::io::Write + Send> = Box::new(Body(body.clone()));
-    let mut store = match journal_path {
-        Some(path) if path.exists() => {
-            let store = SweepStore::resume(path, out)?;
-            if store.spec().sweep.fingerprint() != grid.fingerprint() {
-                return Err(format!(
-                    "journal `{}` was created for a different grid; delete it or use \
-                     another journal name",
-                    path.display()
-                ));
-            }
-            store
-        }
-        _ => {
-            let spec = SweepSpec {
-                sweep: grid.clone(),
-                chunk_size: 256,
-                device_name: device.name().to_owned(),
-                device_fingerprint: device.fingerprint(),
-            };
-            SweepStore::create(spec, out, journal_path)?
-        }
+    let spec = SweepSpec {
+        sweep: grid.clone(),
+        chunk_size: match journal {
+            Some(_) => 256,
+            None => executor.chunk_size(grid) as u32,
+        },
+        device_name: device.name().to_owned(),
+        device_fingerprint: device.fingerprint(),
     };
-    run_streaming(&device, &mut store, jobs)?;
-    store.finish()?;
-    let mut bytes = std::mem::take(&mut *body.lock().unwrap());
-    // Same trailing newline the in-memory `render_sweep` adds after
-    // `to_csv()` — byte-identity between the two paths.
-    bytes.push(b'\n');
-    let body = String::from_utf8(bytes).map_err(|_| "sweep rendered invalid UTF-8".to_owned())?;
-    Ok(Response::csv(200, body))
+    SweepStore::create(spec, out, journal)
 }
 
 /// Canonical cache key for a fully-resolved sweep request. Built from
@@ -415,41 +349,41 @@ fn method_token(method: Method) -> &'static str {
     }
 }
 
-/// Render a sweep table under the requested format. The CSV body is the
-/// byte-identity surface CI diffs against the CLI.
-fn render_sweep(table: &twocs_core::report::Table, format: Format) -> Response {
-    match format {
-        // `println!` on the CLI appends one newline after `to_csv()`.
-        Format::Csv => Response::csv(200, format!("{}\n", table.to_csv())),
-        Format::Ascii => Response::text(200, table.to_ascii()),
-        Format::Json => {
-            let headers: Vec<String> = table
-                .headers
-                .iter()
-                .map(|h| format!("\"{}\"", escape_json(h)))
-                .collect();
-            let rows: Vec<String> = table
-                .rows
-                .iter()
-                .map(|row| {
-                    let cells: Vec<String> = row
-                        .iter()
-                        .map(|c| format!("\"{}\"", escape_json(c)))
-                        .collect();
-                    format!("[{}]", cells.join(","))
-                })
-                .collect();
-            Response::json(
-                200,
-                format!(
-                    "{{\"id\":\"{}\",\"headers\":[{}],\"rows\":[{}]}}",
-                    escape_json(&table.id),
-                    headers.join(","),
-                    rows.join(",")
-                ),
-            )
-        }
+/// Render a sweep's CSV bytes under the requested format: the CSV body
+/// is the byte-identity surface CI diffs against the CLI, and ascii and
+/// JSON are views of the table it spells.
+fn render_sweep(csv: Vec<u8>, format: Format) -> Response {
+    let mut csv = String::from_utf8(csv).expect("sweep rows are ASCII");
+    if format == Format::Csv {
+        // `println!` on the CLI appends one newline after the CSV.
+        csv.push('\n');
+        return Response::csv(200, csv);
     }
+    let table = GridSweep::csv_table(&csv);
+    if format == Format::Ascii {
+        return Response::text(200, table.to_ascii());
+    }
+    let quote = |cells: &[String]| {
+        cells
+            .iter()
+            .map(|c| format!("\"{}\"", escape_json(c)))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let rows: Vec<String> = table
+        .rows
+        .iter()
+        .map(|row| format!("[{}]", quote(row)))
+        .collect();
+    Response::json(
+        200,
+        format!(
+            "{{\"id\":\"{}\",\"headers\":[{}],\"rows\":[{}]}}",
+            escape_json(&table.id),
+            quote(&table.headers),
+            rows.join(",")
+        ),
+    )
 }
 
 /// `/v1/overlapped`: the §4.3.5 slack-ROI metric for one configuration.
@@ -907,6 +841,74 @@ mod tests {
         let expected = format!("{}\n", grid.run(&DeviceSpec::mi210(), 1).0.to_csv());
         assert_eq!(r.body, expected);
         assert!(r.body.contains("experts"), "{}", r.body);
+    }
+
+    /// `stream=` was retired with the second sweep path: it is an
+    /// unknown parameter now, and the 400 names it.
+    #[test]
+    fn stream_parameter_is_retired() {
+        for q in ["h=4096&tp=16&method=proj&stream=1", "stream=true"] {
+            let r = handle(&get("/v1/sweep", q), &cfg());
+            assert_eq!(r.status, 400, "query `{q}` body {}", r.body);
+            assert!(
+                r.body.contains("unknown query parameter `stream`"),
+                "query `{q}` body {}",
+                r.body
+            );
+        }
+    }
+
+    #[test]
+    fn journaled_sweeps_match_unjournaled_bodies_and_replay() {
+        let dir = std::env::temp_dir().join(format!("twocs-serve-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journaled = HandlerConfig {
+            journal_dir: Some(dir.clone()),
+            ..cached_cfg()
+        };
+        let query = "h=4096&tp=16,32&flop_vs_bw=1,2&experts=1,8&top_k=1&method=proj";
+        let plain = handle(&get("/v1/sweep", query), &cfg());
+        assert_eq!(plain.status, 200, "{}", plain.body);
+        for format in ["csv", "json", "ascii"] {
+            let plain = handle(
+                &get("/v1/sweep", &format!("{query}&format={format}")),
+                &cfg(),
+            );
+            let target = format!("{query}&format={format}&journal=run-{format}");
+            // A fresh run journals; the second request replays the
+            // complete journal. Both bodies equal the unjournaled one.
+            for attempt in ["fresh", "replayed"] {
+                let r = handle(&get("/v1/sweep", &target), &journaled);
+                assert_eq!(r.status, 200, "{format} {attempt}: {}", r.body);
+                assert_eq!(r.body, plain.body, "{format} {attempt}");
+            }
+            assert!(dir.join(format!("run-{format}.journal")).exists());
+        }
+        let stats = journaled.cache.as_ref().unwrap().stats();
+        assert_eq!(
+            stats.entries, 0,
+            "journaled bodies bypass the response cache"
+        );
+
+        let other = handle(
+            &get("/v1/sweep", "h=8192&tp=16&method=proj&journal=run-csv"),
+            &journaled,
+        );
+        assert_eq!(other.status, 400, "{}", other.body);
+        assert!(other.body.contains("different grid"), "{}", other.body);
+        let no_dir = handle(&get("/v1/sweep", &format!("{query}&journal=run")), &cfg());
+        assert_eq!(no_dir.status, 400, "{}", no_dir.body);
+        assert!(no_dir.body.contains("--journal-dir"), "{}", no_dir.body);
+        for name in ["", "..%2Fescape", ".hidden", "a%2Fb", "sp%20ace"] {
+            let r = handle(
+                &get("/v1/sweep", &format!("{query}&journal={name}")),
+                &journaled,
+            );
+            assert_eq!(r.status, 400, "journal name `{name}`: {}", r.body);
+            assert!(r.body.contains("plain [A-Za-z0-9_-] token"), "{}", r.body);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -455,4 +455,85 @@ mod tests {
         let denied = String::from_utf8(denied.to_bytes(false, false)).unwrap();
         assert!(denied.contains("Allow: GET, HEAD\r\n"));
     }
+
+    /// Mutate one of a few valid seeds with bit flips, truncation,
+    /// appended bytes, and splices of escape and separator fragments.
+    fn mutate(rng: &mut twocs_testkit::Rng, seeds: &[&[u8]]) -> Vec<u8> {
+        const SPLICES: &[&[u8]] = &[
+            b"%",
+            b"%2",
+            b"%zz",
+            b"%C3",
+            b"%C3%28",
+            b"%FF",
+            b"%00",
+            b"+",
+            b"&",
+            b"&&",
+            b"=",
+            b"==",
+            b"?",
+            b"\r\n",
+            b"\r\n\r\n",
+            b":",
+            b" ",
+            b"\xC3",
+            b"\xFF",
+        ];
+        let mut bytes = rng.choose(seeds).to_vec();
+        for _ in 0..rng.usize_in(1..5) {
+            let len = bytes.len();
+            match rng.u32_in(0..4) {
+                0 if len > 0 => {
+                    let i = rng.usize_in(0..len);
+                    bytes[i] ^= 1 << rng.u32_in(0..8);
+                }
+                1 => bytes.truncate(rng.usize_in(0..len + 1)),
+                2 => {
+                    let extra = rng.usize_in(1..16);
+                    bytes.extend((0..extra).map(|_| rng.u32_in(0..256) as u8));
+                }
+                _ => {
+                    let at = rng.usize_in(0..len + 1);
+                    let splice = *rng.choose(SPLICES);
+                    bytes.splice(at..at, splice.iter().copied());
+                }
+            }
+        }
+        bytes
+    }
+
+    /// The head parser and the query parser read bytes straight off the
+    /// network: on any mutation of a valid head or query string they
+    /// answer `Ok` or `Err`, never panic.
+    #[test]
+    fn decoders_survive_mutated_heads_and_queries() {
+        use crate::query::Query;
+        let heads: &[&[u8]] = &[
+            b"GET /v1/sweep?h=4096,16384&tp=16&flop_vs_bw=1.5,4&method=proj HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"HEAD /v1/healthz HTTP/1.0\r\nConnection: keep-alive, Upgrade\r\n\r\n",
+            b"GET /v1/overlapped?h=4096&slb=2048 HTTP/1.1\r\nConnection: close\r\nX-A: b:c\r\n\r\n",
+        ];
+        let queries: &[&[u8]] = &[
+            b"h=4096,16384&tp=16,32&flop_vs_bw=1,2.5&method=proj&format=json",
+            b"name=a+b%21&h=4096%2C8192&journal=run-1",
+            b"experts=1,8&top_k=2&stages=1,4&micro_batches=4&sp=1,2&workload=prefill",
+        ];
+        twocs_testkit::cases(3000, |rng| {
+            let head = mutate(rng, heads);
+            let _ = parse_head(&head);
+            if let HeadScan::Complete(Ok(req), used) = scan_head(&head) {
+                assert!(used <= head.len());
+                let _ = Query::parse(&req.raw_query);
+            }
+            let raw = mutate(rng, queries);
+            let Ok(q) = Query::parse(&String::from_utf8_lossy(&raw)) else {
+                return;
+            };
+            for name in ["h", "tp", "flop_vs_bw", "name", "journal"] {
+                let _ = (q.u64(name), q.u64_list(name), q.f64(name), q.f64_list(name));
+            }
+            let _ = q.reject_unknown(&["h", "tp"]);
+        });
+    }
 }

@@ -166,12 +166,6 @@ impl Journal {
         ))
     }
 
-    /// The journal's file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Durably append one completed chunk's results: the record is
     /// written and fsynced before this returns, so a chunk the caller
     /// believes journaled survives any crash after this call.

@@ -20,8 +20,12 @@
 //!   dense grid.
 //!
 //! [`SweepStore`] composes the journal and sink behind one
-//! `record(chunk, values)` call; [`runner::run_streaming`] drives a
-//! bounded-memory local evaluation through it.
+//! `record(chunk, values)` call, and [`run`] is the one sweep driver:
+//! every front end opens a store (journal optional, any `Write` as
+//! output — stdout, or a [`Buffer`] for in-memory bodies) and hands it
+//! to `run` with an executor, the local pool or the dist coordinator.
+//! The ascii and JSON renderings are views over the CSV the store
+//! wrote.
 //!
 //! Observability: the journal emits `store.journal.{appends,fsyncs,
 //! replayed_chunks}` and the sink `store.sink.{spilled_bytes,
@@ -44,7 +48,7 @@ pub use journal::{Journal, Replay};
 pub use refine::{
     refine_frontier, Crossing, FrontierResult, FrontierRow, RefineMetric, RefineSpec,
 };
-pub use runner::run_streaming;
+pub use runner::run;
 pub use sink::{SinkReport, StreamSink, DEFAULT_BUFFER_POINTS};
 pub use spec::SweepSpec;
-pub use store::{StoreReport, SweepStore};
+pub use store::{Buffer, StoreReport, SweepStore};

@@ -1,36 +1,35 @@
-//! Bounded-memory local sweep driver: evaluates every pending chunk of
-//! a [`SweepStore`] across worker threads without ever materializing
-//! the full grid.
+//! The one sweep driver: every front end — `twocs sweep` local or
+//! `--listen`, fresh, `--journal`ed or `--resume`d, and serve's
+//! `/v1/sweep` — opens a [`SweepStore`] and hands it to [`run`] with
+//! an executor (the in-process [`LocalPool`](twocs_core::LocalPool) or
+//! the dist coordinator).
 //!
-//! Workers claim chunk ids from an atomic cursor, decode their points
-//! lazily through the grid index, evaluate them with [`eval_chunk`] —
-//! through one shared whole-grid [`FactoredPlan`] when the method
-//! supports it — and send
-//! `(chunk, values)` over a bounded channel. The calling thread is the
-//! sole recorder: it journals and streams each chunk as it lands, so
-//! peak memory is the plan tables plus the channel and reorder windows,
-//! independent of grid size.
+//! The driver checks the store's device against the build's, runs the
+//! executor over every chunk the store has not yet recorded, and
+//! records each chunk as it lands (journal first, then the ordered
+//! sink), so peak memory is the executor's working set plus the sink's
+//! reorder window, independent of grid size.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
+use std::fmt::Display;
 
-use twocs_core::planner::{eval_chunk, FactoredPlan};
-use twocs_core::sweep::set_parallelism;
-use twocs_core::PointResults;
+use twocs_core::GridExecutor;
 use twocs_hw::DeviceSpec;
 
-use crate::store::SweepStore;
+use crate::store::{StoreReport, SweepStore};
 
-/// Evaluate every chunk the store has not yet recorded, on `jobs`
-/// worker threads, recording each completed chunk (journal + stream)
-/// as it arrives. Returns the number of chunks evaluated (0 for an
-/// already-complete resume).
-pub fn run_streaming(
+/// Evaluate every chunk `store` has not yet recorded on `executor`,
+/// record each one as it arrives, and finish the store. Returns the
+/// executor's summary and the store's report (its `failures` count is
+/// what exit statuses are made of). This is the one place a store's
+/// device is checked against the build's: a mismatch is an error before
+/// anything runs.
+pub fn run(
+    executor: &dyn GridExecutor,
     device: &DeviceSpec,
-    store: &mut SweepStore,
-    jobs: usize,
-) -> Result<u64, String> {
-    let spec = store.spec();
+    mut store: SweepStore,
+) -> Result<(Box<dyn Display + Send>, StoreReport), String> {
+    let spec = store.spec().clone();
+    // A resumed journal must not mix numbers from two devices in one CSV.
     if device.fingerprint() != spec.device_fingerprint {
         return Err(format!(
             "device \"{}\" (fingerprint {:#x}) does not match the run's journaled \
@@ -42,69 +41,57 @@ pub fn run_streaming(
             spec.device_fingerprint
         ));
     }
-    let index = spec.index();
-    let chunk_size = spec.chunk_size.max(1) as usize;
-    let pending: Vec<u32> = (0..spec.chunk_count())
-        .filter(|c| !store.completed().contains(c))
-        .collect();
-    if pending.is_empty() {
-        return Ok(0);
-    }
-    let sweep = spec.sweep.clone();
-    // One whole-grid factored plan shared read-only by every worker,
-    // priced on the same `jobs` budget; None (simulation grids) means
-    // every chunk evaluates naively.
-    set_parallelism(jobs);
-    let plan: Option<FactoredPlan> = FactoredPlan::build_from_sweep(device, &sweep);
-    let jobs = jobs.max(1).min(pending.len());
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = sync_channel::<(u32, PointResults)>(jobs * 4);
-
-    let evaluated = std::thread::scope(|scope| -> Result<u64, String> {
-        for _ in 0..jobs {
-            let tx = tx.clone();
-            let (pending, cursor, index, plan, sweep) = (&pending, &cursor, &index, &plan, &sweep);
-            scope.spawn(move || loop {
-                let at = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&chunk) = pending.get(at) else { break };
-                let points = index.chunk_points(chunk as usize, chunk_size);
-                let mut values = PointResults::with_capacity(points.len());
-                eval_chunk(plan.as_ref(), device, sweep, &points, &mut values);
-                if tx.send((chunk, values)).is_err() {
-                    break; // recorder gone (record error): stop early
-                }
-            });
-        }
-        drop(tx);
-        let mut evaluated = 0u64;
-        while let Ok((chunk, values)) = rx.recv() {
-            store.record(chunk, values)?;
-            evaluated += 1;
-        }
-        Ok(evaluated)
-    })?;
-    Ok(evaluated)
+    let completed = store.completed().clone();
+    let summary = executor.execute(
+        &spec.sweep,
+        device,
+        spec.chunk_size.max(1) as usize,
+        &completed,
+        &mut |chunk, values| store.record(chunk, values).map(drop),
+    )?;
+    Ok((summary, store.finish()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::path::PathBuf;
-    use std::sync::{Arc, Mutex};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use twocs_core::planner::{eval_chunk, FactoredPlan};
     use twocs_core::serialized::Method;
-    use twocs_core::sweep::{GridSweep, Workload};
+    use twocs_core::sweep::{GridSweep, LocalPool, OnChunk, Workload};
+    use twocs_core::PointResults;
 
-    #[derive(Clone)]
-    struct Shared(Arc<Mutex<Vec<u8>>>);
+    use crate::Buffer;
 
-    impl std::io::Write for Shared {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
+    /// A [`LocalPool`] that counts the chunks it hands out.
+    #[derive(Debug)]
+    struct Counting(LocalPool, AtomicU32);
+
+    impl GridExecutor for Counting {
+        fn execute(
+            &self,
+            sweep: &GridSweep,
+            device: &DeviceSpec,
+            chunk_size: usize,
+            completed: &BTreeSet<u32>,
+            on_chunk: &mut OnChunk<'_>,
+        ) -> Result<Box<dyn Display + Send>, String> {
+            self.0
+                .execute(sweep, device, chunk_size, completed, &mut |c, v| {
+                    self.1.fetch_add(1, Ordering::Relaxed);
+                    on_chunk(c, v)
+                })
         }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
+
+        fn chunk_size(&self, sweep: &GridSweep) -> usize {
+            self.0.chunk_size(sweep)
         }
+    }
+
+    fn counting(jobs: usize) -> Counting {
+        Counting(LocalPool { jobs }, AtomicU32::new(0))
     }
 
     fn spec(device: &DeviceSpec, method: Method) -> crate::SweepSpec {
@@ -147,13 +134,12 @@ mod tests {
         let device = DeviceSpec::mi210();
         for method in [Method::Projection, Method::Simulation] {
             let s = spec(&device, method);
-            let buf = Arc::new(Mutex::new(Vec::new()));
-            let mut store =
-                SweepStore::create(s.clone(), Box::new(Shared(buf.clone())), None).unwrap();
-            let evaluated = run_streaming(&device, &mut store, 4).unwrap();
-            assert_eq!(evaluated, u64::from(s.chunk_count()));
-            store.finish().unwrap();
-            let got = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            let buf = Buffer::default();
+            let store = SweepStore::create(s.clone(), Box::new(buf.clone()), None).unwrap();
+            let executor = counting(4);
+            run(&executor, &device, store).unwrap();
+            assert_eq!(executor.1.into_inner(), s.chunk_count());
+            let got = String::from_utf8(buf.take()).unwrap();
             assert_eq!(got, reference_csv(&device, &s.sweep), "method {method:?}");
         }
     }
@@ -166,9 +152,8 @@ mod tests {
 
         // First run dies after a partial, journaled evaluation.
         {
-            let buf = Arc::new(Mutex::new(Vec::new()));
             let mut store =
-                SweepStore::create(s.clone(), Box::new(Shared(buf)), Some(&path)).unwrap();
+                SweepStore::create(s.clone(), Box::new(Buffer::default()), Some(&path)).unwrap();
             let index = s.index();
             let plan = FactoredPlan::build_from_sweep(&device, &s.sweep);
             for chunk in [0u32, 2, 5] {
@@ -179,13 +164,13 @@ mod tests {
             }
         }
 
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut store = SweepStore::resume(&path, Box::new(Shared(buf.clone()))).unwrap();
-        let evaluated = run_streaming(&device, &mut store, 3).unwrap();
-        assert_eq!(evaluated, u64::from(s.chunk_count()) - 3);
-        let report = store.finish().unwrap();
+        let buf = Buffer::default();
+        let store = SweepStore::resume(&path, Box::new(buf.clone())).unwrap();
+        let executor = counting(3);
+        let (_, report) = run(&executor, &device, store).unwrap();
+        assert_eq!(executor.1.into_inner(), s.chunk_count() - 3);
         assert_eq!(report.replayed_chunks, 3);
-        let got = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let got = String::from_utf8(buf.take()).unwrap();
         assert_eq!(got, reference_csv(&device, &s.sweep));
         std::fs::remove_file(&path).unwrap();
     }
@@ -195,8 +180,7 @@ mod tests {
         let device = DeviceSpec::mi210();
         let mut s = spec(&device, Method::Projection);
         s.device_fingerprint ^= 1;
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut store = SweepStore::create(s, Box::new(Shared(buf)), None).unwrap();
-        assert!(run_streaming(&device, &mut store, 2).is_err());
+        let store = SweepStore::create(s, Box::new(Buffer::default()), None).unwrap();
+        assert!(run(&LocalPool { jobs: 2 }, &device, store).is_err());
     }
 }

@@ -123,12 +123,6 @@ impl StreamSink {
         })
     }
 
-    /// Chunks the sink still needs (i.e. not yet rendered).
-    #[must_use]
-    pub fn pending_from(&self) -> u32 {
-        self.next_chunk
-    }
-
     /// True once every chunk has been accepted and rendered.
     #[must_use]
     pub fn complete(&self) -> bool {

@@ -1,6 +1,6 @@
 //! [`SweepStore`] — the one-call composition of journal + streaming
-//! sink that sweep drivers (CLI, serve, the dist coordinator's caller)
-//! record completed chunks into.
+//! sink that the sweep driver ([`crate::run`]) records completed chunks
+//! into, whatever the front end and executor.
 //!
 //! Ordering inside [`SweepStore::record`] is the durability contract:
 //! the journal append (with its fsync) happens *before* the sink
@@ -11,6 +11,7 @@
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use twocs_core::PointResults;
 
@@ -56,12 +57,7 @@ impl SweepStore {
         let journal = journal_path
             .map(|p| Journal::create(p, &spec))
             .transpose()?;
-        let sink = StreamSink::new(
-            spec.index(),
-            spec.chunk_size.max(1) as usize,
-            out,
-            DEFAULT_BUFFER_POINTS,
-        )?;
+        let sink = Self::sink(&spec, out)?;
         Ok(Self {
             spec,
             journal,
@@ -76,12 +72,7 @@ impl SweepStore {
     /// in-order recovered row) and keeps appending to the same journal.
     pub fn resume(journal_path: &Path, out: Box<dyn Write + Send>) -> Result<Self, String> {
         let (journal, spec, replay) = Journal::open(journal_path)?;
-        let mut sink = StreamSink::new(
-            spec.index(),
-            spec.chunk_size.max(1) as usize,
-            out,
-            DEFAULT_BUFFER_POINTS,
-        )?;
+        let mut sink = Self::sink(&spec, out)?;
         let mut completed = BTreeSet::new();
         let replayed_chunks = replay.chunks.len() as u64;
         for (chunk, values) in replay.chunks {
@@ -95,6 +86,12 @@ impl SweepStore {
             completed,
             replayed_chunks,
         })
+    }
+
+    /// The ordered sink over `spec`'s chunks, writing to `out`.
+    fn sink(spec: &SweepSpec, out: Box<dyn Write + Send>) -> Result<StreamSink, String> {
+        let chunk_size = spec.chunk_size.max(1) as usize;
+        StreamSink::new(spec.index(), chunk_size, out, DEFAULT_BUFFER_POINTS)
     }
 
     /// The run's spec (grid, chunking, device identity).
@@ -130,15 +127,6 @@ impl SweepStore {
         Ok(true)
     }
 
-    /// Note which worker leased a chunk (advisory journal record; no-op
-    /// without a journal).
-    pub fn note_lease(&mut self, chunk: u32, worker: u64) -> Result<(), String> {
-        match &mut self.journal {
-            Some(j) => j.append_lease(chunk, worker),
-            None => Ok(()),
-        }
-    }
-
     /// Finish the run: every chunk must have been recorded. Flushes the
     /// output and returns merged stats. The journal file is left in
     /// place — it is the caller's receipt, cheap and explicit to
@@ -160,26 +148,40 @@ impl SweepStore {
     }
 }
 
+/// An in-memory store output: clones share one byte buffer, so a caller
+/// keeps one handle, gives the store another as its `out`, and takes the
+/// rendered CSV once the store has finished.
+#[derive(Debug, Clone, Default)]
+pub struct Buffer(Arc<Mutex<Vec<u8>>>);
+
+impl Buffer {
+    /// The bytes written so far, leaving the buffer empty.
+    #[must_use]
+    pub fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl Write for Buffer {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use std::sync::{Arc, Mutex};
     use twocs_core::serialized::Method;
     use twocs_core::sweep::GridSweep;
-
-    #[derive(Clone)]
-    struct Shared(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for Shared {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
 
     fn spec() -> SweepSpec {
         SweepSpec {
@@ -215,8 +217,8 @@ mod tests {
         assert!(n >= 4);
 
         // Reference: one uninterrupted, unjournaled run.
-        let want = Arc::new(Mutex::new(Vec::new()));
-        let mut full = SweepStore::create(s.clone(), Box::new(Shared(want.clone())), None).unwrap();
+        let want = Buffer::default();
+        let mut full = SweepStore::create(s.clone(), Box::new(want.clone()), None).unwrap();
         for c in 0..n {
             assert!(full.record(c, values(&s, c)).unwrap());
         }
@@ -227,16 +229,15 @@ mod tests {
         // Journaled run that dies after recording half the chunks,
         // out of order.
         let path = tmp("resume");
-        let dead = Arc::new(Mutex::new(Vec::new()));
-        let mut first = SweepStore::create(s.clone(), Box::new(Shared(dead)), Some(&path)).unwrap();
-        first.note_lease(1, 42).unwrap();
+        let mut first =
+            SweepStore::create(s.clone(), Box::new(Buffer::default()), Some(&path)).unwrap();
         for c in [1u32, 0, 3] {
             first.record(c, values(&s, c)).unwrap();
         }
         drop(first); // crash: no finish()
 
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let mut second = SweepStore::resume(&path, Box::new(Shared(got.clone()))).unwrap();
+        let got = Buffer::default();
+        let mut second = SweepStore::resume(&path, Box::new(got.clone())).unwrap();
         assert_eq!(second.spec(), &s);
         assert_eq!(second.completed().len(), 3);
         // Re-delivered chunk is a silent duplicate.
@@ -249,15 +250,14 @@ mod tests {
         let report = second.finish().unwrap();
         assert_eq!(report.replayed_chunks, 3);
         assert_eq!(report.rows, s.point_count());
-        assert_eq!(*want.lock().unwrap(), *got.lock().unwrap());
+        assert_eq!(want.take(), got.take());
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn finish_requires_every_chunk() {
         let s = spec();
-        let out = Arc::new(Mutex::new(Vec::new()));
-        let mut store = SweepStore::create(s.clone(), Box::new(Shared(out)), None).unwrap();
+        let mut store = SweepStore::create(s.clone(), Box::new(Buffer::default()), None).unwrap();
         store.record(0, values(&s, 0)).unwrap();
         assert!(!store.is_complete());
         assert!(store.finish().is_err());

@@ -4,27 +4,12 @@
 //! truncating a copy of a complete journal at a random offset, which is
 //! exactly the on-disk state a SIGKILL between two writes leaves behind.
 
-use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
 use twocs_core::serialized::Method;
-use twocs_core::sweep::GridSweep;
+use twocs_core::sweep::{GridSweep, LocalPool};
 use twocs_hw::DeviceSpec;
-use twocs_store::{run_streaming, SweepSpec, SweepStore};
-
-#[derive(Clone)]
-struct Shared(Arc<Mutex<Vec<u8>>>);
-
-impl Write for Shared {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
+use twocs_store::{run, Buffer, SweepSpec, SweepStore};
 
 fn tmp(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!(
@@ -50,15 +35,13 @@ fn resume_from_any_truncation_point_is_byte_identical() {
 
     // Reference: one clean, journaled run.
     let journal = tmp("full");
-    let want = Arc::new(Mutex::new(Vec::new()));
-    let mut store =
-        SweepStore::create(spec.clone(), Box::new(Shared(want.clone())), Some(&journal)).unwrap();
+    let want = Buffer::default();
+    let store = SweepStore::create(spec.clone(), Box::new(want.clone()), Some(&journal)).unwrap();
     // File size right after create = header + spec record; any cut at or
     // past this point leaves a resumable journal.
     let spec_end = std::fs::metadata(&journal).unwrap().len() as usize;
-    run_streaming(&device, &mut store, 4).unwrap();
-    store.finish().unwrap();
-    let want = want.lock().unwrap().clone();
+    run(&LocalPool { jobs: 4 }, &device, store).unwrap();
+    let want = want.take();
     let full = std::fs::read(&journal).unwrap();
     std::fs::remove_file(&journal).unwrap();
     // 12-byte magic+version header, then the spec record, then chunks.
@@ -72,15 +55,14 @@ fn resume_from_any_truncation_point_is_byte_identical() {
         let path = tmp(&format!("cut-{cut}"));
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let mut resumed = SweepStore::resume(&path, Box::new(Shared(got.clone()))).unwrap();
+        let got = Buffer::default();
+        let resumed = SweepStore::resume(&path, Box::new(got.clone())).unwrap();
         let replayed = resumed.completed().len();
-        run_streaming(&device, &mut resumed, 3).unwrap();
-        let report = resumed.finish().unwrap();
+        let (_, report) = run(&LocalPool { jobs: 3 }, &device, resumed).unwrap();
         assert_eq!(report.rows, spec.point_count());
         assert_eq!(report.replayed_chunks as usize, replayed);
 
-        let got = got.lock().unwrap().clone();
+        let got = got.take();
         assert_eq!(
             got, want,
             "truncation at byte {cut} must still yield identical bytes"
@@ -104,8 +86,7 @@ fn truncation_before_the_spec_record_refuses_to_resume() {
         device_fingerprint: device.fingerprint(),
     };
     let journal = tmp("headless");
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let store = SweepStore::create(spec, Box::new(Shared(out)), Some(&journal)).unwrap();
+    let store = SweepStore::create(spec, Box::new(Buffer::default()), Some(&journal)).unwrap();
     drop(store);
     let full = std::fs::read(&journal).unwrap();
     std::fs::remove_file(&journal).unwrap();
@@ -113,7 +94,6 @@ fn truncation_before_the_spec_record_refuses_to_resume() {
     // Keep the magic+version header but cut the spec record short.
     let path = tmp("headless-cut");
     std::fs::write(&path, &full[..20.min(full.len())]).unwrap();
-    let sink = Arc::new(Mutex::new(Vec::new()));
-    assert!(SweepStore::resume(&path, Box::new(Shared(sink))).is_err());
+    assert!(SweepStore::resume(&path, Box::new(Buffer::default())).is_err());
     std::fs::remove_file(&path).unwrap();
 }
