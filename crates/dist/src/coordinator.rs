@@ -9,7 +9,7 @@
 //!   same primitive the HTTP front end multiplexes hundreds of
 //!   keep-alive connections on). It accepts registrations, runs a small
 //!   per-worker state machine over each connection's read/write halves,
-//!   and — the v4 push model — keeps every worker topped up with a
+//!   and — the push model — keeps every worker topped up with a
 //!   **credit window** of outstanding chunk leases, granting refills the
 //!   moment results or expiries free credits. Each connection sizes its
 //!   own window from the round trip and completion rate it measures
@@ -58,14 +58,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::lease::{ChunkId, Completion, LeaseTracker, WorkerId};
-use crate::proto::{ChunkLease, FrameReader, Message, SweepAxes, PROTOCOL_VERSION};
-use crate::window::{CreditWindow, MAX_WINDOW_POINTS};
+use crate::proto::{FrameReader, Message, MAX_GRANT_CHUNKS, PROTOCOL_VERSION};
+use crate::window::CreditWindow;
 use twocs_core::sweep::{
     eval_chunk, set_parallelism, FactoredPlan, GridExecutor, GridSweep, OnChunk, PointResults,
 };
 use twocs_core::{GridIndex, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::poll::{Interest, Poller, Source, Waker};
+use twocs_store::SweepSpec;
 
 /// Worker id the coordinator uses when draining chunks itself.
 pub const LOCAL_WORKER: WorkerId = 0;
@@ -124,6 +125,8 @@ pub struct DistSummary {
     /// Per remote worker: its credit window when its last result landed
     /// and the smallest grant-to-result time it showed.
     pub windows: Vec<(WorkerId, usize, Duration)>,
+    /// Workers that refused the job, with the reason each gave.
+    pub refusals: Vec<(WorkerId, String)>,
     /// Protocol bytes sent by the coordinator during this sweep.
     pub bytes_tx: u64,
     /// Protocol bytes received by the coordinator during this sweep.
@@ -160,6 +163,9 @@ impl fmt::Display for DistSummary {
                 write!(f, ", window {window}, min rtt {min_rtt:.1?}")?;
             }
         }
+        for (id, reason) in &self.refusals {
+            write!(f, "\n  worker {id} refused the job: {reason}")?;
+        }
         Ok(())
     }
 }
@@ -173,21 +179,21 @@ struct EvalStats {
     window: Option<(usize, Duration)>,
 }
 
-/// One sweep job being distributed. The grid is held as a lazy
-/// [`GridIndex`] — chunk points are decoded on demand at grant time, so
-/// posting a million-point job does not materialize a million points.
+/// One sweep job being distributed. Workers get the spec once per
+/// connection and decode their own chunk points from it; only the local
+/// drain decodes points here, from the lazy [`GridIndex`], so posting a
+/// million-point job does not materialize a million points.
 struct ActiveJob {
     id: u64,
-    device_name: String,
-    device_fingerprint: u64,
-    sweep: Arc<GridSweep>,
+    /// The grid, chunk size and device, and the spec's fingerprint, as
+    /// sent in [`Message::Job`].
+    spec: Arc<SweepSpec>,
+    fingerprint: u64,
     /// The sweep's factored plan for the coordinator's own local drain,
     /// built on the first drained chunk and shared by the rest — a
     /// fabric whose workers do all the work never builds it.
     local_plan: Arc<OnceLock<Option<FactoredPlan>>>,
-    grid_fingerprint: u64,
     index: GridIndex,
-    chunk_size: usize,
     n_chunks: u32,
     tracker: LeaseTracker,
     /// The catalog cannot name the device, so workers could not rebuild
@@ -197,29 +203,21 @@ struct ActiveJob {
     /// order.
     delivered: VecDeque<(ChunkId, PointResults)>,
     stats: BTreeMap<WorkerId, EvalStats>,
+    refusals: Vec<(WorkerId, String)>,
 }
 
 impl ActiveJob {
-    /// Points in `chunk` (the final chunk may be short).
-    fn chunk_len(&self, chunk: ChunkId) -> usize {
-        let start = chunk as usize * self.chunk_size;
-        self.index.len().saturating_sub(start).min(self.chunk_size)
+    fn chunk_size(&self) -> usize {
+        self.spec.chunk_size as usize
     }
 
-    /// A grant frame carrying `leases`, with the job-level context
-    /// (device, axes, fingerprints) attached once for the whole window.
-    fn grant_message(&self, leases: Vec<ChunkLease>) -> Message {
-        Message::Grant {
-            job: self.id,
-            device: self.device_name.clone(),
-            device_fingerprint: self.device_fingerprint,
-            batch: self.sweep.batch,
-            method: self.sweep.method,
-            workload: self.sweep.workload,
-            axes: Box::new(SweepAxes::from_sweep(&self.sweep)),
-            grid_fingerprint: self.grid_fingerprint,
-            leases,
-        }
+    /// Points in `chunk` (the final chunk may be short).
+    fn chunk_len(&self, chunk: ChunkId) -> usize {
+        let start = chunk as usize * self.chunk_size();
+        self.index
+            .len()
+            .saturating_sub(start)
+            .min(self.chunk_size())
     }
 }
 
@@ -494,7 +492,7 @@ impl Coordinator {
             if job.local_only || fabric.connected.is_empty() {
                 if let Some(chunk) = job.tracker.lease(LOCAL_WORKER, shared.now(), u64::MAX) {
                     drop(st);
-                    drain_one_chunk(shared, job_id, chunk, device);
+                    drain_one_chunk(shared, job_id, chunk, sweep, device);
                     st = shared.lock();
                     continue;
                 }
@@ -523,8 +521,14 @@ fn post_job(
     let local_only = !DeviceSpec::catalog()
         .iter()
         .any(|d| d.name() == device.name() && d.fingerprint() == device.fingerprint());
+    let spec = SweepSpec {
+        sweep: sweep.clone(),
+        chunk_size: u32::try_from(chunk_size).unwrap_or(u32::MAX),
+        device_name: device.name().to_owned(),
+        device_fingerprint: device.fingerprint(),
+    };
     let index = sweep.index();
-    let n_chunks = index.chunk_count(chunk_size) as u32;
+    let n_chunks = index.chunk_count(spec.chunk_size as usize) as u32;
     let mut st = shared.lock();
     loop {
         if st.shutdown {
@@ -549,18 +553,16 @@ fn post_job(
     }
     st.job = Some(ActiveJob {
         id,
-        device_name: device.name().to_owned(),
-        device_fingerprint: device.fingerprint(),
-        grid_fingerprint: sweep.fingerprint(),
-        sweep: Arc::new(sweep.clone()),
+        fingerprint: spec.fingerprint(),
+        spec: Arc::new(spec),
         local_plan: Arc::default(),
         index,
-        chunk_size,
         n_chunks,
         tracker,
         local_only,
         delivered: VecDeque::new(),
         stats: BTreeMap::new(),
+        refusals: Vec::new(),
     });
     drop(st);
     // Wake the driver so the first grants leave this tick, not the next.
@@ -604,15 +606,21 @@ impl GridExecutor for Coordinator {
 /// Evaluate one locally-leased chunk on `device` and record its
 /// results into the delivery queue. The chunk must already be leased to
 /// [`LOCAL_WORKER`]; evaluation happens with no fabric lock held.
-/// `device` is the submitter's own spec, so this path works for devices
-/// the catalog cannot name.
-fn drain_one_chunk(shared: &Arc<Shared>, job_id: u64, chunk: ChunkId, device: &DeviceSpec) {
+/// `sweep` and `device` are the submitter's own, so this path works for
+/// devices the catalog cannot name.
+fn drain_one_chunk(
+    shared: &Arc<Shared>,
+    job_id: u64,
+    chunk: ChunkId,
+    sweep: &GridSweep,
+    device: &DeviceSpec,
+) {
     let st = shared.lock();
     let Some(job) = st.job.as_ref().filter(|j| j.id == job_id) else {
         return;
     };
-    let points = job.index.chunk_points(chunk as usize, job.chunk_size);
-    let (sweep, plan) = (job.sweep.clone(), job.local_plan.clone());
+    let points = job.index.chunk_points(chunk as usize, job.chunk_size());
+    let plan = job.local_plan.clone();
     drop(st);
     let _span = twocs_obs::span(&format!("local drain chunk {chunk}"), "dist");
     let t0 = Instant::now();
@@ -620,9 +628,9 @@ fn drain_one_chunk(shared: &Arc<Shared>, job_id: u64, chunk: ChunkId, device: &D
     // Same chunk kernel the workers use: factored when possible, naive
     // otherwise, per-point panics degraded to per-point errors. The plan
     // is built outside the fabric lock, once per job.
-    let plan = plan.get_or_init(|| FactoredPlan::build_from_sweep(device, &sweep));
+    let plan = plan.get_or_init(|| FactoredPlan::build_from_sweep(device, sweep));
     let mut values = PointResults::with_capacity(points.len());
-    eval_chunk(plan.as_ref(), device, &sweep, &points, &mut values);
+    eval_chunk(plan.as_ref(), device, sweep, &points, &mut values);
     let busy = t0.elapsed();
     twocs_obs::metrics::global()
         .counter("dist.local_drain_chunks")
@@ -700,6 +708,7 @@ fn finish_job(
             .iter()
             .filter_map(|(&id, s)| s.window.map(|(w, rtt)| (id, w, rtt)))
             .collect(),
+        refusals: job.refusals,
         bytes_tx: shared.bytes_tx.load(Ordering::Relaxed) - tx_before,
         bytes_rx: shared.bytes_rx.load(Ordering::Relaxed) - rx_before,
         wall: start.elapsed(),
@@ -1054,7 +1063,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, msg: Message, accepted: &
             *accepted |= record_result(&mut st, jid, worker, chunk, values, busy);
             let job = st.job.as_mut().filter(|j| j.id == jid);
             if let (Some(job), Some(_)) = (job, granted) {
-                conn.window.on_result(busy, arrived, job.chunk_size);
+                conn.window.on_result(busy, arrived, job.chunk_size());
                 if let Some(stats) = job.stats.get_mut(&worker) {
                     let min_rtt = conn.window.min_rtt().unwrap_or(busy);
                     stats.window = Some((conn.window.size(), min_rtt));
@@ -1062,16 +1071,21 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, msg: Message, accepted: &
             }
             true
         }
-        (Some(worker), Message::Refuse { reason, .. }) => {
+        (Some(worker), Message::Refuse { job: jid, reason }) => {
             // The worker cannot evaluate this job at all (e.g. unknown
-            // device). Requeue its whole window and release it.
+            // device). Record why, requeue its whole window and release it.
             metrics.counter("dist.leases_refused").inc();
             let lost = {
                 let mut st = shared.lock();
                 st.connected.remove(&worker);
                 st.job
                     .as_mut()
-                    .map(|job| job.tracker.fail_worker(worker))
+                    .map(|job| {
+                        if job.id == jid {
+                            job.refusals.push((worker, reason));
+                        }
+                        job.tracker.fail_worker(worker)
+                    })
                     .unwrap_or_default()
             };
             if !lost.is_empty() {
@@ -1080,7 +1094,6 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, msg: Message, accepted: &
                     .add(lost.len() as u64);
             }
             shared.progress.notify_all();
-            let _ = reason;
             if !conn.closing {
                 conn.queue(shared, &Message::Done);
                 conn.closing = true;
@@ -1132,9 +1145,18 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn]) {
             }
             let issued = Instant::now();
             if conn.grant_job != job.id {
-                // Timing entries from an earlier job die with its first grant.
+                // Announce the job once, ahead of its first grant here;
+                // timing entries from an earlier job die with it.
                 conn.grant_times.clear();
                 conn.grant_job = job.id;
+                conn.queue(
+                    shared,
+                    &Message::Job {
+                        job: job.id,
+                        fingerprint: job.fingerprint,
+                        spec: Arc::clone(&job.spec),
+                    },
+                );
             }
             for &c in &chunks {
                 conn.grant_times.insert(c, issued);
@@ -1142,18 +1164,13 @@ fn tick(shared: &Arc<Shared>, conns: &mut [Conn]) {
             metrics
                 .counter("dist.chunks_leased")
                 .add(chunks.len() as u64);
-            // A pinned window can exceed the adaptive point budget; split
-            // it so no grant frame carries more than that many points.
-            let per_frame = (MAX_WINDOW_POINTS / job.chunk_size).max(1);
-            for frame in chunks.chunks(per_frame) {
-                let leases: Vec<ChunkLease> = frame
-                    .iter()
-                    .map(|&c| ChunkLease {
-                        chunk: c,
-                        points: job.index.chunk_points(c as usize, job.chunk_size),
-                    })
-                    .collect();
-                conn.queue(shared, &job.grant_message(leases));
+            // A pinned window is unbounded; split it into bounded frames.
+            for frame in chunks.chunks(MAX_GRANT_CHUNKS) {
+                let grant = Message::Grant {
+                    job: job.id,
+                    chunks: frame.to_vec(),
+                };
+                conn.queue(shared, &grant);
             }
         }
     }

@@ -11,9 +11,11 @@
 //! leasing, heartbeats, and reassignment are built directly on
 //! `std::net` + threads.
 //!
-//! Protocol v4 is a **push** protocol with credit-based pipelining: the
-//! coordinator keeps every worker topped up with a window of outstanding
-//! chunk leases, so a worker always has the next chunk in hand while
+//! Protocol v5 is a **push** protocol with credit-based pipelining: the
+//! coordinator sends each job's sweep spec once per connection, then
+//! keeps every worker topped up with a window of outstanding chunk
+//! leases — chunk ids only, whose points the worker decodes from the
+//! spec — so a worker always has the next chunk in hand while
 //! evaluating the current one and a network round-trip costs throughput
 //! only when it exceeds a whole window of compute. By default each
 //! connection sizes its own window to about two bandwidth-delay products
@@ -25,7 +27,9 @@
 //!
 //! * [`proto`] — length-prefixed wire messages, the version handshake,
 //!   and the incremental [`proto::FrameReader`] / vectored
-//!   [`proto::write_batch`] used by the nonblocking endpoints.
+//!   [`proto::write_batch`] used by the nonblocking endpoints. Sweep
+//!   specs and chunk results travel in `twocs-store`'s encoding, the
+//!   bytes the journal stores.
 //! * [`lease`] — the pure, clock-abstracted chunk lease state machine,
 //!   indexed per worker so no per-result path scans the job; a dead
 //!   worker's **entire outstanding window** requeues at once.
@@ -45,8 +49,8 @@
 //!   worker` subcommand runs — a reader thread keeps the lease queue
 //!   full, the eval loop works through it, and a writer thread flushes
 //!   results with vectored, allocation-reusing batch writes. The base
-//!   device and the factored plan are resolved once per job, not per
-//!   chunk.
+//!   device and the factored plan are resolved once per job spec, not
+//!   per chunk.
 //!
 //! ## Example (in-process pair)
 //!

@@ -5,20 +5,27 @@
 //! fields. All integers are little-endian, floats travel as `f64::to_bits`
 //! (so values merge back **bit-exact** — the basis of the byte-identical
 //! CSV guarantee), and strings are a `u32` byte length plus UTF-8 bytes.
+//! A sweep spec and a chunk's results are encoded by `twocs-store`
+//! ([`SweepSpec::encode`], [`twocs_store::put_values`]), the same bytes
+//! the journal stores, so the wire has no codec of its own for either.
 //!
 //! The first exchange on every connection is a version handshake:
 //! [`Message::Hello`] (worker → coordinator) answered by
 //! [`Message::Welcome`] or [`Message::Reject`]. Everything after is
-//! **coordinator-pushed**: the coordinator keeps each worker topped up
-//! with a credit window of outstanding chunk leases ([`Message::Grant`];
-//! `Welcome` advertises the *initial* window, which an adaptive
-//! coordinator then resizes without telling the worker), the worker streams
-//! [`Message::ChunkResult`] frames back as chunks finish, and
+//! **coordinator-pushed**. Before a connection's first grant of a job,
+//! the coordinator sends that job once as a [`Message::Job`]: its id, its
+//! [`SweepSpec`] (grid axes, chunk size, device) and the spec's
+//! fingerprint. It then keeps the worker topped up with a credit window
+//! of outstanding chunk leases, each [`Message::Grant`] naming chunk ids
+//! only; the worker decodes each chunk's grid points from the spec itself.
+//! (`Welcome` advertises the *initial* window, which an adaptive
+//! coordinator then resizes without telling the worker.) The worker
+//! streams [`Message::ChunkResult`] frames back as chunks finish, and
 //! `Heartbeat` frames interleave from a side thread so the coordinator
-//! can tell a slow worker from a dead one. There is no idle poll: a
-//! worker with no work simply has nothing to read until the coordinator
-//! pushes the next grant (v3's `Ready`/`Wait`/`Lease` pull cycle — one
-//! network round-trip serialized in front of every chunk — is gone).
+//! can tell a slow worker from a dead one. A worker that cannot evaluate
+//! a job answers its `Job` with [`Message::Refuse`]. There is no idle
+//! poll: a worker with no work simply has nothing to read until the
+//! coordinator pushes the next grant.
 //!
 //! Every encode/decode is exercised by a round-trip property test, and
 //! decoding is strict: trailing bytes, truncated fields, unknown tags,
@@ -28,106 +35,33 @@
 //! message that re-encodes to exactly those bytes.
 
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
-use twocs_core::serialized::Method;
-use twocs_core::sweep::{GridPoint, GridSweep, Workload};
+use twocs_core::PointResults;
+use twocs_store::{put_values, read_values, SweepSpec};
 
 /// Protocol version; bumped on any incompatible wire change. A
 /// coordinator rejects workers that greet with a different version, so a
 /// stale binary fails loudly at handshake instead of corrupting a sweep.
 /// v2 widened the lease with the sweep workload and the MoE/PP/SP axis
 /// fields on every grid point. v3 added the whole-grid axis lists plus
-/// the grid fingerprint to every lease, so a worker can rebuild the
-/// sweep once and reuse its factored plan across chunks. v4 replaced the
-/// worker-driven `Ready`/`Lease`/`Wait` pull cycle with coordinator-
-/// pushed multi-lease [`Message::Grant`] frames and a credit window
-/// advertised in [`Message::Welcome`], so communication overlaps
-/// computation instead of serializing in front of it.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// the grid fingerprint to every lease. v4 replaced the worker-driven
+/// `Ready`/`Lease`/`Wait` pull cycle with coordinator-pushed multi-lease
+/// grants and a credit window advertised in [`Message::Welcome`]. v5
+/// sends each job once per connection as a [`Message::Job`] in the
+/// journal's spec encoding, and a grant names chunk ids instead of
+/// carrying grid points, so the wire no longer grows with points.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on one frame's payload, defending both sides against a
-/// corrupt or hostile peer declaring a multi-gigabyte length. The
-/// largest legitimate frame, a grant carrying a full adaptive window
-/// ([`crate::window::MAX_WINDOW_POINTS`] grid points), is about 4.8 MB.
+/// corrupt or hostile peer declaring a multi-gigabyte length. Legitimate
+/// frames are far smaller: a grant costs 4 B per chunk id, a job a few
+/// hundred bytes, a result 17 B per point.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// The nine axis lists that define a sweep's grid, shipped with every
-/// grant (a few hundred bytes even for a million-point grid — the point
-/// counts multiply, the lists only add). Together with the grant's
-/// `batch`/`method`/`workload` a worker can rebuild the full
-/// [`GridSweep`] and amortize one whole-grid factored plan across every
-/// chunk of the job, keyed by the grid fingerprint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepAxes {
-    /// Hidden sizes.
-    pub hs: Vec<u64>,
-    /// Sequence lengths.
-    pub sls: Vec<u64>,
-    /// Tensor-parallel degrees.
-    pub tps: Vec<u64>,
-    /// Flop-vs-bw hardware-evolution ratios.
-    pub flop_vs_bw: Vec<f64>,
-    /// MoE expert counts.
-    pub experts: Vec<u64>,
-    /// Experts activated per token.
-    pub top_ks: Vec<u64>,
-    /// Pipeline stage counts.
-    pub stages: Vec<u64>,
-    /// Micro-batches per pipeline flush.
-    pub micro_batches: Vec<u64>,
-    /// Sequence-parallel degrees.
-    pub sps: Vec<u64>,
-}
-
-impl SweepAxes {
-    /// Capture a sweep's axis lists for the wire.
-    #[must_use]
-    pub fn from_sweep(sweep: &GridSweep) -> Self {
-        Self {
-            hs: sweep.hs.clone(),
-            sls: sweep.sls.clone(),
-            tps: sweep.tps.clone(),
-            flop_vs_bw: sweep.flop_vs_bw.clone(),
-            experts: sweep.experts.clone(),
-            top_ks: sweep.top_ks.clone(),
-            stages: sweep.stages.clone(),
-            micro_batches: sweep.micro_batches.clone(),
-            sps: sweep.sps.clone(),
-        }
-    }
-
-    /// Rebuild the sweep these axes came from, completing it with the
-    /// grant's sweep-level selectors.
-    #[must_use]
-    pub fn to_sweep(&self, batch: u64, method: Method, workload: Workload) -> GridSweep {
-        GridSweep {
-            hs: self.hs.clone(),
-            sls: self.sls.clone(),
-            tps: self.tps.clone(),
-            flop_vs_bw: self.flop_vs_bw.clone(),
-            experts: self.experts.clone(),
-            top_ks: self.top_ks.clone(),
-            stages: self.stages.clone(),
-            micro_batches: self.micro_batches.clone(),
-            sps: self.sps.clone(),
-            batch,
-            method,
-            workload,
-        }
-    }
-}
-
-/// One chunk's worth of leased work inside a [`Message::Grant`]: the
-/// chunk id plus its grid points in grid order. Job-level context
-/// (device, axes, fingerprints) lives once on the grant, not per chunk —
-/// a full credit window costs one frame and one copy of the sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChunkLease {
-    /// Chunk id within the job.
-    pub chunk: u32,
-    /// The chunk's grid points, in grid order.
-    pub points: Vec<GridPoint>,
-}
+/// Most chunk ids one [`Message::Grant`] frame carries (256 KiB); a
+/// larger pinned window is granted across several frames.
+pub(crate) const MAX_GRANT_CHUNKS: usize = 65_536;
 
 /// One protocol message. See the module docs for the exchange sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,8 +84,8 @@ pub enum Message {
         /// Initial credit window: how many chunk leases the coordinator
         /// keeps outstanding on this connection before it has measured
         /// anything. An adaptive coordinator grows it from there; a
-        /// pinned one never moves it, and `1` degenerates to the lockstep
-        /// v3 behavior (one chunk per network round-trip).
+        /// pinned one never moves it, and `1` degenerates to lockstep
+        /// (one chunk per network round-trip).
         pipeline: u32,
     },
     /// Coordinator → worker: handshake refused (version mismatch, shutdown).
@@ -159,59 +93,53 @@ pub enum Message {
         /// Human-readable refusal reason.
         reason: String,
     },
-    /// Coordinator → worker: a batch of chunk leases, pushed whenever the
-    /// worker's outstanding window has room. Replaces v3's per-chunk
-    /// `Ready` → `Lease` round-trip.
-    Grant {
+    /// Coordinator → worker: the job every following [`Message::Grant`]
+    /// with this id draws from, sent once per connection before its first
+    /// grant.
+    Job {
         /// Sweep job id (guards against results from a previous sweep).
         job: u64,
-        /// Catalog name of the **base** device (per-point flop-vs-bw
-        /// evolution happens worker-side, inside `eval_grid_point`).
-        device: String,
-        /// Fingerprint of the base device; the worker verifies its
-        /// catalog copy matches before computing.
-        device_fingerprint: u64,
-        /// Sweep batch size.
-        batch: u64,
-        /// Serialized-fraction evaluation method.
-        method: Method,
-        /// Sweep workload (training, prefill, or decode).
-        workload: Workload,
-        /// The whole sweep's axis lists, for worker-side plan reuse.
-        /// Boxed so the rare-but-wide grant payload doesn't inflate
-        /// every [`Message`] on the stack.
-        axes: Box<SweepAxes>,
-        /// `GridSweep::fingerprint()` of the sweep the axes describe;
-        /// the worker's plan-cache key (with the device fingerprint)
-        /// and a consistency check on the rebuilt sweep.
-        grid_fingerprint: u64,
-        /// The granted chunks, one lease each. Never empty on the wire.
-        leases: Vec<ChunkLease>,
+        /// [`SweepSpec::fingerprint`] of `spec`; the worker refuses a
+        /// job whose decoded spec hashes differently, and keys its plan
+        /// cache by it.
+        fingerprint: u64,
+        /// The grid, chunk size and base device (a catalog name plus
+        /// fingerprint; per-point flop-vs-bw evolution happens
+        /// worker-side), in the journal's encoding.
+        spec: Arc<SweepSpec>,
+    },
+    /// Coordinator → worker: a batch of chunk leases of an announced job,
+    /// pushed whenever the worker's outstanding window has room.
+    Grant {
+        /// Job id from the connection's latest [`Message::Job`].
+        job: u64,
+        /// Granted chunk ids, each below the spec's chunk count. Never
+        /// empty on the wire.
+        chunks: Vec<u32>,
     },
     /// Coordinator → worker: the fabric is shutting down; exit cleanly.
     Done,
     /// Worker → coordinator: one evaluated chunk. `values[i]` pairs with
-    /// the lease's `points[i]`; `Err` carries a panic message for that
-    /// point (rendered as `error` cells, same as a local run).
+    /// the chunk's `i`-th grid point; `Err` carries a panic message for
+    /// that point (rendered as `error` cells, same as a local run).
     ChunkResult {
         /// Job id copied from the grant.
         job: u64,
-        /// Chunk id copied from the lease.
+        /// Chunk id copied from the grant.
         chunk: u32,
         /// Per-point `(serialized_pct, overlap_pct)` or panic message.
-        values: Vec<Result<(f64, f64), String>>,
+        values: PointResults,
     },
     /// Worker → coordinator: liveness signal while idle or mid-compute.
     Heartbeat,
-    /// Worker → coordinator: cannot evaluate this job (e.g. the device
-    /// is not in the worker's catalog). The coordinator requeues the
-    /// worker's whole outstanding window and releases it.
+    /// Worker → coordinator: cannot evaluate this job (a fingerprint
+    /// mismatch, an invalid grid, a device not in the worker's catalog).
+    /// The coordinator records the reason, requeues the worker's whole
+    /// outstanding window and releases it.
     Refuse {
-        /// Job id copied from the grant.
+        /// Job id copied from the [`Message::Job`].
         job: u64,
-        /// Chunk id of the lease that triggered the refusal.
-        chunk: u32,
-        /// Why the grant was refused.
+        /// Why the job was refused.
         reason: String,
     },
 }
@@ -219,54 +147,16 @@ pub enum Message {
 const TAG_HELLO: u8 = 1;
 const TAG_WELCOME: u8 = 2;
 const TAG_REJECT: u8 = 3;
-// Tags 4–6 (`Ready`/`Lease`/`Wait`) were retired with the v3 pull
-// protocol and are not reused, so a stale peer's frames fail decoding
-// loudly instead of aliasing into new meanings.
+// Retired tags are never reused, so a stale peer's frames fail decoding
+// loudly instead of aliasing into new meanings: 4–6 (`Ready`/`Lease`/
+// `Wait`) went with the v3 pull protocol, 10–11 (the per-chunk `Refuse`
+// and the point-carrying `Grant`) with v4.
 const TAG_DONE: u8 = 7;
 const TAG_CHUNK_RESULT: u8 = 8;
 const TAG_HEARTBEAT: u8 = 9;
-const TAG_REFUSE: u8 = 10;
-const TAG_GRANT: u8 = 11;
-
-/// Encoded size of one [`GridPoint`]: nine 8-byte fields.
-const POINT_LEN: usize = 9 * 8;
-/// Smallest encoded [`ChunkLease`]: chunk id plus an empty point list.
-const LEASE_MIN_LEN: usize = 4 + 4;
-/// Smallest encoded chunk result value: the `Err` tag plus an empty
-/// message.
-const RESULT_MIN_LEN: usize = 1 + 4;
-
-fn method_to_wire(m: Method) -> u8 {
-    match m {
-        Method::Simulation => 0,
-        Method::Projection => 1,
-    }
-}
-
-fn method_from_wire(b: u8) -> io::Result<Method> {
-    match b {
-        0 => Ok(Method::Simulation),
-        1 => Ok(Method::Projection),
-        other => Err(bad(format!("unknown method byte {other}"))),
-    }
-}
-
-fn workload_to_wire(w: Workload) -> u8 {
-    match w {
-        Workload::Training => 0,
-        Workload::Prefill => 1,
-        Workload::Decode => 2,
-    }
-}
-
-fn workload_from_wire(b: u8) -> io::Result<Workload> {
-    match b {
-        0 => Ok(Workload::Training),
-        1 => Ok(Workload::Prefill),
-        2 => Ok(Workload::Decode),
-        other => Err(bad(format!("unknown workload byte {other}"))),
-    }
-}
+const TAG_JOB: u8 = 12;
+const TAG_GRANT: u8 = 13;
+const TAG_REFUSE: u8 = 14;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -282,54 +172,9 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_u64_list(buf: &mut Vec<u8>, vs: &[u64]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_u64(buf, v);
-    }
-}
-
-fn put_f64_list(buf: &mut Vec<u8>, vs: &[f64]) {
-    put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_f64(buf, v);
-    }
-}
-
-fn put_axes(buf: &mut Vec<u8>, axes: &SweepAxes) {
-    put_u64_list(buf, &axes.hs);
-    put_u64_list(buf, &axes.sls);
-    put_u64_list(buf, &axes.tps);
-    put_f64_list(buf, &axes.flop_vs_bw);
-    put_u64_list(buf, &axes.experts);
-    put_u64_list(buf, &axes.top_ks);
-    put_u64_list(buf, &axes.stages);
-    put_u64_list(buf, &axes.micro_batches);
-    put_u64_list(buf, &axes.sps);
-}
-
-fn put_points(buf: &mut Vec<u8>, points: &[GridPoint]) {
-    put_u32(buf, points.len() as u32);
-    for p in points {
-        put_u64(buf, p.h);
-        put_u64(buf, p.sl);
-        put_u64(buf, p.tp);
-        put_f64(buf, p.ratio);
-        put_u64(buf, p.experts);
-        put_u64(buf, p.top_k);
-        put_u64(buf, p.stages);
-        put_u64(buf, p.micro_batches);
-        put_u64(buf, p.sp);
-    }
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
 }
 
 impl Message {
@@ -362,32 +207,24 @@ impl Message {
             }
             Message::Reject { reason } => {
                 buf.push(TAG_REJECT);
-                put_str(buf, reason);
+                put_bytes(buf, reason.as_bytes());
             }
-            Message::Grant {
+            Message::Job {
                 job,
-                device,
-                device_fingerprint,
-                batch,
-                method,
-                workload,
-                axes,
-                grid_fingerprint,
-                leases,
+                fingerprint,
+                spec,
             } => {
+                buf.push(TAG_JOB);
+                put_u64(buf, *job);
+                put_u64(buf, *fingerprint);
+                put_bytes(buf, &spec.encode());
+            }
+            Message::Grant { job, chunks } => {
                 buf.push(TAG_GRANT);
                 put_u64(buf, *job);
-                put_str(buf, device);
-                put_u64(buf, *device_fingerprint);
-                put_u64(buf, *batch);
-                buf.push(method_to_wire(*method));
-                buf.push(workload_to_wire(*workload));
-                put_axes(buf, axes);
-                put_u64(buf, *grid_fingerprint);
-                put_u32(buf, leases.len() as u32);
-                for lease in leases {
-                    put_u32(buf, lease.chunk);
-                    put_points(buf, &lease.points);
+                put_u32(buf, chunks.len() as u32);
+                for &chunk in chunks {
+                    put_u32(buf, chunk);
                 }
             }
             Message::Done => buf.push(TAG_DONE),
@@ -395,27 +232,13 @@ impl Message {
                 buf.push(TAG_CHUNK_RESULT);
                 put_u64(buf, *job);
                 put_u32(buf, *chunk);
-                put_u32(buf, values.len() as u32);
-                for v in values {
-                    match v {
-                        Ok((a, b)) => {
-                            buf.push(0);
-                            put_f64(buf, *a);
-                            put_f64(buf, *b);
-                        }
-                        Err(e) => {
-                            buf.push(1);
-                            put_str(buf, e);
-                        }
-                    }
-                }
+                put_values(buf, values);
             }
             Message::Heartbeat => buf.push(TAG_HEARTBEAT),
-            Message::Refuse { job, chunk, reason } => {
+            Message::Refuse { job, reason } => {
                 buf.push(TAG_REFUSE);
                 put_u64(buf, *job);
-                put_u32(buf, *chunk);
-                put_str(buf, reason);
+                put_bytes(buf, reason.as_bytes());
             }
         }
     }
@@ -453,64 +276,26 @@ impl Message {
             TAG_REJECT => Message::Reject {
                 reason: r.string()?,
             },
+            TAG_JOB => Message::Job {
+                job: r.u64()?,
+                fingerprint: r.u64()?,
+                spec: Arc::new(SweepSpec::decode(r.bytes()?).map_err(bad)?),
+            },
             TAG_GRANT => {
                 let job = r.u64()?;
-                let device = r.string()?;
-                let device_fingerprint = r.u64()?;
-                let batch = r.u64()?;
-                let method = method_from_wire(r.u8()?)?;
-                let workload = workload_from_wire(r.u8()?)?;
-                let axes = SweepAxes {
-                    hs: r.u64_list()?,
-                    sls: r.u64_list()?,
-                    tps: r.u64_list()?,
-                    flop_vs_bw: r.f64_list()?,
-                    experts: r.u64_list()?,
-                    top_ks: r.u64_list()?,
-                    stages: r.u64_list()?,
-                    micro_batches: r.u64_list()?,
-                    sps: r.u64_list()?,
-                };
-                let axes = Box::new(axes);
-                let grid_fingerprint = r.u64()?;
-                let n = r.count(LEASE_MIN_LEN)?;
-                let mut leases = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let chunk = r.u32()?;
-                    let points = r.points()?;
-                    leases.push(ChunkLease { chunk, points });
-                }
-                Message::Grant {
-                    job,
-                    device,
-                    device_fingerprint,
-                    batch,
-                    method,
-                    workload,
-                    axes,
-                    grid_fingerprint,
-                    leases,
-                }
+                let n = r.count(4)?;
+                let chunks = (0..n).map(|_| r.u32()).collect::<io::Result<_>>()?;
+                Message::Grant { job, chunks }
             }
             TAG_DONE => Message::Done,
-            TAG_CHUNK_RESULT => {
-                let job = r.u64()?;
-                let chunk = r.u32()?;
-                let n = r.count(RESULT_MIN_LEN)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(match r.u8()? {
-                        0 => Ok((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?))),
-                        1 => Err(r.string()?),
-                        other => return Err(bad(format!("unknown result tag {other}"))),
-                    });
-                }
-                Message::ChunkResult { job, chunk, values }
-            }
+            TAG_CHUNK_RESULT => Message::ChunkResult {
+                job: r.u64()?,
+                chunk: r.u32()?,
+                values: read_values(r.rest()).map_err(bad)?,
+            },
             TAG_HEARTBEAT => Message::Heartbeat,
             TAG_REFUSE => Message::Refuse {
                 job: r.u64()?,
-                chunk: r.u32()?,
                 reason: r.string()?,
             },
             other => return Err(bad(format!("unknown message tag {other}"))),
@@ -530,8 +315,8 @@ struct Reader<'a> {
     at: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         let end = self
             .at
             .checked_add(n)
@@ -567,38 +352,21 @@ impl Reader<'_> {
         Ok(n)
     }
 
-    fn string(&mut self) -> io::Result<String> {
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> io::Result<&'a [u8]> {
         let n = self.count(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("invalid UTF-8 in string"))
+        self.take(n)
     }
 
-    fn u64_list(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.u64()).collect()
+    fn string(&mut self) -> io::Result<String> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| bad("invalid UTF-8 in string"))
     }
 
-    fn f64_list(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.u64().map(f64::from_bits)).collect()
-    }
-
-    fn points(&mut self) -> io::Result<Vec<GridPoint>> {
-        let n = self.count(POINT_LEN)?;
-        let mut points = Vec::with_capacity(n);
-        for _ in 0..n {
-            points.push(GridPoint {
-                h: self.u64()?,
-                sl: self.u64()?,
-                tp: self.u64()?,
-                ratio: f64::from_bits(self.u64()?),
-                experts: self.u64()?,
-                top_k: self.u64()?,
-                stages: self.u64()?,
-                micro_batches: self.u64()?,
-                sp: self.u64()?,
-            });
-        }
-        Ok(points)
+    /// The rest of the payload (a trailing store-encoded field).
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.at..];
+        self.at = self.buf.len();
+        rest
     }
 }
 
@@ -738,18 +506,29 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twocs_core::serialized::Method;
+    use twocs_core::sweep::{GridSweep, Workload};
 
-    fn sample_axes() -> SweepAxes {
-        SweepAxes {
-            hs: vec![4096],
-            sls: vec![2048],
-            tps: vec![16],
-            flop_vs_bw: vec![2.0],
-            experts: vec![1],
-            top_ks: vec![1],
-            stages: vec![1],
-            micro_batches: vec![1],
-            sps: vec![1],
+    fn sample_spec() -> Arc<SweepSpec> {
+        Arc::new(SweepSpec {
+            sweep: GridSweep {
+                experts: vec![1, 8],
+                top_ks: vec![2],
+                stages: vec![1, 4],
+                workload: Workload::Decode,
+                ..GridSweep::default()
+            },
+            chunk_size: 4,
+            device_name: "MI210".to_owned(),
+            device_fingerprint: 0xDEAD_BEEF,
+        })
+    }
+
+    fn job_message(job: u64, spec: Arc<SweepSpec>) -> Message {
+        Message::Job {
+            job,
+            fingerprint: spec.fingerprint(),
+            spec,
         }
     }
 
@@ -767,49 +546,14 @@ mod tests {
             Message::Reject {
                 reason: "version mismatch".to_owned(),
             },
+            job_message(3, sample_spec()),
             Message::Grant {
                 job: 3,
-                device: "MI210".to_owned(),
-                device_fingerprint: 0xDEAD_BEEF,
-                batch: 1,
-                method: Method::Projection,
-                workload: Workload::Training,
-                axes: Box::new(SweepAxes::from_sweep(&GridSweep::default())),
-                grid_fingerprint: 0x0123_4567_89AB_CDEF,
-                leases: vec![
-                    ChunkLease {
-                        chunk: 11,
-                        points: vec![
-                            GridPoint::new(4096, 2048, 16, 1.0),
-                            GridPoint {
-                                experts: 8,
-                                top_k: 2,
-                                stages: 4,
-                                micro_batches: 8,
-                                sp: 2,
-                                ..GridPoint::new(16_384, 4096, 64, 4.0)
-                            },
-                        ],
-                    },
-                    ChunkLease {
-                        chunk: 12,
-                        points: vec![GridPoint::new(4096, 4096, 64, 2.0)],
-                    },
-                ],
+                chunks: vec![11, 12],
             },
             Message::Grant {
                 job: 4,
-                device: "MI210".to_owned(),
-                device_fingerprint: 1,
-                batch: 8,
-                method: Method::Projection,
-                workload: Workload::Decode,
-                axes: Box::new(sample_axes()),
-                grid_fingerprint: 7,
-                leases: vec![ChunkLease {
-                    chunk: 0,
-                    points: vec![GridPoint::new(4096, 2048, 16, 2.0)],
-                }],
+                chunks: vec![0],
             },
             Message::Done,
             Message::ChunkResult {
@@ -823,8 +567,7 @@ mod tests {
             Message::Heartbeat,
             Message::Refuse {
                 job: 3,
-                chunk: 11,
-                reason: "unknown device `TPUv9`".to_owned(),
+                reason: "device `TPUv9` not in this worker's catalog".to_owned(),
             },
         ]
     }
@@ -945,13 +688,45 @@ mod tests {
         trailing.push(0);
         assert!(Message::decode(&trailing).is_err());
         assert!(Message::decode(&[99]).is_err(), "unknown tag");
-        // Retired v3 pull-cycle tags must not decode as anything.
-        for retired in [4u8, 5, 6] {
+        // Retired v3 pull-cycle tags and v4's Refuse/Grant tags must not
+        // decode as anything.
+        for retired in [4u8, 5, 6, 10, 11] {
             assert!(
                 Message::decode(&[retired]).is_err(),
                 "retired tag {retired} must stay invalid"
             );
         }
+    }
+
+    /// A whole v4 `Grant` frame (tag 11: device, axes, fingerprints and
+    /// 72-byte grid points) fails to decode instead of aliasing into a
+    /// v5 message.
+    #[test]
+    fn a_v4_grant_frame_fails_to_decode() {
+        let mut v4 = vec![11u8];
+        v4.extend_from_slice(&3u64.to_le_bytes()); // job
+        v4.extend_from_slice(&5u32.to_le_bytes()); // device name
+        v4.extend_from_slice(b"MI210");
+        v4.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes()); // device fp
+        v4.extend_from_slice(&1u64.to_le_bytes()); // batch
+        v4.extend_from_slice(&[1, 0]); // method, workload
+        for axis in [4096u64, 2048, 16, 2f64.to_bits(), 1, 1, 1, 1, 1] {
+            v4.extend_from_slice(&1u32.to_le_bytes());
+            v4.extend_from_slice(&axis.to_le_bytes());
+        }
+        v4.extend_from_slice(&7u64.to_le_bytes()); // grid fp
+        v4.extend_from_slice(&1u32.to_le_bytes()); // one lease
+        v4.extend_from_slice(&0u32.to_le_bytes()); // chunk 0
+        v4.extend_from_slice(&1u32.to_le_bytes()); // one point
+        for field in [4096u64, 2048, 16, 2f64.to_bits(), 1, 1, 1, 1, 1] {
+            v4.extend_from_slice(&field.to_le_bytes());
+        }
+        let err = Message::decode(&v4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown message tag 11"), "{err}");
+        let mut frame = (v4.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&v4);
+        assert!(read_frame(&mut std::io::Cursor::new(frame)).is_err());
     }
 
     #[test]
@@ -973,11 +748,10 @@ mod tests {
         assert!(Message::decode(&payload).is_err());
     }
 
-    /// Property coverage for the v4 grant framing: random multi-lease
-    /// windows over the widened `GridPoint` (MoE/PP/SP axes) and every
-    /// workload must survive encode → decode bit-exact, ratio included —
-    /// through both the one-shot codec and the incremental
-    /// [`FrameReader`].
+    /// Property coverage for the v5 job and grant framing: random specs
+    /// over every axis and workload, and random chunk-id windows, must
+    /// survive encode → decode bit-exact, ratios included — through both
+    /// the one-shot codec and the incremental [`FrameReader`].
     #[test]
     fn multi_lease_grant_round_trip_property() {
         twocs_testkit::cases(64, |rng| {
@@ -986,29 +760,11 @@ mod tests {
                 1 => Workload::Prefill,
                 _ => Workload::Decode,
             };
-            let n_leases = rng.usize_in(1..8);
-            let leases: Vec<ChunkLease> = rng.vec_of(n_leases, |r| {
-                let n = r.usize_in(0..12);
-                ChunkLease {
-                    chunk: r.u32_in(0..10_000),
-                    points: r.vec_of(n, |r| GridPoint {
-                        h: r.u64_in(256..65_537),
-                        sl: r.u64_in(1..8193),
-                        tp: r.u64_in(1..257),
-                        ratio: r.f64_in(1.0..16.0),
-                        experts: r.u64_in(1..65),
-                        top_k: r.u64_in(1..9),
-                        stages: r.u64_in(1..17),
-                        micro_batches: r.u64_in(1..33),
-                        sp: r.u64_in(1..17),
-                    }),
-                }
-            });
             let mut list = |hi: u64| {
                 let len = rng.usize_in(1..4);
                 rng.vec_of(len, |r| r.u64_in(1..hi))
             };
-            let axes = SweepAxes {
+            let sweep = GridSweep {
                 hs: list(65_537),
                 sls: list(8193),
                 tps: list(257),
@@ -1021,27 +777,33 @@ mod tests {
                     let len = rng.usize_in(1..4);
                     rng.vec_of(len, |r| r.f64_in(1.0..16.0))
                 },
-            };
-            let msg = Message::Grant {
-                job: rng.next_u64(),
-                device: "MI210".to_owned(),
-                device_fingerprint: rng.next_u64(),
                 batch: rng.u64_in(1..64),
                 method: Method::Projection,
                 workload,
-                axes: Box::new(axes),
-                grid_fingerprint: rng.next_u64(),
-                leases,
             };
-            assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
-            let mut wire = Vec::new();
-            let written = write_frame(&mut wire, &msg).unwrap();
-            let mut reader = FrameReader::new();
-            let mut cursor = std::io::Cursor::new(wire);
-            reader.fill(&mut cursor).unwrap();
-            let (decoded, n) = reader.next_frame().unwrap().expect("complete frame");
-            assert_eq!(decoded, msg);
-            assert_eq!(n, written);
+            let spec = Arc::new(SweepSpec {
+                sweep,
+                chunk_size: rng.u32_in(1..64),
+                device_name: "MI210".to_owned(),
+                device_fingerprint: rng.next_u64(),
+            });
+            let job = rng.next_u64();
+            let n_chunks = rng.usize_in(1..64);
+            let grant = Message::Grant {
+                job,
+                chunks: rng.vec_of(n_chunks, |r| r.u32_in(0..10_000)),
+            };
+            for msg in [job_message(job, spec), grant] {
+                assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+                let mut wire = Vec::new();
+                let written = write_frame(&mut wire, &msg).unwrap();
+                let mut reader = FrameReader::new();
+                let mut cursor = std::io::Cursor::new(wire);
+                reader.fill(&mut cursor).unwrap();
+                let (decoded, n) = reader.next_frame().unwrap().expect("complete frame");
+                assert_eq!(decoded, msg);
+                assert_eq!(n, written);
+            }
         });
     }
 
@@ -1088,19 +850,7 @@ mod tests {
     fn deep_grant() -> Message {
         Message::Grant {
             job: 9,
-            device: "MI210".to_owned(),
-            device_fingerprint: 0xFEED,
-            batch: 1,
-            method: Method::Projection,
-            workload: Workload::Prefill,
-            axes: Box::new(sample_axes()),
-            grid_fingerprint: 0xC0FFEE,
-            leases: (0..512)
-                .map(|c| ChunkLease {
-                    chunk: c,
-                    points: vec![GridPoint::new(4096, 2048, 16, 1.0 + f64::from(c)); 2],
-                })
-                .collect(),
+            chunks: (0..512).collect(),
         }
     }
 
@@ -1131,15 +881,33 @@ mod tests {
     }
 
     /// Std-only mutation fuzzing of `Message::decode`, `read_frame` and
-    /// `FrameReader`: seed frames from the round-trip vectors plus a
-    /// 512-lease grant, then bit flips, truncation, extension and forged
+    /// `FrameReader`: seed frames from the round-trip vectors (a `Job`
+    /// and v5 `Grant`s among them) plus a 512-lease grant and a job over
+    /// an extended grid, then bit flips, truncation, extension and forged
     /// length prefixes (the frame's own and the counts inside it). The
     /// decoders must never panic or over-allocate.
     #[test]
     fn decoders_survive_mutated_frames() {
         let seeds: Vec<Vec<u8>> = samples()
             .iter()
-            .chain([deep_grant()].iter())
+            .chain(
+                [
+                    deep_grant(),
+                    job_message(
+                        u64::MAX,
+                        Arc::new(SweepSpec {
+                            sweep: GridSweep {
+                                flop_vs_bw: vec![1.0, 2.5, 11.0],
+                                sps: vec![1, 2, 4],
+                                method: Method::Projection,
+                                ..GridSweep::default()
+                            },
+                            ..(*sample_spec()).clone()
+                        }),
+                    ),
+                ]
+                .iter(),
+            )
             .map(|msg| {
                 let mut frame = Vec::new();
                 msg.append_frame(&mut frame);
@@ -1190,24 +958,14 @@ mod tests {
     /// as encoded elements is rejected before anything is reserved.
     #[test]
     fn element_counts_are_bounded_by_their_encoded_size() {
-        let Message::Grant { leases, .. } = deep_grant() else {
-            unreachable!()
-        };
-        let grant = Message::Grant {
+        let payload = Message::Grant {
             job: 1,
-            device: String::new(),
-            device_fingerprint: 0,
-            batch: 1,
-            method: Method::Projection,
-            workload: Workload::Training,
-            axes: Box::new(sample_axes()),
-            grid_fingerprint: 0,
-            leases: leases[..1].to_vec(),
-        };
-        let payload = grant.encode();
-        // The lone lease's point count sits 8 + 2×72 bytes from the end;
-        // claim one point more than the remaining 144 bytes can encode.
-        let at = payload.len() - 2 * POINT_LEN - 4;
+            chunks: vec![7, 8],
+        }
+        .encode();
+        // The chunk count sits 2×4 bytes from the end; claim one chunk
+        // id more than the remaining 8 bytes can encode.
+        let at = payload.len() - 2 * 4 - 4;
         assert_eq!(payload[at..at + 4], 2u32.to_le_bytes());
         let mut forged = payload.clone();
         forged[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
@@ -1223,5 +981,26 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("exceeds payload"));
+    }
+
+    /// A `Job` whose spec blob is not a valid spec encoding is an
+    /// `InvalidData` error naming the store's complaint.
+    #[test]
+    fn a_job_with_a_corrupt_spec_is_invalid_data() {
+        let Message::Job { spec, .. } = job_message(1, sample_spec()) else {
+            unreachable!()
+        };
+        let mut payload = vec![TAG_JOB];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&spec.fingerprint().to_le_bytes());
+        let mut blob = spec.encode();
+        blob.push(0);
+        put_bytes(&mut payload, &blob);
+        let err = Message::decode(&payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("trailing bytes after sweep spec"),
+            "{err}"
+        );
     }
 }

@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 /// `Welcome`, and the adaptive window's floor.
 pub const INITIAL_WINDOW: usize = 4;
 
-/// Point budget of one adaptive window. It bounds a grant frame (about
-/// 4.8 MB of grid points, well under the 16 MiB frame limit) and the
-/// work a dead worker's requeue throws back.
+/// Point budget of one adaptive window. It bounds the work a dead
+/// worker's requeue throws back (grants name chunk ids, so the grant
+/// frame no longer grows with points).
 pub const MAX_WINDOW_POINTS: usize = 65_536;
 
 /// Periods the windowed-max rate filter remembers.

@@ -5,9 +5,11 @@
 //! bit-identical either way — which is why distributed results merge
 //! byte-exactly.
 //!
-//! The v4 protocol is coordinator-driven and pipelined: after the
-//! handshake the coordinator keeps a credit window of chunk leases
-//! outstanding on the connection ([`Message::Grant`]), so the worker is
+//! The protocol is coordinator-driven and pipelined: after the handshake
+//! the coordinator announces each job once ([`Message::Job`], the sweep
+//! spec) and keeps a credit window of chunk leases outstanding on the
+//! connection ([`Message::Grant`], chunk ids whose grid points the worker
+//! decodes from the spec itself), so the worker is
 //! **double-buffered** — while the evaluation loop chews on the current
 //! chunk, the next leases are already queued locally and finished
 //! results are flushing from a dedicated writer thread. Three side
@@ -38,13 +40,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::proto::{read_frame, write_batch, write_frame, Message, SweepAxes, PROTOCOL_VERSION};
+use crate::proto::{read_frame, write_batch, write_frame, Message, PROTOCOL_VERSION};
 use twocs_core::planner::FactoredPlan;
-use twocs_core::serialized::Method;
-use twocs_core::sweep::{
-    eval_chunk, set_parallelism, GridPoint, GridSweep, PointResults, Workload,
-};
+use twocs_core::sweep::{eval_chunk, set_parallelism, PointResults};
+use twocs_core::GridIndex;
 use twocs_hw::DeviceSpec;
+use twocs_store::SweepSpec;
 
 /// Test hook: per-chunk artificial delay in milliseconds, read from the
 /// environment when [`WorkerConfig::chunk_delay`] is unset. The CI
@@ -99,7 +100,8 @@ pub struct WorkerReport {
     pub chunks: u64,
     /// Grid points evaluated.
     pub points: u64,
-    /// Leases refused (device not resolvable on this worker).
+    /// Jobs refused (fingerprint mismatch, invalid grid, or a device
+    /// this worker's catalog cannot resolve).
     pub refused: u64,
     /// Protocol bytes sent — every frame on the wire, heartbeats and
     /// handshake included, because the writer thread is the single
@@ -131,25 +133,30 @@ impl std::fmt::Display for WorkerReport {
     }
 }
 
-/// Job-level context shared by every chunk of one grant, decoded once.
-struct GrantShared {
-    job: u64,
-    device: String,
-    device_fingerprint: u64,
-    batch: u64,
-    method: Method,
-    workload: Workload,
-    axes: Box<SweepAxes>,
-    grid_fingerprint: u64,
+/// One announced job, shared by every chunk granted from it.
+struct Job {
+    id: u64,
+    /// The fingerprint the coordinator announced for `spec`.
+    fingerprint: u64,
+    spec: Arc<SweepSpec>,
+    /// The spec's grid, from which each chunk decodes its own points.
+    index: GridIndex,
+}
+
+impl Job {
+    fn chunk_size(&self) -> usize {
+        self.spec.chunk_size.max(1) as usize
+    }
 }
 
 /// One unit handed from the reader thread to the evaluation loop.
 enum WorkItem {
+    /// A newly announced job; its chunks follow.
+    Job(Arc<Job>),
     /// A leased chunk, visible to the evaluator at `deliver_at`.
     Chunk {
-        grant: Arc<GrantShared>,
+        job: Arc<Job>,
         chunk: u32,
-        points: Vec<GridPoint>,
         deliver_at: Option<Instant>,
     },
     /// Coordinator said `Done`: exit cleanly.
@@ -229,10 +236,12 @@ fn writer_loop(
     }
 }
 
-/// The reader thread: blocks on the socket, stamps frames with their
-/// latency-shifted delivery time, and feeds the evaluation loop's work
-/// queue. Always pushes a terminal [`WorkItem`] before exiting so the
-/// evaluator never waits on a dead channel.
+/// The reader thread: blocks on the socket, keeps the latest announced
+/// job, stamps granted chunks with their latency-shifted delivery time,
+/// and feeds the evaluation loop's work queue. A grant for a job that was
+/// never announced, or for a chunk id past the job's last chunk, is a
+/// protocol error. Always pushes a terminal [`WorkItem`] before exiting
+/// so the evaluator never waits on a dead channel.
 fn reader_loop(
     mut stream: TcpStream,
     work_tx: &Sender<WorkItem>,
@@ -241,6 +250,7 @@ fn reader_loop(
     half_rtt: Option<Duration>,
 ) {
     let metrics = twocs_obs::metrics::global();
+    let mut current: Option<Arc<Job>> = None;
     let terminal = loop {
         let (msg, n) = match read_frame(&mut stream) {
             Ok(ok) => ok,
@@ -249,35 +259,41 @@ fn reader_loop(
         bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
         metrics.counter("dist.bytes_rx").add(n as u64);
         match msg {
-            Message::Grant {
+            Message::Job {
                 job,
-                device,
-                device_fingerprint,
-                batch,
-                method,
-                workload,
-                axes,
-                grid_fingerprint,
-                leases,
+                fingerprint,
+                spec,
             } => {
-                let deliver_at = half_rtt.map(|d| Instant::now() + d);
-                let grant = Arc::new(GrantShared {
-                    job,
-                    device,
-                    device_fingerprint,
-                    batch,
-                    method,
-                    workload,
-                    axes,
-                    grid_fingerprint,
+                let job = Arc::new(Job {
+                    id: job,
+                    fingerprint,
+                    index: spec.index(),
+                    spec,
                 });
-                for lease in leases {
+                current = Some(Arc::clone(&job));
+                if work_tx.send(WorkItem::Job(job)).is_err() {
+                    return;
+                }
+            }
+            Message::Grant { job: id, chunks } => {
+                let Some(job) = current.as_ref().filter(|j| j.id == id) else {
+                    break WorkItem::Failed(format!(
+                        "grant for job {id}, which was never announced"
+                    ));
+                };
+                let n_chunks = job.index.chunk_count(job.chunk_size());
+                if let Some(chunk) = chunks.iter().find(|&&c| c as usize >= n_chunks) {
+                    break WorkItem::Failed(format!(
+                        "grant for chunk {chunk} of job {id}, which has {n_chunks} chunks"
+                    ));
+                }
+                let deliver_at = half_rtt.map(|d| Instant::now() + d);
+                for chunk in chunks {
                     let queued = depth.fetch_add(1, Ordering::Relaxed) + 1;
                     metrics.gauge("dist.pipeline.depth").set(queued as f64);
                     let item = WorkItem::Chunk {
-                        grant: Arc::clone(&grant),
-                        chunk: lease.chunk,
-                        points: lease.points,
+                        job: Arc::clone(job),
+                        chunk,
                         deliver_at,
                     };
                     if work_tx.send(item).is_err() {
@@ -413,20 +429,13 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
     };
     set_parallelism(cfg.jobs);
 
-    // The grant's sweep and its whole-grid factored plan, per (grid,
-    // device) fingerprint pair, reused across every chunk the
-    // coordinator grants from the same sweep — the per-axis tables are
-    // built once instead of once per chunk. A `None` plan means the
-    // chunks take the naive path: the sweep has no factored form
-    // (simulation method) or its reconstruction failed the fingerprint
-    // check.
-    let mut plan_cache: Option<((u64, u64), GridSweep, Option<FactoredPlan>)> = None;
-    // The grant's base device, resolved once per (name, fingerprint):
-    // rebuilding the catalog costs several times a small chunk's
-    // evaluation. `None` in the value slot means "not in this catalog".
-    let mut device_cache: Option<(String, u64, Option<DeviceSpec>)> = None;
-    // A job we refused once stays refused: later chunks of the same
-    // grant are dropped silently while the coordinator winds us down.
+    // The resolved base device and whole-grid factored plan of the
+    // current job — or why it is refused — keyed by the spec fingerprint,
+    // so back-to-back jobs over the same spec reuse one plan. Resolving
+    // the device alone costs several times a small chunk's evaluation.
+    let mut prepared: Option<(u64, Result<Prepared, String>)> = None;
+    // A refused job's chunks are dropped silently while the coordinator
+    // winds us down.
     let mut refused_job: Option<u64> = None;
 
     let record_idle = |report: &mut WorkerReport, idle: Duration| {
@@ -455,13 +464,46 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
             }
             Err(TryRecvError::Disconnected) => break Err("worker reader thread died".to_owned()),
         };
-        let (grant, chunk, points, deliver_at) = match item {
+        let (job, chunk, deliver_at) = match item {
+            WorkItem::Job(job) => {
+                let fingerprint = job.spec.fingerprint();
+                let refusal = if fingerprint == job.fingerprint {
+                    if prepared.as_ref().is_some_and(|(fp, _)| *fp == fingerprint) {
+                        metrics.counter("dist.plan_cache_hits").inc();
+                    } else {
+                        prepared = Some((fingerprint, prepare(&job.spec)));
+                        metrics.counter("dist.plan_cache_builds").inc();
+                    }
+                    prepared
+                        .as_ref()
+                        .and_then(|(_, p)| p.as_ref().err().cloned())
+                } else {
+                    Some(format!(
+                        "job fingerprint {:#018x} does not match its spec, which hashes to {fingerprint:#018x}",
+                        job.fingerprint
+                    ))
+                };
+                let Some(reason) = refusal else { continue };
+                report.refused += 1;
+                refused_job = Some(job.id);
+                metrics.counter("dist.leases_refused").inc();
+                let refuse = Outgoing {
+                    msg: Message::Refuse {
+                        job: job.id,
+                        reason,
+                    },
+                    due: half_rtt.map(|d| Instant::now() + d),
+                };
+                if out_tx.send(refuse).is_err() {
+                    break Err(writer_error(&write_fail));
+                }
+                continue;
+            }
             WorkItem::Chunk {
-                grant,
+                job,
                 chunk,
-                points,
                 deliver_at,
-            } => (grant, chunk, points, deliver_at),
+            } => (job, chunk, deliver_at),
             WorkItem::Done => break Ok(()),
             WorkItem::Failed(e) => break Err(e),
         };
@@ -477,31 +519,11 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         let queued = depth.fetch_sub(1, Ordering::Relaxed) - 1;
         metrics.gauge("dist.pipeline.depth").set(queued as f64);
 
-        if refused_job == Some(grant.job) {
+        if refused_job == Some(job.id) {
             continue;
         }
-        let cached = device_cache
-            .as_ref()
-            .is_some_and(|(name, fp, _)| *name == grant.device && *fp == grant.device_fingerprint);
-        if !cached {
-            let dev = resolve_device(&grant.device, grant.device_fingerprint);
-            device_cache = Some((grant.device.clone(), grant.device_fingerprint, dev));
-        }
-        let Some(dev) = device_cache.as_ref().and_then(|(_, _, dev)| dev.as_ref()) else {
-            report.refused += 1;
-            refused_job = Some(grant.job);
-            metrics.counter("dist.leases_refused").inc();
-            let refuse = Outgoing {
-                msg: Message::Refuse {
-                    job: grant.job,
-                    chunk,
-                    reason: format!("device `{}` not in this worker's catalog", grant.device),
-                },
-                due: half_rtt.map(|d| Instant::now() + d),
-            };
-            if out_tx.send(refuse).is_err() {
-                break Err(writer_error(&write_fail));
-            }
+        // Every job the loop did not refuse was prepared when it arrived.
+        let Some((_, Ok(Prepared { device, plan }))) = &prepared else {
             continue;
         };
         let _span = twocs_obs::span(&format!("evaluate chunk {chunk}"), "dist");
@@ -509,29 +531,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         if let Some(delay) = chunk_delay {
             std::thread::sleep(delay);
         }
-        let key = (grant.grid_fingerprint, grant.device_fingerprint);
-        if plan_cache.as_ref().is_some_and(|(k, _, _)| *k == key) {
-            metrics.counter("dist.plan_cache_hits").inc();
-        } else {
-            // Rebuild the sweep from the grant's axes and cross-check
-            // its fingerprint; a mismatch means the coordinator and
-            // worker disagree about the grid, so evaluate naively rather
-            // than trust a plan built from the reconstruction.
-            let sweep = grant
-                .axes
-                .to_sweep(grant.batch, grant.method, grant.workload);
-            let plan = (sweep.fingerprint() == grant.grid_fingerprint)
-                .then(|| FactoredPlan::build_from_sweep(dev, &sweep))
-                .flatten();
-            plan_cache = Some((key, sweep, plan));
-            metrics.counter("dist.plan_cache_builds").inc();
-        }
-        let (_, sweep, plan) = plan_cache.as_ref().expect("plan cache filled above");
         // Factored or naive, per-point panics degrade to per-point
         // errors and the values are bit-identical to a local run's —
         // the merge contract.
+        let points = job.index.chunk_points(chunk as usize, job.chunk_size());
         let mut values = PointResults::with_capacity(points.len());
-        eval_chunk(plan.as_ref(), dev, sweep, &points, &mut values);
+        eval_chunk(plan.as_ref(), device, &job.spec.sweep, &points, &mut values);
         let busy = t0.elapsed();
         report.busy += busy;
         metrics
@@ -542,7 +547,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         metrics.counter("dist.chunks_evaluated").inc();
         let result = Outgoing {
             msg: Message::ChunkResult {
-                job: grant.job,
+                job: job.id,
                 chunk,
                 values,
             },
@@ -576,11 +581,22 @@ fn writer_error(fail: &Mutex<Option<String>>) -> String {
         .unwrap_or_else(|| "worker writer thread died".to_owned())
 }
 
-/// Look up `name` in the device catalog and verify its fingerprint
-/// matches the coordinator's, so both sides are provably evaluating the
-/// same hardware model.
-fn resolve_device(name: &str, fingerprint: u64) -> Option<DeviceSpec> {
-    DeviceSpec::catalog()
+/// A job this worker can evaluate: its base device and, when the sweep
+/// has a factored form, its whole-grid plan (`None` = naive path).
+struct Prepared {
+    device: DeviceSpec,
+    plan: Option<FactoredPlan>,
+}
+
+/// Validate a job's grid, resolve its device from the catalog (same name
+/// and fingerprint as the coordinator's, so both sides provably evaluate
+/// the same hardware model) and build its plan — or say why not.
+fn prepare(spec: &SweepSpec) -> Result<Prepared, String> {
+    spec.sweep.validate()?;
+    let device = DeviceSpec::catalog()
         .into_iter()
-        .find(|d| d.name() == name && d.fingerprint() == fingerprint)
+        .find(|d| d.name() == spec.device_name && d.fingerprint() == spec.device_fingerprint)
+        .ok_or_else(|| format!("device `{}` not in this worker's catalog", spec.device_name))?;
+    let plan = FactoredPlan::build_from_sweep(&device, &spec.sweep);
+    Ok(Prepared { device, plan })
 }

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use twocs_core::GridSweep;
 use twocs_dist::coordinator::{Coordinator, CoordinatorConfig};
-use twocs_dist::proto::{read_frame, write_frame, ChunkLease, Message, PROTOCOL_VERSION};
+use twocs_dist::proto::{read_frame, write_frame, Message, PROTOCOL_VERSION};
 use twocs_dist::worker::{run_worker, WorkerConfig};
 use twocs_hw::DeviceSpec;
 
@@ -93,16 +93,17 @@ fn worker_death_mid_sweep_reassigns_its_full_window() {
         let Message::Welcome { pipeline, .. } = welcome else {
             panic!("expected Welcome, got {welcome:?}");
         };
+        read_job(&mut conn);
         let (grant, _) = read_frame(&mut conn).unwrap();
-        let Message::Grant { leases, .. } = grant else {
+        let Message::Grant { chunks, .. } = grant else {
             panic!("expected Grant, got {grant:?}");
         };
         assert!(
-            leases.len() <= pipeline as usize,
+            chunks.len() <= pipeline as usize,
             "grant never exceeds the advertised window"
         );
         drop(conn);
-        leases.len() as u64
+        chunks.len() as u64
     });
     assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
 
@@ -166,6 +167,7 @@ fn late_joining_worker_picks_up_chunks() {
         .unwrap();
         let (welcome, _) = read_frame(&mut conn).unwrap();
         assert!(matches!(welcome, Message::Welcome { .. }));
+        read_job(&mut conn);
         let (grant, _) = read_frame(&mut conn).unwrap();
         assert!(
             matches!(grant, Message::Grant { .. }),
@@ -501,6 +503,29 @@ fn wide_sweep() -> GridSweep {
     }
 }
 
+/// Read the `Job` frame that precedes a connection's first grant of a
+/// job; returns the job id and its spec.
+fn read_job(conn: &mut TcpStream) -> (u64, std::sync::Arc<twocs_store::SweepSpec>) {
+    match read_frame(conn).unwrap().0 {
+        Message::Job {
+            job,
+            fingerprint,
+            spec,
+        } => {
+            assert_eq!(fingerprint, spec.fingerprint(), "the job's fingerprint");
+            (job, spec)
+        }
+        other => panic!("expected Job, got {other:?}"),
+    }
+}
+
+/// The grid points of `chunk`, decoded from the job's spec the way a
+/// worker decodes them.
+fn chunk_points(spec: &twocs_store::SweepSpec, chunk: u32) -> Vec<twocs_core::GridPoint> {
+    spec.index()
+        .chunk_points(chunk as usize, spec.chunk_size as usize)
+}
+
 /// Handshake as a raw protocol client; returns the advertised window.
 fn raw_handshake(conn: &mut TcpStream) -> u32 {
     write_frame(
@@ -585,14 +610,15 @@ fn pinned_window_of_one_never_grants_a_second_lease() {
     let client = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(addr).expect("client connects");
         assert_eq!(raw_handshake(&mut conn), 1, "Welcome advertises the pin");
+        let (_, spec) = read_job(&mut conn);
         let mut answered = 0;
         loop {
             let (msg, _) = read_frame(&mut conn).unwrap();
-            let Message::Grant { job, leases, .. } = msg else {
+            let Message::Grant { job, chunks } = msg else {
                 assert_eq!(msg, Message::Done);
                 return answered;
             };
-            assert_eq!(leases.len(), 1, "one lease per grant");
+            assert_eq!(chunks.len(), 1, "one lease per grant");
             // Nothing else may arrive while this lease is outstanding.
             std::thread::sleep(Duration::from_millis(20));
             conn.set_nonblocking(true).unwrap();
@@ -602,18 +628,17 @@ fn pinned_window_of_one_never_grants_a_second_lease() {
                 "a second frame arrived with one lease outstanding: {peeked:?}"
             );
             conn.set_nonblocking(false).unwrap();
-            let lease = &leases[0];
             let mut values = Vec::new();
             eval_chunk(
                 None,
                 &DeviceSpec::mi210(),
                 &grid,
-                &lease.points,
+                &chunk_points(&spec, chunks[0]),
                 &mut values,
             );
             let result = Message::ChunkResult {
                 job,
-                chunk: lease.chunk,
+                chunk: chunks[0],
                 values,
             };
             write_frame(&mut conn, &result).unwrap();
@@ -656,19 +681,16 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
             raw_handshake(&mut conn);
             conn.set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
-            let mut held: Vec<ChunkLease> = Vec::new();
+            let (_, spec) = read_job(&mut conn);
+            let mut held: Vec<u32> = Vec::new();
             let mut job = 0;
             while held.len() <= 4 {
                 if !held.is_empty() {
                     std::thread::sleep(Duration::from_millis(2));
-                    for lease in held.drain(..) {
+                    for chunk in held.drain(..) {
                         let mut values = Vec::new();
-                        plan.eval_batch(&lease.points, &mut values);
-                        let result = Message::ChunkResult {
-                            job,
-                            chunk: lease.chunk,
-                            values,
-                        };
+                        plan.eval_batch(&chunk_points(&spec, chunk), &mut values);
+                        let result = Message::ChunkResult { job, chunk, values };
                         write_frame(&mut conn, &result).unwrap();
                     }
                 }
@@ -676,11 +698,11 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
                 // leases in hand are the coordinator's window for us.
                 loop {
                     let (msg, _) = read_frame(&mut conn).expect("grant before the job ends");
-                    let Message::Grant { job: j, leases, .. } = msg else {
+                    let Message::Grant { job: j, chunks } = msg else {
                         panic!("expected Grant, got {msg:?}");
                     };
                     job = j;
-                    held.extend(leases);
+                    held.extend(chunks);
                     conn.set_nonblocking(true).unwrap();
                     let more = conn.peek(&mut [0u8; 4]).is_ok_and(|n| n > 0);
                     conn.set_nonblocking(false).unwrap();
@@ -692,8 +714,8 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
             // Collect any grant already on its way, then die silently.
             conn.set_read_timeout(Some(Duration::from_millis(300)))
                 .unwrap();
-            while let Ok((Message::Grant { leases, .. }, _)) = read_frame(&mut conn) {
-                held.extend(leases);
+            while let Ok((Message::Grant { chunks, .. }, _)) = read_frame(&mut conn) {
+                held.extend(chunks);
             }
             held.len() as u64
         })
@@ -877,4 +899,226 @@ fn coordinator_backed_server_answers_like_a_local_one() {
     drop(Arc::into_inner(coordinator).expect("the test holds the last handle"));
     worker.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A worker's refusal reason is not thrown away: the coordinator records
+/// who refused and why in the summary, prints it, winds the worker down
+/// with `Done`, and still finishes the sweep byte-identically.
+#[test]
+fn a_workers_refusal_reason_reaches_the_summary() {
+    let sweep = small_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+    let coordinator = bind(2);
+    let addr = coordinator.local_addr();
+    let reason = "this worker refuses on principle";
+
+    let client = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("client connects");
+        raw_handshake(&mut conn);
+        let (job, _) = read_job(&mut conn);
+        let (grant, _) = read_frame(&mut conn).unwrap();
+        assert!(matches!(grant, Message::Grant { .. }), "{grant:?}");
+        let refuse = Message::Refuse {
+            job,
+            reason: reason.to_owned(),
+        };
+        write_frame(&mut conn, &refuse).unwrap();
+        // The coordinator releases a refusing worker with `Done`.
+        loop {
+            match read_frame(&mut conn) {
+                Ok((Message::Done, _)) => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+    });
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    assert_eq!(table.to_csv(), local);
+    assert!(client.join().unwrap(), "the refusing client got Done");
+    let [(worker, got)] = &summary.refusals[..] else {
+        panic!("one refusal recorded: {:?}", summary.refusals);
+    };
+    assert_ne!(*worker, twocs_dist::LOCAL_WORKER);
+    assert_eq!(got, reason);
+    let printed = summary.to_string();
+    assert!(
+        printed.contains(&format!("worker {worker} refused the job: {reason}")),
+        "{printed}"
+    );
+}
+
+/// Grants name chunk ids, so the coordinator's bytes out no longer grow
+/// with the points per chunk: two workers at a 1 ms round trip on a
+/// 4-point-chunk grid cost at most 16 B per chunk, job frames included
+/// (v4 shipped every grid point, ~298 B per 4-point chunk).
+#[test]
+fn the_wire_no_longer_scales_with_points() {
+    use twocs_core::serialized::Method;
+    let sweep = GridSweep {
+        hs: vec![1024, 2048, 4096, 8192, 16_384, 32_768],
+        sls: vec![1024, 2048, 4096, 8192],
+        tps: vec![4, 8, 16, 32, 64],
+        flop_vs_bw: (1..=10).map(f64::from).collect(),
+        experts: vec![1, 8],
+        sps: vec![1, 2],
+        method: Method::Projection,
+        ..GridSweep::default()
+    };
+    let device = DeviceSpec::mi210();
+    let coordinator = bind(4);
+    let addr = coordinator.local_addr().to_string();
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let cfg = WorkerConfig {
+                injected_latency: Some(Duration::from_millis(1)),
+                ..WorkerConfig::new(addr.clone(), 1)
+            };
+            std::thread::spawn(move || run_worker(&cfg))
+        })
+        .collect();
+    assert_eq!(coordinator.wait_for_workers(2, Duration::from_secs(10)), 2);
+    let (table, summary) = coordinator.run_sweep(&sweep, &device).expect("sweep runs");
+    assert_eq!(table.to_csv(), sweep.run(&device, 1).0.to_csv());
+    assert!(summary.chunks >= 500, "{summary}");
+    let per_chunk = summary.bytes_tx as f64 / summary.chunks as f64;
+    assert!(
+        per_chunk <= 16.0,
+        "{per_chunk:.1} B out per chunk: {summary}"
+    );
+    coordinator.shutdown();
+    for w in workers {
+        w.join().unwrap().expect("worker exits cleanly on Done");
+    }
+}
+
+/// A fake coordinator: accept one `run_worker` session, welcome it, send
+/// `frames`, answer any `Refuse` with `Done`, and collect what the worker
+/// sends (heartbeats aside) until it hangs up. Returns the worker's own
+/// outcome and the collected frames.
+fn fake_coordinator(
+    frames: &[Message],
+) -> (Result<twocs_dist::WorkerReport, String>, Vec<Message>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let worker = std::thread::spawn(move || run_worker(&WorkerConfig::new(addr, 1)));
+    let (mut conn, _) = listener.accept().unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (hello, _) = read_frame(&mut conn).unwrap();
+    assert_eq!(
+        hello,
+        Message::Hello {
+            version: PROTOCOL_VERSION
+        }
+    );
+    let welcome = Message::Welcome {
+        version: PROTOCOL_VERSION,
+        worker_id: 1,
+        heartbeat_ms: 60_000,
+        pipeline: 4,
+    };
+    write_frame(&mut conn, &welcome).unwrap();
+    for frame in frames {
+        write_frame(&mut conn, frame).unwrap();
+    }
+    let mut got = Vec::new();
+    while let Ok((msg, _)) = read_frame(&mut conn) {
+        match msg {
+            Message::Heartbeat => {}
+            Message::Refuse { .. } => {
+                got.push(msg);
+                write_frame(&mut conn, &Message::Done).unwrap();
+            }
+            other => got.push(other),
+        }
+    }
+    (worker.join().expect("the worker never panics"), got)
+}
+
+fn test_spec(sweep: GridSweep) -> std::sync::Arc<twocs_store::SweepSpec> {
+    let device = DeviceSpec::mi210();
+    std::sync::Arc::new(twocs_store::SweepSpec {
+        sweep,
+        chunk_size: 2,
+        device_name: device.name().to_owned(),
+        device_fingerprint: device.fingerprint(),
+    })
+}
+
+/// The worker checks every job before evaluating any of it: a job whose
+/// announced fingerprint does not match its spec, and a grid the shared
+/// validator rejects, each get a `Refuse` naming the cause, and no chunk
+/// of either is evaluated.
+#[test]
+fn the_worker_refuses_a_mismatched_or_invalid_job() {
+    let good = test_spec(small_sweep());
+    let mismatched = Message::Job {
+        job: 1,
+        fingerprint: good.fingerprint() ^ 1,
+        spec: good.clone(),
+    };
+    let invalid = test_spec(GridSweep {
+        flop_vs_bw: vec![0.5],
+        ..small_sweep()
+    });
+    let invalid_job = Message::Job {
+        job: 2,
+        fingerprint: invalid.fingerprint(),
+        spec: invalid.clone(),
+    };
+    let validator = invalid.sweep.validate().unwrap_err();
+    assert!(invalid.chunk_count() >= 2, "the grants below are in range");
+    for (job, id, cause) in [
+        (mismatched, 1, "does not match its spec"),
+        (invalid_job, 2, validator.as_str()),
+    ] {
+        let grant = Message::Grant {
+            job: id,
+            chunks: vec![0, 1],
+        };
+        let (outcome, got) = fake_coordinator(&[job, grant]);
+        let report = outcome.expect("a refusing worker exits cleanly on Done");
+        assert_eq!(report.chunks, 0, "no chunk was evaluated: {got:?}");
+        assert_eq!(report.refused, 1);
+        let [Message::Refuse { job, reason }] = &got[..] else {
+            panic!("expected exactly one Refuse, got {got:?}");
+        };
+        assert_eq!(*job, id);
+        assert!(reason.contains(cause), "{reason}");
+    }
+}
+
+/// A grant the worker cannot place — for a job that was never announced,
+/// or for a chunk id past the job's last chunk — ends the session with a
+/// protocol error, not a panic and not a result.
+#[test]
+fn a_bad_grant_is_a_protocol_error() {
+    let spec = test_spec(small_sweep());
+    let job = Message::Job {
+        job: 1,
+        fingerprint: spec.fingerprint(),
+        spec: spec.clone(),
+    };
+    let past_the_end = Message::Grant {
+        job: 1,
+        chunks: vec![0, spec.chunk_count()],
+    };
+    let unannounced = Message::Grant {
+        job: 2,
+        chunks: vec![0],
+    };
+    for (frames, cause) in [
+        (vec![job, past_the_end], "which has"),
+        (vec![unannounced], "never announced"),
+    ] {
+        let (outcome, got) = fake_coordinator(&frames);
+        let err = outcome.expect_err("a bad grant is a protocol error");
+        assert!(err.contains(cause), "{err}");
+        assert!(
+            !got.iter().any(|m| matches!(m, Message::ChunkResult { .. })),
+            "nothing was evaluated: {got:?}"
+        );
+    }
 }

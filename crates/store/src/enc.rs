@@ -1,11 +1,15 @@
-//! Private byte-level encoding helpers shared by the journal, the spill
-//! file, and the spec fingerprint: little-endian scalars, length-prefixed
+//! Byte-level encoding shared by the journal, the spill file, the spec
+//! fingerprint and the dist wire: little-endian scalars, length-prefixed
 //! strings and lists, a streaming CRC-32 (IEEE), and FNV-1a 64.
 //!
-//! Deliberately independent of the dist wire protocol — a journal is a
-//! durable artifact with its own versioning, while the wire format may
-//! bump per release — but it follows the same conventions (LE integers,
-//! f64 by bit pattern, u32 length prefixes bounded by remaining input).
+//! There is one codec and two version numbers. A sweep spec
+//! ([`SweepSpec::encode`](crate::SweepSpec::encode)) and a chunk's results
+//! ([`put_values`]/[`read_values`]) are encoded here and nowhere else: the
+//! journal stores these bytes, and the dist wire ships the same bytes in
+//! its `Job` and `ChunkResult` frames. Changing either encoding changes
+//! both artifacts, so it must bump the journal's format `VERSION` and the
+//! wire's `PROTOCOL_VERSION` together. Conventions: LE integers, f64 by bit
+//! pattern, u32 length prefixes bounded by remaining input.
 
 use twocs_core::PointResults;
 
@@ -68,6 +72,13 @@ impl<'a> Reader<'a> {
         self.at == self.buf.len()
     }
 
+    /// Consume and return the rest of the input.
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.buf[self.at..];
+        self.at = self.buf.len();
+        rest
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(
@@ -96,13 +107,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A length prefix for items of `item_bytes` each, rejected when it
-    /// cannot fit in the remaining input.
+    /// A length prefix for items of at least `item_bytes` encoded bytes
+    /// each, rejected when that many cannot fit in the remaining input.
+    /// Decoded items are larger in memory than on the wire, so this is
+    /// what bounds `Vec::with_capacity(n)` on hostile input.
     pub(crate) fn len_prefix(&mut self, item_bytes: usize) -> Result<usize, String> {
         let n = self.u32()? as usize;
         if n.saturating_mul(item_bytes.max(1)) > self.remaining() {
             return Err(format!(
-                "length prefix {n} exceeds remaining payload ({} bytes)",
+                "element count {n} exceeds payload ({} bytes left)",
                 self.remaining()
             ));
         }
@@ -125,9 +138,12 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Encode per-point results: count, then per point either `0` + two f64
-/// bit patterns (ok) or `1` + error string.
-pub(crate) fn put_values(out: &mut Vec<u8>, values: &PointResults) {
+/// Smallest encoded point result: the `Err` tag plus an empty message.
+const RESULT_MIN_LEN: usize = 1 + 4;
+
+/// Append one chunk's per-point results: count, then per point either
+/// `0` + two f64 bit patterns (ok) or `1` + error string.
+pub fn put_values(out: &mut Vec<u8>, values: &PointResults) {
     put_u32(out, values.len() as u32);
     for v in values {
         match v {
@@ -144,9 +160,11 @@ pub(crate) fn put_values(out: &mut Vec<u8>, values: &PointResults) {
     }
 }
 
-/// Decode per-point results written by [`put_values`].
-pub(crate) fn read_values(r: &mut Reader<'_>) -> Result<PointResults, String> {
-    let n = r.len_prefix(1)?;
+/// Decode one [`put_values`] encoding that spans all of `buf`. Strict:
+/// truncation, trailing bytes and unknown tags are errors.
+pub fn read_values(buf: &[u8]) -> Result<PointResults, String> {
+    let mut r = Reader::new(buf);
+    let n = r.len_prefix(RESULT_MIN_LEN)?;
     let mut values = PointResults::with_capacity(n);
     for _ in 0..n {
         values.push(match r.u8()? {
@@ -154,6 +172,12 @@ pub(crate) fn read_values(r: &mut Reader<'_>) -> Result<PointResults, String> {
             1 => Err(r.str()?),
             t => return Err(format!("unknown point-result tag {t}")),
         });
+    }
+    if !r.done() {
+        return Err(format!(
+            "{} trailing bytes after point results",
+            r.remaining()
+        ));
     }
     Ok(values)
 }
@@ -205,9 +229,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         put_values(&mut buf, &values);
-        let mut r = Reader::new(&buf);
-        let back = read_values(&mut r).unwrap();
-        assert!(r.done());
+        let back = read_values(&buf).unwrap();
         assert_eq!(back.len(), values.len());
         for (a, b) in values.iter().zip(&back) {
             match (a, b) {
@@ -221,12 +243,102 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The journal and the dist wire both carry these exact bytes. Any
+    /// change to them must bump the journal's `VERSION` and the wire's
+    /// `PROTOCOL_VERSION` together: an old journal or an old worker
+    /// would otherwise read a different grid or different values.
+    #[test]
+    fn shared_codec_bytes_are_pinned() {
+        use twocs_core::serialized::Method;
+        use twocs_core::sweep::{GridSweep, Workload};
+        let spec = crate::SweepSpec {
+            sweep: GridSweep {
+                hs: vec![4096],
+                sls: vec![2048],
+                tps: vec![16],
+                flop_vs_bw: vec![1.5],
+                experts: vec![1],
+                top_ks: vec![1],
+                stages: vec![1],
+                micro_batches: vec![1],
+                sps: vec![1],
+                batch: 1,
+                method: Method::Projection,
+                workload: Workload::Decode,
+            },
+            chunk_size: 4,
+            device_name: "MI210".to_owned(),
+            device_fingerprint: 0x0123_4567_89ab_cdef,
+        };
+        let one = "010000000100000000000000";
+        assert_eq!(
+            hex(&spec.encode()),
+            [
+                "010000000010000000000000", // hs
+                "010000000008000000000000", // sls
+                "010000001000000000000000", // tps
+                "01000000000000000000f83f", // flop_vs_bw (1.5 by bit pattern)
+                one,                        // experts
+                one,                        // top_ks
+                one,                        // stages
+                one,                        // micro_batches
+                one,                        // sps
+                "0100000000000000",         // batch
+                "01",                       // method: projection
+                "02",                       // workload: decode
+                "04000000",                 // chunk_size
+                "050000004d49323130",       // device name "MI210"
+                "efcdab8967452301",         // device fingerprint
+            ]
+            .concat()
+        );
+        let values: PointResults = vec![
+            Ok((1.5, -0.0)),
+            Err("boom".to_owned()),
+            Ok((f64::from_bits(0x7ff8_0000_0000_0001), 2.0)),
+        ];
+        let mut buf = Vec::new();
+        put_values(&mut buf, &values);
+        assert_eq!(
+            hex(&buf),
+            [
+                "03000000",                           // count
+                "00000000000000f83f0000000000000080", // Ok(1.5, -0.0)
+                "0104000000626f6f6d",                 // Err("boom")
+                "00010000000000f87f0000000000000040", // Ok(NaN payload 1, 2.0)
+            ]
+            .concat()
+        );
+        let back = read_values(&buf).unwrap();
+        let Ok((nan, _)) = back[2] else {
+            panic!("variant changed in round trip")
+        };
+        assert_eq!(nan.to_bits(), 0x7ff8_0000_0000_0001);
+    }
+
+    /// A result count is bounded by the 5-byte minimum encoded result
+    /// (an `Err` tag and an empty message), not by one byte per result.
+    #[test]
+    fn result_counts_are_bounded_by_the_smallest_encoded_result() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 5);
+        buf.extend_from_slice(&[1, 0, 0, 0, 0].repeat(4));
+        let err = read_values(&buf).unwrap_err();
+        assert!(err.contains("exceeds payload"), "{err}");
+        buf[0] = 4;
+        assert_eq!(read_values(&buf).unwrap().len(), 4);
+    }
+
     #[test]
     fn corrupt_length_prefixes_error_out() {
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         assert!(Reader::new(&buf).u64_list().is_err());
-        assert!(read_values(&mut Reader::new(&buf)).is_err());
+        assert!(read_values(&buf).is_err());
         assert!(Reader::new(&[0, 0]).u32().is_err());
     }
 }

@@ -30,6 +30,9 @@ use crate::enc::{self, Reader};
 use crate::spec::SweepSpec;
 
 const MAGIC: &[u8; 8] = b"TWOCSJNL";
+/// Journal format version. The spec and chunk records carry the codec
+/// the dist wire speaks too, so a change to it bumps this and the wire's
+/// `PROTOCOL_VERSION` together.
 const VERSION: u32 = 1;
 /// Record kinds.
 const KIND_SPEC: u8 = 1;
@@ -246,10 +249,7 @@ fn apply_record(
                 return Err("duplicate spec record".to_owned());
             }
             let journaled_fp = r.u64()?;
-            let decoded = SweepSpec::read(&mut r)?;
-            if !r.done() {
-                return Err("trailing bytes in spec record".to_owned());
-            }
+            let decoded = SweepSpec::decode(r.rest())?;
             if decoded.fingerprint() != journaled_fp {
                 return Err(format!(
                     "grid fingerprint mismatch: journal says {journaled_fp:#x}, \
@@ -265,10 +265,7 @@ fn apply_record(
                 return Err("chunk record before spec record".to_owned());
             }
             let chunk = r.u32()?;
-            let values = enc::read_values(&mut r)?;
-            if !r.done() {
-                return Err(format!("trailing bytes in chunk {chunk} record"));
-            }
+            let values = enc::read_values(r.rest())?;
             replay.chunks.insert(chunk, values);
             Ok(())
         }

@@ -27,6 +27,11 @@
 //! The ascii and JSON renderings are views over the CSV the store
 //! wrote.
 //!
+//! The store also owns how a sweep and its results become bytes:
+//! [`SweepSpec::encode`]/[`SweepSpec::decode`] and
+//! [`put_values`]/[`read_values`] are the one codec, shared by the
+//! journal and the `twocs-dist` wire.
+//!
 //! Observability: the journal emits `store.journal.{appends,fsyncs,
 //! replayed_chunks}` and the sink `store.sink.{spilled_bytes,
 //! merge_passes}` through the `twocs-obs` registry (so they surface in
@@ -44,6 +49,7 @@ pub mod sink;
 pub mod spec;
 mod store;
 
+pub use enc::{put_values, read_values};
 pub use journal::{Journal, Replay};
 pub use refine::{
     refine_frontier, Crossing, FrontierResult, FrontierRow, RefineMetric, RefineSpec,

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use twocs_core::sweep::GridSweep;
 use twocs_core::{GridIndex, PointResults};
 
-use crate::enc::{self, Reader};
+use crate::enc;
 
 /// Default in-memory reorder budget, in points. At the default dist
 /// chunk size this is a few hundred parked chunks — far beyond any
@@ -325,12 +325,7 @@ impl SpillFile {
             .seek(SeekFrom::Start(offset))
             .and_then(|_| self.file.read_exact(&mut buf))
             .map_err(|e| format!("sink: cannot read spill file: {e}"))?;
-        let mut r = Reader::new(&buf);
-        let values = enc::read_values(&mut r)?;
-        if !r.done() {
-            return Err("sink: trailing bytes in spill record".to_owned());
-        }
-        Ok(values)
+        enc::read_values(&buf).map_err(|e| format!("sink: bad spill record: {e}"))
     }
 }
 

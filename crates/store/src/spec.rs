@@ -90,8 +90,10 @@ impl SweepSpec {
         total.saturating_sub(start).min(size)
     }
 
-    /// Canonical byte encoding, the basis of both the journal's spec
-    /// record and [`Self::fingerprint`].
+    /// Canonical byte encoding, the basis of the journal's spec record,
+    /// the dist wire's `Job` frame and [`Self::fingerprint`]. Any change
+    /// here must bump both the journal format version and the wire's
+    /// protocol version; `enc`'s tests pin the bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.sweep;
@@ -114,19 +116,11 @@ impl SweepSpec {
         out
     }
 
-    /// Decode an encoding produced by [`Self::encode`].
+    /// Decode an encoding produced by [`Self::encode`] that spans all of
+    /// `buf`. Strict: truncation, trailing bytes and unknown tags are
+    /// errors.
     pub fn decode(buf: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(buf);
-        let spec = Self::read(&mut r)?;
-        if !r.done() {
-            return Err(format!("{} trailing bytes after sweep spec", r.remaining()));
-        }
-        Ok(spec)
-    }
-
-    /// Decode from a reader positioned at a spec encoding (the journal
-    /// reads trailing fields after it).
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, String> {
         let hs = r.u64_list()?;
         let sls = r.u64_list()?;
         let tps = r.u64_list()?;
@@ -142,6 +136,9 @@ impl SweepSpec {
         let chunk_size = r.u32()?;
         let device_name = r.str()?;
         let device_fingerprint = r.u64()?;
+        if !r.done() {
+            return Err(format!("{} trailing bytes after sweep spec", r.remaining()));
+        }
         Ok(Self {
             sweep: GridSweep {
                 hs,
