@@ -17,7 +17,11 @@
 //!   1,024,000-point EXPERIMENTS.md scale grid (200 flop-vs-bw ratios)
 //!   with every memo cache dropped first, so the ~45,000 cache misses of
 //!   one build are timed end to end: per-miss work that grows with the
-//!   cache's size shows up here as a superlinear build time.
+//!   cache's size shows up here as a superlinear build time;
+//! * **the sweep recorder's kernels** — `render_4096` is
+//!   `StreamSink::accept` of one 4,096-point chunk of that scale grid
+//!   into `io::sink()` (the sweep row writer), and `crc_1mib` the
+//!   journal's record CRC over 1 MiB.
 //!
 //! Before timing anything it asserts the planner contract: the naive
 //! oracle and the factored CSV bodies must be byte-identical. The emitted JSON
@@ -29,7 +33,7 @@
 //! [--baseline PATH [--max-regress PCT]]`
 //! (`--smoke` collects fewer samples for CI; the JSON shape is
 //! unchanged. `--baseline` compares this run's `sweep_warm`,
-//! `dist_chunks` and `plan_cold` means against a committed
+//! `dist_chunks`, `plan_cold` and `record` means against a committed
 //! `BENCH_sweep.json` and exits nonzero when any is more than
 //! `--max-regress` percent — default 20 — slower: the CI
 //! perf-regression gate.)
@@ -45,6 +49,7 @@ use twocs_core::{PointResults, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::handlers::{handle, HandlerConfig};
 use twocs_serve::http::Request;
+use twocs_store::{StreamSink, DEFAULT_BUFFER_POINTS};
 
 /// The fig10-class benchmark grid: the paper's studied hidden sizes and
 /// sequence lengths across the full TP ladder on today's hardware.
@@ -196,11 +201,11 @@ fn parse_args() -> Result<Options, String> {
 
 /// Benchmark groups the CI regression gate compares against the
 /// committed baseline: the warm factored/naive sweeps, the
-/// distributed-chunk path, and the cold scale-grid plan build (the
-/// guard against per-miss cache work that grows with the cache). The
-/// small-grid cold sweeps and serve numbers are too machine-sensitive
-/// to gate on.
-const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold"];
+/// distributed-chunk path, the cold scale-grid plan build (the guard
+/// against per-miss cache work that grows with the cache), and the
+/// recorder's row-rendering and CRC kernels. The small-grid cold sweeps
+/// and serve numbers are too machine-sensitive to gate on.
+const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold", "record"];
 
 fn main() {
     let opts = match parse_args() {
@@ -319,6 +324,43 @@ fn main() {
                 clear_caches();
                 std::hint::black_box(FactoredPlan::build_from_sweep(&device, &scale))
             });
+        });
+        group.finish();
+
+        // The single recorder thread's per-chunk kernels at the
+        // `sweep_1m` chunk size: row rendering, and the journal CRC.
+        const CHUNK: usize = 4096;
+        let index = scale.index();
+        let plan = FactoredPlan::build_from_sweep(&device, &scale);
+        let mut values = PointResults::new();
+        eval_chunk(
+            plan.as_ref(),
+            &device,
+            &scale,
+            &index.chunk_points(0, CHUNK),
+            &mut values,
+        );
+        let bytes: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(31) ^ i >> 7) as u8)
+            .collect();
+        let mut group = c.benchmark_group("record");
+        group.sample_size(samples).measurement_time(budget);
+        group.bench_function("render_4096", |b| {
+            b.iter(|| {
+                let mut sink = StreamSink::new(
+                    index.clone(),
+                    CHUNK,
+                    Box::new(std::io::sink()),
+                    DEFAULT_BUFFER_POINTS,
+                )
+                .expect("io::sink accepts the header");
+                sink.accept(0, values.clone())
+                    .expect("chunk 0 renders in order");
+                std::hint::black_box(sink)
+            });
+        });
+        group.bench_function("crc_1mib", |b| {
+            b.iter(|| twocs_store::crc32(std::hint::black_box(&bytes)));
         });
         group.finish();
     }

@@ -69,5 +69,5 @@ pub use planner::{eval_chunk, FactoredPlan};
 pub use report::{Figure, Series, Table};
 pub use sweep::{
     eval_grid_point, run_experiments, GridExecutor, GridPoint, GridSweep, LocalPool, OnChunk,
-    PointResults, SweepRun, SweepSummary,
+    PointResults, RowWriter, SweepRun, SweepSummary,
 };

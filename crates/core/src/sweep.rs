@@ -1133,31 +1133,19 @@ impl GridSweep {
 
     /// Append one sweep CSV row, newline included, to `out`: the point's
     /// coordinates plus its metric cells, with an `Err` result rendering
-    /// as `error` in both metric columns. This is the **single
-    /// formatting site** of sweep rows — [`Self::row_cells`] (and so
-    /// [`Self::tabulate`]) is defined by it and the streaming sink in
-    /// `twocs-store` calls it directly, which is the byte-identity
-    /// contract between buffered and streamed output.
+    /// as `error` in both metric columns. A fresh [`RowWriter`] renders
+    /// it, so this is the **single formatting site** of sweep rows —
+    /// [`Self::row_cells`] (and so [`Self::tabulate`]) is defined by it,
+    /// and the streaming sink in `twocs-store` drives one `RowWriter`
+    /// per chunk, which is the byte-identity contract between buffered
+    /// and streamed output.
     pub fn write_row(
         out: &mut Vec<u8>,
         p: &GridPoint,
         r: &Result<(f64, f64), String>,
         extended: bool,
     ) {
-        use std::io::Write as _;
-        // Writing into a Vec<u8> cannot fail.
-        let _ = write!(out, "{},{},{},{}", p.h, p.sl, p.tp, p.ratio);
-        if extended {
-            let _ = write!(
-                out,
-                ",{},{},{},{},{}",
-                p.experts, p.top_k, p.stages, p.micro_batches, p.sp
-            );
-        }
-        let _ = match r {
-            Ok((s, o)) => writeln!(out, ",{s:.2},{o:.2}"),
-            Err(_) => writeln!(out, ",error,error"),
-        };
+        RowWriter::new(extended).write(out, p, r);
     }
 
     /// One sweep table row as cells: [`Self::write_row`]'s bytes split
@@ -1239,6 +1227,138 @@ impl GridSweep {
         })
         .expect("filing a chunk into its slot cannot fail")
     }
+}
+
+/// The sweep row renderer: the bytes std's `{}` (coordinates) and
+/// `{:.2}` (metrics) would write, without the formatting machinery.
+///
+/// One writer renders a run of consecutive rows. The `H,SL,TP,ratio`
+/// prefix is rendered once and reused while consecutive points share
+/// `(h, sl, tp, ratio bits)` — the extended axes vary fastest, so a
+/// chunk re-renders it once per axis-tuple block. The ratio keeps std's
+/// shortest-repr `{}`; integers go through a digit loop and metrics
+/// through an exact fixed-point `{:.2}`.
+#[derive(Debug)]
+pub struct RowWriter {
+    extended: bool,
+    /// `(h, sl, tp, ratio bits)` of the point `prefix` was rendered for.
+    key: Option<(u64, u64, u64, u64)>,
+    /// `H,SL,TP,ratio` of that point, with no trailing comma.
+    prefix: Vec<u8>,
+}
+
+impl RowWriter {
+    /// A writer for rows with (`extended`) or without the
+    /// MoE/PP/SP columns — see [`GridSweep::header_cells`].
+    #[must_use]
+    pub fn new(extended: bool) -> Self {
+        Self {
+            extended,
+            key: None,
+            prefix: Vec::with_capacity(48),
+        }
+    }
+
+    /// Append one row, newline included, to `out`; an `Err` result
+    /// renders as `error` in both metric columns.
+    pub fn write(&mut self, out: &mut Vec<u8>, p: &GridPoint, r: &Result<(f64, f64), String>) {
+        let key = (p.h, p.sl, p.tp, p.ratio.to_bits());
+        if self.key != Some(key) {
+            use std::io::Write as _;
+            self.prefix.clear();
+            for v in [p.h, p.sl, p.tp] {
+                write_u64(&mut self.prefix, v);
+                self.prefix.push(b',');
+            }
+            // Writing into a Vec<u8> cannot fail.
+            let _ = write!(self.prefix, "{}", p.ratio);
+            self.key = Some(key);
+        }
+        out.extend_from_slice(&self.prefix);
+        if self.extended {
+            for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
+                out.push(b',');
+                write_u64(out, v);
+            }
+        }
+        match r {
+            Ok((s, o)) => {
+                out.push(b',');
+                write_fixed2(out, *s);
+                out.push(b',');
+                write_fixed2(out, *o);
+                out.push(b'\n');
+            }
+            Err(_) => out.extend_from_slice(b",error,error\n"),
+        }
+    }
+}
+
+/// `v` in decimal, as `{}` writes it.
+fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// `v` as `{:.2}` writes it, byte for byte. A finite `v` is exactly
+/// `m · 2^e`, so `|v| · 100` rounds to whole hundredths in integer
+/// arithmetic, ties to even as std does (`0.125` → `0.12`, `0.375` →
+/// `0.38`); the sign bit is kept even when the digits round to zero
+/// (`-0.001` → `-0.00`). Below 1e15 the hundredths fit in a `u64`;
+/// larger magnitudes are rare enough to leave to std.
+fn write_fixed2(out: &mut Vec<u8>, v: f64) {
+    if v.is_nan() {
+        out.extend_from_slice(b"NaN");
+        return;
+    }
+    if v.is_infinite() {
+        out.extend_from_slice(if v < 0.0 { b"-inf" } else { b"inf" });
+        return;
+    }
+    if v.abs() >= 1e15 {
+        use std::io::Write as _;
+        let _ = write!(out, "{v:.2}");
+        return;
+    }
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    let biased = (bits >> 52) & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    // |v| = m · 2^e exactly; subnormals have no implicit bit.
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased as i32 - 1075)
+    };
+    let scaled = u128::from(m) * 100; // < 2^60
+    let hundredths = if e >= 0 {
+        scaled << e // < 1e17: |v| < 1e15
+    } else if e <= -64 {
+        0 // scaled < 2^60, under half of 2^64
+    } else {
+        let shift = e.unsigned_abs();
+        let (q, rem, half) = (
+            scaled >> shift,
+            scaled & ((1 << shift) - 1),
+            1 << (shift - 1),
+        );
+        q + u128::from(rem > half || (rem == half && q & 1 == 1))
+    };
+    let hundredths = hundredths as u64;
+    write_u64(out, hundredths / 100);
+    let cents = (hundredths % 100) as u8;
+    out.extend_from_slice(&[b'.', b'0' + cents / 10, b'0' + cents % 10]);
 }
 
 /// Title of the sweep table.
@@ -1747,6 +1867,163 @@ mod tests {
             false,
         );
         assert_eq!(line, b"4096,2048,16,3,error,error\n");
+    }
+
+    /// `write_fixed2(v)` against `format!("{v:.2}")`.
+    fn check_fixed2(out: &mut Vec<u8>, v: f64) {
+        out.clear();
+        write_fixed2(out, v);
+        assert_eq!(
+            std::str::from_utf8(out).unwrap(),
+            format!("{v:.2}"),
+            "{v:?} = {:#018x}",
+            v.to_bits()
+        );
+    }
+
+    /// The hand-rolled two-decimal writer is std's `{:.2}` byte for
+    /// byte, over 1.3M values: raw bit patterns, the metric range,
+    /// exact ±k/8 ties, `x.xx5` decimals, subnormals, zeros, non-finite
+    /// values and both sides of the 1e15 std fallback.
+    #[test]
+    fn fixed2_writer_matches_std_byte_for_byte() {
+        const SIGN: u64 = 1 << 63;
+        const FRACTION: u64 = (1 << 52) - 1;
+        let mut rng = twocs_testkit::Rng::new(0x02c5_f1ed);
+        let mut out = Vec::new();
+        for v in [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::EPSILON,
+            0.005,
+            -0.005,
+            0.125,
+            0.375,
+            -0.001,
+            999_999_999_999_999.9,
+        ] {
+            check_fixed2(&mut out, v);
+        }
+        for _ in 0..400_000 {
+            check_fixed2(&mut out, f64::from_bits(rng.next_u64()));
+        }
+        // Magnitudes from 2^-30 to 2^52 (past 1e15 ~ 2^49.8), where
+        // metric values and the fallback edge live.
+        for _ in 0..300_000 {
+            let biased = rng.u64_in(1023 - 30..1023 + 53);
+            let bits = (rng.next_u64() & (SIGN | FRACTION)) | biased << 52;
+            check_fixed2(&mut out, f64::from_bits(bits));
+        }
+        for _ in 0..20_000 {
+            check_fixed2(&mut out, f64::from_bits(rng.next_u64() & (SIGN | FRACTION)));
+        }
+        for k in 0..100_000_u32 {
+            let tie = f64::from(k) / 8.0;
+            check_fixed2(&mut out, tie);
+            check_fixed2(&mut out, -tie);
+        }
+        for _ in 0..150_000 {
+            let decimal = format!("{}.{:02}5", rng.u64_in(0..1_000_000), rng.u64_in(0..100));
+            let v: f64 = decimal.parse().unwrap();
+            check_fixed2(&mut out, v);
+            check_fixed2(&mut out, -v);
+        }
+        for step in 0..20_000 {
+            for v in [
+                f64::from_bits(1e15_f64.to_bits() - step),
+                f64::from_bits(1e15_f64.to_bits() + step),
+            ] {
+                check_fixed2(&mut out, v);
+                check_fixed2(&mut out, -v);
+            }
+        }
+    }
+
+    /// One `RowWriter` over consecutive rows — each prefix axis changing
+    /// in turn, ratios that differ only in their last bits or their
+    /// sign, extended axes changing under a fixed prefix — writes what
+    /// per-cell std formatting writes, row after row.
+    #[test]
+    fn row_writer_reuses_prefixes_and_matches_std_rows() {
+        fn std_row(p: &GridPoint, r: &Result<(f64, f64), String>, extended: bool) -> String {
+            let mut cells = vec![
+                p.h.to_string(),
+                p.sl.to_string(),
+                p.tp.to_string(),
+                format!("{}", p.ratio),
+            ];
+            if extended {
+                for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
+                    cells.push(v.to_string());
+                }
+            }
+            match r {
+                Ok((s, o)) => cells.extend([format!("{s:.2}"), format!("{o:.2}")]),
+                Err(_) => cells.extend(["error".to_owned(), "error".to_owned()]),
+            }
+            cells.join(",") + "\n"
+        }
+        let base = GridPoint::new(4096, 2048, 16, 1.5);
+        let mut points = vec![
+            base,
+            GridPoint { h: 8192, ..base },
+            GridPoint { sl: 4096, ..base },
+            GridPoint { tp: 32, ..base },
+            GridPoint { ratio: 2.0, ..base },
+            base,
+            GridPoint {
+                ratio: 0.1 + 0.2,
+                ..base
+            },
+            GridPoint { ratio: 0.3, ..base },
+            GridPoint { ratio: 0.0, ..base },
+            GridPoint {
+                ratio: -0.0,
+                ..base
+            },
+            GridPoint { ratio: 0.0, ..base },
+        ];
+        for (experts, top_k, stages, micro_batches, sp) in [
+            (8, 2, 1, 1, 1),
+            (8, 2, 4, 1, 1),
+            (8, 2, 4, 8, 1),
+            (8, 2, 4, 8, 2),
+            (64, 1, 1, 1, 2),
+        ] {
+            points.push(GridPoint {
+                experts,
+                top_k,
+                stages,
+                micro_batches,
+                sp,
+                ..base
+            });
+        }
+        let mut rng = twocs_testkit::Rng::new(7);
+        for extended in [false, true] {
+            let mut writer = RowWriter::new(extended);
+            let (mut got, mut want) = (Vec::new(), String::new());
+            for p in &points {
+                for _ in 0..3 {
+                    let r = if rng.u64_in(0..4) == 0 {
+                        Err("boom".to_owned())
+                    } else {
+                        Ok((rng.f64_in(-1.0..150.0), rng.f64_in(0.0..100.0)))
+                    };
+                    writer.write(&mut got, p, &r);
+                    want += &std_row(p, &r, extended);
+                    assert_eq!(String::from_utf8_lossy(&got), want, "{p:?} {r:?}");
+                }
+            }
+        }
     }
 
     #[test]

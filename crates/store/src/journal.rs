@@ -41,6 +41,8 @@ const KIND_LEASE: u8 = 3;
 /// Upper bound on one record's payload; a length prefix beyond it is
 /// treated as corruption rather than attempted as an allocation.
 const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
+/// Bytes of a record's frame header: `u32` payload length, `u32` CRC.
+const FRAME_LEN: usize = 8;
 
 /// A writable sweep journal (see module docs for the format).
 #[derive(Debug)]
@@ -83,10 +85,10 @@ impl Journal {
             .file
             .write_all(&header)
             .map_err(|e| journal.io_err("write header", &e))?;
-        let mut payload = vec![KIND_SPEC];
-        enc::put_u64(&mut payload, spec.fingerprint());
-        payload.extend_from_slice(&spec.encode());
-        journal.append_record(&payload, true)?;
+        let mut record = new_record(KIND_SPEC, 8);
+        enc::put_u64(&mut record, spec.fingerprint());
+        record.extend_from_slice(&spec.encode());
+        journal.append_record(record, true)?;
         Ok(journal)
     }
 
@@ -173,29 +175,32 @@ impl Journal {
     /// written and fsynced before this returns, so a chunk the caller
     /// believes journaled survives any crash after this call.
     pub fn append_chunk(&mut self, chunk: u32, values: &PointResults) -> Result<(), String> {
-        let mut payload = vec![KIND_CHUNK];
-        enc::put_u32(&mut payload, chunk);
-        enc::put_values(&mut payload, values);
-        self.append_record(&payload, true)
+        // Chunk id, count, then a tag and two f64s per `Ok` point.
+        let mut record = new_record(KIND_CHUNK, 8 + values.len() * 17);
+        enc::put_u32(&mut record, chunk);
+        enc::put_values(&mut record, values);
+        self.append_record(record, true)
     }
 
     /// Append an advisory lease record (which worker took which chunk).
     /// Not fsynced — leases are forensic context, not recovery state;
     /// the next durable chunk append flushes them along.
     pub fn append_lease(&mut self, chunk: u32, worker: u64) -> Result<(), String> {
-        let mut payload = vec![KIND_LEASE];
-        enc::put_u32(&mut payload, chunk);
-        enc::put_u64(&mut payload, worker);
-        self.append_record(&payload, false)
+        let mut record = new_record(KIND_LEASE, 12);
+        enc::put_u32(&mut record, chunk);
+        enc::put_u64(&mut record, worker);
+        self.append_record(record, false)
     }
 
-    fn append_record(&mut self, payload: &[u8], durable: bool) -> Result<(), String> {
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        enc::put_u32(&mut framed, payload.len() as u32);
-        enc::put_u32(&mut framed, enc::crc32(payload));
-        framed.extend_from_slice(payload);
+    /// Fill in a [`new_record`]'s frame header — the payload's length
+    /// and CRC — and write the record in one `write_all`.
+    fn append_record(&mut self, mut record: Vec<u8>, durable: bool) -> Result<(), String> {
+        let payload = &record[FRAME_LEN..];
+        let (len, crc) = (payload.len() as u32, enc::crc32(payload));
+        record[..4].copy_from_slice(&len.to_le_bytes());
+        record[4..FRAME_LEN].copy_from_slice(&crc.to_le_bytes());
         self.file
-            .write_all(&framed)
+            .write_all(&record)
             .map_err(|e| self.io_err("append", &e))?;
         let registry = twocs_obs::metrics::global();
         registry.counter("store.journal.appends").inc();
@@ -214,22 +219,33 @@ impl Journal {
     }
 }
 
+/// A record buffer: the frame header reserved (zeroed until
+/// `append_record` fills it in), then the payload's kind byte, with room
+/// for `payload_hint` more payload bytes. The payload is encoded in
+/// place, so a record is framed without a second copy.
+fn new_record(kind: u8, payload_hint: usize) -> Vec<u8> {
+    let mut record = Vec::with_capacity(FRAME_LEN + 1 + payload_hint);
+    record.extend_from_slice(&[0; FRAME_LEN]);
+    record.push(kind);
+    record
+}
+
 /// Parse one framed record from `buf`; `None` when the frame is torn
 /// (truncated length/payload) or fails its CRC.
 fn read_record(buf: &[u8]) -> Option<(&[u8], usize)> {
-    if buf.len() < 8 {
+    if buf.len() < FRAME_LEN {
         return None;
     }
     let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
     if len > MAX_RECORD_LEN {
         return None;
     }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let total = 8 + len as usize;
+    let crc = u32::from_le_bytes(buf[4..FRAME_LEN].try_into().unwrap());
+    let total = FRAME_LEN + len as usize;
     if buf.len() < total {
         return None;
     }
-    let payload = &buf[8..total];
+    let payload = &buf[FRAME_LEN..total];
     (enc::crc32(payload) == crc).then_some((payload, total))
 }
 

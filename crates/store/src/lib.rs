@@ -30,7 +30,8 @@
 //! The store also owns how a sweep and its results become bytes:
 //! [`SweepSpec::encode`]/[`SweepSpec::decode`] and
 //! [`put_values`]/[`read_values`] are the one codec, shared by the
-//! journal and the `twocs-dist` wire.
+//! journal and the `twocs-dist` wire; [`crc32`] is the journal's record
+//! checksum.
 //!
 //! Observability: the journal emits `store.journal.{appends,fsyncs,
 //! replayed_chunks}` and the sink `store.sink.{spilled_bytes,
@@ -49,7 +50,7 @@ pub mod sink;
 pub mod spec;
 mod store;
 
-pub use enc::{put_values, read_values};
+pub use enc::{crc32, put_values, read_values};
 pub use journal::{Journal, Replay};
 pub use refine::{
     refine_frontier, Crossing, FrontierResult, FrontierRow, RefineMetric, RefineSpec,

@@ -15,10 +15,11 @@
 //! through a coordinator whose RSS stays flat.
 //!
 //! Byte identity with [`GridSweep::tabulate`] is by construction: both
-//! paths render through [`GridSweep::header_cells`] and
-//! [`GridSweep::write_row`], the single row formatter. The sink renders
-//! each chunk into one reused byte buffer and hands it to the writer in
-//! a single `write_all`.
+//! paths render through [`GridSweep::header_cells`] and [`RowWriter`],
+//! the single row formatter ([`GridSweep::write_row`] is a fresh writer
+//! rendering one row). The sink drives one writer per chunk, so a run
+//! of rows sharing their `H,SL,TP,ratio` prefix renders it once, into
+//! one reused byte buffer handed to the writer in a single `write_all`.
 //!
 //! Metrics: `store.sink.spilled_bytes` (bytes appended to the spill
 //! file) and `store.sink.merge_passes` (drain sessions that had to read
@@ -30,7 +31,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use twocs_core::sweep::GridSweep;
+use twocs_core::sweep::{GridSweep, RowWriter};
 use twocs_core::{GridIndex, PointResults};
 
 use crate::enc;
@@ -202,9 +203,9 @@ impl StreamSink {
     fn render(&mut self, chunk: u32, values: &PointResults) -> Result<(), String> {
         let start = chunk as usize * self.chunk_size;
         self.rendered.clear();
+        let mut rows = RowWriter::new(self.extended);
         for (i, v) in values.iter().enumerate() {
-            let p = self.index.point(start + i);
-            GridSweep::write_row(&mut self.rendered, &p, v, self.extended);
+            rows.write(&mut self.rendered, &self.index.point(start + i), v);
         }
         self.out
             .write_all(&self.rendered)
