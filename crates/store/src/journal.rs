@@ -16,13 +16,15 @@
 //! reports via [`Replay::discarded_bytes`] so callers can warn.
 //!
 //! Metrics: `store.journal.appends`, `store.journal.fsyncs`,
-//! `store.journal.replayed_chunks`; spans: `journal fsync`,
+//! `store.journal.replayed_chunks`, and the `store.journal.fsync_us`
+//! histogram (one sample per fsync); spans: `journal fsync`,
 //! `journal replay` (category `store`).
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use twocs_core::PointResults;
 
@@ -206,9 +208,13 @@ impl Journal {
         registry.counter("store.journal.appends").inc();
         if durable {
             let _span = twocs_obs::span("journal fsync", "store");
+            let started = Instant::now();
             self.file
                 .sync_data()
                 .map_err(|e| self.io_err("fsync", &e))?;
+            registry
+                .histogram("store.journal.fsync_us")
+                .observe_duration(started.elapsed());
             registry.counter("store.journal.fsyncs").inc();
         }
         Ok(())

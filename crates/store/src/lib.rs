@@ -34,9 +34,11 @@
 //! checksum.
 //!
 //! Observability: the journal emits `store.journal.{appends,fsyncs,
-//! replayed_chunks}` and the sink `store.sink.{spilled_bytes,
-//! merge_passes}` through the `twocs-obs` registry (so they surface in
-//! `/v1/metrics` and `--metrics`), plus replay/fsync spans for traces.
+//! replayed_chunks}` and the `store.journal.fsync_us` histogram, the
+//! sink `store.sink.{spilled_bytes,merge_passes}` and the store
+//! `store.sink.wait_us` through the `twocs-obs` registry (so they
+//! surface in `/v1/metrics` and `--metrics`), plus replay/fsync spans
+//! for traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

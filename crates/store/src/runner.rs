@@ -8,7 +8,8 @@
 //! executor over every chunk the store has not yet recorded, and
 //! records each chunk as it lands (journal first, then the ordered
 //! sink), so peak memory is the executor's working set plus the sink's
-//! reorder window, independent of grid size.
+//! reorder window and, when journaled, its one-chunk render queue,
+//! independent of grid size.
 
 use std::fmt::Display;
 

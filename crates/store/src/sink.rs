@@ -124,6 +124,11 @@ impl StreamSink {
         })
     }
 
+    /// Points in the grid the sink renders.
+    pub(crate) fn points(&self) -> usize {
+        self.index.len()
+    }
+
     /// True once every chunk has been accepted and rendered.
     #[must_use]
     pub fn complete(&self) -> bool {
@@ -134,19 +139,7 @@ impl StreamSink {
     /// value counts, and duplicates (a chunk already rendered, parked,
     /// or spilled).
     pub fn accept(&mut self, chunk: u32, values: PointResults) -> Result<(), String> {
-        if chunk >= self.n_chunks {
-            return Err(format!(
-                "sink: chunk {chunk} out of range ({} chunks)",
-                self.n_chunks
-            ));
-        }
-        let expected = self.chunk_len(chunk);
-        if values.len() != expected {
-            return Err(format!(
-                "sink: chunk {chunk} has {} values, expected {expected}",
-                values.len()
-            ));
-        }
+        check_chunk(self.index.len(), self.chunk_size, chunk, values.len())?;
         if chunk < self.next_chunk
             || self.buffered.contains_key(&chunk)
             || self.spill.as_ref().is_some_and(|s| s.contains(chunk))
@@ -191,11 +184,6 @@ impl StreamSink {
             spilled_bytes: self.spilled_bytes,
             merge_passes: self.merge_passes,
         })
-    }
-
-    fn chunk_len(&self, chunk: u32) -> usize {
-        let start = chunk as usize * self.chunk_size;
-        self.index.len().saturating_sub(start).min(self.chunk_size)
     }
 
     /// Render one chunk's rows into the reused byte buffer and hand them
@@ -259,6 +247,32 @@ impl StreamSink {
         self.buffered_points = 0;
         Ok(())
     }
+}
+
+/// The shape check every chunk passes before it is kept: an id inside
+/// a grid of `points` split into `chunk_size`-point chunks, and exactly
+/// that chunk's number of values (the last chunk may be short). The
+/// sink runs it on accept; [`SweepStore`](crate::SweepStore) runs it
+/// before journaling, so a malformed chunk never reaches the journal.
+pub(crate) fn check_chunk(
+    points: usize,
+    chunk_size: usize,
+    chunk: u32,
+    got: usize,
+) -> Result<(), String> {
+    let n_chunks = points.div_ceil(chunk_size);
+    if chunk as usize >= n_chunks {
+        return Err(format!(
+            "sink: chunk {chunk} out of range ({n_chunks} chunks)"
+        ));
+    }
+    let expected = (points - chunk as usize * chunk_size).min(chunk_size);
+    if got != expected {
+        return Err(format!(
+            "sink: chunk {chunk} has {got} values, expected {expected}"
+        ));
+    }
+    Ok(())
 }
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);

@@ -2,22 +2,50 @@
 //! sink that the sweep driver ([`crate::run`]) records completed chunks
 //! into, whatever the front end and executor.
 //!
-//! Ordering inside [`SweepStore::record`] is the durability contract:
-//! the journal append (with its fsync) happens *before* the sink
-//! renders, so a crash between the two re-renders the chunk from the
-//! journal on resume rather than losing it. Duplicate chunks (a resumed
-//! worker re-delivering) are absorbed silently.
+//! The durability contract: a chunk's rows never reach `out` before its
+//! journal record is fsynced. After a crash at any instant, a resume
+//! finds every chunk whose rows were written in the journal and loses
+//! none. A journaled store keeps it as a two-stage pipeline:
+//!
+//! 1. the calling thread checks the chunk, appends it to the journal and
+//!    fsyncs, and only then hands it to
+//! 2. the render stage, one helper thread that owns the sink and renders
+//!    and writes a chunk while the next chunk's fsync is in flight,
+//!    behind a bounded queue.
+//!
+//! A journaled run's wall time is then about the larger of the fsync
+//! and render stages, not their sum. A store without a journal has no
+//! fsync to hide behind and renders inline: serve opens one per
+//! `/v1/sweep` request and must not pay for a thread spawn.
+//!
+//! Duplicate chunks (a resumed worker re-delivering) are absorbed
+//! silently. Malformed chunks are refused before they are journaled.
+//!
+//! Metrics: `store.sink.wait_us` counts the microseconds
+//! [`SweepStore::record`] spent blocked on a full render queue; with
+//! the journal's `store.journal.fsync_us` it shows which stage bounds a
+//! journaled run.
 
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use twocs_core::PointResults;
+use twocs_obs::metrics::Counter;
 
 use crate::journal::Journal;
-use crate::sink::{SinkReport, StreamSink, DEFAULT_BUFFER_POINTS};
+use crate::sink::{check_chunk, SinkReport, StreamSink, DEFAULT_BUFFER_POINTS};
 use crate::spec::SweepSpec;
+
+/// Journaled chunks the render stage may hold queued behind the one it
+/// is rendering. One is enough to overlap each fsync with the previous
+/// chunk's rendering; a deeper queue only absorbs jitter, at a chunk's
+/// results of memory apiece.
+const STAGE_QUEUE: usize = 1;
 
 /// Final stats from a completed store, merging the sink report with
 /// journal replay counts.
@@ -39,8 +67,11 @@ pub struct StoreReport {
 #[derive(Debug)]
 pub struct SweepStore {
     spec: SweepSpec,
+    /// The grid's point count, which `record` checks every chunk
+    /// against (the spec would rebuild the grid index to count it).
+    points: usize,
     journal: Option<Journal>,
-    sink: StreamSink,
+    rows: Rows,
     completed: BTreeSet<u32>,
     replayed_chunks: u64,
 }
@@ -58,13 +89,7 @@ impl SweepStore {
             .map(|p| Journal::create(p, &spec))
             .transpose()?;
         let sink = Self::sink(&spec, out)?;
-        Ok(Self {
-            spec,
-            journal,
-            sink,
-            completed: BTreeSet::new(),
-            replayed_chunks: 0,
-        })
+        Self::open(spec, journal, sink, BTreeSet::new(), 0)
     }
 
     /// Resume from an existing journal: replays its completed chunks
@@ -79,19 +104,37 @@ impl SweepStore {
             sink.accept(chunk, values)?;
             completed.insert(chunk);
         }
-        Ok(Self {
-            spec,
-            journal: Some(journal),
-            sink,
-            completed,
-            replayed_chunks,
-        })
+        Self::open(spec, Some(journal), sink, completed, replayed_chunks)
     }
 
     /// The ordered sink over `spec`'s chunks, writing to `out`.
     fn sink(spec: &SweepSpec, out: Box<dyn Write + Send>) -> Result<StreamSink, String> {
         let chunk_size = spec.chunk_size.max(1) as usize;
         StreamSink::new(spec.index(), chunk_size, out, DEFAULT_BUFFER_POINTS)
+    }
+
+    /// Assemble a store, moving the sink onto a render stage when there
+    /// is a journal for it to hide behind.
+    fn open(
+        spec: SweepSpec,
+        journal: Option<Journal>,
+        sink: StreamSink,
+        completed: BTreeSet<u32>,
+        replayed_chunks: u64,
+    ) -> Result<Self, String> {
+        let points = sink.points();
+        let rows = match journal {
+            Some(_) => Rows::Staged(Stage::spawn(sink)?),
+            None => Rows::Inline(Box::new(sink)),
+        };
+        Ok(Self {
+            points,
+            spec,
+            journal,
+            rows,
+            completed,
+            replayed_chunks,
+        })
     }
 
     /// The run's spec (grid, chunking, device identity).
@@ -109,35 +152,49 @@ impl SweepStore {
     /// True once every chunk of the grid has been recorded.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.sink.complete()
+        self.completed.len() == self.points.div_ceil(self.chunk_size())
     }
 
-    /// Record one completed chunk: journal it durably (if journaling),
-    /// then stream its rows. Returns `Ok(false)` for a duplicate of an
-    /// already-recorded chunk, which is dropped without effect.
+    fn chunk_size(&self) -> usize {
+        self.spec.chunk_size.max(1) as usize
+    }
+
+    /// Record one completed chunk: check its id and value count, journal
+    /// it durably (if journaling), then hand it to the sink. Its rows
+    /// reach `out` only after its journal record is fsynced; with a
+    /// journal they are rendered on the render stage, and a write error
+    /// there comes back from a later `record` or from
+    /// [`finish`](Self::finish). Returns `Ok(false)` for a duplicate of
+    /// an already-recorded chunk, which is dropped without effect.
     pub fn record(&mut self, chunk: u32, values: PointResults) -> Result<bool, String> {
         if self.completed.contains(&chunk) {
             return Ok(false);
         }
+        check_chunk(self.points, self.chunk_size(), chunk, values.len())?;
         if let Some(j) = &mut self.journal {
             j.append_chunk(chunk, &values)?;
         }
-        self.sink.accept(chunk, values)?;
+        self.rows.accept(chunk, values)?;
         self.completed.insert(chunk);
         Ok(true)
     }
 
-    /// Finish the run: every chunk must have been recorded. Flushes the
-    /// output and returns merged stats. The journal file is left in
-    /// place — it is the caller's receipt, cheap and explicit to
-    /// delete.
+    /// Finish the run: every chunk must have been recorded. Waits for
+    /// the render stage, flushes the output and returns merged stats.
+    /// The journal file is left in place — it is the caller's receipt,
+    /// cheap and explicit to delete.
     pub fn finish(self) -> Result<StoreReport, String> {
+        let sink = match self.rows {
+            Rows::Inline(sink) => *sink,
+            Rows::Staged(mut stage) => stage.join()?,
+            Rows::Stopped(e) => return Err(e),
+        };
         let SinkReport {
             rows,
             failures,
             spilled_bytes,
             merge_passes,
-        } = self.sink.finish()?;
+        } = sink.finish()?;
         Ok(StoreReport {
             rows,
             failures,
@@ -145,6 +202,108 @@ impl SweepStore {
             merge_passes,
             replayed_chunks: self.replayed_chunks,
         })
+    }
+}
+
+/// Where a store's recorded chunks are rendered (see module docs).
+#[derive(Debug)]
+enum Rows {
+    /// On the calling thread: a store without a journal.
+    Inline(Box<StreamSink>),
+    /// On the render stage, behind the journal's fsync.
+    Staged(Stage),
+    /// The render stage stopped on this error; every later call
+    /// reports it.
+    Stopped(String),
+}
+
+impl Rows {
+    fn accept(&mut self, chunk: u32, values: PointResults) -> Result<(), String> {
+        match self {
+            Self::Inline(sink) => sink.accept(chunk, values),
+            Self::Staged(stage) => {
+                if stage.send(chunk, values) {
+                    return Ok(());
+                }
+                let e = match stage.join() {
+                    Err(e) => e,
+                    Ok(_) => "sink: the render stage stopped early".to_owned(),
+                };
+                *self = Self::Stopped(e.clone());
+                Err(e)
+            }
+            Self::Stopped(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// The render stage: one helper thread that feeds chunks from a bounded
+/// queue into the sink. It stops at the sink's first error, which its
+/// join returns. Dropping the stage closes the queue and joins it, so
+/// every chunk handed over is rendered first.
+#[derive(Debug)]
+struct Stage {
+    queue: Option<SyncSender<(u32, PointResults)>>,
+    thread: Option<JoinHandle<Result<StreamSink, String>>>,
+    wait_us: Counter,
+}
+
+impl Stage {
+    fn spawn(mut sink: StreamSink) -> Result<Self, String> {
+        let (queue, chunks) = sync_channel::<(u32, PointResults)>(STAGE_QUEUE);
+        let thread = std::thread::Builder::new()
+            .name("twocs-store-render".to_owned())
+            .spawn(move || {
+                for (chunk, values) in chunks {
+                    sink.accept(chunk, values)?;
+                }
+                Ok(sink)
+            })
+            .map_err(|e| format!("sink: cannot start the render stage: {e}"))?;
+        Ok(Self {
+            queue: Some(queue),
+            thread: Some(thread),
+            wait_us: twocs_obs::metrics::global().counter("store.sink.wait_us"),
+        })
+    }
+
+    /// Queue one chunk, blocking while the queue is full. False when the
+    /// stage has stopped.
+    fn send(&self, chunk: u32, values: PointResults) -> bool {
+        let Some(queue) = &self.queue else {
+            return false;
+        };
+        match queue.try_send((chunk, values)) {
+            Ok(()) => true,
+            Err(TrySendError::Full(item)) => {
+                let started = Instant::now();
+                let sent = queue.send(item).is_ok();
+                self.wait_us.add_duration_us(started.elapsed());
+                sent
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        }
+    }
+
+    /// Close the queue, wait for the stage to render what it holds, and
+    /// take back its sink (or the error it stopped on).
+    fn join(&mut self) -> Result<StreamSink, String> {
+        self.queue = None;
+        let thread = self
+            .thread
+            .take()
+            .ok_or("sink: the render stage was already joined")?;
+        thread
+            .join()
+            .unwrap_or_else(|_| Err("sink: the render stage panicked".to_owned()))
+    }
+}
+
+impl Drop for Stage {
+    fn drop(&mut self) {
+        if self.thread.is_some() {
+            let _ = self.join();
+        }
     }
 }
 
@@ -251,6 +410,177 @@ mod tests {
         assert_eq!(report.replayed_chunks, 3);
         assert_eq!(report.rows, s.point_count());
         assert_eq!(want.take(), got.take());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The bytes of one uninterrupted, unjournaled run over `s`.
+    fn reference(s: &SweepSpec) -> Vec<u8> {
+        let out = Buffer::default();
+        let mut store = SweepStore::create(s.clone(), Box::new(out.clone()), None).unwrap();
+        for c in 0..s.chunk_count() {
+            store.record(c, values(s, c)).unwrap();
+        }
+        store.finish().unwrap();
+        out.take()
+    }
+
+    #[test]
+    fn malformed_chunk_is_refused_before_it_is_journaled() {
+        let s = spec();
+        let n = s.chunk_count();
+        let want = reference(&s);
+        let path = tmp("malformed");
+        let out = Buffer::default();
+        let mut first = SweepStore::create(s.clone(), Box::new(out.clone()), Some(&path)).unwrap();
+        assert_eq!(
+            first.record(0, values(&s, 0)[..3].to_vec()).unwrap_err(),
+            "sink: chunk 0 has 3 values, expected 4"
+        );
+        assert_eq!(
+            first.record(n, values(&s, 0)).unwrap_err(),
+            format!("sink: chunk {n} out of range ({n} chunks)")
+        );
+        for c in [1u32, 0] {
+            assert!(first.record(c, values(&s, c)).unwrap());
+        }
+        assert_eq!(first.completed().len(), 2);
+        drop(first); // crash: no finish(), but the render stage is joined
+
+        // Both recorded chunks reached `out`: header plus eight rows.
+        let partial = out.take();
+        assert!(want.starts_with(&partial));
+        assert_eq!(partial.iter().filter(|&&b| b == b'\n').count(), 9);
+
+        let got = Buffer::default();
+        let mut second = SweepStore::resume(&path, Box::new(got.clone())).unwrap();
+        assert_eq!(second.completed().len(), 2);
+        for c in 2..n {
+            assert!(second.record(c, values(&s, c)).unwrap());
+        }
+        assert!(second.is_complete());
+        assert_eq!(second.finish().unwrap().replayed_chunks, 2);
+        assert_eq!(got.take(), want);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An `out` that, on every write, replays a copy of the journal and
+    /// refuses the write if it carries rows of a chunk the replay does
+    /// not hold yet.
+    struct Witness {
+        journal: PathBuf,
+        copy: PathBuf,
+        chunk_size: usize,
+        lines: usize,
+    }
+
+    impl Write for Witness {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+            // The first line is the header; rows start on the second.
+            if let Some(last_row) = self.lines.checked_sub(2) {
+                std::fs::copy(&self.journal, &self.copy)?;
+                let (_, _, replay) = Journal::open(&self.copy).map_err(std::io::Error::other)?;
+                let last_chunk = (last_row / self.chunk_size) as u32;
+                if let Some(c) = (0..=last_chunk).find(|c| !replay.chunks.contains_key(c)) {
+                    return Err(std::io::Error::other(format!(
+                        "rows of chunk {c} reached out before its journal record"
+                    )));
+                }
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn rows_never_reach_out_before_their_journal_record() {
+        let s = spec();
+        let (journal, copy) = (tmp("witness"), tmp("witness-copy"));
+        let witness = Witness {
+            journal: journal.clone(),
+            copy: copy.clone(),
+            chunk_size: 4,
+            lines: 0,
+        };
+        let mut store = SweepStore::create(s.clone(), Box::new(witness), Some(&journal)).unwrap();
+        for c in 0..s.chunk_count() {
+            // A long error message is slow to journal but renders as a
+            // short `error,error`: rows handed off before their record
+            // is written would win the race to `out`.
+            let mut v = values(&s, c);
+            v[0] = Err("x".repeat(1 << 18));
+            store.record(c, v).unwrap();
+        }
+        assert_eq!(store.finish().unwrap().rows, s.point_count());
+        std::fs::remove_file(&journal).unwrap();
+        std::fs::remove_file(&copy).unwrap();
+    }
+
+    /// An `out` that takes `left` more bytes, then fails like a closed
+    /// pipe, or panics if `panic` is set.
+    struct Faulty {
+        left: usize,
+        panic: bool,
+    }
+
+    impl Write for Faulty {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.left {
+                assert!(!self.panic, "out failed");
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.left -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The first error of a run over `s` into `out`, from `record` or
+    /// else from `finish`, which must fail too. Fails the test instead
+    /// of hanging if the store does not return.
+    fn first_error(s: SweepSpec, out: Faulty, journal: Option<PathBuf>) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut store = SweepStore::create(s.clone(), Box::new(out), journal.as_deref())
+                .expect("the header fits");
+            let recorded = (0..s.chunk_count()).find_map(|c| store.record(c, values(&s, c)).err());
+            let finished = store.finish().expect_err("finish after a failed write");
+            let _ = tx.send(recorded.unwrap_or(finished));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the store hung or its caller panicked")
+    }
+
+    #[test]
+    fn a_failing_out_surfaces_as_an_error_without_a_hang() {
+        let s = spec();
+        let header = reference(&s).iter().position(|&b| b == b'\n').unwrap() + 1;
+        for journaled in [false, true] {
+            let path = tmp("faulty");
+            let out = Faulty {
+                left: header + 100,
+                panic: false,
+            };
+            let e = first_error(s.clone(), out, journaled.then(|| path.clone()));
+            assert!(
+                e.starts_with("sink: cannot write rows: "),
+                "journaled {journaled}: {e}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+        let path = tmp("panicky");
+        let out = Faulty {
+            left: header + 100,
+            panic: true,
+        };
+        let e = first_error(s, out, Some(path.clone()));
+        assert_eq!(e, "sink: the render stage panicked");
         std::fs::remove_file(&path).unwrap();
     }
 
