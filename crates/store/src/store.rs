@@ -15,8 +15,11 @@
 //!
 //! A journaled run's wall time is then about the larger of the fsync
 //! and render stages, not their sum. A store without a journal has no
-//! fsync to hide behind and renders inline: serve opens one per
-//! `/v1/sweep` request and must not pay for a thread spawn.
+//! fsync to hide behind and renders inline: a render stage there only
+//! adds a thread spawn per store and a cross-thread handoff per chunk.
+//! Measured on a 2-core container, staging every store cost perfbench's
+//! `serve_zipf` (a store per `/v1/sweep` request) about a sixth of its
+//! points/s and `dist_rtt1ms` (12,800 four-point chunks) half of its.
 //!
 //! Duplicate chunks (a resumed worker re-delivering) are absorbed
 //! silently. Malformed chunks are refused before they are journaled.
@@ -174,7 +177,10 @@ impl SweepStore {
         if let Some(j) = &mut self.journal {
             j.append_chunk(chunk, &values)?;
         }
-        self.rows.accept(chunk, values)?;
+        match &mut self.rows {
+            Rows::Inline(sink) => sink.accept(chunk, values)?,
+            Rows::Staged(stage) => stage.send(chunk, values)?,
+        }
         self.completed.insert(chunk);
         Ok(true)
     }
@@ -187,7 +193,6 @@ impl SweepStore {
         let sink = match self.rows {
             Rows::Inline(sink) => *sink,
             Rows::Staged(mut stage) => stage.join()?,
-            Rows::Stopped(e) => return Err(e),
         };
         let SinkReport {
             rows,
@@ -212,35 +217,13 @@ enum Rows {
     Inline(Box<StreamSink>),
     /// On the render stage, behind the journal's fsync.
     Staged(Stage),
-    /// The render stage stopped on this error; every later call
-    /// reports it.
-    Stopped(String),
-}
-
-impl Rows {
-    fn accept(&mut self, chunk: u32, values: PointResults) -> Result<(), String> {
-        match self {
-            Self::Inline(sink) => sink.accept(chunk, values),
-            Self::Staged(stage) => {
-                if stage.send(chunk, values) {
-                    return Ok(());
-                }
-                let e = match stage.join() {
-                    Err(e) => e,
-                    Ok(_) => "sink: the render stage stopped early".to_owned(),
-                };
-                *self = Self::Stopped(e.clone());
-                Err(e)
-            }
-            Self::Stopped(e) => Err(e.clone()),
-        }
-    }
 }
 
 /// The render stage: one helper thread that feeds chunks from a bounded
-/// queue into the sink. It stops at the sink's first error, which its
-/// join returns. Dropping the stage closes the queue and joins it, so
-/// every chunk handed over is rendered first.
+/// queue into the sink. It stops at the sink's first error, which the
+/// next `send` or `join` returns; once joined, every later call fails.
+/// Dropping the stage closes the queue and joins it, so every chunk
+/// handed over is rendered first.
 #[derive(Debug)]
 struct Stage {
     queue: Option<SyncSender<(u32, PointResults)>>,
@@ -267,22 +250,27 @@ impl Stage {
         })
     }
 
-    /// Queue one chunk, blocking while the queue is full. False when the
-    /// stage has stopped.
-    fn send(&self, chunk: u32, values: PointResults) -> bool {
-        let Some(queue) = &self.queue else {
-            return false;
+    /// Queue one chunk, blocking while the queue is full. Once the stage
+    /// has stopped, joins it and returns the error it stopped on.
+    fn send(&mut self, chunk: u32, values: PointResults) -> Result<(), String> {
+        let sent = match &self.queue {
+            None => false,
+            Some(queue) => match queue.try_send((chunk, values)) {
+                Ok(()) => true,
+                Err(TrySendError::Full(item)) => {
+                    let started = Instant::now();
+                    let sent = queue.send(item).is_ok();
+                    self.wait_us.add_duration_us(started.elapsed());
+                    sent
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            },
         };
-        match queue.try_send((chunk, values)) {
-            Ok(()) => true,
-            Err(TrySendError::Full(item)) => {
-                let started = Instant::now();
-                let sent = queue.send(item).is_ok();
-                self.wait_us.add_duration_us(started.elapsed());
-                sent
-            }
-            Err(TrySendError::Disconnected(_)) => false,
+        if sent {
+            return Ok(());
         }
+        self.join()?;
+        Err("sink: the render stage stopped early".to_owned())
     }
 
     /// Close the queue, wait for the stage to render what it holds, and
