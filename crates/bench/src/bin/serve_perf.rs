@@ -350,8 +350,8 @@ fn main() {
     // Baseline server: no response cache, and clients reconnect per
     // request — the behavior of the pre-keep-alive front end.
     let (addr, shutdown, join) = start(bench_server(opts.jobs, false));
-    // Prewarm the engine-level memo caches (gemm/collective tables) so
-    // the comparison isolates the serve layer, not first-touch compute.
+    // One untimed request first, so the comparison isolates the serve
+    // layer, not first-touch costs.
     close_request(&addr, &target);
     let baseline = run_sustained(
         "close_nocache_sustained",

@@ -3,21 +3,21 @@
 //! Times the fig10-class projection grid (26 points after realism
 //! pruning) through every execution surface:
 //!
-//! * **cold / warm local sweeps** — `naive` is an in-bin oracle
-//!   (`run_tasks` over `eval_grid_point`, then `GridSweep::tabulate`);
-//!   `factored` is `GridSweep::run`, the factored per-axis plan — with
-//!   the global memo caches (`gemm_time`, collective `node_time`,
-//!   slack-ROI profiles) dropped before each cold sample;
+//! * **local sweeps** — `naive` is an in-bin oracle (`run_tasks` over
+//!   `eval_grid_point`, then `GridSweep::tabulate`); `factored` is
+//!   `GridSweep::run`, the factored per-axis plan. No model-side state
+//!   outlives a sweep, so the `sweep_cold` and `sweep_warm` groups time
+//!   the same work: `sweep_cold` runs first in a fresh process, and the
+//!   gated `sweep_warm` repeats it;
 //! * **the serve path** — an in-process `GET /v1/sweep` through
 //!   `twocs_serve::handlers::handle`;
 //! * **distributed-chunk evaluation** — a worker's whole job for the
 //!   grid: `FactoredPlan::build_from_sweep` once, then every lease-sized
 //!   chunk through `twocs_core::eval_chunk`;
-//! * **cold plan build** — `FactoredPlan::build_from_sweep` on the
-//!   1,024,000-point EXPERIMENTS.md scale grid (200 flop-vs-bw ratios)
-//!   with every memo cache dropped first, so the ~45,000 cache misses of
-//!   one build are timed end to end: per-miss work that grows with the
-//!   cache's size shows up here as a superlinear build time;
+//! * **plan build** — `FactoredPlan::build_from_sweep` on the
+//!   1,024,000-point EXPERIMENTS.md scale grid (200 flop-vs-bw ratios):
+//!   the cost a million-point sweep pays before its first row, pricing
+//!   each distinct triple and axis cell of the plan once;
 //! * **the sweep recorder's kernels** — `render_4096` is
 //!   `StreamSink::accept` of one 4,096-point chunk of that scale grid
 //!   into `io::sink()` (the sweep row writer), and `crc_1mib` the
@@ -86,13 +86,6 @@ fn scale_grid() -> GridSweep {
         method: Method::Projection,
         ..GridSweep::default()
     }
-}
-
-/// Drop every global memo cache so the next sweep is a true cold run.
-fn clear_caches() {
-    twocs_hw::cache::clear_gemm_time_cache();
-    twocs_collectives::clear_node_time_cache();
-    twocs_opmodel::clear_slack_roi_cache();
 }
 
 /// The naive oracle: every point through the full per-point model on
@@ -201,9 +194,9 @@ fn parse_args() -> Result<Options, String> {
 
 /// Benchmark groups the CI regression gate compares against the
 /// committed baseline: the warm factored/naive sweeps, the
-/// distributed-chunk path, the cold scale-grid plan build (the guard
-/// against per-miss cache work that grows with the cache), and the
-/// recorder's row-rendering and CRC kernels. The small-grid cold sweeps
+/// distributed-chunk path, the scale-grid plan build (the cost before a
+/// million-point sweep's first row), and the recorder's row-rendering
+/// and CRC kernels. The small-grid cold sweeps
 /// and serve numbers are too machine-sensitive to gate on.
 const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold", "record"];
 
@@ -258,23 +251,14 @@ fn main() {
         let mut group = c.benchmark_group("sweep_cold");
         group.sample_size(samples).measurement_time(budget);
         group.bench_function("naive", |b| {
-            b.iter(|| {
-                clear_caches();
-                std::hint::black_box(naive_sweep(&grid, &device, jobs))
-            });
+            b.iter(|| std::hint::black_box(naive_sweep(&grid, &device, jobs)));
         });
         group.bench_function("factored", |b| {
-            b.iter(|| {
-                clear_caches();
-                std::hint::black_box(grid.run(&device, jobs))
-            });
+            b.iter(|| std::hint::black_box(grid.run(&device, jobs)));
         });
         group.finish();
     }
     {
-        // Prewarm once; every sample below hits warm caches.
-        clear_caches();
-        let _ = naive_sweep(&grid, &device, jobs);
         let mut group = c.benchmark_group("sweep_warm");
         group.sample_size(samples).measurement_time(budget);
         group.bench_function("naive", |b| {
@@ -320,10 +304,7 @@ fn main() {
         let mut group = c.benchmark_group("plan_cold");
         group.sample_size(samples).measurement_time(budget);
         group.bench_function("1m", |b| {
-            b.iter(|| {
-                clear_caches();
-                std::hint::black_box(FactoredPlan::build_from_sweep(&device, &scale))
-            });
+            b.iter(|| std::hint::black_box(FactoredPlan::build_from_sweep(&device, &scale)));
         });
         group.finish();
 

@@ -350,7 +350,11 @@ mod tests {
         group
             .sample_size(3)
             .measurement_time(Duration::from_millis(50));
-        group.bench_function("noop", |b| b.iter(|| 1 + 1));
+        // A closure with measurable cost: a bare `1 + 1` runs in under a
+        // nanosecond in release builds, so its mean rounds to zero.
+        group.bench_function("sum", |b| {
+            b.iter(|| (1..=1000u64).map(std::hint::black_box).sum::<u64>());
+        });
         group.finish();
         assert_eq!(c.results.len(), 1);
         assert!(c.results[0].mean > Duration::ZERO);

@@ -15,32 +15,15 @@
 //!   Fig. 15(c).
 
 use crate::algorithm::{Algorithm, Collective};
-use std::sync::LazyLock;
-use twocs_hw::cache::{CacheStats, MemoCache};
 use twocs_hw::network::{LinkSpec, NetworkSpec};
 use twocs_hw::topology::Topology;
 
-/// Cache key for [`CollectiveCostModel::node_time`]: the collective kind,
-/// payload, rank count, the node's effective ring-all-reduce bandwidth
-/// (which already folds in the PIN mode), and the model's two constants.
-type NodeTimeKey = (u8, u64, u64, u64, u64, u64);
-
-/// Global memo table for [`CollectiveCostModel::node_time`]. The sweep
-/// engine prices the same (collective, bytes, ranks, node) query for every
-/// grid point that shares a hardware configuration.
-static NODE_TIME: LazyLock<MemoCache<NodeTimeKey, f64>> =
-    LazyLock::new(|| MemoCache::named("collective"));
-
-/// Counters of the global collective-cost cache.
-#[must_use]
-pub fn node_time_cache_stats() -> CacheStats {
-    NODE_TIME.stats()
-}
-
-/// Empty the global collective-cost cache and zero its counters.
-pub fn clear_node_time_cache() {
-    NODE_TIME.clear();
-}
+/// Formerly emptied the process-global collective-cost memo cache, which
+/// is gone: [`CollectiveCostModel::node_time`] computes directly. Kept as
+/// a no-op only because the `perfbench/` harness still calls it; it goes
+/// once that harness drops the call.
+#[doc(hidden)]
+pub fn clear_node_time_cache() {}
 
 /// Tunable constants of the analytic cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,10 +146,6 @@ impl CollectiveCostModel {
     /// `t = steps·α + payload / (B_alg · sat(S/N))`, where `payload` is the
     /// all-reduce-normalized volume (all-gather and reduce-scatter move
     /// half an all-reduce; all-to-all likewise).
-    ///
-    /// Memoized globally (see [`node_time_cache_stats`]): the analysis
-    /// sweeps re-price identical collectives for every grid point that
-    /// shares a hardware configuration.
     #[must_use]
     pub fn node_time(
         &self,
@@ -178,26 +157,16 @@ impl CollectiveCostModel {
         if n < 2 || bytes == 0 {
             return 0.0;
         }
-        let key: NodeTimeKey = (
-            collective as u8,
-            bytes,
-            n as u64,
-            net.ring_allreduce_bandwidth().to_bits(),
-            self.step_latency.to_bits(),
-            self.chunk_ramp_bytes.to_bits(),
-        );
-        NODE_TIME.get_or_insert_with(key, || {
-            let steps = Self::steps(Algorithm::Ring, collective, n) as f64;
-            let s = bytes as f64;
-            let chunk = s / n as f64;
-            let bw = net.ring_allreduce_bandwidth() * self.saturation(chunk);
-            let normalized_volume = match collective {
-                Collective::AllReduce => s,
-                Collective::ReduceScatter | Collective::AllGather | Collective::AllToAll => s / 2.0,
-                Collective::Broadcast => s / 2.0,
-            };
-            steps * self.step_latency + normalized_volume / bw
-        })
+        let steps = Self::steps(Algorithm::Ring, collective, n) as f64;
+        let s = bytes as f64;
+        let chunk = s / n as f64;
+        let bw = net.ring_allreduce_bandwidth() * self.saturation(chunk);
+        let normalized_volume = match collective {
+            Collective::AllReduce => s,
+            Collective::ReduceScatter | Collective::AllGather | Collective::AllToAll => s / 2.0,
+            Collective::Broadcast => s / 2.0,
+        };
+        steps * self.step_latency + normalized_volume / bw
     }
 
     /// Ring all-reduce node time — the workhorse for TP and DP costs.

@@ -41,6 +41,6 @@ pub mod error;
 pub mod schedule;
 
 pub use algorithm::{Algorithm, Collective};
-pub use cost::{clear_node_time_cache, node_time_cache_stats, CollectiveCostModel};
+pub use cost::CollectiveCostModel;
 pub use error::CollectiveError;
 pub use schedule::CommSchedule;

@@ -25,16 +25,11 @@
 //! `twocs-dist`'s coordinator the distributed one; `twocs_store::run`
 //! records either into one store, and [`GridSweep::run`] files the
 //! pool's chunks into an in-memory table. Both the registry and the
-//! pool report a [`SweepSummary`] with task timings and the memo-cache
-//! activity ([`twocs_hw::CacheStats`]) observed during the run.
+//! pool report a [`SweepSummary`] with task and per-worker timings.
 //!
 //! The pool is instrumented through `twocs-obs`: every task runs inside a
-//! task scope (so an installed tracer records its lifecycle and the memo
-//! caches charge their hits/misses to it), queue depth and per-worker
-//! busy time feed the global metrics registry, and each task's wall time
-//! is classified **cache-cold** (at least one memo-cache miss charged to
-//! it) or **cache-warm** — reported per worker and in aggregate, so cold
-//! first-touch tasks no longer skew the per-experiment timings.
+//! task scope (so an installed tracer records its lifecycle), and queue
+//! depth and per-worker busy time feed the global metrics registry.
 
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -51,7 +46,7 @@ use crate::report::Table;
 use crate::serialized::{comm_fraction, projection_baseline, sweep_hyper, Method};
 use twocs_collectives::{Collective, CollectiveCostModel};
 use twocs_hw::network::NetworkSpec;
-use twocs_hw::{CacheStats, DeviceSpec, HwEvolution};
+use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_opmodel::{ProjectedIteration, ProjectionModel};
 use twocs_transformer::moe::MoeConfig;
 use twocs_transformer::{Hyperparams, ParallelConfig};
@@ -90,7 +85,7 @@ pub fn parallelism() -> usize {
 }
 
 /// One completed task: its payload (or the panic message), how long it
-/// ran, which worker ran it, and the memo-cache activity charged to it.
+/// ran, and which worker ran it.
 #[derive(Debug, Clone)]
 pub struct TaskResult<T> {
     /// The task's value, or the panic payload rendered as a string.
@@ -99,18 +94,6 @@ pub struct TaskResult<T> {
     pub elapsed: Duration,
     /// Index of the worker thread that executed the task.
     pub worker: usize,
-    /// Memo-cache hits charged to this task.
-    pub cache_hits: u64,
-    /// Memo-cache misses charged to this task (`> 0` ⇒ cache-cold).
-    pub cache_misses: u64,
-}
-
-impl<T> TaskResult<T> {
-    /// Whether the task had to compute at least one memo-cache entry.
-    #[must_use]
-    pub fn is_cold(&self) -> bool {
-        self.cache_misses > 0
-    }
 }
 
 /// Execute `count` tasks on `jobs` scoped worker threads and return the
@@ -177,8 +160,7 @@ where
 /// Each task executes inside a `twocs-obs` task scope on a worker seeded
 /// from the calling thread's tracing context: an installed tracer records
 /// one lifecycle span per task (in its deterministic logical window under
-/// [`twocs_obs::TraceMode::Logical`]), and memo-cache hits/misses are
-/// charged to exactly the task that incurred them. The pool also feeds
+/// [`twocs_obs::TraceMode::Logical`]). The pool also feeds
 /// the global metrics registry: `sweep.tasks_total`, the
 /// `sweep.queue_depth` histogram (sampled at claim time), and per-worker
 /// `sweep.worker<N>.busy_us` counters.
@@ -224,15 +206,13 @@ where
                     let start = Instant::now();
                     let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message);
                     let elapsed = start.elapsed();
-                    let observation = scope_guard.finish();
+                    scope_guard.finish();
                     tasks_total.inc();
                     busy_us.add_duration_us(elapsed);
                     let done = TaskResult {
                         result,
                         elapsed,
                         worker: w,
-                        cache_hits: observation.cache_hits,
-                        cache_misses: observation.cache_misses,
                     };
                     if tx.send((i, done)).is_err() {
                         break; // the caller stopped the pool
@@ -274,69 +254,6 @@ pub struct TaskTiming {
     pub ok: bool,
     /// Worker thread that ran the task.
     pub worker: usize,
-    /// Whether the task was cache-cold (charged at least one memo-cache
-    /// miss). Cold tasks pay for first-touch computation, so their wall
-    /// times are not comparable with warm ones.
-    pub cold: bool,
-}
-
-/// Task counts and wall time split by memo-cache temperature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmColdSplit {
-    /// Tasks that computed at least one memo-cache entry.
-    pub cold_tasks: usize,
-    /// Summed wall time of cold tasks.
-    pub cold_time: Duration,
-    /// Tasks fully served from the memo caches.
-    pub warm_tasks: usize,
-    /// Summed wall time of warm tasks.
-    pub warm_time: Duration,
-}
-
-impl WarmColdSplit {
-    fn add(&mut self, elapsed: Duration, cold: bool) {
-        if cold {
-            self.cold_tasks += 1;
-            self.cold_time += elapsed;
-        } else {
-            self.warm_tasks += 1;
-            self.warm_time += elapsed;
-        }
-    }
-
-    /// Mean wall time of cold tasks (zero when there were none).
-    #[must_use]
-    pub fn mean_cold(&self) -> Duration {
-        checked_mean(self.cold_time, self.cold_tasks)
-    }
-
-    /// Mean wall time of warm tasks (zero when there were none).
-    #[must_use]
-    pub fn mean_warm(&self) -> Duration {
-        checked_mean(self.warm_time, self.warm_tasks)
-    }
-}
-
-fn checked_mean(total: Duration, n: usize) -> Duration {
-    match u32::try_from(n) {
-        Ok(n) if n > 0 => total / n,
-        _ => Duration::ZERO,
-    }
-}
-
-impl fmt::Display for WarmColdSplit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cold {:.1?} (avg {:.1?}), {} warm {:.1?} (avg {:.1?})",
-            self.cold_tasks,
-            self.cold_time,
-            self.mean_cold(),
-            self.warm_tasks,
-            self.warm_time,
-            self.mean_warm(),
-        )
-    }
 }
 
 /// One worker thread's share of a sweep.
@@ -348,12 +265,10 @@ pub struct WorkerTiming {
     pub tasks: usize,
     /// Summed task wall time on this worker.
     pub busy: Duration,
-    /// This worker's tasks split cache-cold vs cache-warm.
-    pub split: WarmColdSplit,
 }
 
-/// What a sweep did: thread count, wall/task time, failures, per-task
-/// timings, and the memo-cache activity observed while it ran.
+/// What a sweep did: thread count, wall/task time, failures, and
+/// per-task and per-worker timings.
 ///
 /// Rendered with `Display`; the CLI prints it to **stderr** so that
 /// parallel and serial runs keep byte-identical stdout.
@@ -371,40 +286,16 @@ pub struct SweepSummary {
     pub task_time: Duration,
     /// Per-task wall times, in task order.
     pub timings: Vec<TaskTiming>,
-    /// Per-worker busy time and warm/cold split, by worker index. Workers
+    /// Per-worker task count and busy time, by worker index. Workers
     /// that claimed no task still appear (with zero counts).
     pub workers: Vec<WorkerTiming>,
-    /// GEMM-time cache activity during the sweep.
-    pub gemm_cache: CacheStats,
-    /// Collective-cost cache activity during the sweep.
-    pub collective_cache: CacheStats,
-    /// Slack-ROI profile cache activity during the sweep.
-    pub slack_roi_cache: CacheStats,
 }
 
 impl SweepSummary {
-    /// Aggregate warm/cold split across all workers.
-    #[must_use]
-    pub fn warm_cold(&self) -> WarmColdSplit {
-        let mut agg = WarmColdSplit::default();
-        for t in &self.timings {
-            agg.add(t.elapsed, t.cold);
-        }
-        agg
-    }
-
-    /// The summary of a run on `jobs` threads that started at `start`,
-    /// with the memo caches at `before`: wall time and cache activity
-    /// are measured up to now.
-    fn since(
-        jobs: usize,
-        timings: Vec<TaskTiming>,
-        failures: usize,
-        start: Instant,
-        before: &[CacheStats; 3],
-    ) -> Self {
+    /// The summary of a run on `jobs` threads that started at `start`:
+    /// wall time is measured up to now.
+    fn since(jobs: usize, timings: Vec<TaskTiming>, failures: usize, start: Instant) -> Self {
         let wall = start.elapsed();
-        let [gemm, collective, slack_roi] = cache_snapshot();
         Self {
             jobs: jobs.max(1),
             tasks: timings.len(),
@@ -413,9 +304,6 @@ impl SweepSummary {
             task_time: timings.iter().map(|t| t.elapsed).sum(),
             workers: Self::workers_from_timings(jobs, &timings),
             timings,
-            gemm_cache: gemm.since(&before[0]),
-            collective_cache: collective.since(&before[1]),
-            slack_roi_cache: slack_roi.since(&before[2]),
         }
     }
 
@@ -434,7 +322,6 @@ impl SweepSummary {
             if let Some(w) = workers.get_mut(t.worker) {
                 w.tasks += 1;
                 w.busy += t.elapsed;
-                w.split.add(t.elapsed, t.cold);
             }
         }
         workers
@@ -465,40 +352,22 @@ impl fmt::Display for SweepSummary {
                 "  {:<28} {:>9.1?}  {}",
                 t.label,
                 t.elapsed,
-                match (t.ok, t.cold) {
-                    (false, _) => "FAILED",
-                    (true, true) => "ok (cold)",
-                    (true, false) => "ok (warm)",
-                }
+                if t.ok { "ok" } else { "FAILED" }
             )?;
         }
-        writeln!(f, "workers (cache-cold vs cache-warm):")?;
+        write!(f, "workers:")?;
         for w in &self.workers {
-            writeln!(
+            write!(
                 f,
-                "  w{}: {} task{}, busy {:.1?} — {}",
+                "\n  w{}: {} task{}, busy {:.1?}",
                 w.worker,
                 w.tasks,
                 if w.tasks == 1 { "" } else { "s" },
                 w.busy,
-                w.split,
             )?;
         }
-        writeln!(f, "  aggregate: {}", self.warm_cold())?;
-        writeln!(f, "caches (this sweep):")?;
-        writeln!(f, "  gemm-time:  {}", self.gemm_cache)?;
-        writeln!(f, "  collective: {}", self.collective_cache)?;
-        write!(f, "  slack-roi:  {}", self.slack_roi_cache)
+        Ok(())
     }
-}
-
-/// Snapshot all three global memo caches.
-fn cache_snapshot() -> [CacheStats; 3] {
-    [
-        twocs_hw::cache::gemm_time_cache_stats(),
-        twocs_collectives::node_time_cache_stats(),
-        twocs_opmodel::slack_roi_cache_stats(),
-    ]
 }
 
 /// One experiment's outcome inside a sweep.
@@ -520,7 +389,7 @@ pub struct ExperimentResult {
 pub struct SweepRun {
     /// One result per input definition, in input order.
     pub results: Vec<ExperimentResult>,
-    /// Timing and cache accounting.
+    /// Timing accounting.
     pub summary: SweepSummary,
 }
 
@@ -532,7 +401,6 @@ pub struct SweepRun {
 #[must_use]
 pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize) -> SweepRun {
     set_parallelism(jobs);
-    let before = cache_snapshot();
     let start = Instant::now();
     let raw = run_tasks_labeled(
         jobs,
@@ -548,7 +416,6 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
             elapsed: t.elapsed,
             ok: t.result.is_ok(),
             worker: t.worker,
-            cold: t.is_cold(),
         })
         .collect();
     let results: Vec<ExperimentResult> = defs
@@ -562,7 +429,7 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
         })
         .collect();
     let failures = results.iter().filter(|r| r.output.is_err()).count();
-    let summary = SweepSummary::since(jobs, timings, failures, start, &before);
+    let summary = SweepSummary::since(jobs, timings, failures, start);
     SweepRun { results, summary }
 }
 
@@ -1002,8 +869,8 @@ pub struct LocalPool {
 }
 
 impl LocalPool {
-    /// [`GridExecutor::execute`] with the typed summary: task timings,
-    /// per-worker split and the memo-cache activity of the run. Task `i`
+    /// [`GridExecutor::execute`] with the typed summary: task and
+    /// per-worker timings of the run. Task `i`
     /// is the `i`-th pending chunk, labelled by its grid point when the
     /// chunk holds one point and by its point range otherwise.
     pub fn run(
@@ -1018,7 +885,6 @@ impl LocalPool {
         set_parallelism(jobs);
         let index = sweep.index();
         let chunk_size = chunk_size.max(1);
-        let before = cache_snapshot();
         let start = Instant::now();
         let pending: Vec<u32> = (0..index.chunk_count(chunk_size) as u32)
             .filter(|c| !completed.contains(c))
@@ -1055,12 +921,11 @@ impl LocalPool {
                 elapsed: t.elapsed,
                 ok: failed == 0,
                 worker: t.worker,
-                cold: t.cache_misses > 0,
             });
             on_chunk(pending[i], values)
         })?;
         let timings = timings.into_iter().flatten().collect();
-        Ok(SweepSummary::since(jobs, timings, failures, start, &before))
+        Ok(SweepSummary::since(jobs, timings, failures, start))
     }
 }
 
@@ -1499,7 +1364,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_displays_cache_and_timing_lines() {
+    fn summary_displays_timing_lines() {
         let device = DeviceSpec::mi210();
         let defs: Vec<_> = experiments::all()
             .into_iter()
@@ -1509,13 +1374,9 @@ mod tests {
         let text = run.summary.to_string();
         assert!(text.contains("1 tasks"), "{text}");
         assert!(text.contains("table2"), "{text}");
-        assert!(text.contains("gemm-time:"), "{text}");
-        assert!(text.contains("slack-roi:"), "{text}");
-        assert!(
-            text.contains("workers (cache-cold vs cache-warm):"),
-            "{text}"
-        );
-        assert!(text.contains("aggregate:"), "{text}");
+        assert!(text.contains("workers:"), "{text}");
+        assert!(text.contains("  w0: 1 task, busy"), "{text}");
+        assert!(!text.contains("cache"), "{text}");
     }
 
     #[test]
@@ -1535,53 +1396,6 @@ mod tests {
         assert_eq!(by_worker, summary.tasks);
         let busy: Duration = summary.workers.iter().map(|w| w.busy).sum();
         assert_eq!(busy, summary.task_time);
-        let agg = summary.warm_cold();
-        assert_eq!(agg.cold_tasks + agg.warm_tasks, summary.tasks);
-        assert_eq!(agg.cold_time + agg.warm_time, summary.task_time);
-        for w in &summary.workers {
-            assert_eq!(w.split.cold_tasks + w.split.warm_tasks, w.tasks);
-            assert_eq!(w.split.cold_time + w.split.warm_time, w.busy);
-        }
-    }
-
-    /// Regression test for the warm/cold mixing bug: a first run of a
-    /// configuration pays memo-cache first-touch cost and must be
-    /// classified cache-cold; rerunning the identical configuration is
-    /// answered entirely from the caches and must be classified warm —
-    /// the summary keeps the two populations separate instead of mixing
-    /// them into one per-experiment average.
-    ///
-    /// Uses a distinctive (H, SL) so concurrently running tests cannot
-    /// pre-warm its cache keys, and a simulation grid so the cache
-    /// activity is charged to the point's task — factored plans
-    /// front-load all memo-cache work into plan construction, leaving
-    /// every evaluation task warm by design, while simulation grids
-    /// still evaluate each point inside its own task.
-    #[test]
-    fn cold_first_run_then_warm_rerun_are_classified_separately() {
-        let sweep = GridSweep {
-            hs: vec![4864],
-            sls: vec![1984],
-            tps: vec![16],
-            flop_vs_bw: vec![1.0],
-            batch: 1,
-            method: Method::Simulation,
-            ..GridSweep::default()
-        };
-        let device = DeviceSpec::mi210();
-        let (_, first) = sweep.run(&device, 1);
-        let (_, second) = sweep.run(&device, 1);
-        assert_eq!(first.tasks, 1);
-        assert!(first.timings[0].cold, "first touch must be cache-cold");
-        assert!(!second.timings[0].cold, "identical rerun must be warm");
-        let (f, s) = (first.warm_cold(), second.warm_cold());
-        assert_eq!((f.cold_tasks, f.warm_tasks), (1, 0));
-        assert_eq!((s.cold_tasks, s.warm_tasks), (0, 1));
-        assert_eq!(f.cold_time, first.task_time);
-        assert_eq!(s.warm_time, second.task_time);
-        // And the per-worker view agrees with the aggregate.
-        assert_eq!(first.workers[0].split.cold_tasks, 1);
-        assert_eq!(second.workers[0].split.warm_tasks, 1);
     }
 
     #[test]
@@ -2027,12 +1841,10 @@ mod tests {
     }
 
     #[test]
-    fn task_results_carry_worker_and_cache_attribution() {
+    fn task_results_carry_their_worker() {
         let results = run_tasks_labeled(2, 6, |i| format!("t{i}"), |i| i);
         for r in &results {
             assert!(r.worker < 2);
-            assert_eq!((r.cache_hits, r.cache_misses), (0, 0));
-            assert!(!r.is_cold());
         }
     }
 

@@ -1,15 +1,9 @@
-//! Shared memoization infrastructure for the hot pure cost functions.
+//! A sharded, thread-safe memo table with in-flight miss dedupe.
 //!
-//! The paper's methodology projects hundreds of future-hardware
-//! configurations from one baseline profile, and the sweeps re-evaluate
-//! identical (shape, device) cost queries thousands of times. Every cost
-//! function in the workspace is *pure* — same inputs, same output — so
-//! results can be memoized and shared across sweep worker threads.
-//!
-//! [`MemoCache`] is the generic building block; this crate keeps a global
-//! cache for [`DeviceSpec::gemm_time`] (see [`gemm_time_cache_stats`]),
-//! while `twocs-collectives` and `twocs-opmodel` keep caches for
-//! collective costs and ROI profiles built on the same type.
+//! [`MemoCache`] is the building block of `twocs-serve`'s response
+//! cache. The cost functions themselves are not memoized: a factored
+//! sweep plan already prices each distinct cell once per sweep, so a
+//! process-global table under it would mostly miss and only grow.
 //!
 //! # Concurrency design
 //!
@@ -28,17 +22,12 @@
 //!    panics, the slot is abandoned and one waiter retries the compute,
 //!    so a poisoned key never wedges later lookups.
 //!
-//! Each cache counts hits and misses so sweep reports can show how much
-//! recomputation was avoided; a thread that waits on an in-flight
-//! computation counts as a *hit* (it did not run the compute function),
-//! so `misses` equals compute-function invocations exactly. Named caches
-//! ([`MemoCache::named`]) publish those counters to the `twocs-obs`
-//! metrics registry (as `cache.<name>.hits` / `cache.<name>.misses`,
-//! plus a `cache.<name>.entries` gauge), and every lookup is also
-//! attributed to the current `twocs-obs` task scope so the sweep pool
-//! can tell cache-cold tasks from cache-warm ones exactly.
-//!
-//! [`DeviceSpec::gemm_time`]: crate::DeviceSpec::gemm_time
+//! Each cache counts hits and misses; a thread that waits on an
+//! in-flight computation counts as a *hit* (it did not run the compute
+//! function), so `misses` equals compute-function invocations exactly.
+//! A cache made with [`MemoCache::with_metric_prefix`] publishes those
+//! counters to the `twocs-obs` metrics registry (as `<prefix>.hits` /
+//! `<prefix>.misses`, plus a `<prefix>.entries` gauge).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -74,17 +63,6 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / total as f64
-    }
-
-    /// Counter-wise difference `self - earlier` (entries keeps the later
-    /// value): the activity between two snapshots.
-    #[must_use]
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            entries: self.entries,
-        }
     }
 }
 
@@ -168,7 +146,7 @@ pub struct MemoCache<K, V> {
     shards: Box<[RwLock<ShardMap<K, V>>]>,
     hits: Counter,
     misses: Counter,
-    /// Resident-entry gauge mirror (detached unless the cache is named),
+    /// Resident-entry gauge mirror (detached unless the cache publishes),
     /// adjusted by the same deltas as the shards' `ready` counts.
     entries_gauge: Gauge,
 }
@@ -208,20 +186,10 @@ where
     }
 
     /// Create an empty cache whose counters are registered in the global
-    /// `twocs-obs` metrics registry as `cache.<name>.hits` /
-    /// `cache.<name>.misses` plus a `cache.<name>.entries` gauge, so
-    /// `--metrics` reports its hit rate and size.
-    #[must_use]
-    pub fn named(name: &str) -> Self {
-        Self::with_metric_prefix(&format!("cache.{name}"))
-    }
-
-    /// Like [`MemoCache::named`], but with full control of the metric
-    /// namespace: counters register as `<prefix>.hits` /
-    /// `<prefix>.misses` plus a `<prefix>.entries` gauge. Lets consumers
-    /// outside the hardware layer (e.g. the serve response cache, which
-    /// publishes `serve.cache.*`) reuse this machinery without squatting
-    /// in the `cache.*` namespace.
+    /// `twocs-obs` metrics registry as `<prefix>.hits` /
+    /// `<prefix>.misses` plus a `<prefix>.entries` gauge, so `--metrics`
+    /// reports its hit rate and size (the serve response cache publishes
+    /// `serve.cache.*`).
     #[must_use]
     pub fn with_metric_prefix(prefix: &str) -> Self {
         let registry = twocs_obs::metrics::global();
@@ -263,10 +231,9 @@ where
         }
     }
 
-    /// Record a hit on this cache and the caller's task scope.
+    /// Record a hit on this cache.
     fn hit(&self, value: V) -> V {
         self.hits.inc();
-        twocs_obs::note_cache_hit();
         value
     }
 
@@ -290,9 +257,7 @@ where
     /// Return the cached value for `key`, computing it with `compute` on
     /// a miss. `compute` runs outside all locks, and concurrent misses
     /// on the same key run it exactly once — the losers block until the
-    /// winner publishes and then count as hits. The outcome is counted
-    /// on this cache and charged to the calling thread's current
-    /// `twocs-obs` task scope.
+    /// winner publishes and then count as hits.
     pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
         // FnOnce in a retry loop: consumed at most once, because after
         // this thread computes it either returns or unwinds.
@@ -309,7 +274,6 @@ where
                 Probe::Compute(flight) => flight,
             };
             self.misses.inc();
-            twocs_obs::note_cache_miss();
             let guard = AbandonOnUnwind {
                 cache: self,
                 key: &key,
@@ -407,40 +371,12 @@ impl<K, V> fmt::Debug for MemoCache<K, V> {
     }
 }
 
-/// FNV-1a hash of a byte string — used to fingerprint model
-/// configurations into compact cache keys.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Cache key for [`DeviceSpec::gemm_time`]: the device fingerprint, the
-/// four GEMM shape dimensions (m, n, k, batch), and the precision.
-///
-/// [`DeviceSpec::gemm_time`]: crate::DeviceSpec::gemm_time
-pub(crate) type GemmTimeKey = (u64, u64, u64, u64, u64, u8);
-
-/// Global memo table for [`DeviceSpec::gemm_time`].
-///
-/// [`DeviceSpec::gemm_time`]: crate::DeviceSpec::gemm_time
-pub(crate) static GEMM_TIME: std::sync::LazyLock<MemoCache<GemmTimeKey, f64>> =
-    std::sync::LazyLock::new(|| MemoCache::named("gemm_time"));
-
-/// Counters of the global GEMM-time cache.
-#[must_use]
-pub fn gemm_time_cache_stats() -> CacheStats {
-    GEMM_TIME.stats()
-}
-
-/// Empty the global GEMM-time cache and zero its counters.
-pub fn clear_gemm_time_cache() {
-    GEMM_TIME.clear();
-}
+/// Formerly emptied the process-global GEMM-time memo cache, which is
+/// gone: `DeviceSpec::gemm_time` computes directly. Kept as a no-op only
+/// because the `perfbench/` harness still calls it; it goes once that
+/// harness drops the call.
+#[doc(hidden)]
+pub fn clear_gemm_time_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -476,22 +412,6 @@ mod tests {
         cache.clear();
         // A stale L1 copy must not survive the clear.
         assert_eq!(cache.get_or_insert_with(1, || 42), 42);
-    }
-
-    #[test]
-    fn since_subtracts_counters() {
-        let a = CacheStats {
-            hits: 10,
-            misses: 5,
-            entries: 4,
-        };
-        let b = CacheStats {
-            hits: 25,
-            misses: 7,
-            entries: 6,
-        };
-        let d = b.since(&a);
-        assert_eq!((d.hits, d.misses, d.entries), (15, 2, 6));
     }
 
     #[test]
@@ -581,33 +501,23 @@ mod tests {
 
     #[test]
     fn named_cache_publishes_metrics() {
-        let cache: MemoCache<u64, u64> = MemoCache::named("test_named");
+        let cache: MemoCache<u64, u64> = MemoCache::with_metric_prefix("test.named");
         let _ = cache.get_or_insert_with(1, || 1);
         let _ = cache.get_or_insert_with(1, || 1);
         let reg = twocs_obs::metrics::global();
-        assert_eq!(reg.counter("cache.test_named.hits").get(), 1);
-        assert_eq!(reg.counter("cache.test_named.misses").get(), 1);
+        assert_eq!(reg.counter("test.named.hits").get(), 1);
+        assert_eq!(reg.counter("test.named.misses").get(), 1);
     }
 
     #[test]
     fn named_cache_publishes_entries_gauge() {
-        let cache: MemoCache<u64, u64> = MemoCache::named("test_entries");
+        let cache: MemoCache<u64, u64> = MemoCache::with_metric_prefix("test.entries");
         let _ = cache.get_or_insert_with(1, || 1);
         let _ = cache.get_or_insert_with(2, || 2);
         let reg = twocs_obs::metrics::global();
-        assert_eq!(reg.gauge("cache.test_entries.entries").get(), 2.0);
+        assert_eq!(reg.gauge("test.entries.entries").get(), 2.0);
         cache.clear();
-        assert_eq!(reg.gauge("cache.test_entries.entries").get(), 0.0);
-    }
-
-    #[test]
-    fn lookups_attribute_to_task_scope() {
-        let cache: MemoCache<u64, u64> = MemoCache::new();
-        let scope = twocs_obs::task_scope(0, "t");
-        let _ = cache.get_or_insert_with(7, || 7);
-        let _ = cache.get_or_insert_with(7, || 7);
-        let obs = scope.finish();
-        assert_eq!((obs.cache_hits, obs.cache_misses), (1, 1));
+        assert_eq!(reg.gauge("test.entries.entries").get(), 0.0);
     }
 
     #[test]

@@ -94,8 +94,9 @@ impl DeviceSpec {
     }
 
     /// A hash of every cost-relevant field. Two specs with the same
-    /// fingerprint produce the same kernel and collective costs, so the
-    /// global memo caches key on it (see [`crate::cache`]).
+    /// fingerprint produce the same kernel and collective costs, so a
+    /// distributed sweep's coordinator and workers compare it to agree
+    /// on the device.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -116,34 +117,19 @@ impl DeviceSpec {
             self.memop_model,
             self.network,
         );
-        crate::cache::fnv1a(repr.as_bytes())
+        fnv1a(repr.as_bytes())
     }
 
     /// Total time (seconds) for one GEMM kernel including launch overhead.
-    ///
-    /// Memoized globally per (device fingerprint, shape, precision): the
-    /// analysis sweeps re-price identical GEMMs thousands of times, and
-    /// the kernel-catalog search is the single hottest pure function in
-    /// the workspace.
     #[must_use]
     pub fn gemm_time(&self, shape: GemmShape, precision: Precision) -> f64 {
-        let key = (
-            self.fingerprint,
-            shape.m,
-            shape.n,
-            shape.k,
-            shape.batch,
-            precision as u8,
-        );
-        crate::cache::GEMM_TIME.get_or_insert_with(key, || {
-            self.launch_overhead
-                + self.gemm_model.kernel_time(
-                    shape,
-                    precision,
-                    self.peak_flops(precision),
-                    self.mem_bandwidth,
-                )
-        })
+        self.launch_overhead
+            + self.gemm_model.kernel_time(
+                shape,
+                precision,
+                self.peak_flops(precision),
+                self.mem_bandwidth,
+            )
     }
 
     /// Total time (seconds) for one bandwidth-bound kernel including launch
@@ -509,6 +495,17 @@ impl DeviceSpecBuilder {
         spec.fingerprint = spec.compute_fingerprint();
         spec
     }
+}
+
+/// FNV-1a hash of a byte string, folding a device description into its
+/// fingerprint.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
 }
 
 #[cfg(test)]

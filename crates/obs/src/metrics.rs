@@ -2,11 +2,10 @@
 //!
 //! Handles are `Arc`-backed and lock-free to update; the registry is a
 //! name → handle map consulted only at registration time, so hot paths
-//! (memo-cache lookups, pool bookkeeping) pay one atomic op per event.
+//! (cache lookups, pool bookkeeping) pay one atomic op per event.
 //! [`MetricsRegistry::summary`] renders a human-oriented report for the
 //! `--metrics` flag; `<name>.hits` / `<name>.misses` counter pairs are
-//! collapsed into a single hit-rate line, preserving the cache report the
-//! sweep summary used to print ad hoc.
+//! collapsed into a single hit-rate line.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -372,8 +371,8 @@ impl MetricsRegistry {
 
 static GLOBAL: LazyLock<MetricsRegistry> = LazyLock::new(MetricsRegistry::new);
 
-/// The process-wide registry. Memo caches and the sweep pool register
-/// here so one `--metrics` flag surfaces everything.
+/// The process-wide registry. Caches and the sweep pool register here so
+/// one `--metrics` flag surfaces everything.
 #[must_use]
 pub fn global() -> &'static MetricsRegistry {
     &GLOBAL

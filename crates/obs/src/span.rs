@@ -3,10 +3,7 @@
 //! A [`Tracer`] collects [`SpanRecord`]s from three kinds of sources:
 //!
 //! * **task scopes** ([`task_scope`]) — the sweep pool opens one per task
-//!   it executes; the scope also accumulates the memo-cache hits/misses
-//!   observed on its worker thread (see [`note_cache_miss`]), which is how
-//!   the sweep summary attributes cache-warm vs cache-cold timings
-//!   *exactly*, with no cross-thread bleed;
+//!   it executes, recording its lifecycle span;
 //! * **phase spans** ([`span`]) — RAII guards for named phases inside a
 //!   task (graph build, serialized metric, overlap metric, ...). Guards
 //!   record on `Drop`, so a panicking task still closes every open span
@@ -343,8 +340,6 @@ struct ScopeFrame {
     /// Logical-mode tick allocator; starts at 1 so phase spans sit
     /// strictly inside their task window.
     tick: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     sim_cursor_us: f64,
     sim_spans_pushed: usize,
 }
@@ -355,8 +350,6 @@ impl ScopeFrame {
             index: 0,
             label: String::new(),
             tick: 1,
-            cache_hits: 0,
-            cache_misses: 0,
             sim_cursor_us: 0.0,
             sim_spans_pushed: 0,
         }
@@ -469,31 +462,9 @@ pub fn enter_worker(seed: &PoolSeed, worker: usize) {
     });
 }
 
-/// Record a memo-cache hit against the current task scope.
-pub fn note_cache_hit() {
-    CTX.with(|ctx| ctx.borrow_mut().top_frame_mut().cache_hits += 1);
-}
-
-/// Record a memo-cache miss against the current task scope. The sweep
-/// summary classifies a task as *cache-cold* when at least one miss was
-/// charged to it.
-pub fn note_cache_miss() {
-    CTX.with(|ctx| ctx.borrow_mut().top_frame_mut().cache_misses += 1);
-}
-
-/// What a completed task scope observed while it ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TaskObservation {
-    /// Memo-cache hits charged to the task.
-    pub cache_hits: u64,
-    /// Memo-cache misses charged to the task (`> 0` ⇒ cache-cold).
-    pub cache_misses: u64,
-}
-
-/// RAII scope for one pool task. Also the unit of cache-hit/miss
-/// attribution and (in logical mode) the owner of a deterministic time
-/// window. Created by [`task_scope`]; closed by [`TaskScope::finish`] or
-/// `Drop`.
+/// RAII scope for one pool task, and (in logical mode) the owner of a
+/// deterministic time window. Created by [`task_scope`]; closed by
+/// [`TaskScope::finish`] or `Drop`.
 #[derive(Debug)]
 pub struct TaskScope {
     tracer: Option<Arc<Tracer>>,
@@ -507,8 +478,8 @@ pub struct TaskScope {
 
 /// Open a task scope for task `index` with a display `label`.
 ///
-/// Works with no tracer bound (cache attribution still functions); spans
-/// are only recorded when a tracer is in effect.
+/// Works with no tracer bound; spans are only recorded when a tracer is
+/// in effect.
 #[must_use]
 pub fn task_scope(index: usize, label: &str) -> TaskScope {
     let tracer = current_tracer();
@@ -536,22 +507,17 @@ pub fn task_scope(index: usize, label: &str) -> TaskScope {
 }
 
 impl TaskScope {
-    /// Close the scope and return what it observed.
-    pub fn finish(mut self) -> TaskObservation {
-        self.close()
+    /// Close the scope.
+    pub fn finish(mut self) {
+        self.close();
     }
 
-    fn close(&mut self) -> TaskObservation {
+    fn close(&mut self) {
         if self.finished {
-            return TaskObservation::default();
+            return;
         }
         self.finished = true;
-        let frame = CTX.with(|ctx| ctx.borrow_mut().frames.pop());
-        let frame = frame.unwrap_or_else(ScopeFrame::root);
-        let observation = TaskObservation {
-            cache_hits: frame.cache_hits,
-            cache_misses: frame.cache_misses,
-        };
+        CTX.with(|ctx| ctx.borrow_mut().frames.pop());
         if let Some(tracer) = &self.tracer {
             let depth = self.path.len().saturating_sub(1);
             let (start_us, dur_us, tid, args) = match tracer.mode() {
@@ -567,10 +533,7 @@ impl TaskScope {
                         self.start_us as f64,
                         end.saturating_sub(self.start_us) as f64,
                         self.worker,
-                        vec![
-                            ("worker".to_owned(), self.worker.to_string()),
-                            ("cache_misses".to_owned(), frame.cache_misses.to_string()),
-                        ],
+                        vec![("worker".to_owned(), self.worker.to_string())],
                     )
                 }
             };
@@ -585,13 +548,12 @@ impl TaskScope {
                 args,
             });
         }
-        observation
     }
 }
 
 impl Drop for TaskScope {
     fn drop(&mut self) {
-        let _ = self.close();
+        self.close();
     }
 }
 
@@ -689,7 +651,7 @@ mod tests {
                 let scope = task_scope(i, &format!("task {i}"));
                 let _phase = span("work", "phase");
                 drop(_phase);
-                let _ = scope.finish();
+                scope.finish();
             }
             t.snapshot().spans
         });
@@ -706,22 +668,6 @@ mod tests {
             assert!(phase.start_us > task.start_us);
             assert!(phase.end_us() < task.end_us());
         }
-    }
-
-    #[test]
-    fn cache_events_attribute_to_the_open_scope() {
-        let scope = task_scope(0, "t");
-        note_cache_miss();
-        note_cache_hit();
-        note_cache_hit();
-        let inner = task_scope(1, "inner");
-        note_cache_miss();
-        let inner_obs = inner.finish();
-        let outer_obs = scope.finish();
-        assert_eq!(inner_obs.cache_misses, 1);
-        assert_eq!(inner_obs.cache_hits, 0);
-        assert_eq!(outer_obs.cache_misses, 1);
-        assert_eq!(outer_obs.cache_hits, 2);
     }
 
     #[test]
@@ -758,7 +704,7 @@ mod tests {
                 start_us: 0.0,
                 dur_us: 5.0,
             }]);
-            let _ = scope.finish();
+            scope.finish();
             t.snapshot()
         });
         let sims: Vec<&SpanRecord> = snap.spans.iter().filter(|s| s.cat == "gemm").collect();
@@ -778,10 +724,10 @@ mod tests {
                 s.spawn(|| {
                     enter_worker(&seed, 0);
                     let inner = task_scope(3, "inner");
-                    let _ = inner.finish();
+                    inner.finish();
                 });
             });
-            let _ = outer.finish();
+            outer.finish();
             t.snapshot()
         });
         let inner = snap.spans.iter().find(|s| s.name == "inner").unwrap();
@@ -793,27 +739,24 @@ mod tests {
     }
 
     #[test]
-    fn wall_mode_tags_worker_lane_and_misses() {
+    fn wall_mode_tags_worker_lane() {
         let spans = with_tracer(TraceMode::Wall, |t| {
             let scope = task_scope(0, "t0");
-            note_cache_miss();
-            let _ = scope.finish();
+            scope.finish();
             t.snapshot().spans
         });
         assert_eq!(spans.len(), 1);
         let args: std::collections::BTreeMap<_, _> = spans[0].args.iter().cloned().collect();
-        assert_eq!(args.get("cache_misses").map(String::as_str), Some("1"));
-        assert!(args.contains_key("worker"));
+        assert_eq!(args.keys().collect::<Vec<_>>(), ["worker"]);
     }
 
     #[test]
     fn no_tracer_means_no_spans_but_scopes_still_work() {
         set_thread_tracer(None);
         let scope = task_scope(0, "untraced");
-        note_cache_miss();
         let _phase = span("p", "phase");
         drop(_phase);
-        assert_eq!(scope.finish().cache_misses, 1);
+        scope.finish();
     }
 
     #[test]
@@ -824,7 +767,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let scope = task_scope(7, "global");
-                let _ = scope.finish();
+                scope.finish();
             });
         });
         uninstall_global();

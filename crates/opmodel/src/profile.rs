@@ -6,9 +6,7 @@
 //! step 2a), or a full training iteration through the discrete-event
 //! simulator.
 
-use std::sync::LazyLock;
 use twocs_collectives::CollectiveCostModel;
-use twocs_hw::cache::{CacheStats, MemoCache};
 use twocs_hw::DeviceSpec;
 use twocs_sim::{Engine, OpClass, SimError};
 use twocs_transformer::backward::{encoder_layer_backward, fc_backward_roi};
@@ -16,32 +14,12 @@ use twocs_transformer::graph_builder::IterationBuilder;
 use twocs_transformer::layer::encoder_layer_forward;
 use twocs_transformer::{Hyperparams, Op, ParallelConfig};
 
-/// Cache key for [`Profiler::profile_slack_roi`]: every model dimension
-/// the ROI depends on, the parallelism degrees, and the device + comm
-/// model (by fingerprint / constant bits). Nested tuples keep the key
-/// exact — no lossy hashing, so distinct configurations never collide.
-type SlackRoiKey = (
-    (u64, u64, u64, u64, u64, u64, u8), // hidden, heads, seq_len, batch, ff, vocab, precision
-    (u64, u64, u64, u64),               // tp, dp, pp, ep
-    (u64, u64, u64),                    // device fingerprint, comm α bits, comm ramp bits
-);
-
-/// Global memo table for [`Profiler::profile_slack_roi`]: the hardware
-/// evolution sweeps (§5) re-profile the same ROI for every projected
-/// device that shares the baseline's compute side.
-static SLACK_ROI: LazyLock<MemoCache<SlackRoiKey, (f64, f64)>> =
-    LazyLock::new(|| MemoCache::named("slack_roi"));
-
-/// Counters of the global slack-ROI profile cache.
-#[must_use]
-pub fn slack_roi_cache_stats() -> CacheStats {
-    SLACK_ROI.stats()
-}
-
-/// Empty the global slack-ROI profile cache and zero its counters.
-pub fn clear_slack_roi_cache() {
-    SLACK_ROI.clear();
-}
+/// Formerly emptied the process-global slack-ROI memo cache, which is
+/// gone: [`Profiler::profile_slack_roi`] profiles directly. Kept as a
+/// no-op only because the `perfbench/` harness still calls it; it goes
+/// once that harness drops the call.
+#[doc(hidden)]
+pub fn clear_slack_roi_cache() {}
 
 /// One profiled operator execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,46 +135,18 @@ impl Profiler {
         LayerProfile { forward, backward }
     }
 
-    /// The slack-ROI cache key of one `(hyper, parallel)` query on this
-    /// profiler's device and comm model.
-    fn slack_roi_key(&self, hyper: &Hyperparams, parallel: &ParallelConfig) -> SlackRoiKey {
-        (
-            (
-                hyper.hidden(),
-                hyper.heads(),
-                hyper.seq_len(),
-                hyper.batch(),
-                hyper.ff_dim(),
-                hyper.vocab(),
-                hyper.precision() as u8,
-            ),
-            (parallel.tp(), parallel.dp(), parallel.pp(), parallel.ep()),
-            (
-                self.device.fingerprint(),
-                self.comm_model.step_latency().to_bits(),
-                self.comm_model.chunk_ramp_bytes().to_bits(),
-            ),
-        )
-    }
-
     /// Profile the paper's DP slack ROI (§4.2.2 step 2a): the FC backward
     /// GEMM pair and the overlappable gradient all-reduce. Returns
     /// `(compute_time, comm_time)` in seconds.
-    /// Memoized globally (see [`slack_roi_cache_stats`]): every projected
-    /// future device re-profiles this ROI, and most of them share the
-    /// baseline's compute side.
     #[must_use]
     pub fn profile_slack_roi(&self, hyper: &Hyperparams, parallel: &ParallelConfig) -> (f64, f64) {
-        let key = self.slack_roi_key(hyper, parallel);
-        SLACK_ROI.get_or_insert_with(key, || {
-            let (compute, comm) = fc_backward_roi(hyper, parallel);
-            let t_compute: f64 = compute
-                .iter()
-                .map(|op| self.profile_op(op, hyper).time)
-                .sum();
-            let t_comm = self.profile_op(&comm, hyper).time;
-            (t_compute, t_comm)
-        })
+        let (compute, comm) = fc_backward_roi(hyper, parallel);
+        let t_compute: f64 = compute
+            .iter()
+            .map(|op| self.profile_op(op, hyper).time)
+            .sum();
+        let t_comm = self.profile_op(&comm, hyper).time;
+        (t_compute, t_comm)
     }
 
     /// "Run" a full training iteration through the discrete-event

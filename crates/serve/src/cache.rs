@@ -1,4 +1,4 @@
-//! Full-body response cache over the `twocs-hw` memo-cache machinery.
+//! Full-body response cache over `twocs-hw`'s [`MemoCache`].
 //!
 //! The projection models are cheap per point, but a popular dashboard
 //! asking the same `/v1/sweep` query thousands of times a second should

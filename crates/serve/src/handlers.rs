@@ -7,13 +7,10 @@
 //! `twocs-core::overlapped`), and a query service must turn those cases
 //! into `400`s, not misleading numbers or `500`s.
 //!
-//! Warm-query speed comes from two cache tiers. The existing global
-//! memo caches (`gemm_time` in `twocs-hw`, collective `node_time` in
-//! `twocs-collectives`, slack-ROI profiles in `twocs-opmodel`) make
-//! repeated *configurations* cheap: handlers call the same
-//! `comm_fraction` / `overlap_pct` entry points as the CLI. Above them,
-//! an optional [`ResponseCache`] memoizes entire rendered bodies keyed
-//! by canonicalized queries, so a repeated *request* skips the model
+//! Handlers call the same `comm_fraction` / `overlap_pct` entry points
+//! as the CLI, and no model-side state outlives a request. An optional
+//! [`ResponseCache`] memoizes entire rendered bodies keyed by
+//! canonicalized queries, so a repeated *request* skips the model
 //! entirely. Canonical keys are built **after** validation from the
 //! fully-resolved parameters (defaults folded in, the body-neutral
 //! `jobs` param excluded), which also guarantees only
@@ -546,8 +543,8 @@ fn evolve_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
 }
 
 /// `/v1/metrics`: the process-wide `twocs-obs` registry — request
-/// counters, latency histograms, queue depths, and the memo-cache hit
-/// rates that explain warm-query speed.
+/// counters, latency histograms, queue depths, and the response cache's
+/// hit rate.
 fn metrics_response(q: &Query) -> Result<Response, String> {
     q.reject_unknown(&["format"])?;
     Ok(match parse_format(q, Format::Ascii)? {

@@ -3,12 +3,11 @@
 //!
 //! The repo's sweeps answer "render every point of a figure"; this crate
 //! answers the complementary interactive question — "what does the model
-//! say about *this* configuration?" — without paying process startup and
-//! cold caches per query. A long-running `twocs serve` process keeps the
-//! `gemm_time` / collective / slack-ROI memo caches warm, and memoizes
-//! whole rendered bodies in a [`ResponseCache`], so repeat queries are
-//! answered without touching the models at all (visible in
-//! `/v1/metrics` as `serve.cache.*`).
+//! say about *this* configuration?" — without paying process startup per
+//! query. A long-running `twocs serve` process memoizes whole rendered
+//! bodies in a [`ResponseCache`], so repeat queries are answered without
+//! touching the models at all (visible in `/v1/metrics` as
+//! `serve.cache.*`); nothing model-side outlives a request.
 //!
 //! Endpoints (`GET` and `HEAD`):
 //!

@@ -11,14 +11,14 @@
 //!
 //! `run` and `sweep` fan work across `--jobs` worker threads; stdout is
 //! byte-identical to a serial run (results are collected in deterministic
-//! order) and the sweep summary — per-task wall times and memo-cache hit
-//! rates — goes to stderr.
+//! order) and the sweep summary — per-task and per-worker wall times —
+//! goes to stderr.
 //!
 //! Observability (see the README's "Observability" section):
 //! `--trace <path>` writes a Chrome-trace JSON of the run (sweep-pool
 //! task lifecycles plus every simulator timeline; open it in Perfetto or
-//! `chrome://tracing`), `--metrics` prints the metrics registry — memo
-//! cache hit rates, queue depths, per-worker busy time — to stderr.
+//! `chrome://tracing`), `--metrics` prints the metrics registry — queue
+//! depths, per-worker busy time, store and fabric counters — to stderr.
 //! `TWOCS_TRACE_CLOCK=logical` switches trace timestamps from wall time
 //! to the deterministic logical clock, making traces byte-identical at
 //! any `--jobs` count. Neither flag touches stdout.

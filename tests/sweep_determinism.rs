@@ -47,7 +47,15 @@ fn run_all_csv_is_byte_identical_across_jobs() {
     // The summary lands on stderr, not in the CSV stream.
     let summary = String::from_utf8_lossy(&parallel.stderr);
     assert!(summary.contains("worker threads"), "{summary}");
-    assert!(summary.contains("gemm-time:"), "{summary}");
+    // No model memo cache outlives a sweep, so none is reported.
+    for gone in [
+        "gemm-time:",
+        "collective:",
+        "slack-roi:",
+        "caches (this sweep)",
+    ] {
+        assert!(!summary.contains(gone), "{summary}");
+    }
 }
 
 #[test]
@@ -325,13 +333,14 @@ fn sweep_ascii_output_matches_its_goldens() {
 }
 
 #[test]
-fn metrics_flag_reports_cache_hit_rates_on_stderr() {
+fn metrics_flag_reports_pool_metrics_without_model_caches_on_stderr() {
     let out = twocs(&["run", "table2", "--csv", "--metrics"]);
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("metrics:"), "{stderr}");
-    assert!(stderr.contains("cache.gemm_time:"), "{stderr}");
-    assert!(stderr.contains("hit rate"), "{stderr}");
+    for gone in ["cache.gemm_time", "cache.collective", "cache.slack_roi"] {
+        assert!(!stderr.contains(gone), "{stderr}");
+    }
     assert!(stderr.contains("sweep.tasks_total"), "{stderr}");
     // Nothing observability-related leaks into stdout.
     let stdout = String::from_utf8_lossy(&out.stdout);
