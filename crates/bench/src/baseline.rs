@@ -294,7 +294,7 @@ mod tests {
   "smoke": false,
   "byte_identical_naive_factored": true,
   "results": [
-    {"group": "sweep_cold", "id": "naive", "samples": 12, "mean_ns": 2000000, "min_ns": 1, "max_ns": 3},
+    {"group": "serve_sweep", "id": "factored", "samples": 12, "mean_ns": 2000000, "min_ns": 1, "max_ns": 3},
     {"group": "sweep_warm", "id": "naive", "samples": 12, "mean_ns": 572047, "min_ns": 1, "max_ns": 3},
     {"group": "sweep_warm", "id": "factored", "samples": 12, "mean_ns": 154178, "min_ns": 1, "max_ns": 3},
     {"group": "dist_chunks", "id": "eval_chunk", "samples": 12, "mean_ns": 61865, "min_ns": 1, "max_ns": 3}
@@ -367,9 +367,9 @@ mod tests {
     #[test]
     fn ungated_groups_are_ignored() {
         let base = parse_results(DOC).unwrap();
-        // sweep_cold is 100x slower but not a gated group.
+        // serve_sweep is 100x slower but not a gated group.
         let current = vec![
-            entry("sweep_cold", "naive", 200_000_000),
+            entry("serve_sweep", "factored", 200_000_000),
             entry("sweep_warm", "naive", 572047),
         ];
         let checks = gate(&base, &current, &["sweep_warm", "dist_chunks"], 20.0).unwrap();

@@ -373,7 +373,7 @@ fn main() {
         "{{\n  \"benchmark\": \"serve_perf\",\n  \"query\": \"/v1/sweep?{}\",\n  \
          \"jobs\": {},\n  \"smoke\": {},\n  \"scenarios\": [\n{}\n  ],\n  \
          \"keepalive_warm_vs_close_nocache_rps_ratio\": {:.2}\n}}\n",
-        SWEEP_QUERY.replace('&', "&"),
+        SWEEP_QUERY,
         opts.jobs,
         opts.smoke,
         scenarios

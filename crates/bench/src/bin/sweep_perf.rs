@@ -5,10 +5,9 @@
 //!
 //! * **local sweeps** — `naive` is an in-bin oracle (`run_tasks` over
 //!   `eval_grid_point`, then `GridSweep::tabulate`); `factored` is
-//!   `GridSweep::run`, the factored per-axis plan. No model-side state
-//!   outlives a sweep, so the `sweep_cold` and `sweep_warm` groups time
-//!   the same work: `sweep_cold` runs first in a fresh process, and the
-//!   gated `sweep_warm` repeats it;
+//!   `GridSweep::run`, the factored per-axis plan, both timed by the
+//!   gated `sweep_warm` group (no model-side state outlives a sweep, so
+//!   a first run in a fresh process times the same work);
 //! * **the serve path** — an in-process `GET /v1/sweep` through
 //!   `twocs_serve::handlers::handle`;
 //! * **distributed-chunk evaluation** — a worker's whole job for the
@@ -196,8 +195,8 @@ fn parse_args() -> Result<Options, String> {
 /// committed baseline: the warm factored/naive sweeps, the
 /// distributed-chunk path, the scale-grid plan build (the cost before a
 /// million-point sweep's first row), and the recorder's row-rendering
-/// and CRC kernels. The small-grid cold sweeps
-/// and serve numbers are too machine-sensitive to gate on.
+/// and CRC kernels. The serve numbers are too machine-sensitive to gate
+/// on.
 const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold", "record"];
 
 fn main() {
@@ -247,17 +246,6 @@ fn main() {
     };
 
     let mut c = Criterion::default();
-    {
-        let mut group = c.benchmark_group("sweep_cold");
-        group.sample_size(samples).measurement_time(budget);
-        group.bench_function("naive", |b| {
-            b.iter(|| std::hint::black_box(naive_sweep(&grid, &device, jobs)));
-        });
-        group.bench_function("factored", |b| {
-            b.iter(|| std::hint::black_box(grid.run(&device, jobs)));
-        });
-        group.finish();
-    }
     {
         let mut group = c.benchmark_group("sweep_warm");
         group.sample_size(samples).measurement_time(budget);

@@ -253,50 +253,6 @@ impl Iterator for GridPointsIter<'_> {
 
 impl ExactSizeIterator for GridPointsIter<'_> {}
 
-/// FNV-1a 64-bit, the std-only stable hash the grid fingerprint uses
-/// (std's `DefaultHasher` is explicitly unstable across releases, and
-/// the fingerprint is persisted in journals and crosses the dist wire).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv1a(pub u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
-/// Stable one-byte tag for [`Method`], used by the fingerprint (and
-/// mirrored by the journal spec encoding in `twocs-store`).
-fn method_tag(m: Method) -> u8 {
-    match m {
-        Method::Simulation => 0,
-        Method::Projection => 1,
-    }
-}
-
-/// Stable one-byte tag for [`Workload`].
-fn workload_tag(w: Workload) -> u8 {
-    match w {
-        Workload::Training => 0,
-        Workload::Prefill => 1,
-        Workload::Decode => 2,
-    }
-}
-
 impl GridSweep {
     /// Build the lazy random-access index over this sweep's pruned point
     /// space — O(axes) memory however many points the grid has.
@@ -337,18 +293,7 @@ impl GridSweep {
                 "flop_vs_bw ratios must be finite and >= 1 (1 = today's hardware)".to_owned(),
             );
         }
-        let axes = [
-            &self.experts,
-            &self.top_ks,
-            &self.stages,
-            &self.micro_batches,
-            &self.sps,
-        ];
-        if axes.iter().any(|axis| axis.contains(&0)) {
-            return Err(
-                "experts, top_k, stages, micro_batches, and sp values must be non-zero".to_owned(),
-            );
-        }
+        crate::axes::check_extended_non_zero(self)?;
         // The index prunes top_k > experts pairs; if *no* pair survives
         // the request is contradictory rather than merely smaller.
         if !self
@@ -382,40 +327,6 @@ impl GridSweep {
             return Err("grid has no realistic points; widen h/tp".to_owned());
         }
         Ok(())
-    }
-
-    /// A stable 64-bit fingerprint of the sweep *specification* — every
-    /// axis list verbatim (order and duplicates included), the batch,
-    /// the method, and the workload. Two sweeps share a fingerprint iff
-    /// they describe the same grid in the same order, so it keys the
-    /// journal replay validation and the dist workers' factored-plan
-    /// cache. FNV-1a over a length-prefixed canonical encoding; f64
-    /// ratios hash by bit pattern.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for list in [
-            &self.hs,
-            &self.sls,
-            &self.tps,
-            &self.experts,
-            &self.top_ks,
-            &self.stages,
-            &self.micro_batches,
-            &self.sps,
-        ] {
-            h.write_u64(list.len() as u64);
-            for &v in list.iter() {
-                h.write_u64(v);
-            }
-        }
-        h.write_u64(self.flop_vs_bw.len() as u64);
-        for &r in &self.flop_vs_bw {
-            h.write_u64(r.to_bits());
-        }
-        h.write_u64(self.batch);
-        h.write(&[method_tag(self.method), workload_tag(self.workload)]);
-        h.0
     }
 }
 
@@ -548,34 +459,6 @@ mod tests {
         let sweep = GridSweep::default();
         assert_eq!(sweep.points(), reference_points(&sweep));
         assert!(!sweep.index().extended());
-    }
-
-    #[test]
-    fn fingerprint_separates_specs_and_is_stable() {
-        let base = GridSweep::default();
-        assert_eq!(base.fingerprint(), GridSweep::default().fingerprint());
-        let mut other = GridSweep::default();
-        other.batch = 2;
-        assert_ne!(base.fingerprint(), other.fingerprint());
-        let mut reordered = GridSweep::default();
-        reordered.hs.reverse();
-        assert_ne!(base.fingerprint(), reordered.fingerprint());
-        let mut method = GridSweep::default();
-        method.method = Method::Projection;
-        assert_ne!(base.fingerprint(), method.fingerprint());
-        // List boundaries are length-prefixed: moving a value between
-        // adjacent lists must change the hash.
-        let a = GridSweep {
-            hs: vec![4096, 2048],
-            sls: vec![],
-            ..GridSweep::default()
-        };
-        let b = GridSweep {
-            hs: vec![4096],
-            sls: vec![2048],
-            ..GridSweep::default()
-        };
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

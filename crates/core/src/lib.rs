@@ -47,6 +47,7 @@
 
 pub mod accuracy;
 pub mod algorithmic;
+pub mod axes;
 pub mod case_study;
 pub mod evolution;
 pub mod experiments;
@@ -62,6 +63,7 @@ pub mod techniques;
 pub mod trends;
 
 pub use algorithmic::AlgorithmicProfile;
+pub use axes::{Axis, Values, AXES};
 pub use experiments::{ExperimentDef, ExperimentOutput};
 pub use grid::{GridIndex, GridPointsIter};
 pub use inference::{InferenceIteration, Workload};

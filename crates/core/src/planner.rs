@@ -130,7 +130,7 @@ impl FactoredPlan {
     /// the point list, so the cost of *getting* the plan does not scale
     /// with the point count. This is the only constructor: the local
     /// pool, the streaming store, serve, and a dist worker (one plan per
-    /// grid fingerprint, reused across every chunk lease of that grid)
+    /// spec fingerprint, reused across every chunk lease of that grid)
     /// all build through it. Cells are priced on the calling thread's
     /// [`parallelism`] budget.
     ///

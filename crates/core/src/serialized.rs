@@ -29,6 +29,27 @@ pub enum Method {
     Projection,
 }
 
+impl std::fmt::Display for Method {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Method::Simulation => "sim",
+            Method::Projection => "proj",
+        })
+    }
+}
+
+impl std::str::FromStr for Method {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "sim" => Ok(Method::Simulation),
+            "proj" => Ok(Method::Projection),
+            other => Err(format!("unknown method `{other}` (sim|proj)")),
+        }
+    }
+}
+
 /// The Figure 10 sweep grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SerializedSweep {

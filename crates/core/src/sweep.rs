@@ -980,20 +980,11 @@ impl GridSweep {
     /// [`crate::grid::GridIndex::extended`] without seeing the grid).
     #[must_use]
     pub fn header_cells(extended: bool) -> Vec<String> {
-        let mut header = vec![
-            "H".to_owned(),
-            "SL".to_owned(),
-            "TP".to_owned(),
-            "flop_vs_bw".to_owned(),
-        ];
-        if extended {
-            for col in ["experts", "top_k", "stages", "micro_batches", "sp"] {
-                header.push(col.to_owned());
-            }
-        }
-        header.push("serialized_pct".to_owned());
-        header.push("overlap_pct".to_owned());
-        header
+        crate::axes::shown_axes(extended)
+            .map(|a| a.column)
+            .chain(["serialized_pct", "overlap_pct"])
+            .map(str::to_owned)
+            .collect()
     }
 
     /// Append one sweep CSV row, newline included, to `out`: the point's

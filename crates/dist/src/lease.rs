@@ -728,7 +728,7 @@ mod tests {
                     None => break,
                 }
             }
-            if round % 50 == 0 {
+            if round.is_multiple_of(50) {
                 // A worker dies holding its whole window.
                 assert_eq!(t.fail_worker(worker), window);
                 continue;

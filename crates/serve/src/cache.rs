@@ -11,7 +11,10 @@
 //! vs. `flop_vs_bw=1.0`, parameters omitted vs. spelled out as their
 //! defaults, list orderings preserved — resolve to one key and one
 //! cached entry. The one parameter that cannot change the body, `jobs`,
-//! is excluded from keys entirely.
+//! is excluded from keys entirely. A `/v1/sweep` key is its format token
+//! followed by the grid's spec encoding (`twocs_store::encode_grid`, the
+//! bytes a journal records for the grid); the other endpoints build
+//! theirs with [`KeyBuilder`].
 //!
 //! Because the store is a [`MemoCache`], the serve cache inherits its
 //! concurrency story wholesale: lock-striped shards keep request
@@ -30,9 +33,9 @@ use std::fmt::Write as _;
 use twocs_hw::cache::{CacheStats, MemoCache};
 
 /// A memoized store of fully-rendered responses, keyed by canonical
-/// query strings.
+/// query bytes.
 pub struct ResponseCache {
-    store: MemoCache<String, Response>,
+    store: MemoCache<Vec<u8>, Response>,
 }
 
 impl std::fmt::Debug for ResponseCache {
@@ -66,7 +69,7 @@ impl ResponseCache {
     /// with `compute` on first sight. Concurrent misses on the same key
     /// compute once; the rest wait and share the result.
     #[must_use]
-    pub fn get_or_compute(&self, key: String, compute: impl FnOnce() -> Response) -> Response {
+    pub fn get_or_compute(&self, key: Vec<u8>, compute: impl FnOnce() -> Response) -> Response {
         self.store.get_or_insert_with(key, compute)
     }
 
@@ -117,37 +120,10 @@ impl KeyBuilder {
         self
     }
 
-    /// Append a `u64` list (order-preserving — axis order is part of
-    /// the response bytes).
-    #[must_use]
-    pub fn u64s(mut self, name: &str, values: &[u64]) -> Self {
-        let _ = write!(self.key, "|{name}=");
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.key.push(',');
-            }
-            let _ = write!(self.key, "{v}");
-        }
-        self
-    }
-
-    /// Append an `f64` list by bit patterns.
-    #[must_use]
-    pub fn f64s(mut self, name: &str, values: &[f64]) -> Self {
-        let _ = write!(self.key, "|{name}=");
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.key.push(',');
-            }
-            let _ = write!(self.key, "{:016x}", v.to_bits());
-        }
-        self
-    }
-
     /// The finished key.
     #[must_use]
-    pub fn finish(self) -> String {
-        self.key
+    pub fn finish(self) -> Vec<u8> {
+        self.key.into_bytes()
     }
 }
 
@@ -156,30 +132,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_float_different_spelling_same_key() {
-        let a = KeyBuilder::new("sweep").f64s("r", &[1.0, 2.0]).finish();
-        let b = KeyBuilder::new("sweep")
-            .f64s("r", &["1".parse().unwrap(), "2.000".parse().unwrap()])
-            .finish();
-        assert_eq!(a, b);
-        let c = KeyBuilder::new("sweep").f64s("r", &[1.5, 2.0]).finish();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn list_order_is_part_of_the_key() {
-        // Axis order changes row order in the CSV, so it must miss.
-        let a = KeyBuilder::new("sweep").u64s("tp", &[16, 32]).finish();
-        let b = KeyBuilder::new("sweep").u64s("tp", &[32, 16]).finish();
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn cache_computes_once_per_key() {
         let cache = ResponseCache::detached();
         let mut computes = 0;
         for _ in 0..3 {
-            let r = cache.get_or_compute("k".to_owned(), || {
+            let r = cache.get_or_compute(b"k".to_vec(), || {
                 computes += 1;
                 Response::text(200, "body")
             });

@@ -32,12 +32,13 @@ use crate::query::Query;
 use crate::router::{Route, ENDPOINTS};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use twocs_core::axes::{Values, AXES};
 use twocs_core::overlapped::{overlap_pct, roi_hyper};
 use twocs_core::serialized::{comm_fraction, sweep_hyper, Method};
 use twocs_core::sweep::{GridExecutor, GridSweep, LocalPool, Workload};
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_obs::chrome::escape_json;
-use twocs_store::{Buffer, SweepSpec, SweepStore};
+use twocs_store::{encode_grid, Buffer, SweepSpec, SweepStore};
 use twocs_transformer::ParallelConfig;
 
 /// Handler-level limits and switches, set by the server configuration.
@@ -140,14 +141,6 @@ fn parse_format(q: &Query, default: Format) -> Result<Format, String> {
     }
 }
 
-fn parse_method(q: &Query) -> Result<Method, String> {
-    match q.get("method") {
-        None | Some("sim") => Ok(Method::Simulation),
-        Some("proj") => Ok(Method::Projection),
-        Some(other) => Err(format!("unknown method `{other}` (sim|proj)")),
-    }
-}
-
 /// `/v1/serialized` and `/v1/sweep`: the `(H, SL, TP, flop-vs-bw)` grid
 /// sweep, evaluated through the same executor-into-store driver as
 /// `twocs sweep`.
@@ -158,44 +151,30 @@ fn parse_method(q: &Query) -> Result<Method, String> {
 /// `journal=<name>` (which journals chunks under the server's
 /// `--journal-dir`, resuming the named journal if it exists).
 fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
-    q.reject_unknown(&[
-        "h",
-        "sl",
-        "tp",
-        "flop_vs_bw",
-        "experts",
-        "top_k",
-        "stages",
-        "micro_batches",
-        "sp",
-        "workload",
-        "b",
-        "method",
-        "jobs",
-        "format",
-        "journal",
-    ])?;
+    let params: Vec<&str> = AXES
+        .iter()
+        .map(|a| a.query)
+        .chain(["workload", "b", "method", "jobs", "format", "journal"])
+        .collect();
+    q.reject_unknown(&params)?;
     let format = parse_format(q, Format::Csv)?;
     // Canonicalization contract: every omitted parameter assigns the same
     // default `GridSweep::default()` (and the CLI) uses, so pre-axis query
     // strings and cached keys keep producing byte-identical bodies.
     let mut grid = GridSweep::default();
-    for (name, axis) in [
-        ("h", &mut grid.hs),
-        ("sl", &mut grid.sls),
-        ("tp", &mut grid.tps),
-        ("experts", &mut grid.experts),
-        ("top_k", &mut grid.top_ks),
-        ("stages", &mut grid.stages),
-        ("micro_batches", &mut grid.micro_batches),
-        ("sp", &mut grid.sps),
-    ] {
-        if let Some(values) = q.u64_list(name)? {
-            *axis = values;
+    for axis in &AXES {
+        match axis.values {
+            Values::U64 { list_mut, .. } => {
+                if let Some(values) = q.u64_list(axis.query)? {
+                    *list_mut(&mut grid) = values;
+                }
+            }
+            Values::F64 { list_mut, .. } => {
+                if let Some(values) = q.f64_list(axis.query)? {
+                    *list_mut(&mut grid) = values;
+                }
+            }
         }
-    }
-    if let Some(ratios) = q.f64_list("flop_vs_bw")? {
-        grid.flop_vs_bw = ratios;
     }
     if let Some(raw) = q.get("workload") {
         grid.workload = raw.parse::<Workload>()?;
@@ -203,7 +182,9 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
     if let Some(b) = q.u64("b")? {
         grid.batch = b;
     }
-    grid.method = parse_method(q)?;
+    if let Some(raw) = q.get("method") {
+        grid.method = raw.parse()?;
+    }
     // Bad axes answer 400 instead of being silently pruned to a smaller
     // grid; the CLI runs the same check.
     grid.validate()?;
@@ -246,7 +227,12 @@ fn sweep_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         // not (a coordinator's 500 must never be replayed), nor are
         // journaled ones (the journal on disk is the durable artifact).
         Some(cache) if cfg.executor.is_none() && journal.is_none() => {
-            let key = sweep_key(&grid, format);
+            // The grid's spec bytes fold omitted params and alternate
+            // float spellings into one key; `jobs` cannot change the body.
+            let mut key = KeyBuilder::new("sweep")
+                .field("fmt", format_token(format))
+                .finish();
+            encode_grid(&mut key, &grid);
             Ok(cache.get_or_compute(key, || {
                 respond().unwrap_or_else(|e| Response::error(500, &e))
             }))
@@ -287,7 +273,9 @@ fn open_store(
 ) -> Result<SweepStore, String> {
     if let Some(path) = journal.filter(|p| p.exists()) {
         let store = SweepStore::resume(path, out)?;
-        if store.spec().sweep.fingerprint() != grid.fingerprint() {
+        // Both grids passed `validate`, so their ratios are finite and
+        // >= 1, and `!=` on them is a bit-pattern comparison.
+        if store.spec().sweep != *grid {
             return Err(format!(
                 "journal `{}` was created for a different grid; delete it or use \
                  another journal name",
@@ -309,40 +297,11 @@ fn open_store(
     SweepStore::create(spec, out, journal)
 }
 
-/// Canonical cache key for a fully-resolved sweep request. Built from
-/// the [`GridSweep`] itself (not the query string), so omitted params
-/// and alternate float spellings collapse to one entry; `jobs` is
-/// excluded because it cannot change the body.
-fn sweep_key(grid: &GridSweep, format: Format) -> String {
-    KeyBuilder::new("sweep")
-        .field("fmt", format_token(format))
-        .field("m", method_token(grid.method))
-        .field("w", grid.workload)
-        .field("b", grid.batch)
-        .u64s("h", &grid.hs)
-        .u64s("sl", &grid.sls)
-        .u64s("tp", &grid.tps)
-        .f64s("r", &grid.flop_vs_bw)
-        .u64s("e", &grid.experts)
-        .u64s("k", &grid.top_ks)
-        .u64s("st", &grid.stages)
-        .u64s("mb", &grid.micro_batches)
-        .u64s("sp", &grid.sps)
-        .finish()
-}
-
 fn format_token(format: Format) -> &'static str {
     match format {
         Format::Csv => "csv",
         Format::Json => "json",
         Format::Ascii => "ascii",
-    }
-}
-
-fn method_token(method: Method) -> &'static str {
-    match method {
-        Method::Simulation => "sim",
-        Method::Projection => "proj",
     }
 }
 
@@ -476,7 +435,7 @@ fn evolve_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
     let sl = q.u64("sl")?.unwrap_or(2048);
     let b = q.u64("b")?.unwrap_or(1);
     let tp = q.u64("tp")?.unwrap_or(64);
-    let method = parse_method(q)?;
+    let method = q.get("method").map_or(Ok(Method::default()), str::parse)?;
     if h == 0 || h % 256 != 0 {
         return Err(format!(
             "h={h}: hidden size must be a non-zero multiple of 256 (256-way head sharding)"
@@ -501,19 +460,18 @@ fn evolve_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         let parallel = ParallelConfig::new().tensor(tp);
         let serialized = 100.0 * comm_fraction(&device, &hyper, &parallel, method);
         let overlap = overlap_pct(&device, h, sl * b, tp.min(roi_hyper(h, sl * b).heads()), 4);
-        let method_name = method_token(method);
         match format {
             Format::Json => Response::json(
                 200,
                 format!(
-                    "{{\"flop_vs_bw\":{ratio},\"device\":\"{}\",\"h\":{h},\"sl\":{sl},\"b\":{b},\"tp\":{tp},\"method\":\"{method_name}\",\"serialized_pct\":{serialized:.2},\"overlap_pct\":{overlap:.2}}}",
+                    "{{\"flop_vs_bw\":{ratio},\"device\":\"{}\",\"h\":{h},\"sl\":{sl},\"b\":{b},\"tp\":{tp},\"method\":\"{method}\",\"serialized_pct\":{serialized:.2},\"overlap_pct\":{overlap:.2}}}",
                     escape_json(device.name()),
                 ),
             ),
             Format::Csv => Response::csv(
                 200,
                 format!(
-                    "flop_vs_bw,h,sl,b,tp,method,serialized_pct,overlap_pct\n{ratio},{h},{sl},{b},{tp},{method_name},{serialized:.2},{overlap:.2}\n"
+                    "flop_vs_bw,h,sl,b,tp,method,serialized_pct,overlap_pct\n{ratio},{h},{sl},{b},{tp},{method},{serialized:.2},{overlap:.2}\n"
                 ),
             ),
             Format::Ascii => Response::text(
@@ -529,7 +487,7 @@ fn evolve_response(q: &Query, cfg: &HandlerConfig) -> Result<Response, String> {
         Some(cache) => {
             let key = KeyBuilder::new("evolve")
                 .field("fmt", format_token(format))
-                .field("m", method_token(method))
+                .field("m", method)
                 .f64("r", ratio)
                 .field("h", h)
                 .field("sl", sl)

@@ -6,7 +6,7 @@
 //! * [`journal`] — an append-only, CRC-checksummed record of a sweep's
 //!   specification, chunk leases, and completed-chunk results. A killed
 //!   run resumes from the last durable chunk (`twocs sweep --resume`),
-//!   with replay validated against the journaled grid fingerprint.
+//!   with replay validated against the journaled spec fingerprint.
 //! * [`sink`] — a streaming result sink: chunks arrive in any order,
 //!   in-order rows go straight to the output writer, out-of-order
 //!   chunks are buffered up to a point budget and spilled to a temp
@@ -59,5 +59,5 @@ pub use refine::{
 };
 pub use runner::run;
 pub use sink::{SinkReport, StreamSink, DEFAULT_BUFFER_POINTS};
-pub use spec::SweepSpec;
+pub use spec::{encode_grid, SweepSpec};
 pub use store::{Buffer, StoreReport, SweepStore};

@@ -18,6 +18,7 @@
 //! (`crossed` / `below_range` / `above_range`), and the evaluation
 //! count spent on that row.
 
+use twocs_core::axes::{shown_axes, Values};
 use twocs_core::report::Table;
 use twocs_core::serialized::Method;
 use twocs_core::sweep::{eval_grid_point, GridPoint, GridSweep};
@@ -159,21 +160,25 @@ pub fn refine_frontier(
     let RefineMetric::SerializedFraction = spec.metric;
     let threshold = spec.threshold_pct;
 
+    // A frontier row is one shape: every integer axis the grid's table
+    // shows. The ratio is what the bisection solves for.
     let extended = index.extended();
-    let mut headers: Vec<String> = ["H", "SL", "TP"].map(str::to_owned).to_vec();
-    if extended {
-        for c in ["experts", "top_k", "stages", "micro_batches", "sp"] {
-            headers.push(c.to_owned());
-        }
-    }
-    for c in [
-        "crossover_flop_vs_bw",
-        "serialized_pct_at_crossover",
-        "status",
-        "evals",
-    ] {
-        headers.push(c.to_owned());
-    }
+    let shape_axes = || {
+        shown_axes(extended).filter_map(|a| match a.values {
+            Values::U64 { point, .. } => Some((a.column, point)),
+            Values::F64 { .. } => None,
+        })
+    };
+    let headers: Vec<String> = shape_axes()
+        .map(|(column, _)| column)
+        .chain([
+            "crossover_flop_vs_bw",
+            "serialized_pct_at_crossover",
+            "status",
+            "evals",
+        ])
+        .map(str::to_owned)
+        .collect();
     let mut table = Table::new(
         "frontier",
         format!("serialized-comm crossover frontier @ {threshold:.0}%"),
@@ -207,12 +212,9 @@ pub fn refine_frontier(
             };
             let (crossing, point) = bisect(&mut probe, lo, hi, threshold, tol, shape);
             total_evals += evals;
-            let mut cells: Vec<String> = vec![h.to_string(), sl.to_string(), tp.to_string()];
-            if extended {
-                for v in [experts, top_k, stages, micro_batches, sp] {
-                    cells.push(v.to_string());
-                }
-            }
+            let mut cells: Vec<String> = shape_axes()
+                .map(|(_, value)| value(&shape).to_string())
+                .collect();
             let (ratio_cell, pct_cell, status) = match crossing {
                 Crossing::Crossed {
                     ratio,

@@ -2,6 +2,7 @@
 //! to re-create the grid, validate it, and continue — the full
 //! [`GridSweep`] axes, the chunk split, and the device identity.
 
+use twocs_core::axes::{Values, AXES};
 use twocs_core::sweep::{GridSweep, Workload};
 use twocs_core::GridIndex;
 
@@ -39,6 +40,22 @@ fn workload_from_tag(t: u8) -> Result<Workload, String> {
         2 => Ok(Workload::Decode),
         other => Err(format!("unknown workload tag {other}")),
     }
+}
+
+/// Append a grid's part of the spec encoding: every [`AXES`] list in
+/// table order, then the batch and the method and workload tags. Two
+/// grids write the same bytes iff they describe the same sweep, which is
+/// what makes these bytes serve's `/v1/sweep` response-cache key too.
+pub fn encode_grid(out: &mut Vec<u8>, sweep: &GridSweep) {
+    for axis in &AXES {
+        match axis.values {
+            Values::U64 { list, .. } => enc::put_u64_list(out, list(sweep)),
+            Values::F64 { list, .. } => enc::put_f64_list(out, list(sweep)),
+        }
+    }
+    enc::put_u64(out, sweep.batch);
+    out.push(method_tag(sweep.method));
+    out.push(workload_tag(sweep.workload));
 }
 
 /// The journaled identity of one sweep run: the grid specification, the
@@ -91,25 +108,14 @@ impl SweepSpec {
     }
 
     /// Canonical byte encoding, the basis of the journal's spec record,
-    /// the dist wire's `Job` frame and [`Self::fingerprint`]. Any change
-    /// here must bump both the journal format version and the wire's
-    /// protocol version; `enc`'s tests pin the bytes.
+    /// the dist wire's `Job` frame and [`Self::fingerprint`]: the grid's
+    /// [`encode_grid`] bytes, then the chunk size and the device. Any
+    /// change here must bump both the journal format version and the
+    /// wire's protocol version; `enc`'s tests pin the bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let s = &self.sweep;
         let mut out = Vec::new();
-        enc::put_u64_list(&mut out, &s.hs);
-        enc::put_u64_list(&mut out, &s.sls);
-        enc::put_u64_list(&mut out, &s.tps);
-        enc::put_f64_list(&mut out, &s.flop_vs_bw);
-        enc::put_u64_list(&mut out, &s.experts);
-        enc::put_u64_list(&mut out, &s.top_ks);
-        enc::put_u64_list(&mut out, &s.stages);
-        enc::put_u64_list(&mut out, &s.micro_batches);
-        enc::put_u64_list(&mut out, &s.sps);
-        enc::put_u64(&mut out, s.batch);
-        out.push(method_tag(s.method));
-        out.push(workload_tag(s.workload));
+        encode_grid(&mut out, &self.sweep);
         enc::put_u32(&mut out, self.chunk_size);
         enc::put_str(&mut out, &self.device_name);
         enc::put_u64(&mut out, self.device_fingerprint);
@@ -121,18 +127,16 @@ impl SweepSpec {
     /// errors.
     pub fn decode(buf: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(buf);
-        let hs = r.u64_list()?;
-        let sls = r.u64_list()?;
-        let tps = r.u64_list()?;
-        let flop_vs_bw = r.f64_list()?;
-        let experts = r.u64_list()?;
-        let top_ks = r.u64_list()?;
-        let stages = r.u64_list()?;
-        let micro_batches = r.u64_list()?;
-        let sps = r.u64_list()?;
-        let batch = r.u64()?;
-        let method = method_from_tag(r.u8()?)?;
-        let workload = workload_from_tag(r.u8()?)?;
+        let mut sweep = GridSweep::default();
+        for axis in &AXES {
+            match axis.values {
+                Values::U64 { list_mut, .. } => *list_mut(&mut sweep) = r.u64_list()?,
+                Values::F64 { list_mut, .. } => *list_mut(&mut sweep) = r.f64_list()?,
+            }
+        }
+        sweep.batch = r.u64()?;
+        sweep.method = method_from_tag(r.u8()?)?;
+        sweep.workload = workload_from_tag(r.u8()?)?;
         let chunk_size = r.u32()?;
         let device_name = r.str()?;
         let device_fingerprint = r.u64()?;
@@ -140,20 +144,7 @@ impl SweepSpec {
             return Err(format!("{} trailing bytes after sweep spec", r.remaining()));
         }
         Ok(Self {
-            sweep: GridSweep {
-                hs,
-                sls,
-                tps,
-                flop_vs_bw,
-                experts,
-                top_ks,
-                stages,
-                micro_batches,
-                sps,
-                batch,
-                method,
-                workload,
-            },
+            sweep,
             chunk_size,
             device_name,
             device_fingerprint,
@@ -208,6 +199,15 @@ mod tests {
         let mut dev = sample();
         dev.device_fingerprint ^= 1;
         assert_ne!(spec.fingerprint(), dev.fingerprint());
+        // List boundaries are length-prefixed: moving a value between
+        // adjacent lists must change the hash.
+        let mut a = sample();
+        a.sweep.hs = vec![4096, 2048];
+        a.sweep.sls = vec![];
+        let mut b = sample();
+        b.sweep.hs = vec![4096];
+        b.sweep.sls = vec![2048];
+        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use twocs::analysis::axes::{Axis, Values, AXES};
 use twocs::analysis::sweep::{GridExecutor, GridSweep, LocalPool};
 use twocs::analysis::{experiments, serialized};
 use twocs::hw::{DeviceSpec, HwEvolution};
@@ -94,38 +95,44 @@ impl ObsSession {
 }
 
 /// One subcommand's accepted flags, space-separated: those that take a
-/// value, and switches.
+/// value, and switches, plus the axis flags of the sweep's [`AXES`].
 struct Flags {
     values: &'static str,
     switches: &'static str,
+    /// Sweep axes whose [`Axis::flag`]s are value flags too.
+    axes: &'static [Axis],
 }
 
 const RUN_FLAGS: Flags = Flags {
     values: "--jobs --trace",
     switches: "--csv --metrics",
+    axes: &[],
 };
 
 const SWEEP_FLAGS: Flags = Flags {
-    values: "--h --sl --tp --flop-vs-bw --experts --top-k --stages --micro-batches --sp \
-             --workload --b --method --jobs --listen --min-workers --min-workers-timeout-ms \
+    values: "--workload --b --method --jobs --listen --min-workers --min-workers-timeout-ms \
              --chunk --pipeline --journal --resume --refine --refine-tol --trace",
     switches: "--csv --metrics",
+    axes: &AXES,
 };
 
 const WORKER_FLAGS: Flags = Flags {
     values: "--connect --jobs --trace",
     switches: "--metrics",
+    axes: &[],
 };
 
 const ANALYZE_FLAGS: Flags = Flags {
     values: "--h --sl --b --tp --dp --flop-vs-bw --trace",
     switches: "--metrics",
+    axes: &[],
 };
 
 const SERVE_FLAGS: Flags = Flags {
     values: "--addr --listen --pipeline --jobs --queue --request-timeout-ms --idle-timeout-ms \
              --max-conns --max-requests-per-conn --journal-dir --trace",
     switches: "--no-response-cache --metrics",
+    axes: &[],
 };
 
 impl Flags {
@@ -137,7 +144,9 @@ impl Flags {
     fn check(&self, cmd: &str, args: &[String]) -> Result<(), String> {
         let mut rest = args.iter();
         while let Some(arg) = rest.next() {
-            if self.values.split_whitespace().any(|f| f == arg) {
+            if self.values.split_whitespace().any(|f| f == arg)
+                || self.axes.iter().any(|a| a.flag == arg)
+            {
                 rest.next()
                     .filter(|value| !value.starts_with("--"))
                     .ok_or_else(|| format!("{arg} requires a value"))?;
@@ -355,22 +364,19 @@ fn list_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option
 fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     SWEEP_FLAGS.check("sweep", args)?;
     let mut grid = GridSweep::default();
-    for (name, axis) in [
-        ("--h", &mut grid.hs),
-        ("--sl", &mut grid.sls),
-        ("--tp", &mut grid.tps),
-        ("--experts", &mut grid.experts),
-        ("--top-k", &mut grid.top_ks),
-        ("--stages", &mut grid.stages),
-        ("--micro-batches", &mut grid.micro_batches),
-        ("--sp", &mut grid.sps),
-    ] {
-        if let Some(values) = list_flag(args, name)? {
-            *axis = values;
+    for axis in &AXES {
+        match axis.values {
+            Values::U64 { list_mut, .. } => {
+                if let Some(values) = list_flag(args, axis.flag)? {
+                    *list_mut(&mut grid) = values;
+                }
+            }
+            Values::F64 { list_mut, .. } => {
+                if let Some(values) = list_flag(args, axis.flag)? {
+                    *list_mut(&mut grid) = values;
+                }
+            }
         }
-    }
-    if let Some(ratios) = list_flag(args, "--flop-vs-bw")? {
-        grid.flop_vs_bw = ratios;
     }
     if let Some(raw) = str_flag(args, "--workload") {
         grid.workload = raw.parse::<twocs::analysis::sweep::Workload>()?;
@@ -378,11 +384,9 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     if let Some(b) = flag(args, "--b")? {
         grid.batch = b;
     }
-    grid.method = match str_flag(args, "--method") {
-        None | Some("sim") => serialized::Method::Simulation,
-        Some("proj") => serialized::Method::Projection,
-        Some(other) => return Err(format!("unknown method `{other}` (sim|proj)").into()),
-    };
+    if let Some(raw) = str_flag(args, "--method") {
+        grid.method = raw.parse()?;
+    }
     let refine_raw = str_flag(args, "--refine");
     if refine_raw.is_some() {
         if matches!(str_flag(args, "--method"), Some("sim")) {
@@ -463,9 +467,10 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
     // The journal fixes the grid; axis flags would silently disagree
     // with it.
-    let grid_flags = "--h --sl --tp --flop-vs-bw --experts --top-k --stages --micro-batches \
-                      --sp --workload --b --method --chunk";
-    let grid_flag = args.iter().find(|a| grid_flags.split(' ').any(|f| f == *a));
+    let grid_flag = args.iter().find(|a| {
+        AXES.iter().any(|axis| axis.flag == *a)
+            || ["--workload", "--b", "--method", "--chunk"].contains(&a.as_str())
+    });
     if let (Some(_), Some(f)) = (resume, grid_flag) {
         return Err(
             format!("{f} conflicts with --resume: the journaled spec fixes the grid").into(),
