@@ -11,7 +11,8 @@
 //! [`stream_tasks`] is the building block: a scoped-thread worker pool
 //! (`std::thread::scope`, no external dependencies) pulling task indices
 //! from an atomic counter and handing each finished task to the calling
-//! thread while the rest still run. Panics are caught per task
+//! thread while the rest still run; a lone task runs on the calling
+//! thread itself. Panics are caught per task
 //! ([`std::panic::catch_unwind`]) and converted into `Err(message)`
 //! results. [`run_tasks`] is its collect-into-slots case, so collection
 //! order is the submission order no matter which worker ran what.
@@ -157,6 +158,12 @@ where
 /// nested pools fan out with the budget of the sweep that spawned them
 /// — concurrent sweeps at different `--jobs` stay isolated.
 ///
+/// A single task (`count == 1`) runs on the calling thread instead, as
+/// worker 0: a spawned worker would leave nothing for this thread to do
+/// but wait for it. It keeps everything a pooled task has — panic
+/// isolation, its task scope and the pool metrics — and the caller's
+/// budget is restored afterwards, whatever the task set it to.
+///
 /// Each task executes inside a `twocs-obs` task scope on a worker seeded
 /// from the calling thread's tracing context: an installed tracer records
 /// one lifecycle span per task (in its deterministic logical window under
@@ -182,39 +189,48 @@ where
     // seed below), so a nested `run_tasks` inside a task sees the budget
     // of *its* sweep, not whatever another thread set concurrently.
     let budget = parallelism();
-    let seed = twocs_obs::pool_seed();
     let registry = twocs_obs::metrics::global();
     let tasks_total = registry.counter("sweep.tasks_total");
     let queue_depth = registry.histogram("sweep.queue_depth");
+    let busy_us = |w: usize| registry.counter(&format!("sweep.worker{w}.busy_us"));
+    let run_one = |i: usize, w: usize, busy_us: &twocs_obs::Counter| {
+        queue_depth.observe((count - i) as u64);
+        let scope_guard = twocs_obs::task_scope(i, &label(i));
+        let start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message);
+        let elapsed = start.elapsed();
+        scope_guard.finish();
+        tasks_total.inc();
+        busy_us.add_duration_us(elapsed);
+        TaskResult {
+            result,
+            elapsed,
+            worker: w,
+        }
+    };
+    if count == 1 {
+        // One task has nothing to overlap with: a worker thread would
+        // only cost a spawn and a join while this thread waits for it.
+        let done = run_one(0, 0, &busy_us(0));
+        set_parallelism(budget);
+        return on_done(0, done);
+    }
+    let seed = twocs_obs::pool_seed();
     let (tx, rx) = sync_channel::<(usize, TaskResult<T>)>(workers * 4);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (seed, tasks_total, queue_depth) = (&seed, &tasks_total, &queue_depth);
-            let (label, task, next, tx) = (&label, &task, &next, tx.clone());
+            let (seed, run_one, next, tx) = (&seed, &run_one, &next, tx.clone());
+            let busy_us = busy_us(w);
             scope.spawn(move || {
                 twocs_obs::enter_worker(seed, w);
                 set_parallelism(budget);
-                let busy_us = registry.counter(&format!("sweep.worker{w}.busy_us"));
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;
                     }
-                    queue_depth.observe((count - i) as u64);
-                    let scope_guard = twocs_obs::task_scope(i, &label(i));
-                    let start = Instant::now();
-                    let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message);
-                    let elapsed = start.elapsed();
-                    scope_guard.finish();
-                    tasks_total.inc();
-                    busy_us.add_duration_us(elapsed);
-                    let done = TaskResult {
-                        result,
-                        elapsed,
-                        worker: w,
-                    };
-                    if tx.send((i, done)).is_err() {
+                    if tx.send((i, run_one(i, w, &busy_us))).is_err() {
                         break; // the caller stopped the pool
                     }
                 }
@@ -946,15 +962,21 @@ impl GridExecutor for LocalPool {
     /// Factored chunks are lease-sized: enough to keep every worker busy
     /// twice over (so uneven chunk costs still load-balance), capped at
     /// 64 points so per-chunk results stay cache-friendly and a panicking
-    /// chunk degrades a bounded slice of the grid. Simulation grids have
-    /// no plan and every point is expensive, so each point is its own
-    /// chunk and the pool balances them point by point.
+    /// chunk degrades a bounded slice of the grid. One worker has no one
+    /// to balance against, so at `jobs = 1` a grid of up to 64 points is
+    /// one chunk, which [`stream_tasks`] runs on the calling thread.
+    /// Simulation grids have no plan and every point is expensive, so
+    /// each point is its own chunk and the pool balances them point by
+    /// point.
     fn chunk_size(&self, sweep: &GridSweep) -> usize {
         if sweep.method == Method::Simulation {
             return 1;
         }
-        let per_worker = sweep.point_count().div_ceil(self.jobs.max(1) * 2);
-        per_worker.clamp(1, 64)
+        let chunks = match self.jobs.max(1) {
+            1 => 1,
+            jobs => jobs * 2,
+        };
+        sweep.point_count().div_ceil(chunks).clamp(1, 64)
     }
 }
 
@@ -1413,6 +1435,70 @@ mod tests {
             assert_eq!(r.result, Ok(5));
         }
         set_parallelism(1);
+    }
+
+    #[test]
+    fn a_single_task_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for jobs in [1, 4] {
+            let ran_on = run_tasks(jobs, 1, |_| std::thread::current().id());
+            assert_eq!(ran_on[0].result, Ok(caller), "jobs={jobs}");
+            assert_eq!(ran_on[0].worker, 0);
+        }
+        // Two tasks still go to spawned workers.
+        for r in run_tasks(1, 2, |_| std::thread::current().id()) {
+            assert_ne!(r.result, Ok(caller));
+        }
+    }
+
+    #[test]
+    fn a_single_inline_task_keeps_panic_isolation_and_the_callers_budget() {
+        set_parallelism(3);
+        let panicked = run_tasks(1, 1, |_| -> usize {
+            set_parallelism(9);
+            panic!("the lone task exploded")
+        });
+        let err = panicked[0].result.as_ref().unwrap_err();
+        assert!(err.contains("the lone task exploded"), "{err}");
+        assert_eq!(parallelism(), 3, "a panicking task leaked its budget");
+        let seen = run_tasks(1, 1, |_| {
+            let seen = parallelism();
+            set_parallelism(7);
+            seen
+        });
+        assert_eq!(seen[0].result, Ok(3), "the task sees the caller's budget");
+        assert_eq!(parallelism(), 3, "the task's budget leaked to the caller");
+        set_parallelism(1);
+    }
+
+    #[test]
+    fn one_worker_takes_up_to_64_factored_points_as_one_chunk() {
+        let grid = |tps: usize, ratios: usize| GridSweep {
+            hs: vec![4096],
+            sls: vec![2048],
+            tps: [1, 2, 4, 8, 16][..tps].to_vec(),
+            flop_vs_bw: (1..=ratios).map(|r| r as f64).collect(),
+            method: Method::Projection,
+            ..GridSweep::default()
+        };
+        // (TP values, ratios, jobs) -> (points, chunk size)
+        for ((tps, ratios, jobs), want) in [
+            ((1, 1, 1), (1, 1)),
+            ((4, 4, 1), (16, 16)),
+            ((3, 21, 1), (63, 63)),
+            ((4, 16, 1), (64, 64)),
+            ((5, 13, 1), (65, 64)),
+            ((4, 4, 2), (16, 4)),
+            ((4, 4, 4), (16, 2)),
+            ((4, 4, 8), (16, 1)),
+            ((4, 16, 2), (64, 16)),
+            ((5, 28, 2), (140, 35)),
+            ((5, 56, 2), (280, 64)),
+        ] {
+            let sweep = grid(tps, ratios);
+            let got = (sweep.point_count(), LocalPool { jobs }.chunk_size(&sweep));
+            assert_eq!(got, want, "{tps} TPs x {ratios} ratios at jobs={jobs}");
+        }
     }
 
     /// Regression for the process-global `PARALLELISM` atomic: a sweep

@@ -25,10 +25,14 @@
 //! Each cache counts hits and misses; a thread that waits on an
 //! in-flight computation counts as a *hit* (it did not run the compute
 //! function), so `misses` equals compute-function invocations exactly.
+//! [`MemoCache::peek`] reads finished entries only, for a caller that
+//! must not block: it counts a hit when it finds one and nothing when
+//! it does not.
 //! A cache made with [`MemoCache::with_metric_prefix`] publishes those
 //! counters to the `twocs-obs` metrics registry (as `<prefix>.hits` /
 //! `<prefix>.misses`, plus a `<prefix>.entries` gauge).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -200,7 +204,7 @@ where
         )
     }
 
-    fn shard(&self, key: &K) -> &RwLock<ShardMap<K, V>> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<ShardMap<K, V>> {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
@@ -283,6 +287,25 @@ where
             std::mem::forget(guard);
             self.publish(key, &flight, value.clone());
             return value;
+        }
+    }
+
+    /// The finished value for `key`, if one is resident, counted as a
+    /// hit. A missing key or one still being computed answers `None`
+    /// and counts nothing, so a caller that falls back to
+    /// [`Self::get_or_insert_with`] is counted once, there.
+    pub fn peek<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let map = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        match map.slots.get(key) {
+            Some(Slot::Ready(v)) => Some(self.hit(v.clone())),
+            Some(Slot::Pending(_)) | None => None,
         }
     }
 
@@ -393,6 +416,30 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn peek_answers_only_ready_keys_and_counts_only_hits() {
+        let cache: MemoCache<u64, u64> = MemoCache::new();
+        assert_eq!(cache.peek(&1), None, "missing key");
+        assert_eq!(cache.get_or_insert_with(1, || 10), 10);
+        let (computing, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.get_or_insert_with(2, || {
+                    computing.wait();
+                    release.wait();
+                    20
+                })
+            });
+            computing.wait();
+            assert_eq!(cache.peek(&2), None, "pending key");
+            release.wait();
+        });
+        assert_eq!(cache.peek(&1), Some(10));
+        assert_eq!(cache.peek(&2), Some(20));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 2, 2));
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! concurrency story wholesale: lock-striped shards keep request
 //! workers on different keys apart, and in-flight miss deduplication
 //! means a stampede of identical cold queries computes the body
-//! **once** while the other request workers wait for it. Counters publish to `/v1/metrics` as
+//! **once** while the other request workers wait for it. The server's
+//! event loop answers a finished entry itself ([`ResponseCache::peek`]);
+//! a key still in flight goes to a worker, which joins the computation.
+//! Counters publish to `/v1/metrics` as
 //! `serve.cache.{hits,misses,entries}`.
 //!
 //! Only infallible compute paths go through the cache: handlers
@@ -71,6 +74,16 @@ impl ResponseCache {
     #[must_use]
     pub fn get_or_compute(&self, key: Vec<u8>, compute: impl FnOnce() -> Response) -> Response {
         self.store.get_or_insert_with(key, compute)
+    }
+
+    /// The finished response for `key`, if resident, counted as a hit.
+    /// A key never seen or still being computed answers `None` and
+    /// counts nothing: the caller falls back to
+    /// [`Self::get_or_compute`], which counts it once (and joins an
+    /// in-flight computation instead of starting a second).
+    #[must_use]
+    pub(crate) fn peek(&self, key: &[u8]) -> Option<Response> {
+        self.store.peek(key)
     }
 
     /// Hit/miss/entry counters (exact, in compute-invocation terms).

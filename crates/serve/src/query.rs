@@ -93,17 +93,18 @@ impl Query {
             .transpose()
     }
 
-    /// `name` as a comma-separated `f64` list, if present. Rejects
-    /// non-finite values.
+    /// `name` as a comma-separated `f64` list, if present. Only parses:
+    /// `nan` and `inf` come through, and the sweep's validator
+    /// (`GridSweep::validate`, shared with the CLI) rejects them with
+    /// its own message.
     pub fn f64_list(&self, name: &str) -> Result<Option<Vec<f64>>, String> {
         self.get(name)
             .map(|raw| {
                 raw.split(',')
-                    .map(|v| match v.trim().parse::<f64>() {
-                        Ok(x) if x.is_finite() => Ok(x),
-                        _ => Err(format!(
-                            "invalid value `{v}` in `{name}` (expected finite numbers)"
-                        )),
+                    .map(|v| {
+                        v.trim().parse().map_err(|_| {
+                            format!("invalid value `{v}` in `{name}` (expected numbers)")
+                        })
                     })
                     .collect()
             })
@@ -178,6 +179,14 @@ mod tests {
         let q = Query::parse("h=abc&r=inf").unwrap();
         assert!(q.u64("h").is_err());
         assert!(q.f64("r").is_err());
+        // Lists only parse: the sweep validator owns the finiteness rule.
+        let r = Query::parse("r=nan,inf")
+            .unwrap()
+            .f64_list("r")
+            .unwrap()
+            .unwrap();
+        assert!(r[0].is_nan() && r[1].is_infinite(), "{r:?}");
+        assert!(Query::parse("r=1,x").unwrap().f64_list("r").is_err());
     }
 
     #[test]

@@ -36,8 +36,12 @@ use twocs::transformer::graph_builder::IterationBuilder;
 use twocs::transformer::{Hyperparams, ParallelConfig};
 
 fn usage() -> ExitCode {
+    let axes: String = AXES
+        .iter()
+        .map(|a| format!(" [{} <{},..>]", a.flag, a.column.to_uppercase()))
+        .collect();
     eprintln!(
-        "usage:\n  twocs list\n  twocs run <experiment-id|all> [--csv] [--jobs <N>] [--trace <path>] [--metrics]\n  twocs sweep [--h <H,..>] [--sl <SL,..>] [--tp <TP,..>] [--flop-vs-bw <R,..>] [--experts <E,..>] [--top-k <K,..>] [--stages <S,..>] [--micro-batches <M,..>] [--sp <SP,..>] [--workload training|prefill|decode] [--b <B>] [--method sim|proj] [--csv] [--jobs <N>] [--listen <host:port>] [--min-workers <N>] [--min-workers-timeout-ms <MS>] [--chunk <N>] [--pipeline <N>] [--journal <path>] [--resume <path>] [--refine comm-frac=<F>] [--refine-tol <T>] [--trace <path>] [--metrics]\n  twocs worker --connect <host:port> [--jobs <N>] [--trace <path>] [--metrics]\n  twocs analyze --h <H> [--sl <SL>] [--b <B>] [--tp <TP>] [--dp <DP>] [--flop-vs-bw <R>] [--trace <path>] [--metrics]\n  twocs serve [--addr <host:port>] [--listen <host:port>] [--pipeline <N>] [--jobs <N>] [--queue <N>] [--request-timeout-ms <MS>] [--idle-timeout-ms <MS>] [--max-conns <N>] [--max-requests-per-conn <N>] [--no-response-cache] [--journal-dir <dir>] [--trace <path>] [--metrics]"
+        "usage:\n  twocs list\n  twocs run <experiment-id|all> [--csv] [--jobs <N>] [--trace <path>] [--metrics]\n  twocs sweep{axes} [--workload training|prefill|decode] [--b <B>] [--method sim|proj] [--csv] [--jobs <N>] [--listen <host:port>] [--min-workers <N>] [--min-workers-timeout-ms <MS>] [--chunk <N>] [--pipeline <N>] [--journal <path>] [--resume <path>] [--refine comm-frac=<F>] [--refine-tol <T>] [--trace <path>] [--metrics]\n  twocs worker --connect <host:port> [--jobs <N>] [--trace <path>] [--metrics]\n  twocs analyze --h <H> [--sl <SL>] [--b <B>] [--tp <TP>] [--dp <DP>] [--flop-vs-bw <R>] [--trace <path>] [--metrics]\n  twocs serve [--addr <host:port>] [--listen <host:port>] [--pipeline <N>] [--jobs <N>] [--queue <N>] [--request-timeout-ms <MS>] [--idle-timeout-ms <MS>] [--max-conns <N>] [--max-requests-per-conn <N>] [--no-response-cache] [--journal-dir <dir>] [--trace <path>] [--metrics]"
     );
     ExitCode::FAILURE
 }

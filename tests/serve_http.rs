@@ -560,6 +560,67 @@ fn overload_answers_503_instead_of_hanging() {
     assert!(stats.rejected >= 1, "rejections are counted: {stats:?}");
 }
 
+/// The event loop answers a response-cache hit itself: with the only
+/// worker busy and the queue full, a cached `/v1/sweep` still gets its
+/// bytes (and its `HEAD` the same headers), while anything that needs a
+/// worker is shed.
+#[test]
+fn cache_hits_are_answered_while_every_worker_is_busy() {
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        jobs: 1,
+        queue: 1,
+        request_timeout: Duration::from_secs(5),
+        handler: HandlerConfig {
+            enable_debug: true,
+            ..HandlerConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let (addr, shutdown, join) = start(config);
+    let sweep = "/v1/sweep?h=4096&tp=16,32&flop_vs_bw=1,2&method=proj";
+    let cold = get(&addr, sweep);
+    assert_eq!(status_of(&cold), 200, "{cold}");
+    let blockers: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            let b = std::thread::spawn(move || get(&addr, "/v1/debug/sleep?ms=1500"));
+            std::thread::sleep(Duration::from_millis(300));
+            b
+        })
+        .collect();
+    let warm = get(&addr, sweep);
+    assert_eq!(status_of(&warm), 200, "{warm}");
+    assert_eq!(body_of(&warm), body_of(&cold), "a hit replays the bytes");
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        conn,
+        "HEAD {sweep} HTTP/1.1\r\nHost: twocs\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut head = String::new();
+    conn.read_to_string(&mut head).expect("read response");
+    assert_eq!(status_of(&head), 200, "{head}");
+    assert_eq!(body_of(&head), "", "HEAD carries no body");
+    let length = format!("Content-Length: {}\r\n", body_of(&cold).len());
+    assert!(head.contains(&length), "{head}");
+    let healthz = get(&addr, "/v1/healthz");
+    assert_eq!(
+        status_of(&healthz),
+        503,
+        "healthz needs a worker: {healthz}"
+    );
+    for b in blockers {
+        assert_eq!(status_of(&b.join().expect("blocker thread")), 200);
+    }
+    shutdown.trigger();
+    let stats = join.join().expect("server thread");
+    assert_eq!(stats.served, 5, "cold, two blockers, warm GET and HEAD");
+    assert_eq!(stats.rejected, 1, "{stats:?}");
+}
+
 #[test]
 fn shutdown_completes_in_flight_requests() {
     let config = ServerConfig {
