@@ -12,15 +12,17 @@
 //!   `twocs_serve::handlers::handle`;
 //! * **distributed-chunk evaluation** — a worker's whole job for the
 //!   grid: `FactoredPlan::build_from_sweep` once, then every lease-sized
-//!   chunk through `twocs_core::eval_chunk`;
+//!   chunk's rank range through `twocs_core::eval_chunk`;
 //! * **plan build** — `FactoredPlan::build_from_sweep` on the
 //!   1,024,000-point EXPERIMENTS.md scale grid (200 flop-vs-bw ratios):
 //!   the cost a million-point sweep pays before its first row, pricing
 //!   each distinct triple and axis cell of the plan once;
-//! * **the sweep recorder's kernels** — `render_4096` is
-//!   `StreamSink::accept` of one 4,096-point chunk of that scale grid
-//!   into `io::sink()` (the sweep row writer), and `crc_1mib` the
-//!   journal's record CRC over 1 MiB.
+//! * **the per-chunk kernels of a million-point sweep** — `eval_4096`
+//!   is one 4,096-point chunk of that scale grid through `eval_chunk`
+//!   (a pool task's work: a grid cursor over the chunk's ranks feeding
+//!   the plan's tables); on the recorder thread, `render_4096` is
+//!   `StreamSink::accept` of that chunk into `io::sink()` (the sweep row
+//!   writer), and `crc_1mib` the journal's record CRC over 1 MiB.
 //!
 //! Before timing anything it asserts the planner contract: the naive
 //! oracle and the factored CSV bodies must be byte-identical. The emitted JSON
@@ -194,9 +196,9 @@ fn parse_args() -> Result<Options, String> {
 /// Benchmark groups the CI regression gate compares against the
 /// committed baseline: the warm factored/naive sweeps, the
 /// distributed-chunk path, the scale-grid plan build (the cost before a
-/// million-point sweep's first row), and the recorder's row-rendering
-/// and CRC kernels. The serve numbers are too machine-sensitive to gate
-/// on.
+/// million-point sweep's first row), and that sweep's per-chunk
+/// evaluation, row-rendering and CRC kernels. The serve numbers are too
+/// machine-sensitive to gate on.
 const GATED_GROUPS: &[&str] = &["sweep_warm", "dist_chunks", "plan_cold", "record"];
 
 fn main() {
@@ -277,8 +279,8 @@ fn main() {
                 let plan = FactoredPlan::build_from_sweep(&device, &grid);
                 let mut out = PointResults::new();
                 for chunk in 0..index.chunk_count(CHUNK) {
-                    let points = index.chunk_points(chunk, CHUNK);
-                    eval_chunk(plan.as_ref(), &device, &grid, &points, &mut out);
+                    let ranks = index.chunk_ranks(chunk, CHUNK);
+                    eval_chunk(plan.as_ref(), &device, &grid, &index, ranks, &mut out);
                     std::hint::black_box(&out);
                 }
             });
@@ -296,24 +298,41 @@ fn main() {
         });
         group.finish();
 
-        // The single recorder thread's per-chunk kernels at the
-        // `sweep_1m` chunk size: row rendering, and the journal CRC.
+        // One `sweep_1m`-sized chunk through each per-chunk kernel: a
+        // pool task's evaluation, then the recorder thread's row
+        // rendering and journal CRC.
         const CHUNK: usize = 4096;
         let index = scale.index();
         let plan = FactoredPlan::build_from_sweep(&device, &scale);
+        let ranks = index.chunk_ranks(0, CHUNK);
         let mut values = PointResults::new();
         eval_chunk(
             plan.as_ref(),
             &device,
             &scale,
-            &index.chunk_points(0, CHUNK),
+            &index,
+            ranks.clone(),
             &mut values,
         );
+        let mut group = c.benchmark_group("record");
+        group.sample_size(samples).measurement_time(budget);
+        group.bench_function("eval_4096", |b| {
+            let mut out = PointResults::new();
+            b.iter(|| {
+                eval_chunk(
+                    plan.as_ref(),
+                    &device,
+                    &scale,
+                    &index,
+                    ranks.clone(),
+                    &mut out,
+                );
+                std::hint::black_box(&out);
+            });
+        });
         let bytes: Vec<u8> = (0..1u32 << 20)
             .map(|i| (i.wrapping_mul(31) ^ i >> 7) as u8)
             .collect();
-        let mut group = c.benchmark_group("record");
-        group.sample_size(samples).measurement_time(budget);
         group.bench_function("render_4096", |b| {
             b.iter(|| {
                 let mut sink = StreamSink::new(

@@ -3,17 +3,25 @@
 //! fabric without ever materializing `Vec<GridPoint>` for the whole
 //! grid.
 //!
-//! [`GridIndex`] is the sweep's only enumerator: it owns the pruning
-//! rules and factors the pruned cross product into the surviving
-//! `(H, SL, TP)` triples (pruning only ever inspects those three axes
-//! plus the batch) and the filtered inner axis lists. Every point is
-//! then addressable in O(1) by its grid-order rank via mixed-radix
-//! decoding, so a chunk's points can be regenerated on demand from
-//! `(chunk index, chunk size)` — the unit the journal and the
-//! distributed fabric identify work by. [`GridSweep::points`] is just
-//! this index materialized, so chunked streaming output stays
-//! byte-identical to the in-memory path; the tests below check the
-//! index against an independent nested-loop enumerator.
+//! [`GridIndex`] owns the pruning rules and factors the pruned cross
+//! product into the surviving `(H, SL, TP)` triples (pruning only ever
+//! inspects those three axes plus the batch) and the filtered inner
+//! axis lists. A point's grid-order rank is then a mixed-radix number
+//! over those lists, so a chunk is just a rank range,
+//! [`GridIndex::chunk_ranks`] of `(chunk index, chunk size)` — the unit
+//! the journal and the distributed fabric identify work by.
+//!
+//! [`GridCursor`] is the sweep's one enumerator: an odometer that
+//! decodes its starting rank once and then steps by carrying digits.
+//! Executors evaluate, and the sink renders, each chunk off one cursor;
+//! [`GridIndex::iter_range`], [`GridIndex::chunk_points`] and
+//! [`GridSweep::points`] are the same cursor collected, so chunked
+//! streaming output stays byte-identical to the in-memory path.
+//! [`GridIndex::point`] decodes a single rank for random access. The
+//! tests below check the index against an independent nested-loop
+//! enumerator, and the cursor against random access from every rank.
+
+use std::ops::Range;
 
 use crate::serialized::{realistic_tp, sweep_hyper, Method};
 use crate::sweep::{GridPoint, GridSweep, Workload};
@@ -93,11 +101,7 @@ impl GridIndex {
     /// Points per surviving `(H, SL, TP)` triple: the full inner cross
     /// product of ratio and extended-axis values.
     fn inner(&self) -> usize {
-        self.ratios.len()
-            * self.pairs.len()
-            * self.stages.len()
-            * self.micros.len()
-            * self.sps.len()
+        self.ratios.len() * self.axis_count()
     }
 
     /// Total surviving points — `sweep.points().len()` without building
@@ -153,40 +157,88 @@ impl GridIndex {
     }
 
     /// The point at grid-order rank `i` — equal to `sweep.points()[i]`.
+    /// Random access: one mixed-radix decode per call. Consecutive ranks
+    /// are cheaper through a [`GridCursor`].
     ///
     /// # Panics
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn point(&self, i: usize) -> GridPoint {
         assert!(i < self.len(), "point rank {i} out of range {}", self.len());
-        let inner = self.inner();
-        let (h, sl, tp) = self.triples[i / inner];
-        let mut rem = i % inner;
-        let strides = [
-            self.pairs.len() * self.stages.len() * self.micros.len() * self.sps.len(),
+        self.cursor(i).point()
+    }
+
+    /// A cursor at grid-order rank `rank` (`rank == len()` is the end).
+    /// The rank is decoded into its mixed-radix digits once; each
+    /// [`GridCursor::advance`] then carries digits instead of decoding.
+    ///
+    /// # Panics
+    /// Panics if `rank > self.len()`.
+    #[must_use]
+    pub fn cursor(&self, rank: usize) -> GridCursor<'_> {
+        assert!(
+            rank <= self.len(),
+            "cursor rank {rank} out of range {}",
+            self.len()
+        );
+        let mut cursor = GridCursor {
+            index: self,
+            rank,
+            triple: self.triples.len(),
+            ratio: 0,
+            axis: 0,
+            pair: 0,
+            stage: 0,
+            micro: 0,
+            sp: 0,
+            point: GridPoint::new(0, 0, 0, 0.0),
+        };
+        if rank == self.len() {
+            return cursor;
+        }
+        let axes = self.axis_count();
+        let (pair_stride, stage_stride) = (
             self.stages.len() * self.micros.len() * self.sps.len(),
             self.micros.len() * self.sps.len(),
-            self.sps.len(),
-        ];
-        let ri = rem / strides[0];
-        rem %= strides[0];
-        let pi = rem / strides[1];
-        rem %= strides[1];
-        let si = rem / strides[2];
-        rem %= strides[2];
-        let mi = rem / strides[3];
-        let spi = rem % strides[3];
-        let (experts, top_k) = self.pairs[pi];
-        GridPoint {
+        );
+        cursor.triple = rank / self.inner();
+        let rem = rank % self.inner();
+        cursor.ratio = rem / axes;
+        cursor.axis = rem % axes;
+        cursor.pair = cursor.axis / pair_stride;
+        cursor.stage = cursor.axis % pair_stride / stage_stride;
+        cursor.micro = cursor.axis % stage_stride / self.sps.len();
+        cursor.sp = cursor.axis % self.sps.len();
+        let (h, sl, tp) = self.triples[cursor.triple];
+        let (experts, top_k) = self.pairs[cursor.pair];
+        cursor.point = GridPoint {
             h,
             sl,
             tp,
-            ratio: self.ratios[ri],
+            ratio: self.ratios[cursor.ratio],
             experts,
             top_k,
-            stages: self.stages[si],
-            micro_batches: self.micros[mi],
-            sp: self.sps[spi],
+            stages: self.stages[cursor.stage],
+            micro_batches: self.micros[cursor.micro],
+            sp: self.sps[cursor.sp],
+        };
+        cursor
+    }
+
+    /// Number of extended-axis tuples: the length of
+    /// [`Self::axis_tuples`].
+    fn axis_count(&self) -> usize {
+        self.pairs.len() * self.stages.len() * self.micros.len() * self.sps.len()
+    }
+
+    /// Iterate the points of `ranks` (clamped to the grid) lazily in
+    /// grid order, off one cursor.
+    #[must_use]
+    pub fn iter_range(&self, ranks: Range<usize>) -> GridPointsIter<'_> {
+        let end = ranks.end.min(self.len());
+        GridPointsIter {
+            cursor: self.cursor(ranks.start.min(end)),
+            end,
         }
     }
 
@@ -195,14 +247,13 @@ impl GridIndex {
     /// renderer needs, O(end − start) memory.
     #[must_use]
     pub fn range(&self, start: usize, end: usize) -> Vec<GridPoint> {
-        let end = end.min(self.len());
-        (start..end.max(start)).map(|i| self.point(i)).collect()
+        self.iter_range(start..end).collect()
     }
 
     /// Iterate every point lazily in grid order.
     #[must_use]
     pub fn iter(&self) -> GridPointsIter<'_> {
-        GridPointsIter { index: self, at: 0 }
+        self.iter_range(0..self.len())
     }
 
     /// Number of `chunk_size`-point chunks covering the grid.
@@ -215,38 +266,147 @@ impl GridIndex {
         self.len().div_ceil(chunk_size)
     }
 
+    /// The rank range of chunk `chunk` under a `chunk_size` split,
+    /// clamped to the grid (empty past its end).
+    ///
+    /// # Panics
+    /// Panics if `chunk_size` is zero.
+    #[must_use]
+    pub fn chunk_ranks(&self, chunk: usize, chunk_size: usize) -> Range<usize> {
+        assert!(chunk_size > 0, "chunk_size must be non-zero");
+        let start = chunk.saturating_mul(chunk_size).min(self.len());
+        start..start.saturating_add(chunk_size).min(self.len())
+    }
+
     /// The points of chunk `chunk` under a `chunk_size` split — the
     /// `chunk`-th `chunk_size` slice of `sweep.points()` without
     /// materializing the grid.
     #[must_use]
     pub fn chunk_points(&self, chunk: usize, chunk_size: usize) -> Vec<GridPoint> {
-        assert!(chunk_size > 0, "chunk_size must be non-zero");
-        let start = chunk * chunk_size;
-        self.range(start, start.saturating_add(chunk_size))
+        let ranks = self.chunk_ranks(chunk, chunk_size);
+        self.range(ranks.start, ranks.end)
     }
 }
 
-/// Lazy grid-order point iterator (see [`GridIndex::iter`]).
+/// An odometer over a [`GridIndex`]: a rank held as its mixed-radix
+/// digits, plus the point they name. [`GridIndex::cursor`] decodes the
+/// starting rank once; [`Self::advance`] steps to the next rank by
+/// carrying digits, touching only the point fields whose digit moved.
+/// The digits double as table coordinates: [`Self::cell`] is the
+/// `(triple, ratio, axis tuple)` position a factored plan prices.
+#[derive(Debug, Clone)]
+pub struct GridCursor<'a> {
+    index: &'a GridIndex,
+    rank: usize,
+    /// Position in [`GridIndex::triples`].
+    triple: usize,
+    /// Position in [`GridIndex::ratios`].
+    ratio: usize,
+    /// Position in [`GridIndex::axis_tuples`]; the four digits below
+    /// are its own mixed-radix split.
+    axis: usize,
+    pair: usize,
+    stage: usize,
+    micro: usize,
+    sp: usize,
+    point: GridPoint,
+}
+
+impl GridCursor<'_> {
+    /// The cursor's grid-order rank.
+    #[must_use]
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// The point at [`Self::rank`] — `index.point(self.rank())`.
+    /// Unspecified once the cursor has reached the end of the grid.
+    #[must_use]
+    pub fn point(&self) -> GridPoint {
+        self.point
+    }
+
+    /// The point's `(triple, ratio, axis tuple)` digits: its positions
+    /// in [`GridIndex::triples`], [`GridIndex::ratios`] and
+    /// [`GridIndex::axis_tuples`].
+    #[must_use]
+    pub fn cell(&self) -> (usize, usize, usize) {
+        (self.triple, self.ratio, self.axis)
+    }
+
+    /// Step to the next rank. The extended axes vary fastest, then the
+    /// ratio, then the triple; past the last point the cursor sits at
+    /// the end (`rank() == len()`).
+    #[inline]
+    pub fn advance(&mut self) {
+        let ix = self.index;
+        self.rank += 1;
+        self.axis += 1;
+        self.sp += 1;
+        if let Some(&sp) = ix.sps.get(self.sp) {
+            self.point.sp = sp;
+            return;
+        }
+        self.sp = 0;
+        self.point.sp = ix.sps[0];
+        self.micro += 1;
+        if let Some(&m) = ix.micros.get(self.micro) {
+            self.point.micro_batches = m;
+            return;
+        }
+        self.micro = 0;
+        self.point.micro_batches = ix.micros[0];
+        self.stage += 1;
+        if let Some(&s) = ix.stages.get(self.stage) {
+            self.point.stages = s;
+            return;
+        }
+        self.stage = 0;
+        self.point.stages = ix.stages[0];
+        self.pair += 1;
+        if let Some(&(e, k)) = ix.pairs.get(self.pair) {
+            (self.point.experts, self.point.top_k) = (e, k);
+            return;
+        }
+        self.pair = 0;
+        (self.point.experts, self.point.top_k) = ix.pairs[0];
+        self.axis = 0;
+        self.ratio += 1;
+        if let Some(&r) = ix.ratios.get(self.ratio) {
+            self.point.ratio = r;
+            return;
+        }
+        self.ratio = 0;
+        self.point.ratio = ix.ratios[0];
+        self.triple += 1;
+        if let Some(&(h, sl, tp)) = ix.triples.get(self.triple) {
+            (self.point.h, self.point.sl, self.point.tp) = (h, sl, tp);
+        }
+    }
+}
+
+/// Lazy grid-order point iterator over one [`GridCursor`] (see
+/// [`GridIndex::iter_range`]).
 #[derive(Debug, Clone)]
 pub struct GridPointsIter<'a> {
-    index: &'a GridIndex,
-    at: usize,
+    cursor: GridCursor<'a>,
+    end: usize,
 }
 
 impl Iterator for GridPointsIter<'_> {
     type Item = GridPoint;
 
     fn next(&mut self) -> Option<GridPoint> {
-        if self.at >= self.index.len() {
+        if self.cursor.rank >= self.end {
             return None;
         }
-        let p = self.index.point(self.at);
-        self.at += 1;
+        let p = self.cursor.point;
+        self.cursor.advance();
         Some(p)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.index.len() - self.at;
+        let left = self.end - self.cursor.rank;
         (left, Some(left))
     }
 }
@@ -331,7 +491,7 @@ impl GridSweep {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use twocs_testkit::cases;
 
@@ -389,7 +549,10 @@ mod tests {
         points
     }
 
-    fn arbitrary_sweep(rng: &mut twocs_testkit::Rng) -> GridSweep {
+    /// A small random grid over axis values that exercise every pruning
+    /// rule, with duplicated ratios (which the CLI accepts) and, often,
+    /// single-value axes.
+    pub(crate) fn arbitrary_sweep(rng: &mut twocs_testkit::Rng) -> GridSweep {
         let pick = |rng: &mut twocs_testkit::Rng, candidates: &[u64], max: usize| -> Vec<u64> {
             let n = rng.usize_in(1..max + 1);
             (0..n).map(|_| *rng.choose(candidates)).collect()
@@ -398,7 +561,9 @@ mod tests {
             hs: pick(rng, &[0, 100, 2048, 4096, 16_384, 65_536], 3),
             sls: pick(rng, &[0, 512, 2048, 4096], 2),
             tps: pick(rng, &[0, 1, 4, 16, 64, 256, 1024], 3),
-            flop_vs_bw: vec![1.0, 2.0, 4.0][..rng.usize_in(1..4)].to_vec(),
+            flop_vs_bw: (0..rng.usize_in(1..4))
+                .map(|_| *rng.choose(&[1.0, 2.0, 4.0]))
+                .collect(),
             experts: pick(rng, &[0, 1, 2, 8], 2),
             top_ks: pick(rng, &[0, 1, 2, 4], 2),
             stages: pick(rng, &[0, 1, 4], 2),
@@ -454,6 +619,68 @@ mod tests {
         });
     }
 
+    /// Walk a cursor from every rank of `index` across at least one
+    /// triple boundary, checking each point and digit against random
+    /// access and a from-scratch decode.
+    fn check_cursor_from_every_rank(index: &GridIndex, what: &str) {
+        let (inner, axes) = (index.inner(), index.axis_count());
+        let tuples: Vec<_> = index.axis_tuples().collect();
+        for start in 0..=index.len() {
+            let mut cursor = index.cursor(start);
+            for rank in start..index.len().min(start + 2 * inner + 1) {
+                assert_eq!(cursor.rank(), rank, "{what}");
+                let p = cursor.point();
+                assert_eq!(p, index.point(rank), "rank {rank} from {start} of {what}");
+                let (t, r, a) = cursor.cell();
+                assert_eq!((t, r, a), (rank / inner, rank % inner / axes, rank % axes));
+                assert_eq!(index.triples()[t], (p.h, p.sl, p.tp), "{what}");
+                assert_eq!(index.ratios()[r].to_bits(), p.ratio.to_bits(), "{what}");
+                assert_eq!(
+                    tuples[a],
+                    (p.experts, p.top_k, p.stages, p.micro_batches, p.sp),
+                    "{what}"
+                );
+                cursor.advance();
+            }
+        }
+        assert_eq!(index.cursor(index.len()).rank(), index.len());
+    }
+
+    #[test]
+    fn cursor_equals_random_access_from_every_rank() {
+        cases(40, |rng| {
+            let sweep = arbitrary_sweep(rng);
+            check_cursor_from_every_rank(&sweep.index(), &format!("{sweep:?}"));
+        });
+        // Every awkward axis at once: a duplicated ratio, pairs filtered
+        // by `top_k > experts`, triples pruned by `realistic_tp`, and
+        // single-value stage/micro-batch/SP axes.
+        let sweep = GridSweep {
+            hs: vec![1024, 16_384],
+            sls: vec![2048],
+            tps: vec![1, 4, 256],
+            flop_vs_bw: vec![2.0, 1.0, 2.0],
+            experts: vec![1, 2],
+            top_ks: vec![1, 2, 4],
+            stages: vec![4],
+            micro_batches: vec![1],
+            sps: vec![2],
+            batch: 1,
+            method: Method::Projection,
+            workload: Workload::Training,
+        };
+        let index = sweep.index();
+        assert!(index.triples().len() < 6, "some triple is pruned");
+        assert_eq!(
+            index.axis_tuples().count(),
+            3,
+            "(1, 2) and (*, 4) are filtered"
+        );
+        assert_eq!(index.len(), index.triples().len() * 3 * 3);
+        assert_eq!(sweep.points(), reference_points(&sweep));
+        check_cursor_from_every_rank(&index, "the awkward grid");
+    }
+
     #[test]
     fn default_grid_indexes_exactly() {
         let sweep = GridSweep::default();
@@ -471,6 +698,9 @@ mod tests {
         assert!(index.is_empty());
         assert!(!index.extended());
         assert_eq!(index.range(0, 10), Vec::new());
+        assert_eq!(index.iter_range(3..10).len(), 0);
+        assert_eq!(index.cursor(0).rank(), 0);
         assert_eq!(index.chunk_count(4), 0);
+        assert_eq!(index.chunk_ranks(2, 4), 0..0);
     }
 }

@@ -13,11 +13,17 @@
 //! combine is the cheap scaling-law arithmetic.
 //!
 //! The tables are laid out **struct-of-arrays**: flat `Vec<f64>` columns
-//! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build_from_sweep`]), so
-//! [`FactoredPlan::eval_batch`] walks a lease-sized chunk of points as
-//! two tight loops — resolve indices, then combine f64 columns — with
-//! zero per-point allocation and no per-point `catch_unwind`. The
-//! expensive sub-expressions (the projected compute times and the
+//! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build_from_sweep`]).
+//! The plan keeps the [`GridIndex`] it was built from, and with it the
+//! dense cell of every triple, ratio and axis-tuple position of that
+//! grid. [`FactoredPlan::eval_range`] therefore evaluates a chunk as a
+//! rank range in one loop: a [`GridCursor`](crate::grid::GridCursor)
+//! steps through the ranks, its digits index the columns through those
+//! maps, and its point feeds the combine — no point list, no hashing,
+//! zero per-point allocation and no per-point `catch_unwind`. Hashing a
+//! point's axis values ([`FactoredPlan::eval_batch`]) is left to
+//! arbitrary points, outside any executor. The expensive
+//! sub-expressions (the projected compute times and the
 //! slack-ROI profile behind the overlap percentage) are filled at build
 //! time, once per distinct table cell, with one [`Profiler`] per
 //! evolved device. The per-ratio groups of cells are independent, so a
@@ -37,8 +43,10 @@
 //! two paths, evaluates them naively.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::grid::GridIndex;
 use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct_with;
 use crate::serialized::{projection_baseline, sweep_hyper, Method};
@@ -53,11 +61,15 @@ use twocs_transformer::Hyperparams;
 
 /// Struct-of-arrays tables for one sweep: every expensive
 /// sub-expression is computed once per distinct table cell at build
-/// time, and [`FactoredPlan::eval_batch`] assembles each point from flat
-/// `f64` column reads plus the cheap shared combine.
+/// time, and [`FactoredPlan::eval_range`] assembles each point of a rank
+/// range from flat `f64` column reads plus the cheap shared combine.
 ///
-/// Layout: the axis maps assign dense indices to the distinct ratios,
-/// `(H, SL)` shapes, and TP degrees of the sweep's axes; the triple
+/// Layout: dense indices number the distinct ratios (duplicates in the
+/// ratio list share one), `(H, SL)` shapes, TP degrees and axis tuples
+/// of the sweep, in first-seen order. `triple_cells`, `ratio_cells` and
+/// `axis_cells` map each position of the plan's [`GridIndex`] — a
+/// rank's digits — to those indices; the hash maps do the same for
+/// arbitrary points ([`FactoredPlan::eval_batch`]). The triple
 /// tables (`compute`, `backward`, `overlap`, `filled`) are flat vectors
 /// indexed `(si * ratios + ri) * tps + ti`, filled only for the cells
 /// that actually occur (the grid prunes unrealistic `(H, TP)` pairs, so
@@ -79,6 +91,16 @@ pub struct FactoredPlan {
     /// The unevolved device the plan was built from, for the naive
     /// fallback on points outside the plan's axes.
     base_device: DeviceSpec,
+    /// The grid the plan was built from: the one index whose ranks
+    /// [`Self::eval_range`] evaluates.
+    index: GridIndex,
+    /// Dense `(shape, tp)` cell per [`GridIndex::triples`] position.
+    triple_cells: Vec<(usize, usize)>,
+    /// Dense ratio per [`GridIndex::ratios`] position (duplicate ratios
+    /// share one).
+    ratio_cells: Vec<usize>,
+    /// Dense axis tuple per [`GridIndex::axis_tuples`] position.
+    axis_cells: Vec<usize>,
     /// Distinct flop-vs-bw ratios (by bit pattern), first-seen order.
     ratio_idx: HashMap<u64, usize>,
     /// Distinct `(H, SL)` shapes, first-seen order.
@@ -128,7 +150,8 @@ impl FactoredPlan {
     /// Build the plan for an **entire sweep** from its [`GridIndex`] —
     /// O(axis values + table cells) work and memory, never materializing
     /// the point list, so the cost of *getting* the plan does not scale
-    /// with the point count. This is the only constructor: the local
+    /// with the point count. The plan keeps that index, so it evaluates
+    /// ranks of exactly this grid. This is the only constructor: the local
     /// pool, the streaming store, serve, and a dist worker (one plan per
     /// spec fingerprint, reused across every chunk lease of that grid)
     /// all build through it. Cells are priced on the calling thread's
@@ -140,8 +163,6 @@ impl FactoredPlan {
     /// naive kernel, which reports any such panic per point, so planning
     /// can never make a sweep fail that would have succeeded point by
     /// point.
-    ///
-    /// [`GridIndex`]: crate::grid::GridIndex
     #[must_use]
     pub fn build_from_sweep(device: &DeviceSpec, sweep: &GridSweep) -> Option<Self> {
         if sweep.method != Method::Projection {
@@ -158,28 +179,34 @@ impl FactoredPlan {
                 workload: sweep.workload,
                 ..PlanAxes::default()
             };
-            for &ratio in index.ratios() {
-                axes.add_ratio(device, ratio);
-            }
-            for &(h, sl, tp) in index.triples() {
-                axes.add_triple(h, sl, tp);
-            }
-            for (experts, top_k, stages, micro_batches, sp) in index.axis_tuples() {
-                axes.add_axis(GridPoint {
-                    experts,
-                    top_k,
-                    stages,
-                    micro_batches,
-                    sp,
-                    ..GridPoint::new(256, 1, 1, 1.0)
-                });
-            }
+            let ratio_cells: Vec<usize> = index
+                .ratios()
+                .iter()
+                .map(|&ratio| axes.add_ratio(device, ratio))
+                .collect();
+            let triple_cells: Vec<(usize, usize)> = index
+                .triples()
+                .iter()
+                .map(|&(h, sl, tp)| axes.add_triple(h, sl, tp))
+                .collect();
+            let axis_cells: Vec<usize> = index
+                .axis_tuples()
+                .map(|(experts, top_k, stages, micro_batches, sp)| {
+                    axes.add_axis(GridPoint {
+                        experts,
+                        top_k,
+                        stages,
+                        micro_batches,
+                        sp,
+                        ..GridPoint::new(256, 1, 1, 1.0)
+                    })
+                })
+                .collect();
             // A sweep is a cross product: every surviving triple occurs
             // with every ratio (the pruned `(H, TP)` pairs are the holes),
             // and every (shape, network) with every axis tuple.
             let mut cells = axes.cells();
-            for &(h, sl, tp) in index.triples() {
-                let (si, ti) = (axes.shape_idx[&(h, sl)], axes.tp_idx[&tp]);
+            for &(si, ti) in &triple_cells {
                 for ri in 0..axes.devices.len() {
                     axes.fill_triple(&mut cells, si, ri, ti);
                 }
@@ -192,6 +219,10 @@ impl FactoredPlan {
                 batch: axes.batch,
                 workload: axes.workload,
                 base_device: device.clone(),
+                index,
+                triple_cells,
+                ratio_cells,
+                axis_cells,
                 ratio_idx: axes.ratio_idx,
                 shape_idx: axes.shape_idx,
                 tp_idx: axes.tp_idx,
@@ -246,18 +277,33 @@ impl FactoredPlan {
         self.axis_idx.len()
     }
 
-    /// Dense flat indices of `p`'s filled table cells — the `(shape,
-    /// ratio, tp)` triple and the `(shape, network, axis)` cell — or
-    /// `None` for a point outside the plan's axes (or on an unfilled
-    /// cell of the pruned cross product).
-    fn resolve(&self, p: GridPoint) -> Option<(usize, usize)> {
-        let &ri = self.ratio_idx.get(&p.ratio.to_bits())?;
-        let &si = self.shape_idx.get(&(p.h, p.sl))?;
-        let &ti = self.tp_idx.get(&p.tp)?;
-        let &ai = self.axis_idx.get(&p.axis_key())?;
-        let flat = (si * self.ratio_net.len() + ri) * self.tps.len() + ti;
-        let aflat = (si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai;
-        self.filled[flat].then_some((flat, aflat))
+    /// The dense cell of an arbitrary point, found by hashing its axis
+    /// values — or `None` for a point outside the plan's axes (or on an
+    /// unfilled cell of the pruned cross product). Ranks of the plan's
+    /// own grid never need this: [`Self::rank_cell`] reads the same cell
+    /// off the rank's digits.
+    fn resolve(&self, p: GridPoint) -> Option<Cell> {
+        let cell = Cell {
+            si: *self.shape_idx.get(&(p.h, p.sl))?,
+            ri: *self.ratio_idx.get(&p.ratio.to_bits())?,
+            ti: *self.tp_idx.get(&p.tp)?,
+            ai: *self.axis_idx.get(&p.axis_key())?,
+        };
+        let flat = (cell.si * self.ratio_net.len() + cell.ri) * self.tps.len() + cell.ti;
+        self.filled[flat].then_some(cell)
+    }
+
+    /// The dense cell of a cursor's point, from its `(triple, ratio,
+    /// axis tuple)` digits through the maps recorded at build time.
+    #[inline]
+    fn rank_cell(&self, (t, r, a): (usize, usize, usize)) -> Cell {
+        let (si, ti) = self.triple_cells[t];
+        Cell {
+            si,
+            ri: self.ratio_cells[r],
+            ti,
+            ai: self.axis_cells[a],
+        }
     }
 
     /// The shared combine over one filled table cell: identical
@@ -270,10 +316,10 @@ impl FactoredPlan {
     /// [`extended_fraction_from_parts`] assembly as the naive kernel over
     /// the tabulated parts.
     #[inline]
-    fn combine(&self, flat: usize, aflat: usize, p: GridPoint) -> (f64, f64) {
-        let nt = self.tps.len();
-        let (pair, ti) = (flat / nt, flat % nt);
-        let si = pair / self.ratio_net.len();
+    fn combine(&self, cell: Cell, p: GridPoint) -> (f64, f64) {
+        let Cell { si, ri, ti, ai } = cell;
+        let pair = si * self.ratio_net.len() + ri;
+        let flat = pair * self.tps.len() + ti;
         let projected = ProjectedIteration {
             layers: self.hypers[si].layers(),
             compute_per_layer: self.compute[flat],
@@ -297,6 +343,7 @@ impl FactoredPlan {
                 Some((self.inf_compute[flat], self.inf_comm[flat]))
             }
         };
+        let aflat = (si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai;
         let axis = AxisCosts {
             comm_per_layer: self.axis_comm[aflat],
             pp_p2p: self.axis_p2p[aflat],
@@ -316,7 +363,7 @@ impl FactoredPlan {
     #[must_use]
     pub fn eval(&self, p: GridPoint) -> (f64, f64) {
         match self.resolve(p) {
-            Some((flat, aflat)) => self.combine(flat, aflat, p),
+            Some(cell) => self.combine(cell, p),
             None => eval_grid_point(
                 &self.base_device,
                 p,
@@ -327,33 +374,53 @@ impl FactoredPlan {
         }
     }
 
-    /// Evaluate a lease-sized chunk of points into `out` (cleared
-    /// first), in point order: two tight passes — resolve every point to
-    /// its flat table cell, then combine the f64 columns — with zero
-    /// per-point allocation and no `catch_unwind` on the happy path.
-    /// Points outside the tables fall back to the scalar path
-    /// ([`Self::eval`]) with their panics caught per point, preserving
-    /// the executor contract that a malformed point degrades to an
-    /// `Err` entry instead of aborting the chunk.
-    pub fn eval_batch(&self, points: &[GridPoint], out: &mut PointResults) {
+    /// Evaluate the plan's grid ranks `ranks` (clamped to the grid) into
+    /// `out` (cleared first), in rank order — the executors' path. One
+    /// [`GridCursor`](crate::grid::GridCursor) walks the range: its
+    /// digits give each point's table cell through the build-time maps
+    /// (no hashing) and its point feeds the combine, so no point list
+    /// is built and nothing allocates per point. Every rank of the
+    /// plan's own grid lands on a priced cell, so nothing here needs a
+    /// fallback.
+    pub fn eval_range(&self, ranks: Range<usize>, out: &mut PointResults) {
         out.clear();
-        out.reserve(points.len());
-        // Pass 1: resolve. usize::MAX marks points needing the fallback.
-        let mut cells = Vec::with_capacity(points.len());
-        cells.extend(
-            points
-                .iter()
-                .map(|&p| self.resolve(p).unwrap_or((usize::MAX, usize::MAX))),
-        );
-        // Pass 2: combine resolved cells; scalar fallback otherwise.
-        for (&p, &(flat, aflat)) in points.iter().zip(&cells) {
-            if flat != usize::MAX {
-                out.push(Ok(self.combine(flat, aflat, p)));
-            } else {
-                out.push(catch_unwind(AssertUnwindSafe(|| self.eval(p))).map_err(panic_message));
-            }
+        let end = ranks.end.min(self.index.len());
+        let start = ranks.start.min(end);
+        out.reserve(end - start);
+        let mut cursor = self.index.cursor(start);
+        for _ in start..end {
+            out.push(Ok(
+                self.combine(self.rank_cell(cursor.cell()), cursor.point())
+            ));
+            cursor.advance();
         }
     }
+
+    /// Evaluate arbitrary points into `out` (cleared first), in point
+    /// order, each resolved to its table cell by hashing its axis
+    /// values. Points outside the tables fall back to the scalar path
+    /// ([`Self::eval`]) with their panics caught per point, so a
+    /// malformed point degrades to an `Err` entry instead of aborting
+    /// the batch. Executors evaluate ranks ([`Self::eval_range`]); this
+    /// is the arbitrary-point path and the reference the rank path is
+    /// tested against.
+    pub fn eval_batch(&self, points: &[GridPoint], out: &mut PointResults) {
+        out.clear();
+        out.extend(points.iter().map(|&p| match self.resolve(p) {
+            Some(cell) => Ok(self.combine(cell, p)),
+            None => catch_unwind(AssertUnwindSafe(|| self.eval(p))).map_err(panic_message),
+        }));
+    }
+}
+
+/// One point's dense table coordinates: shape, ratio, TP degree and
+/// extended-axis tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    si: usize,
+    ri: usize,
+    ti: usize,
+    ai: usize,
 }
 
 /// The distinct axis values a plan is built over, each in first-seen
@@ -414,11 +481,13 @@ struct PricedTables {
 }
 
 impl PlanAxes {
-    fn add_ratio(&mut self, device: &DeviceSpec, ratio: f64) {
-        if self.ratio_idx.contains_key(&ratio.to_bits()) {
-            return;
+    /// Register `ratio`; returns its dense index.
+    fn add_ratio(&mut self, device: &DeviceSpec, ratio: f64) -> usize {
+        if let Some(&ri) = self.ratio_idx.get(&ratio.to_bits()) {
+            return ri;
         }
-        self.ratio_idx.insert(ratio.to_bits(), self.devices.len());
+        let ri = self.devices.len();
+        self.ratio_idx.insert(ratio.to_bits(), ri);
         // Mirror eval_grid_point: evolve only for ratios above 1.
         let dev = if ratio > 1.0 {
             HwEvolution::flop_vs_bw(ratio).apply(device)
@@ -436,25 +505,29 @@ impl PlanAxes {
         self.models
             .push(ProjectionModel::from_baseline(&projection_baseline(), &dev));
         self.devices.push(dev);
+        ri
     }
 
-    fn add_triple(&mut self, h: u64, sl: u64, tp: u64) {
-        self.shape_idx.entry((h, sl)).or_insert_with(|| {
+    /// Register a triple; returns its dense `(shape, tp)` indices.
+    fn add_triple(&mut self, h: u64, sl: u64, tp: u64) -> (usize, usize) {
+        let si = *self.shape_idx.entry((h, sl)).or_insert_with(|| {
             self.shapes.push((h, sl));
             self.hypers.push(sweep_hyper(h, sl, self.batch));
             self.hypers.len() - 1
         });
-        self.tp_idx.entry(tp).or_insert_with(|| {
+        let ti = *self.tp_idx.entry(tp).or_insert_with(|| {
             self.tps.push(tp);
             self.tps.len() - 1
         });
+        (si, ti)
     }
 
-    fn add_axis(&mut self, p: GridPoint) {
-        self.axis_idx.entry(p.axis_key()).or_insert_with(|| {
+    /// Register `p`'s axis tuple; returns its dense index.
+    fn add_axis(&mut self, p: GridPoint) -> usize {
+        *self.axis_idx.entry(p.axis_key()).or_insert_with(|| {
             self.axes.push(p);
             self.axes.len() - 1
-        });
+        })
     }
 
     /// Empty fill sets over these axes.
@@ -593,28 +666,30 @@ impl PlanAxes {
     }
 }
 
-/// Evaluate one chunk of `sweep`'s points into `out` (cleared first), in
-/// point order — the one place that decides between factored and naive
-/// evaluation. With a plan (built once per sweep by
-/// [`FactoredPlan::build_from_sweep`]) the chunk goes through
-/// [`FactoredPlan::eval_batch`]; without one (simulation grids, or a
-/// plan build that failed) each point runs the naive [`eval_grid_point`]
-/// kernel. Either way a point's panic is caught and reported as that
-/// point's error, never aborting the chunk, and the values are
-/// bit-identical — the contract every executor (local pool, streaming
-/// store, dist worker, coordinator drain) relies on.
+/// Evaluate the ranks `ranks` of `sweep`'s grid `index` into `out`
+/// (cleared first), in rank order — the one place that decides between
+/// factored and naive evaluation, and the one call every executor (local
+/// pool, dist worker, coordinator drain) makes per chunk
+/// ([`GridIndex::chunk_ranks`]). With a plan built from this grid (once
+/// per sweep, by [`FactoredPlan::build_from_sweep`]) the range goes
+/// through [`FactoredPlan::eval_range`]; without one (simulation grids,
+/// a plan build that failed, or a plan of another grid) one cursor
+/// feeds each point to the naive [`eval_grid_point`] kernel. Either way a
+/// point's panic is reported as that point's error, never aborting the
+/// chunk, and the values are bit-identical.
 pub fn eval_chunk(
     plan: Option<&FactoredPlan>,
     device: &DeviceSpec,
     sweep: &GridSweep,
-    points: &[GridPoint],
+    index: &GridIndex,
+    ranks: Range<usize>,
     out: &mut PointResults,
 ) {
-    match plan {
-        Some(plan) => plan.eval_batch(points, out),
+    match plan.filter(|plan| plan.index == *index) {
+        Some(plan) => plan.eval_range(ranks, out),
         None => {
             out.clear();
-            out.extend(points.iter().map(|&p| {
+            out.extend(index.iter_range(ranks).map(|p| {
                 catch_unwind(AssertUnwindSafe(|| {
                     eval_grid_point(device, p, sweep.batch, sweep.method, sweep.workload)
                 }))
@@ -767,26 +842,118 @@ mod tests {
     fn eval_chunk_matches_naive_per_point_and_reports_errors() {
         let device = DeviceSpec::mi210();
         let grid = projection_grid();
+        let index = grid.index();
         let points = grid.points();
         let plan = FactoredPlan::build_from_sweep(&device, &grid);
         let mut out = vec![Err("stale".to_owned())];
         for plan in [plan.as_ref(), None] {
-            eval_chunk(plan, &device, &grid, &points, &mut out);
+            eval_chunk(plan, &device, &grid, &index, 0..index.len(), &mut out);
             assert_eq!(out.len(), points.len());
             for (p, r) in points.iter().zip(&out) {
                 let naive = eval_grid_point(&device, *p, grid.batch, grid.method, grid.workload);
                 assert_eq!(r.as_ref().unwrap(), &naive);
             }
         }
-        // A malformed point degrades that point, not the chunk.
-        let bad = [
-            GridPoint::new(4096, 2048, 4, 1.0),
-            GridPoint::new(100, 2048, 4, 1.0),
-        ];
-        for plan in [plan.as_ref(), None] {
-            eval_chunk(plan, &device, &grid, &bad, &mut out);
-            assert!(out[0].is_ok());
-            assert!(out[1].is_err());
+        // A plan is never read through another grid's ranks: the naive
+        // kernel evaluates that grid's own points.
+        let other = GridSweep {
+            flop_vs_bw: vec![2.0, 1.0],
+            ..projection_grid()
+        };
+        let other_index = other.index();
+        eval_chunk(
+            plan.as_ref(),
+            &device,
+            &other,
+            &other_index,
+            0..other_index.len(),
+            &mut out,
+        );
+        for (p, r) in other.points().iter().zip(&out) {
+            let naive = eval_grid_point(&device, *p, other.batch, other.method, other.workload);
+            assert_eq!(r.as_ref().unwrap(), &naive);
         }
+        // A point that panics degrades that point, not the chunk: the
+        // simulation engine rejects pipeline stages.
+        let sim = GridSweep {
+            hs: vec![4096],
+            sls: vec![2048],
+            tps: vec![4],
+            flop_vs_bw: vec![1.0],
+            stages: vec![1, 2],
+            method: Method::Simulation,
+            ..projection_grid()
+        };
+        eval_chunk(None, &device, &sim, &sim.index(), 0..2, &mut out);
+        assert!(out[0].is_ok());
+        assert!(out[1].is_err());
+    }
+
+    /// The rank path against the naive kernel, bit for bit, for every
+    /// workload, on legacy and extended grids with a duplicated ratio;
+    /// chunks of 1 and 7 points straddle every ratio and triple
+    /// boundary, and 4,096 takes the whole grid as one chunk.
+    #[test]
+    fn eval_range_is_bit_identical_to_naive_for_every_workload() {
+        let device = DeviceSpec::mi210();
+        for workload in [Workload::Training, Workload::Prefill, Workload::Decode] {
+            for grid in [projection_grid(), extended_grid()] {
+                let grid = GridSweep {
+                    flop_vs_bw: vec![2.0, 1.0, 2.0],
+                    workload,
+                    ..grid
+                };
+                let index = grid.index();
+                let plan = FactoredPlan::build_from_sweep(&device, &grid).unwrap();
+                let naive: Vec<(u64, u64)> = grid
+                    .points()
+                    .into_iter()
+                    .map(|p| {
+                        let v = eval_grid_point(&device, p, grid.batch, grid.method, workload);
+                        (v.0.to_bits(), v.1.to_bits())
+                    })
+                    .collect();
+                for chunk_size in [1, 7, 4096] {
+                    let mut ranked = Vec::new();
+                    let mut out = PointResults::new();
+                    for c in 0..index.chunk_count(chunk_size) {
+                        let ranks = index.chunk_ranks(c, chunk_size);
+                        eval_chunk(Some(&plan), &device, &grid, &index, ranks, &mut out);
+                        ranked.extend(out.iter().map(|r| {
+                            let v = r.as_ref().unwrap();
+                            (v.0.to_bits(), v.1.to_bits())
+                        }));
+                    }
+                    assert_eq!(ranked, naive, "{workload} at chunk {chunk_size}: {grid:?}");
+                }
+            }
+        }
+    }
+
+    /// A cursor's digits, through the build-time maps, name the same
+    /// table cell that hashing its point finds — on random grids with
+    /// duplicate ratios, filtered `(experts, top_k)` pairs, pruned
+    /// triples and single-value axes.
+    #[test]
+    fn cursor_digits_index_the_cells_resolve_finds() {
+        let device = DeviceSpec::mi210();
+        twocs_testkit::cases(24, |rng| {
+            let sweep = crate::grid::tests::arbitrary_sweep(rng);
+            let Some(plan) = FactoredPlan::build_from_sweep(&device, &sweep) else {
+                assert!(sweep.index().is_empty(), "{sweep:?}");
+                return;
+            };
+            let mut cursor = plan.index.cursor(0);
+            while cursor.rank() < plan.index.len() {
+                let p = cursor.point();
+                assert_eq!(
+                    Some(plan.rank_cell(cursor.cell())),
+                    plan.resolve(p),
+                    "rank {} of {sweep:?}",
+                    cursor.rank()
+                );
+                cursor.advance();
+            }
+        });
     }
 }

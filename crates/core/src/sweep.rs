@@ -833,7 +833,7 @@ pub fn eval_grid_point(
 pub type PointResults = Vec<Result<(f64, f64), String>>;
 
 /// The per-chunk consumer an executor streams into: chunk id (in
-/// [`GridIndex::chunk_points`](crate::grid::GridIndex::chunk_points)
+/// [`GridIndex::chunk_ranks`](crate::grid::GridIndex::chunk_ranks)
 /// numbering) and that chunk's results. An `Err` aborts the sweep.
 pub type OnChunk<'a> = dyn FnMut(u32, PointResults) -> Result<(), String> + 'a;
 
@@ -909,27 +909,24 @@ impl LocalPool {
         let plan = (!pending.is_empty())
             .then(|| FactoredPlan::build_from_sweep(device, sweep))
             .flatten();
-        let bounds = |i: usize| {
-            let start = pending[i] as usize * chunk_size;
-            (start, (start + chunk_size).min(index.len()))
-        };
-        let label = |i: usize| match bounds(i) {
-            (start, end) if end - start == 1 => grid_point_label(&index.point(start)),
-            (start, end) => format!("points {start}..{end}"),
+        let ranks = |i: usize| index.chunk_ranks(pending[i] as usize, chunk_size);
+        let label = |i: usize| match ranks(i) {
+            r if r.len() == 1 => grid_point_label(&index.point(r.start)),
+            r => format!("points {}..{}", r.start, r.end),
         };
         let mut timings = vec![None; pending.len()];
         let mut failures = 0;
         let eval = |i: usize| {
-            let points = index.chunk_points(pending[i] as usize, chunk_size);
-            let mut out = PointResults::with_capacity(points.len());
-            eval_chunk(plan.as_ref(), device, sweep, &points, &mut out);
+            let mut out = PointResults::new();
+            eval_chunk(plan.as_ref(), device, sweep, &index, ranks(i), &mut out);
             out
         };
         stream_tasks(jobs, pending.len(), label, eval, |i, t| {
             // `eval_chunk` catches per-point panics, so a failed task
             // means a planner bug: it degrades to one `Err` per point.
-            let (start, end) = bounds(i);
-            let values = t.result.unwrap_or_else(|msg| vec![Err(msg); end - start]);
+            let values = t
+                .result
+                .unwrap_or_else(|msg| vec![Err(msg); ranks(i).len()]);
             let failed = values.iter().filter(|r| r.is_err()).count();
             failures += failed;
             timings[i] = Some(TaskTiming {

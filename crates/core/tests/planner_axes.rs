@@ -68,8 +68,19 @@ fn extended_axis_batches_are_bit_identical_to_the_naive_reference() {
         );
         let plan = FactoredPlan::build_from_sweep(&device, &grid)
             .expect("extended projection grids are factorable");
-        rng.shuffle(&mut points);
         let mut out = PointResults::new();
+        // The executors' rank path, at a random chunk size.
+        let index = grid.index();
+        let chunk_size = rng.usize_in(1..9);
+        for c in 0..index.chunk_count(chunk_size) {
+            let ranks = index.chunk_ranks(c, chunk_size);
+            eval_chunk(Some(&plan), &device, &grid, &index, ranks.clone(), &mut out);
+            for (p, r) in points[ranks].iter().zip(&out) {
+                let rank = *r.as_ref().expect("valid grid point");
+                assert_eq!(bits(plan.eval(*p)), bits(rank), "scalar vs rank {p:?}");
+            }
+        }
+        rng.shuffle(&mut points);
         let mut offset = 0;
         while offset < points.len() {
             let take = rng.usize_in(1..9).min(points.len() - offset);
@@ -222,10 +233,6 @@ fn malformed_axis_points_fall_back_to_per_point_errors() {
         let reference = eval_grid_point(&device, good, grid.batch, grid.method, grid.workload);
         assert_eq!(bits(reference), bits(*out[0].as_ref().unwrap()));
         assert_eq!(bits(reference), bits(*out[2].as_ref().unwrap()));
-        let mut via_chunk = PointResults::new();
-        eval_chunk(None, &device, &grid, &chunk, &mut via_chunk);
-        assert!(via_chunk[0].is_ok() && via_chunk[2].is_ok());
-        assert!(via_chunk[1].is_err(), "naive chunk path must agree");
     }
 }
 
@@ -235,22 +242,24 @@ fn malformed_axis_points_fall_back_to_per_point_errors() {
 #[test]
 fn simulation_method_rejects_extended_points_per_point() {
     let device = DeviceSpec::mi210();
-    let extended = GridPoint {
-        stages: 2,
-        micro_batches: 4,
-        ..GridPoint::new(4096, 2048, 4, 1.0)
-    };
-    let legacy = GridPoint::new(4096, 2048, 4, 1.0);
+    // Rank 0 is the legacy point, rank 1 has two pipeline stages.
     let mut sweep = GridSweep {
+        hs: vec![4096],
+        sls: vec![2048],
+        tps: vec![4],
+        flop_vs_bw: vec![1.0],
+        stages: vec![1, 2],
         method: Method::Simulation,
         ..GridSweep::default()
     };
     assert!(FactoredPlan::build_from_sweep(&device, &sweep).is_none());
+    let index = sweep.index();
+    assert_eq!(index.len(), 2);
     let mut out = PointResults::new();
-    eval_chunk(None, &device, &sweep, &[legacy, extended], &mut out);
+    eval_chunk(None, &device, &sweep, &index, 0..2, &mut out);
     assert!(out[0].is_ok(), "legacy point simulates fine");
     assert!(out[1].is_err(), "extended point must error under sim");
     sweep.workload = Workload::Decode;
-    eval_chunk(None, &device, &sweep, &[legacy], &mut out);
+    eval_chunk(None, &device, &sweep, &index, 0..1, &mut out);
     assert!(out[0].is_err(), "decode workload must error under sim");
 }

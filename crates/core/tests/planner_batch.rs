@@ -86,10 +86,13 @@ fn empty_chunk_yields_empty_results_and_clears_stale_output() {
     out.push(Err("stale entry from a previous lease".to_owned()));
     plan.eval_batch(&[], &mut out);
     assert!(out.is_empty(), "eval_batch must clear its output buffer");
+    let index = grid.index();
     for plan in [Some(&plan), None] {
-        out.push(Err("stale entry from a previous lease".to_owned()));
-        eval_chunk(plan, &device, &grid, &[], &mut out);
-        assert!(out.is_empty(), "eval_chunk must clear its output buffer");
+        for ranks in [3..3, index.len()..index.len() + 4] {
+            out.push(Err("stale entry from a previous lease".to_owned()));
+            eval_chunk(plan, &device, &grid, &index, ranks, &mut out);
+            assert!(out.is_empty(), "eval_chunk must clear its output buffer");
+        }
     }
 }
 
@@ -143,12 +146,4 @@ fn malformed_points_in_a_chunk_fall_back_to_scalar_per_point() {
         )),
         bits(*out[2].as_ref().unwrap())
     );
-    // The chunk-at-a-time entry point (what a dist worker lease runs)
-    // shows the same degradation with the plan and on the naive path.
-    for plan in [Some(&plan), None] {
-        let mut via_chunk = PointResults::new();
-        eval_chunk(plan, &device, &grid, &chunk, &mut via_chunk);
-        assert!(via_chunk[0].is_ok() && via_chunk[2].is_ok());
-        assert!(via_chunk[1].is_err());
-    }
 }

@@ -193,7 +193,8 @@ struct ActiveJob {
     /// built on the first drained chunk and shared by the rest — a
     /// fabric whose workers do all the work never builds it.
     local_plan: Arc<OnceLock<Option<FactoredPlan>>>,
-    index: GridIndex,
+    /// Shared with the local drain, which evaluates outside the lock.
+    index: Arc<GridIndex>,
     n_chunks: u32,
     tracker: LeaseTracker,
     /// The catalog cannot name the device, so workers could not rebuild
@@ -213,11 +214,9 @@ impl ActiveJob {
 
     /// Points in `chunk` (the final chunk may be short).
     fn chunk_len(&self, chunk: ChunkId) -> usize {
-        let start = chunk as usize * self.chunk_size();
         self.index
+            .chunk_ranks(chunk as usize, self.chunk_size())
             .len()
-            .saturating_sub(start)
-            .min(self.chunk_size())
     }
 }
 
@@ -556,7 +555,7 @@ fn post_job(
         fingerprint: spec.fingerprint(),
         spec: Arc::new(spec),
         local_plan: Arc::default(),
-        index,
+        index: Arc::new(index),
         n_chunks,
         tracker,
         local_only,
@@ -619,7 +618,8 @@ fn drain_one_chunk(
     let Some(job) = st.job.as_ref().filter(|j| j.id == job_id) else {
         return;
     };
-    let points = job.index.chunk_points(chunk as usize, job.chunk_size());
+    let index = Arc::clone(&job.index);
+    let ranks = index.chunk_ranks(chunk as usize, job.chunk_size());
     let plan = job.local_plan.clone();
     drop(st);
     let _span = twocs_obs::span(&format!("local drain chunk {chunk}"), "dist");
@@ -629,8 +629,8 @@ fn drain_one_chunk(
     // otherwise, per-point panics degraded to per-point errors. The plan
     // is built outside the fabric lock, once per job.
     let plan = plan.get_or_init(|| FactoredPlan::build_from_sweep(device, sweep));
-    let mut values = PointResults::with_capacity(points.len());
-    eval_chunk(plan.as_ref(), device, sweep, &points, &mut values);
+    let mut values = PointResults::new();
+    eval_chunk(plan.as_ref(), device, sweep, &index, ranks, &mut values);
     let busy = t0.elapsed();
     twocs_obs::metrics::global()
         .counter("dist.local_drain_chunks")

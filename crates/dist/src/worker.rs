@@ -534,16 +534,23 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, String> {
         // Factored or naive, per-point panics degrade to per-point
         // errors and the values are bit-identical to a local run's —
         // the merge contract.
-        let points = job.index.chunk_points(chunk as usize, job.chunk_size());
-        let mut values = PointResults::with_capacity(points.len());
-        eval_chunk(plan.as_ref(), device, &job.spec.sweep, &points, &mut values);
+        let ranks = job.index.chunk_ranks(chunk as usize, job.chunk_size());
+        let mut values = PointResults::new();
+        eval_chunk(
+            plan.as_ref(),
+            device,
+            &job.spec.sweep,
+            &job.index,
+            ranks,
+            &mut values,
+        );
         let busy = t0.elapsed();
         report.busy += busy;
         metrics
             .counter("dist.worker.busy_time")
             .add_duration_us(busy);
         report.chunks += 1;
-        report.points += points.len() as u64;
+        report.points += values.len() as u64;
         metrics.counter("dist.chunks_evaluated").inc();
         let result = Outgoing {
             msg: Message::ChunkResult {

@@ -445,7 +445,8 @@ fn streaming_sweep_with_resume_set_matches_local() {
         None,
         &device,
         &sweep,
-        &index.chunk_points(resumed as usize, chunk_size),
+        &index,
+        index.chunk_ranks(resumed as usize, chunk_size),
         &mut resumed_values,
     );
     let completed = BTreeSet::from([resumed]);
@@ -519,11 +520,11 @@ fn read_job(conn: &mut TcpStream) -> (u64, std::sync::Arc<twocs_store::SweepSpec
     }
 }
 
-/// The grid points of `chunk`, decoded from the job's spec the way a
-/// worker decodes them.
-fn chunk_points(spec: &twocs_store::SweepSpec, chunk: u32) -> Vec<twocs_core::GridPoint> {
+/// The grid ranks of `chunk`, from the job's spec the way a worker
+/// finds them.
+fn chunk_ranks(spec: &twocs_store::SweepSpec, chunk: u32) -> std::ops::Range<usize> {
     spec.index()
-        .chunk_points(chunk as usize, spec.chunk_size as usize)
+        .chunk_ranks(chunk as usize, spec.chunk_size as usize)
 }
 
 /// Handshake as a raw protocol client; returns the advertised window.
@@ -633,7 +634,8 @@ fn pinned_window_of_one_never_grants_a_second_lease() {
                 None,
                 &DeviceSpec::mi210(),
                 &grid,
-                &chunk_points(&spec, chunks[0]),
+                &spec.index(),
+                chunk_ranks(&spec, chunks[0]),
                 &mut values,
             );
             let result = Message::ChunkResult {
@@ -689,7 +691,7 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
                     std::thread::sleep(Duration::from_millis(2));
                     for chunk in held.drain(..) {
                         let mut values = Vec::new();
-                        plan.eval_batch(&chunk_points(&spec, chunk), &mut values);
+                        plan.eval_range(chunk_ranks(&spec, chunk), &mut values);
                         let result = Message::ChunkResult { job, chunk, values };
                         write_frame(&mut conn, &result).unwrap();
                     }

@@ -158,9 +158,9 @@ mod tests {
             let index = s.index();
             let plan = FactoredPlan::build_from_sweep(&device, &s.sweep);
             for chunk in [0u32, 2, 5] {
-                let points = index.chunk_points(chunk as usize, 4);
+                let ranks = index.chunk_ranks(chunk as usize, 4);
                 let mut values = PointResults::new();
-                eval_chunk(plan.as_ref(), &device, &s.sweep, &points, &mut values);
+                eval_chunk(plan.as_ref(), &device, &s.sweep, &index, ranks, &mut values);
                 store.record(chunk, values).unwrap();
             }
         }

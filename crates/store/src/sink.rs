@@ -17,9 +17,11 @@
 //! Byte identity with [`GridSweep::tabulate`] is by construction: both
 //! paths render through [`GridSweep::header_cells`] and [`RowWriter`],
 //! the single row formatter ([`GridSweep::write_row`] is a fresh writer
-//! rendering one row). The sink drives one writer per chunk, so a run
-//! of rows sharing their `H,SL,TP,ratio` prefix renders it once, into
-//! one reused byte buffer handed to the writer in a single `write_all`.
+//! rendering one row). The sink drives one writer per chunk and takes
+//! the chunk's points off one grid cursor walking its rank range, so a
+//! run of rows sharing their `H,SL,TP,ratio` prefix renders it once,
+//! into one reused byte buffer handed to the writer in a single
+//! `write_all`.
 //!
 //! Metrics: `store.sink.spilled_bytes` (bytes appended to the spill
 //! file) and `store.sink.merge_passes` (drain sessions that had to read
@@ -187,13 +189,15 @@ impl StreamSink {
     }
 
     /// Render one chunk's rows into the reused byte buffer and hand them
-    /// to the output writer in one `write_all`.
+    /// to the output writer in one `write_all`. The chunk's points come
+    /// off one grid cursor walking its rank range: its first rank is
+    /// decoded once, each next point is a digit carry.
     fn render(&mut self, chunk: u32, values: &PointResults) -> Result<(), String> {
-        let start = chunk as usize * self.chunk_size;
         self.rendered.clear();
         let mut rows = RowWriter::new(self.extended);
-        for (i, v) in values.iter().enumerate() {
-            rows.write(&mut self.rendered, &self.index.point(start + i), v);
+        let ranks = self.index.chunk_ranks(chunk as usize, self.chunk_size);
+        for (p, v) in self.index.iter_range(ranks).zip(values) {
+            rows.write(&mut self.rendered, &p, v);
         }
         self.out
             .write_all(&self.rendered)
