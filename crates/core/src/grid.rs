@@ -22,7 +22,9 @@
 //! enumerator, and the cursor against random access from every rank.
 
 use std::ops::Range;
+use std::str::FromStr;
 
+use crate::axes::{Values, AXES};
 use crate::serialized::{realistic_tp, sweep_hyper, Method};
 use crate::sweep::{GridPoint, GridSweep, Workload};
 
@@ -427,11 +429,65 @@ impl GridSweep {
         self.index().len()
     }
 
+    /// Read a sweep request and [`validate`](Self::validate) it: the one
+    /// parser behind `twocs sweep` and `GET /v1/sweep`.
+    ///
+    /// `get(name)` is the request's raw value of the parameter whose
+    /// query name is `name`: each [`Axis::query`](crate::Axis::query),
+    /// then `workload`, `b` and `method`. An omitted parameter keeps its
+    /// [`GridSweep::default`]; axis values are comma-separated lists.
+    /// This only parses, and every range and finiteness rule is
+    /// `validate`'s. A value that does not parse is named by
+    /// `spell(name)`, the front end's own spelling of the parameter, so
+    /// the front ends word every error alike apart from that name.
+    ///
+    /// # Errors
+    /// The first value that does not parse, else `validate`'s message.
+    pub fn parse_request<'a>(
+        get: impl Fn(&str) -> Option<&'a str>,
+        spell: impl Fn(&str) -> String,
+    ) -> Result<Self, String> {
+        let mut grid = Self::default();
+        for axis in &AXES {
+            let Some(raw) = get(axis.query) else {
+                continue;
+            };
+            let invalid = |v: &str, expected: &str| {
+                let name = spell(axis.query);
+                format!("invalid value `{v}` in `{name}` (expected {expected})")
+            };
+            match axis.values {
+                Values::U64 { list_mut, .. } => {
+                    *list_mut(&mut grid) = parse_list(raw, |v| invalid(v, "integers"))?;
+                }
+                Values::F64 { list_mut, .. } => {
+                    *list_mut(&mut grid) = parse_list(raw, |v| invalid(v, "numbers"))?;
+                }
+            }
+        }
+        if let Some(raw) = get("workload") {
+            grid.workload = raw.parse()?;
+        }
+        if let Some(raw) = get("b") {
+            grid.batch = raw.parse().map_err(|_| {
+                format!(
+                    "invalid value `{raw}` for `{}` (expected an integer)",
+                    spell("b")
+                )
+            })?;
+        }
+        if let Some(raw) = get("method") {
+            grid.method = raw.parse()?;
+        }
+        grid.validate()?;
+        Ok(grid)
+    }
+
     /// Reject axes that describe no model, with the one message every
-    /// front end (`twocs sweep`, `GET /v1/sweep`) reports. Without this
-    /// check a bad axis value would be silently pruned to a smaller grid,
-    /// and a ratio below 1 would run as today's hardware while its rows
-    /// carry the input value.
+    /// front end (`twocs sweep`, `GET /v1/sweep`, `/v1/evolve`) reports.
+    /// Without this check a bad axis value would be silently pruned to a
+    /// smaller grid, and a ratio below 1 would run as today's hardware
+    /// while its rows carry the input value.
     ///
     /// # Errors
     /// The first problem found, phrased with the query-parameter names.
@@ -472,22 +528,35 @@ impl GridSweep {
                     self.workload
                 ));
             }
-            if [&self.experts, &self.stages, &self.sps]
+            if [&self.experts, &self.stages, &self.micro_batches, &self.sps]
                 .iter()
                 .any(|axis| axis.iter().any(|&v| v > 1))
             {
                 return Err(
-                    "experts/stages/sp above 1 require method=proj (the simulation engine models \
-                     the dense TP iteration only)"
+                    "experts/stages/sp above 1 require method=proj, as do micro_batches above 1 \
+                     (the simulation engine models the dense TP iteration only)"
                         .to_owned(),
                 );
             }
+        }
+        if let Some(tp) = self.tps.iter().find(|&&tp| 256 % tp != 0) {
+            return Err(format!(
+                "tp={tp}: tensor-parallel degrees must divide 256 (the sweep fixes 256-way head sharding)"
+            ));
         }
         if self.point_count() == 0 {
             return Err("grid has no realistic points; widen h/tp".to_owned());
         }
         Ok(())
     }
+}
+
+/// `raw` as a comma-separated list; an entry that does not parse is
+/// reported through `invalid`.
+fn parse_list<T: FromStr>(raw: &str, invalid: impl Fn(&str) -> String) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|v| v.trim().parse().map_err(|_| invalid(v)))
+        .collect()
 }
 
 #[cfg(test)]

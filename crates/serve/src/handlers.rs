@@ -14,17 +14,19 @@
 //! second on a worker; [`handle`] runs both, for callers that want one
 //! call.
 //!
-//! Handlers call the same `comm_fraction` / `overlap_pct` entry points
-//! as the CLI, and no model-side state outlives a request. An optional
-//! [`ResponseCache`] memoizes entire rendered bodies keyed by
-//! canonicalized queries, so a repeated *request* skips the model
-//! entirely. Canonical keys are built **after** validation from the
-//! fully-resolved parameters (defaults folded in, the body-neutral
-//! `jobs` param excluded), which also guarantees only
-//! infallible `200` paths are ever cached; executor-backed sweeps
-//! (`twocs serve --listen`) bypass the cache because their `500`s must
-//! never be replayed, and journaled ones (`journal=<name>`) because the
-//! journal is their durable artifact.
+//! `/v1/sweep` reads its parameters through `GridSweep::parse_request`,
+//! the parser `twocs sweep` uses, and `/v1/evolve` is a one-point sweep
+//! evaluated by `eval_grid_point`: both run `GridSweep::validate`, so
+//! they reject what the CLI rejects, with its message. No model-side
+//! state outlives a request. An optional [`ResponseCache`] memoizes
+//! entire rendered bodies keyed by canonicalized queries, so a repeated
+//! *request* skips the model entirely. Canonical keys are built
+//! **after** validation from the fully-resolved parameters (defaults
+//! folded in, the body-neutral `jobs` param excluded), which also
+//! guarantees only infallible `200` paths are ever cached;
+//! executor-backed sweeps (`twocs serve --listen`) bypass the cache
+//! because their `500`s must never be replayed, and journaled ones
+//! (`journal=<name>`) because the journal is their durable artifact.
 //!
 //! `/v1/sweep` has one path whatever its parameters: the request's
 //! executor (the server's configured one, or a local pool of `jobs`
@@ -39,14 +41,13 @@ use crate::query::Query;
 use crate::router::{Route, ENDPOINTS};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use twocs_core::axes::{Values, AXES};
+use twocs_core::axes::AXES;
 use twocs_core::overlapped::{overlap_pct, roi_hyper};
-use twocs_core::serialized::{comm_fraction, sweep_hyper, Method};
-use twocs_core::sweep::{GridExecutor, GridSweep, LocalPool, Workload};
+use twocs_core::serialized::Method;
+use twocs_core::sweep::{eval_grid_point, GridExecutor, GridPoint, GridSweep, LocalPool, Workload};
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_obs::chrome::escape_json;
 use twocs_store::{encode_grid, Buffer, SweepSpec, SweepStore};
-use twocs_transformer::ParallelConfig;
 
 /// Handler-level limits and switches, set by the server configuration.
 #[derive(Clone, Debug)]
@@ -227,36 +228,11 @@ fn sweep_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
         .collect();
     q.reject_unknown(&params)?;
     let format = parse_format(q, Format::Csv)?;
-    // Canonicalization contract: every omitted parameter assigns the same
-    // default `GridSweep::default()` (and the CLI) uses, so pre-axis query
-    // strings and cached keys keep producing byte-identical bodies.
-    let mut grid = GridSweep::default();
-    for axis in &AXES {
-        match axis.values {
-            Values::U64 { list_mut, .. } => {
-                if let Some(values) = q.u64_list(axis.query)? {
-                    *list_mut(&mut grid) = values;
-                }
-            }
-            Values::F64 { list_mut, .. } => {
-                if let Some(values) = q.f64_list(axis.query)? {
-                    *list_mut(&mut grid) = values;
-                }
-            }
-        }
-    }
-    if let Some(raw) = q.get("workload") {
-        grid.workload = raw.parse::<Workload>()?;
-    }
-    if let Some(b) = q.u64("b")? {
-        grid.batch = b;
-    }
-    if let Some(raw) = q.get("method") {
-        grid.method = raw.parse()?;
-    }
-    // Bad axes answer 400 instead of being silently pruned to a smaller
-    // grid; the CLI runs the same check.
-    grid.validate()?;
+    // The CLI's parser and validator: a bad axis answers 400 instead of
+    // being silently pruned to a smaller grid, and every omitted parameter
+    // takes the default the CLI uses, so pre-axis query strings and cached
+    // keys keep producing byte-identical bodies.
+    let grid = GridSweep::parse_request(|name| q.get(name), str::to_owned)?;
     let points = grid.point_count();
     if points > cfg.max_grid_points {
         return Err(format!(
@@ -328,8 +304,7 @@ fn journal_path(cfg: &HandlerConfig, name: &str) -> Result<PathBuf, String> {
 
 /// The store a sweep request records into: a resume of an existing
 /// journal at `journal` — after checking it describes the same grid —
-/// or a fresh store, journaled in 256-point chunks when `journal` is
-/// given and at the executor's own chunk size otherwise.
+/// or a fresh store at the front ends' default chunk size.
 fn open_store(
     grid: &GridSweep,
     executor: &dyn GridExecutor,
@@ -352,10 +327,7 @@ fn open_store(
     let device = DeviceSpec::mi210();
     let spec = SweepSpec {
         sweep: grid.clone(),
-        chunk_size: match journal {
-            Some(_) => 256,
-            None => executor.chunk_size(grid) as u32,
-        },
+        chunk_size: twocs_store::default_chunk_size(executor, grid, journal.is_some()) as u32,
         device_name: device.name().to_owned(),
         device_fingerprint: device.fingerprint(),
     };
@@ -489,49 +461,39 @@ fn evolve_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
     let ratio = q
         .f64("flop_vs_bw")?
         .ok_or("`flop_vs_bw` (evolution ratio, 1 = today) is required")?;
-    if ratio < 1.0 {
-        return Err(format!("flop_vs_bw={ratio} must be >= 1"));
-    }
     let h = q.u64("h")?.unwrap_or(16_384);
     let sl = q.u64("sl")?.unwrap_or(2048);
     let b = q.u64("b")?.unwrap_or(1);
     let tp = q.u64("tp")?.unwrap_or(64);
     let method = q.get("method").map_or(Ok(Method::default()), str::parse)?;
-    if h == 0 || h % 256 != 0 {
-        return Err(format!(
-            "h={h}: hidden size must be a non-zero multiple of 256 (256-way head sharding)"
-        ));
-    }
-    if sl == 0 || b == 0 {
-        return Err("sl and b must be non-zero".to_owned());
-    }
-    if tp == 0 || tp > 256 || 256 % tp != 0 {
-        return Err(format!(
-            "tp={tp} must divide the fixed 256-way head sharding"
-        ));
-    }
+    // The one-point sweep at this configuration: `/v1/sweep`'s rules and
+    // evaluator answer it.
+    let grid = GridSweep {
+        hs: vec![h],
+        sls: vec![sl],
+        tps: vec![tp],
+        flop_vs_bw: vec![ratio],
+        batch: b,
+        method,
+        ..GridSweep::default()
+    };
+    grid.validate()?;
     let key = cfg.cache.as_ref().map(|_| {
-        KeyBuilder::new("evolve")
+        let mut key = KeyBuilder::new("evolve")
             .field("fmt", format_token(format))
-            .field("m", method)
-            .f64("r", ratio)
-            .field("h", h)
-            .field("sl", sl)
-            .field("b", b)
-            .field("tp", tp)
-            .finish()
+            .finish();
+        encode_grid(&mut key, &grid);
+        key
     });
     Ok(Prepared::new(key, move |_| {
         let base = DeviceSpec::mi210();
+        let point = GridPoint::new(h, sl, tp, ratio);
+        let (serialized, overlap) = eval_grid_point(&base, point, b, method, Workload::Training);
         let device = if ratio > 1.0 {
             HwEvolution::flop_vs_bw(ratio).apply(&base)
         } else {
             base
         };
-        let hyper = sweep_hyper(h, sl, b);
-        let parallel = ParallelConfig::new().tensor(tp);
-        let serialized = 100.0 * comm_fraction(&device, &hyper, &parallel, method);
-        let overlap = overlap_pct(&device, h, sl * b, tp.min(roi_hyper(h, sl * b).heads()), 4);
         Ok(match format {
             Format::Json => Response::json(
                 200,
@@ -975,6 +937,92 @@ mod tests {
         assert!(r.body.contains("\"overlap_pct\":"), "{}", r.body);
         let bad = handle(&get("/v1/evolve", "flop_vs_bw=0.25"), &cfg());
         assert_eq!(bad.status, 400);
+    }
+
+    /// `/v1/evolve` is the one-point sweep: its two metrics are the
+    /// matching `/v1/sweep` row's, for both methods, today and at 4x.
+    #[test]
+    fn evolve_matches_the_sweep_row_at_the_same_point() {
+        let last_two = |body: &str| {
+            let row = body.lines().nth(1).unwrap_or_else(|| panic!("{body}"));
+            let cells: Vec<&str> = row.split(',').collect();
+            cells[cells.len() - 2..].join(",")
+        };
+        for method in ["sim", "proj"] {
+            for ratio in ["1", "4"] {
+                let at = format!("h=4096&sl=2048&tp=16&flop_vs_bw={ratio}&method={method}");
+                let evolve = handle(&get("/v1/evolve", &format!("{at}&format=csv")), &cfg());
+                let sweep = handle(&get("/v1/sweep", &at), &cfg());
+                assert_eq!(evolve.status, 200, "{at}: {}", evolve.body);
+                assert_eq!(sweep.status, 200, "{at}: {}", sweep.body);
+                assert_eq!(last_two(&evolve.body), last_two(&sweep.body), "{at}");
+            }
+        }
+    }
+
+    /// `/v1/evolve` runs the sweep's validator, so it rejects what
+    /// `/v1/sweep` rejects at the same point, with the same message.
+    #[test]
+    fn evolve_rejects_what_the_sweep_rejects() {
+        for (at, needle) in [
+            ("h=4096&tp=3&flop_vs_bw=1", "must divide 256"),
+            ("h=65536&tp=4&flop_vs_bw=1", "no realistic points"),
+            ("h=1000&flop_vs_bw=1", "multiples of 256"),
+            ("h=4096&tp=16&flop_vs_bw=nan", "finite and >= 1"),
+            ("h=4096&tp=16&flop_vs_bw=0.25", "finite and >= 1"),
+            ("h=4096&tp=16&sl=0&flop_vs_bw=1", "must be non-zero"),
+        ] {
+            let at = format!("{at}&method=proj");
+            let evolve = handle(&get("/v1/evolve", &at), &cfg());
+            let sweep = handle(&get("/v1/sweep", &at), &cfg());
+            assert_eq!(evolve.status, 400, "{at}: {}", evolve.body);
+            assert_eq!(evolve.body, sweep.body, "{at}");
+            assert!(evolve.body.contains(needle), "{at}: {}", evolve.body);
+        }
+    }
+
+    /// A journal records its own chunk size: one written at 256-point
+    /// chunks, the size serve once used, replays under today's default.
+    #[test]
+    fn a_journal_written_at_256_point_chunks_still_replays() {
+        let dir = std::env::temp_dir().join(format!("twocs-serve-chunk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let query =
+            "h=4096&sl=1024,2048,4096,8192&tp=4,8,16,32&flop_vs_bw=1,2,3,4&experts=1,2,4,8&stages=1,2&method=proj";
+        let plain = handle(&get("/v1/sweep", query), &cfg());
+        assert_eq!(plain.status, 200, "{}", plain.body);
+        let q = Query::parse(query).unwrap();
+        let grid = GridSweep::parse_request(|name| q.get(name), str::to_owned).unwrap();
+        assert_eq!(grid.point_count(), 512);
+        let path = dir.join("old.journal");
+        let device = DeviceSpec::mi210();
+        let spec = SweepSpec {
+            sweep: grid,
+            chunk_size: 256,
+            device_name: device.name().to_owned(),
+            device_fingerprint: device.fingerprint(),
+        };
+        let store = SweepStore::create(spec, Box::new(Buffer::default()), Some(&path)).unwrap();
+        twocs_store::run(&LocalPool { jobs: 1 }, &device, store).unwrap();
+        let written = std::fs::read(&path).unwrap();
+
+        let journaled = HandlerConfig {
+            journal_dir: Some(dir.clone()),
+            ..cfg()
+        };
+        let r = handle(
+            &get("/v1/sweep", &format!("{query}&journal=old")),
+            &journaled,
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, plain.body);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            written,
+            "replayed, not rewritten"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

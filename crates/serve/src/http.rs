@@ -531,8 +531,9 @@ mod tests {
                 return;
             };
             for name in ["h", "tp", "flop_vs_bw", "name", "journal"] {
-                let _ = (q.u64(name), q.u64_list(name), q.f64(name), q.f64_list(name));
+                let _ = (q.u64(name), q.f64(name));
             }
+            let _ = twocs_core::GridSweep::parse_request(|name| q.get(name), str::to_owned);
             let _ = q.reject_unknown(&["h", "tp"]);
         });
     }

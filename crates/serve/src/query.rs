@@ -6,7 +6,9 @@
 //! keys, unparsable numbers, and **unknown parameter names** are all
 //! rejected with a message suitable for a `400` body — a typo like
 //! `?hs=4096` fails loudly rather than silently sweeping the default
-//! grid.
+//! grid. Values are only parsed here; range rules belong to each
+//! endpoint's validator, and the sweep endpoints read their lists
+//! through `GridSweep::parse_request`, the parser `twocs sweep` uses.
 
 /// Parsed `key=value` pairs of one query string.
 #[derive(Debug, Clone, Default)]
@@ -26,7 +28,7 @@ impl Query {
             let k = percent_decode(k)?;
             let v = percent_decode(v)?;
             if pairs.iter().any(|(existing, _)| *existing == k) {
-                return Err(format!("duplicate query parameter `{k}`"));
+                return Err(format!("duplicate parameter `{k}`"));
             }
             pairs.push((k, v));
         }
@@ -66,47 +68,14 @@ impl Query {
             .transpose()
     }
 
-    /// `name` as an `f64`, if present. Rejects non-finite values.
+    /// `name` as an `f64`, if present. Only parses: `nan` and `inf` come
+    /// through, for the endpoint's validator to reject with its own
+    /// message.
     pub fn f64(&self, name: &str) -> Result<Option<f64>, String> {
         self.get(name)
-            .map(|v| match v.parse::<f64>() {
-                Ok(x) if x.is_finite() => Ok(x),
-                _ => Err(format!(
-                    "invalid value `{v}` for `{name}` (expected a finite number)"
-                )),
-            })
-            .transpose()
-    }
-
-    /// `name` as a comma-separated `u64` list, if present.
-    pub fn u64_list(&self, name: &str) -> Result<Option<Vec<u64>>, String> {
-        self.get(name)
-            .map(|raw| {
-                raw.split(',')
-                    .map(|v| {
-                        v.trim().parse().map_err(|_| {
-                            format!("invalid value `{v}` in `{name}` (expected integers)")
-                        })
-                    })
-                    .collect()
-            })
-            .transpose()
-    }
-
-    /// `name` as a comma-separated `f64` list, if present. Only parses:
-    /// `nan` and `inf` come through, and the sweep's validator
-    /// (`GridSweep::validate`, shared with the CLI) rejects them with
-    /// its own message.
-    pub fn f64_list(&self, name: &str) -> Result<Option<Vec<f64>>, String> {
-        self.get(name)
-            .map(|raw| {
-                raw.split(',')
-                    .map(|v| {
-                        v.trim().parse().map_err(|_| {
-                            format!("invalid value `{v}` in `{name}` (expected numbers)")
-                        })
-                    })
-                    .collect()
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value `{v}` for `{name}` (expected a number)"))
             })
             .transpose()
     }
@@ -155,11 +124,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_typed_values_and_lists() {
-        let q = Query::parse("h=4096,16384&tp=16&flop_vs_bw=1.5,4&method=proj").unwrap();
-        assert_eq!(q.u64_list("h").unwrap().unwrap(), vec![4096, 16384]);
+    fn parses_typed_values() {
+        let q = Query::parse("h=4096,16384&tp=16&flop_vs_bw=1.5&method=proj").unwrap();
+        assert_eq!(q.get("h"), Some("4096,16384"));
         assert_eq!(q.u64("tp").unwrap(), Some(16));
-        assert_eq!(q.f64_list("flop_vs_bw").unwrap().unwrap(), vec![1.5, 4.0]);
+        assert_eq!(q.f64("flop_vs_bw").unwrap(), Some(1.5));
         assert_eq!(q.get("method"), Some("proj"));
         assert_eq!(q.u64("absent").unwrap(), None);
     }
@@ -167,7 +136,7 @@ mod tests {
     #[test]
     fn percent_decoding_roundtrips() {
         let q = Query::parse("h=4096%2C8192&name=a+b%21").unwrap();
-        assert_eq!(q.u64_list("h").unwrap().unwrap(), vec![4096, 8192]);
+        assert_eq!(q.get("h"), Some("4096,8192"));
         assert_eq!(q.get("name"), Some("a b!"));
     }
 
@@ -176,17 +145,14 @@ mod tests {
         assert!(Query::parse("h=1&h=2").unwrap_err().contains("duplicate"));
         assert!(Query::parse("h=%zz").is_err());
         assert!(Query::parse("h=%4").is_err());
-        let q = Query::parse("h=abc&r=inf").unwrap();
+        let q = Query::parse("h=abc&r=x").unwrap();
         assert!(q.u64("h").is_err());
         assert!(q.f64("r").is_err());
-        // Lists only parse: the sweep validator owns the finiteness rule.
-        let r = Query::parse("r=nan,inf")
-            .unwrap()
-            .f64_list("r")
-            .unwrap()
-            .unwrap();
-        assert!(r[0].is_nan() && r[1].is_infinite(), "{r:?}");
-        assert!(Query::parse("r=1,x").unwrap().f64_list("r").is_err());
+        // Numbers only parse: each endpoint's validator owns the
+        // finiteness rule.
+        let q = Query::parse("r=nan&s=inf").unwrap();
+        assert!(q.f64("r").unwrap().unwrap().is_nan());
+        assert!(q.f64("s").unwrap().unwrap().is_infinite());
     }
 
     #[test]

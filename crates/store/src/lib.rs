@@ -57,7 +57,7 @@ pub use journal::{Journal, Replay};
 pub use refine::{
     refine_frontier, Crossing, FrontierResult, FrontierRow, RefineMetric, RefineSpec,
 };
-pub use runner::run;
+pub use runner::{default_chunk_size, run};
 pub use sink::{SinkReport, StreamSink, DEFAULT_BUFFER_POINTS};
 pub use spec::{encode_grid, SweepSpec};
 pub use store::{Buffer, StoreReport, SweepStore};

@@ -13,10 +13,28 @@
 
 use std::fmt::Display;
 
-use twocs_core::GridExecutor;
+use twocs_core::{GridExecutor, GridSweep};
 use twocs_hw::DeviceSpec;
 
 use crate::store::{StoreReport, SweepStore};
+
+/// Points per chunk of a fresh store over `sweep` when the caller names
+/// none: under a journal 512, since each chunk is one fsynced append
+/// and that size balances fsync frequency against the recompute a crash
+/// loses (tens of KiB per append); otherwise `executor`'s own. A journal
+/// records its chunk size, so one written at another size still resumes.
+#[must_use]
+pub fn default_chunk_size(
+    executor: &dyn GridExecutor,
+    sweep: &GridSweep,
+    journaled: bool,
+) -> usize {
+    if journaled {
+        512
+    } else {
+        executor.chunk_size(sweep)
+    }
+}
 
 /// Evaluate every chunk `store` has not yet recorded on `executor`,
 /// record each one as it arrives, and finish the store. Returns the

@@ -25,9 +25,9 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use twocs::analysis::axes::{Axis, Values, AXES};
+use twocs::analysis::axes::{Axis, AXES};
+use twocs::analysis::experiments;
 use twocs::analysis::sweep::{GridExecutor, GridSweep, LocalPool};
-use twocs::analysis::{experiments, serialized};
 use twocs::hw::{DeviceSpec, HwEvolution};
 use twocs::obs::{TraceMode, Tracer};
 use twocs::sim::Engine;
@@ -141,13 +141,18 @@ const SERVE_FLAGS: Flags = Flags {
 
 impl Flags {
     /// Reject any argument of `twocs <cmd>` that is not one of its flags,
-    /// and a value flag without its value (the next argument missing or
-    /// itself a flag): a mistyped or retired flag is a usage error naming
-    /// it, never silently ignored. Past this check [`str_flag`] finds
-    /// every value flag's value.
+    /// a flag given twice, and a value flag without its value (the next
+    /// argument missing or itself a flag): a mistyped, retired or
+    /// repeated flag is a usage error naming it, never silently ignored.
+    /// Past this check [`str_flag`] finds every value flag's one value.
     fn check(&self, cmd: &str, args: &[String]) -> Result<(), String> {
         let mut rest = args.iter();
+        let mut seen = Vec::new();
         while let Some(arg) = rest.next() {
+            if seen.contains(&arg) {
+                return Err(format!("duplicate parameter `{arg}`"));
+            }
+            seen.push(arg);
             if self.values.split_whitespace().any(|f| f == arg)
                 || self.axes.iter().any(|a| a.flag == arg)
             {
@@ -350,60 +355,31 @@ fn str_flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Parse a comma-separated numeric list flag (e.g. `--h 4096,16384`).
-fn list_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<Vec<T>>, String> {
-    let Some(raw) = str_flag(args, name) else {
-        return Ok(None);
-    };
-    raw.split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|_| format!("invalid value `{v}` for {name}"))
-        })
-        .collect::<Result<Vec<T>, _>>()
-        .map(Some)
+/// The `twocs sweep` flag of the sweep-request parameter `name`
+/// (`flop_vs_bw` is `--flop-vs-bw`).
+fn sweep_flag(name: &str) -> String {
+    format!("--{}", name.replace('_', "-"))
 }
 
 fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     SWEEP_FLAGS.check("sweep", args)?;
-    let mut grid = GridSweep::default();
-    for axis in &AXES {
-        match axis.values {
-            Values::U64 { list_mut, .. } => {
-                if let Some(values) = list_flag(args, axis.flag)? {
-                    *list_mut(&mut grid) = values;
-                }
-            }
-            Values::F64 { list_mut, .. } => {
-                if let Some(values) = list_flag(args, axis.flag)? {
-                    *list_mut(&mut grid) = values;
-                }
-            }
-        }
-    }
-    if let Some(raw) = str_flag(args, "--workload") {
-        grid.workload = raw.parse::<twocs::analysis::sweep::Workload>()?;
-    }
-    if let Some(b) = flag(args, "--b")? {
-        grid.batch = b;
-    }
-    if let Some(raw) = str_flag(args, "--method") {
-        grid.method = raw.parse()?;
-    }
     let refine_raw = str_flag(args, "--refine");
-    if refine_raw.is_some() {
-        if matches!(str_flag(args, "--method"), Some("sim")) {
-            return Err(
-                "--refine requires --method proj (simulation probes would cost more \
-                 than the refinement avoids)"
-                    .into(),
-            );
-        }
-        // Refinement bisects the projection's closed form; omitting
-        // --method means proj here, not the dense sweep's sim default.
-        grid.method = serialized::Method::Projection;
+    if refine_raw.is_some() && str_flag(args, "--method") == Some("sim") {
+        return Err(
+            "--refine requires --method proj (simulation probes would cost more \
+             than the refinement avoids)"
+                .into(),
+        );
     }
+    let grid = GridSweep::parse_request(
+        |name| match str_flag(args, &sweep_flag(name)) {
+            // Refinement bisects the projection's closed form; omitting
+            // --method means proj here, not the dense sweep's sim default.
+            None if name == "method" && refine_raw.is_some() => Some("proj"),
+            value => value,
+        },
+        sweep_flag,
+    )?;
     // Omitted `--jobs` means "use the machine": sweeps are embarrassingly
     // parallel, so default to every available core. Explicit values are
     // still strictly validated by `positive_flag`.
@@ -411,7 +387,6 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let csv = args.iter().any(|a| a == "--csv");
     let fabric = FabricFlags::parse(args)?;
 
-    grid.validate()?;
     let device = DeviceSpec::mi210();
     let obs = ObsSession::from_args(args);
 
@@ -497,13 +472,9 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let store = match resume {
         Some(path) => SweepStore::resume(std::path::Path::new(path), out)?,
         None => {
-            // A journaled chunk balances fsync frequency against lost
-            // recompute on crash: 512 points ≈ tens of KiB per append.
-            let chunk_size = match (fabric.chunk, journal) {
-                (Some(chunk), _) => chunk,
-                (None, Some(_)) => 512,
-                (None, None) => executor.chunk_size(&grid),
-            };
+            let chunk_size = fabric.chunk.unwrap_or_else(|| {
+                twocs::store::default_chunk_size(executor, &grid, journal.is_some())
+            });
             let spec = SweepSpec {
                 sweep: grid,
                 chunk_size: chunk_size as u32,
