@@ -25,8 +25,9 @@ use std::ops::Range;
 use std::str::FromStr;
 
 use crate::axes::{Values, AXES};
-use crate::serialized::{realistic_tp, sweep_hyper, Method};
+use crate::serialized::{point_work, realistic_tp, sweep_hyper, Method, MAX_POINT_WORK};
 use crate::sweep::{GridPoint, GridSweep, Workload};
+use twocs_hw::evolution::MAX_FLOP_VS_BW;
 
 /// Random-access view of a [`GridSweep`]'s pruned point space.
 ///
@@ -509,6 +510,11 @@ impl GridSweep {
                 "flop_vs_bw ratios must be finite and >= 1 (1 = today's hardware)".to_owned(),
             );
         }
+        if let Some(r) = self.flop_vs_bw.iter().find(|&&r| r > MAX_FLOP_VS_BW) {
+            return Err(format!(
+                "flop_vs_bw={r:e}: ratios above {MAX_FLOP_VS_BW:e} overflow the evolved device's peak FLOPS"
+            ));
+        }
         crate::axes::check_extended_non_zero(self)?;
         // The index prunes top_k > experts pairs; if *no* pair survives
         // the request is contradictory rather than merely smaller.
@@ -543,6 +549,20 @@ impl GridSweep {
             return Err(format!(
                 "tp={tp}: tensor-parallel degrees must divide 256 (the sweep fixes 256-way head sharding)"
             ));
+        }
+        // Work grows with H, SL and B and shrinks with TP, so the longest
+        // sequence bounds every realistic (H, TP) pair.
+        let sl = self.sls.iter().copied().max().unwrap_or(0);
+        for &h in &self.hs {
+            for &tp in self.tps.iter().filter(|&&tp| realistic_tp(h, tp)) {
+                if point_work(h, sl, self.batch, tp) > u128::from(MAX_POINT_WORK) {
+                    return Err(format!(
+                        "h={h}, sl={sl}, b={}, tp={tp}: the point's largest GEMM or transfer \
+                         exceeds 2^58 flops or bytes, past what the models count; shrink h, sl or b",
+                        self.batch
+                    ));
+                }
+            }
         }
         if self.point_count() == 0 {
             return Err("grid has no realistic points; widen h/tp".to_owned());

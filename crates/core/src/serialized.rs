@@ -84,6 +84,34 @@ pub fn realistic_tp(h: u64, tp: u64) -> bool {
     tp <= h / 128 && (h < 16_384 || tp >= 16)
 }
 
+/// The most work one GEMM or transfer of a sweep point's layer may count,
+/// in flops or bytes per device.
+///
+/// The models count per-device work in `u64`. The largest counts are the
+/// attention score GEMM's `2·B·SL²·H/TP` flops (long sequences), the MLP
+/// GEMMs' `8·B·SL·H²/TP` (wide models) and the gradient all-reduce's
+/// `8·H²` bytes (`H·FF` is formed before the TP split). They wrap at
+/// 2^64, but the simulator's `u64` picosecond clock overflows first: at
+/// H = 256, a score GEMM of 2^60 flops already runs its iteration past
+/// it. The cap keeps a factor of four below that.
+pub const MAX_POINT_WORK: u64 = 1 << 58;
+
+/// The largest work count (see [`MAX_POINT_WORK`]) of a sweep point,
+/// saturating instead of wrapping.
+#[must_use]
+pub fn point_work(h: u64, sl: u64, b: u64, tp: u64) -> u128 {
+    let (h, sl, b, tp) = (
+        u128::from(h),
+        u128::from(sl),
+        u128::from(b),
+        u128::from(tp.max(1)),
+    );
+    let tokens = b.saturating_mul(sl);
+    let score = tokens.saturating_mul(2 * sl).saturating_mul(h) / tp;
+    let mlp = tokens.saturating_mul(8 * h).saturating_mul(h) / tp;
+    score.max(mlp).max(h.saturating_mul(8 * h))
+}
+
 /// Hyperparameters for one sweep point. Head count is fixed at 256 so
 /// every power-of-two TP in the sweep is a valid sharding.
 ///

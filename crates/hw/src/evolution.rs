@@ -23,6 +23,12 @@ pub struct HwEvolution {
     pub mem_capacity_scale: f64,
 }
 
+/// The largest flop-vs.-bw ratio any catalog device can be evolved by.
+/// [`HwEvolution::apply`] multiplies every peak rate by the ratio, and
+/// the catalog's fastest rate (below 1e16 FLOP/s) times more than about
+/// 1.8e292 overflows `f64`.
+pub const MAX_FLOP_VS_BW: f64 = 1e290;
+
 impl HwEvolution {
     /// The identity evolution (today's hardware).
     #[must_use]

@@ -26,6 +26,10 @@
 //! all rates are **per second** (FLOP/s, B/s). The discrete-event simulator
 //! (`twocs-sim`) converts to integer picoseconds at its boundary.
 //!
+//! The models are pure functions of their inputs: the crate keeps no
+//! memo cache and publishes no metrics, so it depends on no other
+//! workspace crate.
+//!
 //! ## Example
 //!
 //! ```
@@ -55,7 +59,6 @@ pub mod precision;
 pub mod roofline;
 pub mod topology;
 
-pub use cache::{CacheStats, MemoCache};
 pub use device::DeviceSpec;
 pub use error::HwError;
 pub use evolution::HwEvolution;

@@ -43,11 +43,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero (used by cache `clear()` so stats windows restart).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// An instantaneous value, set outright or adjusted by deltas.
@@ -389,9 +384,7 @@ mod tests {
         let b = reg.counter("x");
         a.inc();
         b.add(2);
-        assert_eq!(a.get(), 3);
-        a.reset();
-        assert_eq!(b.get(), 0);
+        assert_eq!(b.get(), 3);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Full-body response cache over `twocs-hw`'s [`MemoCache`].
+//! Full-body response cache.
 //!
 //! The projection models are cheap per point, but a popular dashboard
 //! asking the same `/v1/sweep` query thousands of times a second should
@@ -16,15 +16,24 @@
 //! bytes a journal records for the grid); the other endpoints build
 //! theirs with [`KeyBuilder`].
 //!
-//! Because the store is a [`MemoCache`], the serve cache inherits its
-//! concurrency story wholesale: lock-striped shards keep request
-//! workers on different keys apart, and in-flight miss deduplication
-//! means a stampede of identical cold queries computes the body
-//! **once** while the other request workers wait for it. The server's
-//! event loop answers a finished entry itself ([`ResponseCache::peek`]);
-//! a key still in flight goes to a worker, which joins the computation.
-//! Counters publish to `/v1/metrics` as
-//! `serve.cache.{hits,misses,entries}`.
+//! # Concurrency
+//!
+//! One mutex guards two maps: finished responses, and keys whose body a
+//! request worker is computing. A miss claims its key in the second map
+//! and computes outside the lock; a later lookup of the same key waits
+//! on the cache's condition variable until that computation ends instead
+//! of starting another, so a stampede of identical cold queries computes
+//! the body **once**. If the computing thread panics, its claim is
+//! dropped unfiled and one waiter claims the key and computes, so a
+//! poisoned key never wedges later lookups. Finished bodies are shared
+//! `Arc`s, copied out after the lock is released.
+//!
+//! The server's event loop answers a finished entry itself
+//! ([`ResponseCache::peek`]); a key still in flight goes to a worker,
+//! which joins the computation. Counters publish to `/v1/metrics` as
+//! `serve.cache.{hits,misses,entries}`: a lookup that waited on another
+//! thread's computation counts as a hit, so `misses` equals compute
+//! invocations exactly, and `entries` counts finished bodies.
 //!
 //! Only infallible compute paths go through the cache: handlers
 //! validate first (every `400` happens before the cache), and the
@@ -32,48 +41,131 @@
 //! must never be replayed, bypasses it.
 
 use crate::http::Response;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use twocs_hw::cache::{CacheStats, MemoCache};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use twocs_obs::{Counter, Gauge};
 
 /// A memoized store of fully-rendered responses, keyed by canonical
 /// query bytes.
-pub struct ResponseCache {
-    store: MemoCache<Vec<u8>, Response>,
+pub(crate) struct ResponseCache {
+    maps: Mutex<Maps>,
+    /// Signalled whenever a key leaves flight, filed or abandoned.
+    landed: Condvar,
+    hits: Counter,
+    misses: Counter,
+    /// Finished entries, mirrored for `/v1/metrics`.
+    entries: Gauge,
 }
 
-impl std::fmt::Debug for ResponseCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResponseCache")
-            .field("stats", &self.stats())
-            .finish()
+#[derive(Default)]
+struct Maps {
+    finished: HashMap<Vec<u8>, Arc<Response>>,
+    in_flight: HashSet<Vec<u8>>,
+}
+
+/// A claimed key being computed. Dropping it, on return or on unwind,
+/// takes the key out of flight, files the body if one was computed, and
+/// wakes the waiters.
+struct Claim<'a> {
+    cache: &'a ResponseCache,
+    key: Vec<u8>,
+    body: Option<Arc<Response>>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut maps = self.cache.lock();
+        // The in-flight copy of the key is a clone, allocated at its
+        // exact length, so it is the one to keep.
+        let key = maps.in_flight.take(&self.key);
+        if let (Some(key), Some(body)) = (key, self.body.take()) {
+            maps.finished.insert(key, body);
+            self.cache.entries.add(1.0);
+        }
+        drop(maps);
+        self.cache.landed.notify_all();
     }
 }
 
 impl ResponseCache {
-    /// A cache publishing `serve.cache.{hits,misses,entries}` to the
-    /// global metrics registry (what a real server runs).
-    #[must_use]
-    pub fn new() -> Self {
+    fn with_counters(hits: Counter, misses: Counter, entries: Gauge) -> Self {
         Self {
-            store: MemoCache::with_metric_prefix("serve.cache"),
+            maps: Mutex::default(),
+            landed: Condvar::new(),
+            hits,
+            misses,
+            entries,
         }
     }
 
-    /// A cache with detached (unpublished) counters, for tests that
-    /// must not touch the shared global registry.
-    #[must_use]
-    pub fn detached() -> Self {
-        Self {
-            store: MemoCache::new(),
-        }
+    /// A cache publishing `serve.cache.{hits,misses,entries}` to the
+    /// global metrics registry.
+    pub(crate) fn new() -> Self {
+        let registry = twocs_obs::metrics::global();
+        Self::with_counters(
+            registry.counter("serve.cache.hits"),
+            registry.counter("serve.cache.misses"),
+            registry.gauge("serve.cache.entries"),
+        )
+    }
+
+    /// A cache with unpublished counters, so a test's assertions do not
+    /// share the global registry.
+    #[cfg(test)]
+    pub(crate) fn detached() -> Self {
+        Self::with_counters(Counter::detached(), Counter::detached(), Gauge::detached())
+    }
+
+    /// The maps. No guarded operation can leave them inconsistent, so a
+    /// poisoned lock is still good.
+    fn lock(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count a hit and copy out its body.
+    fn hit(&self, body: &Response) -> Response {
+        self.hits.inc();
+        body.clone()
     }
 
     /// Return the response for `key`, computing (and remembering) it
-    /// with `compute` on first sight. Concurrent misses on the same key
-    /// compute once; the rest wait and share the result.
-    #[must_use]
-    pub fn get_or_compute(&self, key: Vec<u8>, compute: impl FnOnce() -> Response) -> Response {
-        self.store.get_or_insert_with(key, compute)
+    /// with `compute` on first sight. `compute` runs outside the lock,
+    /// and concurrent misses on one key run it once: the rest wait and
+    /// share the result.
+    pub(crate) fn get_or_compute(
+        &self,
+        key: Vec<u8>,
+        compute: impl FnOnce() -> Response,
+    ) -> Response {
+        let mut maps = self.lock();
+        loop {
+            if let Some(body) = maps.finished.get(&key).map(Arc::clone) {
+                drop(maps);
+                return self.hit(&body);
+            }
+            if !maps.in_flight.contains(&key) {
+                break;
+            }
+            maps = self
+                .landed
+                .wait(maps)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        maps.in_flight.insert(key.clone());
+        drop(maps);
+        self.misses.inc();
+        let mut claim = Claim {
+            cache: self,
+            key,
+            body: None,
+        };
+        let response = compute();
+        // Keep a clone, not the original: its body is allocated at its
+        // exact length, without the slack rendering left behind.
+        claim.body = Some(Arc::new(response.clone()));
+        drop(claim);
+        response
     }
 
     /// The finished response for `key`, if resident, counted as a hit.
@@ -81,82 +173,48 @@ impl ResponseCache {
     /// counts nothing: the caller falls back to
     /// [`Self::get_or_compute`], which counts it once (and joins an
     /// in-flight computation instead of starting a second).
-    #[must_use]
     pub(crate) fn peek(&self, key: &[u8]) -> Option<Response> {
-        self.store.peek(key)
+        let body = Arc::clone(self.lock().finished.get(key)?);
+        Some(self.hit(&body))
     }
 
-    /// Hit/miss/entry counters (exact, in compute-invocation terms).
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.store.stats()
-    }
-}
-
-impl Default for ResponseCache {
-    fn default() -> Self {
-        Self::new()
+    /// `(hits, misses, entries)`.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64, usize) {
+        (
+            self.hits.get(),
+            self.misses.get(),
+            self.lock().finished.len(),
+        )
     }
 }
 
 /// Builder for canonical cache keys: `endpoint|name=value|...` with
 /// every value already validated and default-folded by the caller.
-///
-/// `f64` values are keyed by their IEEE-754 bit pattern, so `1`, `1.0`,
-/// and `1.000` (which all parse to the same float) share an entry while
-/// genuinely distinct values never collide.
 #[derive(Debug)]
-pub struct KeyBuilder {
+pub(crate) struct KeyBuilder {
     key: String,
 }
 
 impl KeyBuilder {
     /// Start a key for `endpoint` (e.g. `sweep`).
-    #[must_use]
-    pub fn new(endpoint: &str) -> Self {
+    pub(crate) fn new(endpoint: &str) -> Self {
         Self {
             key: endpoint.to_owned(),
         }
     }
 
     /// Append a display-formatted field (integers, enum tokens).
-    #[must_use]
-    pub fn field(mut self, name: &str, value: impl std::fmt::Display) -> Self {
+    pub(crate) fn field(mut self, name: &str, value: impl std::fmt::Display) -> Self {
         let _ = write!(self.key, "|{name}={value}");
         self
     }
 
-    /// Append an `f64` by bit pattern.
-    #[must_use]
-    pub fn f64(mut self, name: &str, value: f64) -> Self {
-        let _ = write!(self.key, "|{name}={:016x}", value.to_bits());
-        self
-    }
-
     /// The finished key.
-    #[must_use]
-    pub fn finish(self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
         self.key.into_bytes()
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cache_computes_once_per_key() {
-        let cache = ResponseCache::detached();
-        let mut computes = 0;
-        for _ in 0..3 {
-            let r = cache.get_or_compute(b"k".to_vec(), || {
-                computes += 1;
-                Response::text(200, "body")
-            });
-            assert_eq!(r.body, "body");
-        }
-        assert_eq!(computes, 1);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
-    }
-}
+mod tests;

@@ -18,9 +18,9 @@
 //! the parser `twocs sweep` uses, and `/v1/evolve` is a one-point sweep
 //! evaluated by `eval_grid_point`: both run `GridSweep::validate`, so
 //! they reject what the CLI rejects, with its message. No model-side
-//! state outlives a request. An optional [`ResponseCache`] memoizes
-//! entire rendered bodies keyed by canonicalized queries, so a repeated
-//! *request* skips the model entirely. Canonical keys are built
+//! state outlives a request. A caching server's `ResponseCache`
+//! memoizes entire rendered bodies keyed by canonicalized queries, so a
+//! repeated *request* skips the model entirely. Canonical keys are built
 //! **after** validation from the fully-resolved parameters (defaults
 //! folded in, the body-neutral `jobs` param excluded), which also
 //! guarantees only infallible `200` paths are ever cached;
@@ -64,11 +64,7 @@ pub struct HandlerConfig {
     /// `twocs serve --listen`). `None` evaluates in-process with the
     /// request's `jobs`. Either way the CSV body is byte-identical —
     /// that is the executor contract.
-    pub executor: Option<std::sync::Arc<dyn twocs_core::sweep::GridExecutor>>,
-    /// Full-body response cache for the projection endpoints. `None`
-    /// recomputes every request (benches use this to measure the
-    /// engine, `twocs serve --no-response-cache` exposes it).
-    pub cache: Option<Arc<ResponseCache>>,
+    pub executor: Option<Arc<dyn GridExecutor>>,
     /// Directory for `/v1/sweep?journal=<name>` journals (`twocs serve
     /// --journal-dir`). `None` rejects journaled requests with a `400`.
     pub journal_dir: Option<std::path::PathBuf>,
@@ -81,14 +77,13 @@ impl Default for HandlerConfig {
             max_request_jobs: 8,
             enable_debug: false,
             executor: None,
-            cache: None,
             journal_dir: None,
         }
     }
 }
 
 /// Dispatch one parsed request to its handler and build the response:
-/// prepare it, then compute it.
+/// prepare it, then compute it, without a response cache.
 ///
 /// Infallible by construction: parse/validation failures become `400`s,
 /// unknown paths `404`s, non-`GET`/`HEAD` methods `405`s with the
@@ -100,7 +95,7 @@ impl Default for HandlerConfig {
 /// so a `HEAD` probe sees exactly the headers the `GET` would carry.
 #[must_use]
 pub fn handle(req: &Request, cfg: &HandlerConfig) -> Response {
-    prepare(req, cfg).respond(cfg)
+    prepare(req, cfg).respond(cfg, None)
 }
 
 /// The compute step of a prepared request. `Err` is a `400` from a
@@ -108,13 +103,12 @@ pub fn handle(req: &Request, cfg: &HandlerConfig) -> Response {
 type Compute = Box<dyn FnOnce(&HandlerConfig) -> Result<Response, String> + Send>;
 
 /// A request routed, parsed and validated, with its response-cache key
-/// built: everything [`handle`] does before it touches a model. The
-/// server prepares each request on its event loop, answers it there when
-/// [`Prepared::cached`] finds the body, and hands the rest to a worker,
-/// which finishes it with [`Prepared::respond`].
+/// built: everything [`handle`] does before it touches a model. A
+/// caching server prepares each request on its event loop, answers it
+/// there when [`Prepared::cached`] finds the body, and hands the rest to
+/// a worker, which finishes it with [`Prepared::respond`].
 pub(crate) struct Prepared {
-    /// The response-cache key: set when the config has a cache and the
-    /// request's body may be cached.
+    /// The response-cache key: set when the request's body may be cached.
     key: Option<Vec<u8>>,
     compute: Compute,
 }
@@ -145,8 +139,8 @@ pub(crate) fn prepare(req: &Request, cfg: &HandlerConfig) -> Prepared {
     Query::parse(&req.raw_query)
         .and_then(|query| match route {
             Route::Serialized | Route::Sweep => sweep_request(&query, cfg),
-            Route::Overlapped => overlapped_request(&query, cfg),
-            Route::Evolve => evolve_request(&query, cfg),
+            Route::Overlapped => overlapped_request(&query),
+            Route::Evolve => evolve_request(&query),
             Route::Healthz => Ok(Prepared::answer(Response::json(200, "{\"status\":\"ok\"}"))),
             Route::Metrics => metrics_request(&query),
             Route::DebugSleep => debug_sleep_request(&query, cfg),
@@ -173,16 +167,16 @@ impl Prepared {
     /// The response cache's finished body for this request, if it holds
     /// one (counted as a cache hit). `None` for a body never computed,
     /// still being computed, or not cacheable.
-    pub(crate) fn cached(&self, cfg: &HandlerConfig) -> Option<Response> {
-        cfg.cache.as_ref()?.peek(self.key.as_ref()?)
+    pub(crate) fn cached(&self, cache: &ResponseCache) -> Option<Response> {
+        cache.peek(self.key.as_ref()?)
     }
 
-    /// Compute the response, through the response cache when the request
-    /// has a key: a concurrent miss on the same key waits for the one in
-    /// flight instead of computing again.
-    pub(crate) fn respond(self, cfg: &HandlerConfig) -> Response {
+    /// Compute the response, through `cache` when there is one and the
+    /// request has a key: a concurrent miss on the same key waits for
+    /// the one in flight instead of computing again.
+    pub(crate) fn respond(self, cfg: &HandlerConfig, cache: Option<&ResponseCache>) -> Response {
         let Self { key, compute } = self;
-        match (key, &cfg.cache) {
+        match (key, cache) {
             // Only infallible 200 paths get a key, so an error here is
             // the server's.
             (Some(key), Some(cache)) => cache.get_or_compute(key, || {
@@ -255,7 +249,7 @@ fn sweep_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
     // ones (the journal on disk is the durable artifact). The grid's
     // spec bytes fold omitted params and alternate float spellings into
     // one key; `jobs` cannot change the body.
-    let cacheable = cfg.cache.is_some() && cfg.executor.is_none() && journal.is_none();
+    let cacheable = cfg.executor.is_none() && journal.is_none();
     let key = cacheable.then(|| {
         let mut key = KeyBuilder::new("sweep")
             .field("fmt", format_token(format))
@@ -384,7 +378,7 @@ fn render_sweep(csv: Vec<u8>, format: Format) -> Response {
 /// `overlap_pct` silently clamps TP to the model's head count, so this
 /// handler rejects out-of-range TP explicitly — the service must never
 /// label a clamped result with the TP the client asked for.
-fn overlapped_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
+fn overlapped_request(q: &Query) -> Result<Prepared, String> {
     q.reject_unknown(&["h", "slb", "sl", "b", "tp", "dp", "format"])?;
     let format = parse_format(q, Format::Json)?;
     let h = q.u64("h")?.ok_or("`h` (hidden size) is required")?;
@@ -398,7 +392,11 @@ fn overlapped_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String
             return Err("give either `slb` or `sl`(+`b`), not both".to_owned())
         }
         (Some(slb), None, None) => slb,
-        (None, Some(sl), b) => sl * b.unwrap_or(1),
+        (None, Some(sl), b) => {
+            let b = b.unwrap_or(1);
+            sl.checked_mul(b)
+                .ok_or_else(|| format!("sl={sl} times b={b} overflows the token count"))?
+        }
         (None, None, _) => return Err("`slb` (or `sl` and `b`) is required".to_owned()),
     };
     if slb == 0 {
@@ -423,16 +421,14 @@ fn overlapped_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String
     // Fully validated; the compute below cannot fail, so it is
     // cacheable. Note `sl`+`b` fold into `slb` before the key: both
     // spellings share one entry.
-    let key = cfg.cache.as_ref().map(|_| {
-        KeyBuilder::new("overlapped")
-            .field("fmt", format_token(format))
-            .field("h", h)
-            .field("slb", slb)
-            .field("tp", tp)
-            .field("dp", dp)
-            .finish()
-    });
-    Ok(Prepared::new(key, move |_| {
+    let key = KeyBuilder::new("overlapped")
+        .field("fmt", format_token(format))
+        .field("h", h)
+        .field("slb", slb)
+        .field("tp", tp)
+        .field("dp", dp)
+        .finish();
+    Ok(Prepared::new(Some(key), move |_| {
         let pct = overlap_pct(&DeviceSpec::mi210(), h, slb, tp, dp);
         Ok(match format {
             Format::Json => Response::json(
@@ -455,7 +451,7 @@ fn overlapped_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String
 
 /// `/v1/evolve`: both communication metrics for one configuration on
 /// hardware evolved by the given flop-vs-bw ratio (§4.3.6).
-fn evolve_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
+fn evolve_request(q: &Query) -> Result<Prepared, String> {
     q.reject_unknown(&["flop_vs_bw", "h", "sl", "b", "tp", "method", "format"])?;
     let format = parse_format(q, Format::Json)?;
     let ratio = q
@@ -478,14 +474,11 @@ fn evolve_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
         ..GridSweep::default()
     };
     grid.validate()?;
-    let key = cfg.cache.as_ref().map(|_| {
-        let mut key = KeyBuilder::new("evolve")
-            .field("fmt", format_token(format))
-            .finish();
-        encode_grid(&mut key, &grid);
-        key
-    });
-    Ok(Prepared::new(key, move |_| {
+    let mut key = KeyBuilder::new("evolve")
+        .field("fmt", format_token(format))
+        .finish();
+    encode_grid(&mut key, &grid);
+    Ok(Prepared::new(Some(key), move |_| {
         let base = DeviceSpec::mi210();
         let point = GridPoint::new(h, sl, tp, ratio);
         let (serialized, overlap) = eval_grid_point(&base, point, b, method, Workload::Training);
@@ -574,13 +567,10 @@ mod tests {
         HandlerConfig::default()
     }
 
-    /// A config with its own detached response cache (not the global
+    /// [`handle`] through `cache`, a detached one (not the global
     /// registry), so cache assertions are isolated per test.
-    fn cached_cfg() -> HandlerConfig {
-        HandlerConfig {
-            cache: Some(Arc::new(ResponseCache::detached())),
-            ..HandlerConfig::default()
-        }
+    fn handle_cached(req: &Request, cfg: &HandlerConfig, cache: &ResponseCache) -> Response {
+        prepare(req, cfg).respond(cfg, Some(cache))
     }
 
     #[test]
@@ -624,47 +614,53 @@ mod tests {
         // Two spellings of the same sweep — omitted axis params vs.
         // explicit defaults, `1` vs. `1.0` floats — must share one
         // cache entry, while a genuinely different grid must not.
-        let cfg = cached_cfg();
-        let a = handle(
+        let cache = ResponseCache::detached();
+        let a = handle_cached(
             &get("/v1/sweep", "h=4096&tp=16,32&flop_vs_bw=1,2&method=proj"),
-            &cfg,
+            &cfg(),
+            &cache,
         );
         assert_eq!(a.status, 200, "{}", a.body);
-        let b = handle(
+        let b = handle_cached(
             &get(
                 "/v1/sweep",
                 "h=4096&tp=16,32&flop_vs_bw=1.0,2.000&method=proj&experts=1&top_k=1&stages=1&micro_batches=1&sp=1&workload=training&b=1&jobs=4",
             ),
-            &cfg,
+            &cfg(),
+            &cache,
         );
         assert_eq!(a.body, b.body);
-        let stats = cfg.cache.as_ref().unwrap().stats();
         assert_eq!(
-            (stats.misses, stats.hits, stats.entries),
+            cache.stats(),
             (1, 1, 1),
             "same canonical query must compute once and hit once"
         );
-        let c = handle(
+        let c = handle_cached(
             &get("/v1/sweep", "h=4096&tp=32,16&flop_vs_bw=1,2&method=proj"),
-            &cfg,
+            &cfg(),
+            &cache,
         );
         assert_eq!(c.status, 200, "{}", c.body);
         assert_ne!(c.body, a.body, "axis order changes row order");
-        assert_eq!(cfg.cache.as_ref().unwrap().stats().entries, 2);
+        assert_eq!(cache.stats().2, 2);
     }
 
     #[test]
     fn overlapped_cache_folds_sl_b_into_slb() {
-        let cfg = cached_cfg();
-        let a = handle(&get("/v1/overlapped", "h=4096&slb=2048&tp=16&dp=4"), &cfg);
-        let b = handle(
+        let cache = ResponseCache::detached();
+        let a = handle_cached(
+            &get("/v1/overlapped", "h=4096&slb=2048&tp=16&dp=4"),
+            &cfg(),
+            &cache,
+        );
+        let b = handle_cached(
             &get("/v1/overlapped", "h=4096&sl=1024&b=2&tp=16&dp=4"),
-            &cfg,
+            &cfg(),
+            &cache,
         );
         assert_eq!(a.status, 200, "{}", a.body);
         assert_eq!(a.body, b.body);
-        let stats = cfg.cache.as_ref().unwrap().stats();
-        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+        assert_eq!(cache.stats(), (1, 1, 1));
     }
 
     #[test]
@@ -675,9 +671,9 @@ mod tests {
             ("/v1/evolve", "flop_vs_bw=4&h=4096&tp=16&method=proj"),
         ] {
             let cold = handle(&get(q.0, q.1), &cfg());
-            let cached = cached_cfg();
-            let first = handle(&get(q.0, q.1), &cached);
-            let warm = handle(&get(q.0, q.1), &cached);
+            let cache = ResponseCache::detached();
+            let first = handle_cached(&get(q.0, q.1), &cfg(), &cache);
+            let warm = handle_cached(&get(q.0, q.1), &cfg(), &cache);
             assert_eq!(cold.body, first.body, "{}", q.0);
             assert_eq!(cold.body, warm.body, "{}", q.0);
             assert_eq!(cold.content_type, warm.content_type, "{}", q.0);
@@ -686,12 +682,14 @@ mod tests {
 
     #[test]
     fn validation_errors_never_reach_the_cache() {
-        let cfg = cached_cfg();
+        let cache = ResponseCache::detached();
         for q in ["h=1000", "tp=0", "flop_vs_bw=0.5"] {
-            assert_eq!(handle(&get("/v1/sweep", q), &cfg).status, 400);
+            assert_eq!(
+                handle_cached(&get("/v1/sweep", q), &cfg(), &cache).status,
+                400
+            );
         }
-        let stats = cfg.cache.as_ref().unwrap().stats();
-        assert_eq!((stats.misses, stats.entries), (0, 0), "400s are not cached");
+        assert_eq!(cache.stats(), (0, 0, 0), "400s are not cached");
     }
 
     #[test]
@@ -844,8 +842,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let journaled = HandlerConfig {
             journal_dir: Some(dir.clone()),
-            ..cached_cfg()
+            ..cfg()
         };
+        let cache = ResponseCache::detached();
         let query = "h=4096&tp=16,32&flop_vs_bw=1,2&experts=1,8&top_k=1&method=proj";
         let plain = handle(&get("/v1/sweep", query), &cfg());
         assert_eq!(plain.status, 200, "{}", plain.body);
@@ -858,15 +857,15 @@ mod tests {
             // A fresh run journals; the second request replays the
             // complete journal. Both bodies equal the unjournaled one.
             for attempt in ["fresh", "replayed"] {
-                let r = handle(&get("/v1/sweep", &target), &journaled);
+                let r = handle_cached(&get("/v1/sweep", &target), &journaled, &cache);
                 assert_eq!(r.status, 200, "{format} {attempt}: {}", r.body);
                 assert_eq!(r.body, plain.body, "{format} {attempt}");
             }
             assert!(dir.join(format!("run-{format}.journal")).exists());
         }
-        let stats = journaled.cache.as_ref().unwrap().stats();
         assert_eq!(
-            stats.entries, 0,
+            cache.stats().2,
+            0,
             "journaled bodies bypass the response cache"
         );
 
@@ -912,6 +911,16 @@ mod tests {
             "{}",
             r.body
         );
+    }
+
+    #[test]
+    fn overlapped_rejects_an_overflowing_sl_times_b() {
+        let r = handle(
+            &get("/v1/overlapped", "h=4096&sl=4294967296&b=4294967296&tp=16"),
+            &cfg(),
+        );
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("overflows the token count"), "{}", r.body);
     }
 
     #[test]

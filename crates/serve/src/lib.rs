@@ -5,7 +5,7 @@
 //! answers the complementary interactive question — "what does the model
 //! say about *this* configuration?" — without paying process startup per
 //! query. A long-running `twocs serve` process memoizes whole rendered
-//! bodies in a [`ResponseCache`], so repeat queries are answered without
+//! bodies in its response cache, so repeat queries are answered without
 //! touching the models at all (visible in `/v1/metrics` as
 //! `serve.cache.*`); nothing model-side outlives a request.
 //!
@@ -57,7 +57,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+mod cache;
 pub mod handlers;
 pub mod http;
 pub mod poll;
@@ -66,7 +66,6 @@ pub mod query;
 pub mod router;
 pub mod shutdown;
 
-pub use cache::ResponseCache;
 pub use handlers::HandlerConfig;
 pub use shutdown::{install_signal_handler, ShutdownHandle};
 
@@ -78,6 +77,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use cache::ResponseCache;
 use http::{scan_head, HeadScan, Request, Response, MAX_HEAD_BYTES};
 use poll::{Interest, Poller, Source, Waker};
 use pool::Bounded;
@@ -104,11 +104,12 @@ pub struct ServerConfig {
     /// Requests served on one connection before the server closes it
     /// (bounds per-connection resource lifetime).
     pub max_requests_per_conn: u64,
-    /// Whether to memoize full response bodies in a [`ResponseCache`]
-    /// (`serve.cache.*` metrics). Disabled, every request recomputes.
+    /// Whether to memoize full response bodies (`serve.cache.*`
+    /// metrics): the one switch for the response cache. Disabled, every
+    /// request recomputes.
     pub cache_responses: bool,
     /// Handler limits (grid-point cap, per-request jobs cap, debug
-    /// endpoints, executor, cache injection).
+    /// endpoints, executor, journal directory).
     pub handler: HandlerConfig,
 }
 
@@ -202,10 +203,8 @@ impl Server {
     /// like a sweep task.
     pub fn run(self) -> ServeStats {
         let metrics = twocs_obs::metrics::global();
-        let mut handler = self.config.handler.clone();
-        if self.config.cache_responses && handler.cache.is_none() {
-            handler.cache = Some(Arc::new(ResponseCache::new()));
-        }
+        let handler = &self.config.handler;
+        let cache = self.config.cache_responses.then(ResponseCache::new);
         let work: Arc<Bounded<Job>> = Arc::new(Bounded::with_gauge(
             self.config.queue,
             metrics.gauge("serve.queue_depth"),
@@ -215,7 +214,8 @@ impl Server {
         let jobs = self.config.jobs.max(1);
         let ctx = LoopCtx {
             work: &work,
-            handler: &handler,
+            handler,
+            cache: cache.as_ref(),
             draining: Cell::new(false),
             request_timeout: self.config.request_timeout,
             idle_timeout: self.config.idle_timeout,
@@ -226,14 +226,14 @@ impl Server {
             let workers = {
                 let work = Arc::clone(&work);
                 let completions = Arc::clone(&completions);
-                let handler = &handler;
+                let cache = cache.as_ref();
                 let worker_waker = waker.clone();
                 scope.spawn(move || {
                     twocs_core::sweep::run_tasks_labeled(
                         jobs,
                         jobs,
                         |w| format!("serve worker {w}"),
-                        |_w| worker_loop(&work, handler, &completions, &worker_waker),
+                        |_w| worker_loop(&work, handler, cache, &completions, &worker_waker),
                     );
                 })
             };
@@ -465,6 +465,7 @@ struct Conn {
 struct LoopCtx<'a> {
     work: &'a Bounded<Job>,
     handler: &'a HandlerConfig,
+    cache: Option<&'a ResponseCache>,
     /// Shutdown has begun: the work queue is closed, and the loop stops
     /// answering cache hits itself, so late requests get the `503` the
     /// closed queue gives them.
@@ -489,6 +490,7 @@ enum Io {
 fn worker_loop(
     work: &Bounded<Job>,
     handler: &HandlerConfig,
+    cache: Option<&ResponseCache>,
     completions: &Mutex<Vec<Completion>>,
     waker: &Waker,
 ) {
@@ -500,7 +502,7 @@ fn worker_loop(
                 &format!("{} {}", job.request.method, job.request.path),
                 "serve",
             );
-            catch_unwind(AssertUnwindSafe(|| job.prepared.respond(handler)))
+            catch_unwind(AssertUnwindSafe(|| job.prepared.respond(handler, cache)))
                 .unwrap_or_else(|_| internal_error())
         };
         count_status(response.status);
@@ -659,9 +661,10 @@ fn dispatch(conn: &mut Conn, request: Request, ctx: &LoopCtx, stats: &mut ServeS
         handlers::prepare(&request, ctx.handler)
     }))
     .unwrap_or_else(|_| handlers::Prepared::answer(internal_error()));
-    let hit = (!ctx.draining.get())
-        .then(|| prepared.cached(ctx.handler))
-        .flatten();
+    let hit = ctx
+        .cache
+        .filter(|_| !ctx.draining.get())
+        .and_then(|cache| prepared.cached(cache));
     if let Some(response) = hit {
         stats.served += 1;
         count_status(response.status);

@@ -188,6 +188,44 @@ fn bad_grids_get_the_same_message_from_cli_and_serve() {
             "flop_vs_bw ratios must be finite and >= 1",
         ),
         (
+            &["--flop-vs-bw", "1e300", "--method", "proj"],
+            "flop_vs_bw=1e300&method=proj",
+            "flop_vs_bw=1e300: ratios above 1e290 overflow the evolved device's peak FLOPS",
+        ),
+        (
+            &["--h", "1099511627776", "--tp", "256", "--method", "proj"],
+            "h=1099511627776&tp=256&method=proj",
+            "h=1099511627776, sl=4096, b=1, tp=256: the point's largest GEMM or transfer \
+             exceeds 2^58 flops or bytes",
+        ),
+        (
+            &[
+                "--h",
+                "18446744073709551360",
+                "--tp",
+                "256",
+                "--method",
+                "proj",
+            ],
+            "h=18446744073709551360&tp=256&method=proj",
+            "shrink h, sl or b",
+        ),
+        (
+            &["--sl", "1099511627776"],
+            "sl=1099511627776",
+            "sl=1099511627776, b=1, tp=16: the point's largest GEMM or transfer",
+        ),
+        (
+            &["--sl", "18446744073709551615", "--method", "proj"],
+            "sl=18446744073709551615&method=proj",
+            "shrink h, sl or b",
+        ),
+        (
+            &["--sl", "4294967296", "--b", "4294967296"],
+            "sl=4294967296&b=4294967296",
+            "sl=4294967296, b=4294967296, tp=16: the point's largest GEMM or transfer",
+        ),
+        (
             &["--stages", "0", "--method", "proj"],
             "stages=0&method=proj",
             "experts, top_k, stages, micro_batches, and sp values must be non-zero",

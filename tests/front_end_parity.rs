@@ -3,13 +3,16 @@
 //!
 //! Each seeded case draws a few of the request's parameters — every
 //! [`AXES`] row plus `workload`, `method` and `b` — and gives each a value
-//! of one kind: valid, `0`, negative, `-0`, `nan`, `inf`, `1e309`, a
-//! non-multiple of 256, empty, a duplicate value or a trailing comma. Some
+//! of one kind: valid, `0`, negative, `-0`, `nan`, `inf`, `1e309`, huge
+//! (`1e300`, 2^40 or `u64::MAX`), a non-multiple of 256, empty, a
+//! duplicate value or a trailing comma. Some
 //! cases also repeat a key or add an unknown one. The case runs as the CLI
 //! binary and through serve's in-process [`handle`], and the two must
 //! agree: both accept and print the same CSV bytes, or both reject with
 //! the same message once the CLI's flag spellings (`--flop-vs-bw`) are
-//! mapped to query names (`flop_vs_bw`).
+//! mapped to query names (`flop_vs_bw`). An accepted case must render
+//! every cell: a huge value either fits the models or is rejected, and
+//! never becomes an `error` cell.
 //!
 //! Two kinds of case differ in syntax, so only accept or reject is
 //! compared for them:
@@ -32,7 +35,7 @@ use twocs_testkit::Rng;
 
 const CASES: usize = 500;
 
-const KINDS: [&str; 11] = [
+const KINDS: [&str; 12] = [
     "valid",
     "zero",
     "negative",
@@ -40,6 +43,7 @@ const KINDS: [&str; 11] = [
     "nan",
     "inf",
     "1e309",
+    "huge",
     "non-multiple",
     "empty",
     "duplicate-value",
@@ -86,6 +90,9 @@ fn value(rng: &mut Rng, name: &str, kind: &str) -> String {
         "zero" => "0".to_owned(),
         "negative" => format!("-{valid}"),
         "-0" | "nan" | "inf" | "1e309" => kind.to_owned(),
+        "huge" => rng
+            .choose(&["1e300", "1099511627776", "18446744073709551615"])
+            .to_string(),
         "non-multiple" => rng.choose(&["1000", "3", "24", "4097"]).to_string(),
         "empty" => String::new(),
         "duplicate-value" => format!("{valid},{valid}"),
@@ -206,6 +213,7 @@ fn to_query_names(message: &str) -> String {
 fn compare(case: &Case) -> Result<bool, String> {
     let (cli, served) = (cli(case), serve(case));
     match (&cli, served.status) {
+        (Ok(stdout), 200) if stdout.contains("error") => Err(format!("error cells:\n{stdout}")),
         (Ok(stdout), 200) if *stdout == served.body => Ok(true),
         (Ok(stdout), 200) => Err(format!("CSV differs:\n{stdout}\nvs\n{}", served.body)),
         (Err(_), 400) if case.syntax_differs => Ok(false),
