@@ -5,95 +5,15 @@
 //! analyses on devices evolved by that *flop-vs.-bw* ratio: serialized
 //! communication climbs from 20–50% to 30–65% (2×) and 40–75% (4×), and
 //! overlapped communication starts exceeding the compute that should hide
-//! it (≥100% = exposed).
+//! it (≥100% = exposed). The registry's fig12 and fig13 are those
+//! studies' points at each ratio, priced by the sweep kernel.
 
-use crate::overlapped::{overlap_pct, OverlapSweep};
-use crate::report::{Figure, Series};
-use crate::serialized::{comm_fraction, sweep_hyper, Method, SerializedSweep};
-use crate::sweep::{parallelism, run_tasks};
-use twocs_hw::{DeviceSpec, HwEvolution};
-use twocs_transformer::ParallelConfig;
+use crate::serialized::Method;
+use crate::sweep::{eval_grid_metric, GridMetric, GridPoint, Workload};
+use twocs_hw::DeviceSpec;
 
 /// The flop-vs.-bw ratios studied by the paper.
 pub const FLOP_VS_BW_RATIOS: [f64; 3] = [1.0, 2.0, 4.0];
-
-/// Figure 12: serialized-communication fraction under hardware evolution.
-/// One series per `(H, SL, scale)` combination.
-///
-/// The series fan out over [`run_tasks`] with the sweep engine's
-/// [`parallelism`] budget — this is the most expensive generator in the
-/// registry, and its `(scale, H, SL)` combinations are independent.
-/// Series order (scale-major) is preserved regardless of thread count.
-#[must_use]
-pub fn figure12(device: &DeviceSpec, sweep: &SerializedSweep, method: Method) -> Figure {
-    let mut fig = Figure::new(
-        "fig12",
-        "Serialized communication fraction under flop-vs-bw scaling",
-        "TP degree",
-        "% of training time",
-    );
-    let combos: Vec<(f64, u64, u64)> = FLOP_VS_BW_RATIOS
-        .iter()
-        .flat_map(|&scale| sweep.h_sl_pairs.iter().map(move |&(h, sl)| (scale, h, sl)))
-        .collect();
-    let series = run_tasks(parallelism(), combos.len(), |i| {
-        let (scale, h, sl) = combos[i];
-        let evolved = HwEvolution::flop_vs_bw(scale).apply(device);
-        let hyper = sweep_hyper(h, sl, sweep.batch);
-        let points: Vec<(f64, f64)> = sweep
-            .tps
-            .iter()
-            .filter(|&&tp| tp <= hyper.heads())
-            .map(|&tp| {
-                let par = ParallelConfig::new().tensor(tp);
-                (
-                    tp as f64,
-                    100.0 * comm_fraction(&evolved, &hyper, &par, method),
-                )
-            })
-            .collect();
-        Series::new(format!("H={h} SL={sl} x{scale:.0}"), points)
-    });
-    for t in series {
-        fig = fig.with_series(t.result.unwrap_or_else(|e| panic!("{e}")));
-    }
-    fig
-}
-
-/// Figure 13: overlapped communication as % of compute under hardware
-/// evolution. Series fan out like [`figure12`]'s.
-#[must_use]
-pub fn figure13(device: &DeviceSpec, sweep: &OverlapSweep) -> Figure {
-    let mut fig = Figure::new(
-        "fig13",
-        "Overlapped communication vs compute under flop-vs-bw scaling",
-        "SL*B",
-        "% of compute",
-    );
-    let combos: Vec<(f64, u64)> = FLOP_VS_BW_RATIOS
-        .iter()
-        .flat_map(|&scale| sweep.hs.iter().map(move |&h| (scale, h)))
-        .collect();
-    let series = run_tasks(parallelism(), combos.len(), |i| {
-        let (scale, h) = combos[i];
-        let evolved = HwEvolution::flop_vs_bw(scale).apply(device);
-        let points: Vec<(f64, f64)> = sweep
-            .slbs
-            .iter()
-            .map(|&slb| {
-                (
-                    slb as f64,
-                    overlap_pct(&evolved, h, slb, sweep.tp, sweep.dp),
-                )
-            })
-            .collect();
-        Series::new(format!("H={h} x{scale:.0}"), points)
-    });
-    for t in series {
-        fig = fig.with_series(t.result.unwrap_or_else(|e| panic!("{e}")));
-    }
-    fig
-}
 
 /// The paper's highlighted `(H, SL, TP)` configurations (§4.3.4): models
 /// at their memory-required TP degrees.
@@ -112,21 +32,22 @@ pub fn serialized_bands(device: &DeviceSpec, method: Method) -> Vec<(f64, (f64, 
     FLOP_VS_BW_RATIOS
         .iter()
         .map(|&scale| {
-            let evolved = HwEvolution::flop_vs_bw(scale).apply(device);
-            let mut lo = f64::MAX;
-            let mut hi = f64::MIN;
-            for (h, sl, tp) in HIGHLIGHTED_CONFIGS {
-                let f = 100.0
-                    * comm_fraction(
-                        &evolved,
-                        &sweep_hyper(h, sl, 1),
-                        &ParallelConfig::new().tensor(tp),
-                        method,
-                    );
-                lo = lo.min(f);
-                hi = hi.max(f);
-            }
-            (scale, (lo, hi))
+            let band =
+                HIGHLIGHTED_CONFIGS
+                    .iter()
+                    .fold((f64::MAX, f64::MIN), |(lo, hi), &(h, sl, tp)| {
+                        let p = GridPoint::new(h, sl, tp, scale);
+                        let f = eval_grid_metric(
+                            device,
+                            p,
+                            1,
+                            method,
+                            Workload::Training,
+                            GridMetric::Serialized,
+                        );
+                        (lo.min(f), hi.max(f))
+                    });
+            (scale, band)
         })
         .collect()
 }
@@ -134,6 +55,8 @@ pub fn serialized_bands(device: &DeviceSpec, method: Method) -> Vec<(f64, (f64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlapped::overlap_pct;
+    use twocs_hw::HwEvolution;
 
     fn device() -> DeviceSpec {
         DeviceSpec::mi210()
@@ -181,18 +104,6 @@ mod tests {
         assert!(pct > 100.0, "4x-evolved overlap {pct}% should be exposed");
         let base_pct = overlap_pct(&device(), 4096, 1024, 16, 4);
         assert!(base_pct < 100.0, "baseline overlap {base_pct}% is hidden");
-    }
-
-    #[test]
-    fn figure13_has_series_per_h_per_scale() {
-        let sweep = OverlapSweep {
-            hs: vec![4096, 16_384],
-            slbs: vec![1024, 4096],
-            tp: 16,
-            dp: 4,
-        };
-        let fig = figure13(&device(), &sweep);
-        assert_eq!(fig.series.len(), 2 * FLOP_VS_BW_RATIOS.len());
     }
 
     #[test]

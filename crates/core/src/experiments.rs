@@ -4,15 +4,22 @@
 //! `cargo run --example paper_figures` iterates this registry; the bench
 //! crate regenerates each entry under Criterion; `EXPERIMENTS.md` records
 //! paper-vs-measured for each id.
+//!
+//! The grid figures (Figs. 10–13, `moe`, `inference_workloads` and the
+//! training series of `inference`) are data: each series lists its
+//! `(x, GridPoint)` points, and `grid_figure` prices them through the
+//! sweep's kernel, [`eval_grid_metric`], so they cannot drift from what
+//! `twocs sweep` and `/v1/sweep` print for the same points.
 
-use crate::report::{Figure, Table};
-use crate::serialized::Method;
-use crate::{
-    accuracy, case_study, evolution, inference, overlapped, sensitivity, serialized, sweep,
-    techniques, trends,
+use crate::evolution::FLOP_VS_BW_RATIOS;
+use crate::report::{Figure, Series, Table};
+use crate::serialized::{realistic_tp, sweep_hyper, Method};
+use crate::sweep::{
+    eval_grid_metric, parallelism, run_tasks_labeled, GridMetric, GridPoint, Workload,
 };
+use crate::{accuracy, case_study, inference, sensitivity, techniques, trends};
 use twocs_hw::DeviceSpec;
-use twocs_transformer::zoo;
+use twocs_transformer::{zoo, ParallelConfig};
 
 /// The output of one experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,34 +160,236 @@ fn run_fig09b(_device: &DeviceSpec) -> ExperimentOutput {
     ExperimentOutput::Table(t)
 }
 
-fn run_fig10(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(serialized::figure10(
-        device,
-        &serialized::SerializedSweep::default(),
-        Method::Simulation,
-    ))
+/// What a grid series plots of each point: the metric, and the method
+/// and workload that price it.
+type Plot = (GridMetric, Method, Workload);
+
+/// The simulated serialized fraction of the training iteration.
+const SIMULATED: Plot = (
+    GridMetric::Serialized,
+    Method::Simulation,
+    Workload::Training,
+);
+
+/// The overlapped-communication percentage of compute.
+const OVERLAP: Plot = (GridMetric::Overlap, Method::Simulation, Workload::Training);
+
+/// The projected serialized fraction under a workload.
+const fn projected(workload: Workload) -> Plot {
+    (GridMetric::Serialized, Method::Projection, workload)
 }
 
-fn run_fig11(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(overlapped::figure11(
-        device,
-        &overlapped::OverlapSweep::default(),
-    ))
+/// One series of a grid figure: its label, what it plots, and its
+/// `(x, point)` list. The lists are explicit rather than cross
+/// products, so a figure plots exactly the points it names.
+#[derive(Debug, Clone)]
+struct GridSeries(String, Plot, Vec<(f64, GridPoint)>);
+
+/// A grid figure: its head (id, title, axis labels) and its series.
+type GridFigure = (Figure, Vec<GridSeries>);
+
+/// Price every point of a grid figure through the sweep's kernel at
+/// batch 1 and append its series to its head in order, one task scope
+/// per series. Above a worker budget of one the series fan out on the
+/// worker pool; at one they run on the calling thread, like the
+/// planner's ratio groups, since a one-worker pool would only add a
+/// thread spawn per figure. Under the logical trace clock both record
+/// the same spans.
+fn grid_figure(device: &DeviceSpec, (head, series): GridFigure) -> Figure {
+    let price = |i: usize| {
+        let GridSeries(_, (metric, method, workload), points) = &series[i];
+        let y = |p| eval_grid_metric(device, p, 1, *method, *workload, *metric);
+        points.iter().map(|&(x, p)| (x, y(p))).collect::<Vec<_>>()
+    };
+    let label = |i: usize| series[i].0.clone();
+    let jobs = parallelism();
+    let priced: Vec<_> = if jobs <= 1 {
+        (0..series.len())
+            .map(|i| {
+                let _scope = twocs_obs::task_scope(i, &label(i));
+                price(i)
+            })
+            .collect()
+    } else {
+        run_tasks_labeled(jobs, series.len(), label, price)
+            .into_iter()
+            .map(|t| t.result.unwrap_or_else(|e| panic!("{e}")))
+            .collect()
+    };
+    let labels = series.into_iter().map(|GridSeries(label, ..)| label);
+    labels.zip(priced).fold(head, |fig, (label, points)| {
+        fig.with_series(Series::new(label, points))
+    })
 }
 
-fn run_fig12(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(evolution::figure12(
-        device,
-        &serialized::SerializedSweep::default(),
-        Method::Simulation,
-    ))
+/// `(x, point(x))` for each of `xs`.
+#[allow(clippy::cast_precision_loss)]
+fn along(
+    xs: impl IntoIterator<Item = u64>,
+    point: impl Fn(u64) -> GridPoint,
+) -> Vec<(f64, GridPoint)> {
+    xs.into_iter().map(|x| (x as f64, point(x))).collect()
 }
 
-fn run_fig13(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(evolution::figure13(
-        device,
-        &overlapped::OverlapSweep::default(),
-    ))
+/// Figs. 10 and 12's `(H, SL)` shapes: T-NLG-, PaLM-1×- and PaLM-3×-class
+/// models.
+const SHAPES: [(u64, u64); 4] = [(4096, 2048), (16_384, 2048), (65_536, 2048), (65_536, 4096)];
+
+/// Figs. 10 and 12's TP degrees.
+const SHAPE_TPS: [u64; 7] = [4, 8, 16, 32, 64, 128, 256];
+
+/// Figs. 11 and 13's hidden sizes, one series each.
+const OVERLAP_HS: [u64; 4] = [1024, 4096, 16_384, 65_536];
+
+/// Figs. 11 and 13's `SL·B` token counts (x-axis), at `B = 1` and the
+/// paper's TP of 16.
+const OVERLAP_SLBS: [u64; 6] = [1024, 2048, 4096, 8192, 16_384, 32_768];
+
+/// The inference figures' TP degrees at the H=16K, SL=2K study shape.
+const INFERENCE_TPS: [u64; 6] = [8, 16, 32, 64, 128, 256];
+
+/// The H=16K, SL=2K study shape at `tp`, today's hardware.
+fn study_point(tp: u64) -> GridPoint {
+    GridPoint::new(16_384, 2048, tp, 1.0)
+}
+
+/// Fig. 10: the simulated serialized fraction of each shape at its
+/// realistic TPs.
+fn fig10() -> GridFigure {
+    let head = Figure::new(
+        "fig10",
+        "Fraction of serialized communication time",
+        "TP degree",
+        "% of training time",
+    );
+    let series = SHAPES.map(|(h, sl)| {
+        let tps = SHAPE_TPS.into_iter().filter(|&tp| realistic_tp(h, tp));
+        let points = along(tps, |tp| GridPoint::new(h, sl, tp, 1.0));
+        GridSeries(format!("H={h} SL={sl}"), SIMULATED, points)
+    });
+    (head, series.into())
+}
+
+/// Fig. 11: overlapped communication per hidden size across `SL·B`.
+fn fig11() -> GridFigure {
+    let head = Figure::new(
+        "fig11",
+        "Overlapped communication as a percentage of compute time",
+        "SL*B",
+        "% of compute",
+    );
+    let series = OVERLAP_HS.map(|h| {
+        let points = along(OVERLAP_SLBS, |slb| GridPoint::new(h, slb, 16, 1.0));
+        GridSeries(format!("H={h}"), OVERLAP, points)
+    });
+    (head, series.into())
+}
+
+/// Fig. 12: Fig. 10's shapes at every TP and flop-vs-bw ratio,
+/// ratio-major.
+fn fig12() -> GridFigure {
+    let head = Figure::new(
+        "fig12",
+        "Serialized communication fraction under flop-vs-bw scaling",
+        "TP degree",
+        "% of training time",
+    );
+    let series = FLOP_VS_BW_RATIOS.iter().flat_map(|&r| {
+        SHAPES.map(|(h, sl)| {
+            let points = along(SHAPE_TPS, |tp| GridPoint::new(h, sl, tp, r));
+            GridSeries(format!("H={h} SL={sl} x{r:.0}"), SIMULATED, points)
+        })
+    });
+    (head, series.collect())
+}
+
+/// Fig. 13: Fig. 11 at every flop-vs-bw ratio, ratio-major.
+fn fig13() -> GridFigure {
+    let head = Figure::new(
+        "fig13",
+        "Overlapped communication vs compute under flop-vs-bw scaling",
+        "SL*B",
+        "% of compute",
+    );
+    let series = FLOP_VS_BW_RATIOS.iter().flat_map(|&r| {
+        OVERLAP_HS.map(|h| {
+            let points = along(OVERLAP_SLBS, |slb| GridPoint::new(h, slb, 16, r));
+            GridSeries(format!("H={h} x{r:.0}"), OVERLAP, points)
+        })
+    });
+    (head, series.collect())
+}
+
+/// The MoE axis: the projected serialized fraction (all-to-all
+/// dispatch and combine included) as the expert count grows, today and
+/// at 4× flop-vs-bw, for the H=16K study shape at TP=16 with top-2
+/// routing (top-1 for the dense point). All-to-all volume scales with
+/// routed tokens (Anthony et al., PAPERS.md), so the fraction climbs
+/// with expert count, faster on compute-rich hardware.
+fn moe() -> GridFigure {
+    let head = Figure::new(
+        "moe",
+        "MoE all-to-all: serialized communication vs expert count (H=16K, TP=16, top-2)",
+        "experts",
+        "serialized % of time",
+    );
+    let series = [("flop-vs-bw 1x (today)", 1.0), ("flop-vs-bw 4x", 4.0)].map(|(label, ratio)| {
+        let points = along([1, 2, 4, 8, 16, 32, 64], |experts| GridPoint {
+            experts,
+            top_k: 2.min(experts),
+            ratio,
+            ..study_point(16)
+        });
+        GridSeries(label.to_owned(), projected(Workload::Training), points)
+    });
+    (head, series.into())
+}
+
+/// Prefill and decode (§6.3) across TP, with the projected training
+/// fraction as the reference series. Decode's matvec-shaped GEMMs sit
+/// on the bandwidth roof, so its all-reduces are amortized over far less
+/// compute than prefill's (Kundu et al.).
+fn inference_workloads() -> GridFigure {
+    let head = Figure::new(
+        "inference_workloads",
+        "Serialized communication: prefill vs decode vs training (H=16K)",
+        "TP degree",
+        "% of time",
+    );
+    let series = [
+        ("prefill", Workload::Prefill),
+        ("decode", Workload::Decode),
+        ("training (projected)", Workload::Training),
+    ]
+    .map(|(label, workload)| {
+        let points = along(INFERENCE_TPS, study_point);
+        GridSeries(label.to_owned(), projected(workload), points)
+    });
+    (head, series.into())
+}
+
+/// The §6.3 comparison: a simulated forward-only (inference) pass
+/// beside the simulated training iteration of the study shape. The
+/// forward-only series runs the simulator's inference graph, which the
+/// sweep kernel does not price; the training series is grid points.
+#[allow(clippy::cast_precision_loss)]
+fn run_inference(device: &DeviceSpec) -> ExperimentOutput {
+    let hyper = sweep_hyper(16_384, 2048, 1);
+    let forward = INFERENCE_TPS.map(|tp| {
+        let parallel = ParallelConfig::new().tensor(tp);
+        let pct = 100.0 * inference::inference_comm_fraction(device, &hyper, &parallel);
+        (tp as f64, pct)
+    });
+    let head = Figure::new(
+        "inference",
+        "Serialized communication: inference vs training (H=16K)",
+        "TP degree",
+        "% of time",
+    )
+    .with_series(Series::new("inference (fwd only)", forward.into()));
+    let points = along(INFERENCE_TPS, study_point);
+    let training = GridSeries("training (fwd+bwd)".to_owned(), SIMULATED, points);
+    ExperimentOutput::Figure(grid_figure(device, (head, vec![training])))
 }
 
 fn run_fig14(_device: &DeviceSpec) -> ExperimentOutput {
@@ -237,18 +446,6 @@ fn run_sensitivity(_device: &DeviceSpec) -> ExperimentOutput {
     ExperimentOutput::Table(sensitivity::sensitivity_table())
 }
 
-fn run_inference(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(inference::inference_vs_training_figure(device))
-}
-
-fn run_moe(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(sweep::moe_figure(device))
-}
-
-fn run_inference_workloads(device: &DeviceSpec) -> ExperimentOutput {
-    ExperimentOutput::Figure(inference::workload_figure(device))
-}
-
 /// All registered experiments, in paper order.
 #[must_use]
 pub fn all() -> Vec<ExperimentDef> {
@@ -287,25 +484,25 @@ pub fn all() -> Vec<ExperimentDef> {
             id: "fig10",
             title: "Serialized communication fraction",
             paper_claim: "20-50% of training time; grows with TP, falls with H and SL",
-            run: run_fig10,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, fig10())),
         },
         ExperimentDef {
             id: "fig11",
             title: "Overlapped communication vs compute",
             paper_claim: "17-140% of compute; 20-55% at SL*B=4K; higher at small H",
-            run: run_fig11,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, fig11())),
         },
         ExperimentDef {
             id: "fig12",
             title: "Serialized fraction under hardware evolution",
             paper_claim: "30-65% at 2x flop-vs-bw, 40-75% at 4x",
-            run: run_fig12,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, fig12())),
         },
         ExperimentDef {
             id: "fig13",
             title: "Overlap under hardware evolution",
             paper_claim: "50-100% at 2x, 80-210% at 4x; >=100% is exposed",
-            run: run_fig13,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, fig13())),
         },
         ExperimentDef {
             id: "fig14",
@@ -350,7 +547,7 @@ pub fn all() -> Vec<ExperimentDef> {
             paper_claim:
                 "(repro-specific) expert dispatch traffic raises the serialized fraction with \
                  expert count, faster on compute-rich hardware",
-            run: run_moe,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, moe())),
         },
         ExperimentDef {
             id: "inference_workloads",
@@ -358,7 +555,7 @@ pub fn all() -> Vec<ExperimentDef> {
             paper_claim:
                 "(repro-specific) decode is bandwidth-bound and comm-heavier than prefill at \
                  the same TP (disaggregation rationale of Kundu et al.)",
-            run: run_inference_workloads,
+            run: |device| ExperimentOutput::Figure(grid_figure(device, inference_workloads())),
         },
     ]
 }
@@ -426,6 +623,96 @@ mod tests {
             );
         } else {
             panic!("table3 must be a table");
+        }
+    }
+
+    fn figure(id: &str) -> Figure {
+        match (by_id(id).expect("registered").run)(&DeviceSpec::mi210()) {
+            ExperimentOutput::Figure(f) => f,
+            _ => panic!("{id} must be one figure"),
+        }
+    }
+
+    #[test]
+    fn fig10_has_one_series_per_shape() {
+        assert_eq!(figure("fig10").series.len(), SHAPES.len());
+    }
+
+    #[test]
+    fn fig10_points_projected_reproduce_the_trend() {
+        let (head, series) = fig10();
+        let series = series
+            .into_iter()
+            .map(|GridSeries(label, _, points)| {
+                GridSeries(label, projected(Workload::Training), points)
+            })
+            .collect();
+        let fig = grid_figure(&DeviceSpec::mi210(), (head, series));
+        for s in &fig.series {
+            for w in s.points.windows(2) {
+                assert!(w[1].1 >= w[0].1, "{}: fraction must grow with TP", s.label);
+            }
+        }
+    }
+
+    #[test]
+    fn fig11_spans_the_paper_band() {
+        // Paper: 17% to 140% across the sweep; 20-55% at SL*B = 4K. Our
+        // substrate spans a compatible (slightly wider) range.
+        let (lo, hi) = figure("fig11").y_range().unwrap();
+        assert!(lo < 20.0, "low end {lo}%");
+        assert!(hi > 100.0, "high end {hi}% should show exposable comm");
+        assert!(hi < 400.0, "high end {hi}% unreasonably high");
+    }
+
+    #[test]
+    fn fig11_has_one_series_per_h() {
+        let fig = figure("fig11");
+        assert_eq!(fig.series.len(), OVERLAP_HS.len());
+        for s in &fig.series {
+            assert_eq!(s.points.len(), OVERLAP_SLBS.len());
+        }
+    }
+
+    #[test]
+    fn fig13_has_series_per_h_per_ratio() {
+        let fig = figure("fig13");
+        assert_eq!(fig.series.len(), OVERLAP_HS.len() * FLOP_VS_BW_RATIOS.len());
+    }
+
+    #[test]
+    fn grid_figures_price_alike_on_any_worker_budget() {
+        let (head, series) = fig13();
+        let serial = grid_figure(&DeviceSpec::mi210(), (head.clone(), series.clone()));
+        crate::sweep::set_parallelism(3);
+        let pooled = grid_figure(&DeviceSpec::mi210(), (head, series));
+        crate::sweep::set_parallelism(1);
+        assert_eq!(serial, pooled);
+    }
+
+    #[test]
+    fn inference_comm_fraction_at_least_training() {
+        // Same per-layer all-reduce count over less compute.
+        let fig = figure("inference");
+        let (infer, train) = (&fig.series[0], &fig.series[1]);
+        for (i, t) in infer.points.iter().zip(&train.points) {
+            assert!(
+                i.1 >= 0.95 * t.1,
+                "TP={}: inference {:.1}% vs training {:.1}%",
+                i.0,
+                i.1,
+                t.1
+            );
+        }
+    }
+
+    #[test]
+    fn inference_workloads_has_three_series_over_the_tp_axis() {
+        let fig = figure("inference_workloads");
+        assert_eq!(fig.series.len(), 3);
+        for s in &fig.series {
+            assert_eq!(s.points.len(), INFERENCE_TPS.len());
+            assert!(s.points.iter().all(|&(_, y)| y.is_finite() && y >= 0.0));
         }
     }
 }

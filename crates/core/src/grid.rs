@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::str::FromStr;
 
 use crate::axes::{Values, AXES};
-use crate::serialized::{point_work, realistic_tp, sweep_hyper, Method, MAX_POINT_WORK};
+use crate::serialized::{check_point_work, realistic_tp, sweep_hyper, Method};
 use crate::sweep::{GridPoint, GridSweep, Workload};
 use twocs_hw::evolution::MAX_FLOP_VS_BW;
 
@@ -501,21 +501,20 @@ impl GridSweep {
         if self.sls.contains(&0) || self.tps.contains(&0) || self.batch == 0 {
             return Err("sl, tp, and b values must be non-zero".to_owned());
         }
-        if self
-            .flop_vs_bw
-            .iter()
-            .any(|&r| !(r.is_finite() && r >= 1.0))
-        {
-            return Err(
-                "flop_vs_bw ratios must be finite and >= 1 (1 = today's hardware)".to_owned(),
-            );
-        }
-        if let Some(r) = self.flop_vs_bw.iter().find(|&&r| r > MAX_FLOP_VS_BW) {
-            return Err(format!(
-                "flop_vs_bw={r:e}: ratios above {MAX_FLOP_VS_BW:e} overflow the evolved device's peak FLOPS"
-            ));
-        }
+        check_flop_vs_bw(&self.flop_vs_bw)?;
         crate::axes::check_extended_non_zero(self)?;
+        for (axis, values) in [
+            ("experts", &self.experts),
+            ("stages", &self.stages),
+            ("sp", &self.sps),
+        ] {
+            if let Some(v) = values.iter().find(|&&v| v > MAX_GROUP) {
+                return Err(format!(
+                    "{axis}={v}: experts, stages and sp count the devices of one group, \
+                     at most {MAX_GROUP} (the sweep's largest TP)"
+                ));
+            }
+        }
         // The index prunes top_k > experts pairs; if *no* pair survives
         // the request is contradictory rather than merely smaller.
         if !self
@@ -555,13 +554,7 @@ impl GridSweep {
         let sl = self.sls.iter().copied().max().unwrap_or(0);
         for &h in &self.hs {
             for &tp in self.tps.iter().filter(|&&tp| realistic_tp(h, tp)) {
-                if point_work(h, sl, self.batch, tp) > u128::from(MAX_POINT_WORK) {
-                    return Err(format!(
-                        "h={h}, sl={sl}, b={}, tp={tp}: the point's largest GEMM or transfer \
-                         exceeds 2^58 flops or bytes, past what the models count; shrink h, sl or b",
-                        self.batch
-                    ));
-                }
+                check_point_work(h, sl, self.batch, tp)?;
             }
         }
         if self.point_count() == 0 {
@@ -569,6 +562,32 @@ impl GridSweep {
         }
         Ok(())
     }
+}
+
+/// The most devices an extended axis may count: MoE experts (one per
+/// device of the all-to-all), pipeline stages and sequence-parallel
+/// ranks. The axes price each group as one flat ring or chain on the
+/// node's links, like TP, whose 256-way head sharding caps it at 256;
+/// far past that a point describes no machine, and its communication
+/// latency terms alone read 100%.
+pub const MAX_GROUP: u64 = 256;
+
+/// Refuse flop-vs-bw ratios that are not finite, below 1 or above
+/// [`MAX_FLOP_VS_BW`], the rule `twocs sweep`, `/v1/sweep`, `/v1/evolve`
+/// and `twocs analyze` share.
+///
+/// # Errors
+/// Names the rule the first offending ratio breaks.
+pub fn check_flop_vs_bw(ratios: &[f64]) -> Result<(), String> {
+    if ratios.iter().any(|&r| !(r.is_finite() && r >= 1.0)) {
+        return Err("flop_vs_bw ratios must be finite and >= 1 (1 = today's hardware)".to_owned());
+    }
+    if let Some(r) = ratios.iter().find(|&&r| r > MAX_FLOP_VS_BW) {
+        return Err(format!(
+            "flop_vs_bw={r:e}: ratios above {MAX_FLOP_VS_BW:e} overflow the evolved device's peak FLOPS"
+        ));
+    }
+    Ok(())
 }
 
 /// `raw` as a comma-separated list; an entry that does not parse is

@@ -6,8 +6,13 @@
 //! compute per layer to amortize them, the communication *fraction* of
 //! distributed inference is at least as high as training's, which is why
 //! the paper says its Comp-vs-Comm analysis translates to inference.
+//!
+//! The registry's `inference` figure sets the simulated forward-only
+//! pass ([`inference_comm_fraction`]) beside the simulated training
+//! iteration; `inference_workloads` prices prefill, decode and projected
+//! training points through the sweep kernel, which models the two
+//! inference phases with [`InferenceIteration`].
 
-use crate::report::{Figure, Series};
 use twocs_collectives::CollectiveCostModel;
 use twocs_hw::roofline::roofline_time;
 use twocs_hw::DeviceSpec;
@@ -170,108 +175,9 @@ pub fn inference_comm_fraction(
         .comm_fraction()
 }
 
-/// Inference vs. training communication fraction across TP degrees for a
-/// PaLM-1×-class model.
-#[must_use]
-pub fn inference_vs_training_figure(device: &DeviceSpec) -> Figure {
-    let hyper = Hyperparams::builder(16_384)
-        .heads(256)
-        .layers(2)
-        .seq_len(2048)
-        .batch(1)
-        .build()
-        .expect("valid model");
-    let tps = [8u64, 16, 32, 64, 128, 256];
-    let mut infer = Vec::new();
-    let mut train = Vec::new();
-    for &tp in &tps {
-        let parallel = ParallelConfig::new().tensor(tp);
-        infer.push((
-            tp as f64,
-            100.0 * inference_comm_fraction(device, &hyper, &parallel),
-        ));
-        let graph = IterationBuilder::new(&hyper, &parallel, device)
-            .optimizer(false)
-            .build_training();
-        let f = Engine::new()
-            .run(&graph)
-            .expect("valid training graph")
-            .comm_fraction();
-        train.push((tp as f64, 100.0 * f));
-    }
-    Figure::new(
-        "inference",
-        "Serialized communication: inference vs training (H=16K)",
-        "TP degree",
-        "% of time",
-    )
-    .with_series(Series::new("inference (fwd only)", infer))
-    .with_series(Series::new("training (fwd+bwd)", train))
-}
-
-/// Comp-vs-comm across TP degrees for the prefill and decode inference
-/// phases, with the projected training fraction as the reference series
-/// — the paper-style figure behind `out/inference_workloads.csv`.
-///
-/// Decode's matvec-shaped GEMMs sit on the bandwidth roof, so its
-/// all-reduces are amortized over far less compute than prefill's — the
-/// decode series dominates, matching Kundu et al.'s characterization of
-/// the two phases.
-#[must_use]
-pub fn workload_figure(device: &DeviceSpec) -> Figure {
-    let hyper = crate::serialized::sweep_hyper(16_384, 2048, 1);
-    let tps = [8u64, 16, 32, 64, 128, 256];
-    let mut prefill = Vec::new();
-    let mut decode = Vec::new();
-    let mut train = Vec::new();
-    for &tp in &tps {
-        for (series, workload) in [
-            (&mut prefill, Workload::Prefill),
-            (&mut decode, Workload::Decode),
-        ] {
-            let it = InferenceIteration::model(device, &hyper, tp, workload);
-            series.push((tp as f64, 100.0 * it.comm_fraction()));
-        }
-        let f = crate::serialized::comm_fraction(
-            device,
-            &hyper,
-            &ParallelConfig::new().tensor(tp),
-            crate::serialized::Method::Projection,
-        );
-        train.push((tp as f64, 100.0 * f));
-    }
-    Figure::new(
-        "inference_workloads",
-        "Serialized communication: prefill vs decode vs training (H=16K)",
-        "TP degree",
-        "% of time",
-    )
-    .with_series(Series::new("prefill", prefill))
-    .with_series(Series::new("decode", decode))
-    .with_series(Series::new("training (projected)", train))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inference_comm_fraction_at_least_training() {
-        // Same per-layer all-reduce count over less compute.
-        let device = DeviceSpec::mi210();
-        let fig = inference_vs_training_figure(&device);
-        let infer = &fig.series[0];
-        let train = &fig.series[1];
-        for (i, t) in infer.points.iter().zip(&train.points) {
-            assert!(
-                i.1 >= 0.95 * t.1,
-                "TP={}: inference {:.1}% vs training {:.1}%",
-                i.0,
-                i.1,
-                t.1
-            );
-        }
-    }
 
     #[test]
     fn workload_parses_and_displays() {
@@ -315,17 +221,6 @@ mod tests {
             let it = InferenceIteration::model(&device, &hyper, 1, workload);
             assert_eq!(it.serialized_comm_per_layer, 0.0);
             assert_eq!(it.comm_fraction(), 0.0);
-        }
-    }
-
-    #[test]
-    fn workload_figure_has_three_series_over_the_tp_axis() {
-        let fig = workload_figure(&DeviceSpec::mi210());
-        assert_eq!(fig.id, "inference_workloads");
-        assert_eq!(fig.series.len(), 3);
-        for s in &fig.series {
-            assert_eq!(s.points.len(), 6);
-            assert!(s.points.iter().all(|&(_, y)| y.is_finite() && y >= 0.0));
         }
     }
 

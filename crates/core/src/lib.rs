@@ -12,9 +12,10 @@
 //! * [`trends`] — model-scaling analysis: the memory gap (Fig. 6), the
 //!   normalized erosion of edge and slack across the model zoo (Fig. 7),
 //!   and the required-TP projection (Fig. 9(b)).
-//! * [`serialized`] / [`overlapped`] — the empirical studies of §4.3.4 and
-//!   §4.3.5 (Figs. 10 and 11), runnable either on the discrete-event
-//!   simulator or through the operator-model projection.
+//! * [`serialized`] / [`overlapped`] — the per-point models of the
+//!   empirical studies of §4.3.4 and §4.3.5 (Figs. 10 and 11), runnable
+//!   either on the discrete-event simulator or through the operator-model
+//!   projection. The sweep kernel ([`sweep::eval_grid_point`]) calls them.
 //! * [`evolution`] — the future-hardware studies of §4.3.6 (Figs. 12, 13).
 //! * [`case_study`] — the §4.3.7 end-to-end case study (Fig. 14),
 //!   including the slow-inter-node + interference scenario.
@@ -25,7 +26,8 @@
 //! * [`sensitivity`] — robustness of the headline bands to the calibrated
 //!   substrate constants.
 //! * [`experiments`] — a registry mapping every paper table/figure to a
-//!   runnable generator; [`report`] renders results as ASCII or CSV.
+//!   runnable generator; the grid figures are point lists priced by the
+//!   sweep kernel. [`report`] renders results as ASCII or CSV.
 //!
 //! ## Example
 //!

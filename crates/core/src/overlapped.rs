@@ -4,36 +4,12 @@
 //! data-parallel gradient all-reduce it must hide, execute only those in
 //! isolation, and report communication as a percentage of the compute it
 //! overlaps with. ≥100% means the communication cannot be hidden.
+//! [`overlap_pct`] is the sweep kernel's overlap metric, through which
+//! the registry prices Figs. 11 and 13.
 
-use crate::report::{Figure, Series};
 use twocs_hw::DeviceSpec;
 use twocs_opmodel::Profiler;
 use twocs_transformer::{Hyperparams, ParallelConfig};
-
-/// The Figure 11 sweep grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OverlapSweep {
-    /// Hidden sizes, one series each.
-    pub hs: Vec<u64>,
-    /// `SL·B` token counts (x-axis); profiled at `B = 1`.
-    pub slbs: Vec<u64>,
-    /// Tensor-parallel degree (the paper fixes TP = 16).
-    pub tp: u64,
-    /// Data-parallel degree (the result is largely DP-agnostic; the
-    /// paper's node has 4 GPUs).
-    pub dp: u64,
-}
-
-impl Default for OverlapSweep {
-    fn default() -> Self {
-        Self {
-            hs: vec![1024, 4096, 16_384, 65_536],
-            slbs: vec![1024, 2048, 4096, 8192, 16_384, 32_768],
-            tp: 16,
-            dp: 4,
-        }
-    }
-}
 
 /// Hyperparameters for one overlap ROI point (heads fixed power-of-two).
 #[must_use]
@@ -72,26 +48,6 @@ pub fn overlap_pct_with(profiler: &Profiler, h: u64, slb: u64, tp: u64, dp: u64)
     100.0 * comm / compute
 }
 
-/// Generate Figure 11 on `device`.
-#[must_use]
-pub fn figure11(device: &DeviceSpec, sweep: &OverlapSweep) -> Figure {
-    let mut fig = Figure::new(
-        "fig11",
-        "Overlapped communication as a percentage of compute time",
-        "SL*B",
-        "% of compute",
-    );
-    for &h in &sweep.hs {
-        let points: Vec<(f64, f64)> = sweep
-            .slbs
-            .iter()
-            .map(|&slb| (slb as f64, overlap_pct(device, h, slb, sweep.tp, sweep.dp)))
-            .collect();
-        fig = fig.with_series(Series::new(format!("H={h}"), points));
-    }
-    fig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,17 +77,6 @@ mod tests {
         let small_h = overlap_pct(&device(), 1024, 4096, 16, 4);
         let big_h = overlap_pct(&device(), 65_536, 4096, 16, 4);
         assert!(small_h > 1.5 * big_h, "H=1K {small_h}% vs H=64K {big_h}%");
-    }
-
-    #[test]
-    fn default_sweep_spans_paper_band() {
-        // Paper: 17% to 140% across the sweep; 20-55% at SL*B = 4K. Our
-        // substrate spans a compatible (slightly wider) range.
-        let fig = figure11(&device(), &OverlapSweep::default());
-        let (lo, hi) = fig.y_range().unwrap();
-        assert!(lo < 20.0, "low end {lo}%");
-        assert!(hi > 100.0, "high end {hi}% should show exposable comm");
-        assert!(hi < 400.0, "high end {hi}% unreasonably high");
     }
 
     #[test]
@@ -181,15 +126,5 @@ mod tests {
         // SL·B = 0 is not a silent zero or NaN: hyperparameter validation
         // rejects it (callers serving untrusted queries must pre-validate).
         let _ = overlap_pct(&device(), 4096, 0, 16, 4);
-    }
-
-    #[test]
-    fn one_series_per_h() {
-        let sweep = OverlapSweep::default();
-        let fig = figure11(&device(), &sweep);
-        assert_eq!(fig.series.len(), sweep.hs.len());
-        for s in &fig.series {
-            assert_eq!(s.points.len(), sweep.slbs.len());
-        }
     }
 }

@@ -1,8 +1,10 @@
 //! Serialized-communication analysis (paper §4.3.4, Figure 10).
 //!
-//! For a grid of `(H, SL)` configurations and TP degrees, compute the
-//! fraction of training time spent in serialized (tensor-parallel)
-//! communication. Two methods are provided:
+//! The fraction of training time spent in serialized (tensor-parallel)
+//! communication for one sweep point, [`comm_fraction`], which the
+//! sweep kernel ([`eval_grid_point`](crate::sweep::eval_grid_point))
+//! calls and through which the registry prices Figs. 10 and 12. Two
+//! methods are provided:
 //!
 //! * [`Method::Simulation`] — build the full training-iteration task graph
 //!   and execute it on the discrete-event simulator (shape-accurate GEMM
@@ -11,7 +13,6 @@
 //!   single BERT baseline profile (fast, but optimistic about collective
 //!   behaviour at large TP, exactly as the paper's §4.3.8 caveats note).
 
-use crate::report::{Figure, Series};
 use twocs_hw::DeviceSpec;
 use twocs_opmodel::projection::ProjectionModel;
 use twocs_sim::Engine;
@@ -50,29 +51,6 @@ impl std::str::FromStr for Method {
     }
 }
 
-/// The Figure 10 sweep grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SerializedSweep {
-    /// `(H, SL)` pairs, one series each.
-    pub h_sl_pairs: Vec<(u64, u64)>,
-    /// TP degrees (x-axis).
-    pub tps: Vec<u64>,
-    /// Batch size (the paper uses `B = 1` for large models).
-    pub batch: u64,
-}
-
-impl Default for SerializedSweep {
-    /// The paper's highlighted configurations: T-NLG-, PaLM-1×- and
-    /// PaLM-3×-class models across TP 4…256.
-    fn default() -> Self {
-        Self {
-            h_sl_pairs: vec![(4096, 2048), (16_384, 2048), (65_536, 2048), (65_536, 4096)],
-            tps: vec![4, 8, 16, 32, 64, 128, 256],
-            batch: 1,
-        }
-    }
-}
-
 /// Whether `tp` is a realistic degree for hidden size `h` — mirrors the
 /// paper's pruning of "unrealistic configurations (e.g., large model and
 /// large batch size with small tensor parallelism degree)" and its
@@ -96,20 +74,23 @@ pub fn realistic_tp(h: u64, tp: u64) -> bool {
 /// it. The cap keeps a factor of four below that.
 pub const MAX_POINT_WORK: u64 = 1 << 58;
 
-/// The largest work count (see [`MAX_POINT_WORK`]) of a sweep point,
-/// saturating instead of wrapping.
-#[must_use]
-pub fn point_work(h: u64, sl: u64, b: u64, tp: u64) -> u128 {
-    let (h, sl, b, tp) = (
-        u128::from(h),
-        u128::from(sl),
-        u128::from(b),
-        u128::from(tp.max(1)),
-    );
-    let tokens = b.saturating_mul(sl);
-    let score = tokens.saturating_mul(2 * sl).saturating_mul(h) / tp;
-    let mlp = tokens.saturating_mul(8 * h).saturating_mul(h) / tp;
-    score.max(mlp).max(h.saturating_mul(8 * h))
+/// Refuse a point whose largest work count, counted without wrapping,
+/// exceeds [`MAX_POINT_WORK`].
+///
+/// # Errors
+/// Names the point and the cap.
+pub fn check_point_work(h: u64, sl: u64, b: u64, tp: u64) -> Result<(), String> {
+    let (h128, sl128, tp128) = (u128::from(h), u128::from(sl), u128::from(tp.max(1)));
+    let tokens = u128::from(b).saturating_mul(sl128);
+    let score = tokens.saturating_mul(2 * sl128).saturating_mul(h128) / tp128;
+    let mlp = tokens.saturating_mul(8 * h128).saturating_mul(h128) / tp128;
+    if score.max(mlp).max(h128.saturating_mul(8 * h128)) <= u128::from(MAX_POINT_WORK) {
+        return Ok(());
+    }
+    Err(format!(
+        "h={h}, sl={sl}, b={b}, tp={tp}: the point's largest GEMM or transfer exceeds 2^58 \
+         flops or bytes, past what the models count; shrink h, sl or b"
+    ))
 }
 
 /// Hyperparameters for one sweep point. Head count is fixed at 256 so
@@ -164,34 +145,6 @@ pub fn comm_fraction(
             .project(hyper, parallel)
             .serialized_comm_fraction(),
     }
-}
-
-/// Generate Figure 10 on `device`.
-#[must_use]
-pub fn figure10(device: &DeviceSpec, sweep: &SerializedSweep, method: Method) -> Figure {
-    let mut fig = Figure::new(
-        "fig10",
-        "Fraction of serialized communication time",
-        "TP degree",
-        "% of training time",
-    );
-    for &(h, sl) in &sweep.h_sl_pairs {
-        let hyper = sweep_hyper(h, sl, sweep.batch);
-        let points: Vec<(f64, f64)> = sweep
-            .tps
-            .iter()
-            .filter(|&&tp| tp <= hyper.heads() && realistic_tp(h, tp))
-            .map(|&tp| {
-                let par = ParallelConfig::new().tensor(tp);
-                (
-                    tp as f64,
-                    100.0 * comm_fraction(device, &hyper, &par, method),
-                )
-            })
-            .collect();
-        fig = fig.with_series(Series::new(format!("H={h} SL={sl}"), points));
-    }
-    fig
 }
 
 #[cfg(test)]
@@ -279,22 +232,5 @@ mod tests {
         }
         assert!((12.0..=35.0).contains(&lo), "low end {lo}%");
         assert!((40.0..=60.0).contains(&hi), "high end {hi}%");
-    }
-
-    #[test]
-    fn projection_reproduces_the_trend() {
-        let fig = figure10(&device(), &SerializedSweep::default(), Method::Projection);
-        for s in &fig.series {
-            for w in s.points.windows(2) {
-                assert!(w[1].1 >= w[0].1, "{}: fraction must grow with TP", s.label);
-            }
-        }
-    }
-
-    #[test]
-    fn figure_has_one_series_per_pair() {
-        let sweep = SerializedSweep::default();
-        let fig = figure10(&device(), &sweep, Method::Simulation);
-        assert_eq!(fig.series.len(), sweep.h_sl_pairs.len());
     }
 }

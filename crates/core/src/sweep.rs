@@ -69,8 +69,8 @@ thread_local! {
 }
 
 /// Set the calling thread's worker-thread budget, consulted by
-/// grid-shaped generators (e.g. Figures 12/13 fan their series over
-/// [`run_tasks`] with this count). [`run_experiments`] and
+/// grid-shaped generators (the registry's grid figures fan their series
+/// out over this many workers). [`run_experiments`] and
 /// [`GridSweep::run`] set it from their `jobs` argument, so `--jobs 1`
 /// stays fully serial. The budget is scoped to the calling thread (and
 /// the worker pools it spawns — see [`run_tasks_labeled`]); other
@@ -727,42 +727,6 @@ pub(crate) fn extended_fraction_from_parts(
     )
 }
 
-/// The paper-style comp-vs-comm figure for the MoE axis: serialized
-/// communication (now including the all-to-all dispatch/combine) as the
-/// expert count grows, at today's hardware and at the 4× flop-vs-bw
-/// ratio, for the H=16K study shape at TP=16 with top-2 routing.
-///
-/// This is the figure the "moe" experiment renders; it validates against
-/// the hybrid-parallelism traffic characterization of Anthony et al.
-/// (PAPERS.md): all-to-all volume scales with routed tokens, so the
-/// serialized fraction climbs with expert count and climbs faster on
-/// compute-rich future hardware.
-#[must_use]
-pub fn moe_figure(device: &DeviceSpec) -> crate::report::Figure {
-    let mut fig = crate::report::Figure::new(
-        "moe",
-        "MoE all-to-all: serialized communication vs expert count (H=16K, TP=16, top-2)",
-        "experts",
-        "serialized % of time",
-    );
-    for (label, ratio) in [("flop-vs-bw 1x (today)", 1.0), ("flop-vs-bw 4x", 4.0)] {
-        let mut series = Vec::new();
-        for experts in [1u64, 2, 4, 8, 16, 32, 64] {
-            let p = GridPoint {
-                experts,
-                top_k: 2.min(experts),
-                ..GridPoint::new(16_384, 2048, 16, ratio)
-            };
-            let (serialized, _) =
-                eval_grid_point(device, p, 1, Method::Projection, Workload::Training);
-            #[allow(clippy::cast_precision_loss)]
-            series.push((experts as f64, serialized));
-        }
-        fig = fig.with_series(crate::report::Series::new(label, series));
-    }
-    fig
-}
-
 /// Panic (→ a per-point `error` cell) unless `p`'s extended axes are
 /// well-formed and reachable by `method`: zero axis values and
 /// `top_k > experts` never describe a model, and the simulation engine
@@ -807,24 +771,76 @@ pub fn eval_grid_point(
     method: Method,
     workload: Workload,
 ) -> (f64, f64) {
+    let dev = point_device(device, p, method, workload);
+    (
+        metric_on(&dev, p, batch, method, workload, GridMetric::Serialized),
+        metric_on(&dev, p, batch, method, workload, GridMetric::Overlap),
+    )
+}
+
+/// One of [`eval_grid_point`]'s two metrics, bit-identical to its half
+/// of the pair, without computing the other. The registry's grid
+/// figures price their points through it.
+#[must_use]
+pub fn eval_grid_metric(
+    device: &DeviceSpec,
+    p: GridPoint,
+    batch: u64,
+    method: Method,
+    workload: Workload,
+    metric: GridMetric,
+) -> f64 {
+    let dev = point_device(device, p, method, workload);
+    metric_on(&dev, p, batch, method, workload, metric)
+}
+
+/// Which of [`eval_grid_point`]'s metrics to compute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GridMetric {
+    /// The serialized-communication fraction, percent (§4.3.4).
+    Serialized,
+    /// The overlapped-communication percentage of compute (§4.3.5).
+    Overlap,
+}
+
+/// `device` evolved by `p`'s flop-vs-bw ratio, once `p` is known to be
+/// reachable by `method`.
+fn point_device(
+    device: &DeviceSpec,
+    p: GridPoint,
+    method: Method,
+    workload: Workload,
+) -> DeviceSpec {
     check_extended_point(p, method, workload);
-    let dev = if p.ratio > 1.0 {
+    if p.ratio > 1.0 {
         HwEvolution::flop_vs_bw(p.ratio).apply(device)
     } else {
         device.clone()
-    };
+    }
+}
+
+/// One metric of `p` on the already evolved `dev`.
+fn metric_on(
+    dev: &DeviceSpec,
+    p: GridPoint,
+    batch: u64,
+    method: Method,
+    workload: Workload,
+    metric: GridMetric,
+) -> f64 {
+    if metric == GridMetric::Overlap {
+        return overlap_pct(dev, p.h, p.sl * batch, p.tp, 4);
+    }
     let hyper = sweep_hyper(p.h, p.sl, batch);
     let parallel = ParallelConfig::new().tensor(p.tp);
-    let serialized = if p.axes_default() && workload == Workload::Training {
-        100.0 * comm_fraction(&dev, &hyper, &parallel, method)
+    if p.axes_default() && workload == Workload::Training {
+        100.0 * comm_fraction(dev, &hyper, &parallel, method)
     } else {
         // check_extended_point guarantees Method::Projection here.
-        let model = ProjectionModel::from_baseline(&projection_baseline(), &dev);
+        let model = ProjectionModel::from_baseline(&projection_baseline(), dev);
         let projected = model.project(&hyper, &parallel);
-        100.0 * extended_fraction(&dev, &hyper, &projected, p, workload)
-    };
-    let overlap = overlap_pct(&dev, p.h, p.sl * batch, p.tp, 4);
-    (serialized, overlap)
+        100.0 * extended_fraction(dev, &hyper, &projected, p, workload)
+    }
 }
 
 /// Per-point sweep outcomes in [`GridSweep::points`] order: each entry
@@ -1585,6 +1601,47 @@ mod tests {
                 reassembled.extend(chunk);
             }
             assert_eq!(reassembled, points, "chunk_size={chunk_size}");
+        }
+    }
+
+    #[test]
+    fn each_metric_alone_matches_its_half_of_the_pair() {
+        let device = DeviceSpec::mi210();
+        let moe = GridPoint {
+            experts: 8,
+            top_k: 2,
+            stages: 2,
+            micro_batches: 4,
+            sp: 2,
+            ..GridPoint::new(4096, 1024, 16, 4.0)
+        };
+        let cases = [
+            (
+                GridPoint::new(4096, 2048, 8, 1.0),
+                Method::Simulation,
+                Workload::Training,
+            ),
+            (
+                GridPoint::new(1024, 4096, 16, 2.0),
+                Method::Simulation,
+                Workload::Training,
+            ),
+            (
+                GridPoint::new(16_384, 2048, 8, 1.0),
+                Method::Projection,
+                Workload::Decode,
+            ),
+            (moe, Method::Projection, Workload::Prefill),
+            (moe, Method::Projection, Workload::Training),
+        ];
+        for (p, method, workload) in cases {
+            let (serialized, overlap) = eval_grid_point(&device, p, 2, method, workload);
+            let alone = |metric| eval_grid_metric(&device, p, 2, method, workload, metric);
+            assert_eq!(
+                alone(GridMetric::Serialized).to_bits(),
+                serialized.to_bits()
+            );
+            assert_eq!(alone(GridMetric::Overlap).to_bits(), overlap.to_bits());
         }
     }
 

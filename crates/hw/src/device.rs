@@ -151,38 +151,22 @@ impl DeviceSpec {
         self
     }
 
-    /// Replace the peak math rates (used by hardware evolution).
-    #[must_use]
-    pub fn with_peak(mut self, peak: PeakFlops) -> Self {
+    /// Replace every field hardware evolution scales, fingerprinting the
+    /// result once rather than once per field.
+    pub(crate) fn evolved(
+        mut self,
+        peak: PeakFlops,
+        mem_capacity: u64,
+        mem_bandwidth: f64,
+        network: NetworkSpec,
+        name: String,
+    ) -> Self {
+        assert!(mem_bandwidth > 0.0, "memory bandwidth must be positive");
         self.peak = peak;
-        self.fingerprint = self.compute_fingerprint();
-        self
-    }
-
-    /// Replace the memory capacity (used by hardware evolution).
-    #[must_use]
-    pub fn with_mem_capacity(mut self, bytes: u64) -> Self {
-        self.mem_capacity = bytes;
-        self.fingerprint = self.compute_fingerprint();
-        self
-    }
-
-    /// Replace the memory bandwidth (used by hardware evolution).
-    ///
-    /// # Panics
-    /// Panics if `bytes_per_sec` is not strictly positive.
-    #[must_use]
-    pub fn with_mem_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "memory bandwidth must be positive");
-        self.mem_bandwidth = bytes_per_sec;
-        self.fingerprint = self.compute_fingerprint();
-        self
-    }
-
-    /// Replace the device name.
-    #[must_use]
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
+        self.mem_capacity = mem_capacity;
+        self.mem_bandwidth = mem_bandwidth;
+        self.network = network;
+        self.name = name;
         self.fingerprint = self.compute_fingerprint();
         self
     }

@@ -110,13 +110,13 @@ impl HwEvolution {
             self.flop_scale,
             self.network_scale
         );
-        device
-            .clone()
-            .with_peak(peak)
-            .with_mem_capacity(capacity)
-            .with_mem_bandwidth(device.mem_bandwidth() * self.mem_bandwidth_scale)
-            .with_network(device.network().scaled_bandwidth(self.network_scale))
-            .with_name(name)
+        device.clone().evolved(
+            peak,
+            capacity,
+            device.mem_bandwidth() * self.mem_bandwidth_scale,
+            device.network().scaled_bandwidth(self.network_scale),
+            name,
+        )
     }
 }
 

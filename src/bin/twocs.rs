@@ -27,6 +27,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use twocs::analysis::axes::{Axis, AXES};
 use twocs::analysis::experiments;
+use twocs::analysis::grid::check_flop_vs_bw;
+use twocs::analysis::serialized::check_point_work;
 use twocs::analysis::sweep::{GridExecutor, GridSweep, LocalPool};
 use twocs::hw::{DeviceSpec, HwEvolution};
 use twocs::obs::{TraceMode, Tracer};
@@ -125,6 +127,11 @@ const WORKER_FLAGS: Flags = Flags {
     switches: "--metrics",
     axes: &[],
 };
+
+/// The most data-parallel replicas `analyze` simulates: a million
+/// devices, past any machine, and well inside the simulator's clock
+/// (each replica adds two latency steps to the gradient ring).
+const MAX_DP: u64 = 1 << 20;
 
 const ANALYZE_FLAGS: Flags = Flags {
     values: "--h --sl --b --tp --dp --flop-vs-bw --trace",
@@ -620,6 +627,11 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let tp = flag(args, "--tp")?.unwrap_or(1);
     let dp = flag(args, "--dp")?.unwrap_or(1);
     let ratio = flag(args, "--flop-vs-bw")?.unwrap_or(1.0);
+    check_flop_vs_bw(&[ratio])?;
+    if tp == 0 || dp == 0 || dp > MAX_DP {
+        return Err(format!("--tp and --dp must be non-zero, and --dp at most {MAX_DP}").into());
+    }
+    check_point_work(h, sl, b, tp)?;
 
     let heads = (h / 64).clamp(16, 256);
     let hyper = Hyperparams::builder(h)

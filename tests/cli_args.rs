@@ -231,6 +231,26 @@ fn bad_grids_get_the_same_message_from_cli_and_serve() {
             "experts, top_k, stages, micro_batches, and sp values must be non-zero",
         ),
         (
+            &["--experts", "1099511627776", "--method", "proj"],
+            "experts=1099511627776&method=proj",
+            "experts=1099511627776: experts, stages and sp count the devices of one group, at most 256",
+        ),
+        (
+            &["--stages", "1099511627776", "--method", "proj"],
+            "stages=1099511627776&method=proj",
+            "stages=1099511627776: experts, stages and sp count the devices of one group, at most 256",
+        ),
+        (
+            &["--sp", "1099511627776", "--method", "proj"],
+            "sp=1099511627776&method=proj",
+            "sp=1099511627776: experts, stages and sp count the devices of one group, at most 256",
+        ),
+        (
+            &["--experts", "512", "--top-k", "512", "--method", "proj"],
+            "experts=512&top_k=512&method=proj",
+            "experts=512: experts, stages and sp count",
+        ),
+        (
             &["--experts", "2", "--top-k", "4", "--method", "proj"],
             "experts=2&top_k=4&method=proj",
             "top_k exceeds experts for every requested combination",
@@ -275,6 +295,60 @@ fn bad_grids_get_the_same_message_from_cli_and_serve() {
         let r = handle(&Request::get("/v1/sweep", query), &cfg);
         assert_eq!(r.status, 400, "`{query}`: {}", r.body);
         assert!(r.body.contains(message), "`{query}`: {}", r.body);
+    }
+}
+
+/// `twocs analyze` refuses a point it cannot price, or would price as
+/// another point, with exit status 1 instead of a panic, in the sweep's
+/// wording where the rule is the sweep's.
+#[test]
+fn analyze_rejects_bad_points_without_panicking() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["--flop-vs-bw", "0.5"],
+            "flop_vs_bw ratios must be finite and >= 1",
+        ),
+        (
+            &["--flop-vs-bw", "nan"],
+            "flop_vs_bw ratios must be finite and >= 1",
+        ),
+        (
+            &["--flop-vs-bw", "1e300"],
+            "flop_vs_bw=1e300: ratios above 1e290 overflow the evolved device's peak FLOPS",
+        ),
+        (
+            &["--sl", "18446744073709551615"],
+            "h=16384, sl=18446744073709551615, b=1, tp=1: the point's largest GEMM or transfer \
+             exceeds 2^58 flops or bytes",
+        ),
+        (&["--b", "18446744073709551615"], "shrink h, sl or b"),
+        (
+            &["--h", "1099511627776", "--tp", "16"],
+            "h=1099511627776, sl=2048, b=1, tp=16: the point's largest GEMM or transfer",
+        ),
+        (&["--dp", "0"], "--tp and --dp must be non-zero"),
+        (&["--tp", "0"], "--tp and --dp must be non-zero"),
+        (&["--dp", "18446744073709551615"], "--dp at most 1048576"),
+    ];
+    for (extra, message) in cases {
+        let mut args = vec!["analyze"];
+        if !extra.contains(&"--h") {
+            args.extend(["--h", "16384"]);
+        }
+        args.extend_from_slice(extra);
+        let out = twocs(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "`twocs {}`: {stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(message),
+            "`twocs {}`: {stderr}",
+            args.join(" ")
+        );
     }
 }
 

@@ -12,7 +12,8 @@
 //! the same message once the CLI's flag spellings (`--flop-vs-bw`) are
 //! mapped to query names (`flop_vs_bw`). An accepted case must render
 //! every cell: a huge value either fits the models or is rejected, and
-//! never becomes an `error` cell.
+//! never becomes an `error` cell. A huge count of devices (`experts`,
+//! `top_k`, `stages`, `sp`) describes no machine and is always rejected.
 //!
 //! Two kinds of case differ in syntax, so only accept or reject is
 //! compared for them:
@@ -108,13 +109,19 @@ struct Case {
     kinds: Vec<String>,
     /// Whether only accept or reject may be compared.
     syntax_differs: bool,
+    /// Whether it drew a huge value for one of [`DEVICE_COUNTS`].
+    huge_devices: bool,
 }
+
+/// The parameters that count devices; no huge value of them may pass.
+const DEVICE_COUNTS: [&str; 4] = ["experts", "top_k", "stages", "sp"];
 
 fn draw(rng: &mut Rng) -> Case {
     let mut names = params();
     rng.shuffle(&mut names);
     let drawn = &names[..rng.usize_in(1..4)];
     let mut kinds = Vec::new();
+    let mut huge_devices = false;
     let mut pairs: Vec<(String, Option<String>)> = drawn
         .iter()
         .map(|&name| {
@@ -125,6 +132,7 @@ fn draw(rng: &mut Rng) -> Case {
             } else {
                 "valid"
             };
+            huge_devices |= kind == "huge" && DEVICE_COUNTS.contains(&name);
             kinds.push(kind.to_owned());
             (name.to_owned(), Some(value(rng, name, kind)))
         })
@@ -163,6 +171,7 @@ fn draw(rng: &mut Rng) -> Case {
         pairs,
         kinds,
         syntax_differs,
+        huge_devices,
     }
 }
 
@@ -214,6 +223,7 @@ fn compare(case: &Case) -> Result<bool, String> {
     let (cli, served) = (cli(case), serve(case));
     match (&cli, served.status) {
         (Ok(stdout), 200) if stdout.contains("error") => Err(format!("error cells:\n{stdout}")),
+        (Ok(_), 200) if case.huge_devices => Err("a huge device count was accepted".to_owned()),
         (Ok(stdout), 200) if *stdout == served.body => Ok(true),
         (Ok(stdout), 200) => Err(format!("CSV differs:\n{stdout}\nvs\n{}", served.body)),
         (Err(_), 400) if case.syntax_differs => Ok(false),
