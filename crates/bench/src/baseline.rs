@@ -15,6 +15,7 @@
 //! not a pass — a renamed benchmark must not silently disable the gate.
 
 use std::fmt;
+use std::path::Path;
 
 use crate::harness::BenchResult;
 
@@ -233,6 +234,26 @@ pub fn gate(
         ));
     }
     Ok(checks)
+}
+
+/// Refuse a `--baseline` that names the file `--out` writes. A bench
+/// bin writes its results before it gates them, so the run would be
+/// gated against itself and pass every row.
+///
+/// # Errors
+/// Names the path and both flags.
+pub fn check_baseline_is_not_out(baseline: &str, out: &str) -> Result<(), String> {
+    let same = match (std::fs::canonicalize(baseline), std::fs::canonicalize(out)) {
+        (Ok(b), Ok(o)) => b == o,
+        _ => Path::new(baseline) == Path::new(out),
+    };
+    if same {
+        return Err(format!(
+            "--baseline {baseline} is the file --out writes, so the run would be gated against \
+             itself; pass --out another path"
+        ));
+    }
+    Ok(())
 }
 
 /// The CI perf gate of a bench bin named `bin`: compare `results` —

@@ -154,6 +154,9 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    if let Some(baseline) = &opts.baseline {
+        twocs_bench::baseline::check_baseline_is_not_out(baseline, &opts.out)?;
+    }
     Ok(opts)
 }
 

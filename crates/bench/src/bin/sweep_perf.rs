@@ -20,9 +20,11 @@
 //! * **the per-chunk kernels of a million-point sweep** — `eval_4096`
 //!   is one 4,096-point chunk of that scale grid through `eval_chunk`
 //!   (a pool task's work: a grid cursor over the chunk's ranks feeding
-//!   the plan's tables); on the recorder thread, `render_4096` is
-//!   `StreamSink::accept` of that chunk into `io::sink()` (the sweep row
-//!   writer), and `crc_1mib` the journal's record CRC over 1 MiB.
+//!   the plan's tables); `render_4096` is a fresh `StreamSink`
+//!   accepting that chunk into `io::sink()` (the journaled store's
+//!   render stage: the grid's cell tables, then the chunk's rows), and
+//!   `crc_1mib` the journal's record CRC over 1 MiB (the recorder
+//!   thread).
 //!
 //! Before timing anything it asserts the planner contract: the naive
 //! oracle and the factored CSV bodies must be byte-identical. The emitted JSON
@@ -190,6 +192,9 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    if let Some(baseline) = &opts.baseline {
+        twocs_bench::baseline::check_baseline_is_not_out(baseline, &opts.out)?;
+    }
     Ok(opts)
 }
 
@@ -299,8 +304,8 @@ fn main() {
         group.finish();
 
         // One `sweep_1m`-sized chunk through each per-chunk kernel: a
-        // pool task's evaluation, then the recorder thread's row
-        // rendering and journal CRC.
+        // pool task's evaluation, the render stage's rows and the
+        // recorder thread's journal CRC.
         const CHUNK: usize = 4096;
         let index = scale.index();
         let plan = FactoredPlan::build_from_sweep(&device, &scale);

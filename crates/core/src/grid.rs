@@ -515,6 +515,22 @@ impl GridSweep {
                 ));
             }
         }
+        // A micro-batch holds at least one token of every point's batch;
+        // past SL·B the pipeline's boundary transfer of an empty slot is
+        // all a stage does, and every row would read 100%.
+        if let Some(tokens) = self
+            .sls
+            .iter()
+            .min()
+            .map(|&sl| sl.saturating_mul(self.batch))
+        {
+            if let Some(m) = self.micro_batches.iter().find(|&&m| m > tokens) {
+                return Err(format!(
+                    "micro_batches={m}: at most sl*b = {tokens} (the shortest sequence's tokens), \
+                     so each micro-batch holds at least one token"
+                ));
+            }
+        }
         // The index prunes top_k > experts pairs; if *no* pair survives
         // the request is contradictory rather than merely smaller.
         if !self

@@ -93,6 +93,29 @@ pub fn check_point_work(h: u64, sl: u64, b: u64, tp: u64) -> Result<(), String> 
     ))
 }
 
+/// Refuse a simulated iteration of `layers` layers whose weights, read
+/// from HBM and all-reduced across data-parallel replicas, move more
+/// than [`MAX_POINT_WORK`] bytes per device: `layers · 24·H²/TP`, the
+/// 12·H² fp16 parameters of a layer split `tp` ways. These bytes set
+/// the iteration's simulated time when the batch is small, and the cap
+/// keeps it a factor of three below the simulator's `u64` picosecond
+/// clock. A sweep point (2 layers, TP ≥ 16 above H = 8192) that passes
+/// [`check_point_work`] passes this too; `twocs analyze` runs 4 layers
+/// at any TP and needs both.
+///
+/// # Errors
+/// Names the point and the cap.
+pub fn check_iteration_weights(h: u64, tp: u64, layers: u64) -> Result<(), String> {
+    let bytes = u128::from(layers) * 24 * u128::from(h) * u128::from(h) / u128::from(tp.max(1));
+    if bytes <= u128::from(MAX_POINT_WORK) {
+        return Ok(());
+    }
+    Err(format!(
+        "h={h}, tp={tp}: {layers} layers of h*h*12/tp fp16 weights exceed 2^58 bytes per device, \
+         past what the simulator's clock can time; shrink h or raise tp"
+    ))
+}
+
 /// Hyperparameters for one sweep point. Head count is fixed at 256 so
 /// every power-of-two TP in the sweep is a valid sharding.
 ///

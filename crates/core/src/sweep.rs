@@ -41,6 +41,7 @@ use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 use crate::experiments::{ExperimentDef, ExperimentOutput};
+use crate::grid::GridIndex;
 use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct;
 use crate::report::Table;
@@ -1024,19 +1025,24 @@ impl GridSweep {
 
     /// Append one sweep CSV row, newline included, to `out`: the point's
     /// coordinates plus its metric cells, with an `Err` result rendering
-    /// as `error` in both metric columns. A fresh [`RowWriter`] renders
-    /// it, so this is the **single formatting site** of sweep rows —
-    /// [`Self::row_cells`] (and so [`Self::tabulate`]) is defined by it,
-    /// and the streaming sink in `twocs-store` drives one `RowWriter`
-    /// per chunk, which is the byte-identity contract between buffered
-    /// and streamed output.
+    /// as `error` in both metric columns. This is the one-point view of
+    /// the sweep's row format: it runs the same cell writers a
+    /// [`RowWriter`] renders its per-grid tables with, so a row written
+    /// here and the same row streamed by the `twocs-store` sink are the
+    /// same bytes by construction. [`Self::row_cells`] (and so
+    /// [`Self::tabulate`]) is defined by it.
     pub fn write_row(
         out: &mut Vec<u8>,
         p: &GridPoint,
         r: &Result<(f64, f64), String>,
         extended: bool,
     ) {
-        RowWriter::new(extended).write(out, p, r);
+        write_triple(out, (p.h, p.sl, p.tp));
+        write_ratio(out, p.ratio);
+        if extended {
+            write_suffix(out, (p.experts, p.top_k, p.stages, p.micro_batches, p.sp));
+        }
+        write_metrics(out, r);
     }
 
     /// One sweep table row as cells: [`Self::write_row`]'s bytes split
@@ -1120,136 +1126,261 @@ impl GridSweep {
     }
 }
 
-/// The sweep row renderer: the bytes std's `{}` (coordinates) and
-/// `{:.2}` (metrics) would write, without the formatting machinery.
+/// The sweep row renderer for one grid: the bytes std's `{}`
+/// (coordinates) and `{:.2}` (metrics) would write, without the
+/// formatting machinery.
 ///
-/// One writer renders a run of consecutive rows. The `H,SL,TP,ratio`
-/// prefix is rendered once and reused while consecutive points share
-/// `(h, sl, tp, ratio bits)` — the extended axes vary fastest, so a
-/// chunk re-renders it once per axis-tuple block. The ratio keeps std's
-/// shortest-repr `{}`; integers go through a digit loop and metrics
-/// through an exact fixed-point `{:.2}`.
+/// A row's coordinate text depends only on its cursor's digits, so
+/// [`Self::new`] renders each coordinate cell once per sweep: every
+/// `(H, SL, TP)` triple's `H,SL,TP,`, every ratio's shortest-repr `{}`,
+/// and every axis tuple's `,experts,top_k,stages,micro_batches,sp`
+/// suffix (empty on a legacy 6-column grid). [`Self::write_rows`] then
+/// walks one [`GridCursor`](crate::grid::GridCursor) and makes each row
+/// three slice copies picked by its `cell()` digits plus the two metric
+/// cells. The tables come from the cell writers
+/// [`GridSweep::write_row`] runs, so both give the same bytes.
 #[derive(Debug)]
 pub struct RowWriter {
-    extended: bool,
-    /// `(h, sl, tp, ratio bits)` of the point `prefix` was rendered for.
-    key: Option<(u64, u64, u64, u64)>,
-    /// `H,SL,TP,ratio` of that point, with no trailing comma.
-    prefix: Vec<u8>,
+    index: GridIndex,
+    /// `H,SL,TP,` per [`GridIndex::triples`] entry.
+    triples: Vec<Vec<u8>>,
+    /// `{}` per [`GridIndex::ratios`] entry.
+    ratios: Vec<Vec<u8>>,
+    /// `,experts,top_k,stages,micro_batches,sp` (or nothing) per
+    /// [`GridIndex::axis_tuples`] entry.
+    suffixes: Vec<Vec<u8>>,
 }
 
 impl RowWriter {
-    /// A writer for rows with (`extended`) or without the
-    /// MoE/PP/SP columns — see [`GridSweep::header_cells`].
+    /// Render `index`'s coordinate cells, with the MoE/PP/SP columns
+    /// exactly when [`GridIndex::extended`] (see
+    /// [`GridSweep::header_cells`]).
     #[must_use]
-    pub fn new(extended: bool) -> Self {
+    pub fn new(index: GridIndex) -> Self {
+        let extended = index.extended();
         Self {
-            extended,
-            key: None,
-            prefix: Vec::with_capacity(48),
+            triples: render_cells(index.triples().iter().copied(), write_triple),
+            ratios: render_cells(index.ratios().iter().copied(), write_ratio),
+            suffixes: render_cells(index.axis_tuples(), |out, tuple| {
+                if extended {
+                    write_suffix(out, tuple);
+                }
+            }),
+            index,
         }
     }
 
-    /// Append one row, newline included, to `out`; an `Err` result
-    /// renders as `error` in both metric columns.
-    pub fn write(&mut self, out: &mut Vec<u8>, p: &GridPoint, r: &Result<(f64, f64), String>) {
-        let key = (p.h, p.sl, p.tp, p.ratio.to_bits());
-        if self.key != Some(key) {
-            use std::io::Write as _;
-            self.prefix.clear();
-            for v in [p.h, p.sl, p.tp] {
-                write_u64(&mut self.prefix, v);
-                self.prefix.push(b',');
-            }
-            // Writing into a Vec<u8> cannot fail.
-            let _ = write!(self.prefix, "{}", p.ratio);
-            self.key = Some(key);
-        }
-        out.extend_from_slice(&self.prefix);
-        if self.extended {
-            for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
-                out.push(b',');
-                write_u64(out, v);
-            }
-        }
-        match r {
-            Ok((s, o)) => {
-                out.push(b',');
-                write_fixed2(out, *s);
-                out.push(b',');
-                write_fixed2(out, *o);
-                out.push(b'\n');
-            }
-            Err(_) => out.extend_from_slice(b",error,error\n"),
+    /// The grid the writer renders.
+    #[must_use]
+    pub fn index(&self) -> &GridIndex {
+        &self.index
+    }
+
+    /// Append the rows of grid ranks `start..start + values.len()`, one
+    /// per value and newline included; an `Err` value renders as `error`
+    /// in both metric columns.
+    ///
+    /// # Panics
+    /// Panics if the ranks run past the end of the grid.
+    pub fn write_rows(
+        &self,
+        out: &mut Vec<u8>,
+        start: usize,
+        values: &[Result<(f64, f64), String>],
+    ) {
+        assert!(
+            start + values.len() <= self.index.len(),
+            "rows {start}..{} out of range {}",
+            start + values.len(),
+            self.index.len()
+        );
+        let mut cursor = self.index.cursor(start);
+        for v in values {
+            let (triple, ratio, axis) = cursor.cell();
+            out.extend_from_slice(&self.triples[triple]);
+            out.extend_from_slice(&self.ratios[ratio]);
+            out.extend_from_slice(&self.suffixes[axis]);
+            write_metrics(out, v);
+            cursor.advance();
         }
     }
+}
+
+/// Each of `cells` rendered by `write` into its own buffer, in order.
+fn render_cells<T>(
+    cells: impl Iterator<Item = T>,
+    write: impl Fn(&mut Vec<u8>, T),
+) -> Vec<Vec<u8>> {
+    cells
+        .map(|cell| {
+            let mut text = Vec::new();
+            write(&mut text, cell);
+            text
+        })
+        .collect()
+}
+
+/// A row's `H,SL,TP,` cells, trailing comma included.
+fn write_triple(out: &mut Vec<u8>, (h, sl, tp): (u64, u64, u64)) {
+    for v in [h, sl, tp] {
+        write_u64(out, v);
+        out.push(b',');
+    }
+}
+
+/// A row's ratio cell, as std's shortest-repr `{}` writes it.
+fn write_ratio(out: &mut Vec<u8>, ratio: f64) {
+    use std::io::Write as _;
+    // Writing into a Vec<u8> cannot fail.
+    let _ = write!(out, "{ratio}");
+}
+
+/// A row's `,experts,top_k,stages,micro_batches,sp` cells, each with
+/// its leading comma.
+fn write_suffix(
+    out: &mut Vec<u8>,
+    (experts, top_k, stages, micro_batches, sp): (u64, u64, u64, u64, u64),
+) {
+    for v in [experts, top_k, stages, micro_batches, sp] {
+        out.push(b',');
+        write_u64(out, v);
+    }
+}
+
+/// A row's `,serialized_pct,overlap_pct` cells and its newline. Both
+/// cells and their commas are put right to left into one stack buffer
+/// and appended at once; a metric std must format (|v| ≥ 1e15) takes
+/// the cell-by-cell path.
+fn write_metrics(out: &mut Vec<u8>, r: &Result<(f64, f64), String>) {
+    let Ok((s, o)) = *r else {
+        out.extend_from_slice(b",error,error\n");
+        return;
+    };
+    let mut buf = [0u8; 2 * FIXED2_MAX + 3];
+    let end = buf.len() - 1;
+    buf[end] = b'\n';
+    if let Some(at) = put_fixed2(&mut buf[..end], o) {
+        buf[at - 1] = b',';
+        if let Some(at) = put_fixed2(&mut buf[..at - 1], s) {
+            buf[at - 1] = b',';
+            out.extend_from_slice(&buf[at - 1..]);
+            return;
+        }
+    }
+    out.push(b',');
+    write_fixed2(out, s);
+    out.push(b',');
+    write_fixed2(out, o);
+    out.push(b'\n');
+}
+
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Write `v`'s decimal digits at the end of `buf`, two per step;
+/// returns the index of the first digit.
+fn put_digits(buf: &mut [u8], mut v: u64) -> usize {
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    at
 }
 
 /// `v` in decimal, as `{}` writes it.
-fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[at..]);
+fn write_u64(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 20];
+    let at = put_digits(&mut buf, v);
+    out.extend_from_slice(&buf[at..]);
 }
 
-/// `v` as `{:.2}` writes it, byte for byte. A finite `v` is exactly
-/// `m · 2^e`, so `|v| · 100` rounds to whole hundredths in integer
-/// arithmetic, ties to even as std does (`0.125` → `0.12`, `0.375` →
-/// `0.38`); the sign bit is kept even when the digits round to zero
-/// (`-0.001` → `-0.00`). Below 1e15 the hundredths fit in a `u64`;
-/// larger magnitudes are rare enough to leave to std.
+/// The longest text [`put_fixed2`] writes: a sign, 16 whole digits
+/// (`1000000000000000.00` is 999999999999999.996 rounded), `.` and two
+/// decimals.
+const FIXED2_MAX: usize = 20;
+
+/// `v` as `{:.2}` writes it, byte for byte.
 fn write_fixed2(out: &mut Vec<u8>, v: f64) {
-    if v.is_nan() {
-        out.extend_from_slice(b"NaN");
-        return;
+    let mut buf = [0u8; FIXED2_MAX];
+    match put_fixed2(&mut buf, v) {
+        Some(at) => out.extend_from_slice(&buf[at..]),
+        None => {
+            use std::io::Write as _;
+            let _ = write!(out, "{v:.2}");
+        }
     }
-    if v.is_infinite() {
-        out.extend_from_slice(if v < 0.0 { b"-inf" } else { b"inf" });
-        return;
+}
+
+/// Write `v` as `{:.2}` writes it at the end of `buf`, returning the
+/// index of its first byte, or `None` for `|v| ≥ 1e15`, which is rare
+/// enough to leave to std. A finite `v` is exactly `m · 2^-shift`;
+/// below 1e15 < 2^50 the shift is at least 3 and `m · 100 < 2^60`, so
+/// `|v| · 100` rounds to whole hundredths in `u64` arithmetic, ties to
+/// even as std does (`0.125` → `0.12`, `0.375` → `0.38`); the sign bit
+/// is kept even when the digits round to zero (`-0.001` → `-0.00`).
+///
+/// # Panics
+/// Panics if `buf` is shorter than [`FIXED2_MAX`].
+fn put_fixed2(buf: &mut [u8], v: f64) -> Option<usize> {
+    let end = buf.len();
+    if !v.is_finite() {
+        let text: &[u8] = if v.is_nan() {
+            b"NaN"
+        } else if v < 0.0 {
+            b"-inf"
+        } else {
+            b"inf"
+        };
+        buf[end - text.len()..].copy_from_slice(text);
+        return Some(end - text.len());
     }
     if v.abs() >= 1e15 {
-        use std::io::Write as _;
-        let _ = write!(out, "{v:.2}");
-        return;
+        return None;
     }
     let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        out.push(b'-');
-    }
     let biased = (bits >> 52) & 0x7ff;
     let fraction = bits & ((1 << 52) - 1);
-    // |v| = m · 2^e exactly; subnormals have no implicit bit.
-    let (m, e) = if biased == 0 {
-        (fraction, -1074)
+    // |v| = m · 2^-shift exactly; subnormals have no implicit bit.
+    let (m, shift) = if biased == 0 {
+        (fraction, 1074)
     } else {
-        (fraction | 1 << 52, biased as i32 - 1075)
+        (fraction | 1 << 52, 1075 - biased)
     };
-    let scaled = u128::from(m) * 100; // < 2^60
-    let hundredths = if e >= 0 {
-        scaled << e // < 1e17: |v| < 1e15
-    } else if e <= -64 {
+    let scaled = m * 100; // < 2^60
+    let hundredths = if shift >= 64 {
         0 // scaled < 2^60, under half of 2^64
     } else {
-        let shift = e.unsigned_abs();
         let (q, rem, half) = (
             scaled >> shift,
             scaled & ((1 << shift) - 1),
             1 << (shift - 1),
         );
-        q + u128::from(rem > half || (rem == half && q & 1 == 1))
+        q + u64::from(rem > half || (rem == half && q & 1 == 1))
     };
-    let hundredths = hundredths as u64;
-    write_u64(out, hundredths / 100);
-    let cents = (hundredths % 100) as u8;
-    out.extend_from_slice(&[b'.', b'0' + cents / 10, b'0' + cents % 10]);
+    let cents = (hundredths % 100) as usize * 2;
+    buf[end - 3] = b'.';
+    buf[end - 2..].copy_from_slice(&DIGIT_PAIRS[cents..cents + 2]);
+    let mut at = put_digits(&mut buf[..end - 3], hundredths / 100);
+    if bits >> 63 == 1 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    Some(at)
 }
 
 /// Title of the sweep table.
@@ -1892,83 +2023,202 @@ mod tests {
         }
     }
 
-    /// One `RowWriter` over consecutive rows — each prefix axis changing
-    /// in turn, ratios that differ only in their last bits or their
-    /// sign, extended axes changing under a fixed prefix — writes what
-    /// per-cell std formatting writes, row after row.
+    /// A sweep row rendered cell by cell through std's `{}` / `{:.2}`.
+    fn std_row(p: &GridPoint, r: &Result<(f64, f64), String>, extended: bool) -> String {
+        let mut cells = vec![
+            p.h.to_string(),
+            p.sl.to_string(),
+            p.tp.to_string(),
+            format!("{}", p.ratio),
+        ];
+        if extended {
+            for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
+                cells.push(v.to_string());
+            }
+        }
+        match r {
+            Ok((s, o)) => cells.extend([format!("{s:.2}"), format!("{o:.2}")]),
+            Err(_) => cells.extend(["error".to_owned(), "error".to_owned()]),
+        }
+        cells.join(",") + "\n"
+    }
+
+    /// One `RowWriter` over whole grids — each prefix axis changing in
+    /// turn, ratios that differ only in their last bits or their sign
+    /// and that repeat, extended axes changing under a fixed prefix —
+    /// writes what per-cell std formatting writes, row after row.
     #[test]
     fn row_writer_reuses_prefixes_and_matches_std_rows() {
-        fn std_row(p: &GridPoint, r: &Result<(f64, f64), String>, extended: bool) -> String {
-            let mut cells = vec![
-                p.h.to_string(),
-                p.sl.to_string(),
-                p.tp.to_string(),
-                format!("{}", p.ratio),
-            ];
-            if extended {
-                for v in [p.experts, p.top_k, p.stages, p.micro_batches, p.sp] {
-                    cells.push(v.to_string());
-                }
-            }
-            match r {
-                Ok((s, o)) => cells.extend([format!("{s:.2}"), format!("{o:.2}")]),
-                Err(_) => cells.extend(["error".to_owned(), "error".to_owned()]),
-            }
-            cells.join(",") + "\n"
-        }
-        let base = GridPoint::new(4096, 2048, 16, 1.5);
-        let mut points = vec![
-            base,
-            GridPoint { h: 8192, ..base },
-            GridPoint { sl: 4096, ..base },
-            GridPoint { tp: 32, ..base },
-            GridPoint { ratio: 2.0, ..base },
-            base,
-            GridPoint {
-                ratio: 0.1 + 0.2,
-                ..base
-            },
-            GridPoint { ratio: 0.3, ..base },
-            GridPoint { ratio: 0.0, ..base },
-            GridPoint {
-                ratio: -0.0,
-                ..base
-            },
-            GridPoint { ratio: 0.0, ..base },
-        ];
-        for (experts, top_k, stages, micro_batches, sp) in [
-            (8, 2, 1, 1, 1),
-            (8, 2, 4, 1, 1),
-            (8, 2, 4, 8, 1),
-            (8, 2, 4, 8, 2),
-            (64, 1, 1, 1, 2),
-        ] {
-            points.push(GridPoint {
-                experts,
-                top_k,
-                stages,
-                micro_batches,
-                sp,
-                ..base
-            });
-        }
+        let legacy = GridSweep {
+            hs: vec![4096, 8192],
+            sls: vec![2048, 4096],
+            tps: vec![16, 32],
+            flop_vs_bw: vec![1.5, 2.0, 1.5, 0.1 + 0.2, 0.3, 0.0, -0.0, 0.0],
+            batch: 1,
+            ..GridSweep::default()
+        };
+        let extended = GridSweep {
+            experts: vec![8, 64],
+            top_ks: vec![2, 1],
+            stages: vec![1, 4],
+            micro_batches: vec![1, 8],
+            sps: vec![1, 2],
+            ..legacy.clone()
+        };
         let mut rng = twocs_testkit::Rng::new(7);
-        for extended in [false, true] {
-            let mut writer = RowWriter::new(extended);
-            let (mut got, mut want) = (Vec::new(), String::new());
-            for p in &points {
-                for _ in 0..3 {
-                    let r = if rng.u64_in(0..4) == 0 {
+        for (sweep, wide) in [(legacy, false), (extended, true)] {
+            let index = sweep.index();
+            assert_eq!(index.triples().len(), 8, "every triple survives");
+            assert_eq!(index.extended(), wide);
+            let values: PointResults = (0..index.len())
+                .map(|_| {
+                    if rng.u64_in(0..4) == 0 {
                         Err("boom".to_owned())
                     } else {
                         Ok((rng.f64_in(-1.0..150.0), rng.f64_in(0.0..100.0)))
-                    };
-                    writer.write(&mut got, p, &r);
-                    want += &std_row(p, &r, extended);
-                    assert_eq!(String::from_utf8_lossy(&got), want, "{p:?} {r:?}");
-                }
+                    }
+                })
+                .collect();
+            let mut got = Vec::new();
+            RowWriter::new(index.clone()).write_rows(&mut got, 0, &values);
+            let got = String::from_utf8(got).unwrap();
+            assert_eq!(got.lines().count(), index.len());
+            for ((line, p), r) in got.split_inclusive('\n').zip(index.iter()).zip(&values) {
+                assert_eq!(line, std_row(&p, r, wide), "{p:?} {r:?}");
             }
         }
+    }
+
+    /// On seeded random grids, legacy and extended, every chunk a
+    /// `RowWriter` renders equals `write_row` of `index.point(i)` row by
+    /// row, and both equal std's `{}` / `{:.2}`. Chunk boundaries fall
+    /// mid-ratio and mid-triple; ratios repeat and include shortest-repr
+    /// values such as `0.1 + 0.2`; values mix `Err` rows with negative,
+    /// huge and non-finite metrics.
+    #[test]
+    fn row_writer_chunks_match_write_row_and_std_on_random_grids() {
+        fn some<T: Copy>(rng: &mut twocs_testkit::Rng, from: &[T], most: usize) -> Vec<T> {
+            (0..rng.usize_in(1..most + 1))
+                .map(|_| from[rng.usize_in(0..from.len())])
+                .collect()
+        }
+        const METRICS: [f64; 14] = [
+            0.0,
+            -0.0,
+            12.5,
+            -3.25,
+            0.125,
+            2.675,
+            99.995,
+            999_999_999_999_999.9,
+            1e15,
+            -1e300,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        fn metric(rng: &mut twocs_testkit::Rng) -> f64 {
+            match rng.u64_in(0..3) {
+                0 => METRICS[rng.usize_in(0..METRICS.len())],
+                1 => rng.f64_in(-1.0..150.0),
+                _ => f64::from_bits(rng.next_u64()),
+            }
+        }
+        let (mut legacy, mut extended, mut mid_ratio, mut mid_triple) = (0, 0, 0, 0);
+        twocs_testkit::cases(64, |rng| {
+            let wide = rng.bool();
+            let mut axis = |from: &[u64]| if wide { some(rng, from, 2) } else { vec![1] };
+            let (experts, top_ks, stages, micro_batches, sps) = (
+                axis(&[1, 8, 64]),
+                axis(&[1, 2]),
+                axis(&[1, 4]),
+                axis(&[1, 8, 1 << 40]),
+                axis(&[1, 2, 256]),
+            );
+            let sweep = GridSweep {
+                hs: some(rng, &[256, 1024, 4096, 16_384, 65_536], 3),
+                sls: some(rng, &[1, 7, 2048, 100_000], 2),
+                tps: some(rng, &[1, 2, 8, 16, 64, 256], 3),
+                flop_vs_bw: some(
+                    rng,
+                    &[
+                        1.0,
+                        1.05,
+                        0.1 + 0.2,
+                        0.3,
+                        1.0 / 3.0,
+                        10.99,
+                        123_456.789,
+                        1e21,
+                    ],
+                    4,
+                ),
+                experts,
+                top_ks,
+                stages,
+                micro_batches,
+                sps,
+                batch: 1,
+                ..GridSweep::default()
+            };
+            let index = sweep.index();
+            if index.is_empty() {
+                return;
+            }
+            let wide = index.extended();
+            if wide {
+                extended += 1;
+            } else {
+                legacy += 1;
+            }
+            let values: PointResults = (0..index.len())
+                .map(|_| {
+                    if rng.u64_in(0..5) == 0 {
+                        Err("boom".to_owned())
+                    } else {
+                        Ok((metric(rng), metric(rng)))
+                    }
+                })
+                .collect();
+            let axes = index.axis_tuples().count();
+            let inner = index.ratios().len() * axes;
+            let chunk_size = rng.usize_in(1..inner.min(index.len()) + 2);
+            let writer = RowWriter::new(index.clone());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for chunk in 0..index.chunk_count(chunk_size) {
+                let ranks = index.chunk_ranks(chunk, chunk_size);
+                if !ranks.start.is_multiple_of(axes) {
+                    mid_ratio += 1;
+                }
+                if !ranks.start.is_multiple_of(inner) {
+                    mid_triple += 1;
+                }
+                got.clear();
+                writer.write_rows(&mut got, ranks.start, &values[ranks.clone()]);
+                want.clear();
+                for i in ranks {
+                    let (p, r) = (index.point(i), &values[i]);
+                    let row = want.len();
+                    GridSweep::write_row(&mut want, &p, r, wide);
+                    assert_eq!(
+                        String::from_utf8_lossy(&want[row..]),
+                        std_row(&p, r, wide),
+                        "{p:?} {r:?}"
+                    );
+                }
+                assert_eq!(
+                    String::from_utf8_lossy(&got),
+                    String::from_utf8_lossy(&want),
+                    "chunk {chunk} of {chunk_size} points"
+                );
+            }
+        });
+        assert!(
+            legacy > 5 && extended > 5,
+            "{legacy} legacy, {extended} extended grids"
+        );
+        assert!(mid_ratio > 0 && mid_triple > 0, "{mid_ratio} {mid_triple}");
     }
 
     #[test]

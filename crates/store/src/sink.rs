@@ -15,13 +15,13 @@
 //! through a coordinator whose RSS stays flat.
 //!
 //! Byte identity with [`GridSweep::tabulate`] is by construction: both
-//! paths render through [`GridSweep::header_cells`] and [`RowWriter`],
-//! the single row formatter ([`GridSweep::write_row`] is a fresh writer
-//! rendering one row). The sink drives one writer per chunk and takes
-//! the chunk's points off one grid cursor walking its rank range, so a
-//! run of rows sharing their `H,SL,TP,ratio` prefix renders it once,
-//! into one reused byte buffer handed to the writer in a single
-//! `write_all`.
+//! paths render through [`GridSweep::header_cells`] and the row cell
+//! writers. The sink builds one [`RowWriter`] for its grid in
+//! [`StreamSink::new`], which renders every `(H, SL, TP)` triple, ratio
+//! and axis-tuple cell once; a chunk's rows are then slice copies of
+//! those cells, picked by one grid cursor walking the chunk's rank
+//! range, plus the metric cells. They land in one reused byte buffer
+//! handed to the writer in a single `write_all`.
 //!
 //! Metrics: `store.sink.spilled_bytes` (bytes appended to the spill
 //! file) and `store.sink.merge_passes` (drain sessions that had to read
@@ -61,10 +61,10 @@ pub struct SinkReport {
 /// Index-ordered streaming CSV sink (see module docs).
 pub struct StreamSink {
     out: Box<dyn Write + Send>,
-    index: GridIndex,
+    /// The grid's row writer, which owns its index.
+    writer: RowWriter,
     chunk_size: usize,
     n_chunks: u32,
-    extended: bool,
     /// Next chunk to render; everything below is already on `out`.
     next_chunk: u32,
     /// Reused render buffer: one chunk's rows.
@@ -102,17 +102,15 @@ impl StreamSink {
         max_buffered_points: usize,
     ) -> Result<Self, String> {
         let chunk_size = chunk_size.max(1);
-        let extended = index.extended();
-        let header = GridSweep::header_cells(extended).join(",");
+        let header = GridSweep::header_cells(index.extended()).join(",");
         out.write_all(header.as_bytes())
             .and_then(|()| out.write_all(b"\n"))
             .map_err(|e| format!("sink: cannot write header: {e}"))?;
         Ok(Self {
             n_chunks: index.chunk_count(chunk_size) as u32,
             out,
-            index,
+            writer: RowWriter::new(index),
             chunk_size,
-            extended,
             next_chunk: 0,
             rendered: Vec::new(),
             buffered: BTreeMap::new(),
@@ -128,7 +126,7 @@ impl StreamSink {
 
     /// Points in the grid the sink renders.
     pub(crate) fn points(&self) -> usize {
-        self.index.len()
+        self.writer.index().len()
     }
 
     /// True once every chunk has been accepted and rendered.
@@ -141,7 +139,7 @@ impl StreamSink {
     /// value counts, and duplicates (a chunk already rendered, parked,
     /// or spilled).
     pub fn accept(&mut self, chunk: u32, values: PointResults) -> Result<(), String> {
-        check_chunk(self.index.len(), self.chunk_size, chunk, values.len())?;
+        check_chunk(self.points(), self.chunk_size, chunk, values.len())?;
         if chunk < self.next_chunk
             || self.buffered.contains_key(&chunk)
             || self.spill.as_ref().is_some_and(|s| s.contains(chunk))
@@ -189,16 +187,11 @@ impl StreamSink {
     }
 
     /// Render one chunk's rows into the reused byte buffer and hand them
-    /// to the output writer in one `write_all`. The chunk's points come
-    /// off one grid cursor walking its rank range: its first rank is
-    /// decoded once, each next point is a digit carry.
+    /// to the output writer in one `write_all`.
     fn render(&mut self, chunk: u32, values: &PointResults) -> Result<(), String> {
         self.rendered.clear();
-        let mut rows = RowWriter::new(self.extended);
-        let ranks = self.index.chunk_ranks(chunk as usize, self.chunk_size);
-        for (p, v) in self.index.iter_range(ranks).zip(values) {
-            rows.write(&mut self.rendered, &p, v);
-        }
+        self.writer
+            .write_rows(&mut self.rendered, chunk as usize * self.chunk_size, values);
         self.out
             .write_all(&self.rendered)
             .map_err(|e| format!("sink: cannot write rows: {e}"))?;

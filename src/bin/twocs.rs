@@ -28,7 +28,7 @@ use std::sync::Arc;
 use twocs::analysis::axes::{Axis, AXES};
 use twocs::analysis::experiments;
 use twocs::analysis::grid::check_flop_vs_bw;
-use twocs::analysis::serialized::check_point_work;
+use twocs::analysis::serialized::{check_iteration_weights, check_point_work};
 use twocs::analysis::sweep::{GridExecutor, GridSweep, LocalPool};
 use twocs::hw::{DeviceSpec, HwEvolution};
 use twocs::obs::{TraceMode, Tracer};
@@ -132,6 +132,9 @@ const WORKER_FLAGS: Flags = Flags {
 /// devices, past any machine, and well inside the simulator's clock
 /// (each replica adds two latency steps to the gradient ring).
 const MAX_DP: u64 = 1 << 20;
+
+/// The transformer layers `analyze` simulates.
+const ANALYZE_LAYERS: u64 = 4;
 
 const ANALYZE_FLAGS: Flags = Flags {
     values: "--h --sl --b --tp --dp --flop-vs-bw --trace",
@@ -632,11 +635,12 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Err(format!("--tp and --dp must be non-zero, and --dp at most {MAX_DP}").into());
     }
     check_point_work(h, sl, b, tp)?;
+    check_iteration_weights(h, tp, ANALYZE_LAYERS)?;
 
     let heads = (h / 64).clamp(16, 256);
     let hyper = Hyperparams::builder(h)
         .heads(heads)
-        .layers(4)
+        .layers(ANALYZE_LAYERS)
         .seq_len(sl)
         .batch(b)
         .build()?;

@@ -246,6 +246,23 @@ fn bad_grids_get_the_same_message_from_cli_and_serve() {
             "sp=1099511627776: experts, stages and sp count the devices of one group, at most 256",
         ),
         (
+            &[
+                "--stages",
+                "256",
+                "--micro-batches",
+                "18446744073709551615",
+                "--method",
+                "proj",
+            ],
+            "stages=256&micro_batches=18446744073709551615&method=proj",
+            "micro_batches=18446744073709551615: at most sl*b = 2048",
+        ),
+        (
+            &["--sl", "2048,8", "--b", "2", "--micro-batches", "8,17", "--method", "proj"],
+            "sl=2048,8&b=2&micro_batches=8,17&method=proj",
+            "micro_batches=17: at most sl*b = 16 (the shortest sequence's tokens)",
+        ),
+        (
             &["--experts", "512", "--top-k", "512", "--method", "proj"],
             "experts=512&top_k=512&method=proj",
             "experts=512: experts, stages and sp count",
@@ -329,6 +346,10 @@ fn analyze_rejects_bad_points_without_panicking() {
         (&["--dp", "0"], "--tp and --dp must be non-zero"),
         (&["--tp", "0"], "--tp and --dp must be non-zero"),
         (&["--dp", "18446744073709551615"], "--dp at most 1048576"),
+        (
+            &["--h", "134217728", "--sl", "1", "--dp", "2"],
+            "h=134217728, tp=1: 4 layers of h*h*12/tp fp16 weights exceed 2^58 bytes per device",
+        ),
     ];
     for (extra, message) in cases {
         let mut args = vec!["analyze"];
