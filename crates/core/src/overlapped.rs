@@ -11,6 +11,12 @@ use twocs_hw::DeviceSpec;
 use twocs_opmodel::Profiler;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
+/// The most data-parallel replicas a front end prices or simulates: a
+/// million devices, past any machine, and well inside the simulator's
+/// clock (each replica adds two latency steps to the gradient ring).
+/// `twocs analyze` and `/v1/overlapped` both refuse a larger DP.
+pub const MAX_DP: u64 = 1 << 20;
+
 /// Hyperparameters for one overlap ROI point (heads fixed power-of-two).
 #[must_use]
 pub fn roi_hyper(h: u64, slb: u64) -> Hyperparams {

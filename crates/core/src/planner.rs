@@ -5,12 +5,13 @@
 //! and under [`Method::Projection`] the per-point model is
 //! axis-separable: the projection baseline (one profiled layer plus the
 //! measured all-reduce curve, Eqs. 10–12) depends only on the evolved
-//! *device* — i.e. on the flop-vs-bw ratio axis — and the serialized
-//! all-reduce term depends only on `(H, SL)` activation bytes per
-//! device. The naive path rebuilds all of that from scratch for every
-//! point; [`FactoredPlan`] builds it once per distinct axis value and
-//! turns evaluation into `O(Σ axis sizes + points × combine)`, where the
-//! combine is the cheap scaling-law arithmetic.
+//! *device* — i.e. on the flop-vs-bw ratio axis — so a point's compute
+//! and serialized TP all-reduce depend only on its `(H, SL, TP)` triple
+//! and ratio, and its MoE/PP/SP costs only on its shape, network and
+//! axis tuple. The naive path rebuilds all of that from scratch for
+//! every point; [`FactoredPlan`] builds it once per distinct table cell
+//! and turns evaluation into `O(Σ axis sizes + points × combine)`, where
+//! the combine is one [`PointTerms`] assembly.
 //!
 //! The tables are laid out **struct-of-arrays**: flat `Vec<f64>` columns
 //! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build_from_sweep`]).
@@ -23,19 +24,22 @@
 //! zero per-point allocation and no per-point `catch_unwind`. Hashing a
 //! point's axis values ([`FactoredPlan::eval_batch`]) is left to
 //! arbitrary points, outside any executor. The expensive
-//! sub-expressions (the projected compute times and the
-//! slack-ROI profile behind the overlap percentage) are filled at build
-//! time, once per distinct table cell, with one [`Profiler`] per
-//! evolved device. The per-ratio groups of cells are independent, so a
-//! build prices them on the calling thread's [`parallelism`] budget.
+//! sub-expressions (the projected compute and TP all-reduce times, or
+//! the inference iteration's, and the slack-ROI profile behind the
+//! overlap percentage) are filled at build time, once per distinct table
+//! cell, with one [`Profiler`] per evolved device. The per-ratio groups
+//! of cells are independent, so a build prices them on the calling
+//! thread's [`parallelism`] budget.
 //!
-//! **Bit-identity is the contract**: the plan assembles each point from
-//! the *same* shared sub-expressions (`ProjectionModel::projected_compute`,
-//! `serialized_ar_time`, `ProjectedIteration::serialized_comm_fraction`,
-//! `overlap_pct`) the naive [`eval_grid_point`] path evaluates, so the
-//! two paths produce bit-equal `f64`s and byte-identical CSV on any
-//! grid. That is what lets local, serve, and distributed executors use
-//! the plan without a protocol or output change.
+//! **Bit-identity is the contract**: the plan prices each cell with the
+//! *same* calls the naive [`eval_grid_point`] path makes per point
+//! (`ProjectionModel::projected_compute` and `serialized_ar_time`, which
+//! `ProjectionModel::project` is made of, `InferenceIteration::model`,
+//! [`axis_costs`] and `overlap_pct`), and both paths assemble the
+//! serialized fraction with the one [`PointTerms::serialized_pct`], so
+//! they produce bit-equal `f64`s and byte-identical CSV on any grid.
+//! That is what lets local, serve, and distributed executors use the
+//! plan without a protocol or output change.
 //!
 //! [`Method::Simulation`] runs the discrete-event engine per point —
 //! there is nothing axis-separable to hoist — so simulation grids have
@@ -51,12 +55,12 @@ use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct_with;
 use crate::serialized::{projection_baseline, sweep_hyper, Method};
 use crate::sweep::{
-    axis_costs, eval_grid_point, extended_fraction_from_parts, panic_message, parallelism,
-    run_tasks_labeled, AxisCosts, GridPoint, GridSweep, PointResults, Workload,
+    axis_costs, eval_grid_point, panic_message, parallelism, run_tasks_labeled, AxisCosts,
+    GridPoint, GridSweep, PointResults, PointTerms, Workload,
 };
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, HwEvolution};
-use twocs_opmodel::{Profiler, ProjectedIteration, ProjectionModel};
+use twocs_opmodel::{Profiler, ProjectionModel};
 use twocs_transformer::Hyperparams;
 
 /// Struct-of-arrays tables for one sweep: every expensive
@@ -70,16 +74,14 @@ use twocs_transformer::Hyperparams;
 /// `axis_cells` map each position of the plan's [`GridIndex`] — a
 /// rank's digits — to those indices; the hash maps do the same for
 /// arbitrary points ([`FactoredPlan::eval_batch`]). The triple
-/// tables (`compute`, `backward`, `overlap`, `filled`) are flat vectors
+/// tables (`compute`, `tp_comm`, `overlap`, `filled`) are flat vectors
 /// indexed `(si * ratios + ri) * tps + ti`, filled only for the cells
 /// that actually occur (the grid prunes unrealistic `(H, TP)` pairs, so
-/// the cross product has holes); `serialized_ar` is TP-independent and
-/// indexed `si * ratios + ri`. The axis tables (`axis_comm`,
-/// `axis_p2p`) are keyed by the evolved device's
-/// *network*, not its ratio — [`axis_costs`] reads nothing else of the
-/// device, and flop-vs-bw evolution never changes the network — so they
-/// are indexed `(si * networks + ni) * axes + ai`, with `ratio_net`
-/// mapping each ratio to its network index.
+/// the cross product has holes). The axis table (`axis`) is keyed by the
+/// evolved device's *network*, not its ratio — [`axis_costs`] reads
+/// nothing else of the device, and flop-vs-bw evolution never changes
+/// the network — so it is indexed `(si * networks + ni) * axes + ai`,
+/// with `ratio_net` mapping each ratio to its network index.
 #[derive(Debug, Clone)]
 pub struct FactoredPlan {
     batch: u64,
@@ -118,32 +120,19 @@ pub struct FactoredPlan {
     hypers: Vec<Hyperparams>,
     /// TP degree per dense TP index.
     tps: Vec<u64>,
-    /// Serialized TP all-reduce time per `si * ratios + ri` — Eq. 12
-    /// priced once per activation size per device, reused across the
-    /// whole TP axis.
-    serialized_ar: Vec<f64>,
-    /// Projected per-layer compute time per filled triple.
+    /// [`PointTerms::compute`] per filled triple.
     compute: Vec<f64>,
-    /// Projected per-layer backward compute time per filled triple.
-    backward: Vec<f64>,
+    /// [`PointTerms::tp_comm`] per filled triple.
+    tp_comm: Vec<f64>,
     /// Overlapped-communication percentage per filled triple.
     overlap: Vec<f64>,
     /// Whether a triple cell survives the grid's pruning; unfilled
     /// cells hold zeros and resolve to the naive fallback.
     filled: Vec<bool>,
-    /// Inference per-layer compute time per filled triple; empty unless
-    /// the plan's workload is prefill or decode.
-    inf_compute: Vec<f64>,
-    /// Inference serialized TP comm per filled triple; empty unless the
-    /// plan's workload is prefill or decode.
-    inf_comm: Vec<f64>,
-    /// Extra serialized comm per layer for the MoE/SP axes, per
-    /// `(shape, network, axis)` cell — indexed
+    /// [`PointTerms::axis`] per `(shape, network, axis)` cell — indexed
     /// `(si * networks + ni) * axes + ai`. A sweep crosses every shape
     /// with every axis tuple, so every cell is priced.
-    axis_comm: Vec<f64>,
-    /// Pipeline boundary transfer per `(shape, network, axis)` cell.
-    axis_p2p: Vec<f64>,
+    axis: Vec<AxisCosts>,
 }
 
 impl FactoredPlan {
@@ -231,15 +220,11 @@ impl FactoredPlan {
                 networks: axes.networks.len(),
                 hypers: axes.hypers,
                 tps: axes.tps,
-                serialized_ar: priced.serialized_ar,
                 compute: priced.compute,
-                backward: priced.backward,
+                tp_comm: priced.tp_comm,
                 overlap: priced.overlap,
                 filled: cells.filled,
-                inf_compute: priced.inf_compute,
-                inf_comm: priced.inf_comm,
-                axis_comm: priced.axis_comm,
-                axis_p2p: priced.axis_p2p,
+                axis: priced.axis,
             })
         }))
         .ok()
@@ -306,52 +291,20 @@ impl FactoredPlan {
         }
     }
 
-    /// The shared combine over one filled table cell: identical
-    /// arithmetic (and f64 addition order) to the naive path, with the
-    /// sweep path's fixed degrees folded in — `ParallelConfig::new()
-    /// .tensor(tp)` means `DP = 1`, so the overlapped-DP term is
-    /// exactly `0.0` and the layer count is undivided. Points with every
-    /// axis neutral under the training workload take exactly the pre-axis
-    /// combine (preserving legacy bytes); extended points run the same
-    /// [`extended_fraction_from_parts`] assembly as the naive kernel over
-    /// the tabulated parts.
+    /// The combine over one filled table cell: the cell's columns as
+    /// the point's [`PointTerms`], assembled by the same
+    /// [`PointTerms::serialized_pct`] the naive kernel calls.
     #[inline]
     fn combine(&self, cell: Cell, p: GridPoint) -> (f64, f64) {
         let Cell { si, ri, ti, ai } = cell;
-        let pair = si * self.ratio_net.len() + ri;
-        let flat = pair * self.tps.len() + ti;
-        let projected = ProjectedIteration {
+        let flat = (si * self.ratio_net.len() + ri) * self.tps.len() + ti;
+        let terms = PointTerms {
             layers: self.hypers[si].layers(),
-            compute_per_layer: self.compute[flat],
-            backward_compute_per_layer: self.backward[flat],
-            serialized_comm_per_layer: if self.tps[ti] > 1 {
-                self.serialized_ar[pair]
-            } else {
-                0.0
-            },
-            overlapped_comm_per_layer: 0.0,
+            compute: self.compute[flat],
+            tp_comm: self.tp_comm[flat],
+            axis: self.axis[(si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai],
         };
-        if self.workload == Workload::Training && p.axes_default() {
-            return (
-                100.0 * projected.serialized_comm_fraction(),
-                self.overlap[flat],
-            );
-        }
-        let inference = match self.workload {
-            Workload::Training => None,
-            Workload::Prefill | Workload::Decode => {
-                Some((self.inf_compute[flat], self.inf_comm[flat]))
-            }
-        };
-        let aflat = (si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai;
-        let axis = AxisCosts {
-            comm_per_layer: self.axis_comm[aflat],
-            pp_p2p: self.axis_p2p[aflat],
-        };
-        (
-            100.0 * extended_fraction_from_parts(&projected, inference, axis, p),
-            self.overlap[flat],
-        )
+        (terms.serialized_pct(p), self.overlap[flat])
     }
 
     /// Evaluate one grid point from the tables. Bit-identical to
@@ -433,8 +386,6 @@ struct PlanAxes {
     /// Evolved device per ratio — `HwEvolution` applied exactly as
     /// [`eval_grid_point`] does.
     devices: Vec<DeviceSpec>,
-    /// Projection model per ratio.
-    models: Vec<ProjectionModel>,
     /// Network index per ratio.
     ratio_net: Vec<usize>,
     /// Distinct evolved networks, first-seen order.
@@ -461,23 +412,17 @@ struct PlanCells {
 #[derive(Clone, Copy)]
 struct TripleCell {
     compute: f64,
-    backward: f64,
+    tp_comm: f64,
     overlap: f64,
-    inf_compute: f64,
-    inf_comm: f64,
 }
 
 /// The expensive table columns of a [`FactoredPlan`], priced once per
 /// filled cell by [`PlanAxes::price_tables`].
 struct PricedTables {
-    serialized_ar: Vec<f64>,
     compute: Vec<f64>,
-    backward: Vec<f64>,
+    tp_comm: Vec<f64>,
     overlap: Vec<f64>,
-    inf_compute: Vec<f64>,
-    inf_comm: Vec<f64>,
-    axis_comm: Vec<f64>,
-    axis_p2p: Vec<f64>,
+    axis: Vec<AxisCosts>,
 }
 
 impl PlanAxes {
@@ -502,8 +447,6 @@ impl PlanAxes {
             }
         };
         self.ratio_net.push(ni);
-        self.models
-            .push(ProjectionModel::from_baseline(&projection_baseline(), &dev));
         self.devices.push(dev);
         ri
     }
@@ -562,43 +505,38 @@ impl PlanAxes {
     /// `None` if a pool group panicked; an inline panic unwinds to
     /// [`FactoredPlan::build_from_sweep`], which also answers `None`.
     fn price_tables(&self, cells: &PlanCells, jobs: usize) -> Option<PricedTables> {
-        let (nr, nn, na) = (self.devices.len(), self.networks.len(), self.axes.len());
+        let (nn, na) = (self.networks.len(), self.axes.len());
         let (batch, workload, todo) = (self.batch, self.workload, &cells.todo);
-        let mut serialized_ar = vec![0.0; self.hypers.len() * nr];
-        for (si, hyper) in self.hypers.iter().enumerate() {
-            for (ri, m) in self.models.iter().enumerate() {
-                serialized_ar[si * nr + ri] = m.serialized_ar_time(hyper);
-            }
-        }
-
-        let inference = workload != Workload::Training;
         let price_group = |ri: usize| -> Vec<TripleCell> {
-            let group = &todo[ri];
-            let profiler = Profiler::new(self.devices[ri].clone());
-            group
+            let dev = &self.devices[ri];
+            let profiler = Profiler::new(dev.clone());
+            // Training projects from the baseline profiled on this
+            // device; prefill and decode never read it.
+            let model = (workload == Workload::Training)
+                .then(|| ProjectionModel::from_baseline(&projection_baseline(), dev));
+            todo[ri]
                 .iter()
                 .map(|&(si, ti)| {
-                    let (h, sl) = self.shapes[si];
-                    let (compute, backward) =
-                        self.models[ri].projected_compute(&self.hypers[si], self.tps[ti]);
-                    let overlap = overlap_pct_with(&profiler, h, sl * batch, self.tps[ti], 4);
-                    let (inf_compute, inf_comm) = if inference {
-                        let it = InferenceIteration::model(
-                            &self.devices[ri],
-                            &self.hypers[si],
-                            self.tps[ti],
-                            workload,
-                        );
-                        (it.compute_per_layer, it.serialized_comm_per_layer)
-                    } else {
-                        (0.0, 0.0)
+                    let ((h, sl), hyper, tp) = (self.shapes[si], &self.hypers[si], self.tps[ti]);
+                    // The two halves of `ProjectionModel::project` at DP = 1.
+                    let (compute, tp_comm) = match &model {
+                        Some(m) => (
+                            m.projected_compute(hyper, tp).0,
+                            if tp > 1 {
+                                m.serialized_ar_time(hyper)
+                            } else {
+                                0.0
+                            },
+                        ),
+                        None => {
+                            let it = InferenceIteration::model(dev, hyper, tp, workload);
+                            (it.compute_per_layer, it.serialized_comm_per_layer)
+                        }
                     };
                     TripleCell {
                         compute,
-                        backward,
-                        overlap,
-                        inf_compute,
-                        inf_comm,
+                        tp_comm,
+                        overlap: overlap_pct_with(&profiler, h, sl * batch, tp, 4),
                     }
                 })
                 .collect()
@@ -621,47 +559,34 @@ impl PlanAxes {
 
         let n_cells = cells.filled.len();
         let mut compute = vec![0.0; n_cells];
-        let mut backward = vec![0.0; n_cells];
+        let mut tp_comm = vec![0.0; n_cells];
         let mut overlap = vec![0.0; n_cells];
-        let mut inf_compute = vec![0.0; if inference { n_cells } else { 0 }];
-        let mut inf_comm = vec![0.0; if inference { n_cells } else { 0 }];
         for (ri, group) in groups.into_iter().enumerate() {
             for (&(si, ti), cell) in todo[ri].iter().zip(group) {
                 let flat = self.triple_flat(si, ri, ti);
                 compute[flat] = cell.compute;
-                backward[flat] = cell.backward;
+                tp_comm[flat] = cell.tp_comm;
                 overlap[flat] = cell.overlap;
-                if inference {
-                    inf_compute[flat] = cell.inf_compute;
-                    inf_comm[flat] = cell.inf_comm;
-                }
             }
         }
 
-        // Axis tables: one cell per (shape, network, axis tuple), priced
+        // Axis table: one cell per (shape, network, axis tuple), priced
         // by the same shared `axis_costs` the naive kernel calls — that
-        // sharing is the bit-identity argument for the new axes.
-        let mut axis_comm = vec![0.0; self.hypers.len() * nn * na];
-        let mut axis_p2p = vec![0.0; self.hypers.len() * nn * na];
-        for (si, hyper) in self.hypers.iter().enumerate() {
-            for (ni, net) in self.networks.iter().enumerate() {
-                for (ai, &axis) in self.axes.iter().enumerate() {
-                    let aflat = (si * nn + ni) * na + ai;
-                    let costs = axis_costs(net, hyper, axis, workload);
-                    axis_comm[aflat] = costs.comm_per_layer;
-                    axis_p2p[aflat] = costs.pp_p2p;
+        // sharing is the bit-identity argument for the new axes. The
+        // loops run in flat-index order.
+        let mut axis = Vec::with_capacity(self.hypers.len() * nn * na);
+        for hyper in &self.hypers {
+            for net in &self.networks {
+                for &p in &self.axes {
+                    axis.push(axis_costs(net, hyper, p, workload));
                 }
             }
         }
         Some(PricedTables {
-            serialized_ar,
             compute,
-            backward,
+            tp_comm,
             overlap,
-            inf_compute,
-            inf_comm,
-            axis_comm,
-            axis_p2p,
+            axis,
         })
     }
 }

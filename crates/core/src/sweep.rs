@@ -49,7 +49,7 @@ use crate::serialized::{comm_fraction, projection_baseline, sweep_hyper, Method}
 use twocs_collectives::{Collective, CollectiveCostModel};
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, HwEvolution};
-use twocs_opmodel::{ProjectedIteration, ProjectionModel};
+use twocs_opmodel::ProjectionModel;
 use twocs_transformer::moe::MoeConfig;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
@@ -457,6 +457,10 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
 /// fraction (§4.3.4) and the overlapped-communication percentage
 /// (§4.3.5), on hardware evolved per the flop-vs-bw ratio (§4.3.6).
 ///
+/// The overlapped percentage is the training DP gradient all-reduce of
+/// the point's `(H, SL·B, TP)` slack ROI at a fixed DP = 4, whatever the
+/// workload and the extended axes: no sweep axis sets DP.
+///
 /// The extended axes and the non-training [`Workload`]s are modeled
 /// through the projection path only ([`Method::Projection`]); the
 /// discrete-event simulator covers the dense TP training iteration.
@@ -654,78 +658,71 @@ pub(crate) fn axis_costs(
     }
 }
 
-/// Assemble the serialized fraction from per-layer costs under the
-/// pipeline schedule: per micro-batch one stage runs `layers / stages`
-/// layers over `1/micro_batches` of the tokens plus one boundary
-/// transfer, and the `(M + S - 1)` bubble slot count cancels in the
-/// ratio. `stages == 1` reduces to `comm / (comp + comm)`.
-pub(crate) fn assemble_fraction(
-    layers: u64,
-    comp_per_layer: f64,
-    comm_per_layer: f64,
-    p: GridPoint,
-    pp_p2p: f64,
-) -> f64 {
-    let stage_layers = layers as f64 / p.stages as f64;
-    let micro = p.micro_batches as f64;
-    let comm_slot = stage_layers * comm_per_layer / micro + pp_p2p;
-    let total_slot = stage_layers * (comp_per_layer + comm_per_layer) / micro + pp_p2p;
-    if total_slot <= 0.0 {
-        return 0.0;
-    }
-    comm_slot / total_slot
+/// The per-layer seconds one projected point's serialized fraction is
+/// assembled from: the paper's compute and serialized TP communication
+/// (§4.3.4), plus what the MoE, PP and SP axes add. The naive kernel
+/// fills it per point ([`point_terms`]); the factored planner fills it
+/// from table reads. Both call [`Self::serialized_pct`], so the two
+/// paths share one assembly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PointTerms {
+    /// Layers of the model, before the pipeline splits them.
+    pub layers: u64,
+    /// Compute per layer: the projected forward + backward operators for
+    /// training, the roofline forward pass for prefill and decode.
+    pub compute: f64,
+    /// Serialized TP all-reduce time per layer; `0.0` at TP = 1.
+    pub tp_comm: f64,
+    /// The extended axes' communication and pipeline transfer.
+    pub axis: AxisCosts,
 }
 
-/// The serialized-communication fraction of one extended grid point —
-/// non-default axes or a non-training workload — from the projected
-/// iteration and freshly priced parts. The factored planner runs the
-/// same assembly ([`extended_fraction_from_parts`]) over tabulated
-/// parts; both paths call the identical pricing functions on identical
-/// inputs, which is the bit-identity contract.
-pub(crate) fn extended_fraction(
-    dev: &DeviceSpec,
-    hyper: &Hyperparams,
-    projected: &ProjectedIteration,
-    p: GridPoint,
-    workload: Workload,
-) -> f64 {
-    let inference = match workload {
-        Workload::Training => None,
+impl PointTerms {
+    /// The serialized-communication percentage under the pipeline
+    /// schedule: per micro-batch one stage runs `layers / stages` layers
+    /// over `1/micro_batches` of the tokens plus one boundary transfer,
+    /// and the `(M + S - 1)` bubble slot count cancels in the ratio. With
+    /// every axis neutral this is `100 · comm / (compute + comm)` bit for
+    /// bit, because the sweep's 2-layer model scales both sides by 2,
+    /// which is exact in floating point.
+    pub(crate) fn serialized_pct(&self, p: GridPoint) -> f64 {
+        let stage_layers = self.layers as f64 / p.stages as f64;
+        let micro = p.micro_batches as f64;
+        let comm = self.tp_comm + self.axis.comm_per_layer;
+        let comm_slot = stage_layers * comm / micro + self.axis.pp_p2p;
+        let total_slot = stage_layers * (self.compute + comm) / micro + self.axis.pp_p2p;
+        if total_slot <= 0.0 {
+            return 0.0;
+        }
+        100.0 * (comm_slot / total_slot)
+    }
+}
+
+/// Price `p`'s [`PointTerms`] on the already evolved `dev`: the training
+/// iteration through the projection model, prefill and decode through
+/// [`InferenceIteration`], and the extended axes through [`axis_costs`].
+fn point_terms(dev: &DeviceSpec, p: GridPoint, batch: u64, workload: Workload) -> PointTerms {
+    let hyper = sweep_hyper(p.h, p.sl, batch);
+    let (compute, tp_comm) = match workload {
+        Workload::Training => {
+            let projected = ProjectionModel::from_baseline(&projection_baseline(), dev)
+                .project(&hyper, &ParallelConfig::new().tensor(p.tp));
+            (
+                projected.compute_per_layer,
+                projected.serialized_comm_per_layer,
+            )
+        }
         Workload::Prefill | Workload::Decode => {
-            let it = InferenceIteration::model(dev, hyper, p.tp, workload);
-            Some((it.compute_per_layer, it.serialized_comm_per_layer))
+            let it = InferenceIteration::model(dev, &hyper, p.tp, workload);
+            (it.compute_per_layer, it.serialized_comm_per_layer)
         }
     };
-    let axis = axis_costs(dev.network(), hyper, p, workload);
-    extended_fraction_from_parts(projected, inference, axis, p)
-}
-
-/// [`extended_fraction`]'s final arithmetic over already-priced parts:
-/// training exposes the projected per-layer compute (plus any exposed
-/// DP overlap, exactly `0.0` on the TP-only sweep path) against the
-/// serialized all-reduce; inference workloads substitute the roofline
-/// iteration's `(compute, comm)` pair. Axis communication stacks onto
-/// the per-layer comm either way.
-pub(crate) fn extended_fraction_from_parts(
-    projected: &ProjectedIteration,
-    inference: Option<(f64, f64)>,
-    axis: AxisCosts,
-    p: GridPoint,
-) -> f64 {
-    let (comp, comm) = match inference {
-        Some(pair) => pair,
-        None => (
-            projected.compute_per_layer + projected.exposed_overlap(),
-            projected.serialized_comm_per_layer,
-        ),
-    };
-    assemble_fraction(
-        projected.layers,
-        comp,
-        comm + axis.comm_per_layer,
-        p,
-        axis.pp_p2p,
-    )
+    PointTerms {
+        layers: hyper.layers(),
+        compute,
+        tp_comm,
+        axis: axis_costs(dev.network(), &hyper, p, workload),
+    }
 }
 
 /// Panic (→ a per-point `error` cell) unless `p`'s extended axes are
@@ -761,9 +758,10 @@ fn check_extended_point(p: GridPoint, method: Method, workload: Workload) {
 /// remote `twocs worker`, a serve request — funnels through, which is
 /// what makes distributed output byte-identical to a local run: the
 /// value depends only on `(device, point, batch, method, workload)`.
-/// Points with every axis at its neutral value under the training
-/// workload evaluate through exactly the pre-axis code path, so legacy
-/// grids keep their pinned bytes.
+/// Under [`Method::Projection`] every point's serialized fraction is one
+/// [`PointTerms`] assembly, which reduces to the pre-axis
+/// `comm / (compute + comm)` bit for bit when every axis is neutral, so
+/// legacy grids keep their pinned bytes.
 #[must_use]
 pub fn eval_grid_point(
     device: &DeviceSpec,
@@ -829,18 +827,18 @@ fn metric_on(
     workload: Workload,
     metric: GridMetric,
 ) -> f64 {
-    if metric == GridMetric::Overlap {
-        return overlap_pct(dev, p.h, p.sl * batch, p.tp, 4);
-    }
-    let hyper = sweep_hyper(p.h, p.sl, batch);
-    let parallel = ParallelConfig::new().tensor(p.tp);
-    if p.axes_default() && workload == Workload::Training {
-        100.0 * comm_fraction(dev, &hyper, &parallel, method)
-    } else {
-        // check_extended_point guarantees Method::Projection here.
-        let model = ProjectionModel::from_baseline(&projection_baseline(), dev);
-        let projected = model.project(&hyper, &parallel);
-        100.0 * extended_fraction(dev, &hyper, &projected, p, workload)
+    match (metric, method) {
+        // The DP gradient all-reduce at a fixed DP = 4 (see GridSweep).
+        (GridMetric::Overlap, _) => overlap_pct(dev, p.h, p.sl * batch, p.tp, 4),
+        // check_extended_point limits the simulator to dense training.
+        (GridMetric::Serialized, Method::Simulation) => {
+            let hyper = sweep_hyper(p.h, p.sl, batch);
+            let parallel = ParallelConfig::new().tensor(p.tp);
+            100.0 * comm_fraction(dev, &hyper, &parallel, method)
+        }
+        (GridMetric::Serialized, Method::Projection) => {
+            point_terms(dev, p, batch, workload).serialized_pct(p)
+        }
     }
 }
 
@@ -1014,6 +1012,10 @@ impl GridSweep {
     /// extended columns appear only when `extended` is set (i.e. some
     /// point actually exercises them — computable up front from
     /// [`crate::grid::GridIndex::extended`] without seeing the grid).
+    /// The last two cells are the metrics: `serialized_pct`, the
+    /// serialized-communication share of the workload's critical path,
+    /// and `overlap_pct`, the DP gradient all-reduce as a percentage of
+    /// the backward GEMMs hiding it, at a fixed DP = 4 (see [`GridSweep`]).
     #[must_use]
     pub fn header_cells(extended: bool) -> Vec<String> {
         crate::axes::shown_axes(extended)
@@ -1774,6 +1776,35 @@ mod tests {
             );
             assert_eq!(alone(GridMetric::Overlap).to_bits(), overlap.to_bits());
         }
+    }
+
+    /// With every axis neutral, the projection kernel's one assembly is
+    /// the projected dense training fraction, bit for bit: random
+    /// shapes, batches, TP degrees (TP = 1 included) and evolution
+    /// ratios, on the device evolved as the kernel evolves it.
+    #[test]
+    fn point_terms_match_the_projected_dense_training_fraction() {
+        let device = DeviceSpec::mi210();
+        twocs_testkit::cases(64, |rng| {
+            let ratio = match rng.u32_in(0..3) {
+                0 => 1.0,
+                1 => *rng.choose(&[2.0, 4.0, 8.0]),
+                _ => rng.f64_in(1.0..64.0),
+            };
+            let p = GridPoint::new(
+                256 * rng.u64_in(1..257),
+                rng.u64_in(1..8193),
+                1 << rng.u32_in(0..9),
+                ratio,
+            );
+            let batch = rng.u64_in(1..5);
+            let dev = point_device(&device, p, Method::Projection, Workload::Training);
+            let parallel = ParallelConfig::new().tensor(p.tp);
+            let hyper = sweep_hyper(p.h, p.sl, batch);
+            let expected = 100.0 * comm_fraction(&dev, &hyper, &parallel, Method::Projection);
+            let pct = point_terms(&dev, p, batch, Workload::Training).serialized_pct(p);
+            assert_eq!(pct.to_bits(), expected.to_bits(), "{p:?} at b={batch}");
+        });
     }
 
     /// Evaluates every chunk with the naive kernel, last chunk first.

@@ -42,8 +42,8 @@ use crate::router::{Route, ENDPOINTS};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use twocs_core::axes::AXES;
-use twocs_core::overlapped::{overlap_pct, roi_hyper};
-use twocs_core::serialized::Method;
+use twocs_core::overlapped::{overlap_pct, roi_hyper, MAX_DP};
+use twocs_core::serialized::{check_point_work, Method};
 use twocs_core::sweep::{eval_grid_point, GridExecutor, GridPoint, GridSweep, LocalPool, Workload};
 use twocs_hw::{DeviceSpec, HwEvolution};
 use twocs_obs::chrome::escape_json;
@@ -377,7 +377,9 @@ fn render_sweep(csv: Vec<u8>, format: Format) -> Response {
 ///
 /// `overlap_pct` silently clamps TP to the model's head count, so this
 /// handler rejects out-of-range TP explicitly — the service must never
-/// label a clamped result with the TP the client asked for.
+/// label a clamped result with the TP the client asked for. It refuses
+/// what `twocs analyze` and `/v1/sweep` refuse: a DP above
+/// [`MAX_DP`] and a point past [`check_point_work`]'s bound.
 fn overlapped_request(q: &Query) -> Result<Prepared, String> {
     q.reject_unknown(&["h", "slb", "sl", "b", "tp", "dp", "format"])?;
     let format = parse_format(q, Format::Json)?;
@@ -404,9 +406,12 @@ fn overlapped_request(q: &Query) -> Result<Prepared, String> {
     }
     let tp = q.u64("tp")?.unwrap_or(16);
     let dp = q.u64("dp")?.unwrap_or(4);
-    if tp == 0 || dp == 0 {
-        return Err("tp and dp must be non-zero".to_owned());
+    if tp == 0 || dp == 0 || dp > MAX_DP {
+        return Err(format!(
+            "tp and dp must be non-zero, and dp at most {MAX_DP}"
+        ));
     }
+    check_point_work(h, slb, 1, tp)?;
     let heads = roi_hyper(h, slb).heads();
     if tp > heads {
         return Err(format!(
@@ -932,6 +937,30 @@ mod tests {
         // And SL*B = 0 is a 400, not a panic-500.
         let r = handle(&get("/v1/overlapped", "h=4096&slb=0"), &cfg());
         assert_eq!(r.status, 400, "{}", r.body);
+    }
+
+    /// Each probe used to answer 200 with a meaningless percentage (or
+    /// 500 from a panic); the shared front-end bounds refuse it.
+    #[test]
+    fn overlapped_refuses_what_analyze_and_sweep_refuse() {
+        for (query, message) in [
+            (
+                "h=4096&slb=2048&tp=16&dp=18446744073709551615",
+                "dp at most 1048576",
+            ),
+            ("h=4096&slb=2048&tp=16&dp=1048577", "dp at most 1048576"),
+            ("h=4096&slb=18446744073709551615&tp=16", "exceeds 2^58"),
+            ("h=1099511627776&slb=2048&tp=16", "exceeds 2^58"),
+        ] {
+            let r = handle(&get("/v1/overlapped", query), &cfg());
+            assert_eq!(r.status, 400, "{query}: {}", r.body);
+            assert!(r.body.contains(message), "{query}: {}", r.body);
+        }
+        let edge = handle(
+            &get("/v1/overlapped", "h=4096&slb=2048&tp=16&dp=1048576"),
+            &cfg(),
+        );
+        assert_eq!(edge.status, 200, "{}", edge.body);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::sync::Arc;
 use twocs::analysis::axes::{Axis, AXES};
 use twocs::analysis::experiments;
 use twocs::analysis::grid::check_flop_vs_bw;
+use twocs::analysis::overlapped::MAX_DP;
 use twocs::analysis::serialized::{check_iteration_weights, check_point_work};
 use twocs::analysis::sweep::{GridExecutor, GridSweep, LocalPool};
 use twocs::hw::{DeviceSpec, HwEvolution};
@@ -127,11 +128,6 @@ const WORKER_FLAGS: Flags = Flags {
     switches: "--metrics",
     axes: &[],
 };
-
-/// The most data-parallel replicas `analyze` simulates: a million
-/// devices, past any machine, and well inside the simulator's clock
-/// (each replica adds two latency steps to the gradient ring).
-const MAX_DP: u64 = 1 << 20;
 
 /// The transformer layers `analyze` simulates.
 const ANALYZE_LAYERS: u64 = 4;
