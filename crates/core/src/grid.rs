@@ -230,7 +230,7 @@ impl GridIndex {
 
     /// Number of extended-axis tuples: the length of
     /// [`Self::axis_tuples`].
-    fn axis_count(&self) -> usize {
+    pub(crate) fn axis_count(&self) -> usize {
         self.pairs.len() * self.stages.len() * self.micros.len() * self.sps.len()
     }
 

@@ -9,37 +9,34 @@
 //! and serialized TP all-reduce depend only on its `(H, SL, TP)` triple
 //! and ratio, and its MoE/PP/SP costs only on its shape, network and
 //! axis tuple. The naive path rebuilds all of that from scratch for
-//! every point; [`FactoredPlan`] builds it once per distinct table cell
-//! and turns evaluation into `O(Σ axis sizes + points × combine)`, where
-//! the combine is one [`PointTerms`] assembly.
+//! every point; [`FactoredPlan`] prices it once per table cell and turns
+//! evaluation into `O(Σ axis sizes + points × combine)`, where the
+//! combine is one [`PointTerms`] assembly.
 //!
 //! The tables are laid out **struct-of-arrays**: flat `Vec<f64>` columns
-//! indexed by `(shape, ratio, tp)` (see [`FactoredPlan::build_from_sweep`]).
-//! The plan keeps the [`GridIndex`] it was built from, and with it the
-//! dense cell of every triple, ratio and axis-tuple position of that
-//! grid. [`FactoredPlan::eval_range`] therefore evaluates a chunk as a
-//! rank range in one loop: a [`GridCursor`](crate::grid::GridCursor)
-//! steps through the ranks, its digits index the columns through those
-//! maps, and its point feeds the combine — no point list, no hashing,
-//! zero per-point allocation and no per-point `catch_unwind`. Hashing a
-//! point's axis values ([`FactoredPlan::eval_batch`]) is left to
-//! arbitrary points, outside any executor. The expensive
-//! sub-expressions (the projected compute and TP all-reduce times, or
-//! the inference iteration's, and the slack-ROI profile behind the
-//! overlap percentage) are filled at build time, once per distinct table
-//! cell, with one [`Profiler`] per evolved device. The per-ratio groups
-//! of cells are independent, so a build prices them on the calling
-//! thread's [`parallelism`] budget.
+//! indexed by the positions of the [`GridIndex`] the plan was built from
+//! and keeps — a [`GridCursor`](crate::grid::GridCursor)'s `(triple,
+//! ratio, axis tuple)` digits. [`FactoredPlan::eval_range`] therefore
+//! evaluates a chunk as a rank range in one loop: the cursor steps
+//! through the ranks, its digits index the columns directly, and its
+//! point feeds the combine — no point list, no hashing, zero per-point
+//! allocation and no per-point `catch_unwind`. Hashing a point's axis
+//! values ([`FactoredPlan::eval_batch`]) is left to arbitrary points,
+//! outside any executor. The expensive sub-expressions (the triple's
+//! compute and TP all-reduce times, and the slack-ROI profile behind the
+//! overlap percentage) are filled at build time, once per `(ratio,
+//! triple)` position, with one [`Profiler`] per evolved device. The
+//! per-ratio groups of cells are independent, so a build prices them on
+//! the calling thread's [`parallelism`] budget.
 //!
 //! **Bit-identity is the contract**: the plan prices each cell with the
 //! *same* calls the naive [`eval_grid_point`] path makes per point
-//! (`ProjectionModel::projected_compute` and `serialized_ar_time`, which
-//! `ProjectionModel::project` is made of, `InferenceIteration::model`,
-//! [`axis_costs`] and `overlap_pct`), and both paths assemble the
-//! serialized fraction with the one [`PointTerms::serialized_pct`], so
-//! they produce bit-equal `f64`s and byte-identical CSV on any grid.
-//! That is what lets local, serve, and distributed executors use the
-//! plan without a protocol or output change.
+//! ([`triple_terms`], [`axis_costs`] and `overlap_pct`), and both paths
+//! assemble the serialized fraction with the one
+//! [`PointTerms::serialized_pct`], so they produce bit-equal `f64`s and
+//! byte-identical CSV on any grid. That is what lets local, serve, and
+//! distributed executors use the plan without a protocol or output
+//! change.
 //!
 //! [`Method::Simulation`] runs the discrete-event engine per point —
 //! there is nothing axis-separable to hoist — so simulation grids have
@@ -47,41 +44,38 @@
 //! two paths, evaluates them naively.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::grid::GridIndex;
-use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct_with;
-use crate::serialized::{projection_baseline, sweep_hyper, Method};
+use crate::serialized::{sweep_hyper, Method};
 use crate::sweep::{
-    axis_costs, eval_grid_point, panic_message, parallelism, run_tasks_labeled, AxisCosts,
-    GridPoint, GridSweep, PointResults, PointTerms, Workload,
+    axis_costs, eval_grid_point, evolved, panic_message, parallelism, projection_model,
+    run_tasks_labeled, triple_terms, AxisCosts, GridPoint, GridSweep, PointResults, PointTerms,
+    Workload,
 };
 use twocs_hw::network::NetworkSpec;
-use twocs_hw::{DeviceSpec, HwEvolution};
-use twocs_opmodel::{Profiler, ProjectionModel};
+use twocs_hw::DeviceSpec;
+use twocs_opmodel::Profiler;
 use twocs_transformer::Hyperparams;
 
 /// Struct-of-arrays tables for one sweep: every expensive
-/// sub-expression is computed once per distinct table cell at build
-/// time, and [`FactoredPlan::eval_range`] assembles each point of a rank
-/// range from flat `f64` column reads plus the cheap shared combine.
+/// sub-expression is computed once per table cell at build time, and
+/// [`FactoredPlan::eval_range`] assembles each point of a rank range
+/// from flat `f64` column reads plus the cheap shared combine.
 ///
-/// Layout: dense indices number the distinct ratios (duplicates in the
-/// ratio list share one), `(H, SL)` shapes, TP degrees and axis tuples
-/// of the sweep, in first-seen order. `triple_cells`, `ratio_cells` and
-/// `axis_cells` map each position of the plan's [`GridIndex`] — a
-/// rank's digits — to those indices; the hash maps do the same for
-/// arbitrary points ([`FactoredPlan::eval_batch`]). The triple
-/// tables (`compute`, `tp_comm`, `overlap`, `filled`) are flat vectors
-/// indexed `(si * ratios + ri) * tps + ti`, filled only for the cells
-/// that actually occur (the grid prunes unrealistic `(H, TP)` pairs, so
-/// the cross product has holes). The axis table (`axis`) is keyed by the
-/// evolved device's *network*, not its ratio — [`axis_costs`] reads
-/// nothing else of the device, and flop-vs-bw evolution never changes
-/// the network — so it is indexed `(si * networks + ni) * axes + ai`,
-/// with `ratio_net` mapping each ratio to its network index.
+/// Layout: every column is indexed by positions of the plan's
+/// [`GridIndex`] — a rank's digits. The triple columns (`compute`,
+/// `tp_comm`, `overlap`) hold one cell per `(ratio, triple)` position
+/// at `r * triples + t`, so each ratio's cells are one contiguous
+/// pricing group. The axis table (`axis`) is keyed by the `(H, SL)`
+/// shape, the evolved device's *network* — [`axis_costs`] reads nothing
+/// else of the device, and flop-vs-bw evolution never changes the
+/// network — and the axis-tuple position: it is indexed
+/// `(triple_shape[t] * networks + ratio_net[r]) * axes + a`. A grid that
+/// repeats a value prices it once per position, with equal bits.
 #[derive(Debug, Clone)]
 pub struct FactoredPlan {
     batch: u64,
@@ -94,44 +88,35 @@ pub struct FactoredPlan {
     /// fallback on points outside the plan's axes.
     base_device: DeviceSpec,
     /// The grid the plan was built from: the one index whose ranks
-    /// [`Self::eval_range`] evaluates.
+    /// [`Self::eval_range`] evaluates and whose positions the columns
+    /// are indexed by.
     index: GridIndex,
-    /// Dense `(shape, tp)` cell per [`GridIndex::triples`] position.
-    triple_cells: Vec<(usize, usize)>,
-    /// Dense ratio per [`GridIndex::ratios`] position (duplicate ratios
-    /// share one).
-    ratio_cells: Vec<usize>,
-    /// Dense axis tuple per [`GridIndex::axis_tuples`] position.
-    axis_cells: Vec<usize>,
-    /// Distinct flop-vs-bw ratios (by bit pattern), first-seen order.
-    ratio_idx: HashMap<u64, usize>,
-    /// Distinct `(H, SL)` shapes, first-seen order.
-    shape_idx: HashMap<(u64, u64), usize>,
-    /// Distinct TP degrees, first-seen order.
-    tp_idx: HashMap<u64, usize>,
-    /// Distinct `(experts, top_k, stages, micro_batches, sp)` axis
-    /// tuples, first-seen order.
-    axis_idx: HashMap<(u64, u64, u64, u64, u64), usize>,
-    /// Dense network index per ratio index.
+    /// First triple position of each `(H, SL, TP)`, for arbitrary
+    /// points ([`Self::eval_batch`]).
+    triple_pos: HashMap<(u64, u64, u64), usize>,
+    /// First ratio position of each ratio's bit pattern.
+    ratio_pos: HashMap<u64, usize>,
+    /// First axis-tuple position of each
+    /// `(experts, top_k, stages, micro_batches, sp)`.
+    axis_pos: HashMap<(u64, u64, u64, u64, u64), usize>,
+    /// Shape (row of `hypers`) per triple position: consecutive triples
+    /// of one `(H, SL)` share one.
+    triple_shape: Vec<usize>,
+    /// Network index per ratio position.
     ratio_net: Vec<usize>,
     /// Number of distinct evolved networks across the ratios.
     networks: usize,
     /// Sweep hyperparameters per shape.
     hypers: Vec<Hyperparams>,
-    /// TP degree per dense TP index.
-    tps: Vec<u64>,
-    /// [`PointTerms::compute`] per filled triple.
+    /// [`PointTerms::compute`] per `(ratio, triple)` cell.
     compute: Vec<f64>,
-    /// [`PointTerms::tp_comm`] per filled triple.
+    /// [`PointTerms::tp_comm`] per `(ratio, triple)` cell.
     tp_comm: Vec<f64>,
-    /// Overlapped-communication percentage per filled triple.
+    /// Overlapped-communication percentage per `(ratio, triple)` cell.
     overlap: Vec<f64>,
-    /// Whether a triple cell survives the grid's pruning; unfilled
-    /// cells hold zeros and resolve to the naive fallback.
-    filled: Vec<bool>,
-    /// [`PointTerms::axis`] per `(shape, network, axis)` cell — indexed
-    /// `(si * networks + ni) * axes + ai`. A sweep crosses every shape
-    /// with every axis tuple, so every cell is priced.
+    /// [`PointTerms::axis`] per `(shape, network, axis tuple)` cell. A
+    /// sweep crosses every shape with every axis tuple, so every cell
+    /// is priced.
     axis: Vec<AxisCosts>,
 }
 
@@ -163,81 +148,147 @@ impl FactoredPlan {
         }
         let _span = twocs_obs::span("factored plan", "sweep");
         catch_unwind(AssertUnwindSafe(|| {
-            let mut axes = PlanAxes {
-                batch: sweep.batch,
-                workload: sweep.workload,
-                ..PlanAxes::default()
-            };
-            let ratio_cells: Vec<usize> = index
-                .ratios()
+            let triples = index.triples();
+            let mut hypers = Vec::new();
+            let triple_shape: Vec<usize> = triples
                 .iter()
-                .map(|&ratio| axes.add_ratio(device, ratio))
-                .collect();
-            let triple_cells: Vec<(usize, usize)> = index
-                .triples()
-                .iter()
-                .map(|&(h, sl, tp)| axes.add_triple(h, sl, tp))
-                .collect();
-            let axis_cells: Vec<usize> = index
-                .axis_tuples()
-                .map(|(experts, top_k, stages, micro_batches, sp)| {
-                    axes.add_axis(GridPoint {
-                        experts,
-                        top_k,
-                        stages,
-                        micro_batches,
-                        sp,
-                        ..GridPoint::new(256, 1, 1, 1.0)
-                    })
+                .enumerate()
+                .map(|(t, &(h, sl, _))| {
+                    if t == 0 || (triples[t - 1].0, triples[t - 1].1) != (h, sl) {
+                        hypers.push(sweep_hyper(h, sl, sweep.batch));
+                    }
+                    hypers.len() - 1
                 })
                 .collect();
-            // A sweep is a cross product: every surviving triple occurs
-            // with every ratio (the pruned `(H, TP)` pairs are the holes),
-            // and every (shape, network) with every axis tuple.
-            let mut cells = axes.cells();
-            for &(si, ti) in &triple_cells {
-                for ri in 0..axes.devices.len() {
-                    axes.fill_triple(&mut cells, si, ri, ti);
+            let devices: Vec<DeviceSpec> = index
+                .ratios()
+                .iter()
+                .map(|&ratio| evolved(device, ratio))
+                .collect();
+            let mut networks: Vec<NetworkSpec> = Vec::new();
+            let ratio_net = devices
+                .iter()
+                .map(|dev| {
+                    networks
+                        .iter()
+                        .position(|n| n == dev.network())
+                        .unwrap_or_else(|| {
+                            networks.push(*dev.network());
+                            networks.len() - 1
+                        })
+                })
+                .collect();
+            let axis_points: Vec<GridPoint> = index
+                .axis_tuples()
+                .map(|(experts, top_k, stages, micro_batches, sp)| GridPoint {
+                    experts,
+                    top_k,
+                    stages,
+                    micro_batches,
+                    sp,
+                    ..GridPoint::new(256, 1, 1, 1.0)
+                })
+                .collect();
+            let mut plan = Self {
+                batch: sweep.batch,
+                workload: sweep.workload,
+                base_device: device.clone(),
+                triple_pos: first_positions(triples.iter().copied()),
+                ratio_pos: first_positions(index.ratios().iter().map(|r| r.to_bits())),
+                axis_pos: first_positions(axis_points.iter().map(GridPoint::axis_key)),
+                index,
+                triple_shape,
+                ratio_net,
+                networks: networks.len(),
+                hypers,
+                compute: Vec::new(),
+                tp_comm: Vec::new(),
+                overlap: Vec::new(),
+                axis: Vec::new(),
+            };
+            let groups = plan.price_triples(&devices, parallelism())?;
+            for (compute, tp_comm, overlap) in groups.into_iter().flatten() {
+                plan.compute.push(compute);
+                plan.tp_comm.push(tp_comm);
+                plan.overlap.push(overlap);
+            }
+            // Axis table: one cell per (shape, network, axis tuple), priced
+            // by the same shared `axis_costs` the naive kernel calls — that
+            // sharing is the bit-identity argument for the new axes. The
+            // loops run in flat-index order.
+            for hyper in &plan.hypers {
+                for net in &networks {
+                    for &p in &axis_points {
+                        plan.axis.push(axis_costs(net, hyper, p, plan.workload));
+                    }
                 }
             }
-            let priced = axes.price_tables(&cells, parallelism())?;
             twocs_obs::metrics::global()
                 .counter("sweep.factored_plans")
                 .inc();
-            Some(Self {
-                batch: axes.batch,
-                workload: axes.workload,
-                base_device: device.clone(),
-                index,
-                triple_cells,
-                ratio_cells,
-                axis_cells,
-                ratio_idx: axes.ratio_idx,
-                shape_idx: axes.shape_idx,
-                tp_idx: axes.tp_idx,
-                axis_idx: axes.axis_idx,
-                ratio_net: axes.ratio_net,
-                networks: axes.networks.len(),
-                hypers: axes.hypers,
-                tps: axes.tps,
-                compute: priced.compute,
-                tp_comm: priced.tp_comm,
-                overlap: priced.overlap,
-                filled: cells.filled,
-                axis: priced.axis,
-            })
+            Some(plan)
         }))
         .ok()
         .flatten()
     }
 
-    /// Number of distinct `(H, SL)` shapes the plan tabulated.
+    /// Price the triple columns, one group of `(compute, tp_comm,
+    /// overlap)` cells per ratio position in triple order, on
+    /// `devices[r]`, the grid's ratios applied to the base device.
+    ///
+    /// The groups are independent, so they are priced on up to `jobs`
+    /// pool threads ([`run_tasks_labeled`]). A budget of 1 or a single
+    /// group prices inline under the same task scopes, so logical traces
+    /// do not depend on the budget. Returns `None` if a pool group
+    /// panicked; an inline panic unwinds to [`Self::build_from_sweep`],
+    /// which also answers `None`.
+    fn price_triples(
+        &self,
+        devices: &[DeviceSpec],
+        jobs: usize,
+    ) -> Option<Vec<Vec<(f64, f64, f64)>>> {
+        let price_group = |r: usize| -> Vec<(f64, f64, f64)> {
+            let dev = &devices[r];
+            let profiler = Profiler::new(dev.clone());
+            let model = projection_model(dev, self.workload);
+            self.index
+                .triples()
+                .iter()
+                .zip(&self.triple_shape)
+                .map(|(&(h, sl, tp), &shape)| {
+                    let hyper = &self.hypers[shape];
+                    let (compute, tp_comm) =
+                        triple_terms(model.as_ref(), dev, hyper, tp, self.workload);
+                    let overlap = overlap_pct_with(&profiler, h, sl * self.batch, tp, 4);
+                    (compute, tp_comm, overlap)
+                })
+                .collect()
+        };
+        let label = |r: usize| format!("price ratio {r}");
+        let groups = devices.len();
+        if jobs.min(groups) <= 1 {
+            return Some(
+                (0..groups)
+                    .map(|r| {
+                        let _scope = twocs_obs::task_scope(r, &label(r));
+                        price_group(r)
+                    })
+                    .collect(),
+            );
+        }
+        run_tasks_labeled(jobs.min(groups), groups, label, price_group)
+            .into_iter()
+            .map(|t| t.result.ok())
+            .collect()
+    }
+
+    /// Number of `(H, SL)` shapes the plan tabulated.
     #[must_use]
     pub fn shapes(&self) -> usize {
         self.hypers.len()
     }
 
-    /// Number of distinct flop-vs-bw ratios the plan tabulated.
+    /// Number of flop-vs-bw ratio positions the plan tabulated.
     #[must_use]
     pub fn ratios(&self) -> usize {
         self.ratio_net.len()
@@ -250,61 +301,40 @@ impl FactoredPlan {
         self.networks
     }
 
-    /// Number of distinct TP degrees the plan tabulated.
-    #[must_use]
-    pub fn tps(&self) -> usize {
-        self.tps.len()
-    }
-
-    /// Number of distinct MoE/PP/SP axis tuples the plan tabulated.
+    /// Number of MoE/PP/SP axis-tuple positions the plan tabulated.
     #[must_use]
     pub fn axes(&self) -> usize {
-        self.axis_idx.len()
+        self.index.axis_count()
     }
 
-    /// The dense cell of an arbitrary point, found by hashing its axis
-    /// values — or `None` for a point outside the plan's axes (or on an
-    /// unfilled cell of the pruned cross product). Ranks of the plan's
-    /// own grid never need this: [`Self::rank_cell`] reads the same cell
-    /// off the rank's digits.
-    fn resolve(&self, p: GridPoint) -> Option<Cell> {
-        let cell = Cell {
-            si: *self.shape_idx.get(&(p.h, p.sl))?,
-            ri: *self.ratio_idx.get(&p.ratio.to_bits())?,
-            ti: *self.tp_idx.get(&p.tp)?,
-            ai: *self.axis_idx.get(&p.axis_key())?,
-        };
-        let flat = (cell.si * self.ratio_net.len() + cell.ri) * self.tps.len() + cell.ti;
-        self.filled[flat].then_some(cell)
+    /// The `(triple, ratio, axis tuple)` position of an arbitrary point,
+    /// found by hashing its axis values — each value's first position in
+    /// the plan's grid — or `None` for a point outside the plan's axes
+    /// (a triple the grid pruned included). Ranks of the plan's own grid
+    /// never need this: a cursor's [`cell`](crate::grid::GridCursor::cell)
+    /// is such a position.
+    fn resolve(&self, p: GridPoint) -> Option<(usize, usize, usize)> {
+        Some((
+            *self.triple_pos.get(&(p.h, p.sl, p.tp))?,
+            *self.ratio_pos.get(&p.ratio.to_bits())?,
+            *self.axis_pos.get(&p.axis_key())?,
+        ))
     }
 
-    /// The dense cell of a cursor's point, from its `(triple, ratio,
-    /// axis tuple)` digits through the maps recorded at build time.
+    /// The combine over the `(triple, ratio, axis tuple)` position
+    /// `(t, r, a)`: its cells as the point's [`PointTerms`], assembled by
+    /// the same [`PointTerms::serialized_pct`] the naive kernel calls.
     #[inline]
-    fn rank_cell(&self, (t, r, a): (usize, usize, usize)) -> Cell {
-        let (si, ti) = self.triple_cells[t];
-        Cell {
-            si,
-            ri: self.ratio_cells[r],
-            ti,
-            ai: self.axis_cells[a],
-        }
-    }
-
-    /// The combine over one filled table cell: the cell's columns as
-    /// the point's [`PointTerms`], assembled by the same
-    /// [`PointTerms::serialized_pct`] the naive kernel calls.
-    #[inline]
-    fn combine(&self, cell: Cell, p: GridPoint) -> (f64, f64) {
-        let Cell { si, ri, ti, ai } = cell;
-        let flat = (si * self.ratio_net.len() + ri) * self.tps.len() + ti;
+    fn combine(&self, (t, r, a): (usize, usize, usize), p: GridPoint) -> (f64, f64) {
+        let cell = r * self.triple_shape.len() + t;
+        let shape = self.triple_shape[t];
         let terms = PointTerms {
-            layers: self.hypers[si].layers(),
-            compute: self.compute[flat],
-            tp_comm: self.tp_comm[flat],
-            axis: self.axis[(si * self.networks + self.ratio_net[ri]) * self.axis_idx.len() + ai],
+            layers: self.hypers[shape].layers(),
+            compute: self.compute[cell],
+            tp_comm: self.tp_comm[cell],
+            axis: self.axis[(shape * self.networks + self.ratio_net[r]) * self.axes() + a],
         };
-        (terms.serialized_pct(p), self.overlap[flat])
+        (terms.serialized_pct(p), self.overlap[cell])
     }
 
     /// Evaluate one grid point from the tables. Bit-identical to
@@ -330,11 +360,10 @@ impl FactoredPlan {
     /// Evaluate the plan's grid ranks `ranks` (clamped to the grid) into
     /// `out` (cleared first), in rank order — the executors' path. One
     /// [`GridCursor`](crate::grid::GridCursor) walks the range: its
-    /// digits give each point's table cell through the build-time maps
-    /// (no hashing) and its point feeds the combine, so no point list
-    /// is built and nothing allocates per point. Every rank of the
-    /// plan's own grid lands on a priced cell, so nothing here needs a
-    /// fallback.
+    /// digits index the columns directly (no hashing) and its point
+    /// feeds the combine, so no point list is built and nothing
+    /// allocates per point. Every position of the plan's own grid is
+    /// priced, so nothing here needs a fallback.
     pub fn eval_range(&self, ranks: Range<usize>, out: &mut PointResults) {
         out.clear();
         let end = ranks.end.min(self.index.len());
@@ -342,9 +371,7 @@ impl FactoredPlan {
         out.reserve(end - start);
         let mut cursor = self.index.cursor(start);
         for _ in start..end {
-            out.push(Ok(
-                self.combine(self.rank_cell(cursor.cell()), cursor.point())
-            ));
+            out.push(Ok(self.combine(cursor.cell(), cursor.point())));
             cursor.advance();
         }
     }
@@ -366,229 +393,13 @@ impl FactoredPlan {
     }
 }
 
-/// One point's dense table coordinates: shape, ratio, TP degree and
-/// extended-axis tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Cell {
-    si: usize,
-    ri: usize,
-    ti: usize,
-    ai: usize,
-}
-
-/// The distinct axis values a plan is built over, each in first-seen
-/// order, with the per-value inputs the pricing needs.
-#[derive(Default)]
-struct PlanAxes {
-    batch: u64,
-    workload: Workload,
-    ratio_idx: HashMap<u64, usize>,
-    /// Evolved device per ratio — `HwEvolution` applied exactly as
-    /// [`eval_grid_point`] does.
-    devices: Vec<DeviceSpec>,
-    /// Network index per ratio.
-    ratio_net: Vec<usize>,
-    /// Distinct evolved networks, first-seen order.
-    networks: Vec<NetworkSpec>,
-    shape_idx: HashMap<(u64, u64), usize>,
-    shapes: Vec<(u64, u64)>,
-    hypers: Vec<Hyperparams>,
-    tp_idx: HashMap<u64, usize>,
-    tps: Vec<u64>,
-    axis_idx: HashMap<(u64, u64, u64, u64, u64), usize>,
-    /// A representative point per axis tuple.
-    axes: Vec<GridPoint>,
-}
-
-/// The triple cells a sweep occupies, grouped by ratio (`todo[ri]`,
-/// first-seen order) so each evolved device runs one profiler + one
-/// chunk-scoped cache session over all of its cells.
-struct PlanCells {
-    filled: Vec<bool>,
-    todo: Vec<Vec<(usize, usize)>>,
-}
-
-/// One priced triple cell.
-#[derive(Clone, Copy)]
-struct TripleCell {
-    compute: f64,
-    tp_comm: f64,
-    overlap: f64,
-}
-
-/// The expensive table columns of a [`FactoredPlan`], priced once per
-/// filled cell by [`PlanAxes::price_tables`].
-struct PricedTables {
-    compute: Vec<f64>,
-    tp_comm: Vec<f64>,
-    overlap: Vec<f64>,
-    axis: Vec<AxisCosts>,
-}
-
-impl PlanAxes {
-    /// Register `ratio`; returns its dense index.
-    fn add_ratio(&mut self, device: &DeviceSpec, ratio: f64) -> usize {
-        if let Some(&ri) = self.ratio_idx.get(&ratio.to_bits()) {
-            return ri;
-        }
-        let ri = self.devices.len();
-        self.ratio_idx.insert(ratio.to_bits(), ri);
-        // Mirror eval_grid_point: evolve only for ratios above 1.
-        let dev = if ratio > 1.0 {
-            HwEvolution::flop_vs_bw(ratio).apply(device)
-        } else {
-            device.clone()
-        };
-        let ni = match self.networks.iter().position(|n| n == dev.network()) {
-            Some(ni) => ni,
-            None => {
-                self.networks.push(*dev.network());
-                self.networks.len() - 1
-            }
-        };
-        self.ratio_net.push(ni);
-        self.devices.push(dev);
-        ri
+/// The first position of each distinct key in `keys`.
+fn first_positions<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> HashMap<K, usize> {
+    let mut positions = HashMap::new();
+    for (i, key) in keys.enumerate() {
+        positions.entry(key).or_insert(i);
     }
-
-    /// Register a triple; returns its dense `(shape, tp)` indices.
-    fn add_triple(&mut self, h: u64, sl: u64, tp: u64) -> (usize, usize) {
-        let si = *self.shape_idx.entry((h, sl)).or_insert_with(|| {
-            self.shapes.push((h, sl));
-            self.hypers.push(sweep_hyper(h, sl, self.batch));
-            self.hypers.len() - 1
-        });
-        let ti = *self.tp_idx.entry(tp).or_insert_with(|| {
-            self.tps.push(tp);
-            self.tps.len() - 1
-        });
-        (si, ti)
-    }
-
-    /// Register `p`'s axis tuple; returns its dense index.
-    fn add_axis(&mut self, p: GridPoint) -> usize {
-        *self.axis_idx.entry(p.axis_key()).or_insert_with(|| {
-            self.axes.push(p);
-            self.axes.len() - 1
-        })
-    }
-
-    /// Empty fill sets over these axes.
-    fn cells(&self) -> PlanCells {
-        PlanCells {
-            filled: vec![false; self.hypers.len() * self.devices.len() * self.tps.len()],
-            todo: vec![Vec::new(); self.devices.len()],
-        }
-    }
-
-    fn triple_flat(&self, si: usize, ri: usize, ti: usize) -> usize {
-        (si * self.devices.len() + ri) * self.tps.len() + ti
-    }
-
-    /// Mark triple cell `(si, ri, ti)` as occurring, queuing it for its
-    /// ratio group on first sight.
-    fn fill_triple(&self, cells: &mut PlanCells, si: usize, ri: usize, ti: usize) {
-        let flat = self.triple_flat(si, ri, ti);
-        if !cells.filled[flat] {
-            cells.filled[flat] = true;
-            cells.todo[ri].push((si, ti));
-        }
-    }
-
-    /// Fill every expensive table column for the filled cells.
-    ///
-    /// Triple cells are grouped by ratio (`todo[ri]`); the groups are
-    /// independent, so they are priced on up to `jobs` pool threads
-    /// ([`run_tasks_labeled`]) and scattered back into the flat columns.
-    /// A budget of 1 or a single group prices inline under the same task
-    /// scopes, so logical traces do not depend on the budget. Returns
-    /// `None` if a pool group panicked; an inline panic unwinds to
-    /// [`FactoredPlan::build_from_sweep`], which also answers `None`.
-    fn price_tables(&self, cells: &PlanCells, jobs: usize) -> Option<PricedTables> {
-        let (nn, na) = (self.networks.len(), self.axes.len());
-        let (batch, workload, todo) = (self.batch, self.workload, &cells.todo);
-        let price_group = |ri: usize| -> Vec<TripleCell> {
-            let dev = &self.devices[ri];
-            let profiler = Profiler::new(dev.clone());
-            // Training projects from the baseline profiled on this
-            // device; prefill and decode never read it.
-            let model = (workload == Workload::Training)
-                .then(|| ProjectionModel::from_baseline(&projection_baseline(), dev));
-            todo[ri]
-                .iter()
-                .map(|&(si, ti)| {
-                    let ((h, sl), hyper, tp) = (self.shapes[si], &self.hypers[si], self.tps[ti]);
-                    // The two halves of `ProjectionModel::project` at DP = 1.
-                    let (compute, tp_comm) = match &model {
-                        Some(m) => (
-                            m.projected_compute(hyper, tp).0,
-                            if tp > 1 {
-                                m.serialized_ar_time(hyper)
-                            } else {
-                                0.0
-                            },
-                        ),
-                        None => {
-                            let it = InferenceIteration::model(dev, hyper, tp, workload);
-                            (it.compute_per_layer, it.serialized_comm_per_layer)
-                        }
-                    };
-                    TripleCell {
-                        compute,
-                        tp_comm,
-                        overlap: overlap_pct_with(&profiler, h, sl * batch, tp, 4),
-                    }
-                })
-                .collect()
-        };
-        let label = |ri: usize| format!("price ratio {ri}");
-        let jobs = jobs.min(todo.len());
-        let groups: Vec<Vec<TripleCell>> = if jobs <= 1 {
-            (0..todo.len())
-                .map(|ri| {
-                    let _scope = twocs_obs::task_scope(ri, &label(ri));
-                    price_group(ri)
-                })
-                .collect()
-        } else {
-            run_tasks_labeled(jobs, todo.len(), label, price_group)
-                .into_iter()
-                .map(|t| t.result.ok())
-                .collect::<Option<_>>()?
-        };
-
-        let n_cells = cells.filled.len();
-        let mut compute = vec![0.0; n_cells];
-        let mut tp_comm = vec![0.0; n_cells];
-        let mut overlap = vec![0.0; n_cells];
-        for (ri, group) in groups.into_iter().enumerate() {
-            for (&(si, ti), cell) in todo[ri].iter().zip(group) {
-                let flat = self.triple_flat(si, ri, ti);
-                compute[flat] = cell.compute;
-                tp_comm[flat] = cell.tp_comm;
-                overlap[flat] = cell.overlap;
-            }
-        }
-
-        // Axis table: one cell per (shape, network, axis tuple), priced
-        // by the same shared `axis_costs` the naive kernel calls — that
-        // sharing is the bit-identity argument for the new axes. The
-        // loops run in flat-index order.
-        let mut axis = Vec::with_capacity(self.hypers.len() * nn * na);
-        for hyper in &self.hypers {
-            for net in &self.networks {
-                for &p in &self.axes {
-                    axis.push(axis_costs(net, hyper, p, workload));
-                }
-            }
-        }
-        Some(PricedTables {
-            compute,
-            tp_comm,
-            overlap,
-            axis,
-        })
-    }
+    positions
 }
 
 /// Evaluate the ranks `ranks` of `sweep`'s grid `index` into `out`
@@ -696,7 +507,6 @@ mod tests {
         assert_eq!(plan.shapes(), 4); // 2 H × 2 SL
         assert_eq!(plan.ratios(), 2);
         assert_eq!(plan.networks(), 1); // flop-vs-bw keeps the network
-        assert_eq!(plan.tps(), 3);
         let extended = FactoredPlan::build_from_sweep(&device, &extended_grid()).unwrap();
         assert_eq!(extended.axes(), 4); // (4, 2) × 2 stages × 2 sp; (1, 2) is pruned
     }
@@ -855,10 +665,11 @@ mod tests {
         }
     }
 
-    /// A cursor's digits, through the build-time maps, name the same
-    /// table cell that hashing its point finds — on random grids with
-    /// duplicate ratios, filtered `(experts, top_k)` pairs, pruned
-    /// triples and single-value axes.
+    /// A cursor's digits and the positions hashing its point finds
+    /// combine to the same bits — on random grids with repeated values on
+    /// every axis, filtered `(experts, top_k)` pairs, pruned triples and
+    /// single-value axes, where the two positions of a repeated value
+    /// differ.
     #[test]
     fn cursor_digits_index_the_cells_resolve_finds() {
         let device = DeviceSpec::mi210();
@@ -871,13 +682,71 @@ mod tests {
             let mut cursor = plan.index.cursor(0);
             while cursor.rank() < plan.index.len() {
                 let p = cursor.point();
+                let resolved = plan.resolve(p).expect("a grid point resolves");
                 assert_eq!(
-                    Some(plan.rank_cell(cursor.cell())),
-                    plan.resolve(p),
+                    bits(plan.combine(cursor.cell(), p)),
+                    bits(plan.combine(resolved, p)),
                     "rank {} of {sweep:?}",
                     cursor.rank()
                 );
                 cursor.advance();
+            }
+        });
+    }
+
+    fn bits((serialized, overlap): (f64, f64)) -> (u64, u64) {
+        (serialized.to_bits(), overlap.to_bits())
+    }
+
+    /// The plan against the naive kernel on random grids that repeat
+    /// values on every axis, for every workload: chunked rank evaluation
+    /// at random chunk sizes, and `eval_batch` on the points shuffled.
+    #[test]
+    fn plan_matches_naive_on_grids_with_repeated_values() {
+        let device = DeviceSpec::mi210();
+        let bits_of = |out: &PointResults| -> Vec<Result<(u64, u64), String>> {
+            out.iter().map(|r| r.clone().map(bits)).collect()
+        };
+        twocs_testkit::cases(80, |rng| {
+            for workload in [Workload::Training, Workload::Prefill, Workload::Decode] {
+                let sweep = GridSweep {
+                    workload,
+                    ..crate::grid::tests::arbitrary_sweep(rng)
+                };
+                let Some(plan) = FactoredPlan::build_from_sweep(&device, &sweep) else {
+                    assert!(sweep.index().is_empty(), "{sweep:?}");
+                    continue;
+                };
+                let index = sweep.index();
+                let chunk_size = rng.usize_in(1..index.len() + 1);
+                let (mut planned, mut naive) = (Vec::new(), Vec::new());
+                let mut out = PointResults::new();
+                for c in 0..index.chunk_count(chunk_size) {
+                    let ranks = index.chunk_ranks(c, chunk_size);
+                    eval_chunk(
+                        Some(&plan),
+                        &device,
+                        &sweep,
+                        &index,
+                        ranks.clone(),
+                        &mut out,
+                    );
+                    planned.extend(bits_of(&out));
+                    eval_chunk(None, &device, &sweep, &index, ranks, &mut out);
+                    naive.extend(bits_of(&out));
+                }
+                assert_eq!(
+                    planned, naive,
+                    "{workload} at chunk {chunk_size}: {sweep:?}"
+                );
+
+                let mut order: Vec<usize> = (0..index.len()).collect();
+                rng.shuffle(&mut order);
+                let points: Vec<GridPoint> = order.iter().map(|&i| index.point(i)).collect();
+                plan.eval_batch(&points, &mut out);
+                for (&i, r) in order.iter().zip(bits_of(&out)) {
+                    assert_eq!(r, naive[i], "{workload} rank {i}: {sweep:?}");
+                }
             }
         });
     }

@@ -698,30 +698,54 @@ impl PointTerms {
     }
 }
 
-/// Price `p`'s [`PointTerms`] on the already evolved `dev`: the training
-/// iteration through the projection model, prefill and decode through
-/// [`InferenceIteration`], and the extended axes through [`axis_costs`].
+/// Price `p`'s [`PointTerms`] on the already evolved `dev`: its triple
+/// through [`triple_terms`] and the extended axes through [`axis_costs`].
 fn point_terms(dev: &DeviceSpec, p: GridPoint, batch: u64, workload: Workload) -> PointTerms {
     let hyper = sweep_hyper(p.h, p.sl, batch);
-    let (compute, tp_comm) = match workload {
-        Workload::Training => {
-            let projected = ProjectionModel::from_baseline(&projection_baseline(), dev)
-                .project(&hyper, &ParallelConfig::new().tensor(p.tp));
-            (
-                projected.compute_per_layer,
-                projected.serialized_comm_per_layer,
-            )
-        }
-        Workload::Prefill | Workload::Decode => {
-            let it = InferenceIteration::model(dev, &hyper, p.tp, workload);
-            (it.compute_per_layer, it.serialized_comm_per_layer)
-        }
-    };
+    let model = projection_model(dev, workload);
+    let (compute, tp_comm) = triple_terms(model.as_ref(), dev, &hyper, p.tp, workload);
     PointTerms {
         layers: hyper.layers(),
         compute,
         tp_comm,
         axis: axis_costs(dev.network(), &hyper, p, workload),
+    }
+}
+
+/// The projection model [`triple_terms`] prices a training triple with:
+/// the baseline profiled on the evolved `dev`. Prefill and decode never
+/// read it, so they get `None`.
+pub(crate) fn projection_model(dev: &DeviceSpec, workload: Workload) -> Option<ProjectionModel> {
+    (workload == Workload::Training)
+        .then(|| ProjectionModel::from_baseline(&projection_baseline(), dev))
+}
+
+/// The `(compute, tp_comm)` per layer of one `(H, SL, TP)` triple on the
+/// evolved `dev` — the one pricer of both kernels: the naive
+/// [`point_terms`] calls it per point, the factored plan once per table
+/// cell. Training (`model` from [`projection_model`]) is the projected
+/// compute plus, when TP > 1, the four serialized TP all-reduces (Eqs.
+/// 10–12 at DP = 1); prefill and decode are [`InferenceIteration`]'s.
+pub(crate) fn triple_terms(
+    model: Option<&ProjectionModel>,
+    dev: &DeviceSpec,
+    hyper: &Hyperparams,
+    tp: u64,
+    workload: Workload,
+) -> (f64, f64) {
+    match model {
+        Some(m) => {
+            let tp_comm = if tp > 1 {
+                m.serialized_ar_time(hyper)
+            } else {
+                0.0
+            };
+            (m.projected_compute(hyper, tp).0, tp_comm)
+        }
+        None => {
+            let it = InferenceIteration::model(dev, hyper, tp, workload);
+            (it.compute_per_layer, it.serialized_comm_per_layer)
+        }
     }
 }
 
@@ -811,8 +835,14 @@ fn point_device(
     workload: Workload,
 ) -> DeviceSpec {
     check_extended_point(p, method, workload);
-    if p.ratio > 1.0 {
-        HwEvolution::flop_vs_bw(p.ratio).apply(device)
+    evolved(device, p.ratio)
+}
+
+/// `device` evolved by a flop-vs-bw `ratio`; ratios of 1 and below keep
+/// it as it is.
+pub(crate) fn evolved(device: &DeviceSpec, ratio: f64) -> DeviceSpec {
+    if ratio > 1.0 {
+        HwEvolution::flop_vs_bw(ratio).apply(device)
     } else {
         device.clone()
     }

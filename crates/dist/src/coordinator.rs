@@ -635,7 +635,7 @@ fn drain_one_chunk(
     twocs_obs::metrics::global()
         .counter("dist.local_drain_chunks")
         .inc();
-    record_result(
+    let _ = record_result(
         &mut shared.lock(),
         job_id,
         LOCAL_WORKER,
@@ -646,8 +646,12 @@ fn drain_one_chunk(
 }
 
 /// Accept a chunk result into the job's delivery queue and update
-/// per-evaluator stats. Returns whether it was accepted; duplicate,
-/// stale and malformed results are dropped.
+/// per-evaluator stats. Returns whether it was accepted; duplicate and
+/// stale-job results are dropped. A result the current job cannot hold
+/// — a chunk past the job, or a value count other than the chunk's — is
+/// an `Err`: its sender is broken, and dropping the result alone would
+/// leave the chunk leased to it, renewed by its heartbeats or re-granted
+/// to it on expiry, forever.
 fn record_result(
     st: &mut FabricState,
     job_id: u64,
@@ -655,17 +659,15 @@ fn record_result(
     chunk: ChunkId,
     values: PointResults,
     busy: Duration,
-) -> bool {
+) -> Result<bool, ()> {
     let Some(job) = st.job.as_mut().filter(|j| j.id == job_id) else {
-        return false;
+        return Ok(false);
     };
     if chunk >= job.n_chunks || values.len() != job.chunk_len(chunk) {
-        // A short or long result cannot be merged; treat it as a failed
-        // evaluation and requeue via the normal failure path.
-        return false;
+        return Err(());
     }
     if job.tracker.complete(chunk) != Completion::Accepted {
-        return false;
+        return Ok(false);
     }
     let stats = job.stats.entry(worker).or_default();
     stats.chunks += 1;
@@ -676,7 +678,7 @@ fn record_result(
         .histogram("dist.chunk_rtt_us")
         .observe_duration(busy);
     job.delivered.push_back((chunk, values));
-    true
+    Ok(true)
 }
 
 /// Summarize the finished job and clear the slot.
@@ -1060,7 +1062,12 @@ fn handle_frame(shared: &Arc<Shared>, conn: &mut Conn, msg: Message, accepted: &
             if let Some(job) = st.job.as_mut() {
                 job.tracker.renew(worker, now, ttl_ms);
             }
-            *accepted |= record_result(&mut st, jid, worker, chunk, values, busy);
+            // A malformed result is a protocol violation: the connection
+            // dies and `cleanup_conn` requeues the sender's whole window.
+            let Ok(recorded) = record_result(&mut st, jid, worker, chunk, values, busy) else {
+                return false;
+            };
+            *accepted |= recorded;
             let job = st.job.as_mut().filter(|j| j.id == jid);
             if let (Some(job), Some(_)) = (job, granted) {
                 conn.window.on_result(busy, arrived, job.chunk_size());

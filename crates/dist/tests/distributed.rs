@@ -1124,3 +1124,70 @@ fn a_bad_grant_is_a_protocol_error() {
         );
     }
 }
+
+/// A worker that answers every grant with one value too few is broken,
+/// not slow: its first short result drops its connection and requeues
+/// its window, and the local drain finishes the sweep. Merely dropping
+/// the result left the chunk leased to that worker, and re-granted to it
+/// on every expiry, so the sweep never ended.
+#[test]
+fn a_short_chunk_result_drops_the_worker_instead_of_stalling_the_sweep() {
+    use std::sync::mpsc;
+    use twocs_core::eval_chunk;
+
+    let sweep = small_sweep();
+    let device = DeviceSpec::mi210();
+    let local = sweep.run(&device, 1).0.to_csv();
+    let coordinator = bind(sweep.index().len().div_ceil(3));
+    let addr = coordinator.local_addr();
+
+    let grid = sweep.clone();
+    let broken = std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("broken worker connects");
+        raw_handshake(&mut conn);
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let (_, spec) = read_job(&mut conn);
+        assert_eq!(spec.chunk_count(), 3, "a 3-chunk grid");
+        let mut sent = 0;
+        while let Ok((Message::Grant { job, chunks }, _)) = read_frame(&mut conn) {
+            for chunk in chunks {
+                let mut values = Vec::new();
+                let ranks = chunk_ranks(&spec, chunk);
+                eval_chunk(
+                    None,
+                    &DeviceSpec::mi210(),
+                    &grid,
+                    &spec.index(),
+                    ranks,
+                    &mut values,
+                );
+                values.pop();
+                let result = Message::ChunkResult { job, chunk, values };
+                if write_frame(&mut conn, &result).is_err() {
+                    return sent;
+                }
+                sent += 1;
+            }
+        }
+        sent
+    });
+    assert_eq!(coordinator.wait_for_workers(1, Duration::from_secs(10)), 1);
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(coordinator.run_sweep(&sweep, &device));
+        coordinator.shutdown();
+    });
+    let (table, summary) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the sweep finishes despite the broken worker")
+        .expect("sweep runs");
+    assert_eq!(table.to_csv(), local);
+    assert!(
+        summary.reassigned >= 1,
+        "the window was requeued: {summary}"
+    );
+    let sent = broken.join().unwrap();
+    assert!(sent >= 1, "the broken worker answered ({sent})");
+}

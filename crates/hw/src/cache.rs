@@ -1,7 +1,7 @@
 //! What is left of the hardware models' memo caches.
 //!
 //! The cost functions are not memoized: a factored sweep plan already
-//! prices each distinct cell once per sweep, so a process-global table
+//! prices each table cell once per sweep, so a process-global table
 //! under it would mostly miss and only grow. The one response cache in
 //! the workspace belongs to `twocs-serve`.
 

@@ -65,12 +65,6 @@ impl GemmShape {
     pub fn elements_moved(&self) -> u64 {
         self.batch * (self.m * self.k + self.k * self.n + self.m * self.n)
     }
-
-    /// Elements in the output matrix/matrices.
-    #[must_use]
-    pub fn output_elements(&self) -> u64 {
-        self.batch * self.m * self.n
-    }
 }
 
 impl fmt::Display for GemmShape {

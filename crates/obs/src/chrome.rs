@@ -13,7 +13,6 @@
 //! same bytes — the property the `--trace` determinism tests pin down.
 
 use crate::span::{SpanRecord, TraceSnapshot};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal. Control
@@ -101,24 +100,11 @@ pub fn render_events_array(spans: &[SpanRecord]) -> String {
     out
 }
 
-/// Convenience: render a snapshot with extra process names merged in
-/// (callers that synthesize pids outside the tracer).
-#[must_use]
-pub fn render_with_names(snapshot: &TraceSnapshot, extra: &BTreeMap<u64, String>) -> String {
-    let mut merged = snapshot.clone();
-    for (pid, name) in extra {
-        merged
-            .process_names
-            .entry(*pid)
-            .or_insert_with(|| name.clone());
-    }
-    render(&merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
+    use std::collections::BTreeMap;
 
     fn sample_snapshot() -> TraceSnapshot {
         TraceSnapshot {

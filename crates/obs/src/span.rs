@@ -143,7 +143,6 @@ pub struct Tracer {
     clock: Box<dyn Clock>,
     records: Mutex<Vec<SpanRecord>>,
     process_names: Mutex<BTreeMap<u64, String>>,
-    sim_capture: bool,
     dropped: AtomicU64,
 }
 
@@ -160,7 +159,7 @@ impl Tracer {
         Arc::new(Self::new(TraceMode::Logical))
     }
 
-    /// Create a tracer in `mode` with simulator capture enabled.
+    /// Create a tracer in `mode`; it captures simulator timelines too.
     #[must_use]
     pub fn new(mode: TraceMode) -> Self {
         let clock: Box<dyn Clock> = match mode {
@@ -172,29 +171,14 @@ impl Tracer {
             clock,
             records: Mutex::new(Vec::new()),
             process_names: Mutex::new(BTreeMap::new()),
-            sim_capture: true,
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Disable (or re-enable) capture of simulator timelines; task and
-    /// phase spans are always captured.
-    #[must_use]
-    pub fn with_sim_capture(mut self, capture: bool) -> Self {
-        self.sim_capture = capture;
-        self
     }
 
     /// The tracer's time mode.
     #[must_use]
     pub fn mode(&self) -> TraceMode {
         self.mode
-    }
-
-    /// Whether simulator timelines should be fed in.
-    #[must_use]
-    pub fn sim_enabled(&self) -> bool {
-        self.sim_capture
     }
 
     /// Spans dropped by the per-scope and global caps.
@@ -226,9 +210,9 @@ impl Tracer {
     /// Feed one simulator timeline, attributed to the calling thread's
     /// current task scope: it becomes (part of) a dedicated Chrome-trace
     /// process, with consecutive timelines of the same scope laid out
-    /// sequentially. No-op when simulator capture is disabled.
+    /// sequentially.
     pub fn push_sim_spans(&self, spans: &[SimSpan]) {
-        if !self.sim_capture || spans.is_empty() {
+        if spans.is_empty() {
             return;
         }
         let (pid, label, offset, budget) = CTX.with(|ctx| {

@@ -89,13 +89,6 @@ impl Profiler {
         }
     }
 
-    /// Override the collective cost model.
-    #[must_use]
-    pub fn with_comm_model(mut self, comm_model: CollectiveCostModel) -> Self {
-        self.comm_model = comm_model;
-        self
-    }
-
     /// The profiled device.
     #[must_use]
     pub fn device(&self) -> &DeviceSpec {

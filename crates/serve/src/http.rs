@@ -22,9 +22,6 @@
 //! lets one thread multiplex hundreds of half-arrived requests without
 //! blocking on any of them.
 
-use std::io::Write;
-use std::net::TcpStream;
-
 /// Maximum accepted size of a request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
@@ -289,13 +286,6 @@ impl Response {
             bytes.extend_from_slice(self.body.as_bytes());
         }
         bytes
-    }
-
-    /// Blocking convenience writer: the full close-delimited response,
-    /// as the pre-keep-alive server sent for every request.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        stream.write_all(&self.to_bytes(false, false))?;
-        stream.flush()
     }
 }
 

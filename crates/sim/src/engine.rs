@@ -198,9 +198,7 @@ impl Engine {
         // without an active tracer). Simulated timestamps are virtual and
         // deterministic, so this never perturbs trace reproducibility.
         if let Some(tracer) = twocs_obs::current_tracer() {
-            if tracer.sim_enabled() {
-                tracer.push_sim_spans(&timeline.to_obs_spans());
-            }
+            tracer.push_sim_spans(&timeline.to_obs_spans());
         }
         Ok(timeline)
     }

@@ -5,7 +5,7 @@
 //! (critical-path) communication, and the serialized-communication
 //! fraction of Figure 10 / 12.
 
-use crate::task::{DeviceId, OpClass, StreamKind};
+use crate::task::{DeviceId, StreamKind};
 use crate::time::SimTime;
 use crate::trace::Timeline;
 use std::collections::BTreeMap;
@@ -149,16 +149,11 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// Convenience: classes that appear in reports.
-#[must_use]
-pub fn class_label(class: OpClass) -> &'static str {
-    class.name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::TaskGraph;
+    use crate::task::OpClass;
     use crate::Engine;
 
     fn d(i: usize) -> DeviceId {

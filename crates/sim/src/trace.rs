@@ -103,16 +103,7 @@ impl Timeline {
     /// Union busy time of one stream on one device.
     #[must_use]
     pub fn stream_busy(&self, device: DeviceId, stream: StreamKind) -> SimTime {
-        let intervals = self.intervals(device, Some(stream), None);
-        union_length(&intervals)
-    }
-
-    /// Union busy time of a given op class on one device (may span both
-    /// streams).
-    #[must_use]
-    pub fn class_busy(&self, device: DeviceId, class: OpClass) -> SimTime {
-        let intervals = self.intervals(device, None, Some(class));
-        union_length(&intervals)
+        union_length(&self.intervals(device, stream))
     }
 
     /// Sum (not union) of record durations per class across all devices.
@@ -138,7 +129,7 @@ impl Timeline {
     #[must_use]
     pub fn exposed_comm(&self, device: DeviceId) -> SimTime {
         let comm = union(self.comm_intervals(device));
-        let compute = union(self.intervals(device, Some(StreamKind::Compute), None));
+        let compute = union(self.intervals(device, StreamKind::Compute));
         subtract_length(&comm, &compute)
     }
 
@@ -161,20 +152,10 @@ impl Timeline {
             .collect()
     }
 
-    fn intervals(
-        &self,
-        device: DeviceId,
-        stream: Option<StreamKind>,
-        class: Option<OpClass>,
-    ) -> Vec<(u64, u64)> {
+    fn intervals(&self, device: DeviceId, stream: StreamKind) -> Vec<(u64, u64)> {
         self.records
             .iter()
-            .filter(|r| {
-                r.device == device
-                    && stream.is_none_or(|s| r.stream == s)
-                    && class.is_none_or(|c| r.class == c)
-                    && r.end > r.start
-            })
+            .filter(|r| r.device == device && r.stream == stream && r.end > r.start)
             .map(|r| (r.start.as_ps(), r.end.as_ps()))
             .collect()
     }
