@@ -263,6 +263,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Wall time and outcome of one task, for the summary report.
 #[derive(Debug, Clone)]
 pub struct TaskTiming {
+    /// Task index.
+    pub task: usize,
     /// Task label (experiment id, or a grid-point description).
     pub label: String,
     /// Wall time on its worker thread.
@@ -284,24 +286,30 @@ pub struct WorkerTiming {
     pub busy: Duration,
 }
 
+/// Tasks a [`SweepSummary`] lists besides the failed ones: the first
+/// this many, so a million-chunk sweep keeps a bounded summary.
+const LISTED_TASKS: usize = 32;
+
 /// What a sweep did: thread count, wall/task time, failures, and
 /// per-task and per-worker timings.
 ///
 /// Rendered with `Display`; the CLI prints it to **stderr** so that
 /// parallel and serial runs keep byte-identical stdout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepSummary {
     /// Worker threads used.
     pub jobs: usize,
     /// Tasks executed.
     pub tasks: usize,
-    /// Tasks that panicked.
+    /// Failures the tasks reported (failed experiments, or failed grid
+    /// points).
     pub failures: usize,
     /// End-to-end wall time of the sweep.
     pub wall: Duration,
     /// Summed per-task time (wall × achieved concurrency).
     pub task_time: Duration,
-    /// Per-task wall times, in task order.
+    /// Wall times of the first 32 tasks and of every failed one, in
+    /// task order; the rest are counted in `tasks` and `workers` only.
     pub timings: Vec<TaskTiming>,
     /// Per-worker task count and busy time, by worker index. Workers
     /// that claimed no task still appear (with zero counts).
@@ -309,39 +317,58 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// The summary of a run on `jobs` threads that started at `start`:
-    /// wall time is measured up to now.
-    fn since(jobs: usize, timings: Vec<TaskTiming>, failures: usize, start: Instant) -> Self {
-        let wall = start.elapsed();
+    /// An empty summary of `count` tasks about to run on `jobs` threads:
+    /// the breakdown covers `min(jobs, count)` workers, matching what the
+    /// pool spawns.
+    fn new(jobs: usize, count: usize) -> Self {
+        let spawned = jobs.max(1).min(count.max(1));
         Self {
             jobs: jobs.max(1),
-            tasks: timings.len(),
-            failures,
-            wall,
-            task_time: timings.iter().map(|t| t.elapsed).sum(),
-            workers: Self::workers_from_timings(jobs, &timings),
-            timings,
+            workers: (0..spawned)
+                .map(|worker| WorkerTiming {
+                    worker,
+                    ..WorkerTiming::default()
+                })
+                .collect(),
+            ..Self::default()
         }
     }
 
-    /// Build the per-worker breakdown from per-task timings. `jobs` is
-    /// the requested worker count; the breakdown covers
-    /// `min(jobs, tasks)` workers, matching what the pool spawned.
-    fn workers_from_timings(jobs: usize, timings: &[TaskTiming]) -> Vec<WorkerTiming> {
-        let spawned = jobs.max(1).min(timings.len().max(1));
-        let mut workers: Vec<WorkerTiming> = (0..spawned)
-            .map(|w| WorkerTiming {
-                worker: w,
-                ..WorkerTiming::default()
-            })
-            .collect();
-        for t in timings {
-            if let Some(w) = workers.get_mut(t.worker) {
-                w.tasks += 1;
-                w.busy += t.elapsed;
-            }
+    /// Account finished task `task`, which ran for `elapsed` on `worker`
+    /// and reported `failed` failures; its `label` is made only if the
+    /// task is listed.
+    fn add(
+        &mut self,
+        task: usize,
+        elapsed: Duration,
+        worker: usize,
+        failed: usize,
+        label: impl FnOnce() -> String,
+    ) {
+        self.tasks += 1;
+        self.failures += failed;
+        self.task_time += elapsed;
+        if let Some(w) = self.workers.get_mut(worker) {
+            w.tasks += 1;
+            w.busy += elapsed;
         }
-        workers
+        if task < LISTED_TASKS || failed > 0 {
+            self.timings.push(TaskTiming {
+                task,
+                label: label(),
+                elapsed,
+                ok: failed == 0,
+                worker,
+            });
+        }
+    }
+
+    /// Close the summary of a run that started at `start`: wall time is
+    /// measured up to now.
+    fn finish(mut self, start: Instant) -> Self {
+        self.wall = start.elapsed();
+        self.timings.sort_unstable_by_key(|t| t.task);
+        self
     }
 }
 
@@ -370,6 +397,15 @@ impl fmt::Display for SweepSummary {
                 t.label,
                 t.elapsed,
                 if t.ok { "ok" } else { "FAILED" }
+            )?;
+        }
+        // Every listed task is counted in `tasks`.
+        let more = self.tasks - self.timings.len();
+        if more > 0 {
+            writeln!(
+                f,
+                "  … {more} more task{}",
+                if more == 1 { "" } else { "s" }
             )?;
         }
         write!(f, "workers:")?;
@@ -425,17 +461,13 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
         |i| defs[i].id.to_owned(),
         |i| (defs[i].run)(device),
     );
-    let timings: Vec<TaskTiming> = defs
-        .iter()
-        .zip(&raw)
-        .map(|(def, t)| TaskTiming {
-            label: def.id.to_owned(),
-            elapsed: t.elapsed,
-            ok: t.result.is_ok(),
-            worker: t.worker,
-        })
-        .collect();
-    let results: Vec<ExperimentResult> = defs
+    let mut summary = SweepSummary::new(jobs, defs.len());
+    for (i, t) in raw.iter().enumerate() {
+        let failed = usize::from(t.result.is_err());
+        summary.add(i, t.elapsed, t.worker, failed, || defs[i].id.to_owned());
+    }
+    let summary = summary.finish(start);
+    let results = defs
         .iter()
         .zip(raw)
         .map(|(def, t)| ExperimentResult {
@@ -445,8 +477,6 @@ pub fn run_experiments(device: &DeviceSpec, defs: &[ExperimentDef], jobs: usize)
             elapsed: t.elapsed,
         })
         .collect();
-    let failures = results.iter().filter(|r| r.output.is_err()).count();
-    let summary = SweepSummary::since(jobs, timings, failures, start);
     SweepRun { results, summary }
 }
 
@@ -906,10 +936,6 @@ pub trait GridExecutor: Send + Sync + fmt::Debug {
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<Box<dyn fmt::Display + Send>, String>;
 
-    /// The chunk size this executor picks for `sweep` when the caller
-    /// has no preference.
-    fn chunk_size(&self, sweep: &GridSweep) -> usize;
-
     /// Human-oriented name for logs and summaries.
     fn describe(&self) -> String {
         "local".to_owned()
@@ -959,8 +985,7 @@ impl LocalPool {
             r if r.len() == 1 => grid_point_label(&index.point(r.start)),
             r => format!("points {}..{}", r.start, r.end),
         };
-        let mut timings = vec![None; pending.len()];
-        let mut failures = 0;
+        let mut summary = SweepSummary::new(jobs, pending.len());
         let eval = |i: usize| {
             let mut out = PointResults::new();
             eval_chunk(plan.as_ref(), device, sweep, &index, ranks(i), &mut out);
@@ -973,17 +998,10 @@ impl LocalPool {
                 .result
                 .unwrap_or_else(|msg| vec![Err(msg); ranks(i).len()]);
             let failed = values.iter().filter(|r| r.is_err()).count();
-            failures += failed;
-            timings[i] = Some(TaskTiming {
-                label: label(i),
-                elapsed: t.elapsed,
-                ok: failed == 0,
-                worker: t.worker,
-            });
+            summary.add(i, t.elapsed, t.worker, failed, || label(i));
             on_chunk(pending[i], values)
         })?;
-        let timings = timings.into_iter().flatten().collect();
-        Ok(SweepSummary::since(jobs, timings, failures, start))
+        Ok(summary.finish(start))
     }
 }
 
@@ -1000,27 +1018,12 @@ impl GridExecutor for LocalPool {
             self.run(sweep, device, chunk_size, completed, on_chunk)?,
         ))
     }
-
-    /// Factored chunks are lease-sized: enough to keep every worker busy
-    /// twice over (so uneven chunk costs still load-balance), capped at
-    /// 64 points so per-chunk results stay cache-friendly and a panicking
-    /// chunk degrades a bounded slice of the grid. One worker has no one
-    /// to balance against, so at `jobs = 1` a grid of up to 64 points is
-    /// one chunk, which [`stream_tasks`] runs on the calling thread.
-    /// Simulation grids have no plan and every point is expensive, so
-    /// each point is its own chunk and the pool balances them point by
-    /// point.
-    fn chunk_size(&self, sweep: &GridSweep) -> usize {
-        if sweep.method == Method::Simulation {
-            return 1;
-        }
-        let chunks = match self.jobs.max(1) {
-            1 => 1,
-            jobs => jobs * 2,
-        };
-        sweep.point_count().div_ceil(chunks).clamp(1, 64)
-    }
 }
+
+/// The largest chunk [`GridSweep::chunk_size`] picks: one chunk's
+/// results, its journal record (~70 KB) and the recompute a crash loses
+/// all stay bounded at this size.
+const MAX_CHUNK_POINTS: usize = 4096;
 
 impl GridSweep {
     /// The realistic grid points, in deterministic row-major order
@@ -1142,17 +1145,39 @@ impl GridSweep {
         Ok((Self::tabulate(&self.points(), &slots.concat()), summary))
     }
 
-    /// Run the sweep on a [`LocalPool`] of `jobs` threads, at the pool's
-    /// own chunk size, and tabulate it. The rows follow [`Self::points`]
-    /// order whatever the thread count, so CSV output is byte-identical
-    /// across `jobs` settings; a panicking point renders as `error` in
-    /// both metric columns rather than aborting the sweep.
+    /// Points per chunk when the caller names none — the one rule every
+    /// front end (`twocs sweep`, journaled or `--listen`, serve's
+    /// `/v1/sweep` and [`Self::run`]) applies for `jobs` evaluators.
+    /// Simulation grids have no plan and every point is expensive, so
+    /// each point is its own chunk and the executor balances them point
+    /// by point. Projection grids get enough chunks to keep every
+    /// evaluator busy twice over (so uneven chunk costs still balance),
+    /// at most 4,096 points each; one evaluator has no
+    /// one to balance against, so at `jobs = 1` a small grid is one
+    /// chunk, which [`stream_tasks`] runs on the calling thread. A
+    /// journal records its chunk size, so this rule can change without
+    /// breaking a resume.
+    #[must_use]
+    pub fn chunk_size(&self, jobs: usize) -> usize {
+        if self.method == Method::Simulation {
+            return 1;
+        }
+        let chunks = if jobs <= 1 { 1 } else { 2 * jobs };
+        self.point_count()
+            .div_ceil(chunks)
+            .clamp(1, MAX_CHUNK_POINTS)
+    }
+
+    /// Run the sweep on a [`LocalPool`] of `jobs` threads, at
+    /// [`Self::chunk_size`], and tabulate it. The rows follow
+    /// [`Self::points`] order whatever the thread count, so CSV output is
+    /// byte-identical across `jobs` settings; a panicking point renders
+    /// as `error` in both metric columns rather than aborting the sweep.
     #[must_use]
     pub fn run(&self, device: &DeviceSpec, jobs: usize) -> (Table, SweepSummary) {
-        let pool = LocalPool { jobs };
-        let chunk_size = pool.chunk_size(self);
+        let chunk_size = self.chunk_size(jobs);
         self.tabulate_with(chunk_size, |on_chunk| {
-            pool.run(self, device, chunk_size, &BTreeSet::new(), on_chunk)
+            LocalPool { jobs }.run(self, device, chunk_size, &BTreeSet::new(), on_chunk)
         })
         .expect("filing a chunk into its slot cannot fail")
     }
@@ -1648,7 +1673,7 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_takes_up_to_64_factored_points_as_one_chunk() {
+    fn projection_grids_take_two_chunks_per_worker_of_at_most_4096_points() {
         let grid = |tps: usize, ratios: usize| GridSweep {
             hs: vec![4096],
             sls: vec![2048],
@@ -1663,18 +1688,60 @@ mod tests {
             ((4, 4, 1), (16, 16)),
             ((3, 21, 1), (63, 63)),
             ((4, 16, 1), (64, 64)),
-            ((5, 13, 1), (65, 64)),
+            ((5, 13, 1), (65, 65)),
             ((4, 4, 2), (16, 4)),
             ((4, 4, 4), (16, 2)),
             ((4, 4, 8), (16, 1)),
             ((4, 16, 2), (64, 16)),
             ((5, 28, 2), (140, 35)),
-            ((5, 56, 2), (280, 64)),
+            ((5, 56, 2), (280, 70)),
+            ((5, 820, 1), (4100, 4096)),
+            ((5, 2000, 2), (10000, 2500)),
+            ((5, 4000, 2), (20000, 4096)),
         ] {
             let sweep = grid(tps, ratios);
-            let got = (sweep.point_count(), LocalPool { jobs }.chunk_size(&sweep));
+            let got = (sweep.point_count(), sweep.chunk_size(jobs));
             assert_eq!(got, want, "{tps} TPs x {ratios} ratios at jobs={jobs}");
         }
+        // Simulation grids take one point per chunk whatever the jobs.
+        let sim = GridSweep {
+            method: Method::Simulation,
+            ..grid(4, 4)
+        };
+        for jobs in [1, 2, 8] {
+            assert_eq!(sim.chunk_size(jobs), 1, "jobs={jobs}");
+        }
+    }
+
+    /// A million-chunk sweep keeps a bounded summary: the first 32 tasks
+    /// and every failed one are listed, in task order, and labelled; the
+    /// rest only count.
+    #[test]
+    fn the_summary_lists_failed_tasks_and_the_first_32_others() {
+        let labelled = Cell::new(0);
+        let mut summary = SweepSummary::new(2, 100);
+        for i in (0..100).rev() {
+            let failed = usize::from(i == 70);
+            summary.add(i, Duration::from_micros(1), i % 2, failed, || {
+                labelled.set(labelled.get() + 1);
+                format!("task {i}")
+            });
+        }
+        let summary = summary.finish(Instant::now());
+        let listed: Vec<usize> = summary.timings.iter().map(|t| t.task).collect();
+        assert_eq!(listed, (0..32).chain([70]).collect::<Vec<_>>());
+        assert_eq!(labelled.get(), 33, "only listed tasks are labelled");
+        assert_eq!((summary.tasks, summary.failures), (100, 1));
+        let busy: Vec<usize> = summary.workers.iter().map(|w| w.tasks).collect();
+        assert_eq!(busy, [50, 50]);
+        let text = summary.to_string();
+        assert!(
+            text.contains("task 70") && text.contains("FAILED"),
+            "{text}"
+        );
+        assert!(text.contains("… 67 more tasks"), "{text}");
+        // Head, 33 listed tasks, the "more" line, `workers:` and two workers.
+        assert_eq!(text.lines().count(), 1 + 33 + 1 + 1 + 2, "{text}");
     }
 
     /// Regression for the process-global `PARALLELISM` atomic: a sweep
@@ -1872,10 +1939,6 @@ mod tests {
             }
             Ok(Box::new("naive"))
         }
-
-        fn chunk_size(&self, _: &GridSweep) -> usize {
-            3
-        }
     }
 
     #[test]
@@ -1892,7 +1955,7 @@ mod tests {
         let device = DeviceSpec::mi210();
         let (table, _) = sweep.run(&device, 2);
         let executor = NaiveExecutor;
-        let chunk_size = executor.chunk_size(&sweep);
+        let chunk_size = 3;
         let (via_executor, _) = sweep
             .tabulate_with(chunk_size, |on_chunk| {
                 executor.execute(&sweep, &device, chunk_size, &BTreeSet::new(), on_chunk)

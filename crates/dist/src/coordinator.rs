@@ -77,8 +77,10 @@ pub struct CoordinatorConfig {
     /// Address to bind for worker registrations (`:0` picks an ephemeral
     /// port, reported by [`Coordinator::local_addr`]).
     pub listen: String,
-    /// Grid points per leased chunk. Smaller chunks rebalance better and
-    /// lose less work to a dead worker; larger chunks amortize framing.
+    /// Grid points per leased chunk of [`Coordinator::run_sweep`], its
+    /// only reader: every executor run takes the chunk size of the store
+    /// it records into. Smaller chunks rebalance better and lose less
+    /// work to a dead worker; larger chunks amortize framing.
     pub chunk_size: usize,
     /// Interval workers are told to heartbeat at.
     pub heartbeat: Duration,
@@ -408,7 +410,7 @@ impl Coordinator {
         sweep: &GridSweep,
         device: &DeviceSpec,
     ) -> Result<(Table, DistSummary), String> {
-        let chunk_size = self.chunk_size(sweep);
+        let chunk_size = self.shared.cfg.chunk_size.max(1);
         sweep.tabulate_with(chunk_size, |on_chunk| {
             self.run_sweep_streaming(sweep, device, chunk_size, &BTreeSet::new(), on_chunk)
         })
@@ -429,7 +431,7 @@ impl Coordinator {
     /// this thread, outside the fabric lock, exactly once and in arrival
     /// order — coordinator memory stays bounded by the delivery queue,
     /// not the grid. `chunk_size` fixes chunk-id meaning (a resumed
-    /// journal must pass the journaled size, not the fabric default);
+    /// journal must pass the journaled size);
     /// chunks listed in `completed` are marked done up front and never
     /// evaluated (journal resume). Worker failures never fail the sweep;
     /// an `on_chunk` error aborts it and frees the job slot.
@@ -520,12 +522,7 @@ fn post_job(
     let local_only = !DeviceSpec::catalog()
         .iter()
         .any(|d| d.name() == device.name() && d.fingerprint() == device.fingerprint());
-    let spec = SweepSpec {
-        sweep: sweep.clone(),
-        chunk_size: u32::try_from(chunk_size).unwrap_or(u32::MAX),
-        device_name: device.name().to_owned(),
-        device_fingerprint: device.fingerprint(),
-    };
+    let spec = SweepSpec::new(sweep.clone(), chunk_size, device)?;
     let index = sweep.index();
     let n_chunks = index.chunk_count(spec.chunk_size as usize) as u32;
     let mut st = shared.lock();
@@ -591,10 +588,6 @@ impl GridExecutor for Coordinator {
     ) -> Result<Box<dyn fmt::Display + Send>, String> {
         let summary = self.run_sweep_streaming(sweep, device, chunk_size, completed, on_chunk)?;
         Ok(Box::new(summary))
-    }
-
-    fn chunk_size(&self, _: &GridSweep) -> usize {
-        self.shared.cfg.chunk_size.max(1)
     }
 
     fn describe(&self) -> String {

@@ -261,7 +261,7 @@ fn sweep_request(q: &Query, cfg: &HandlerConfig) -> Result<Prepared, String> {
         let local = LocalPool { jobs };
         let executor = cfg.executor.as_deref().unwrap_or(&local);
         let body = Buffer::default();
-        let store = open_store(&grid, executor, journal.as_deref(), Box::new(body.clone()))?;
+        let store = open_store(&grid, jobs, journal.as_deref(), Box::new(body.clone()))?;
         Ok(
             match twocs_store::run(executor, &DeviceSpec::mi210(), store) {
                 Ok(_) => render_sweep(body.take(), format),
@@ -298,10 +298,10 @@ fn journal_path(cfg: &HandlerConfig, name: &str) -> Result<PathBuf, String> {
 
 /// The store a sweep request records into: a resume of an existing
 /// journal at `journal` — after checking it describes the same grid —
-/// or a fresh store at the front ends' default chunk size.
+/// or a fresh store at the front ends' default chunk size for `jobs`.
 fn open_store(
     grid: &GridSweep,
-    executor: &dyn GridExecutor,
+    jobs: usize,
     journal: Option<&Path>,
     out: Box<dyn std::io::Write + Send>,
 ) -> Result<SweepStore, String> {
@@ -318,13 +318,7 @@ fn open_store(
         }
         return Ok(store);
     }
-    let device = DeviceSpec::mi210();
-    let spec = SweepSpec {
-        sweep: grid.clone(),
-        chunk_size: twocs_store::default_chunk_size(executor, grid, journal.is_some()) as u32,
-        device_name: device.name().to_owned(),
-        device_fingerprint: device.fingerprint(),
-    };
+    let spec = SweepSpec::new(grid.clone(), grid.chunk_size(jobs), &DeviceSpec::mi210())?;
     SweepStore::create(spec, out, journal)
 }
 
@@ -1019,47 +1013,48 @@ mod tests {
         }
     }
 
-    /// A journal records its own chunk size: one written at 256-point
-    /// chunks, the size serve once used, replays under today's default.
+    /// A journal records its own chunk size: ones written at 256-point
+    /// chunks (the size serve once used) and at 512 (the journaled
+    /// default before one rule chose every front end's) replay under
+    /// today's rule, which splits this grid differently.
     #[test]
-    fn a_journal_written_at_256_point_chunks_still_replays() {
+    fn journals_written_at_older_chunk_defaults_still_replay() {
         let dir = std::env::temp_dir().join(format!("twocs-serve-chunk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let query =
-            "h=4096&sl=1024,2048,4096,8192&tp=4,8,16,32&flop_vs_bw=1,2,3,4&experts=1,2,4,8&stages=1,2&method=proj";
+        let query = "h=4096&sl=1024,2048,4096,8192&tp=4,8,16,32&flop_vs_bw=1,2,3,4,5,6,7,8\
+             &experts=1,2,4,8&stages=1,2&method=proj";
         let plain = handle(&get("/v1/sweep", query), &cfg());
         assert_eq!(plain.status, 200, "{}", plain.body);
         let q = Query::parse(query).unwrap();
         let grid = GridSweep::parse_request(|name| q.get(name), str::to_owned).unwrap();
-        assert_eq!(grid.point_count(), 512);
-        let path = dir.join("old.journal");
-        let device = DeviceSpec::mi210();
-        let spec = SweepSpec {
-            sweep: grid,
-            chunk_size: 256,
-            device_name: device.name().to_owned(),
-            device_fingerprint: device.fingerprint(),
-        };
-        let store = SweepStore::create(spec, Box::new(Buffer::default()), Some(&path)).unwrap();
-        twocs_store::run(&LocalPool { jobs: 1 }, &device, store).unwrap();
-        let written = std::fs::read(&path).unwrap();
-
+        assert_eq!(grid.point_count(), 1024);
+        assert_eq!(grid.chunk_size(1), 1024);
         let journaled = HandlerConfig {
             journal_dir: Some(dir.clone()),
             ..cfg()
         };
-        let r = handle(
-            &get("/v1/sweep", &format!("{query}&journal=old")),
-            &journaled,
-        );
-        assert_eq!(r.status, 200, "{}", r.body);
-        assert_eq!(r.body, plain.body);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            written,
-            "replayed, not rewritten"
-        );
+        let device = DeviceSpec::mi210();
+        for chunk_size in [256, 512] {
+            let name = format!("old{chunk_size}");
+            let path = dir.join(format!("{name}.journal"));
+            let spec = SweepSpec::new(grid.clone(), chunk_size, &device).unwrap();
+            let store = SweepStore::create(spec, Box::new(Buffer::default()), Some(&path)).unwrap();
+            twocs_store::run(&LocalPool { jobs: 1 }, &device, store).unwrap();
+            let written = std::fs::read(&path).unwrap();
+
+            let r = handle(
+                &get("/v1/sweep", &format!("{query}&journal={name}")),
+                &journaled,
+            );
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_eq!(r.body, plain.body, "{chunk_size}-point chunks");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                written,
+                "{chunk_size}-point chunks replayed, not rewritten"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

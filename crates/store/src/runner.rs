@@ -4,6 +4,11 @@
 //! an executor (the in-process [`LocalPool`](twocs_core::LocalPool) or
 //! the dist coordinator).
 //!
+//! The store's spec fixes the chunk split: a fresh spec takes
+//! `--chunk`, or else [`GridSweep::chunk_size`](twocs_core::GridSweep::chunk_size),
+//! the one default rule; a resumed journal keeps the size it was
+//! written at. Executors run whatever size the store hands them.
+//!
 //! The driver checks the store's device against the build's, runs the
 //! executor over every chunk the store has not yet recorded, and
 //! records each chunk as it lands (journal first, then the ordered
@@ -13,28 +18,10 @@
 
 use std::fmt::Display;
 
-use twocs_core::{GridExecutor, GridSweep};
+use twocs_core::GridExecutor;
 use twocs_hw::DeviceSpec;
 
 use crate::store::{StoreReport, SweepStore};
-
-/// Points per chunk of a fresh store over `sweep` when the caller names
-/// none: under a journal 512, since each chunk is one fsynced append
-/// and that size balances fsync frequency against the recompute a crash
-/// loses (tens of KiB per append); otherwise `executor`'s own. A journal
-/// records its chunk size, so one written at another size still resumes.
-#[must_use]
-pub fn default_chunk_size(
-    executor: &dyn GridExecutor,
-    sweep: &GridSweep,
-    journaled: bool,
-) -> usize {
-    if journaled {
-        512
-    } else {
-        executor.chunk_size(sweep)
-    }
-}
 
 /// Evaluate every chunk `store` has not yet recorded on `executor`,
 /// record each one as it arrives, and finish the store. Returns the
@@ -102,10 +89,6 @@ mod tests {
                     self.1.fetch_add(1, Ordering::Relaxed);
                     on_chunk(c, v)
                 })
-        }
-
-        fn chunk_size(&self, sweep: &GridSweep) -> usize {
-            self.0.chunk_size(sweep)
         }
     }
 

@@ -38,9 +38,9 @@ use twocs_core::{GridIndex, PointResults};
 
 use crate::enc;
 
-/// Default in-memory reorder budget, in points. At the default dist
-/// chunk size this is a few hundred parked chunks — far beyond any
-/// realistic worker skew — so spilling only engages on pathological
+/// Default in-memory reorder budget, in points. Even at the largest
+/// default chunk (4,096 points) this is 16 parked chunks — beyond the
+/// skew of a few evaluators — so spilling only engages on pathological
 /// reorderings or deliberately tiny budgets (as in tests).
 pub const DEFAULT_BUFFER_POINTS: usize = 65_536;
 

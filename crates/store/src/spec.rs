@@ -5,6 +5,7 @@
 use twocs_core::axes::{Values, AXES};
 use twocs_core::sweep::{GridSweep, Workload};
 use twocs_core::GridIndex;
+use twocs_hw::DeviceSpec;
 
 use crate::enc::{self, Reader};
 
@@ -80,6 +81,20 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
+    /// The spec of a fresh run of `sweep` on `device` in
+    /// `chunk_size`-point chunks. A chunk size the spec cannot record
+    /// (above `u32::MAX` points) is an error, never truncated.
+    pub fn new(sweep: GridSweep, chunk_size: usize, device: &DeviceSpec) -> Result<Self, String> {
+        let chunk_size = u32::try_from(chunk_size)
+            .map_err(|_| format!("chunk size {chunk_size} is above the limit of {}", u32::MAX))?;
+        Ok(Self {
+            sweep,
+            chunk_size,
+            device_name: device.name().to_owned(),
+            device_fingerprint: device.fingerprint(),
+        })
+    }
+
     /// Total surviving grid points.
     #[must_use]
     pub fn point_count(&self) -> usize {
@@ -208,6 +223,17 @@ mod tests {
         b.sweep.hs = vec![4096];
         b.sweep.sls = vec![2048];
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn new_refuses_a_chunk_size_the_spec_cannot_record() {
+        let device = DeviceSpec::mi210();
+        let max = u32::MAX as usize;
+        let spec = SweepSpec::new(GridSweep::default(), max, &device).unwrap();
+        assert_eq!(spec.chunk_size, u32::MAX);
+        assert_eq!(spec.device_fingerprint, device.fingerprint());
+        let err = SweepSpec::new(GridSweep::default(), max + 1, &device).unwrap_err();
+        assert!(err.contains("chunk size 4294967296"), "{err}");
     }
 
     #[test]

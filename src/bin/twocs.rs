@@ -316,13 +316,11 @@ impl FabricFlags {
     /// Bind a sweep coordinator on `listen` whose local drain runs on
     /// `jobs` threads.
     fn bind(&self, listen: &str, jobs: usize) -> Result<twocs::dist::Coordinator, String> {
-        let defaults = twocs::dist::CoordinatorConfig::default();
         twocs::dist::Coordinator::bind(twocs::dist::CoordinatorConfig {
             listen: listen.to_owned(),
             local_jobs: jobs,
             pipeline: self.pipeline,
-            chunk_size: self.chunk.unwrap_or(defaults.chunk_size),
-            ..defaults
+            ..Default::default()
         })
         .map_err(|e| format!("cannot bind coordinator address `{listen}`: {e}"))
     }
@@ -461,9 +459,22 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             format!("{f} conflicts with --resume: the journaled spec fixes the grid").into(),
         );
     }
-    let coordinator = str_flag(args, "--listen")
-        .map(|listen| fabric.bind(listen, jobs))
-        .transpose()?;
+    let listen = str_flag(args, "--listen");
+    // The store's source: a journal to resume, or a fresh spec, built
+    // (and its chunk size checked) before a coordinator binds or a
+    // journal file is created. Without `--chunk` the grid is split for
+    // every evaluator: the local threads, or the workers a coordinator
+    // waits for if there are more of them.
+    let source = match resume {
+        Some(path) => Err(std::path::Path::new(path)),
+        None => {
+            let evaluators = listen.map_or(jobs, |_| jobs.max(fabric.min_workers));
+            let chunk = fabric.chunk.unwrap_or_else(|| grid.chunk_size(evaluators));
+            let spec = SweepSpec::new(grid, chunk, &device);
+            Ok(spec.map_err(|e| format!("--chunk {chunk}: {e}"))?)
+        }
+    };
+    let coordinator = listen.map(|listen| fabric.bind(listen, jobs)).transpose()?;
     let local = LocalPool { jobs };
     let executor: &dyn GridExecutor = match &coordinator {
         Some(coordinator) => coordinator,
@@ -475,20 +486,9 @@ fn sweep(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     } else {
         Box::new(buffer.clone())
     };
-    let store = match resume {
-        Some(path) => SweepStore::resume(std::path::Path::new(path), out)?,
-        None => {
-            let chunk_size = fabric.chunk.unwrap_or_else(|| {
-                twocs::store::default_chunk_size(executor, &grid, journal.is_some())
-            });
-            let spec = SweepSpec {
-                sweep: grid,
-                chunk_size: chunk_size as u32,
-                device_name: device.name().to_owned(),
-                device_fingerprint: device.fingerprint(),
-            };
-            SweepStore::create(spec, out, journal.map(std::path::Path::new))?
-        }
+    let store = match source {
+        Ok(spec) => SweepStore::create(spec, out, journal.map(std::path::Path::new))?,
+        Err(path) => SweepStore::resume(path, out)?,
     };
     // Workers are announced only once the store (and its journal) exists.
     if let Some(coordinator) = &coordinator {

@@ -415,6 +415,23 @@ fn numeric_flags_reject_garbage_and_zero_counts() {
             &["sweep", "--csv", "--journal", "j.journal", "--chunk", "1.5"],
             "--chunk 1.5",
         ),
+        // A chunk size above the u32 a journal records is refused, not
+        // truncated.
+        (
+            &[
+                "sweep",
+                "--csv",
+                "--h",
+                "4096",
+                "--tp",
+                "16",
+                "--journal",
+                "j.journal",
+                "--chunk",
+                "4294967296",
+            ],
+            "--chunk 4294967296",
+        ),
         (
             &["sweep", "--min-workers-timeout-ms"],
             "--min-workers-timeout-ms requires a value",
@@ -460,4 +477,48 @@ fn numeric_flags_reject_garbage_and_zero_counts() {
         !std::path::Path::new("j.journal").exists(),
         "no journal created"
     );
+}
+
+/// One rule picks the default chunk size, journaled or not: a simulated
+/// grid runs one point per task either way, and a projected grid splits
+/// into two chunks per worker either way.
+#[test]
+fn default_chunks_are_the_same_with_and_without_a_journal() {
+    let dir = std::env::temp_dir().join(format!("twocs-cli-chunks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.journal");
+    let journal = journal.to_str().unwrap();
+    for (method, tasks) in [("sim", 120), ("proj", 4)] {
+        for journaled in [false, true] {
+            let mut args = vec![
+                "sweep",
+                "--csv",
+                "--h",
+                "4096,8192,16384,32768",
+                "--sl",
+                "1024,2048",
+                "--tp",
+                "4,8,16,32,64",
+                "--flop-vs-bw",
+                "1,2,4,8",
+                "--method",
+                method,
+                "--jobs",
+                "2",
+            ];
+            if journaled {
+                let _ = std::fs::remove_file(journal);
+                args.extend(["--journal", journal]);
+            }
+            let out = twocs(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{stderr}");
+            assert!(
+                stderr.contains(&format!("sweep: {tasks} tasks on 2 worker threads")),
+                "--method {method}, journaled: {journaled}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
