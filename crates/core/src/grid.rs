@@ -614,6 +614,78 @@ fn parse_list<T: FromStr>(raw: &str, invalid: impl Fn(&str) -> String) -> Result
         .collect()
 }
 
+/// A set of chunk ids (in [`GridIndex::chunk_ranks`] numbering) held as
+/// one bit per chunk: the chunks a sweep's store has recorded, which its
+/// executor skips. A million chunks take 128 KiB.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChunkSet {
+    /// Bit `c % 64` of word `c / 64` is chunk `c`.
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl ChunkSet {
+    /// The empty set.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add `chunk`; `false` if it was already present.
+    pub fn insert(&mut self, chunk: u32) -> bool {
+        let (word, bit) = (chunk as usize / 64, 1u64 << (chunk % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Whether `chunk` is present.
+    #[must_use]
+    pub fn contains(&self, chunk: u32) -> bool {
+        self.words
+            .get(chunk as usize / 64)
+            .is_some_and(|w| w & (1 << (chunk % 64)) != 0)
+    }
+
+    /// Number of chunks present.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no chunk is present.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The present chunks, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.words.len() as u32 * 64).filter(|&c| self.contains(c))
+    }
+
+    /// The chunks below `chunks` that are absent, ascending — what is
+    /// left to evaluate of a `chunks`-chunk grid — without collecting
+    /// them.
+    pub fn missing(&self, chunks: u32) -> impl Iterator<Item = u32> + '_ {
+        (0..chunks).filter(|&c| !self.contains(c))
+    }
+}
+
+impl FromIterator<u32> for ChunkSet {
+    fn from_iter<I: IntoIterator<Item = u32>>(chunks: I) -> Self {
+        let mut set = Self::new();
+        for chunk in chunks {
+            set.insert(chunk);
+        }
+        set
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -826,5 +898,31 @@ pub(crate) mod tests {
         assert_eq!(index.cursor(0).rank(), 0);
         assert_eq!(index.chunk_count(4), 0);
         assert_eq!(index.chunk_ranks(2, 4), 0..0);
+    }
+
+    /// The bit set against `BTreeSet`: inserts (duplicates included)
+    /// report freshness, and membership, length, ascending iteration and
+    /// the missing ids below a bound agree, across word boundaries.
+    #[test]
+    fn chunk_set_matches_a_btree_set() {
+        use std::collections::BTreeSet;
+        cases(40, |rng| {
+            let bound = rng.u32_in(1..300);
+            let (mut set, mut reference) = (ChunkSet::new(), BTreeSet::new());
+            for _ in 0..rng.usize_in(0..200) {
+                let chunk = rng.u32_in(0..bound);
+                assert_eq!(set.insert(chunk), reference.insert(chunk), "{chunk}");
+            }
+            assert_eq!(set.len(), reference.len());
+            assert_eq!(set.is_empty(), reference.is_empty());
+            assert!(set.iter().eq(reference.iter().copied()));
+            assert_eq!(ChunkSet::from_iter(reference.iter().copied()), set);
+            for chunk in 0..bound + 70 {
+                assert_eq!(set.contains(chunk), reference.contains(&chunk), "{chunk}");
+            }
+            let below = rng.u32_in(0..bound + 70);
+            let missing = (0..below).filter(|c| !reference.contains(c));
+            assert!(set.missing(below).eq(missing));
+        });
     }
 }

@@ -14,6 +14,7 @@
 //! inference phases with [`InferenceIteration`].
 
 use twocs_collectives::CollectiveCostModel;
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::roofline::roofline_time;
 use twocs_hw::DeviceSpec;
 use twocs_sim::Engine;
@@ -96,7 +97,8 @@ pub struct InferenceIteration {
 
 impl InferenceIteration {
     /// Price one layer of `hyper` on `device` at TP degree `tp` under an
-    /// inference `workload`.
+    /// inference `workload`: [`Self::compute_time`] on the device's
+    /// rates and [`Self::comm_time`] on its network.
     ///
     /// # Panics
     /// Panics on [`Workload::Training`] (training is projected through
@@ -104,11 +106,26 @@ impl InferenceIteration {
     /// `tp == 0`.
     #[must_use]
     pub fn model(device: &DeviceSpec, hyper: &Hyperparams, tp: u64, workload: Workload) -> Self {
-        assert!(
-            workload != Workload::Training,
-            "InferenceIteration models prefill/decode; training uses the projection model"
-        );
-        assert!(tp > 0, "tp must be non-zero");
+        Self {
+            layers: hyper.layers(),
+            compute_per_layer: Self::compute_time(device, hyper, tp, workload),
+            serialized_comm_per_layer: Self::comm_time(device.network(), hyper, tp, workload),
+        }
+    }
+
+    /// The per-layer compute half of [`Self::model`]: the GEMM roofline
+    /// plus the KV-cache term, on `device`'s peak rates.
+    ///
+    /// # Panics
+    /// As [`Self::model`].
+    #[must_use]
+    pub fn compute_time(
+        device: &DeviceSpec,
+        hyper: &Hyperparams,
+        tp: u64,
+        workload: Workload,
+    ) -> f64 {
+        check_inference(tp, workload);
         let precision = hyper.precision();
         let elem = precision.bytes();
         let peak = device.peak_flops(precision);
@@ -134,20 +151,21 @@ impl InferenceIteration {
             Workload::Decode => 2 * hyper.seq_len() * hyper.batch() * h.div_ceil(tp),
             Workload::Training => unreachable!(),
         };
-        compute += (kv_elements * elem) as f64 / mem_bw;
+        compute + (kv_elements * elem) as f64 / mem_bw
+    }
 
-        // Two serialized all-reduces per layer (attention output and FC
-        // output), forward only — zero when tp == 1, like training.
-        let ar = CollectiveCostModel::default().allreduce_time(
-            m * h * elem,
-            tp as usize,
-            device.network(),
-        );
-        Self {
-            layers: hyper.layers(),
-            compute_per_layer: compute,
-            serialized_comm_per_layer: 2.0 * ar,
-        }
+    /// The per-layer communication half of [`Self::model`]: two
+    /// serialized all-reduces (attention output and FC output), forward
+    /// only — zero when tp == 1, like training. It reads nothing of a
+    /// device but its network `net`.
+    ///
+    /// # Panics
+    /// As [`Self::model`].
+    #[must_use]
+    pub fn comm_time(net: &NetworkSpec, hyper: &Hyperparams, tp: u64, workload: Workload) -> f64 {
+        check_inference(tp, workload);
+        let bytes = workload.tokens(hyper) * hyper.hidden() * hyper.precision().bytes();
+        2.0 * CollectiveCostModel::default().allreduce_time(bytes, tp as usize, net)
     }
 
     /// Serialized-communication fraction of this iteration.
@@ -159,6 +177,16 @@ impl InferenceIteration {
         }
         self.serialized_comm_per_layer / total
     }
+}
+
+/// [`InferenceIteration`]'s preconditions: an inference workload and a
+/// non-zero TP degree.
+fn check_inference(tp: u64, workload: Workload) {
+    assert!(
+        workload != Workload::Training,
+        "InferenceIteration models prefill/decode; training uses the projection model"
+    );
+    assert!(tp > 0, "tp must be non-zero");
 }
 
 /// Serialized-communication fraction of a forward-only (inference) pass.

@@ -67,7 +67,7 @@ pub mod trends;
 pub use algorithmic::AlgorithmicProfile;
 pub use axes::{Axis, Values, AXES};
 pub use experiments::{ExperimentDef, ExperimentOutput};
-pub use grid::{GridIndex, GridPointsIter};
+pub use grid::{ChunkSet, GridIndex, GridPointsIter};
 pub use inference::{InferenceIteration, Workload};
 pub use planner::{eval_chunk, FactoredPlan};
 pub use report::{Figure, Series, Table};

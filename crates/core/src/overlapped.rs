@@ -7,8 +7,11 @@
 //! [`overlap_pct`] is the sweep kernel's overlap metric, through which
 //! the registry prices Figs. 11 and 13.
 
+use twocs_collectives::CollectiveCostModel;
+use twocs_hw::gemm::GemmModel;
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::DeviceSpec;
-use twocs_opmodel::Profiler;
+use twocs_opmodel::SlackRoi;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
 /// The most data-parallel replicas a front end prices or simulates: a
@@ -28,30 +31,35 @@ pub fn roi_hyper(h: u64, slb: u64) -> Hyperparams {
         .expect("ROI hyperparameters are valid")
 }
 
-/// The exact `(hyper, parallel)` slack-ROI query [`overlap_pct`] issues
-/// for one configuration — TP silently clamped to the head count.
-fn roi_query(h: u64, slb: u64, tp: u64, dp: u64) -> (Hyperparams, ParallelConfig) {
+/// The slack ROI [`overlap_pct`] prices for one configuration — TP
+/// silently clamped to the head count — with each GEMM's kernel chosen
+/// by `gemm`: the half of the overlap percentage that no flop-vs-bw
+/// evolution of a device changes. The factored sweep plan builds it once
+/// per `(H, SL, TP)` triple.
+pub(crate) fn slack_roi(gemm: &GemmModel, h: u64, slb: u64, tp: u64, dp: u64) -> SlackRoi {
     let hyper = roi_hyper(h, slb);
     let parallel = ParallelConfig::new().tensor(tp.min(hyper.heads())).data(dp);
-    (hyper, parallel)
+    SlackRoi::new(gemm, &hyper, &parallel)
+}
+
+/// The network half of [`overlap_pct`]: `roi`'s gradient all-reduce on
+/// `net`, seconds.
+pub(crate) fn roi_comm_time(roi: &SlackRoi, net: &NetworkSpec) -> f64 {
+    roi.comm_time(net, &CollectiveCostModel::default())
+}
+
+/// The roofline half of [`overlap_pct`]: `comm` (from [`roi_comm_time`])
+/// as a percentage of `roi`'s GEMM pair on `device`.
+pub(crate) fn roi_overlap_pct(roi: &SlackRoi, comm: f64, device: &DeviceSpec) -> f64 {
+    100.0 * comm / roi.compute_time(device)
 }
 
 /// Overlapped communication as a percentage of the compute it hides
-/// behind, for one configuration.
+/// behind, for one configuration: the three halves above, in turn.
 #[must_use]
 pub fn overlap_pct(device: &DeviceSpec, h: u64, slb: u64, tp: u64, dp: u64) -> f64 {
-    overlap_pct_with(&Profiler::new(device.clone()), h, slb, tp, dp)
-}
-
-/// [`overlap_pct`] against a caller-owned [`Profiler`]: identical
-/// arithmetic (bit-for-bit), but lets batch evaluators profile a whole
-/// chunk of configurations without re-constructing the profiler per
-/// point.
-#[must_use]
-pub fn overlap_pct_with(profiler: &Profiler, h: u64, slb: u64, tp: u64, dp: u64) -> f64 {
-    let (hyper, parallel) = roi_query(h, slb, tp, dp);
-    let (compute, comm) = profiler.profile_slack_roi(&hyper, &parallel);
-    100.0 * comm / compute
+    let roi = slack_roi(device.gemm_model(), h, slb, tp, dp);
+    roi_overlap_pct(&roi, roi_comm_time(&roi, device.network()), device)
 }
 
 #[cfg(test)]

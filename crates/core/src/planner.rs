@@ -24,19 +24,27 @@
 //! values ([`FactoredPlan::eval_batch`]) is left to arbitrary points,
 //! outside any executor. The expensive sub-expressions (the triple's
 //! compute and TP all-reduce times, and the slack-ROI profile behind the
-//! overlap percentage) are filled at build time, once per `(ratio,
-//! triple)` position, with one [`Profiler`] per evolved device. The
-//! per-ratio groups of cells are independent, so a build prices them on
-//! the calling thread's [`parallelism`] budget.
+//! overlap percentage) are filled at build time. Flop-vs-bw evolution
+//! (§4.3.6) scales only a device's peak FLOPS and memory bandwidth, so
+//! each shared pricer comes in halves and each half runs once per key it
+//! depends on: the projection's scaling-law factors and the ROI GEMMs'
+//! kernel choices once per triple, the TP and DP all-reduces once per
+//! `(network, triple)`, and only the roofline arithmetic once per
+//! `(ratio, triple)` cell, on one projection model per evolved device
+//! sharing one measured all-reduce curve per network. The per-ratio
+//! groups of cells are independent, so a build prices them on the
+//! calling thread's [`parallelism`] budget.
 //!
 //! **Bit-identity is the contract**: the plan prices each cell with the
-//! *same* calls the naive [`eval_grid_point`] path makes per point
-//! ([`triple_terms`], [`axis_costs`] and `overlap_pct`), and both paths
-//! assemble the serialized fraction with the one
-//! [`PointTerms::serialized_pct`], so they produce bit-equal `f64`s and
-//! byte-identical CSV on any grid. That is what lets local, serve, and
-//! distributed executors use the plan without a protocol or output
-//! change.
+//! *same* halves the naive [`eval_grid_point`] path calls per point
+//! ([`triple_factors`], [`triple_tp_comm`] and [`triple_compute`] in
+//! `sweep`'s `triple_terms`; [`slack_roi`], [`roi_comm_time`] and
+//! [`roi_overlap_pct`] in [`overlap_pct`](crate::overlapped::overlap_pct);
+//! and [`axis_costs`]), and both paths assemble the serialized fraction
+//! with the one [`PointTerms::serialized_pct`], so they produce bit-equal
+//! `f64`s and byte-identical CSV on any grid. That is what lets local,
+//! serve, and distributed executors use the plan without a protocol or
+//! output change.
 //!
 //! [`Method::Simulation`] runs the discrete-event engine per point —
 //! there is nothing axis-separable to hoist — so simulation grids have
@@ -49,16 +57,16 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::grid::GridIndex;
-use crate::overlapped::overlap_pct_with;
+use crate::overlapped::{roi_comm_time, roi_overlap_pct, slack_roi};
 use crate::serialized::{sweep_hyper, Method};
 use crate::sweep::{
-    axis_costs, eval_grid_point, evolved, panic_message, parallelism, projection_model,
-    run_tasks_labeled, triple_terms, AxisCosts, GridPoint, GridSweep, PointResults, PointTerms,
-    Workload,
+    axis_costs, eval_grid_point, evolved, panic_message, parallelism, projection_curve,
+    projection_model, run_tasks_labeled, triple_compute, triple_factors, triple_tp_comm, AxisCosts,
+    GridPoint, GridSweep, PointResults, PointTerms, Workload,
 };
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::DeviceSpec;
-use twocs_opmodel::Profiler;
+use twocs_opmodel::{ArSizeModel, SlackRoi};
 use twocs_transformer::Hyperparams;
 
 /// Struct-of-arrays tables for one sweep: every expensive
@@ -67,13 +75,14 @@ use twocs_transformer::Hyperparams;
 /// from flat `f64` column reads plus the cheap shared combine.
 ///
 /// Layout: every column is indexed by positions of the plan's
-/// [`GridIndex`] — a rank's digits. The triple columns (`compute`,
-/// `tp_comm`, `overlap`) hold one cell per `(ratio, triple)` position
-/// at `r * triples + t`, so each ratio's cells are one contiguous
-/// pricing group. The axis table (`axis`) is keyed by the `(H, SL)`
-/// shape, the evolved device's *network* — [`axis_costs`] reads nothing
-/// else of the device, and flop-vs-bw evolution never changes the
-/// network — and the axis-tuple position: it is indexed
+/// [`GridIndex`] — a rank's digits. The roofline columns (`compute`,
+/// `overlap`) hold one cell per `(ratio, triple)` position at
+/// `r * triples + t`, so each ratio's cells are one contiguous pricing
+/// group. The network-keyed columns read nothing of the evolved device
+/// but its *network*, which flop-vs-bw evolution never changes: `tp_comm`
+/// holds one cell per `(network, triple)` at `ratio_net[r] * triples +
+/// t`, and the axis table (`axis`) is keyed by the `(H, SL)` shape, the
+/// network and the axis-tuple position, indexed
 /// `(triple_shape[t] * networks + ratio_net[r]) * axes + a`. A grid that
 /// repeats a value prices it once per position, with equal bits.
 #[derive(Debug, Clone)]
@@ -110,7 +119,7 @@ pub struct FactoredPlan {
     hypers: Vec<Hyperparams>,
     /// [`PointTerms::compute`] per `(ratio, triple)` cell.
     compute: Vec<f64>,
-    /// [`PointTerms::tp_comm`] per `(ratio, triple)` cell.
+    /// [`PointTerms::tp_comm`] per `(network, triple)` cell.
     tp_comm: Vec<f64>,
     /// Overlapped-communication percentage per `(ratio, triple)` cell.
     overlap: Vec<f64>,
@@ -206,12 +215,7 @@ impl FactoredPlan {
                 overlap: Vec::new(),
                 axis: Vec::new(),
             };
-            let groups = plan.price_triples(&devices, parallelism())?;
-            for (compute, tp_comm, overlap) in groups.into_iter().flatten() {
-                plan.compute.push(compute);
-                plan.tp_comm.push(tp_comm);
-                plan.overlap.push(overlap);
-            }
+            plan.price_triples(&devices, &networks, parallelism())?;
             // Axis table: one cell per (shape, network, axis tuple), priced
             // by the same shared `axis_costs` the naive kernel calls — that
             // sharing is the bit-identity argument for the new axes. The
@@ -232,54 +236,103 @@ impl FactoredPlan {
         .flatten()
     }
 
-    /// Price the triple columns, one group of `(compute, tp_comm,
-    /// overlap)` cells per ratio position in triple order, on
-    /// `devices[r]`, the grid's ratios applied to the base device.
+    /// Price the triple columns. Each shared pricer comes in halves, and
+    /// each half runs once per key it depends on:
     ///
-    /// The groups are independent, so they are priced on up to `jobs`
-    /// pool threads ([`run_tasks_labeled`]). A budget of 1 or a single
-    /// group prices inline under the same task scopes, so logical traces
-    /// do not depend on the budget. Returns `None` if a pool group
-    /// panicked; an inline panic unwinds to [`Self::build_from_sweep`],
-    /// which also answers `None`.
+    /// - per triple, the device-independent half: the projection's law
+    ///   factors ([`triple_factors`], from the first ratio's model) and
+    ///   the slack ROI with its GEMMs' kernels chosen ([`slack_roi`]);
+    /// - per `(network, triple)`, the network half: the TP all-reduce
+    ///   ([`triple_tp_comm`], filling `tp_comm`) and the ROI's gradient
+    ///   all-reduce ([`roi_comm_time`]);
+    /// - per `(ratio, triple)` cell, the roofline half on `devices[r]`
+    ///   ([`triple_compute`] and [`roi_overlap_pct`]): one group of
+    ///   `(compute, overlap)` cells per ratio in triple order, the groups
+    ///   concatenated in ratio order into the columns.
+    ///
+    /// The naive kernel calls the same halves per point. The groups are
+    /// independent, so they are priced on up to `jobs` pool threads
+    /// ([`run_tasks_labeled`]), each building its ratio's projection
+    /// model (the first ratio's is built once, before them). A budget of
+    /// 1 or a single group prices inline under the same task scopes, so
+    /// logical traces do not depend on the budget. Returns `None` if a
+    /// pool group panicked; an inline panic unwinds to
+    /// [`Self::build_from_sweep`], which also answers `None`.
     fn price_triples(
-        &self,
+        &mut self,
         devices: &[DeviceSpec],
+        networks: &[NetworkSpec],
         jobs: usize,
-    ) -> Option<Vec<Vec<(f64, f64, f64)>>> {
-        let price_group = |r: usize| -> Vec<(f64, f64, f64)> {
+    ) -> Option<()> {
+        let triples = self.index.triples();
+        let hyper = |t: usize| &self.hypers[self.triple_shape[t]];
+        let curves: Vec<Option<ArSizeModel>> = networks
+            .iter()
+            .map(|net| projection_curve(net, self.workload))
+            .collect();
+        let model_of = |r: usize| projection_model(&devices[r], curves[self.ratio_net[r]].clone());
+        let first = model_of(0);
+        let gemm = devices[0].gemm_model();
+        debug_assert!(devices.iter().all(|d| d.gemm_model() == gemm));
+        let factors: Vec<Vec<f64>> = (0..triples.len())
+            .map(|t| triple_factors(first.as_ref(), hyper(t), triples[t].2))
+            .collect();
+        let rois: Vec<SlackRoi> = triples
+            .iter()
+            .map(|&(h, sl, tp)| slack_roi(gemm, h, sl * self.batch, tp, 4))
+            .collect();
+        let mut tp_comm = Vec::with_capacity(networks.len() * triples.len());
+        let mut roi_comm = Vec::with_capacity(networks.len() * triples.len());
+        for (net, curve) in networks.iter().zip(&curves) {
+            for (t, roi) in rois.iter().enumerate() {
+                let tp = triples[t].2;
+                tp_comm.push(triple_tp_comm(
+                    curve.as_ref(),
+                    net,
+                    hyper(t),
+                    tp,
+                    self.workload,
+                ));
+                roi_comm.push(roi_comm_time(roi, net));
+            }
+        }
+        let price_group = |r: usize| -> Vec<(f64, f64)> {
             let dev = &devices[r];
-            let profiler = Profiler::new(dev.clone());
-            let model = projection_model(dev, self.workload);
-            self.index
-                .triples()
-                .iter()
-                .zip(&self.triple_shape)
-                .map(|(&(h, sl, tp), &shape)| {
-                    let hyper = &self.hypers[shape];
-                    let (compute, tp_comm) =
-                        triple_terms(model.as_ref(), dev, hyper, tp, self.workload);
-                    let overlap = overlap_pct_with(&profiler, h, sl * self.batch, tp, 4);
-                    (compute, tp_comm, overlap)
+            let owned;
+            let model = if r == 0 {
+                first.as_ref()
+            } else {
+                owned = model_of(r);
+                owned.as_ref()
+            };
+            let net = self.ratio_net[r] * triples.len();
+            (0..triples.len())
+                .map(|t| {
+                    let tp = triples[t].2;
+                    let compute =
+                        triple_compute(model, &factors[t], dev, hyper(t), tp, self.workload);
+                    (compute, roi_overlap_pct(&rois[t], roi_comm[net + t], dev))
                 })
                 .collect()
         };
         let label = |r: usize| format!("price ratio {r}");
         let groups = devices.len();
-        if jobs.min(groups) <= 1 {
-            return Some(
-                (0..groups)
-                    .map(|r| {
-                        let _scope = twocs_obs::task_scope(r, &label(r));
-                        price_group(r)
-                    })
-                    .collect(),
-            );
-        }
-        run_tasks_labeled(jobs.min(groups), groups, label, price_group)
-            .into_iter()
-            .map(|t| t.result.ok())
-            .collect()
+        let priced: Vec<Vec<(f64, f64)>> = if jobs.min(groups) <= 1 {
+            (0..groups)
+                .map(|r| {
+                    let _scope = twocs_obs::task_scope(r, &label(r));
+                    price_group(r)
+                })
+                .collect()
+        } else {
+            run_tasks_labeled(jobs.min(groups), groups, label, price_group)
+                .into_iter()
+                .map(|t| t.result.ok())
+                .collect::<Option<_>>()?
+        };
+        self.tp_comm = tp_comm;
+        (self.compute, self.overlap) = priced.into_iter().flatten().unzip();
+        Some(())
     }
 
     /// Number of `(H, SL)` shapes the plan tabulated.
@@ -326,13 +379,14 @@ impl FactoredPlan {
     /// the same [`PointTerms::serialized_pct`] the naive kernel calls.
     #[inline]
     fn combine(&self, (t, r, a): (usize, usize, usize), p: GridPoint) -> (f64, f64) {
-        let cell = r * self.triple_shape.len() + t;
-        let shape = self.triple_shape[t];
+        let triples = self.triple_shape.len();
+        let cell = r * triples + t;
+        let (shape, net) = (self.triple_shape[t], self.ratio_net[r]);
         let terms = PointTerms {
             layers: self.hypers[shape].layers(),
             compute: self.compute[cell],
-            tp_comm: self.tp_comm[cell],
-            axis: self.axis[(shape * self.networks + self.ratio_net[r]) * self.axes() + a],
+            tp_comm: self.tp_comm[net * triples + t],
+            axis: self.axis[(shape * self.networks + net) * self.axes() + a],
         };
         (terms.serialized_pct(p), self.overlap[cell])
     }
@@ -749,5 +803,106 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Every triple cell of the plan against the per-point halves, bit
+    /// for bit: random grids (repeated H, SL and TP values included) of
+    /// every workload whose ratios include the unevolved 1.0 (the
+    /// device's own clone), a repeated ratio and a fractional one, and
+    /// one-ratio grids. `compute` and `overlap` are per `(ratio, triple)`
+    /// cell, `tp_comm` per `(network, triple)`.
+    #[test]
+    fn every_plan_cell_equals_its_per_point_halves() {
+        use crate::overlapped::overlap_pct;
+        use crate::sweep::triple_terms;
+        let device = DeviceSpec::mi210();
+        twocs_testkit::cases(24, |rng| {
+            let mut ratios = vec![1.0, rng.f64_in(1.0..16.0), *rng.choose(&[2.0, 4.0])];
+            ratios.push(*rng.choose(&ratios));
+            rng.shuffle(&mut ratios);
+            let one_ratio = vec![*rng.choose(&ratios)];
+            let pick = |rng: &mut twocs_testkit::Rng, candidates: &[u64]| -> Vec<u64> {
+                (0..rng.usize_in(1..4))
+                    .map(|_| *rng.choose(candidates))
+                    .collect()
+            };
+            for workload in [Workload::Training, Workload::Prefill, Workload::Decode] {
+                for flop_vs_bw in [ratios.clone(), one_ratio.clone()] {
+                    let sweep = GridSweep {
+                        hs: pick(rng, &[1024, 4096, 16_384]),
+                        sls: pick(rng, &[512, 2048]),
+                        tps: pick(rng, &[1, 4, 16, 64]),
+                        flop_vs_bw,
+                        batch: rng.u64_in(1..3),
+                        method: Method::Projection,
+                        workload,
+                        ..GridSweep::default()
+                    };
+                    let Some(plan) = FactoredPlan::build_from_sweep(&device, &sweep) else {
+                        assert!(sweep.index().is_empty(), "{sweep:?}");
+                        continue;
+                    };
+                    let triples = plan.index.triples();
+                    for (r, &ratio) in plan.index.ratios().iter().enumerate() {
+                        let dev = evolved(&device, ratio);
+                        let model =
+                            projection_model(&dev, projection_curve(dev.network(), workload));
+                        for (t, &(h, sl, tp)) in triples.iter().enumerate() {
+                            let hyper = sweep_hyper(h, sl, sweep.batch);
+                            let (compute, tp_comm) =
+                                triple_terms(model.as_ref(), &dev, &hyper, tp, workload);
+                            let overlap = overlap_pct(&dev, h, sl * sweep.batch, tp, 4);
+                            let cell = r * triples.len() + t;
+                            let net_cell = plan.ratio_net[r] * triples.len() + t;
+                            assert_eq!(
+                                [
+                                    plan.compute[cell],
+                                    plan.tp_comm[net_cell],
+                                    plan.overlap[cell]
+                                ]
+                                .map(f64::to_bits),
+                                [compute, tp_comm, overlap].map(f64::to_bits),
+                                "{workload} ratio {ratio} triple {:?}: {sweep:?}",
+                                triples[t]
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// The network half is keyed by network for a reason: on two
+    /// different networks it prices the TP all-reduce (every workload)
+    /// and the ROI's gradient all-reduce apart, and each price is the
+    /// naive kernel's on a device with that network.
+    #[test]
+    fn network_keyed_terms_differ_across_networks() {
+        use crate::overlapped::overlap_pct;
+        use crate::sweep::triple_terms;
+        let base = DeviceSpec::mi210();
+        let other = base.clone().with_network(*DeviceSpec::mi50().network());
+        assert_ne!(base.network(), other.network());
+        let (h, sl, tp) = (4096, 2048, 16);
+        let hyper = sweep_hyper(h, sl, 1);
+        let roi = slack_roi(base.gemm_model(), h, sl, tp, 4);
+        for workload in [Workload::Training, Workload::Prefill, Workload::Decode] {
+            let [a, b] = [&base, &other].map(|dev| {
+                let curve = projection_curve(dev.network(), workload);
+                let tp_comm = triple_tp_comm(curve.as_ref(), dev.network(), &hyper, tp, workload);
+                let model = projection_model(dev, curve);
+                let naive = triple_terms(model.as_ref(), dev, &hyper, tp, workload).1;
+                assert_eq!(tp_comm.to_bits(), naive.to_bits(), "{workload}");
+                tp_comm
+            });
+            assert_ne!(a, b, "{workload}: TP all-reduce on two networks");
+        }
+        let [a, b] = [&base, &other].map(|dev| {
+            let comm = roi_comm_time(&roi, dev.network());
+            let pct = roi_overlap_pct(&roi, comm, dev);
+            assert_eq!(pct.to_bits(), overlap_pct(dev, h, sl, tp, 4).to_bits());
+            comm
+        });
+        assert_ne!(a, b, "ROI gradient all-reduce on two networks");
     }
 }

@@ -9,10 +9,10 @@
 //! wedging the harness.
 //!
 //! [`stream_tasks`] is the building block: a scoped-thread worker pool
-//! (`std::thread::scope`, no external dependencies) pulling task indices
-//! from an atomic counter and handing each finished task to the calling
-//! thread while the rest still run; a lone task runs on the calling
-//! thread itself. Panics are caught per task
+//! (`std::thread::scope`, no external dependencies) claiming task
+//! indices in order from one shared claim and handing each finished task
+//! to the calling thread while the rest still run; a lone task runs on
+//! the calling thread itself. Panics are caught per task
 //! ([`std::panic::catch_unwind`]) and converted into `Err(message)`
 //! results. [`run_tasks`] is its collect-into-slots case, so collection
 //! order is the submission order no matter which worker ran what.
@@ -33,15 +33,15 @@
 //! depth and per-worker busy time feed the global metrics registry.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::experiments::{ExperimentDef, ExperimentOutput};
-use crate::grid::GridIndex;
+use crate::grid::{ChunkSet, GridIndex};
 use crate::inference::InferenceIteration;
 use crate::overlapped::overlap_pct;
 use crate::report::Table;
@@ -49,7 +49,7 @@ use crate::serialized::{comm_fraction, projection_baseline, sweep_hyper, Method}
 use twocs_collectives::{Collective, CollectiveCostModel};
 use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, HwEvolution};
-use twocs_opmodel::ProjectionModel;
+use twocs_opmodel::{ArSizeModel, ProjectionModel};
 use twocs_transformer::moe::MoeConfig;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
@@ -101,7 +101,7 @@ pub struct TaskResult<T> {
 /// Execute `count` tasks on `jobs` scoped worker threads and return the
 /// results **in task-index order**, regardless of scheduling.
 ///
-/// Workers claim indices from a shared atomic counter, so the pool
+/// Workers claim indices in order from one shared claim, so the pool
 /// load-balances uneven task costs. Each task runs under
 /// [`catch_unwind`]: a panic becomes `Err(message)` for that index and
 /// the worker moves on to the next task — one bad configuration cannot
@@ -146,7 +146,7 @@ where
 /// threads, handing each finished task to `on_done` **on the calling
 /// thread** while the rest still run, in completion order.
 ///
-/// Workers claim indices from a shared atomic counter, so the pool
+/// Workers claim indices in order from one shared claim, so the pool
 /// load-balances uneven task costs, and finished tasks reach the caller
 /// through a channel bounded at four per worker, so a slow consumer
 /// throttles evaluation instead of queueing results. Each task runs
@@ -184,7 +184,37 @@ where
     F: Fn(usize) -> T + Sync,
     L: Fn(usize) -> String + Sync,
 {
-    let next = AtomicUsize::new(0);
+    stream_task_ids(jobs, count, 0..count, label, task, |i, _, done| {
+        on_done(i, done)
+    })
+}
+
+/// [`stream_tasks`] over task *ids*: task `i` is the `i`-th of `ids`
+/// (at most `count` of them), which the pool draws as it claims tasks
+/// rather than collecting them. `label` and `task` get a task's id,
+/// `on_done` its index and id; task scopes and the pool metrics are
+/// keyed by the index, as in [`stream_tasks`].
+pub fn stream_task_ids<T, F, L, E>(
+    jobs: usize,
+    count: usize,
+    ids: impl Iterator<Item = usize> + Send,
+    label: L,
+    task: F,
+    mut on_done: impl FnMut(usize, usize, TaskResult<T>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    L: Fn(usize) -> String + Sync,
+{
+    let claims = Mutex::new(ids.take(count).enumerate());
+    let stopped = AtomicBool::new(false);
+    let claim = || {
+        if stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        claims.lock().unwrap_or_else(PoisonError::into_inner).next()
+    };
     let workers = jobs.max(1).min(count.max(1));
     // Workers inherit the spawning thread's budget (like the tracing
     // seed below), so a nested `run_tasks` inside a task sees the budget
@@ -194,11 +224,11 @@ where
     let tasks_total = registry.counter("sweep.tasks_total");
     let queue_depth = registry.histogram("sweep.queue_depth");
     let busy_us = |w: usize| registry.counter(&format!("sweep.worker{w}.busy_us"));
-    let run_one = |i: usize, w: usize, busy_us: &twocs_obs::Counter| {
+    let run_one = |(i, id): (usize, usize), w: usize, busy_us: &twocs_obs::Counter| {
         queue_depth.observe((count - i) as u64);
-        let scope_guard = twocs_obs::task_scope(i, &label(i));
+        let scope_guard = twocs_obs::task_scope(i, &label(id));
         let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message);
+        let result = catch_unwind(AssertUnwindSafe(|| task(id))).map_err(panic_message);
         let elapsed = start.elapsed();
         scope_guard.finish();
         tasks_total.inc();
@@ -209,29 +239,28 @@ where
             worker: w,
         }
     };
-    if count == 1 {
+    if count <= 1 {
         // One task has nothing to overlap with: a worker thread would
         // only cost a spawn and a join while this thread waits for it.
-        let done = run_one(0, 0, &busy_us(0));
+        let Some((i, id)) = claim() else {
+            return Ok(());
+        };
+        let done = run_one((i, id), 0, &busy_us(0));
         set_parallelism(budget);
-        return on_done(0, done);
+        return on_done(i, id, done);
     }
     let seed = twocs_obs::pool_seed();
-    let (tx, rx) = sync_channel::<(usize, TaskResult<T>)>(workers * 4);
+    let (tx, rx) = sync_channel::<(usize, usize, TaskResult<T>)>(workers * 4);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let (seed, run_one, next, tx) = (&seed, &run_one, &next, tx.clone());
+            let (seed, run_one, claim, tx) = (&seed, &run_one, &claim, tx.clone());
             let busy_us = busy_us(w);
             scope.spawn(move || {
                 twocs_obs::enter_worker(seed, w);
                 set_parallelism(budget);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    if tx.send((i, run_one(i, w, &busy_us))).is_err() {
+                while let Some((i, id)) = claim() {
+                    if tx.send((i, id, run_one((i, id), w, &busy_us))).is_err() {
                         break; // the caller stopped the pool
                     }
                 }
@@ -239,9 +268,9 @@ where
         }
         drop(tx);
         let mut outcome = Ok(());
-        for (i, done) in &rx {
-            if let Err(e) = on_done(i, done) {
-                next.store(count, Ordering::Relaxed);
+        for (i, id, done) in &rx {
+            if let Err(e) = on_done(i, id, done) {
+                stopped.store(true, Ordering::Relaxed);
                 outcome = Err(e);
                 break;
             }
@@ -732,7 +761,7 @@ impl PointTerms {
 /// through [`triple_terms`] and the extended axes through [`axis_costs`].
 fn point_terms(dev: &DeviceSpec, p: GridPoint, batch: u64, workload: Workload) -> PointTerms {
     let hyper = sweep_hyper(p.h, p.sl, batch);
-    let model = projection_model(dev, workload);
+    let model = projection_model(dev, projection_curve(dev.network(), workload));
     let (compute, tp_comm) = triple_terms(model.as_ref(), dev, &hyper, p.tp, workload);
     PointTerms {
         layers: hyper.layers(),
@@ -742,20 +771,34 @@ fn point_terms(dev: &DeviceSpec, p: GridPoint, batch: u64, workload: Workload) -
     }
 }
 
-/// The projection model [`triple_terms`] prices a training triple with:
-/// the baseline profiled on the evolved `dev`. Prefill and decode never
-/// read it, so they get `None`.
-pub(crate) fn projection_model(dev: &DeviceSpec, workload: Workload) -> Option<ProjectionModel> {
-    (workload == Workload::Training)
-        .then(|| ProjectionModel::from_baseline(&projection_baseline(), dev))
+/// The all-reduce curve a training triple's TP all-reduces are priced
+/// off on `net` ([`triple_tp_comm`]). Prefill and decode price theirs on
+/// the network directly, so they get `None`.
+pub(crate) fn projection_curve(net: &NetworkSpec, workload: Workload) -> Option<ArSizeModel> {
+    (workload == Workload::Training).then(|| ProjectionModel::ar_curve(net))
+}
+
+/// The projection model [`triple_compute`] prices a training triple
+/// with: the baseline profiled on the evolved `dev`, keeping `curve`
+/// ([`projection_curve`] of `dev`'s network). `None` without a curve —
+/// prefill and decode never read a model.
+pub(crate) fn projection_model(
+    dev: &DeviceSpec,
+    curve: Option<ArSizeModel>,
+) -> Option<ProjectionModel> {
+    curve.map(|curve| ProjectionModel::with_ar_curve(&projection_baseline(), dev, curve))
 }
 
 /// The `(compute, tp_comm)` per layer of one `(H, SL, TP)` triple on the
-/// evolved `dev` — the one pricer of both kernels: the naive
-/// [`point_terms`] calls it per point, the factored plan once per table
-/// cell. Training (`model` from [`projection_model`]) is the projected
-/// compute plus, when TP > 1, the four serialized TP all-reduces (Eqs.
-/// 10–12 at DP = 1); prefill and decode are [`InferenceIteration`]'s.
+/// evolved `dev`, as the naive [`point_terms`] prices it per point: all
+/// three halves of the triple pricer in turn. The factored plan calls
+/// the same halves, each at its own key — [`triple_factors`] once per
+/// triple, [`triple_tp_comm`] once per `(network, triple)` and
+/// [`triple_compute`] once per `(ratio, triple)` cell — so the two
+/// kernels agree bit for bit. Training (`model` from
+/// [`projection_model`]) is the projected compute plus, when TP > 1, the
+/// four serialized TP all-reduces (Eqs. 10–12 at DP = 1); prefill and
+/// decode are [`InferenceIteration`]'s.
 pub(crate) fn triple_terms(
     model: Option<&ProjectionModel>,
     dev: &DeviceSpec,
@@ -763,19 +806,60 @@ pub(crate) fn triple_terms(
     tp: u64,
     workload: Workload,
 ) -> (f64, f64) {
+    let factors = triple_factors(model, hyper, tp);
+    let curve = model.map(ProjectionModel::ar_model);
+    (
+        triple_compute(model, &factors, dev, hyper, tp, workload),
+        triple_tp_comm(curve, dev.network(), hyper, tp, workload),
+    )
+}
+
+/// The device-independent half of a triple's compute: the projection's
+/// scaling-law factors from the baseline to `hyper` at `tp` (training;
+/// empty for prefill and decode, whose compute is all roofline). Any
+/// model of the baseline gives the same factors, whatever its device.
+pub(crate) fn triple_factors(
+    model: Option<&ProjectionModel>,
+    hyper: &Hyperparams,
+    tp: u64,
+) -> Vec<f64> {
+    model.map_or_else(Vec::new, |m| m.law_factors(hyper, tp))
+}
+
+/// The network half: a triple's serialized TP all-reduce time per layer
+/// on `net` — `0.0` at TP = 1 for every workload. Training prices it off
+/// `curve`, the [`projection_curve`] of `net`; prefill and decode (no
+/// curve) on `net` itself. Nothing here reads a device's rates, so one
+/// price serves every ratio whose evolved device keeps `net`.
+pub(crate) fn triple_tp_comm(
+    curve: Option<&ArSizeModel>,
+    net: &NetworkSpec,
+    hyper: &Hyperparams,
+    tp: u64,
+    workload: Workload,
+) -> f64 {
+    match curve {
+        Some(curve) if tp > 1 => ProjectionModel::serialized_ar_time_on(curve, hyper),
+        Some(_) => 0.0,
+        None => InferenceIteration::comm_time(net, hyper, tp, workload),
+    }
+}
+
+/// The roofline half: a triple's compute per layer on the evolved `dev`
+/// — `model`'s profiled baseline scaled by `factors` (from
+/// [`triple_factors`]) for training, [`InferenceIteration`]'s roofline
+/// for prefill and decode.
+pub(crate) fn triple_compute(
+    model: Option<&ProjectionModel>,
+    factors: &[f64],
+    dev: &DeviceSpec,
+    hyper: &Hyperparams,
+    tp: u64,
+    workload: Workload,
+) -> f64 {
     match model {
-        Some(m) => {
-            let tp_comm = if tp > 1 {
-                m.serialized_ar_time(hyper)
-            } else {
-                0.0
-            };
-            (m.projected_compute(hyper, tp).0, tp_comm)
-        }
-        None => {
-            let it = InferenceIteration::model(dev, hyper, tp, workload);
-            (it.compute_per_layer, it.serialized_comm_per_layer)
-        }
+        Some(m) => m.compute_from(factors).0,
+        None => InferenceIteration::compute_time(dev, hyper, tp, workload),
     }
 }
 
@@ -932,7 +1016,7 @@ pub trait GridExecutor: Send + Sync + fmt::Debug {
         sweep: &GridSweep,
         device: &DeviceSpec,
         chunk_size: usize,
-        completed: &BTreeSet<u32>,
+        completed: &ChunkSet,
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<Box<dyn fmt::Display + Send>, String>;
 
@@ -957,15 +1041,16 @@ pub struct LocalPool {
 
 impl LocalPool {
     /// [`GridExecutor::execute`] with the typed summary: task and
-    /// per-worker timings of the run. Task `i`
-    /// is the `i`-th pending chunk, labelled by its grid point when the
-    /// chunk holds one point and by its point range otherwise.
+    /// per-worker timings of the run. Task `i` is the `i`-th chunk not in
+    /// `completed`, drawn as the pool claims it, and is labelled by its
+    /// grid point when the chunk holds one point and by its point range
+    /// otherwise.
     pub fn run(
         &self,
         sweep: &GridSweep,
         device: &DeviceSpec,
         chunk_size: usize,
-        completed: &BTreeSet<u32>,
+        completed: &ChunkSet,
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<SweepSummary, String> {
         let jobs = self.jobs;
@@ -973,33 +1058,33 @@ impl LocalPool {
         let index = sweep.index();
         let chunk_size = chunk_size.max(1);
         let start = Instant::now();
-        let pending: Vec<u32> = (0..index.chunk_count(chunk_size) as u32)
-            .filter(|c| !completed.contains(c))
-            .collect();
+        let chunks = index.chunk_count(chunk_size) as u32;
+        let pending = completed.missing(chunks).count();
         // A fully replayed journal has nothing left to price.
-        let plan = (!pending.is_empty())
+        let plan = (pending > 0)
             .then(|| FactoredPlan::build_from_sweep(device, sweep))
             .flatten();
-        let ranks = |i: usize| index.chunk_ranks(pending[i] as usize, chunk_size);
-        let label = |i: usize| match ranks(i) {
+        let ranks = |chunk: usize| index.chunk_ranks(chunk, chunk_size);
+        let label = |chunk: usize| match ranks(chunk) {
             r if r.len() == 1 => grid_point_label(&index.point(r.start)),
             r => format!("points {}..{}", r.start, r.end),
         };
-        let mut summary = SweepSummary::new(jobs, pending.len());
-        let eval = |i: usize| {
+        let mut summary = SweepSummary::new(jobs, pending);
+        let eval = |chunk: usize| {
             let mut out = PointResults::new();
-            eval_chunk(plan.as_ref(), device, sweep, &index, ranks(i), &mut out);
+            eval_chunk(plan.as_ref(), device, sweep, &index, ranks(chunk), &mut out);
             out
         };
-        stream_tasks(jobs, pending.len(), label, eval, |i, t| {
+        let ids = completed.missing(chunks).map(|c| c as usize);
+        stream_task_ids(jobs, pending, ids, label, eval, |i, chunk, t| {
             // `eval_chunk` catches per-point panics, so a failed task
             // means a planner bug: it degrades to one `Err` per point.
             let values = t
                 .result
-                .unwrap_or_else(|msg| vec![Err(msg); ranks(i).len()]);
+                .unwrap_or_else(|msg| vec![Err(msg); ranks(chunk).len()]);
             let failed = values.iter().filter(|r| r.is_err()).count();
-            summary.add(i, t.elapsed, t.worker, failed, || label(i));
-            on_chunk(pending[i], values)
+            summary.add(i, t.elapsed, t.worker, failed, || label(chunk));
+            on_chunk(chunk as u32, values)
         })?;
         Ok(summary.finish(start))
     }
@@ -1011,7 +1096,7 @@ impl GridExecutor for LocalPool {
         sweep: &GridSweep,
         device: &DeviceSpec,
         chunk_size: usize,
-        completed: &BTreeSet<u32>,
+        completed: &ChunkSet,
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<Box<dyn fmt::Display + Send>, String> {
         Ok(Box::new(
@@ -1177,7 +1262,7 @@ impl GridSweep {
     pub fn run(&self, device: &DeviceSpec, jobs: usize) -> (Table, SweepSummary) {
         let chunk_size = self.chunk_size(jobs);
         self.tabulate_with(chunk_size, |on_chunk| {
-            LocalPool { jobs }.run(self, device, chunk_size, &BTreeSet::new(), on_chunk)
+            LocalPool { jobs }.run(self, device, chunk_size, &ChunkSet::new(), on_chunk)
         })
         .expect("filing a chunk into its slot cannot fail")
     }
@@ -1914,12 +1999,12 @@ mod tests {
             sweep: &GridSweep,
             device: &DeviceSpec,
             chunk_size: usize,
-            completed: &BTreeSet<u32>,
+            completed: &ChunkSet,
             on_chunk: &mut OnChunk<'_>,
         ) -> Result<Box<dyn fmt::Display + Send>, String> {
             let index = sweep.index();
             for chunk in (0..index.chunk_count(chunk_size) as u32).rev() {
-                if completed.contains(&chunk) {
+                if completed.contains(chunk) {
                     continue;
                 }
                 let values = index
@@ -1958,7 +2043,7 @@ mod tests {
         let chunk_size = 3;
         let (via_executor, _) = sweep
             .tabulate_with(chunk_size, |on_chunk| {
-                executor.execute(&sweep, &device, chunk_size, &BTreeSet::new(), on_chunk)
+                executor.execute(&sweep, &device, chunk_size, &ChunkSet::new(), on_chunk)
             })
             .unwrap();
         assert_eq!(table.to_csv(), via_executor.to_csv());

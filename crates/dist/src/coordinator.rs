@@ -63,7 +63,7 @@ use crate::window::CreditWindow;
 use twocs_core::sweep::{
     eval_chunk, set_parallelism, FactoredPlan, GridExecutor, GridSweep, OnChunk, PointResults,
 };
-use twocs_core::{GridIndex, Table};
+use twocs_core::{ChunkSet, GridIndex, Table};
 use twocs_hw::DeviceSpec;
 use twocs_serve::poll::{Interest, Poller, Source, Waker};
 use twocs_store::SweepSpec;
@@ -412,7 +412,7 @@ impl Coordinator {
     ) -> Result<(Table, DistSummary), String> {
         let chunk_size = self.shared.cfg.chunk_size.max(1);
         sweep.tabulate_with(chunk_size, |on_chunk| {
-            self.run_sweep_streaming(sweep, device, chunk_size, &BTreeSet::new(), on_chunk)
+            self.run_sweep_streaming(sweep, device, chunk_size, &ChunkSet::new(), on_chunk)
         })
     }
 
@@ -440,7 +440,7 @@ impl Coordinator {
         sweep: &GridSweep,
         device: &DeviceSpec,
         chunk_size: usize,
-        completed: &BTreeSet<ChunkId>,
+        completed: &ChunkSet,
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<DistSummary, String> {
         let start = Instant::now();
@@ -517,7 +517,7 @@ fn post_job(
     sweep: &GridSweep,
     device: &DeviceSpec,
     chunk_size: usize,
-    completed: &BTreeSet<ChunkId>,
+    completed: &ChunkSet,
 ) -> Result<u64, String> {
     let local_only = !DeviceSpec::catalog()
         .iter()
@@ -542,7 +542,7 @@ fn post_job(
     let id = st.next_job;
     st.next_job += 1;
     let mut tracker = LeaseTracker::new(n_chunks);
-    for &chunk in completed {
+    for chunk in completed.iter() {
         // Journal-recovered chunks: completing a pending chunk is the
         // tracker's resume mechanism.
         tracker.complete(chunk);
@@ -583,7 +583,7 @@ impl GridExecutor for Coordinator {
         sweep: &GridSweep,
         device: &DeviceSpec,
         chunk_size: usize,
-        completed: &BTreeSet<ChunkId>,
+        completed: &ChunkSet,
         on_chunk: &mut OnChunk<'_>,
     ) -> Result<Box<dyn fmt::Display + Send>, String> {
         let summary = self.run_sweep_streaming(sweep, device, chunk_size, completed, on_chunk)?;

@@ -426,8 +426,8 @@ fn worker_byte_accounting_matches_coordinator() {
 /// together reproduces the local CSV byte-for-byte.
 #[test]
 fn streaming_sweep_with_resume_set_matches_local() {
-    use std::collections::{BTreeMap, BTreeSet};
-    use twocs_core::eval_chunk;
+    use std::collections::BTreeMap;
+    use twocs_core::{eval_chunk, ChunkSet};
 
     let sweep = small_sweep();
     let device = DeviceSpec::mi210();
@@ -449,7 +449,7 @@ fn streaming_sweep_with_resume_set_matches_local() {
         index.chunk_ranks(resumed as usize, chunk_size),
         &mut resumed_values,
     );
-    let completed = BTreeSet::from([resumed]);
+    let completed = ChunkSet::from_iter([resumed]);
 
     let coordinator = bind(chunk_size);
     let addr = coordinator.local_addr().to_string();
@@ -756,7 +756,7 @@ fn death_while_holding_a_grown_window_requeues_each_lease_once() {
 /// to a local run.
 #[test]
 fn on_chunk_error_aborts_and_frees_the_job_slot() {
-    use std::collections::BTreeSet;
+    use twocs_core::ChunkSet;
 
     let sweep = wide_sweep();
     let device = DeviceSpec::mi210();
@@ -769,7 +769,7 @@ fn on_chunk_error_aborts_and_frees_the_job_slot() {
 
     let mut delivered = 0;
     let err = coordinator
-        .run_sweep_streaming(&sweep, &device, 2, &BTreeSet::new(), &mut |_, _| {
+        .run_sweep_streaming(&sweep, &device, 2, &ChunkSet::new(), &mut |_, _| {
             delivered += 1;
             if delivered == 3 {
                 Err("sink is full".to_owned())
@@ -798,7 +798,8 @@ fn on_chunk_error_aborts_and_frees_the_job_slot() {
 /// still matches the local run byte for byte.
 #[test]
 fn uncatalogued_device_runs_on_the_local_drain_through_both_entry_points() {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
+    use twocs_core::ChunkSet;
     use twocs_dist::{DistSummary, LOCAL_WORKER};
     use twocs_hw::HwEvolution;
 
@@ -832,7 +833,7 @@ fn uncatalogued_device_runs_on_the_local_drain_through_both_entry_points() {
             &sweep,
             &device,
             2,
-            &BTreeSet::new(),
+            &ChunkSet::new(),
             &mut |chunk, values| {
                 assert!(
                     streamed.insert(chunk, values).is_none(),

@@ -7,7 +7,7 @@
 //! trend analysis (§4.3.6) are provided as constructors; numbers are taken
 //! from vendor datasheets.
 
-use crate::gemm::{GemmModel, GemmShape};
+use crate::gemm::{GemmModel, GemmShape, KernelChoice};
 use crate::memops::{MemOpKind, MemOpModel};
 use crate::network::{LinkSpec, NetworkSpec, PinMode};
 use crate::precision::{PeakFlops, Precision};
@@ -123,9 +123,23 @@ impl DeviceSpec {
     /// Total time (seconds) for one GEMM kernel including launch overhead.
     #[must_use]
     pub fn gemm_time(&self, shape: GemmShape, precision: Precision) -> f64 {
+        self.chosen_gemm_time(shape, self.gemm_model.select_kernel(shape), precision)
+    }
+
+    /// [`Self::gemm_time`] with the kernel already chosen by this
+    /// device's GEMM model — which hardware evolution keeps, so one
+    /// choice serves every evolved copy of the device.
+    #[must_use]
+    pub fn chosen_gemm_time(
+        &self,
+        shape: GemmShape,
+        choice: KernelChoice,
+        precision: Precision,
+    ) -> f64 {
         self.launch_overhead
-            + self.gemm_model.kernel_time(
+            + self.gemm_model.chosen_kernel_time(
                 shape,
+                choice,
                 precision,
                 self.peak_flops(precision),
                 self.mem_bandwidth,

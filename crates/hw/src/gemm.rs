@@ -240,7 +240,29 @@ impl GemmModel {
         peak_flops: f64,
         mem_bandwidth: f64,
     ) -> f64 {
-        let achieved = self.achieved_flops(shape, peak_flops);
+        let choice = self.select_kernel(shape);
+        self.chosen_kernel_time(shape, choice, precision, peak_flops, mem_bandwidth)
+    }
+
+    /// [`Self::kernel_time`] with the kernel already chosen
+    /// ([`Self::select_kernel`] of `shape`): only the roofline half, the
+    /// part that reads the device's peak rates. Pricing one shape on many
+    /// evolved devices chooses its kernel once, since evolution leaves
+    /// the GEMM model as it is.
+    ///
+    /// # Panics
+    /// Panics if `peak_flops` or `mem_bandwidth` are not strictly positive.
+    #[must_use]
+    pub fn chosen_kernel_time(
+        &self,
+        shape: GemmShape,
+        choice: KernelChoice,
+        precision: Precision,
+        peak_flops: f64,
+        mem_bandwidth: f64,
+    ) -> f64 {
+        assert!(peak_flops > 0.0, "peak_flops must be positive");
+        let achieved = peak_flops * choice.efficiency;
         let bytes = shape.elements_moved() * precision.bytes();
         roofline_time(
             shape.flops(),

@@ -50,5 +50,5 @@ pub mod stats;
 pub mod validation;
 
 pub use model::{ArSizeModel, FittedOpModel, ScalingExponents};
-pub use profile::{OperatorRecord, Profiler};
+pub use profile::{OperatorRecord, Profiler, SlackRoi};
 pub use projection::{ProjectedIteration, ProjectionModel};

@@ -7,11 +7,14 @@
 //! simulator.
 
 use twocs_collectives::CollectiveCostModel;
-use twocs_hw::DeviceSpec;
+use twocs_hw::gemm::{GemmModel, GemmShape, KernelChoice};
+use twocs_hw::network::NetworkSpec;
+use twocs_hw::{DeviceSpec, Precision};
 use twocs_sim::{Engine, OpClass, SimError};
 use twocs_transformer::backward::{encoder_layer_backward, fc_backward_roi};
 use twocs_transformer::graph_builder::IterationBuilder;
 use twocs_transformer::layer::encoder_layer_forward;
+use twocs_transformer::ops::OpKind;
 use twocs_transformer::{Hyperparams, Op, ParallelConfig};
 
 /// Formerly emptied the process-global slack-ROI memo cache, which is
@@ -133,13 +136,11 @@ impl Profiler {
     /// `(compute_time, comm_time)` in seconds.
     #[must_use]
     pub fn profile_slack_roi(&self, hyper: &Hyperparams, parallel: &ParallelConfig) -> (f64, f64) {
-        let (compute, comm) = fc_backward_roi(hyper, parallel);
-        let t_compute: f64 = compute
-            .iter()
-            .map(|op| self.profile_op(op, hyper).time)
-            .sum();
-        let t_comm = self.profile_op(&comm, hyper).time;
-        (t_compute, t_comm)
+        let roi = SlackRoi::new(self.device.gemm_model(), hyper, parallel);
+        (
+            roi.compute_time(&self.device),
+            roi.comm_time(self.device.network(), &self.comm_model),
+        )
     }
 
     /// "Run" a full training iteration through the discrete-event
@@ -157,6 +158,56 @@ impl Profiler {
             .comm_model(self.comm_model)
             .build_training();
         Ok(Engine::new().run(&graph)?.makespan().as_secs_f64())
+    }
+}
+
+/// The paper's DP slack ROI (§4.2.2 step 2a) of one configuration, split
+/// the way hardware evolution splits a device: [`Self::new`] resolves
+/// what no evolved copy of a device changes — the FC backward GEMM pair
+/// ([`fc_backward_roi`]) with each GEMM's kernel chosen, and the gradient
+/// all-reduce — and [`Self::compute_time`] and [`Self::comm_time`] price
+/// it on a device's rates and on a network. A sweep over flop-vs-bw
+/// ratios builds one per configuration and prices it per ratio.
+#[derive(Debug, Clone)]
+pub struct SlackRoi {
+    precision: Precision,
+    /// The FC backward GEMM pair, with the kernel each runs.
+    gemms: [(GemmShape, KernelChoice); 2],
+    /// The overlappable gradient all-reduce.
+    grad_ar: Op,
+}
+
+impl SlackRoi {
+    /// The ROI of `(hyper, parallel)`, its kernels chosen by `gemm` (the
+    /// GEMM model of the devices it will be priced on).
+    #[must_use]
+    pub fn new(gemm: &GemmModel, hyper: &Hyperparams, parallel: &ParallelConfig) -> Self {
+        let (compute, grad_ar) = fc_backward_roi(hyper, parallel);
+        let gemms = compute.map(|op| match *op.kind() {
+            OpKind::Gemm(shape) => (shape, gemm.select_kernel(shape)),
+            _ => unreachable!("the slack ROI's compute is the FC backward GEMM pair"),
+        });
+        Self {
+            precision: hyper.precision(),
+            gemms,
+            grad_ar,
+        }
+    }
+
+    /// The GEMM pair's time on `device`, seconds: the roofline half, the
+    /// part that reads the device's peak rates.
+    #[must_use]
+    pub fn compute_time(&self, device: &DeviceSpec) -> f64 {
+        self.gemms
+            .iter()
+            .map(|&(shape, choice)| device.chosen_gemm_time(shape, choice, self.precision))
+            .sum()
+    }
+
+    /// The gradient all-reduce's time on `net`, seconds.
+    #[must_use]
+    pub fn comm_time(&self, net: &NetworkSpec, comm_model: &CollectiveCostModel) -> f64 {
+        self.grad_ar.comm_time_on(net, self.precision, comm_model)
     }
 }
 

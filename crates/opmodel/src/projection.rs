@@ -10,6 +10,8 @@
 
 use crate::model::{ArSizeModel, ScalingExponents};
 use crate::profile::{OperatorRecord, Profiler};
+use twocs_collectives::CollectiveCostModel;
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::DeviceSpec;
 use twocs_transformer::{Hyperparams, ParallelConfig};
 
@@ -48,16 +50,39 @@ impl ProjectionModel {
     /// device's node network.
     #[must_use]
     pub fn from_baseline(baseline: &Hyperparams, device: &DeviceSpec) -> Self {
-        let profiler = Profiler::new(device.clone());
-        let single = ParallelConfig::new();
-        let profile = profiler.profile_layer(baseline, &single);
-        let baseline_ops: Vec<OperatorRecord> = profile.iter().cloned().collect();
-        let ar_model = ArSizeModel::profile(
-            device.network(),
-            profiler.comm_model(),
+        Self::with_ar_curve(baseline, device, Self::ar_curve(device.network()))
+    }
+
+    /// The all-reduce size curve [`from_baseline`] measures on `net`'s
+    /// 4-GPU node. It reads nothing of a device but its network.
+    ///
+    /// [`from_baseline`]: ProjectionModel::from_baseline
+    #[must_use]
+    pub fn ar_curve(net: &NetworkSpec) -> ArSizeModel {
+        ArSizeModel::profile(
+            net,
+            &CollectiveCostModel::default(),
             4, // the paper's 4-GPU node
             &ArSizeModel::default_sizes(),
-        );
+        )
+    }
+
+    /// [`from_baseline`] with the all-reduce curve already measured:
+    /// profiles `baseline` on `device` and keeps `ar_model`, which is
+    /// [`ar_curve`] of `device`'s network. Flop-vs-bw evolution keeps the
+    /// network, so a sweep over evolved devices measures the curve once
+    /// and profiles only the baseline's operators per device.
+    ///
+    /// [`from_baseline`]: ProjectionModel::from_baseline
+    /// [`ar_curve`]: ProjectionModel::ar_curve
+    #[must_use]
+    pub fn with_ar_curve(
+        baseline: &Hyperparams,
+        device: &DeviceSpec,
+        ar_model: ArSizeModel,
+    ) -> Self {
+        let profile = Profiler::new(device.clone()).profile_layer(baseline, &ParallelConfig::new());
+        let baseline_ops: Vec<OperatorRecord> = profile.iter().cloned().collect();
         let mut laws: Vec<ScalingExponents> = Vec::new();
         let resolved = baseline_ops
             .iter()
@@ -109,19 +134,43 @@ impl ProjectionModel {
     }
 
     /// Project total and backward-only compute per layer at a target
-    /// configuration — the operator-scaling loop shared by [`project`]
-    /// and the factored sweep planner, so both paths produce bit-equal
-    /// floats. Each distinct scaling law is priced once and applied to
-    /// every operator it governs, in baseline order.
+    /// configuration: [`compute_from`] over [`law_factors`]. The
+    /// factored sweep planner calls the two halves itself — the factors
+    /// once per configuration, the compute once per evolved device — so
+    /// both paths produce bit-equal floats.
     ///
-    /// [`project`]: ProjectionModel::project
+    /// [`compute_from`]: ProjectionModel::compute_from
+    /// [`law_factors`]: ProjectionModel::law_factors
     #[must_use]
     pub fn projected_compute(&self, target: &Hyperparams, target_tp: u64) -> (f64, f64) {
-        let factors: Vec<f64> = self
-            .laws
+        self.compute_from(&self.law_factors(target, target_tp))
+    }
+
+    /// The device-independent half of [`projected_compute`]: each
+    /// distinct scaling law's factor from the baseline to `(target,
+    /// target_tp)`, in the model's law order. That order follows the
+    /// baseline's operator names, which no device changes, so the
+    /// factors of one model serve every model of the same baseline.
+    ///
+    /// [`projected_compute`]: ProjectionModel::projected_compute
+    #[must_use]
+    pub fn law_factors(&self, target: &Hyperparams, target_tp: u64) -> Vec<f64> {
+        self.laws
             .iter()
             .map(|law| law.scale_factor(&self.baseline, 1, target, target_tp))
-            .collect();
+            .collect()
+    }
+
+    /// The roofline half of [`projected_compute`]: this model's profiled
+    /// baseline operators, each scaled by its law's entry of `factors`
+    /// (from [`law_factors`]), summed in baseline order into total and
+    /// backward-only compute per layer.
+    ///
+    /// [`projected_compute`]: ProjectionModel::projected_compute
+    /// [`law_factors`]: ProjectionModel::law_factors
+    #[must_use]
+    pub fn compute_from(&self, factors: &[f64]) -> (f64, f64) {
+        debug_assert_eq!(factors.len(), self.laws.len(), "one factor per law");
         let mut compute = 0.0;
         let mut backward_compute = 0.0;
         let mut seen_backward = false;
@@ -147,8 +196,18 @@ impl ProjectionModel {
     /// [`project`]: ProjectionModel::project
     #[must_use]
     pub fn serialized_ar_time(&self, target: &Hyperparams) -> f64 {
+        Self::serialized_ar_time_on(&self.ar_model, target)
+    }
+
+    /// [`serialized_ar_time`] off `ar_model`, an [`ar_curve`]: the TP
+    /// all-reduces read nothing of the device but its network.
+    ///
+    /// [`serialized_ar_time`]: ProjectionModel::serialized_ar_time
+    /// [`ar_curve`]: ProjectionModel::ar_curve
+    #[must_use]
+    pub fn serialized_ar_time_on(ar_model: &ArSizeModel, target: &Hyperparams) -> f64 {
         let act_bytes = target.tokens() * target.hidden() * target.precision().bytes();
-        4.0 * self.ar_model.predict(act_bytes)
+        4.0 * ar_model.predict(act_bytes)
     }
 
     /// Time of the overlappable DP gradient all-reduce of one layer's

@@ -61,7 +61,6 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
     use twocs_core::planner::{eval_chunk, FactoredPlan};
@@ -81,7 +80,7 @@ mod tests {
             sweep: &GridSweep,
             device: &DeviceSpec,
             chunk_size: usize,
-            completed: &BTreeSet<u32>,
+            completed: &twocs_core::ChunkSet,
             on_chunk: &mut OnChunk<'_>,
         ) -> Result<Box<dyn Display + Send>, String> {
             self.0

@@ -33,7 +33,6 @@
 //! the journal's `store.journal.fsync_us` it shows which stage bounds a
 //! journaled run.
 
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -41,7 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use twocs_core::PointResults;
+use twocs_core::{ChunkSet, PointResults};
 use twocs_obs::metrics::Counter;
 
 use crate::journal::Journal;
@@ -79,7 +78,8 @@ pub struct SweepStore {
     points: usize,
     journal: Option<Journal>,
     rows: Rows,
-    completed: BTreeSet<u32>,
+    /// Chunks recorded so far, one bit each.
+    completed: ChunkSet,
     replayed_chunks: u64,
 }
 
@@ -96,7 +96,7 @@ impl SweepStore {
             .map(|p| Journal::create(p, &spec))
             .transpose()?;
         let sink = Self::sink(&spec, out)?;
-        Self::open(spec, journal, sink, BTreeSet::new(), 0)
+        Self::open(spec, journal, sink, ChunkSet::new(), 0)
     }
 
     /// Resume from an existing journal: replays its completed chunks
@@ -105,7 +105,7 @@ impl SweepStore {
     pub fn resume(journal_path: &Path, out: Box<dyn Write + Send>) -> Result<Self, String> {
         let (journal, spec, replay) = Journal::open(journal_path)?;
         let mut sink = Self::sink(&spec, out)?;
-        let mut completed = BTreeSet::new();
+        let mut completed = ChunkSet::new();
         let replayed_chunks = replay.chunks.len() as u64;
         for (chunk, values) in replay.chunks {
             sink.accept(chunk, values)?;
@@ -126,7 +126,7 @@ impl SweepStore {
         spec: SweepSpec,
         journal: Option<Journal>,
         sink: StreamSink,
-        completed: BTreeSet<u32>,
+        completed: ChunkSet,
         replayed_chunks: u64,
     ) -> Result<Self, String> {
         let points = sink.points();
@@ -152,7 +152,7 @@ impl SweepStore {
 
     /// Chunks already recorded (journal-replayed or recorded live).
     #[must_use]
-    pub fn completed(&self) -> &BTreeSet<u32> {
+    pub fn completed(&self) -> &ChunkSet {
         &self.completed
     }
 
@@ -174,7 +174,7 @@ impl SweepStore {
     /// [`finish`](Self::finish). Returns `Ok(false)` for a duplicate of
     /// an already-recorded chunk, which is dropped without effect.
     pub fn record(&mut self, chunk: u32, values: PointResults) -> Result<bool, String> {
-        if self.completed.contains(&chunk) {
+        if self.completed.contains(chunk) {
             return Ok(false);
         }
         check_chunk(self.points, self.chunk_size(), chunk, values.len())?;
@@ -394,7 +394,7 @@ mod tests {
         // Re-delivered chunk is a silent duplicate.
         assert!(!second.record(1, values(&s, 1)).unwrap());
         for c in 0..n {
-            if !second.completed().contains(&c) {
+            if !second.completed().contains(c) {
                 assert!(second.record(c, values(&s, c)).unwrap());
             }
         }

@@ -205,12 +205,12 @@ pub fn layer_grad_allreduce(hyper: &Hyperparams, parallel: &ParallelConfig) -> O
 /// moves `precision/8 · 4H·H/TP` bytes (Eq. 8); their ratio is the slack
 /// `O(SL·B)` (Eq. 9).
 #[must_use]
-pub fn fc_backward_roi(hyper: &Hyperparams, parallel: &ParallelConfig) -> (Vec<Op>, Op) {
+pub fn fc_backward_roi(hyper: &Hyperparams, parallel: &ParallelConfig) -> ([Op; 2], Op) {
     let h = hyper.hidden();
     let ff = hyper.ff_dim();
     let tp = parallel.tp();
     let tokens = hyper.tokens();
-    let compute = vec![
+    let compute = [
         Op::gemm("fc1_ig_gemm", GemmShape::new(tokens, h, ff / tp)),
         Op::gemm("fc1_wg_gemm", GemmShape::new(h, ff / tp, tokens)),
     ];

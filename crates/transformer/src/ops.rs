@@ -10,6 +10,7 @@ use std::fmt;
 use twocs_collectives::{Collective, CollectiveCostModel};
 use twocs_hw::gemm::GemmShape;
 use twocs_hw::memops::MemOpKind;
+use twocs_hw::network::NetworkSpec;
 use twocs_hw::{DeviceSpec, Precision};
 use twocs_sim::OpClass;
 
@@ -242,51 +243,57 @@ impl Op {
         match &self.kind {
             OpKind::Gemm(shape) => device.gemm_time(*shape, precision),
             OpKind::MemOp { kind, elements } => device.memop_time(*kind, *elements, precision),
+            _ => self.comm_time_on(device.network(), precision, comm_model),
+        }
+    }
+
+    /// [`Self::time_on`] for a communication op: it reads nothing of the
+    /// device but its network, so one price serves every device on
+    /// `net` (hardware evolution by flop-vs-bw keeps the network).
+    ///
+    /// # Panics
+    /// Panics on a GEMM or mem-op, which the device's rates price.
+    #[must_use]
+    pub fn comm_time_on(
+        &self,
+        net: &NetworkSpec,
+        precision: Precision,
+        comm_model: &CollectiveCostModel,
+    ) -> f64 {
+        let (collective, elements, participants) = match self.kind {
             OpKind::AllReduce {
                 elements,
                 participants,
                 ..
-            } => comm_model.node_time(
-                Collective::AllReduce,
-                elements * precision.bytes(),
-                *participants as usize,
-                device.network(),
-            ),
+            } => (Collective::AllReduce, elements, participants),
             OpKind::ReduceScatter {
                 elements,
                 participants,
                 ..
-            } => comm_model.node_time(
-                Collective::ReduceScatter,
-                elements * precision.bytes(),
-                *participants as usize,
-                device.network(),
-            ),
+            } => (Collective::ReduceScatter, elements, participants),
             OpKind::AllGather {
                 elements,
                 participants,
                 ..
-            } => comm_model.node_time(
-                Collective::AllGather,
-                elements * precision.bytes(),
-                *participants as usize,
-                device.network(),
-            ),
+            } => (Collective::AllGather, elements, participants),
             OpKind::AllToAll {
                 elements,
                 participants,
                 ..
-            } => comm_model.node_time(
-                Collective::AllToAll,
-                elements * precision.bytes(),
-                *participants as usize,
-                device.network(),
-            ),
-            OpKind::PointToPoint { elements } => device
-                .network()
-                .intra_node()
-                .transfer_time(elements * precision.bytes()),
-        }
+            } => (Collective::AllToAll, elements, participants),
+            OpKind::PointToPoint { elements } => {
+                return net.intra_node().transfer_time(elements * precision.bytes())
+            }
+            OpKind::Gemm(_) | OpKind::MemOp { .. } => {
+                panic!("{} is not a communication op", self.name)
+            }
+        };
+        comm_model.node_time(
+            collective,
+            elements * precision.bytes(),
+            participants as usize,
+            net,
+        )
     }
 }
 
